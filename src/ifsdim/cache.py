@@ -15,7 +15,7 @@ from fractions import Fraction
 from .ifs import IFSSystem
 from .net import ChildRecord, FiniteTypeStructure
 
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 class CacheError(RuntimeError):
@@ -33,6 +33,7 @@ def _coeffs_in(ctx, raw) -> "FieldElement":
 def system_fingerprint(system: IFSSystem) -> dict:
     out = {
         "minpoly": list(system.context.minpoly_int),
+        "root_index": system.context.root_index(),
         "translations": [_coeffs_out(t) for t in system.translations],
         "probabilities": None
         if system.probabilities is None

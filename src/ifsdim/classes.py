@@ -81,6 +81,34 @@ def strongly_connected_components(count: int, successors) -> list[list[int]]:
     return components
 
 
+def closed_classes(count: int, successors, noun: str):
+    """SCCs, scc_of, sorted loop classes and the unique child-closed class.
+
+    Loop classes are the components with at least one internal edge.  A
+    graph without exactly one component closed under `successors` raises
+    NetStructureError; `noun` names the kind of vertex in the message.
+    """
+    sccs = strongly_connected_components(count, successors)
+    scc_of = [0] * count
+    for i, comp in enumerate(sccs):
+        for v in comp:
+            scc_of[v] = i
+    loop_classes = []
+    closed = []
+    for i, comp in enumerate(sccs):
+        members = set(comp)
+        if any(w in members for v in comp for w in successors(v)):
+            loop_classes.append(comp)
+        if all(w in members for v in comp for w in successors(v)):
+            closed.append(i)
+    if len(closed) != 1:
+        raise NetStructureError(
+            f"expected exactly one child-closed {noun} class, found {len(closed)}"
+        )
+    loop_classes.sort()
+    return sccs, scc_of, loop_classes, set(sccs[closed[0]])
+
+
 @dataclass
 class ClassDecomposition:
     """Loop-class structure of the full-vector child graph."""
@@ -103,27 +131,10 @@ def decompose(structure: FiniteTypeStructure) -> ClassDecomposition:
     children = [
         [rec.child for rec in structure.children_of_full(f)] for f in range(n)
     ]
-    sccs = strongly_connected_components(n, lambda v: children[v])
-    scc_of = [0] * n
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = i
-    loop_classes = []
-    closed = []
-    for i, comp in enumerate(sccs):
-        members = set(comp)
-        edges_inside = [w for v in comp for w in children[v] if w in members]
-        if edges_inside:
-            loop_classes.append(comp)
-        if all(w in members for v in comp for w in children[v]):
-            closed.append(i)
-    if len(closed) != 1:
-        raise NetStructureError(
-            f"expected exactly one child-closed vector class, found {len(closed)}"
-        )
-    essential = set(sccs[closed[0]])
+    sccs, scc_of, loop_classes, essential = closed_classes(
+        n, lambda v: children[v], "vector"
+    )
     essential_reduced = sorted({structure.reduced_of(f) for f in essential})
-    loop_classes.sort()
     return ClassDecomposition(scc_of, sccs, loop_classes, essential, essential_reduced)
 
 
@@ -393,25 +404,9 @@ class TripleDiagram:
     def _classify(self):
         n = len(self.keys)
         adjacency = [[e.child for e in self.edges[v]] for v in range(n)]
-        self.sccs = strongly_connected_components(n, lambda v: adjacency[v])
-        self.scc_of = [0] * n
-        for i, comp in enumerate(self.sccs):
-            for v in comp:
-                self.scc_of[v] = i
-        self.loop_classes = []
-        closed = []
-        for i, comp in enumerate(self.sccs):
-            members = set(comp)
-            if any(w in members for v in comp for w in adjacency[v]):
-                self.loop_classes.append(comp)
-            if all(w in members for v in comp for w in adjacency[v]):
-                closed.append(i)
-        if len(closed) != 1:
-            raise NetStructureError(
-                f"expected exactly one child-closed triple class, found {len(closed)}"
-            )
-        self.essential = set(self.sccs[closed[0]])
-        self.loop_classes.sort()
+        self.sccs, self.scc_of, self.loop_classes, self.essential = closed_classes(
+            n, lambda v: adjacency[v], "triple"
+        )
 
     # -- views ------------------------------------------------------------
 

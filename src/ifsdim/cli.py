@@ -15,11 +15,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cache import CacheError, load_structure, save_structure
 from .classes import build_triple_diagram, classify_truly_essential, decompose
+from .config import (  # the parser, also under its earlier CLI names
+    ConfigError,
+    _parse_value,
+    build_system as system_from_config,
+    load_config,
+    parse_config as parse_config_text,
+)
 from .dimension import (
     PeriodicSpec,
     build_dimension_report,
@@ -29,15 +35,8 @@ from .dimension import (
     local_dim_periodic,
 )
 from .dot import reduced_dot, triple_dot
-from .field import FieldContext, FieldError
-from .ifs import (
-    IFSError,
-    IFSSystem,
-    bernoulli_simple_pisot,
-    build_ifs,
-    cantor_like,
-    convolution_power,
-)
+from .field import FieldError
+from .ifs import IFSError, IFSSystem
 from .matrices import MatrixTable
 from .net import (
     NetStructureError,
@@ -62,218 +61,18 @@ EXIT_INPUT = 3
 EXIT_NOT_IN_ATTRACTOR = 4
 
 
-class ConfigError(ValueError):
-    """Malformed configuration file or invalid run parameters."""
-
-
-# -- config file ------------------------------------------------------------
-
-
-def _split_items(text: str, lineno: int) -> list[str]:
-    items = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise ConfigError(f"line {lineno}: unbalanced brackets")
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            items.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ConfigError(f"line {lineno}: unbalanced brackets")
-    tail = "".join(current).strip()
-    if tail:
-        items.append(tail)
-    return items
-
-
-def _parse_value(text: str, lineno: int):
-    text = text.strip()
-    if not text:
-        raise ConfigError(f"line {lineno}: empty value")
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(f"line {lineno}: unbalanced brackets")
-        return [
-            _parse_value(item, lineno)
-            for item in _split_items(text[1:-1], lineno)
-        ]
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return text
-
-
-def parse_config_text(text: str) -> dict:
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: missing key")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _parse_value(value, lineno)
-    return out
-
-
-def _as_int(cfg: dict, key: str) -> int:
-    value = cfg[key]
-    if not isinstance(value, Fraction) or value.denominator != 1:
-        raise ConfigError(f"key {key!r} must be an integer")
-    return int(value)
-
-
-def _require(cfg: dict, *keys: str) -> None:
-    for key in keys:
-        if key not in cfg:
-            raise ConfigError(f"missing key {key!r}")
-
-
-def _fraction_list(cfg: dict, key: str) -> list[Fraction]:
-    value = cfg[key]
-    if not isinstance(value, list) or not all(
-        isinstance(v, Fraction) for v in value
-    ):
-        raise ConfigError(f"key {key!r} must be a list of rationals")
-    return value
-
-
-def system_from_config(cfg: dict) -> IFSSystem:
-    known = {
-        "family", "d", "m", "k", "p", "base_probabilities",
-        "minpoly", "isolating", "translations", "probabilities",
-    }
-    for key in cfg:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}")
-    family = cfg.get("family")
-    if family is not None:
-        if family == "cantor":
-            _require(cfg, "d", "m")
-            probs = _fraction_list(cfg, "probabilities") if "probabilities" in cfg else None
-            return cantor_like(_as_int(cfg, "d"), _as_int(cfg, "m"), probs)
-        if family == "bernoulli_simple_pisot":
-            _require(cfg, "k", "p")
-            if not isinstance(cfg["p"], Fraction):
-                raise ConfigError("key 'p' must be a rational")
-            return bernoulli_simple_pisot(_as_int(cfg, "k"), cfg["p"])
-        if family == "convolution":
-            _require(cfg, "d", "k", "base_probabilities")
-            return convolution_power(
-                _as_int(cfg, "d"),
-                _fraction_list(cfg, "base_probabilities"),
-                _as_int(cfg, "k"),
-            )
-        raise ConfigError(f"unknown family {family!r}")
-
-    _require(cfg, "minpoly", "translations")
-    minpoly = _fraction_list(cfg, "minpoly")
-    isolating = None
-    if "isolating" in cfg:
-        isolating = _fraction_list(cfg, "isolating")
-        if len(isolating) != 2:
-            raise ConfigError("key 'isolating' must be [lo, hi]")
-    context = FieldContext(minpoly, isolating)
-    translations = []
-    raw = cfg["translations"]
-    if not isinstance(raw, list):
-        raise ConfigError("key 'translations' must be a list")
-    for entry in raw:
-        if isinstance(entry, Fraction):
-            translations.append(context.from_rational(entry))
-        elif isinstance(entry, list) and all(
-            isinstance(c, Fraction) for c in entry
-        ):
-            translations.append(context.element(entry))
-        else:
-            raise ConfigError(
-                "each translation must be a rational or a list of "
-                "polynomial coefficients in rho"
-            )
-    probs = _fraction_list(cfg, "probabilities") if "probabilities" in cfg else None
-    return build_ifs(context, translations, probs)
-
-
-def load_config(path: str) -> IFSSystem:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return system_from_config(parse_config_text(text))
-
-
-# -- run parameters -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    config: str
-    command: str
-    cache: str | None
-    max_vectors: int
-    max_level: int
-    cycle_budget: int
-    depth: int
-    tol: Fraction
-    dot: str | None
-    json_path: str | None
-
-    def validate(self) -> None:
-        for name in ("max_vectors", "max_level", "cycle_budget", "depth"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"--{name.replace('_', '-')} must be positive")
-        if not 0 < self.tol < 1:
-            raise ConfigError("--tol must lie strictly between 0 and 1")
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    try:
-        tol = Fraction(args.tol)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"--tol: {exc}") from exc
-    run = RunConfig(
-        config=args.config,
-        command=args.command,
-        cache=args.cache,
-        max_vectors=args.max_vectors,
-        max_level=args.max_level,
-        cycle_budget=args.cycle_budget,
-        depth=args.depth,
-        tol=tol,
-        dot=args.dot,
-        json_path=args.json,
-    )
-    run.validate()
-    return run
-
-
-def _obtain_structure(run: RunConfig, system: IFSSystem):
-    if run.cache is not None and os.path.exists(run.cache):
+def _obtain_structure(args: argparse.Namespace, system: IFSSystem):
+    if args.cache is not None and os.path.exists(args.cache):
         try:
-            structure = load_structure(run.cache, system)
-            print(f"loaded structure cache {run.cache}", file=sys.stderr)
+            structure = load_structure(args.cache, system)
+            print(f"loaded structure cache {args.cache}", file=sys.stderr)
             return structure
         except CacheError as exc:
             print(f"cache unusable ({exc}); re-exploring", file=sys.stderr)
-    structure = explore(system, max_vectors=run.max_vectors, max_level=run.max_level)
-    if run.cache is not None:
-        save_structure(run.cache, structure)
-        print(f"wrote structure cache {run.cache}", file=sys.stderr)
+    structure = explore(system, max_vectors=args.max_vectors, max_level=args.max_level)
+    if args.cache is not None:
+        save_structure(args.cache, structure)
+        print(f"wrote structure cache {args.cache}", file=sys.stderr)
     return structure
 
 
@@ -288,8 +87,8 @@ def _write_or_print(path: str | None, text: str) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_explore(run: RunConfig, system: IFSSystem) -> int:
-    structure = _obtain_structure(run, system)
+def cmd_explore(args: argparse.Namespace, system: IFSSystem) -> int:
+    structure = _obtain_structure(args, system)
     info = structure.describe()
     print(f"{info['reduced_vectors']} reduced characteristic vectors")
     print(f"{info['full_vectors']} full characteristic vectors")
@@ -299,29 +98,29 @@ def cmd_explore(run: RunConfig, system: IFSSystem) -> int:
     return EXIT_OK
 
 
-def cmd_report(run: RunConfig, system: IFSSystem) -> int:
-    structure = _obtain_structure(run, system)
+def cmd_report(args: argparse.Namespace, system: IFSSystem) -> int:
+    structure = _obtain_structure(args, system)
     if system.probabilities is None:
         payload = structural_report(structure)
     else:
         report = build_dimension_report(
-            structure, cycle_budget=run.cycle_budget, depth=run.depth
+            structure, cycle_budget=args.cycle_budget, depth=args.depth
         )
         payload = full_report(structure, report)
     sys.stdout.write(render_text(payload))
-    if run.json_path is not None:
-        _write_or_print(run.json_path, dumps(payload))
+    if args.json is not None:
+        _write_or_print(args.json, dumps(payload))
     return EXIT_OK
 
 
-def cmd_graph(run: RunConfig, system: IFSSystem, which: str) -> int:
-    structure = _obtain_structure(run, system)
+def cmd_graph(args: argparse.Namespace, system: IFSSystem) -> int:
+    structure = _obtain_structure(args, system)
     dec = decompose(structure)
-    if which == "reduced":
+    if args.which == "reduced":
         text = reduced_dot(structure, dec)
     else:
         text = triple_dot(structure, build_triple_diagram(structure, dec))
-    _write_or_print(run.dot, text)
+    _write_or_print(args.dot, text)
     return EXIT_OK
 
 
@@ -368,10 +167,10 @@ def _print_local_dim(result) -> None:
         print("  rate[%d] = %s%s%s" % (i, _fmt_certified_value(rate), exact, marker))
 
 
-def cmd_pointdim(run: RunConfig, system: IFSSystem, args: argparse.Namespace) -> int:
+def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
     if system.probabilities is None:
         raise ConfigError("pointdim needs probabilities in the config")
-    structure = _obtain_structure(run, system)
+    structure = _obtain_structure(args, system)
     if args.cycle is not None:
         spec = _parse_cycle_spec(args.cycle)
         try:
@@ -380,12 +179,12 @@ def cmd_pointdim(run: RunConfig, system: IFSSystem, args: argparse.Namespace) ->
             raise ConfigError(str(exc)) from exc
         print("explicit periodic path: prefix %s cycle %s" % (spec.prefix, spec.cycle))
         _print_local_dim(result)
-        if run.json_path is not None:
-            _write_or_print(run.json_path, dumps(local_dim_dict(result)))
+        if args.json is not None:
+            _write_or_print(args.json, dumps(local_dim_dict(result)))
         return EXIT_OK
 
     x = _parse_point(args.point, system)
-    location = locate_point(structure, x, depth=run.depth)
+    location = locate_point(structure, x, depth=args.depth)
     dec = decompose(structure)
     diagram = build_triple_diagram(structure, dec)
     classification = classify_truly_essential(diagram, location)
@@ -411,7 +210,7 @@ def cmd_pointdim(run: RunConfig, system: IFSSystem, args: argparse.Namespace) ->
         # the isolation verdict only needs the outer interval and the
         # column-sum extremes, so skip the walk enumeration
         bounds = essential_interval_bounds(
-            structure, dec, table, diagram, cycle_budget=run.cycle_budget, inner=False
+            structure, dec, table, diagram, cycle_budget=args.cycle_budget, inner=False
         )
         isolated = result.dimension.lo > bounds.outer_hi.hi or (
             result.dimension.hi < bounds.outer_lo.lo
@@ -445,13 +244,13 @@ def cmd_pointdim(run: RunConfig, system: IFSSystem, args: argparse.Namespace) ->
             print("ISOLATED: the value lies %s" % reason)
         payload["isolated"] = isolated
     else:
-        slopes = local_dim_estimate(structure, diagram, table, location, run.depth)
+        slopes = local_dim_estimate(structure, diagram, table, location, args.depth)
         print("no periodic representation within depth; slope sequence:")
         for n, slope in slopes[-10:]:
             print("  n=%4d  log-mass slope %.9f" % (n, slope))
         payload["slopes"] = [[n, s] for n, s in slopes]
-    if run.json_path is not None:
-        _write_or_print(run.json_path, dumps(payload))
+    if args.json is not None:
+        _write_or_print(args.json, dumps(payload))
     return EXIT_OK
 
 
@@ -466,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-level", type=int, default=200)
     common.add_argument("--cycle-budget", type=int, default=8)
     common.add_argument("--depth", type=int, default=60)
-    common.add_argument("--tol", default="1/1000000000000")
     common.add_argument("--dot", default=None, help="DOT output path (graph)")
     common.add_argument("--json", default=None, help="JSON output path")
 
@@ -490,15 +288,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        run = _run_config(args)
-        system = load_config(run.config)
+        for name in ("max_vectors", "max_level", "cycle_budget", "depth"):
+            if getattr(args, name) <= 0:
+                raise ConfigError(f"--{name.replace('_', '-')} must be positive")
+        system = load_config(args.config)
         if args.command == "explore":
-            return cmd_explore(run, system)
+            return cmd_explore(args, system)
         if args.command == "report":
-            return cmd_report(run, system)
+            return cmd_report(args, system)
         if args.command == "graph":
-            return cmd_graph(run, system, args.which)
-        return cmd_pointdim(run, system, args)
+            return cmd_graph(args, system)
+        return cmd_pointdim(args, system)
     except NotProvenFiniteTypeError as exc:
         print(f"not proven finite type: {exc}", file=sys.stderr)
         return EXIT_NOT_FINITE_TYPE

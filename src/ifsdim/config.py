@@ -17,6 +17,9 @@ Family shorthand::
     family = cantor                     # needs d, m
     family = bernoulli_simple_pisot     # needs k, p
     family = convolution                # needs d, base_probabilities, k
+
+`parse_config` turns config text into a {key: value} dict, `build_system`
+turns that dict into an `IFSSystem`, and `load_config` does both for a file.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ def _parse_value(text: str, lineno: int):
         return text
 
 
-def parse_config_text(text: str) -> dict:
+def parse_config(text: str) -> dict:
     """Parse config text into a {key: value} dict."""
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -136,7 +139,7 @@ def _fraction_list(cfg: dict, key: str) -> list[Fraction]:
     return value
 
 
-def system_from_config(cfg: dict) -> IFSSystem:
+def build_system(cfg: dict) -> IFSSystem:
     """Construct an IFSSystem from a parsed config dict."""
     known = {
         "family", "d", "m", "k", "p", "base_probabilities",
@@ -199,4 +202,4 @@ def load_config(path: str) -> IFSSystem:
             text = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return system_from_config(parse_config_text(text))
+    return build_system(parse_config(text))

@@ -16,7 +16,6 @@ enclosures remain trustworthy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -40,7 +39,7 @@ from .net import (
     Representation,
     locate_point,
 )
-from .spectral import SpectralResult, spectral_radius
+from .spectral import SpectralResult, ln_fraction, safe_float, spectral_radius
 
 __all__ = [
     "Certified",
@@ -69,24 +68,6 @@ __all__ = [
     "sanity_dim_in_interval",
     "build_dimension_report",
 ]
-
-_LN2 = math.log(2)
-
-
-def ln_fraction(q) -> float:
-    """Natural log of a positive rational, safe for huge numerators."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("logarithm of a non-positive rational")
-
-    def ln_int(m: int) -> float:
-        k = m.bit_length() - 900
-        if k <= 0:
-            return math.log(m)
-        return math.log(m >> k) + k * _LN2
-
-    return ln_int(q.numerator) - ln_int(q.denominator)
-
 
 def log_enclosure(q, rel: float = 1e-12) -> tuple[Fraction, Fraction]:
     """Rational bracket around ln(q) that absorbs float rounding error."""
@@ -125,13 +106,6 @@ def _interval_div(num, den) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def _safe_float(q: Fraction) -> float:
-    try:
-        return float(q)
-    except OverflowError:
-        return math.copysign(math.exp(ln_fraction(abs(q))), q)
-
-
 @dataclass(frozen=True)
 class Certified:
     """A float answer together with rational bounds that contain the truth."""
@@ -145,7 +119,7 @@ class Certified:
 
 
 def _certify(lo: Fraction, hi: Fraction) -> Certified:
-    return Certified(_safe_float((lo + hi) / 2), lo, hi)
+    return Certified(safe_float((lo + hi) / 2), lo, hi)
 
 
 # -- Hausdorff dimension of the attractor ----------------------------------
@@ -740,6 +714,7 @@ class PointReport:
 
 @dataclass(frozen=True)
 class DimensionReport:
+    decomposition: ClassDecomposition
     hausdorff: HausdorffResult
     bounds: EssentialBounds
     positive_rows: PositiveRowReport
@@ -791,6 +766,7 @@ def build_dimension_report(
             and bounds.inner_lo.lo <= bounds.inner_hi.hi
         )
     return DimensionReport(
+        dec,
         hausdorff,
         bounds,
         rows,

@@ -279,6 +279,19 @@ class FieldContext:
             self._bisect()
         return self._lo, self._hi
 
+    def root_index(self) -> int:
+        """Index of rho among the real roots of the minimal polynomial, smallest first.
+
+        Unlike the isolating interval, this does not depend on the interval
+        the field was given, so it names the root canonically.
+        """
+        if self.degree == 1:
+            return 0
+        mp = self._minpoly
+        # Cauchy's bound: every root lies strictly inside (-bound, bound)
+        bound = 1 + max(abs(c) for c in mp[:-1]) / abs(mp[-1])
+        return _sturm_root_count(mp, -bound, self._lo)
+
     # -- evaluation --------------------------------------------------------
 
     def _interval_eval(self, coeffs: Coeffs) -> tuple[Fraction, Fraction]:

@@ -49,10 +49,6 @@ class IFSSystem:
     def apply(self, letter: int, point: FieldElement) -> FieldElement:
         return self.rho * point + self.translations[letter]
 
-    def with_probabilities(self, probabilities: Sequence) -> "IFSSystem":
-        probs = _check_probabilities(probabilities, self.alphabet_size)
-        return IFSSystem(self.context, self.translations, probs, self.family)
-
     def describe(self) -> dict:
         out = {
             "minpoly": list(self.context.minpoly_int),

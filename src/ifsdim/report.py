@@ -190,29 +190,31 @@ def classes_dict(structure: FiniteTypeStructure, dec: ClassDecomposition) -> dic
     }
 
 
-def structural_report(structure: FiniteTypeStructure) -> dict:
-    """Probability-free report: structure, classes, Hausdorff dimension."""
-    dec = decompose(structure)
-    hausdorff = hausdorff_dimension(structure, dec)
+def _header(
+    structure: FiniteTypeStructure, dec: ClassDecomposition, hausdorff: HausdorffResult
+) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "system": structure.system.describe(),
         "structure": structure.describe(),
         "classes": classes_dict(structure, dec),
         "hausdorff": hausdorff_dict(hausdorff),
+    }
+
+
+def structural_report(structure: FiniteTypeStructure) -> dict:
+    """Probability-free report: structure, classes, Hausdorff dimension."""
+    dec = decompose(structure)
+    return {
+        **_header(structure, dec, hausdorff_dimension(structure, dec)),
         "measure": None,
         "measure_note": "probabilities not given; measure analysis unavailable",
     }
 
 
 def full_report(structure: FiniteTypeStructure, report: DimensionReport) -> dict:
-    dec = decompose(structure)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "system": structure.system.describe(),
-        "structure": structure.describe(),
-        "classes": classes_dict(structure, dec),
-        "hausdorff": hausdorff_dict(report.hausdorff),
+        **_header(structure, report.decomposition, report.hausdorff),
         "measure": {
             "essential_interval": bounds_dict(report.bounds),
             "positive_rows": positive_rows_dict(report.positive_rows),

@@ -21,12 +21,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .classes import strongly_connected_components
+from .field import _poly_eval
 
-__all__ = ["SpectralResult", "spectral_radius"]
+__all__ = ["SpectralResult", "ln_fraction", "safe_float", "spectral_radius"]
 
 DEFAULT_REL_TOL = Fraction(1, 10**12)
 _ROUNDING_CAP = 10**40
 _CANDIDATE_CAPS = (1, 10**3, 10**6, 10**9, 10**12)
+_LN2 = math.log(2)
 
 
 @dataclass(frozen=True)
@@ -48,20 +50,28 @@ class SpectralResult:
         return self.certified_hi - self.certified_lo
 
 
-def _safe_float(q: Fraction) -> float:
+def ln_fraction(q) -> float:
+    """Natural log of a positive rational, safe for huge numerators."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError("logarithm of a non-positive rational")
+
+    def ln_int(m: int) -> float:
+        k = m.bit_length() - 900
+        if k <= 0:
+            return math.log(m)
+        return math.log(m >> k) + k * _LN2
+
+    return ln_int(q.numerator) - ln_int(q.denominator)
+
+
+def safe_float(q: Fraction) -> float:
+    """float(q), through the logarithm when the direct conversion overflows."""
     try:
         return float(q)
     except OverflowError:
-        if q == 0:
-            return 0.0
-        sign = 1.0 if q > 0 else -1.0
-        mag = abs(q)
-        return sign * math.exp(
-            math.log(mag.numerator >> max(0, mag.numerator.bit_length() - 900))
-            + max(0, mag.numerator.bit_length() - 900) * math.log(2)
-            - math.log(mag.denominator >> max(0, mag.denominator.bit_length() - 900))
-            - max(0, mag.denominator.bit_length() - 900) * math.log(2)
-        )
+        mag = math.exp(ln_fraction(abs(q)))
+        return mag if q > 0 else -mag
 
 
 def _as_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -161,14 +171,9 @@ def _nth_root_bounds(q: Fraction, m: int) -> tuple[Fraction, Fraction]:
         return Fraction(0), Fraction(0)
     if m == 1:
         return q, q
-    ln_q = (
-        math.log(q.numerator >> max(0, q.numerator.bit_length() - 900))
-        + max(0, q.numerator.bit_length() - 900) * math.log(2)
-        - math.log(q.denominator >> max(0, q.denominator.bit_length() - 900))
-        - max(0, q.denominator.bit_length() - 900) * math.log(2)
-    )
+    ln_q = ln_fraction(q)
     # assemble the seed as mantissa * 2**e2 so no magnitude can underflow
-    t = ln_q / (m * math.log(2))
+    t = ln_q / (m * _LN2)
     e2 = math.floor(t)
     r = Fraction(2.0 ** (t - e2)) * Fraction(2) ** e2
     bump = Fraction(10**13 - 1, 10**13)
@@ -204,7 +209,7 @@ def _cw_bounds(block, rel_tol, max_rounds):
 
 
 def _char_poly(block):
-    """Monic characteristic polynomial by Faddeev-LeVerrier, highest first."""
+    """Monic characteristic polynomial by Faddeev-LeVerrier, lowest degree first."""
     n = len(block)
     coeffs = [Fraction(1)]
     m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -217,14 +222,7 @@ def _char_poly(block):
         coeffs.append(c)
         for i in range(n):
             m[i][i] += c
-    return coeffs
-
-
-def _poly_eval(coeffs, x):
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+    return coeffs[::-1]
 
 
 def _positive_eigenvector(block, r) -> bool:
@@ -268,7 +266,7 @@ def _rational_dominant_root(block, lo, hi):
     if len(block) > 4:
         return None
     poly = _char_poly(block)
-    mid = _safe_float((lo + hi) / 2)
+    mid = safe_float((lo + hi) / 2)
     seen = set()
     for cap in _CANDIDATE_CAPS:
         r = Fraction(mid).limit_denominator(cap)
@@ -315,4 +313,4 @@ def spectral_radius(
     ):
         exact = dominant[2]
         lo = hi = exact
-    return SpectralResult(_safe_float((lo + hi) / 2), lo, hi, exact)
+    return SpectralResult(safe_float((lo + hi) / 2), lo, hi, exact)

@@ -14,6 +14,7 @@ from ifsdim.cache import (
 )
 from ifsdim.field import FieldContext
 from ifsdim.ifs import build_ifs
+from ifsdim.net import explore
 
 
 def _children_snapshot(structure):
@@ -111,3 +112,18 @@ def test_fingerprint_covers_definition(six_map_quarter):
     assert fp["minpoly"] == [-1, 4]
     assert fp["probabilities"] == ["1/6"] * 6
     assert len(fp["translations"]) == 6
+
+
+def test_fingerprint_tells_the_roots_of_one_polynomial_apart(tmp_path):
+    # 5x^2 - 5x + 1 has the roots 0.276 and 0.724 in (0, 1)
+    def system(isolating):
+        ctx = FieldContext([1, -5, 5], isolating)
+        return build_ifs(ctx, [ctx.zero, 1 - ctx.rho])
+
+    small = system([Fraction(0), Fraction(1, 2)])
+    large = system([Fraction(1, 2), Fraction(1)])
+    path = str(tmp_path / "cache.json")
+    save_structure(path, explore(small))
+    assert load_structure(path, small).reduced_count == 1
+    with pytest.raises(CacheError):
+        load_structure(path, large)

@@ -13,6 +13,7 @@ from ifsdim.classes import (
     all_reach_essential,
     build_triple_diagram,
     classify_truly_essential,
+    closed_classes,
     decompose,
     essential_incidence,
     essential_not_truly_witness,
@@ -74,6 +75,16 @@ def test_scc_dag_singletons():
     comps = strongly_connected_components(3, lambda v: adjacency[v])
     assert sorted(comps) == [[0], [1], [2]]
     assert comps[0] == [2]
+
+
+@pytest.mark.parametrize(
+    "count, adjacency",
+    [(3, {0: [1, 2], 1: [1], 2: [2]}), (0, {})],
+    ids=["two_closed_classes", "no_closed_class"],
+)
+def test_closed_classes_needs_exactly_one(count, adjacency):
+    with pytest.raises(NetStructureError, match="child-closed vector class"):
+        closed_classes(count, lambda v: adjacency[v], "vector")
 
 
 # ---------------------------------------------------------------------------
