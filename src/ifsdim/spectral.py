@@ -7,10 +7,14 @@ positive vector v,
     min_i (Pv)_i / v_i  <=  sp(P)  <=  max_i (Pv)_i / v_i.
 
 A general matrix is first reduced to the strongly connected blocks of its
-support graph; the spectral radius is the maximum over the blocks.  Power
-iteration on B + I (primitive whenever B is irreducible) tightens the
-quotients, and rounding the iterate only ever loosens the enclosure, never
-invalidates it, because the inequality holds for every positive vector.
+support graph; the spectral radius is the maximum over the blocks.  Each
+block is seeded with its Perron vector from a floating-point eigensolver,
+converted exactly to rationals, and one exact mat-vec usually closes the
+quotients to the requested tolerance.  When it does not, or the seed is
+not strictly positive (all ones is used then), power iteration on B + tI
+(primitive whenever B is irreducible) tightens them.  Neither the float
+seed nor rounding the iterate can invalidate the enclosure, because the
+inequality holds for every positive vector.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+
+import numpy
 
 from .classes import strongly_connected_components
-from .field import _poly_eval
 
 __all__ = ["SpectralResult", "ln_fraction", "safe_float", "spectral_radius"]
 
@@ -37,8 +41,8 @@ class SpectralResult:
 
     `certified_lo <= sp <= certified_hi` always holds.  `exact` is set when
     the radius is a known rational: a 1x1 block, an enclosure that closed
-    completely, or a small block whose characteristic polynomial turned out
-    to have a rational dominant root with a positive eigenvector.
+    completely, or a small block with a rational eigenvalue inside the
+    enclosure that has a positive eigenvector.
     """
 
     value: float
@@ -91,14 +95,6 @@ def _mat_vec(rows, v):
     return [sum(r[j] * v[j] for j in range(len(v)) if v[j]) for r in rows]
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n) if a[i][t]) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _round_positive(v):
     """Shrink denominators of a positive vector without losing positivity."""
     out = []
@@ -113,10 +109,31 @@ def _column_sum_range(block):
     return min(sums), max(sums)
 
 
-def _cw_shifted(block, rel_tol, max_rounds):
-    """Collatz-Wielandt enclosure of sp(block), block irreducible, n >= 2.
+def _perron_seed(block):
+    """Float Perron vector of an irreducible block as exact rationals, or None.
 
-    Iterates on block + t*I with t at the scale of the matrix: the shift
+    Only a strictly positive vector is returned; how accurate it is decides
+    how many exact rounds follow, never whether the enclosure holds.
+    """
+    top = max(max(row) for row in block)
+    scaled = numpy.array([[float(x / top) for x in row] for row in block])
+    try:
+        values, vectors = numpy.linalg.eig(scaled)
+    except numpy.linalg.LinAlgError:
+        return None
+    v = vectors[:, numpy.argmax(values.real)].real
+    if v.sum() < 0:
+        v = -v
+    if not numpy.all(v > 0):
+        return None
+    return [Fraction(float(x)) for x in v]
+
+
+def _cw_bounds(block, rel_tol, max_rounds):
+    """Certified enclosure of sp(block) for an irreducible block.
+
+    Starts from the float Perron seed (all ones when there is none) and
+    iterates on block + t*I with t at the scale of the matrix: the shift
     makes periodic supports primitive without drowning the spectral gap the
     way a unit shift would for matrices with tiny entries.
     """
@@ -130,7 +147,7 @@ def _cw_shifted(block, rel_tol, max_rounds):
         tuple(block[i][j] + (t if i == j else 0) for j in range(n))
         for i in range(n)
     ]
-    v = [Fraction(1)] * n
+    v = _perron_seed(block) or [Fraction(1)] * n
     for _ in range(max_rounds):
         w = _mat_vec(shifted, v)
         quotients = [w[i] / v[i] for i in range(n)]
@@ -141,88 +158,6 @@ def _cw_shifted(block, rel_tol, max_rounds):
         top = max(w)
         v = _round_positive([x / top for x in w])
     return lo, hi
-
-
-def _power_bounds(block, exponent, rel_tol, max_rounds):
-    """Enclosure of sp(block)^exponent via SCCs of the powered matrix."""
-    b = block
-    e = exponent
-    while e > 1:
-        b = _mat_mul(b, b)
-        e //= 2
-    n = len(b)
-    succ = [[j for j in range(n) if b[i][j] > 0] for i in range(n)]
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for comp in strongly_connected_components(n, lambda v: succ[v]):
-        if len(comp) == 1:
-            c_lo = c_hi = b[comp[0]][comp[0]]
-        else:
-            sub = [tuple(b[i][j] for j in comp) for i in comp]
-            c_lo, c_hi = _cw_shifted(sub, rel_tol, max_rounds)
-        lo = max(lo, c_lo)
-        hi = max(hi, c_hi)
-    return lo, hi
-
-
-def _nth_root_bounds(q: Fraction, m: int) -> tuple[Fraction, Fraction]:
-    """Rational bracket around q**(1/m) for q >= 0, verified exactly."""
-    if q <= 0:
-        return Fraction(0), Fraction(0)
-    if m == 1:
-        return q, q
-    ln_q = ln_fraction(q)
-    # assemble the seed as mantissa * 2**e2 so no magnitude can underflow
-    t = ln_q / (m * _LN2)
-    e2 = math.floor(t)
-    r = Fraction(2.0 ** (t - e2)) * Fraction(2) ** e2
-    bump = Fraction(10**13 - 1, 10**13)
-    lo, hi = r * bump, r / bump
-    while lo > 0 and lo**m > q:
-        lo *= bump
-    while hi**m < q:
-        hi /= bump
-    return lo, hi
-
-
-def _cw_bounds(block, rel_tol, max_rounds):
-    """Certified enclosure of sp(block) for an irreducible block."""
-    n = len(block)
-    if n == 1:
-        a = block[0][0]
-        return a, a
-    lo, hi = _column_sum_range(block)
-    if lo == hi:
-        return lo, hi
-    # eigenvalue gaps widen doubly exponentially under squaring, so bound
-    # the power's radius and pull back through an m-th root
-    for exponent in (16, 256):
-        root_tol = rel_tol * exponent / 4
-        p_lo, p_hi = _power_bounds(block, exponent, root_tol, max_rounds)
-        r_lo, _ = _nth_root_bounds(p_lo, exponent)
-        _, r_hi = _nth_root_bounds(p_hi, exponent)
-        lo = max(lo, r_lo)
-        hi = min(hi, r_hi)
-        if hi - lo <= rel_tol * max(hi, Fraction(1, 10**30)):
-            break
-    return lo, hi
-
-
-def _char_poly(block):
-    """Monic characteristic polynomial by Faddeev-LeVerrier, lowest degree first."""
-    n = len(block)
-    coeffs = [Fraction(1)]
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        m = [
-            [sum(block[i][t] * m[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        for i in range(n):
-            m[i][i] += c
-    return coeffs[::-1]
 
 
 def _positive_eigenvector(block, r) -> bool:
@@ -257,7 +192,7 @@ def _positive_eigenvector(block, r) -> bool:
 
 
 def _rational_dominant_root(block, lo, hi):
-    """A rational r with char(r) = 0 and a positive eigenvector, if one exists.
+    """A rational r in [lo, hi] with a positive eigenvector, if one exists.
 
     By Perron-Frobenius, an eigenvalue of an irreducible nonnegative matrix
     with a strictly positive eigenvector is the spectral radius, so a hit
@@ -265,15 +200,17 @@ def _rational_dominant_root(block, lo, hi):
     """
     if len(block) > 4:
         return None
-    poly = _char_poly(block)
+    # D * block has integer entries, so a rational eigenvalue of it is a
+    # root of a monic integer polynomial, hence an integer
+    scale = math.lcm(*(x.denominator for row in block for x in row))
     mid = safe_float((lo + hi) / 2)
     seen = set()
     for cap in _CANDIDATE_CAPS:
         r = Fraction(mid).limit_denominator(cap)
-        if r in seen or r <= 0:
+        if r in seen or not lo <= r <= hi or (r * scale).denominator != 1:
             continue
         seen.add(r)
-        if _poly_eval(poly, r) == 0 and _positive_eigenvector(block, r):
+        if _positive_eigenvector(block, r):
             return r
     return None
 

@@ -139,3 +139,24 @@ def matrix_power_entry_sum(rows, exponent):
                 for i in range(n)
             ]
     return sum(sum(row) for row in result)
+
+
+def power_row_sum_ranges(rows, k_max):
+    """[(min, max) row sum of rows^k for k = 1..k_max], exactly.
+
+    For a nonnegative matrix these bracket sp(rows)^k, because sp(B^k) =
+    sp(B)^k lies between the smallest and the largest row sum of B^k.
+    """
+    n = len(rows)
+    rows = [[Fraction(x) for x in row] for row in rows]
+    power = rows
+    out = []
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = [
+                [sum(power[i][t] * rows[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        sums = [sum(row) for row in power]
+        out.append((min(sums), max(sums)))
+    return out

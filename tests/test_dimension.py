@@ -549,6 +549,25 @@ def test_build_dimension_report_aggregates(gap_system_structure):
     assert abs(zero_report.dimension.dimension.value - 1.5) < 1e-9
 
 
+def test_cantor_report_enclosures_do_not_widen(cantor_4_9_structure):
+    # enclosures of the same report when spectral radii were certified by
+    # exact squaring to the 256th power
+    pinned = {
+        "hausdorff": ("6243314768159093/6243314768172123", "1248662953634325/1248662953631713"),
+        "outer_lo": ("5422211472921043/6243314768172123", "5422211472931951/6243314768158565"),
+        "outer_hi": ("7248263982706892/6243314768172123", "7248263982721434/6243314768158565"),
+        "inner_lo": ("5843567127717668/6243314768172123", "5843567128226383/6243314768158565"),
+        "inner_hi": ("2268840500844657/2081104922724041", "6809476064946034/6243314768158565"),
+    }
+    report = build_dimension_report(cantor_4_9_structure, cycle_budget=4)
+    assert report.hausdorff.spectral.exact == 4
+    got = {"hausdorff": report.hausdorff.dimension}
+    for name in ("outer_lo", "outer_hi", "inner_lo", "inner_hi"):
+        got[name] = getattr(report.bounds, name)
+    for name, (lo, hi) in pinned.items():
+        assert Fraction(lo) <= got[name].lo <= got[name].hi <= Fraction(hi), name
+
+
 def test_ln_fraction_handles_huge_ratios():
     tiny = Fraction(1, 14) ** 200
     assert abs(ln_fraction(tiny) + 200 * math.log(14)) < 1e-9

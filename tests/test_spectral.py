@@ -4,10 +4,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 
-from ifsdim.spectral import spectral_radius
-from oracle_helpers import matrix_power_entry_sum
+from ifsdim import spectral
+from ifsdim.spectral import DEFAULT_REL_TOL, spectral_radius
+from oracle_helpers import matrix_power_entry_sum, power_row_sum_ranges
 
 
 def isqrt_fraction_bounds(n, scale=10**30):
@@ -53,8 +55,9 @@ def test_rational_dominant_root_found_through_char_poly():
         ]
     )
     assert result.exact == Fraction(1, 4)
-    # power iteration alone never closes on this one: the support graph is
-    # a 2-cycle, so the quotients oscillate and only the char poly settles it
+    # the quotients never close on this 2-cycle support, from the rounded
+    # float seed or by iteration, so only the positive eigenvector of the
+    # rational candidate settles it
     off_diagonal = spectral_radius([[0, Fraction(1, 4)], [1, 0]])
     assert off_diagonal.exact == Fraction(1, 2)
 
@@ -123,6 +126,104 @@ def test_norm_growth_certifies_the_enclosure():
         else:
             assert result.certified_lo == 0
         assert result.certified_lo <= result.certified_hi
+
+
+def _random_irreducible(rng, n):
+    rows = _random_nonnegative(rng, n)
+    # a Hamiltonian cycle in the support makes the matrix irreducible
+    for i in range(n):
+        if rows[i][(i + 1) % n] == 0:
+            rows[i][(i + 1) % n] = Fraction(rng.randrange(1, 6), rng.randrange(1, 9))
+    return rows
+
+
+TINY = Fraction(1, 10**30)
+UNDERFLOW = Fraction(1, 10**400)
+
+
+def _irreducible_fixtures():
+    rng = random.Random(20261018)
+    fixtures = [_random_irreducible(rng, rng.randrange(2, 6)) for _ in range(12)]
+    # imprimitive: a weighted 3-cycle and a bipartite support of period 2
+    fixtures.append([[0, Fraction(2, 3), 0], [0, 0, 5], [Fraction(1, 7), 0, 0]])
+    fixtures.append(
+        [
+            [0, 0, Fraction(1, 2), 3],
+            [0, 0, 1, Fraction(1, 9)],
+            [Fraction(4, 5), 2, 0, 0],
+            [1, Fraction(1, 3), 0, 0],
+        ]
+    )
+    # entries about 1e-30 next to 1
+    fixtures.append([[1, TINY], [TINY, Fraction(1, 2)]])
+    fixtures.append([[1, TINY, 0], [0, Fraction(1, 3), 1], [TINY, 0, 1]])
+    fixtures.append([[0, 1], [TINY, 0]])
+    # an entry that float conversion flushes to zero
+    fixtures.append([[0, 1], [UNDERFLOW, 0]])
+    fixtures.append([[1, 1], [UNDERFLOW, Fraction(1, 2)]])
+    return [[[Fraction(x) for x in row] for row in rows] for rows in fixtures]
+
+
+def test_seeded_enclosure_brackets_the_row_sums_of_powers():
+    seeded = 0
+    for rows in _irreducible_fixtures():
+        result = spectral_radius(rows)
+        lo, hi = result.certified_lo, result.certified_hi
+        assert 0 <= lo <= hi
+        # min rowsum(B^k) <= sp^k <= max rowsum(B^k), exactly
+        for k, (low_sum, high_sum) in enumerate(power_row_sum_ranges(rows, 16), 1):
+            assert low_sum <= hi**k
+            assert lo**k <= high_sum
+        if spectral._perron_seed(rows) is not None:
+            seeded += 1
+            assert hi - lo <= DEFAULT_REL_TOL * hi
+    # at least the twelve random and the two imprimitive fixtures
+    assert seeded >= 14
+
+
+def _fake_eig(vector):
+    """A numpy.linalg.eig stand-in whose top eigenvector is vector(n)."""
+
+    def eig(a):
+        n = len(a)
+        values = numpy.zeros(n)
+        values[0] = 1.0
+        vectors = numpy.zeros((n, n))
+        vectors[:, 0] = vector(n)
+        return values, vectors
+
+    return eig
+
+
+def _singular(a):
+    raise numpy.linalg.LinAlgError("eigenvalues did not converge")
+
+
+@pytest.mark.parametrize(
+    "eig",
+    [
+        _fake_eig(lambda n: [(-1) ** i for i in range(n)]),
+        _fake_eig(lambda n: [1.0] * (n - 1) + [0.0]),
+        _fake_eig(lambda n: [math.nan] * n),
+        _singular,
+    ],
+    ids=["mixed_signs", "zero_entry", "not_finite", "solver_fails"],
+)
+def test_without_a_positive_seed_iteration_from_ones_still_certifies(monkeypatch, eig):
+    monkeypatch.setattr(numpy.linalg, "eig", eig)
+    golden = [[Fraction(1, 8), Fraction(1, 16)], [Fraction(1, 16), Fraction(1, 16)]]
+    quadratic = [[2, 1, 1, 0], [0, 2, 0, 1], [1, 1, 2, 0], [1, 0, 1, 0]]
+    assert spectral._perron_seed(golden) is None
+    s5_lo, s5_hi = isqrt_fraction_bounds(5)
+    result = spectral_radius(golden)
+    assert result.certified_lo <= (3 + s5_lo) / 32
+    assert (3 + s5_hi) / 32 <= result.certified_hi
+    assert result.width() <= DEFAULT_REL_TOL * result.certified_hi
+    s2_lo, s2_hi = isqrt_fraction_bounds(2)
+    result = spectral_radius(quadratic)
+    assert result.certified_lo <= 2 + s2_lo
+    assert 2 + s2_hi <= result.certified_hi
+    assert result.width() <= DEFAULT_REL_TOL * result.certified_hi
 
 
 def test_loose_rounds_still_bracket_the_tight_answer():
