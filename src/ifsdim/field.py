@@ -10,6 +10,7 @@ vanish at rho.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -226,6 +227,7 @@ class FieldContext:
         self.zero = FieldElement(self, (Fraction(0),) * d)
         self.one = self.element([1])
         self.rho = self.element([0, 1]) if d >= 2 else self.element([self.rational_rho])
+        self._compare_key = functools.cmp_to_key(self._compare)
 
     # -- construction ------------------------------------------------------
 
@@ -311,11 +313,11 @@ class FieldContext:
         return tot_lo, tot_hi
 
     def sign_of(self, coeffs: Coeffs) -> int:
+        if self.degree == 1:  # the one coordinate is the value
+            c = coeffs[0]
+            return 0 if c == 0 else (1 if c > 0 else -1)
         if all(c == 0 for c in coeffs):
             return 0
-        if self.degree == 1:
-            v = _poly_eval(coeffs, self.rational_rho)
-            return 0 if v == 0 else (1 if v > 0 else -1)
         while True:
             lo, hi = self._interval_eval(coeffs)
             if lo > 0:
@@ -323,6 +325,20 @@ class FieldContext:
             if hi < 0:
                 return -1
             self._bisect()
+
+    def _compare(self, a: Coeffs, b: Coeffs) -> int:
+        return self.sign_of(tuple(x - y for x, y in zip(a, b)))
+
+    def sort_key(self, element: "FieldElement"):
+        """An exact key ordering elements of this field by value.
+
+        For degree 1 the key is the rational value itself.  Otherwise it
+        compares by the sign of the difference, so every order decision
+        goes through `sign_of`; keys of equal elements compare equal.
+        """
+        if self.degree == 1:
+            return element.coeffs[0]
+        return self._compare_key(element.coeffs)
 
     def approx(self, coeffs: Coeffs, eps) -> Fraction:
         """A rational within eps of the element's value."""

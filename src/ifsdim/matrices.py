@@ -132,16 +132,23 @@ def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> Tr
 
 
 class MatrixTable:
-    """All edge matrices of a structure, indexed by (reduced id, edge)."""
+    """All edge matrices of a structure, indexed by (reduced id, edge).
+
+    A matrix depends only on the edge's letter table, so edges with equal
+    letter tables share one matrix.
+    """
 
     def __init__(self, structure: FiniteTypeStructure):
         self.structure = structure
         self._by_edge: dict[tuple[int, int], TransitionMatrix] = {}
+        by_letters: dict[tuple, TransitionMatrix] = {}
         for rid in range(structure.reduced_count):
             for rec in structure.children_of_reduced(rid):
-                self._by_edge[(rid, rec.edge_index)] = edge_matrix(
-                    structure, rid, rec.edge_index
-                )
+                matrix = by_letters.get(rec.letters)
+                if matrix is None:
+                    matrix = edge_matrix(structure, rid, rec.edge_index)
+                    by_letters[rec.letters] = matrix
+                self._by_edge[(rid, rec.edge_index)] = matrix
 
     def of_edge(self, rid: int, edge_index: int) -> TransitionMatrix:
         return self._by_edge[(rid, edge_index)]

@@ -16,6 +16,7 @@ are exact field elements, so vector identity is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -176,42 +177,55 @@ class _Explorer:
         self.rho_inv = system.rho.inverse()
         self.zero = system.context.zero
         self.one = system.context.one
-        self._letter_of = {d.coeffs: j for j, d in enumerate(system.translations)}
+        self.key = system.context.sort_key
         self._gap_memo: dict[VectorKey, bool] = {}
 
-    # raw one-level subdivision of a signature (length, neighbours)
     def subdivide(self, length: FieldElement, neighbours):
+        """The pieces (u, v, child length, child neighbours, letters) of one subdivision.
+
+        A neighbour c_i of the interval [0, length] has its level-(n+1)
+        cylinders at the starts s = d_j - c_i, each of normalized length rho;
+        the cuts are 0, length and every s or s + rho strictly between them.
+        The distinct starts are sorted once by value.  A start covers the
+        piece [u, v] exactly when v - rho <= s <= u, so the covering starts
+        form the contiguous run of sorted starts in [v - rho, u], found by
+        two bisections.  The child neighbour of s is (u - s) / rho, which
+        descends as s ascends, so reading the run backwards lists the child
+        neighbours in increasing order.
+
+        letters[i][k] is the letter j with d_j = u + c_i - rho * a_k for the
+        child neighbour a_k, or None.  Since u - rho * a_k is the start s
+        behind a_k, these are the pairs (i, j) with d_j - c_i = s, recorded
+        while the starts are formed, so no arithmetic is needed.
+        """
+        key = self.key
         rho = self.rho
-        starts: dict[tuple, FieldElement] = {}
-        for c in neighbours:
-            for d in self.system.translations:
+        distinct: dict[tuple, FieldElement] = {}
+        origins: dict[tuple, list[tuple[int, int]]] = {}
+        for i, c in enumerate(neighbours):
+            for j, d in enumerate(self.system.translations):
                 s = d - c
-                starts.setdefault(s.coeffs, s)
-        cuts: dict[tuple, FieldElement] = {
-            self.zero.coeffs: self.zero,
-            length.coeffs: length,
-        }
-        for s in starts.values():
-            for cand in (s, s + rho):
-                if cand.coeffs in cuts:
-                    continue
-                if cand.sign() > 0 and (cand - length).sign() < 0:
-                    cuts[cand.coeffs] = cand
-        ordered = sorted(cuts.values())
+                distinct.setdefault(s.coeffs, s)
+                origins.setdefault(s.coeffs, []).append((i, j))
+        starts = sorted(distinct.values(), key=key)
+        keys = [key(s) for s in starts]
+        # starts s in (0, length) and s + rho in (0, length) are the inner cuts
+        inner = starts[bisect_right(keys, key(self.zero)) : bisect_left(keys, key(length))]
+        shifted = starts[bisect_right(keys, key(-rho)) : bisect_left(keys, key(length - rho))]
+        cuts = {self.zero.coeffs: self.zero, length.coeffs: length}
+        for cut in inner + [s + rho for s in shifted]:
+            cuts.setdefault(cut.coeffs, cut)
+        ordered = sorted(cuts.values(), key=key)
         pieces = []
-        start_list = list(starts.values())
         for u, v in zip(ordered, ordered[1:]):
-            ell_child = (v - u) * self.rho_inv
-            lo = v - rho  # covering requires s in [v - rho, u]
-            ws: dict[tuple, FieldElement] = {}
-            covers: list[FieldElement] = []
-            for s in start_list:
-                if (s - u).sign() <= 0 and (s - lo).sign() >= 0:
-                    w = (u - s) * self.rho_inv
-                    if w.coeffs not in ws:
-                        ws[w.coeffs] = w
-                        covers.append(w)
-            pieces.append((u, v, ell_child, tuple(sorted(covers))))
+            run = starts[bisect_left(keys, key(v - rho)) : bisect_right(keys, key(u))]
+            run.reverse()
+            letters: list[list[int | None]] = [[None] * len(run) for _ in neighbours]
+            for k, s in enumerate(run):
+                for i, j in origins[s.coeffs]:
+                    letters[i][k] = j
+            covers = tuple((u - s) * self.rho_inv for s in run)
+            pieces.append((u, v, (v - u) * self.rho_inv, covers, tuple(map(tuple, letters))))
         return pieces
 
     def meets_attractor(self, length: FieldElement, neighbours) -> bool:
@@ -239,7 +253,7 @@ class _Explorer:
             if len(pieces) > 1:
                 result = True
                 break
-            _, _, length, neighbours = pieces[0]
+            length, neighbours = pieces[0][2:4]
             key = (length.coeffs, tuple(v.coeffs for v in neighbours))
             guard += 1
             if guard > 100000:
@@ -255,7 +269,7 @@ class _Explorer:
         gap_pending = False
         sibling_counts: dict[tuple, int] = {}
         last_piece = len(pieces) - 1
-        for idx, (u, v, ell_child, ws) in enumerate(pieces):
+        for idx, (u, _, ell_child, ws, letters) in enumerate(pieces):
             if not ws or not self.meets_attractor(ell_child, ws):
                 gap_pending = True
                 continue
@@ -263,7 +277,6 @@ class _Explorer:
             sibling_counts[ell_child.coeffs] = r
             child_rid, is_new = structure.register_reduced(ell_child, ws, vec.level + 1)
             child_fid = structure.register_full(child_rid, r)
-            letters = self._letters(vec.neighbours, u, ws)
             records.append(
                 ChildRecord(
                     child=child_fid,
@@ -279,17 +292,6 @@ class _Explorer:
         if not records:
             raise NetStructureError("net interval without children (interior met K)")
         return records
-
-    def _letters(self, parent_neighbours, offset, child_neighbours):
-        rho = self.rho
-        rows = []
-        for c in parent_neighbours:
-            base = offset + c
-            row = []
-            for a in child_neighbours:
-                row.append(self._letter_of.get((base - rho * a).coeffs))
-            rows.append(tuple(row))
-        return tuple(rows)
 
 
 def explore(

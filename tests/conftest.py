@@ -9,6 +9,7 @@ from ifsdim.ifs import (
     build_ifs,
     cantor_like,
     bernoulli_simple_pisot,
+    convolution_power,
 )
 from ifsdim.net import explore
 
@@ -69,6 +70,11 @@ def cantor_4_9():
 @pytest.fixture(scope="session")
 def cantor_4_9_structure(cantor_4_9):
     return explore(cantor_4_9)
+
+
+@pytest.fixture(scope="session")
+def convolution_3_8():
+    return convolution_power(3, (Fraction(1, 2), Fraction(1, 2)), 8)
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,9 @@
 Everything here works directly from the maps S_j(x) = rho*x + d_j by
 enumerating words, with no reference to the package's net-interval or
 matrix machinery, so agreement is meaningful evidence of correctness.
+The exceptions are `reference_subdivide` and `reference_letters`: the
+explorer's former all-pairs subdivision loop and letter lookup, kept as
+the slow exact reference for the sorted sweep that replaced them.
 """
 
 from fractions import Fraction
@@ -160,3 +163,56 @@ def power_row_sum_ranges(rows, k_max):
         sums = [sum(row) for row in power]
         out.append((min(sums), max(sums)))
     return out
+
+
+def reference_subdivide(system, length, neighbours):
+    """[(u, v, child length, child neighbours)] of one subdivision, all pairs.
+
+    Every start d - c is tested against every piece with two exact sign
+    decisions, and every cut candidate against 0 and `length`.
+    """
+    rho = system.rho
+    rho_inv = rho.inverse()
+    zero = system.context.zero
+    starts = {}
+    for c in neighbours:
+        for d in system.translations:
+            s = d - c
+            starts.setdefault(s.coeffs, s)
+    cuts = {zero.coeffs: zero, length.coeffs: length}
+    for s in starts.values():
+        for cand in (s, s + rho):
+            if cand.coeffs in cuts:
+                continue
+            if cand.sign() > 0 and (cand - length).sign() < 0:
+                cuts[cand.coeffs] = cand
+    ordered = sorted(cuts.values())
+    pieces = []
+    start_list = list(starts.values())
+    for u, v in zip(ordered, ordered[1:]):
+        ell_child = (v - u) * rho_inv
+        lo = v - rho  # covering requires s in [v - rho, u]
+        ws = {}
+        covers = []
+        for s in start_list:
+            if (s - u).sign() <= 0 and (s - lo).sign() >= 0:
+                w = (u - s) * rho_inv
+                if w.coeffs not in ws:
+                    ws[w.coeffs] = w
+                    covers.append(w)
+        pieces.append((u, v, ell_child, tuple(sorted(covers))))
+    return pieces
+
+
+def reference_letters(system, parent_neighbours, offset, child_neighbours):
+    """Letter j with d_j = offset + c - rho * a per (parent c, child a), else None."""
+    rho = system.rho
+    letter_of = {d.coeffs: j for j, d in enumerate(system.translations)}
+    rows = []
+    for c in parent_neighbours:
+        base = offset + c
+        row = []
+        for a in child_neighbours:
+            row.append(letter_of.get((base - rho * a).coeffs))
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -1,7 +1,9 @@
 """Tests for saving and reloading explored structures."""
 
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from ifsdim.cache import (
     save_structure,
     system_fingerprint,
 )
+from ifsdim.config import build_system, parse_config
 from ifsdim.field import FieldContext
 from ifsdim.ifs import build_ifs
 from ifsdim.net import explore
@@ -127,3 +130,27 @@ def test_fingerprint_tells_the_roots_of_one_polynomial_apart(tmp_path):
     assert load_structure(path, small).reduced_count == 1
     with pytest.raises(CacheError):
         load_structure(path, large)
+
+
+# SHA-256 of `save_structure` output for the benchmark suite, recorded from
+# the all-pairs explorer.  A match proves the same vector order and ids,
+# child offsets and letter tables.
+SUITE_CACHE_SHA256 = {
+    "table_87": "4ddaac4fc55f0d638deb27ebc8503b6255b3fb3314a90496c10aa566ab25415b",
+    "cantor_4_9": "c8c8b396c13645b9e79aff8dd4823284d053d2afff8a168f3b0e374f94fd6533",
+    "convolution_3_8": "68df0b4c721058f332df7681a1243c4e39ed50fa5756008890f5345c5fcb14b5",
+    "golden_third": "47b3ab95ff9fde6eb848d1375cf77c22bddb541ca6d7c628c34df9bc79c55c50",
+    "tribonacci_third": "f6bb3caab73121c3d8f76e28d28dc05ae050755a24656725d4f9e4a3697d24ae",
+    "quadratic_ninth": "f9f4471a0cf6bc1b452fa400dbee1cf348c898b7cb2e717ebc5275656eec099a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_CACHE_SHA256))
+def test_suite_cache_bytes_are_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import SYSTEMS
+
+    system = build_system(parse_config(SYSTEMS[name]))
+    path = tmp_path / "cache.json"
+    save_structure(str(path), explore(system))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_CACHE_SHA256[name]

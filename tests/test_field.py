@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ifsdim.field import FieldContext, FieldError
+from ifsdim.field import FieldContext, FieldError, _poly_eval
 
 
 def golden() -> FieldContext:
@@ -130,3 +130,32 @@ def test_approximation_accuracy():
     lo, hi = ctx.refine_interval(Fraction(1, 10**9))
     assert hi - lo <= Fraction(1, 10**9)
     assert lo < val < hi
+
+
+def test_degree_one_sign_reads_the_value():
+    ctx = third()
+    rng = random.Random(4127)
+    for _ in range(200):
+        coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(rng.randint(1, 4))]
+        expected = _poly_eval(coeffs, ctx.rational_rho)
+        assert ctx.element(coeffs).sign() == (expected > 0) - (expected < 0)
+        q = coeffs[0]
+        assert ctx.sign_of((q,)) == (q > 0) - (q < 0)
+    assert ctx.sign_of((Fraction(0),)) == 0
+
+
+@pytest.mark.parametrize("make_ctx", [third, golden, quartic])
+def test_sort_key_orders_like_less_than(make_ctx):
+    ctx = make_ctx()
+    rng = random.Random(5501)
+    elems = [
+        ctx.element([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ctx.degree)])
+        for _ in range(60)
+    ]
+    elems += elems[:10]  # equal elements must tie
+    by_key = sorted(elems, key=ctx.sort_key)
+    assert [e.coeffs for e in by_key] == [e.coeffs for e in sorted(elems)]
+    key = ctx.sort_key
+    for a, b in zip(elems, reversed(elems)):
+        assert (key(a) < key(b)) == (a < b)
+        assert (key(a) == key(b)) == (a == b)

@@ -191,6 +191,28 @@ def test_path_products_match_word_masses(request, name, n_max):
         power = power * system.rho
 
 
+@pytest.mark.parametrize("name", [
+    "six_map_quarter_structure",
+    "zero_row_third_structure",
+    "eight_map_twelfths_structure",
+    "cantor_4_9_structure",
+    "cantor_3_4_skewed_structure",
+    "gap_system_structure",
+    "golden_half_structure",
+    "golden_third_structure",
+    "tribonacci_third_structure",
+    "quadratic_ninth_structure",
+])
+def test_shared_matrices_equal_per_edge_matrices(request, name):
+    s = request.getfixturevalue(name)
+    expected = {
+        (rid, rec.edge_index): edge_matrix(s, rid, rec.edge_index)
+        for rid in range(s.reduced_count)
+        for rec in s.children_of_reduced(rid)
+    }
+    assert MatrixTable(s)._by_edge == expected
+
+
 def test_cycle_matrix(golden_third_structure):
     s = golden_third_structure
     table = MatrixTable(s)

@@ -6,6 +6,7 @@ import pytest
 
 from ifsdim.net import (
     NotProvenFiniteTypeError,
+    _Explorer,
     PointNotInAttractorError,
     explore,
     iter_net_intervals,
@@ -338,6 +339,72 @@ def test_letter_tables(request, name):
                         assert letter_of[value.coeffs] == row[k]
                         seen_column[k] = True
             assert all(seen_column)
+
+
+# ---------------------------------------------------------------------------
+# the sorted sweep of subdivide against the all-pairs reference loop
+# ---------------------------------------------------------------------------
+
+def _reached_signatures(system, monkeypatch):
+    """Every (length, neighbours) that exploring `system` subdivides."""
+    seen = {}
+    sweep = _Explorer.subdivide
+
+    def recording(self, length, neighbours):
+        key = (length.coeffs, tuple(a.coeffs for a in neighbours))
+        seen.setdefault(key, (length, tuple(neighbours)))
+        return sweep(self, length, neighbours)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Explorer, "subdivide", recording)
+        explore(system)
+    return list(seen.values())
+
+
+def _assert_sweep_matches_reference(system, length, neighbours):
+    pieces = _Explorer(system).subdivide(length, neighbours)
+    assert [piece[:4] for piece in pieces] == oh.reference_subdivide(
+        system, length, neighbours
+    )
+    for u, _, _, covers, letters in pieces:
+        assert letters == oh.reference_letters(system, neighbours, u, covers)
+
+
+SWEEP_SYSTEMS = [n.removesuffix("_structure") for n in ALL_STRUCTURES] + ["convolution_3_8"]
+
+
+@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
+def test_sweep_matches_all_pairs_loop(request, monkeypatch, name):
+    system = request.getfixturevalue(name)
+    signatures = _reached_signatures(system, monkeypatch)
+    assert signatures
+    for length, neighbours in signatures:
+        _assert_sweep_matches_reference(system, length, neighbours)
+
+
+def _closed_end_hits(system, length, neighbours):
+    """Whether some start sits on a piece's u, and some on a piece's v - rho."""
+    starts = {(d - c).coeffs for c in neighbours for d in system.translations}
+    on_u = on_low = False
+    for u, v, _, _ in oh.reference_subdivide(system, length, neighbours):
+        on_u |= u.coeffs in starts
+        on_low |= (v - system.rho).coeffs in starts
+    return on_u, on_low
+
+
+def test_sweep_keeps_starts_on_both_closed_ends(six_map_quarter, golden_half, tribonacci_third):
+    cases = []
+    ctx = six_map_quarter.context
+    cases.append((six_map_quarter, ctx.from_rational(F(3, 8)),
+                  tuple(ctx.from_rational(F(k, 8)) for k in (0, 1, 2))))
+    cases.append((six_map_quarter, ctx.one, (ctx.zero,)))
+    for system in (golden_half, tribonacci_third):
+        rho = system.rho
+        cases.append((system, rho, (system.context.zero, rho * rho)))
+        cases.append((system, system.context.one, (system.context.zero,)))
+    for system, length, neighbours in cases:
+        assert _closed_end_hits(system, length, neighbours) == (True, True)
+        _assert_sweep_matches_reference(system, length, neighbours)
 
 
 def test_iter_matches_path_helpers(golden_half_structure):
