@@ -426,6 +426,19 @@ class TripleDiagram:
             nid = self.edges[nid][e].child
         return nid
 
+    def cycle_limit(self, nid: int, cycle: Sequence[int]) -> int:
+        """A node of the loop that repeating `cycle` from `nid` ends in.
+
+        The loop is a closed walk, so it lies in one class of the triple
+        graph and its centres lie in one class of the vector graph: this one
+        node decides whether the whole limit is (truly) essential.
+        """
+        seen = set()
+        while nid not in seen:
+            seen.add(nid)
+            nid = self.walk(cycle, nid)
+        return nid
+
     def describe(self) -> dict:
         return {
             "triples": self.node_count(),
@@ -518,21 +531,12 @@ def classify_truly_essential(diagram: TripleDiagram, location) -> str:
             return INTERIOR_ESSENTIAL
         return NEEDS_MORE_DEPTH
     start, period = rep.cycle
-    node = diagram.walk(rep.edges[:start])
-    cycle_edges = rep.edges[start:start + period]
-    seen: dict = {}
-    trail: list[int] = []
-    phase = 0
-    while (node, phase) not in seen:
-        seen[(node, phase)] = len(trail)
-        trail.append(node)
-        node = diagram.edges[node][cycle_edges[phase]].child
-        phase = (phase + 1) % period
-    limit = trail[seen[(node, phase)]:]
-    if all(n in diagram.essential for n in limit):
+    node = diagram.cycle_limit(
+        diagram.walk(rep.edges[:start]), rep.edges[start:start + period]
+    )
+    if node in diagram.essential:
         return INTERIOR_ESSENTIAL
-    centres = {diagram.keys[n][1] for n in limit}
-    if all(f in dec.essential for f in centres):
+    if diagram.keys[node][1] in dec.essential:
         return ESSENTIAL_NOT_TRULY
     return NON_ESSENTIAL
 

@@ -30,7 +30,8 @@ from .dimension import (
     PeriodicSpec,
     build_dimension_report,
     essential_interval_bounds,
-    isolated_point_scan,
+    isolated_point_scan,  # unused here; perfbench/tracer.py wraps cli's binding
+    isolation_verdict,
     local_dim_estimate,
     local_dim_periodic,
 )
@@ -46,9 +47,9 @@ from .net import (
     locate_point,
 )
 from .report import (
+    _fmt_certified,
     dumps,
     format_enclosure,
-    fraction_str,
     full_report,
     local_dim_dict,
     render_text,
@@ -149,22 +150,26 @@ def _parse_cycle_spec(text: str) -> PeriodicSpec:
     return PeriodicSpec(prefix, cycle)
 
 
-def _fmt_certified_value(c) -> str:
-    return "%.12g in %s" % (c.value, format_enclosure(c.lo, c.hi))
-
-
-def _print_local_dim(result) -> None:
-    print("local dimension: %s" % _fmt_certified_value(result.dimension))
-    if len(result.rates) > 1:
+def _print_local_dim(d: dict) -> None:
+    """Print a `local_dim_dict`."""
+    print("local dimension: %s" % _fmt_certified(d["dimension"]))
+    if len(d["rates"]) > 1:
         print(
             "two one-sided rates (ball mass takes the larger side, hence "
             "the smaller dimension):"
         )
-    for i, rate in enumerate(result.rates):
-        sp = result.spectral[i]
-        exact = "" if sp.exact is None else ", cycle spectral radius %s" % fraction_str(sp.exact)
-        marker = "  <- governs" if i == result.winner and len(result.rates) > 1 else ""
-        print("  rate[%d] = %s%s%s" % (i, _fmt_certified_value(rate), exact, marker))
+    for i, rate in enumerate(d["rates"]):
+        sp = d["spectral"][i]
+        exact = "" if sp["exact"] is None else ", cycle spectral radius %s" % sp["exact"]
+        marker = "  <- governs" if i == d["winner"] and len(d["rates"]) > 1 else ""
+        print("  rate[%d] = %s%s%s" % (i, _fmt_certified(rate), exact, marker))
+
+
+# how pointdim words the `isolation_verdict` reasons other than the outer interval
+_ISOLATION_PHRASES = {
+    "family_bound": "above the family upper bound for truly essential points",
+    "column_sum_criterion": "beyond the extreme column sums of the essential class",
+}
 
 
 def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
@@ -177,10 +182,11 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
             result = local_dim_periodic(structure, MatrixTable(structure), spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        payload = local_dim_dict(result)
         print("explicit periodic path: prefix %s cycle %s" % (spec.prefix, spec.cycle))
-        _print_local_dim(result)
+        _print_local_dim(payload)
         if args.json is not None:
-            _write_or_print(args.json, dumps(local_dim_dict(result)))
+            _write_or_print(args.json, dumps(payload))
         return EXIT_OK
 
     x = _parse_point(args.point, system)
@@ -205,43 +211,24 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
     if periodic:
         spec = PeriodicSpec.from_location(location)
         result = local_dim_periodic(structure, table, spec)
-        _print_local_dim(result)
         payload["local_dimension"] = local_dim_dict(result)
+        _print_local_dim(payload["local_dimension"])
         # the isolation verdict only needs the outer interval and the
         # column-sum extremes, so skip the walk enumeration
         bounds = essential_interval_bounds(
             structure, dec, table, diagram, cycle_budget=args.cycle_budget, inner=False
         )
-        isolated = result.dimension.lo > bounds.outer_hi.hi or (
-            result.dimension.hi < bounds.outer_lo.lo
-        )
-        reason = "outside the certified outer interval %s" % format_enclosure(
-            bounds.outer_lo.lo, bounds.outer_hi.hi
-        )
-        # endpoints get the sharper family-specific bounds of the scan
-        endpoint = None
-        if x.sign() == 0:
-            endpoint = "at_zero"
-        elif (x - system.context.one).sign() == 0:
-            endpoint = "at_one"
-        if endpoint is not None and not isolated:
-            finding = getattr(
-                isolated_point_scan(structure, dec, table, bounds), endpoint
-            )
-            if finding.isolated:
-                isolated = True
-                phrases = {
-                    "outside_outer": "outside the certified outer interval",
-                    "family_bound": "above the family upper bound for "
-                    "truly essential points",
-                    "column_sum_criterion": "beyond the extreme column sums "
-                    "of the essential class",
-                }
-                reason = phrases.get(finding.reason, finding.reason)
-                if finding.family_bound is not None:
-                    reason += " (bound %.12g)" % finding.family_bound
+        isolated, reason, family_bound = isolation_verdict(structure, bounds, x, result)
         if isolated:
-            print("ISOLATED: the value lies %s" % reason)
+            if reason == "outside_outer":
+                phrase = "outside the certified outer interval %s" % format_enclosure(
+                    bounds.outer_lo.lo, bounds.outer_hi.hi
+                )
+            else:
+                phrase = _ISOLATION_PHRASES[reason]
+                if family_bound is not None:
+                    phrase += " (bound %.12g)" % family_bound
+            print("ISOLATED: the value lies %s" % phrase)
         payload["isolated"] = isolated
     else:
         slopes = local_dim_estimate(structure, diagram, table, location, args.depth)

@@ -4,14 +4,15 @@ Everything quantitative lives here: the Hausdorff dimension of the
 attractor, local dimensions of the self-similar measure at eventually
 periodic points, certified outer and inner bounds for the interval of
 local dimensions attained at truly essential points, a crude slope
-estimator along arbitrary symbolic paths, isolation checks at the
-endpoints of the hull, and two structural diagnostics (equal column sums,
-Pisot reciprocal ratio).
+estimator along arbitrary symbolic paths, the isolation verdict for a
+local dimension (with family bounds at the hull endpoints), and two
+structural diagnostics (equal column sums, Pisot reciprocal ratio).
 
 Numbers are reported as a float `value` plus rational certified bounds.
-Logarithms of rationals are evaluated in floating point and padded by an
-amount that dominates the worst-case rounding error, so the rational
-enclosures remain trustworthy.
+Logarithms of rationals are evaluated with the float `math.log` and padded
+by 1e-12 relative plus about 1e-15 per bit of the rational.  The padding
+rests on libm's `log` being within a few ulp of the true value, which
+IEEE 754 recommends but does not require; it is not a proof (ROADMAP F4).
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
     "local_dim_periodic",
     "essential_interval_bounds",
     "local_dim_estimate",
+    "isolation_verdict",
     "isolated_point_scan",
     "equal_column_sum_check",
     "pisot_check",
@@ -278,22 +280,12 @@ def _step_is_rightmost(records, edge: int) -> bool:
 
 
 def _cycle_realizable(diagram: TripleDiagram, by_centre, steps) -> bool:
-    """Does some point with this cyclic tail have all flank limits essential?
-
-    The triple essential class is child-closed, so the eventual node of the
-    induced triple walk decides membership of the whole limit cycle.
-    """
+    """Does some point with this cyclic tail have all flank limits essential?"""
     edges = [e for _, e in steps]
-    for nid in by_centre.get(steps[0][0], ()):
-        cur = nid
-        seen = set()
-        while cur not in seen:
-            seen.add(cur)
-            for e in edges:
-                cur = diagram.edges[cur][e].child
-        if cur in diagram.essential:
-            return True
-    return False
+    return any(
+        diagram.cycle_limit(nid, edges) in diagram.essential
+        for nid in by_centre.get(steps[0][0], ())
+    )
 
 
 def _canonical_rotation(steps):
@@ -536,6 +528,45 @@ class IsolationFindings:
     cantor_criterion: dict | None
 
 
+def isolation_verdict(
+    structure: FiniteTypeStructure,
+    bounds: EssentialBounds,
+    x,
+    result: LocalDimensionResult,
+) -> tuple[bool, str | None, float | None]:
+    """(isolated, reason, family_bound) for the local dimension `result` at x.
+
+    Any point is isolated when its enclosure lies strictly outside the
+    certified outer interval ("outside_outer").  At x = 0 and 1 the two-map
+    Bernoulli bound ("family_bound", returned for that family) and the
+    Cantor column-sum criterion ("column_sum_criterion": the first or last
+    probability is below the smallest column sum) can also prove it.
+    """
+    dim = result.dimension
+    isolated = dim.lo > bounds.outer_hi.hi or dim.hi < bounds.outer_lo.lo
+    reason = "outside_outer" if isolated else None
+    family_bound = None
+    system = structure.system
+    family = (system.family or {}) if x in (0, 1) else {}
+    if family.get("name") == "bernoulli_simple_pisot":
+        den_lo, den_hi = rho_log_enclosure(structure)
+        ln_rho = -float((den_lo + den_hi) / 2)
+        p = Fraction(family["p"])
+        pr = p if x == 0 else 1 - p
+        other = 1 - pr
+        n_levels = 2 * int(family["k"])
+        family_bound = ln_fraction(pr) / ln_rho + (
+            ln_fraction(other) - ln_fraction(pr)
+        ) / (2 * n_levels * ln_rho)
+        if not isolated and dim.value > family_bound + 1e-12:
+            isolated, reason = True, "family_bound"
+    if family.get("name") == "cantor" and not isolated:
+        probs = system.probabilities
+        if (probs[0] if x == 0 else probs[-1]) < bounds.p_min:
+            isolated, reason = True, "column_sum_criterion"
+    return isolated, reason, family_bound
+
+
 def isolated_point_scan(
     structure: FiniteTypeStructure,
     dec: ClassDecomposition,
@@ -543,19 +574,10 @@ def isolated_point_scan(
     bounds: EssentialBounds,
     depth: int = 60,
 ) -> IsolationFindings:
-    """Local dimensions at 0 and 1 and whether they sit outside the bounds.
-
-    Isolation is flagged when the certified local dimension lies strictly
-    outside the certified outer interval, or when a family-specific bound
-    (two-map Bernoulli refinement, Cantor column-sum criterion) proves it.
-    """
+    """Local dimensions at 0 and 1 and their `isolation_verdict`s."""
     system = structure.system
-    family = system.family or {}
-    den_lo, den_hi = rho_log_enclosure(structure)
-    ln_rho = -float((den_lo + den_hi) / 2)
-
     cantor = None
-    if family.get("name") == "cantor":
+    if (system.family or {}).get("name") == "cantor":
         probs = system.probabilities
         cantor = {
             "p_first": probs[0],
@@ -569,26 +591,8 @@ def isolated_point_scan(
     for x, label in ((0, "0"), (1, "1")):
         spec = PeriodicSpec.from_location(locate_point(structure, x, depth))
         result = local_dim_periodic(structure, table, spec)
-        isolated = (
-            result.dimension.lo > bounds.outer_hi.hi
-            or result.dimension.hi < bounds.outer_lo.lo
-        )
-        reason = "outside_outer" if isolated else None
-        family_bound = None
-        if family.get("name") == "bernoulli_simple_pisot":
-            p = Fraction(family["p"])
-            pr = p if x == 0 else 1 - p
-            other = 1 - pr
-            n_levels = 2 * int(family["k"])
-            family_bound = ln_fraction(pr) / ln_rho + (
-                ln_fraction(other) - ln_fraction(pr)
-            ) / (2 * n_levels * ln_rho)
-            if not isolated and result.dimension.value > family_bound + 1e-12:
-                isolated, reason = True, "family_bound"
-        if cantor is not None and not isolated:
-            if cantor["first_isolated" if x == 0 else "last_isolated"]:
-                isolated, reason = True, "column_sum_criterion"
-        findings.append(EndpointFinding(label, result, isolated, reason, family_bound))
+        verdict = isolation_verdict(structure, bounds, x, result)
+        findings.append(EndpointFinding(label, result, *verdict))
     return IsolationFindings(findings[0], findings[1], cantor)
 
 

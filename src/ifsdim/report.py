@@ -39,15 +39,11 @@ def fraction_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _float(v) -> float:
-    return float(v)
-
-
 def certified_dict(c: Certified | None) -> dict | None:
     if c is None:
         return None
     return {
-        "value": _float(c.value),
+        "value": float(c.value),
         "lo": fraction_str(c.lo),
         "hi": fraction_str(c.hi),
     }
@@ -55,7 +51,7 @@ def certified_dict(c: Certified | None) -> dict | None:
 
 def spectral_dict(sp: SpectralResult) -> dict:
     return {
-        "value": _float(sp.value),
+        "value": float(sp.value),
         "lo": fraction_str(sp.certified_lo),
         "hi": fraction_str(sp.certified_hi),
         "exact": None if sp.exact is None else fraction_str(sp.exact),
@@ -118,7 +114,7 @@ def endpoint_dict(e: EndpointFinding) -> dict:
         "dimension": local_dim_dict(e.dimension),
         "isolated": e.isolated,
         "reason": e.reason,
-        "family_bound": None if e.family_bound is None else _float(e.family_bound),
+        "family_bound": None if e.family_bound is None else float(e.family_bound),
     }
 
 
@@ -157,7 +153,7 @@ def column_sums_dict(c: ColumnSumReport) -> dict:
         "holds": c.holds,
         "common_sum": None if c.common_sum is None else fraction_str(c.common_sum),
         "counterexample": counter,
-        "exponent": None if c.exponent is None else _float(c.exponent),
+        "exponent": None if c.exponent is None else float(c.exponent),
         "matches_hausdorff": c.matches_hausdorff,
     }
 
@@ -166,8 +162,8 @@ def pisot_dict(p: PisotResult) -> dict:
     return {
         "is_pisot": p.is_pisot,
         "indeterminate": p.indeterminate,
-        "dominant_root": None if p.dominant_root is None else _float(p.dominant_root),
-        "conjugate_moduli": [_float(m) for m in p.conjugate_moduli],
+        "dominant_root": None if p.dominant_root is None else float(p.dominant_root),
+        "conjugate_moduli": [float(m) for m in p.conjugate_moduli],
         "reason": p.reason,
     }
 

@@ -5,7 +5,9 @@ enumerating words, with no reference to the package's net-interval or
 matrix machinery, so agreement is meaningful evidence of correctness.
 The exceptions are `reference_subdivide` and `reference_letters`: the
 explorer's former all-pairs subdivision loop and letter lookup, kept as
-the slow exact reference for the sorted sweep that replaced them.
+the slow exact reference for the sorted sweep that replaced them; and
+`reference_cycle_limit`, the former (node, phase) trail of periodic point
+classification, kept as the reference for `TripleDiagram.cycle_limit`.
 """
 
 from fractions import Fraction
@@ -216,3 +218,26 @@ def reference_letters(system, parent_neighbours, offset, child_neighbours):
             row.append(letter_of.get((base - rho * a).coeffs))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def reference_cycle_limit(diagram, node, cycle):
+    """(truly essential, essential) of the limit of repeating `cycle` from `node`.
+
+    Follows the triple walk one edge at a time until a (node, phase) state
+    repeats; every node of the limit loop must be essential for the first
+    answer, and every centre vector for the second.
+    """
+    seen = {}
+    trail = []
+    phase = 0
+    while (node, phase) not in seen:
+        seen[(node, phase)] = len(trail)
+        trail.append(node)
+        node = diagram.edges[node][cycle[phase]].child
+        phase = (phase + 1) % len(cycle)
+    limit = trail[seen[(node, phase)]:]
+    essential = diagram.decomposition.essential
+    return (
+        all(n in diagram.essential for n in limit),
+        all(diagram.keys[n][1] in essential for n in limit),
+    )

@@ -23,7 +23,16 @@ from ifsdim.classes import (
     strongly_connected_components,
 )
 from ifsdim.matrices import MatrixTable
-from ifsdim.net import NetStructureError, NotProvenFiniteTypeError, explore, locate_point
+from ifsdim.dimension import _cycle_realizable
+from ifsdim.net import (
+    NetStructureError,
+    NotProvenFiniteTypeError,
+    Representation,
+    explore,
+    locate_point,
+)
+
+from oracle_helpers import reference_cycle_limit
 
 ALL_STRUCTURES = [
     "six_map_quarter_structure",
@@ -437,6 +446,105 @@ def test_classify_quadratic_gap_edge(quadratic_ninth_structure):
     assert location.boundary
     assert len(location.representations) == 1
     assert classify_truly_essential(diagram, location) == BOUNDARY_ESSENTIAL
+
+
+def _closed_walks(structure, fid, max_len):
+    """Closed walks of 1..max_len steps from fid, as [(vector, edge), ...]."""
+    out = []
+    stack = [(fid, ())]
+    while stack:
+        cur, steps = stack.pop()
+        for rec in structure.children_of_full(cur):
+            walk = steps + ((cur, rec.edge_index),)
+            if rec.child == fid:
+                out.append(walk)
+            if len(walk) < max_len:
+                stack.append((rec.child, walk))
+    return out
+
+
+def _root_paths(diagram):
+    """A root path of edges to every triple node."""
+    paths = {diagram.root: ()}
+    queue = [diagram.root]
+    for nid in queue:
+        for step in diagram.edges[nid]:
+            if step.child not in paths:
+                paths[step.child] = paths[nid] + (step.edge_index,)
+                queue.append(step.child)
+    return paths
+
+
+def _node_trail(diagram, edges):
+    """The triple nodes a root path of edges passes through."""
+    trail = [diagram.root]
+    for e in edges:
+        trail.append(diagram.edges[trail[-1]][e].child)
+    return trail
+
+
+ORACLE_CLASS = {
+    (True, True): INTERIOR_ESSENTIAL,
+    (False, True): ESSENTIAL_NOT_TRULY,
+    (False, False): NON_ESSENTIAL,
+}
+
+
+def test_cycle_limit_matches_the_phase_trail(request):
+    # every triple node x every closed walk of <= 3 edges from its centre;
+    # one limit node decides both answers, because the limit loop lies in
+    # one triple class and its centres in one vector class
+    outcomes = set()
+    cases = 0
+    for name in ALL_STRUCTURES:
+        s = request.getfixturevalue(name)
+        diagram = build_triple_diagram(s, decompose(s))
+        paths = _root_paths(diagram)
+        assert len(paths) == diagram.node_count()
+        walks = {}
+        for nid, (_, centre, _) in enumerate(diagram.keys):
+            if centre not in walks:
+                walks[centre] = _closed_walks(s, centre, 3)
+            for steps in walks[centre]:
+                cycle = [e for _, e in steps]
+                expected = reference_cycle_limit(diagram, nid, cycle)
+                limit = diagram.cycle_limit(nid, cycle)
+                got = (
+                    limit in diagram.essential,
+                    diagram.keys[limit][1] in diagram.decomposition.essential,
+                )
+                assert got == expected, (name, nid, cycle)
+                edges = list(paths[nid]) + cycle
+                fulls = [diagram.keys[n][1] for n in _node_trail(diagram, edges)]
+                rep = Representation(
+                    "interior", edges, fulls, cycle=(len(paths[nid]), len(cycle))
+                )
+                assert classify_truly_essential(diagram, rep) == ORACLE_CLASS[expected]
+                outcomes.add(expected)
+                cases += 1
+    assert cases > 800
+    assert outcomes == set(ORACLE_CLASS)
+
+
+def test_cycle_realizable_matches_the_phase_trail(request):
+    # the walk filter of the inner bounds: some triple over the walk's first
+    # vector has a truly essential limit
+    seen = set()
+    for name in ALL_STRUCTURES:
+        s = request.getfixturevalue(name)
+        diagram = build_triple_diagram(s, decompose(s))
+        by_centre = {}
+        for nid, key in enumerate(diagram.keys):
+            by_centre.setdefault(key[1], []).append(nid)
+        for centre, nodes in by_centre.items():
+            for steps in _closed_walks(s, centre, 3):
+                cycle = [e for _, e in steps]
+                expected = any(
+                    reference_cycle_limit(diagram, nid, cycle)[0] for nid in nodes
+                )
+                assert _cycle_realizable(diagram, by_centre, steps) == expected
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,14 @@ k = 2
 p = 1/2
 """
 
+# the first map is lighter than every column sum of the essential class
+CANTOR_LIGHT_CFG = """\
+family = cantor
+d = 3
+m = 4
+probabilities = [1/10, 1/5, 1/5, 1/5, 3/10]
+"""
+
 
 @pytest.fixture(scope="module")
 def cfgdir(tmp_path_factory):
@@ -56,6 +64,7 @@ def cfgdir(tmp_path_factory):
         ("zerorow.cfg", ZEROROW_CFG),
         ("golden_third.cfg", GOLDEN_THIRD_CFG),
         ("golden_half.cfg", GOLDEN_HALF_CFG),
+        ("cantor_light.cfg", CANTOR_LIGHT_CFG),
     ):
         (root / name).write_text(text, encoding="utf-8")
     return root
@@ -270,6 +279,70 @@ def test_pointdim_needs_probabilities(cfgdir, capsys):
     assert "probabilities" in capsys.readouterr().err
 
 
+# stdout of pointdim, byte for byte: two one-sided rates, and both phrasings
+# of an isolated value
+PINNED_POINTDIM = {
+    ("six", "1/2"): (
+        "point 1/2\n"
+        "boundary point: yes\n"
+        "classification: essential_not_truly\n"
+        "  side left: edges 3,3 cycle(start=1, period=1)\n"
+        "  side right: edges 4,0,0 cycle(start=2, period=1)\n"
+        "local dimension: 1.29248125036 in [1.292481250357, 1.292481250364]\n"
+        "two one-sided rates (ball mass takes the larger side, hence the smaller dimension):\n"
+        "  rate[0] = 1.29248125036 in [1.292481250357, 1.292481250364], "
+        "cycle spectral radius 1/6  <- governs\n"
+        "  rate[1] = 1.29248125036 in [1.292481250357, 1.292481250364], "
+        "cycle spectral radius 1/6\n"
+    ),
+    ("golden_third", "0"): (
+        "point 0\n"
+        "boundary point: yes\n"
+        "classification: non_essential\n"
+        "  side right: edges 0,0 cycle(start=1, period=1)\n"
+        "local dimension: 2.28301182859 in [2.283011828583, 2.283011828595]\n"
+        "  rate[0] = 2.28301182859 in [2.283011828583, 2.283011828595], "
+        "cycle spectral radius 1/3\n"
+        "ISOLATED: the value lies above the family upper bound for truly "
+        "essential points (bound 2.10295931729)\n"
+    ),
+    ("gap", "0"): (
+        "point 0\n"
+        "boundary point: yes\n"
+        "classification: non_essential\n"
+        "  side right: edges 0,0 cycle(start=1, period=1)\n"
+        "local dimension: 1.5 in [1.499999999996, 1.500000000004]\n"
+        "  rate[0] = 1.5 in [1.499999999996, 1.500000000004], cycle spectral radius 1/8\n"
+        "ISOLATED: the value lies outside the certified outer interval "
+        "[0.999999999997, 1.000000000003]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("cfg, point", sorted(PINNED_POINTDIM))
+def test_pointdim_stdout_is_pinned(cfgdir, capsys, cfg, point):
+    assert main(["pointdim", "--config", str(cfgdir / (cfg + ".cfg")), "--point", point]) == 0
+    assert capsys.readouterr().out == PINNED_POINTDIM[cfg, point]
+
+
+@pytest.mark.parametrize("cfg", ["gap", "golden_third", "golden_half", "six", "cantor_light"])
+def test_pointdim_agrees_with_report_at_the_endpoints(cfgdir, capsys, tmp_path, cfg):
+    # both reach the endpoint verdict through dimension.isolation_verdict
+    config_path = str(cfgdir / (cfg + ".cfg"))
+    report_json = tmp_path / "report.json"
+    argv = ["--config", config_path, "--cycle-budget", "2"]
+    assert main(["report"] + argv + ["--json", str(report_json)]) == 0
+    isolation = json.loads(report_json.read_text(encoding="utf-8"))["measure"]["isolation"]
+    for point, key in (("0", "at_zero"), ("1", "at_one")):
+        point_json = tmp_path / ("point%s.json" % point)
+        assert main(["pointdim"] + argv + ["--point", point, "--json", str(point_json)]) == 0
+        payload = json.loads(point_json.read_text(encoding="utf-8"))
+        finding = isolation[key]
+        assert payload["isolated"] is finding["isolated"]
+        assert payload["local_dimension"]["dimension"] == finding["dimension"]["dimension"]
+    capsys.readouterr()
+
+
 # -- report and graph -----------------------------------------------------------
 
 
@@ -357,10 +430,31 @@ def test_tracer_wraps_the_cli_path(cfgdir, monkeypatch, capsys):
     # perfbench/tracer.py wraps CLI layers by module attribute; every one
     # must resolve, and the explore path must pass through its wrappers
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    from tracer import Tracer
+    from tracer import HOT, SPANS, Tracer
+
+    for targets in SPANS.values():
+        for owner, attr in targets:
+            assert callable(getattr(owner, attr)), (owner, attr)
+    for owner, attr, _ in HOT.values():
+        assert callable(getattr(owner, attr)), (owner, attr)
 
     tracer = Tracer()
     with tracer.installed():
         assert main(["explore", "--config", str(cfgdir / "six.cfg")]) == 0
     assert {"config.load", "net.explore"} <= {s.name for s in tracer.spans}
     assert cli.load_config is config.load_config
+
+    # report and an endpoint pointdim: the paths the isolation verdict runs on
+    layers = {"classes.triple", "matrices.table", "dimension.bounds", "dimension.local_dim"}
+    for argv, scans in (
+        (["report", "--cycle-budget", "2"], 1),
+        (["pointdim", "--point", "0"], 0),
+    ):
+        tracer = Tracer()
+        with tracer.installed():
+            assert main(argv + ["--config", str(cfgdir / "golden_half.cfg")]) == 0
+        names = [s.name for s in tracer.spans]
+        assert layers <= set(names), argv
+        # pointdim judges the value it computed; only report scans both endpoints
+        assert names.count("dimension.isolation") == scans, argv
+    capsys.readouterr()

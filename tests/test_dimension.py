@@ -7,12 +7,15 @@ import pytest
 
 from ifsdim.classes import build_triple_diagram, decompose
 from ifsdim.dimension import (
+    Certified,
+    LocalDimensionResult,
     PeriodicSpec,
     build_dimension_report,
     equal_column_sum_check,
     essential_interval_bounds,
     hausdorff_dimension,
     isolated_point_scan,
+    isolation_verdict,
     ln_fraction,
     local_dim_estimate,
     local_dim_periodic,
@@ -422,6 +425,37 @@ def test_gap_system_endpoints_sit_outside_the_interval(gap_system_structure):
     findings = isolated_point_scan(structure, dec, table, bounds)
     assert findings.at_zero.isolated and findings.at_one.isolated
     assert findings.at_zero.reason == "outside_outer"
+
+
+def test_isolation_verdict_tests_both_sides_of_the_outer_interval(gap_system_structure):
+    structure = gap_system_structure
+    dec, table = parts_of(structure)
+    bounds = essential_interval_bounds(structure, dec, table, cycle_budget=2, inner=False)
+    lo, hi, eps = bounds.outer_lo.lo, bounds.outer_hi.hi, Fraction(1, 10**6)
+
+    def verdict(a, b):
+        result = LocalDimensionResult(Certified(float((a + b) / 2), a, b), 0, (), ())
+        return isolation_verdict(structure, bounds, Fraction(1, 2), result)
+
+    assert verdict(lo - 2 * eps, lo - eps) == (True, "outside_outer", None)
+    assert verdict(hi + eps, hi + 2 * eps) == (True, "outside_outer", None)
+    # an enclosure that touches the interval proves nothing
+    assert verdict(lo - eps, lo) == (False, None, None)
+    assert verdict(hi, hi + eps) == (False, None, None)
+
+
+def test_family_bound_applies_only_at_the_hull_endpoints(golden_third_structure):
+    # at the interior point 1/2 the value exceeds the bound the family
+    # would give for x = 1, but that bound speaks only about the endpoint
+    structure = golden_third_structure
+    dec, table = parts_of(structure)
+    bounds = essential_interval_bounds(structure, dec, table, cycle_budget=2, inner=False)
+    spec = PeriodicSpec.from_location(locate_point(structure, Fraction(1, 2)))
+    result = local_dim_periodic(structure, table, spec)
+    assert isolation_verdict(structure, bounds, Fraction(1, 2), result) == (False, None, None)
+    isolated, reason, family_bound = isolation_verdict(structure, bounds, 1, result)
+    assert family_bound < result.dimension.value
+    assert (isolated, reason) == (True, "family_bound")
 
 
 # -- diagnostics ---------------------------------------------------------------
