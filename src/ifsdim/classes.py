@@ -138,22 +138,6 @@ def decompose(structure: FiniteTypeStructure) -> ClassDecomposition:
     return ClassDecomposition(scc_of, sccs, loop_classes, essential, essential_reduced)
 
 
-def all_reach_essential(structure: FiniteTypeStructure, dec: ClassDecomposition) -> bool:
-    """Whether every vector has a descendant in the essential class."""
-    n = structure.full_count
-    reaches = [f in dec.essential for f in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for f in range(n):
-            if reaches[f]:
-                continue
-            if any(reaches[rec.child] for rec in structure.children_of_full(f)):
-                reaches[f] = True
-                changed = True
-    return all(reaches)
-
-
 def essential_incidence(
     structure: FiniteTypeStructure, dec: ClassDecomposition
 ) -> tuple[list[int], tuple[tuple[int, ...], ...]]:

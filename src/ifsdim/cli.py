@@ -215,9 +215,7 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
         _print_local_dim(payload["local_dimension"])
         # the isolation verdict only needs the outer interval and the
         # column-sum extremes, so skip the walk enumeration
-        bounds = essential_interval_bounds(
-            structure, dec, table, diagram, cycle_budget=args.cycle_budget, inner=False
-        )
+        bounds = essential_interval_bounds(structure, dec, table, diagram, inner=False)
         isolated, reason, family_bound = isolation_verdict(structure, bounds, x, result)
         if isolated:
             if reason == "outside_outer":
@@ -250,10 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cache", default=None, help="structure cache path")
     common.add_argument("--max-vectors", type=int, default=100000)
     common.add_argument("--max-level", type=int, default=200)
-    common.add_argument("--cycle-budget", type=int, default=8)
-    common.add_argument("--depth", type=int, default=60)
-    common.add_argument("--dot", default=None, help="DOT output path (graph)")
-    common.add_argument("--json", default=None, help="JSON output path")
+    measure = argparse.ArgumentParser(add_help=False)
+    measure.add_argument("--depth", type=int, default=60)
+    measure.add_argument("--json", default=None, help="JSON output path")
 
     parser = argparse.ArgumentParser(
         prog="ifsdim",
@@ -261,10 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("explore", parents=[common])
-    sub.add_parser("report", parents=[common])
+    report = sub.add_parser("report", parents=[common, measure])
+    report.add_argument("--cycle-budget", type=int, default=8)
     graph = sub.add_parser("graph", parents=[common])
     graph.add_argument("which", choices=("reduced", "triple"))
-    point = sub.add_parser("pointdim", parents=[common])
+    graph.add_argument("--dot", default=None, help="DOT output path")
+    point = sub.add_parser("pointdim", parents=[common, measure])
     group = point.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", help="rational like 2/3, or [c0, c1, ...] in rho")
     group.add_argument("--cycle", help="edge path 'p1,p2|c1,c2' (prefix | cycle)")
@@ -275,8 +274,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        for name in ("max_vectors", "max_level", "cycle_budget", "depth"):
-            if getattr(args, name) <= 0:
+        for name, value in vars(args).items():
+            if name in ("max_vectors", "max_level", "cycle_budget", "depth") and value <= 0:
                 raise ConfigError(f"--{name.replace('_', '-')} must be positive")
         system = load_config(args.config)
         if args.command == "explore":

@@ -288,26 +288,36 @@ def _cycle_realizable(diagram: TripleDiagram, by_centre, steps) -> bool:
     )
 
 
-def _canonical_rotation(steps):
-    best = None
-    for r in range(len(steps)):
-        rot = tuple(steps[r:] + steps[:r])
-        if best is None or rot < best:
-            best = rot
-    return best
+def _lyndon_cycles(children, start: int, budget: int):
+    """Closed walks from `start` of at most `budget` steps, one per cycle.
 
-
-def _is_primitive(steps):
-    """True when the closed walk is not a repetition of a shorter one.
-
-    Powers contribute nothing new: the spectral radius of a repeated cycle
-    is the corresponding power, so the rate is unchanged.
+    A step is a (vector, edge) pair.  The walk is extended depth first
+    while its steps form a pre-necklace (Fredricksen and Maiorana): `p` is
+    the period of the prefix, and a step below the one `p` places back is
+    pruned, since no Lyndon word has that prefix.  A walk back at `start`
+    is yielded when its period is its length, that is when it is the
+    Lyndon word of a primitive cycle: its least rotation, which starts at
+    the cycle's least vector.  Powers of a cycle are skipped; they repeat
+    its rate.
     """
-    n = len(steps)
-    for d in range(1, n):
-        if n % d == 0 and steps[:d] * (n // d) == steps:
-            return False
-    return True
+    stack = [(start, (), 0)]
+    while stack:
+        fid, steps, p = stack.pop()
+        n = len(steps) + 1
+        for rec in children[fid]:
+            step = (fid, rec.edge_index)
+            if steps:
+                back = steps[n - 1 - p]
+                if step < back:
+                    continue
+                q = p if step == back else n
+            else:
+                q = 1
+            nxt = steps + (step,)
+            if rec.child == start and q == n:
+                yield nxt
+            if n < budget:
+                stack.append((rec.child, nxt, q))
 
 
 def essential_interval_bounds(
@@ -322,9 +332,15 @@ def essential_interval_bounds(
 
     Outer: [|log P_max|, |log P_min|] / |log rho| with P_max and P_min the
     extreme column sums over the transition matrices of the essential class.
-    Inner: the min and max certified rate over closed walks of the class up
-    to `cycle_budget` edges whose descent pattern is realizable at a truly
-    essential point.  Walks that fail the filter are reported, not included.
+    Inner: the min and max certified rate over the cycles of the class of
+    at most `cycle_budget` edges whose descent pattern is realizable at a
+    truly essential point.  `_lyndon_cycles` yields each primitive cycle
+    once, as its least rotation, so no rotation or power is tested twice.
+    Cycles that fail the filter are counted and sampled in `excluded`, not
+    included.  `min_witness` and `max_witness` attain the extreme rates;
+    ties go to a positive product, then to the fewest edges, then to the
+    least (start, edges), so the witnesses do not depend on the order of
+    enumeration.
 
     With `inner=False` the walk enumeration (whose cost grows quickly with
     the budget on classes with many parallel edges) is skipped and only the
@@ -351,61 +367,39 @@ def essential_interval_bounds(
     for nid, key in enumerate(diagram.keys):
         by_centre.setdefault(key[1], []).append(nid)
 
-    seen = set()
     included: list[CycleWitness] = []
     excluded: list[tuple] = []
     excluded_count = 0
     loose = Fraction(1, 10**9)
     for start in essential if inner else ():
-        stack = [(start, [])]
-        while stack:
-            fid, steps = stack.pop()
-            for rec in children[fid]:
-                nxt = steps + [(fid, rec.edge_index)]
-                if rec.child == start and _is_primitive(nxt):
-                    canon = _canonical_rotation(nxt)
-                    if canon not in seen:
-                        seen.add(canon)
-                        recs = [children[f] for f, _ in canon]
-                        if all(
-                            _step_is_leftmost(r, e)
-                            for r, (_, e) in zip(recs, canon)
-                        ):
-                            reason = "all_leftmost"
-                        elif all(
-                            _step_is_rightmost(r, e)
-                            for r, (_, e) in zip(recs, canon)
-                        ):
-                            reason = "all_rightmost"
-                        elif not _cycle_realizable(diagram, by_centre, canon):
-                            reason = "flank_limit_not_essential"
-                        else:
-                            reason = None
-                        if reason is not None:
-                            excluded_count += 1
-                            if len(excluded) < 50:
-                                excluded.append((canon, reason))
-                        else:
-                            edges = tuple(e for _, e in canon)
-                            product = table.cycle_matrix(canon[0][0], edges)
-                            sp = spectral_radius(product, rel_tol=loose)
-                            num = _neg_log_interval(
-                                sp.certified_lo, sp.certified_hi
-                            )
-                            den = (
-                                len(edges) * den1[0],
-                                len(edges) * den1[1],
-                            )
-                            included.append(
-                                CycleWitness(
-                                    canon[0][0],
-                                    edges,
-                                    _certify(*_interval_div(num, den)),
-                                    product.is_positive(),
-                                )
-                            )
-                if len(nxt) < cycle_budget:
-                    stack.append((rec.child, nxt))
+        for steps in _lyndon_cycles(children, start, cycle_budget):
+            recs = [children[f] for f, _ in steps]
+            if all(_step_is_leftmost(r, e) for r, (_, e) in zip(recs, steps)):
+                reason = "all_leftmost"
+            elif all(_step_is_rightmost(r, e) for r, (_, e) in zip(recs, steps)):
+                reason = "all_rightmost"
+            elif not _cycle_realizable(diagram, by_centre, steps):
+                reason = "flank_limit_not_essential"
+            else:
+                reason = None
+            if reason is not None:
+                excluded_count += 1
+                if len(excluded) < 50:
+                    excluded.append((steps, reason))
+                continue
+            edges = tuple(e for _, e in steps)
+            product = table.cycle_matrix(start, edges)
+            sp = spectral_radius(product, rel_tol=loose)
+            num = _neg_log_interval(sp.certified_lo, sp.certified_hi)
+            den = (len(edges) * den1[0], len(edges) * den1[1])
+            included.append(
+                CycleWitness(
+                    start,
+                    edges,
+                    _certify(*_interval_div(num, den)),
+                    product.is_positive(),
+                )
+            )
 
     if included:
         inner_lo = _certify(
@@ -414,8 +408,14 @@ def essential_interval_bounds(
         inner_hi = _certify(
             max(w.rate.lo for w in included), max(w.rate.hi for w in included)
         )
-        min_witness = min(included, key=lambda w: (w.rate.value, not w.positive))
-        max_witness = max(included, key=lambda w: (w.rate.value, w.positive))
+        min_witness = min(
+            included,
+            key=lambda w: (w.rate.value, not w.positive, len(w.edges), w.start, w.edges),
+        )
+        max_witness = min(
+            included,
+            key=lambda w: (-w.rate.value, not w.positive, len(w.edges), w.start, w.edges),
+        )
     else:
         inner_lo = inner_hi = None
         min_witness = max_witness = None

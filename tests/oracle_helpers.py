@@ -5,9 +5,12 @@ enumerating words, with no reference to the package's net-interval or
 matrix machinery, so agreement is meaningful evidence of correctness.
 The exceptions are `reference_subdivide` and `reference_letters`: the
 explorer's former all-pairs subdivision loop and letter lookup, kept as
-the slow exact reference for the sorted sweep that replaced them; and
+the slow exact reference for the sorted sweep that replaced them;
 `reference_cycle_limit`, the former (node, phase) trail of periodic point
-classification, kept as the reference for `TripleDiagram.cycle_limit`.
+classification, kept as the reference for `TripleDiagram.cycle_limit`;
+`reference_cycles`, the former all-rotations walk enumeration of the
+inner bounds, kept as the reference for `dimension._lyndon_cycles`; and
+`vectors_reaching`, a plain search over the explored child records.
 """
 
 from fractions import Fraction
@@ -241,3 +244,44 @@ def reference_cycle_limit(diagram, node, cycle):
         all(n in diagram.essential for n in limit),
         all(diagram.keys[n][1] in essential for n in limit),
     )
+
+
+def reference_cycles(children, start, budget):
+    """Least rotations of the primitive cycles whose least vector is `start`.
+
+    Walks every closed walk from `start` of at most `budget` steps, drops
+    the powers, and keeps each least rotation once, in the order first met.
+    Steps are (vector, edge) pairs; `children` maps a vector to its records.
+    """
+    seen = set()
+    stack = [(start, [])]
+    while stack:
+        fid, steps = stack.pop()
+        for rec in children[fid]:
+            nxt = steps + [(fid, rec.edge_index)]
+            n = len(nxt)
+            if rec.child == start and all(
+                n % d or nxt[:d] * (n // d) != nxt for d in range(1, n)
+            ):
+                canon = min(tuple(nxt[r:] + nxt[:r]) for r in range(n))
+                if canon[0][0] == start and canon not in seen:
+                    seen.add(canon)
+                    yield canon
+            if n < budget:
+                stack.append((rec.child, nxt))
+
+
+def vectors_reaching(structure, targets):
+    """The full vectors with a path of child edges into `targets`."""
+    parents = {}
+    for f in range(structure.full_count):
+        for rec in structure.children_of_full(f):
+            parents.setdefault(rec.child, []).append(f)
+    found = set(targets)
+    frontier = list(found)
+    while frontier:
+        for f in parents.get(frontier.pop(), ()):
+            if f not in found:
+                found.add(f)
+                frontier.append(f)
+    return found

@@ -10,7 +10,6 @@ from ifsdim.classes import (
     INTERIOR_ESSENTIAL,
     NEEDS_MORE_DEPTH,
     NON_ESSENTIAL,
-    all_reach_essential,
     build_triple_diagram,
     classify_truly_essential,
     closed_classes,
@@ -32,7 +31,7 @@ from ifsdim.net import (
     locate_point,
 )
 
-from oracle_helpers import reference_cycle_limit
+from oracle_helpers import reference_cycle_limit, vectors_reaching
 
 ALL_STRUCTURES = [
     "six_map_quarter_structure",
@@ -188,7 +187,7 @@ def test_cantor_3_4_decomposition(cantor_3_4_skewed_structure):
 def test_every_vector_reaches_essential(request, name):
     s = request.getfixturevalue(name)
     dec = decompose(s)
-    assert all_reach_essential(s, dec)
+    assert vectors_reaching(s, dec.essential) == set(range(s.full_count))
 
 
 def test_decompose_requires_saturation(golden_third_structure):

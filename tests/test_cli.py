@@ -172,6 +172,22 @@ def test_flag_validation(cfgdir, capsys):
     assert "--depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pointdim", "--point", "0", "--cycle-budget", "2"],
+        ["explore", "--json", "out.json"],
+        ["graph", "reduced", "--depth", "5"],
+        ["report", "--dot", "out.dot"],
+    ],
+)
+def test_subcommands_reject_flags_they_ignore(cfgdir, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", str(cfgdir / "six.cfg")])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_point_in_attractor_gap_exits_4(cfgdir, capsys):
     rc = main(
         ["pointdim", "--config", str(cfgdir / "zerorow.cfg"), "--point", "0.35"]
@@ -191,8 +207,6 @@ def test_pointdim_gap_endpoint_isolated(cfgdir, capsys):
             str(cfgdir / "gap.cfg"),
             "--point",
             "0",
-            "--cycle-budget",
-            "2",
         ]
     )
     out = capsys.readouterr().out
@@ -209,8 +223,6 @@ def test_pointdim_golden_third_flagged_by_family_bound(cfgdir, capsys):
             str(cfgdir / "golden_third.cfg"),
             "--point",
             "0",
-            "--cycle-budget",
-            "2",
         ]
     )
     out = capsys.readouterr().out
@@ -229,8 +241,6 @@ def test_pointdim_golden_half_not_flagged(cfgdir, capsys):
             str(cfgdir / "golden_half.cfg"),
             "--point",
             "0",
-            "--cycle-budget",
-            "2",
         ]
     )
     out = capsys.readouterr().out
@@ -330,12 +340,13 @@ def test_pointdim_agrees_with_report_at_the_endpoints(cfgdir, capsys, tmp_path, 
     # both reach the endpoint verdict through dimension.isolation_verdict
     config_path = str(cfgdir / (cfg + ".cfg"))
     report_json = tmp_path / "report.json"
-    argv = ["--config", config_path, "--cycle-budget", "2"]
-    assert main(["report"] + argv + ["--json", str(report_json)]) == 0
+    report = ["report", "--config", config_path, "--cycle-budget", "2"]
+    assert main(report + ["--json", str(report_json)]) == 0
     isolation = json.loads(report_json.read_text(encoding="utf-8"))["measure"]["isolation"]
     for point, key in (("0", "at_zero"), ("1", "at_one")):
         point_json = tmp_path / ("point%s.json" % point)
-        assert main(["pointdim"] + argv + ["--point", point, "--json", str(point_json)]) == 0
+        pointdim = ["pointdim", "--config", config_path, "--point", point]
+        assert main(pointdim + ["--json", str(point_json)]) == 0
         payload = json.loads(point_json.read_text(encoding="utf-8"))
         finding = isolation[key]
         assert payload["isolated"] is finding["isolated"]

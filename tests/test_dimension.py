@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ifsdim import dimension
 from ifsdim.classes import build_triple_diagram, decompose
 from ifsdim.dimension import (
     Certified,
@@ -27,6 +28,8 @@ from ifsdim.ifs import cantor_like
 from ifsdim.matrices import MatrixTable
 from ifsdim.net import explore, locate_point
 from ifsdim.spectral import spectral_radius
+
+from oracle_helpers import reference_cycles
 
 ALL_STRUCTURES = [
     "six_map_quarter_structure",
@@ -281,6 +284,49 @@ def test_descent_filter_reports_rather_than_includes(eight_map_twelfths_structur
         assert all(fid in dec.essential for fid, _ in steps)
 
 
+# budget 6 takes the all-rotations reference over a second on these
+LYNDON_BUDGETS = {
+    "eight_map_twelfths_structure": 5,
+    "cantor_4_9_structure": 5,
+    "gap_system_structure": 5,
+}
+
+
+@pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8"])
+def test_lyndon_enumeration_matches_the_all_rotations_loop(request, monkeypatch, name):
+    structure = request.getfixturevalue(name)
+    if name == "convolution_3_8":
+        structure = explore(structure)
+    dec, table = parts_of(structure)
+    diagram = build_triple_diagram(structure, dec)
+    essential = sorted(dec.essential)
+    children = {fid: structure.children_of_full(fid) for fid in essential}
+    for budget in range(1, LYNDON_BUDGETS.get(name, 6) + 1):
+        for start in essential:
+            lyndon = list(dimension._lyndon_cycles(children, start, budget))
+            assert len(set(lyndon)) == len(lyndon)
+            assert set(lyndon) == set(reference_cycles(children, start, budget))
+        bounds = essential_interval_bounds(structure, dec, table, diagram, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(dimension, "_lyndon_cycles", reference_cycles)
+            reference = essential_interval_bounds(structure, dec, table, diagram, budget)
+        assert bounds.cycle_count == reference.cycle_count
+        assert bounds.excluded_count == reference.excluded_count
+        assert sorted(bounds.excluded) == sorted(reference.excluded)
+        # the witness rule does not depend on the order of enumeration, and
+        # on these systems the excluded sample comes out in the same order
+        assert bounds == reference
+
+
+def test_witness_ties_go_to_the_shortest_cycle(six_map_quarter_structure):
+    structure = six_map_quarter_structure
+    dec, table = parts_of(structure)
+    bounds = essential_interval_bounds(structure, dec, table, cycle_budget=6)
+    # eleven cycles of 3 and 6 edges share the greatest rate value, to the
+    # last bit; the shortest win, and of those the least edges
+    assert bounds.max_witness.edges == (0, 0, 3)
+
+
 # -- slope estimates -----------------------------------------------------------
 
 
@@ -401,6 +447,8 @@ def test_cantor_criterion_flags_the_light_endpoint():
     assert crit["p_min"] == Fraction(1, 5)
     assert crit["first_isolated"] and not crit["last_isolated"]
     assert findings.at_zero.isolated
+    # the outer interval already excludes it; the column-sum branch does not fire
+    assert findings.at_zero.reason == "outside_outer"
     assert abs(findings.at_zero.dimension.dimension.value - math.log(10) / math.log(3)) < 1e-9
     assert not findings.at_one.isolated
 
