@@ -423,13 +423,6 @@ class TripleDiagram:
             nid = self.walk(cycle, nid)
         return nid
 
-    def describe(self) -> dict:
-        return {
-            "triples": self.node_count(),
-            "loop_classes": len(self.loop_classes),
-            "essential_triples": len(self.essential),
-        }
-
 
 def build_triple_diagram(
     structure: FiniteTypeStructure, dec: ClassDecomposition

@@ -343,11 +343,10 @@ def essential_interval_bounds(
     enumeration.
 
     With `inner=False` the walk enumeration (whose cost grows quickly with
-    the budget on classes with many parallel edges) is skipped and only the
-    outer interval and the extreme column sums are produced.
+    the budget on classes with many parallel edges) is skipped, no triple
+    diagram is built, and only the outer interval and the extreme column
+    sums are produced.
     """
-    if diagram is None:
-        diagram = build_triple_diagram(structure, dec)
     den1 = rho_log_enclosure(structure)
     p_max = None
     p_min = None
@@ -361,45 +360,47 @@ def essential_interval_bounds(
     outer_lo = _certify(*_interval_div(_neg_log_interval(p_max, p_max), den1))
     outer_hi = _certify(*_interval_div(_neg_log_interval(p_min, p_min), den1))
 
-    essential = sorted(dec.essential)
-    children = {fid: structure.children_of_full(fid) for fid in essential}
-    by_centre: dict[int, list[int]] = {}
-    for nid, key in enumerate(diagram.keys):
-        by_centre.setdefault(key[1], []).append(nid)
-
     included: list[CycleWitness] = []
     excluded: list[tuple] = []
     excluded_count = 0
-    loose = Fraction(1, 10**9)
-    for start in essential if inner else ():
-        for steps in _lyndon_cycles(children, start, cycle_budget):
-            recs = [children[f] for f, _ in steps]
-            if all(_step_is_leftmost(r, e) for r, (_, e) in zip(recs, steps)):
-                reason = "all_leftmost"
-            elif all(_step_is_rightmost(r, e) for r, (_, e) in zip(recs, steps)):
-                reason = "all_rightmost"
-            elif not _cycle_realizable(diagram, by_centre, steps):
-                reason = "flank_limit_not_essential"
-            else:
-                reason = None
-            if reason is not None:
-                excluded_count += 1
-                if len(excluded) < 50:
-                    excluded.append((steps, reason))
-                continue
-            edges = tuple(e for _, e in steps)
-            product = table.cycle_matrix(start, edges)
-            sp = spectral_radius(product, rel_tol=loose)
-            num = _neg_log_interval(sp.certified_lo, sp.certified_hi)
-            den = (len(edges) * den1[0], len(edges) * den1[1])
-            included.append(
-                CycleWitness(
-                    start,
-                    edges,
-                    _certify(*_interval_div(num, den)),
-                    product.is_positive(),
+    if inner:
+        if diagram is None:
+            diagram = build_triple_diagram(structure, dec)
+        essential = sorted(dec.essential)
+        children = {fid: structure.children_of_full(fid) for fid in essential}
+        by_centre: dict[int, list[int]] = {}
+        for nid, key in enumerate(diagram.keys):
+            by_centre.setdefault(key[1], []).append(nid)
+        loose = Fraction(1, 10**9)
+        for start in essential:
+            for steps in _lyndon_cycles(children, start, cycle_budget):
+                recs = [children[f] for f, _ in steps]
+                if all(_step_is_leftmost(r, e) for r, (_, e) in zip(recs, steps)):
+                    reason = "all_leftmost"
+                elif all(_step_is_rightmost(r, e) for r, (_, e) in zip(recs, steps)):
+                    reason = "all_rightmost"
+                elif not _cycle_realizable(diagram, by_centre, steps):
+                    reason = "flank_limit_not_essential"
+                else:
+                    reason = None
+                if reason is not None:
+                    excluded_count += 1
+                    if len(excluded) < 50:
+                        excluded.append((steps, reason))
+                    continue
+                edges = tuple(e for _, e in steps)
+                product = table.cycle_matrix(start, edges)
+                sp = spectral_radius(product, rel_tol=loose)
+                num = _neg_log_interval(sp.certified_lo, sp.certified_hi)
+                den = (len(edges) * den1[0], len(edges) * den1[1])
+                included.append(
+                    CycleWitness(
+                        start,
+                        edges,
+                        _certify(*_interval_div(num, den)),
+                        product.is_positive(),
+                    )
                 )
-            )
 
     if included:
         inner_lo = _certify(
@@ -438,7 +439,7 @@ def essential_interval_bounds(
 # -- slope estimates along arbitrary symbolic paths --------------------------
 
 
-def _path_edges(path, depth: int, structure=None) -> list[int]:
+def _path_edges(path, depth: int) -> list[int]:
     if isinstance(path, PointLocation):
         live = [r for r in path.representations if r.alive]
         path = (live or path.representations)[0]

@@ -263,13 +263,18 @@ def test_03_path_products_equal_brute_force_masses(request, name):
 # -- 4: set dimensions -----------------------------------------------------------
 
 
-def test_04_hausdorff_dimensions(request, quadratic_ninth_structure):
+def test_04_hausdorff_dimensions(request, tmp_path_factory, quadratic_ninth_structure):
     # (a) three maps x/3 + {0, 2/87, 2/3}: a large table whose incidence
     # spectral radius still gives dimension exactly 1.  The explored
-    # structure is kept in the pytest cache between runs.
+    # structure is kept in the pytest cache between runs, or in a temporary
+    # directory when the cache plugin is disabled.
     started = time.monotonic()
     system = build_ifs(FieldContext([-1, 3]), [F(0), F(2, 87), F(2, 3)])
-    cache_dir = request.config.cache.mkdir("ifsdim_structures")
+    cache = getattr(request.config, "cache", None)
+    if cache is not None:
+        cache_dir = cache.mkdir("ifsdim_structures")
+    else:
+        cache_dir = tmp_path_factory.mktemp("ifsdim_structures")
     cache_path = str(cache_dir / "three_map_2_87.json")
     try:
         structure = load_structure(cache_path, system)

@@ -1,9 +1,11 @@
 """Edge matrices: algebra, frozen examples, and the measure oracle."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from ifsdim import matrices
 from ifsdim.ifs import cantor_like
 from ifsdim.net import NetStructureError, explore, iter_net_intervals, path_fulls
 from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
@@ -29,14 +31,9 @@ def test_matrix_basics():
     assert a.shape == (2, 2)
     assert a.entry_sum() == F(1)
     assert a.column_sums() == (F(5, 6), F(1, 6))
-    assert a.row_sums() == (F(1, 2), F(1, 2))
-    assert a.max_column_sum() == F(5, 6)
-    assert a.min_positive_column_sum() == F(1, 6)
     assert not a.is_positive()
     assert not a.has_zero_row()
     assert a.zero_pattern() == ((True, False), (True, True))
-    assert a.transpose().rows == ((F(1, 2), F(1, 3)), (F(0), F(1, 6)))
-    assert a.scaled(2).entry_sum() == F(2)
 
     ident = TransitionMatrix.identity(2)
     assert ident * a == a
@@ -60,8 +57,6 @@ def test_zero_row_and_positive_flags():
     zero_row = M([[1, 1], [0, 0]])
     assert zero_row.has_zero_row()
     assert M([[1, 1], [1, 1]]).is_positive()
-    with pytest.raises(ValueError):
-        M([[0], [0]]).min_positive_column_sum()
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +200,42 @@ def test_path_products_match_word_masses(request, name, n_max):
 ])
 def test_shared_matrices_equal_per_edge_matrices(request, name):
     s = request.getfixturevalue(name)
-    expected = {
-        (rid, rec.edge_index): edge_matrix(s, rid, rec.edge_index)
-        for rid in range(s.reduced_count)
-        for rec in s.children_of_reduced(rid)
-    }
-    assert MatrixTable(s)._by_edge == expected
+    table = MatrixTable(s)
+    for rid in range(s.reduced_count):
+        for rec in s.children_of_reduced(rid):
+            e = rec.edge_index
+            assert table.of_edge(rid, e) == edge_matrix(s, rid, e)
+
+
+def test_table_builds_each_matrix_on_first_read(monkeypatch, golden_third_structure):
+    calls = []
+
+    def counting(structure, rid, edge_index):
+        calls.append((rid, edge_index))
+        return edge_matrix(structure, rid, edge_index)
+
+    monkeypatch.setattr(matrices, "edge_matrix", counting)
+    table = MatrixTable(golden_third_structure)
+    assert calls == []
+    first = table.of_edge(4, 1)
+    assert table.of_edge(4, 1) is first
+    assert calls == [(4, 1)]
+
+
+def test_zero_column_is_rejected(zero_row_third):
+    s = explore(zero_row_third)
+    records = s.children_of_reduced(3)
+    # no letter enters child cylinder 0 from any parent cylinder
+    records[0] = replace(
+        records[0], letters=tuple((None,) + row[1:] for row in records[0].letters)
+    )
+    with pytest.raises(NetStructureError, match="zero column"):
+        edge_matrix(s, 3, 0)
+    table = MatrixTable(s)
+    with pytest.raises(NetStructureError, match="zero column"):
+        table.of_edge(3, 0)
+    # the other edges are untouched and still build
+    assert table.of_edge(3, 1) == edge_matrix(s, 3, 1)
 
 
 def test_cycle_matrix(golden_third_structure):
