@@ -19,13 +19,7 @@ from fractions import Fraction
 
 from .cache import CacheError, load_structure, save_structure
 from .classes import build_triple_diagram, classify_truly_essential, decompose
-from .config import (  # the parser, also under its earlier CLI names
-    ConfigError,
-    _parse_value,
-    build_system as system_from_config,
-    load_config,
-    parse_config as parse_config_text,
-)
+from .config import ConfigError, _parse_value, load_config
 from .dimension import (
     PeriodicSpec,
     build_dimension_report,

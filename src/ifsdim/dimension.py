@@ -9,6 +9,12 @@ local dimension (with family bounds at the hull endpoints), and two
 structural diagnostics (equal column sums, Pisot reciprocal ratio).
 
 Numbers are reported as a float `value` plus rational certified bounds.
+Every dimension is a rate -ln(q) / (n |ln rho|) of a mass factor q per n
+levels, and `_rate` is the one place that forms it: the Hausdorff
+dimension (q = 1/sp), periodic local dimensions and cycle rates, the
+outer interval ends, the equal-column-sum exponent and the Bernoulli
+family bound.  The isolation and column-sum verdicts compare these
+enclosures, not their float values.
 Logarithms of rationals are evaluated with the float `math.log` and padded
 by 1e-12 relative plus about 1e-15 per bit of the rational.  The padding
 rests on libm's `log` being within a few ulp of the true value, which
@@ -53,7 +59,6 @@ __all__ = [
     "IsolationFindings",
     "ColumnSumReport",
     "PisotResult",
-    "PointReport",
     "DimensionReport",
     "ln_fraction",
     "log_enclosure",
@@ -93,21 +98,6 @@ def rho_log_enclosure(structure: FiniteTypeStructure) -> tuple[Fraction, Fractio
     return -top, -bot
 
 
-def _neg_log_interval(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of -ln over a positive bracket [lo, hi]."""
-    l1, _ = log_enclosure(lo)
-    _, h2 = log_enclosure(hi)
-    return -h2, -l1
-
-
-def _interval_div(num, den) -> tuple[Fraction, Fraction]:
-    n1, n2 = num
-    d1, d2 = den
-    lo = n1 / d2 if n1 >= 0 else n1 / d1
-    hi = n2 / d1 if n2 >= 0 else n2 / d2
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class Certified:
     """A float answer together with rational bounds that contain the truth."""
@@ -122,6 +112,19 @@ class Certified:
 
 def _certify(lo: Fraction, hi: Fraction) -> Certified:
     return Certified(safe_float((lo + hi) / 2), lo, hi)
+
+
+def _rate(lo, hi, steps: int, den: tuple[Fraction, Fraction]) -> Certified:
+    """-ln[lo, hi] / (steps * |ln rho|) for a positive bracket [lo, hi].
+
+    `den` is the `rho_log_enclosure`.  Every dimension is formed here: a
+    mass factor q per `steps` levels scales like rho^(rate * steps).
+    """
+    l1, _ = log_enclosure(lo)
+    _, h2 = log_enclosure(hi)
+    n1, n2 = -h2, -l1
+    d1, d2 = steps * den[0], steps * den[1]
+    return _certify(n1 / d2 if n1 >= 0 else n1 / d1, n2 / d1 if n2 >= 0 else n2 / d2)
 
 
 # -- Hausdorff dimension of the attractor ----------------------------------
@@ -143,10 +146,9 @@ def hausdorff_dimension(
     if sp.certified_lo < 1:
         # every net interval keeps at least one child, so sp >= 1 holds
         raise NetStructureError("incidence spectral radius could not be certified")
-    num_lo, _ = log_enclosure(sp.certified_lo)
-    _, num_hi = log_enclosure(sp.certified_hi)
-    num = (max(Fraction(0), num_lo), max(Fraction(0), num_hi))
-    dim = _certify(*_interval_div(num, rho_log_enclosure(structure)))
+    dim = _rate(
+        1 / sp.certified_hi, 1 / sp.certified_lo, 1, rho_log_enclosure(structure)
+    )
     return HausdorffResult(dim, sp, tuple(ids))
 
 
@@ -167,22 +169,23 @@ class PeriodicSpec:
     second: "PeriodicSpec | None" = None
 
     @staticmethod
-    def from_location(location: PointLocation) -> "PeriodicSpec":
-        specs = []
-        for rep in location.representations:
-            if not rep.alive:
-                continue
-            if rep.cycle is None:
-                raise NetStructureError(
-                    "no period detected within the explored depth; raise the depth"
-                )
-            start, period = rep.cycle
-            specs.append(
-                PeriodicSpec(
-                    tuple(rep.edges[:start]),
-                    tuple(rep.edges[start : start + period]),
-                )
+    def from_representation(rep: Representation) -> "PeriodicSpec":
+        if rep.cycle is None:
+            raise NetStructureError(
+                "no period detected within the explored depth; raise the depth"
             )
+        start, period = rep.cycle
+        return PeriodicSpec(
+            tuple(rep.edges[:start]), tuple(rep.edges[start : start + period])
+        )
+
+    @staticmethod
+    def from_location(location: PointLocation) -> "PeriodicSpec":
+        specs = [
+            PeriodicSpec.from_representation(rep)
+            for rep in location.representations
+            if rep.alive
+        ]
         if not specs:
             raise NetStructureError("point has no live symbolic address")
         if len(specs) == 1:
@@ -234,10 +237,7 @@ def local_dim_periodic(
         sp = spectral_radius(table.cycle_matrix(anchor, branch.cycle))
         if sp.certified_lo <= 0:
             raise NetStructureError("cycle product has an uncertified spectral radius")
-        period = len(branch.cycle)
-        num = _neg_log_interval(sp.certified_lo, sp.certified_hi)
-        den = (period * den1[0], period * den1[1])
-        rates.append(_certify(*_interval_div(num, den)))
+        rates.append(_rate(sp.certified_lo, sp.certified_hi, len(branch.cycle), den1))
         spectra.append(sp)
     winner = min(range(len(rates)), key=lambda i: rates[i].value)
     dim = _certify(min(r.lo for r in rates), min(r.hi for r in rates))
@@ -357,8 +357,8 @@ def essential_interval_bounds(
                 p_min = s if p_min is None or s < p_min else p_min
     if p_min is None or p_min <= 0:
         raise NetStructureError("essential class has no transition matrices")
-    outer_lo = _certify(*_interval_div(_neg_log_interval(p_max, p_max), den1))
-    outer_hi = _certify(*_interval_div(_neg_log_interval(p_min, p_min), den1))
+    outer_lo = _rate(p_max, p_max, 1, den1)
+    outer_hi = _rate(p_min, p_min, 1, den1)
 
     included: list[CycleWitness] = []
     excluded: list[tuple] = []
@@ -391,16 +391,8 @@ def essential_interval_bounds(
                 edges = tuple(e for _, e in steps)
                 product = table.cycle_matrix(start, edges)
                 sp = spectral_radius(product, rel_tol=loose)
-                num = _neg_log_interval(sp.certified_lo, sp.certified_hi)
-                den = (len(edges) * den1[0], len(edges) * den1[1])
-                included.append(
-                    CycleWitness(
-                        start,
-                        edges,
-                        _certify(*_interval_div(num, den)),
-                        product.is_positive(),
-                    )
-                )
+                rate = _rate(sp.certified_lo, sp.certified_hi, len(edges), den1)
+                included.append(CycleWitness(start, edges, rate, product.is_positive()))
 
     if included:
         inner_lo = _certify(
@@ -444,14 +436,9 @@ def _path_edges(path, depth: int) -> list[int]:
         live = [r for r in path.representations if r.alive]
         path = (live or path.representations)[0]
     if isinstance(path, Representation):
-        if path.cycle is not None:
-            start, period = path.cycle
-            edges = list(path.edges[:start])
-            cyc = list(path.edges[start : start + period])
-            while len(edges) < depth:
-                edges.extend(cyc)
-            return edges[:depth]
-        return list(path.edges)[:depth]
+        if path.cycle is None:
+            return list(path.edges)[:depth]
+        path = PeriodicSpec.from_representation(path)
     if isinstance(path, PeriodicSpec):
         edges = list(path.prefix)
         while len(edges) < depth:
@@ -539,9 +526,13 @@ def isolation_verdict(
 
     Any point is isolated when its enclosure lies strictly outside the
     certified outer interval ("outside_outer").  At x = 0 and 1 the two-map
-    Bernoulli bound ("family_bound", returned for that family) and the
-    Cantor column-sum criterion ("column_sum_criterion": the first or last
-    probability is below the smallest column sum) can also prove it.
+    Bernoulli bound and the Cantor column-sum criterion
+    ("column_sum_criterion": the first or last probability is below the
+    smallest column sum) can also prove it.  The Bernoulli bound is the
+    rate of q = p^(4k-1) (1 - p) per 4k levels, p the probability of the
+    map that fixes x.  It proves isolation ("family_bound") when the
+    enclosure of `result` lies strictly above the bound's enclosure; the
+    bound's float value is returned.
     """
     dim = result.dimension
     isolated = dim.lo > bounds.outer_hi.hi or dim.hi < bounds.outer_lo.lo
@@ -550,16 +541,13 @@ def isolation_verdict(
     system = structure.system
     family = (system.family or {}) if x in (0, 1) else {}
     if family.get("name") == "bernoulli_simple_pisot":
-        den_lo, den_hi = rho_log_enclosure(structure)
-        ln_rho = -float((den_lo + den_hi) / 2)
         p = Fraction(family["p"])
         pr = p if x == 0 else 1 - p
-        other = 1 - pr
-        n_levels = 2 * int(family["k"])
-        family_bound = ln_fraction(pr) / ln_rho + (
-            ln_fraction(other) - ln_fraction(pr)
-        ) / (2 * n_levels * ln_rho)
-        if not isolated and dim.value > family_bound + 1e-12:
+        steps = 4 * int(family["k"])
+        q = pr ** (steps - 1) * (1 - pr)
+        bound = _rate(q, q, steps, rho_log_enclosure(structure))
+        family_bound = bound.value
+        if not isolated and dim.lo > bound.hi:
             isolated, reason = True, "family_bound"
     if family.get("name") == "cantor" and not isolated:
         probs = system.probabilities
@@ -635,13 +623,13 @@ def equal_column_sum_check(
                         None,
                         False,
                     )
-    den_lo, den_hi = rho_log_enclosure(structure)
-    exponent = -ln_fraction(common) / float((den_lo + den_hi) / 2)
+    exponent = _rate(common, common, 1, rho_log_enclosure(structure))
     matches = (
         hausdorff is not None
-        and abs(exponent - hausdorff.dimension.value) < 1e-9
+        and exponent.lo <= hausdorff.dimension.hi
+        and hausdorff.dimension.lo <= exponent.hi
     )
-    return ColumnSumReport(True, common, None, exponent, matches)
+    return ColumnSumReport(True, common, None, exponent.value, matches)
 
 
 @dataclass(frozen=True)
@@ -710,14 +698,6 @@ def sanity_dim_in_interval(
 
 
 @dataclass(frozen=True)
-class PointReport:
-    label: str
-    classification: str
-    boundary: bool
-    dimension: LocalDimensionResult | None
-
-
-@dataclass(frozen=True)
 class DimensionReport:
     decomposition: ClassDecomposition
     hausdorff: HausdorffResult
@@ -726,19 +706,19 @@ class DimensionReport:
     column_sums: ColumnSumReport
     pisot: PisotResult
     isolation: IsolationFindings
-    points: tuple[PointReport, ...]
     sane: bool
 
 
 def build_dimension_report(
     structure: FiniteTypeStructure,
-    points: Sequence = (),
     cycle_budget: int = 8,
     depth: int = 60,
 ) -> DimensionReport:
-    """One-stop aggregation of every quantitative output for a structure."""
-    from .classes import classify_truly_essential
+    """One-stop aggregation of every quantitative output for a structure.
 
+    Analysis at a chosen point is `pointdim`'s job; the report covers the
+    system and its hull endpoints 0 and 1.
+    """
     dec = decompose(structure)
     table = MatrixTable(structure)
     diagram = build_triple_diagram(structure, dec)
@@ -748,20 +728,6 @@ def build_dimension_report(
     sums = equal_column_sum_check(structure, dec, table, hausdorff)
     pisot = pisot_check_reciprocal(structure.system)
     isolation = isolated_point_scan(structure, dec, table, bounds, depth)
-
-    reports = []
-    for x in points:
-        location = locate_point(structure, x, depth)
-        classification = classify_truly_essential(diagram, location)
-        try:
-            result = local_dim_periodic(
-                structure, table, PeriodicSpec.from_location(location)
-            )
-        except (NetStructureError, ValueError):
-            result = None
-        reports.append(
-            PointReport(str(x), classification, location.boundary, result)
-        )
 
     sane = sanity_dim_in_interval(hausdorff, bounds)
     if bounds.inner_lo is not None:
@@ -778,6 +744,5 @@ def build_dimension_report(
         sums,
         pisot,
         isolation,
-        tuple(reports),
         sane,
     )

@@ -23,13 +23,12 @@ from .dimension import (
     IsolationFindings,
     LocalDimensionResult,
     PisotResult,
-    PointReport,
     hausdorff_dimension,
 )
 from .net import FiniteTypeStructure
 from .spectral import SpectralResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def fraction_str(q) -> str:
@@ -168,15 +167,6 @@ def pisot_dict(p: PisotResult) -> dict:
     }
 
 
-def point_dict(p: PointReport) -> dict:
-    return {
-        "label": p.label,
-        "classification": p.classification,
-        "boundary": p.boundary,
-        "dimension": local_dim_dict(p.dimension),
-    }
-
-
 def classes_dict(structure: FiniteTypeStructure, dec: ClassDecomposition) -> dict:
     return {
         "loop_class_count": len(dec.loop_classes),
@@ -217,7 +207,6 @@ def full_report(structure: FiniteTypeStructure, report: DimensionReport) -> dict
             "column_sums": column_sums_dict(report.column_sums),
             "pisot_reciprocal": pisot_dict(report.pisot),
             "isolation": isolation_dict(report.isolation),
-            "points": [point_dict(p) for p in report.points],
             "sane": report.sane,
         },
     }
@@ -371,16 +360,5 @@ def render_text(d: dict) -> str:
     lines.append("endpoint 1: %s" % _fmt_endpoint(iso["at_one"]))
     if iso["cantor_criterion"] is not None:
         lines.append("cantor criterion: %s" % iso["cantor_criterion"])
-    for p in measure["points"]:
-        dim = p["dimension"]
-        lines.append(
-            "point %s: %s%s, %s"
-            % (
-                p["label"],
-                p["classification"],
-                " (boundary)" if p["boundary"] else "",
-                "dim " + _fmt_certified(dim["dimension"]) if dim else "no exact value",
-            )
-        )
     lines.append("sanity: %s" % ("ok" if measure["sane"] else "VIOLATED"))
     return "\n".join(lines) + "\n"

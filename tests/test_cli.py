@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line entry point in process."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from ifsdim import cli, config
-from ifsdim.cli import ConfigError, main, parse_config_text, system_from_config
+from ifsdim.cli import ConfigError, main
+from ifsdim.config import build_system, parse_config
 
 SIX_CFG = """\
 # six maps with contraction 1/4 on eighths; full-interval attractor
@@ -74,7 +76,7 @@ def cfgdir(tmp_path_factory):
 
 
 def test_parse_config_text_values():
-    cfg = parse_config_text("a = 1/2\nb = [1, 2/3, [4]]\nc = word\n")
+    cfg = parse_config("a = 1/2\nb = [1, 2/3, [4]]\nc = word\n")
     assert cfg == {
         "a": Fraction(1, 2),
         "b": [Fraction(1), Fraction(2, 3), [Fraction(4)]],
@@ -84,11 +86,11 @@ def test_parse_config_text_values():
 
 def test_parse_config_rejects_duplicate_key():
     with pytest.raises(ConfigError, match="line 2"):
-        parse_config_text("a = 1\na = 2\n")
+        parse_config("a = 1\na = 2\n")
 
 
 def test_family_shorthand_cantor():
-    system = system_from_config(
+    system = build_system(
         {"family": "cantor", "d": Fraction(3), "m": Fraction(4)}
     )
     assert len(system.translations) == 5
@@ -96,7 +98,7 @@ def test_family_shorthand_cantor():
 
 
 def test_family_shorthand_convolution():
-    system = system_from_config(
+    system = build_system(
         {
             "family": "convolution",
             "d": Fraction(3),
@@ -112,19 +114,19 @@ def test_family_shorthand_convolution():
 
 
 def test_raw_config_with_coefficient_lists():
-    cfg = parse_config_text(
+    cfg = parse_config(
         "minpoly = [4, -18, 9]\n"
         "isolating = [0, 1/2]\n"
         "translations = [[0], [0, 1, -1], [1, -2, 1], [1, -1]]\n"
         "probabilities = [1/4, 1/4, 1/4, 1/4]\n"
     )
-    system = system_from_config(cfg)
+    system = build_system(cfg)
     assert len(system.translations) == 4
 
 
 def test_missing_required_key_rejected():
     with pytest.raises(ConfigError, match="translations"):
-        system_from_config({"minpoly": [Fraction(-1), Fraction(4)]})
+        build_system({"minpoly": [Fraction(-1), Fraction(4)]})
 
 
 # -- exit codes ---------------------------------------------------------------
@@ -366,8 +368,28 @@ def test_report_probability_free(cfgdir, capsys, tmp_path):
     assert rc == 0
     assert "measure analysis unavailable" in out
     payload = json.loads(jpath.read_text(encoding="utf-8"))
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["measure"] is None
+
+
+# SHA-256 of `report --cycle-budget 4` stdout for each config above
+REPORT_STDOUT_SHA256 = {
+    "six": "feed676faf8eed82f20e9689ef30125ebb0549ecbe57f97bc29affa4d94017a0",
+    "free": "759517f166b1f9e54b9dc22c2597dabd2e185c3e4c8e394e4208942d108f0244",
+    "gap": "b5f6283ba6fcfdf0137416df5d8d853ed2a971deb55be990b2444c24659d78fb",
+    "zerorow": "e597b3954ba617cf48570e31cb51f402455e08efcd151571fc35a161bea7524e",
+    "golden_third": "d3de840851b23744e3c15e3d17ebcab6ba44040362657e13284ae9ffd7d60445",
+    "golden_half": "04c5ee3e07f62e5832997b7cf85b9727e65659a7a3f894ce3f51a1e2280c8515",
+    "cantor_light": "da047da41f643728320708edd3e50864938e5432c10f283e1ef5170cf3925143",
+}
+
+
+@pytest.mark.parametrize("cfg", sorted(REPORT_STDOUT_SHA256))
+def test_report_stdout_is_pinned(cfgdir, capsys, cfg):
+    argv = ["report", "--config", str(cfgdir / (cfg + ".cfg")), "--cycle-budget", "4"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_STDOUT_SHA256[cfg]
 
 
 def test_report_cache_reuse_is_byte_identical(cfgdir, capsys, tmp_path):

@@ -1,8 +1,11 @@
 """Tests for dimensions, interval bounds, estimates, and diagnostics."""
 
+import dataclasses
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ifsdim import dimension
@@ -22,6 +25,7 @@ from ifsdim.dimension import (
     local_dim_periodic,
     pisot_check,
     pisot_check_reciprocal,
+    rho_log_enclosure,
     sanity_dim_in_interval,
 )
 from ifsdim.ifs import cantor_like
@@ -506,6 +510,22 @@ def test_family_bound_applies_only_at_the_hull_endpoints(golden_third_structure)
     assert (isolated, reason) == (True, "family_bound")
 
 
+def test_family_bound_compares_enclosures_not_values(golden_third_structure):
+    # a value just above the bound proves nothing while its enclosure
+    # still reaches below the bound's
+    structure = golden_third_structure
+    dec, table = parts_of(structure)
+    bounds = essential_interval_bounds(structure, dec, table, cycle_budget=2, inner=False)
+    spec = PeriodicSpec.from_location(locate_point(structure, 0))
+    real = local_dim_periodic(structure, table, spec)
+    isolated, reason, bound = isolation_verdict(structure, bounds, 0, real)
+    assert (isolated, reason) == (True, "family_bound")
+    eps = Fraction(1, 10**9)
+    near = Certified(bound + 2e-12, Fraction(bound) - eps, Fraction(bound) + eps)
+    result = LocalDimensionResult(near, 0, (), ())
+    assert isolation_verdict(structure, bounds, 0, result) == (False, None, bound)
+
+
 # -- diagnostics ---------------------------------------------------------------
 
 
@@ -519,6 +539,20 @@ def test_equal_column_sums_hold_for_the_gap_system(gap_system_structure):
     assert report.common_sum == Fraction(1, 4)
     assert abs(report.exponent - 1.0) < 1e-9
     assert report.matches_hausdorff
+
+
+def test_column_sum_exponent_matches_only_an_overlapping_enclosure(gap_system_structure):
+    # the exponent is 1; a Hausdorff enclosure 4e-10 to 6e-10 above it is
+    # disjoint from the exponent's, though its value is within 1e-9
+    structure = gap_system_structure
+    dec, table = parts_of(structure)
+    real = hausdorff_dimension(structure, dec)
+    assert equal_column_sum_check(structure, dec, table, real).matches_hausdorff
+    off = Certified(1 + 5e-10, 1 + Fraction(4, 10**10), 1 + Fraction(6, 10**10))
+    near = dataclasses.replace(real, dimension=off)
+    report = equal_column_sum_check(structure, dec, table, near)
+    assert abs(report.exponent - near.dimension.value) < 1e-9
+    assert not report.matches_hausdorff
 
 
 def test_equal_column_sums_fail_for_the_biased_golden(golden_third_structure):
@@ -606,29 +640,13 @@ def test_outer_only_bounds_skip_the_walk_enumeration(cantor_4_9_structure):
 
 
 def test_build_dimension_report_aggregates(gap_system_structure):
-    report = build_dimension_report(
-        gap_system_structure, points=(0, Fraction(1, 3)), cycle_budget=4
-    )
+    report = build_dimension_report(gap_system_structure, cycle_budget=4)
     assert report.sane
     assert abs(report.hausdorff.dimension.value - 1.0) < 1e-9
     assert report.column_sums.holds
     assert report.pisot.is_pisot
     assert not report.positive_rows.holds
     assert report.isolation.at_zero.isolated
-    labels = [p.label for p in report.points]
-    assert labels == ["0", "1/3"]
-    for point in report.points:
-        assert point.classification in {
-            "interior_essential",
-            "boundary_essential",
-            "essential_not_truly",
-            "non_essential",
-            "needs_more_depth",
-        }
-    zero_report = report.points[0]
-    assert zero_report.boundary
-    assert zero_report.dimension is not None
-    assert abs(zero_report.dimension.dimension.value - 1.5) < 1e-9
 
 
 def test_cantor_report_enclosures_do_not_widen(cantor_4_9_structure):
@@ -648,6 +666,51 @@ def test_cantor_report_enclosures_do_not_widen(cantor_4_9_structure):
         got[name] = getattr(report.bounds, name)
     for name, (lo, hi) in pinned.items():
         assert Fraction(lo) <= got[name].lo <= got[name].hi <= Fraction(hi), name
+
+
+# -- `_rate` against 50-digit arithmetic ---------------------------------------
+
+# rho = 1/3, 1/4, the golden and tribonacci ratios, and quadratic_ninth
+RATE_STRUCTURES = [
+    "zero_row_third_structure",
+    "gap_system_structure",
+    "golden_half_structure",
+    "tribonacci_third_structure",
+    "quadratic_ninth_structure",
+]
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def mp_rate(q: Fraction, steps: int, rho: Fraction):
+    """-ln(q) / (steps |ln rho|) at the working precision of mpmath."""
+    return -mpmath.log(_mp(q)) / (steps * -mpmath.log(_mp(rho)))
+
+
+def _random_ratio(rng: random.Random) -> Fraction:
+    """A positive rational; numerator and denominator run up to 10^400."""
+    top, bottom = (rng.choice((1, 3, 17, 160, 301, 400)) for _ in range(2))
+    return Fraction(rng.randrange(1, 10**top), rng.randrange(1, 10**bottom))
+
+
+@pytest.mark.parametrize("name", RATE_STRUCTURES)
+def test_rate_encloses_the_50_digit_value(name, request):
+    structure = request.getfixturevalue(name)
+    den = rho_log_enclosure(structure)
+    rho = structure.system.context.rho.approx(Fraction(1, 10**70))
+    rng = random.Random(name)
+    with mpmath.workdps(50):
+        for _ in range(250):
+            lo = _random_ratio(rng)
+            hi = lo if rng.random() < 0.5 else lo * (1 + Fraction(1, rng.randrange(1, 10**6)))
+            steps = rng.randrange(1, 200)
+            rate = dimension._rate(lo, hi, steps, den)
+            assert rate.lo <= rate.hi
+            for q in (lo, hi):
+                true = mp_rate(q, steps, rho)
+                assert _mp(rate.lo) <= true <= _mp(rate.hi), (lo, hi, steps)
 
 
 def test_ln_fraction_handles_huge_ratios():

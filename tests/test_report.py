@@ -80,11 +80,9 @@ def test_full_report_shape(gap_report_dict):
         "column_sums",
         "pisot_reciprocal",
         "isolation",
-        "points",
         "sane",
     }
     assert measure["sane"] is True
-    assert measure["points"] == []
     # this system has essential matrices with zero rows
     assert measure["positive_rows"]["holds"] is False
     assert measure["positive_rows"]["witnesses"] == [[3, 1], [3, 2]]
