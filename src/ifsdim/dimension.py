@@ -23,6 +23,7 @@ IEEE 754 recommends but does not require; it is not a proof (ROADMAP F4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -75,6 +76,10 @@ __all__ = [
     "sanity_dim_in_interval",
     "build_dimension_report",
 ]
+
+# relative margin of the float screen in `essential_interval_bounds`
+_SCREEN_MARGIN = 1e-6
+
 
 def log_enclosure(q, rel: float = 1e-12) -> tuple[Fraction, Fraction]:
     """Rational bracket around ln(q) that absorbs float rounding error."""
@@ -266,6 +271,7 @@ class EssentialBounds:
     min_witness: CycleWitness | None
     max_witness: CycleWitness | None
     cycle_count: int
+    certified_count: int
     excluded: tuple
     excluded_count: int
     cycle_budget: int
@@ -320,6 +326,42 @@ def _lyndon_cycles(children, start: int, budget: int):
                 stack.append((rec.child, nxt, q))
 
 
+def _cycle_score(floats, table: MatrixTable, steps) -> float:
+    """ln sp / len(steps) of the cycle's product in floats, nan if not finite.
+
+    `floats` memoises the float copy of each (vector, edge) matrix.
+    """
+    product = None
+    for fid, e in steps:
+        m = floats.get((fid, e))
+        if m is None:
+            rows = table.of_full_edge(fid, e).rows
+            m = floats[(fid, e)] = numpy.array([[float(x) for x in r] for r in rows])
+        product = m if product is None else product @ m
+    try:
+        sp = float(numpy.abs(numpy.linalg.eigvals(product)).max())
+    except numpy.linalg.LinAlgError:
+        return math.nan
+    return math.log(sp) / len(steps) if 0 < sp < math.inf else math.nan
+
+
+def _near_extreme(g: float, g_lo: float, g_hi: float) -> bool:
+    """Is the score g within `_SCREEN_MARGIN` of g_lo or g_hi, or not finite?"""
+    return (
+        not math.isfinite(g)
+        or g <= g_lo + _SCREEN_MARGIN * abs(g_lo)
+        or g >= g_hi - _SCREEN_MARGIN * abs(g_hi)
+    )
+
+
+def _witness(certified, attains) -> CycleWitness:
+    """The witness among the cycles whose enclosure `attains` the extreme."""
+    return min(
+        (w for w in certified if attains(w.rate)),
+        key=lambda w: (not w.positive, len(w.edges), w.start, w.edges),
+    )
+
+
 def essential_interval_bounds(
     structure: FiniteTypeStructure,
     dec: ClassDecomposition,
@@ -337,10 +379,29 @@ def essential_interval_bounds(
     truly essential point.  `_lyndon_cycles` yields each primitive cycle
     once, as its least rotation, so no rotation or power is tested twice.
     Cycles that fail the filter are counted and sampled in `excluded`, not
-    included.  `min_witness` and `max_witness` attain the extreme rates;
-    ties go to a positive product, then to the fewest edges, then to the
-    least (start, edges), so the witnesses do not depend on the order of
-    enumeration.
+    included; `cycle_count` counts the included ones.
+
+    Each included cycle is screened in floats: its score g = ln sp / n
+    (n edges) is read off the float product of its edge matrices, and the
+    rate is -g / |ln rho|.  Only the cycles whose g lies within the
+    relative `_SCREEN_MARGIN` of the least or greatest score, and those
+    whose g is not finite (a product that under- or overflows, or a
+    failed eigensolver), get an exact product, a certified spectral radius
+    and a certified rate; `certified_count` counts them.  This is sound:
+    every realizable cycle's rate is a local dimension at a truly
+    essential point, so the rates of any subset of the cycles bound the
+    interval from inside.  The margin also keeps the bounds that certifying
+    every cycle gives: float products and eigenvalues err by about 1e-15
+    relative, and the certified rate enclosures are at most about 2e-11
+    wide on the suite systems, so every cycle whose enclosure could reach
+    an extreme of the certified rates scores far inside the margin.
+
+    `min_witness` and `max_witness` are taken among the certified cycles
+    whose enclosure reaches the extreme enclosure (`rate.lo <=
+    inner_lo.hi`, resp. `rate.hi >= inner_hi.lo`): a positive product
+    wins, then the fewest edges, then the least (start, edges), so the
+    witnesses depend neither on the order of enumeration nor on float
+    midpoints.
 
     With `inner=False` the walk enumeration (whose cost grows quickly with
     the budget on classes with many parallel edges) is skipped, no triple
@@ -360,7 +421,8 @@ def essential_interval_bounds(
     outer_lo = _rate(p_max, p_max, 1, den1)
     outer_hi = _rate(p_min, p_min, 1, den1)
 
-    included: list[CycleWitness] = []
+    cycle_count = 0
+    near: list[tuple[float, int, tuple[int, ...]]] = []
     excluded: list[tuple] = []
     excluded_count = 0
     if inner:
@@ -371,7 +433,9 @@ def essential_interval_bounds(
         by_centre: dict[int, list[int]] = {}
         for nid, key in enumerate(diagram.keys):
             by_centre.setdefault(key[1], []).append(nid)
-        loose = Fraction(1, 10**9)
+        floats: dict = {}
+        g_lo, g_hi = math.inf, -math.inf
+        kept = 0
         for start in essential:
             for steps in _lyndon_cycles(children, start, cycle_budget):
                 recs = [children[f] for f, _ in steps]
@@ -388,27 +452,35 @@ def essential_interval_bounds(
                     if len(excluded) < 50:
                         excluded.append((steps, reason))
                     continue
-                edges = tuple(e for _, e in steps)
-                product = table.cycle_matrix(start, edges)
-                sp = spectral_radius(product, rel_tol=loose)
-                rate = _rate(sp.certified_lo, sp.certified_hi, len(edges), den1)
-                included.append(CycleWitness(start, edges, rate, product.is_positive()))
+                cycle_count += 1
+                g = _cycle_score(floats, table, steps)
+                if math.isfinite(g):
+                    g_lo, g_hi = min(g_lo, g), max(g_hi, g)
+                if _near_extreme(g, g_lo, g_hi):
+                    near.append((g, start, tuple(e for _, e in steps)))
+                    # drop the candidates that later extremes left behind
+                    if len(near) > 2 * kept + 64:
+                        near = [c for c in near if _near_extreme(c[0], g_lo, g_hi)]
+                        kept = len(near)
+        near = [c for c in near if _near_extreme(c[0], g_lo, g_hi)]
 
-    if included:
+    loose = Fraction(1, 10**9)
+    certified: list[CycleWitness] = []
+    for _, start, edges in near:
+        product = table.cycle_matrix(start, edges)
+        sp = spectral_radius(product, rel_tol=loose)
+        rate = _rate(sp.certified_lo, sp.certified_hi, len(edges), den1)
+        certified.append(CycleWitness(start, edges, rate, product.is_positive()))
+
+    if certified:
         inner_lo = _certify(
-            min(w.rate.lo for w in included), min(w.rate.hi for w in included)
+            min(w.rate.lo for w in certified), min(w.rate.hi for w in certified)
         )
         inner_hi = _certify(
-            max(w.rate.lo for w in included), max(w.rate.hi for w in included)
+            max(w.rate.lo for w in certified), max(w.rate.hi for w in certified)
         )
-        min_witness = min(
-            included,
-            key=lambda w: (w.rate.value, not w.positive, len(w.edges), w.start, w.edges),
-        )
-        max_witness = min(
-            included,
-            key=lambda w: (-w.rate.value, not w.positive, len(w.edges), w.start, w.edges),
-        )
+        min_witness = _witness(certified, lambda r: r.lo <= inner_lo.hi)
+        max_witness = _witness(certified, lambda r: r.hi >= inner_hi.lo)
     else:
         inner_lo = inner_hi = None
         min_witness = max_witness = None
@@ -421,7 +493,8 @@ def essential_interval_bounds(
         p_min,
         min_witness,
         max_witness,
-        len(included),
+        cycle_count,
+        len(certified),
         tuple(excluded),
         excluded_count,
         cycle_budget,

@@ -87,6 +87,7 @@ def bounds_dict(b: EssentialBounds) -> dict:
         "min_witness": witness_dict(b.min_witness),
         "max_witness": witness_dict(b.max_witness),
         "cycle_count": b.cycle_count,
+        "certified_count": b.certified_count,
         "excluded_count": b.excluded_count,
         "excluded_sample": [
             {"steps": [list(s) for s in steps], "reason": reason}

@@ -9,11 +9,17 @@ the slow exact reference for the sorted sweep that replaced them;
 `reference_cycle_limit`, the former (node, phase) trail of periodic point
 classification, kept as the reference for `TripleDiagram.cycle_limit`;
 `reference_cycles`, the former all-rotations walk enumeration of the
-inner bounds, kept as the reference for `dimension._lyndon_cycles`; and
-`vectors_reaching`, a plain search over the explored child records.
+inner bounds, kept as the reference for `dimension._lyndon_cycles`;
+`reference_inner_bounds`, the former loop that certifies every included
+cycle exactly, kept as the reference for the float screen of
+`dimension.essential_interval_bounds`; and `vectors_reaching`, a plain
+search over the explored child records.
 """
 
 from fractions import Fraction
+
+from ifsdim import dimension
+from ifsdim.spectral import spectral_radius
 
 
 def cylinder_start_sets(system, n_max):
@@ -285,3 +291,70 @@ def vectors_reaching(structure, targets):
                 found.add(f)
                 frontier.append(f)
     return found
+
+
+def reference_inner_bounds(structure, dec, table, diagram, budget):
+    """Inner bounds with an exact rate for every included cycle, no screen.
+
+    Returns the fields of `EssentialBounds` that the screen could change:
+    `inner_lo`, `inner_hi`, `cycle_count`, `excluded`, `excluded_count`,
+    `min_witness` and `max_witness`, the witnesses chosen by the rule of
+    `essential_interval_bounds` among all included cycles.
+    """
+    den = dimension.rho_log_enclosure(structure)
+    essential = sorted(dec.essential)
+    children = {fid: structure.children_of_full(fid) for fid in essential}
+    by_centre = {}
+    for nid, key in enumerate(diagram.keys):
+        by_centre.setdefault(key[1], []).append(nid)
+    included, excluded, excluded_count = [], [], 0
+    for start in essential:
+        for steps in dimension._lyndon_cycles(children, start, budget):
+            recs = [children[f] for f, _ in steps]
+            pairs = list(zip(recs, (e for _, e in steps)))
+            if all(dimension._step_is_leftmost(r, e) for r, e in pairs):
+                reason = "all_leftmost"
+            elif all(dimension._step_is_rightmost(r, e) for r, e in pairs):
+                reason = "all_rightmost"
+            elif not dimension._cycle_realizable(diagram, by_centre, steps):
+                reason = "flank_limit_not_essential"
+            else:
+                reason = None
+            if reason is not None:
+                excluded_count += 1
+                if len(excluded) < 50:
+                    excluded.append((steps, reason))
+                continue
+            edges = tuple(e for _, e in steps)
+            product = table.cycle_matrix(start, edges)
+            sp = spectral_radius(product, rel_tol=Fraction(1, 10**9))
+            rate = dimension._rate(sp.certified_lo, sp.certified_hi, len(edges), den)
+            included.append(
+                dimension.CycleWitness(start, edges, rate, product.is_positive())
+            )
+    out = {
+        "cycle_count": len(included),
+        "excluded": tuple(excluded),
+        "excluded_count": excluded_count,
+        "inner_lo": None,
+        "inner_hi": None,
+        "min_witness": None,
+        "max_witness": None,
+    }
+    if not included:
+        return out
+    lo_lo = min(w.rate.lo for w in included)
+    lo_hi = min(w.rate.hi for w in included)
+    hi_lo = max(w.rate.lo for w in included)
+    hi_hi = max(w.rate.hi for w in included)
+
+    def witness(ties):
+        return min(ties, key=lambda w: (not w.positive, len(w.edges), w.start, w.edges))
+
+    out.update(
+        inner_lo=dimension._certify(lo_lo, lo_hi),
+        inner_hi=dimension._certify(hi_lo, hi_hi),
+        min_witness=witness([w for w in included if w.rate.lo <= lo_hi]),
+        max_witness=witness([w for w in included if w.rate.hi >= hi_lo]),
+    )
+    return out

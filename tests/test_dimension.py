@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 
 from ifsdim import dimension
@@ -29,11 +30,11 @@ from ifsdim.dimension import (
     sanity_dim_in_interval,
 )
 from ifsdim.ifs import cantor_like
-from ifsdim.matrices import MatrixTable
+from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
 from ifsdim.net import explore, locate_point
 from ifsdim.spectral import spectral_radius
 
-from oracle_helpers import reference_cycles
+from oracle_helpers import reference_cycles, reference_inner_bounds
 
 ALL_STRUCTURES = [
     "six_map_quarter_structure",
@@ -326,9 +327,93 @@ def test_witness_ties_go_to_the_shortest_cycle(six_map_quarter_structure):
     structure = six_map_quarter_structure
     dec, table = parts_of(structure)
     bounds = essential_interval_bounds(structure, dec, table, cycle_budget=6)
-    # eleven cycles of 3 and 6 edges share the greatest rate value, to the
-    # last bit; the shortest win, and of those the least edges
-    assert bounds.max_witness.edges == (0, 0, 3)
+    # 21 cycles of 2 to 6 edges have enclosures that reach the greatest one;
+    # the shortest win, and of those the least (start, edges)
+    assert bounds.max_witness.start == 4
+    assert bounds.max_witness.edges == (0, 3)
+
+
+SCREENED_FIELDS = (
+    "inner_lo",
+    "inner_hi",
+    "cycle_count",
+    "excluded",
+    "excluded_count",
+    "min_witness",
+    "max_witness",
+)
+
+
+def screened_and_reference(structure, budget):
+    dec, table = parts_of(structure)
+    diagram = build_triple_diagram(structure, dec)
+    bounds = essential_interval_bounds(structure, dec, table, diagram, budget)
+    return bounds, reference_inner_bounds(structure, dec, table, diagram, budget)
+
+
+@pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8"])
+def test_float_screen_matches_certifying_every_cycle(request, name):
+    structure = request.getfixturevalue(name)
+    if name == "convolution_3_8":
+        structure = explore(structure)
+    for budget in range(1, LYNDON_BUDGETS.get(name, 6) + 1):
+        bounds, reference = screened_and_reference(structure, budget)
+        for field in SCREENED_FIELDS:
+            assert getattr(bounds, field) == reference[field], (budget, field)
+        assert bounds.certified_count <= bounds.cycle_count
+        assert (bounds.certified_count > 0) == (bounds.cycle_count > 0)
+
+
+def test_cycle_whose_float_product_underflows_is_certified(golden_third_structure):
+    structure = golden_third_structure
+    dec, table = parts_of(structure)
+    plain = essential_interval_bounds(structure, dec, table, cycle_budget=4)
+    start, edge = plain.min_witness.start, plain.min_witness.edges[0]
+    rid = structure.reduced_of(start)
+    tiny = Fraction(1, 10**400)
+    # every product through this edge is 0 in floats, so its score is not finite
+    table = MatrixTable(structure)
+    table._by_edge[(rid, edge)] = TransitionMatrix(
+        [[x * tiny for x in row] for row in edge_matrix(structure, rid, edge).rows]
+    )
+    diagram = build_triple_diagram(structure, dec)
+    bounds = essential_interval_bounds(structure, dec, table, diagram, 4)
+    reference = reference_inner_bounds(structure, dec, table, diagram, 4)
+    for field in SCREENED_FIELDS:
+        assert getattr(bounds, field) == reference[field], field
+    # only a cycle through the tiny edge has so steep a rate
+    assert bounds.max_witness.rate.lo > 100 * plain.inner_hi.hi
+
+
+def test_screen_certifies_every_cycle_when_the_eigensolver_fails(
+    monkeypatch, cantor_3_4_skewed_structure
+):
+    structure = cantor_3_4_skewed_structure
+    monkeypatch.setattr(
+        numpy.linalg, "eigvals", lambda a: numpy.full(len(a), numpy.nan)
+    )
+    bounds, reference = screened_and_reference(structure, 4)
+    assert bounds.cycle_count > 3
+    assert bounds.certified_count == bounds.cycle_count
+    for field in SCREENED_FIELDS:
+        assert getattr(bounds, field) == reference[field], field
+
+
+def test_cantor_default_report_certifies_only_the_extremes(cantor_4_9_structure):
+    report = build_dimension_report(cantor_4_9_structure)
+    bounds = report.bounds
+    assert bounds.cycle_budget == 8
+    # recorded from the loop that certified all 11462 cycles
+    assert bounds.cycle_count == 11462
+    assert (bounds.inner_lo.lo, bounds.inner_lo.hi) == (
+        Fraction(1947855709274266, 2081104922724041),
+        Fraction(1168713425566997, 1248662953631713),
+    )
+    assert (bounds.inner_hi.lo, bounds.inner_hi.hi) == (
+        Fraction(7020496728339835, 6243314768172123),
+        Fraction(7020496728354041, 6243314768158565),
+    )
+    assert bounds.certified_count <= 20
 
 
 # -- slope estimates -----------------------------------------------------------

@@ -89,6 +89,22 @@ def test_full_report_shape(gap_report_dict):
     cs = measure["column_sums"]
     assert cs["holds"] is True and cs["matches_hausdorff"] is True
     bounds = measure["essential_interval"]
+    assert set(bounds) == {
+        "outer_lo",
+        "outer_hi",
+        "inner_lo",
+        "inner_hi",
+        "p_max",
+        "p_min",
+        "min_witness",
+        "max_witness",
+        "cycle_count",
+        "certified_count",
+        "excluded_count",
+        "excluded_sample",
+        "cycle_budget",
+    }
+    assert 0 < bounds["certified_count"] <= bounds["cycle_count"]
     assert bounds["p_min"] == bounds["p_max"] == cs["common_sum"]
     at_zero = measure["isolation"]["at_zero"]
     assert at_zero["isolated"] is True
