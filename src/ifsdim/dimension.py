@@ -395,6 +395,10 @@ def essential_interval_bounds(
     relative, and the certified rate enclosures are at most about 2e-11
     wide on the suite systems, so every cycle whose enclosure could reach
     an extreme of the certified rates scores far inside the margin.
+    The candidates are certified in (start, edges) order, so
+    `MatrixTable.cycle_matrix` reuses the product of each shared prefix,
+    and one spectral radius and rate serve all cycles with the same
+    product and length: many cycles tie exactly at an extreme.
 
     `min_witness` and `max_witness` are taken among the certified cycles
     whose enclosure reaches the extreme enclosure (`rate.lo <=
@@ -466,11 +470,17 @@ def essential_interval_bounds(
 
     loose = Fraction(1, 10**9)
     certified: list[CycleWitness] = []
-    for _, start, edges in near:
+    # the rate and positivity of a cycle depend only on its product and length
+    certificates: dict[tuple[TransitionMatrix, int], tuple[Certified, bool]] = {}
+    for start, edges in sorted((start, edges) for _, start, edges in near):
         product = table.cycle_matrix(start, edges)
-        sp = spectral_radius(product, rel_tol=loose)
-        rate = _rate(sp.certified_lo, sp.certified_hi, len(edges), den1)
-        certified.append(CycleWitness(start, edges, rate, product.is_positive()))
+        key = (product, len(edges))
+        cert = certificates.get(key)
+        if cert is None:
+            sp = spectral_radius(product, rel_tol=loose)
+            rate = _rate(sp.certified_lo, sp.certified_hi, len(edges), den1)
+            cert = certificates[key] = rate, product.is_positive()
+        certified.append(CycleWitness(start, edges, *cert))
 
     if certified:
         inner_lo = _certify(

@@ -9,10 +9,20 @@ interval at the end of the path, which is the basis for every dimension
 computation in this package.  `MatrixTable` builds each matrix the first
 time it is read: a command reads only the essential class and the paths it
 follows, a few edges of the table.
+
+Products are formed in integers: each matrix keeps its entries as integer
+numerators over one common denominator, so a product entry is one integer
+dot product and one `Fraction` over the product of the two denominators,
+reduced once, instead of a sum of `Fraction` products each reduced on its
+own.  `MatrixTable.cycle_matrix` keeps the prefix products of the walk it
+formed last, so a walk that shares a prefix with it, as consecutive walks
+in sorted order do, multiplies only past the shared prefix.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,9 +30,14 @@ from .net import FiniteTypeStructure, NetStructureError
 
 
 class TransitionMatrix:
-    """An immutable matrix of nonnegative Fractions."""
+    """An immutable matrix of nonnegative Fractions.
 
-    __slots__ = ("rows", "_hash")
+    `rows` is the public view.  `_integer` memoises the integer form that
+    `__mul__` works in: the least common denominator d of the entries and
+    the rows of integers d * entry.
+    """
+
+    __slots__ = ("rows", "_hash", "_integer")
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
         self.rows: tuple[tuple[Fraction, ...], ...] = tuple(
@@ -36,6 +51,7 @@ class TransitionMatrix:
         if any(x < 0 for row in self.rows for x in row):
             raise ValueError("matrix entries must be nonnegative")
         self._hash = None
+        self._integer = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -52,16 +68,32 @@ class TransitionMatrix:
     def __repr__(self):
         return f"TransitionMatrix({[[str(x) for x in row] for row in self.rows]})"
 
+    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        if self._integer is None:
+            den = math.lcm(*(x.denominator for row in self.rows for x in row))
+            self._integer = den, tuple(
+                tuple(x.numerator * (den // x.denominator) for x in row)
+                for row in self.rows
+            )
+        return self._integer
+
     def __mul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
-        n, k = self.shape
-        k2, m = other.shape
-        if k != k2:
+        """The exact product, formed over the operands' common denominators.
+
+        With A = a / da and B = b / db for integer matrices a and b, entry
+        (i, j) of AB is (a b)_ij / (da db): an integer dot product and one
+        reduced `Fraction` per entry.
+        """
+        if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
-        cols = list(zip(*other.rows))
+        da, a = self._integer_form()
+        db, b = other._integer_form()
+        den = da * db
+        cols = list(zip(*b))
         return TransitionMatrix(
             [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.rows
+                [Fraction(sum(map(operator.mul, row, col)), den) for col in cols]
+                for row in a
             ]
         )
 
@@ -128,6 +160,8 @@ class MatrixTable:
             raise NetStructureError("system has no probabilities")
         self.structure = structure
         self._by_edge: dict[tuple[int, int], TransitionMatrix] = {}
+        # (start, edges, prefix steps) of the last `cycle_matrix` walk
+        self._last_walk: tuple = (None, (), [])
 
     def of_edge(self, rid: int, edge_index: int) -> TransitionMatrix:
         key = (rid, edge_index)
@@ -154,15 +188,33 @@ class MatrixTable:
         return out
 
     def cycle_matrix(self, fid: int, edges: Sequence[int]) -> TransitionMatrix:
-        """Product along a cycle of edges starting (and ending) at `fid`."""
-        out = None
-        cur = fid
-        for e in edges:
+        """Product along a cycle of edges starting (and ending) at `fid`.
+
+        The prefix products of the last walk are kept: a walk from the same
+        `fid` reuses those of its longest common prefix with the last one,
+        so walks taken in sorted order cost about one product per distinct
+        prefix.  Raises ValueError for an empty walk or one that does not
+        end at `fid`.
+        """
+        edges = tuple(edges)
+        if not edges:
+            raise ValueError("empty cycle")
+        last_fid, last_edges, steps = self._last_walk
+        shared = 0
+        if last_fid == fid:
+            for a, b in zip(edges, last_edges):
+                if a != b:
+                    break
+                shared += 1
+        # steps[i] = (vector after i + 1 edges, product of the first i + 1)
+        steps = steps[:shared]
+        cur, out = steps[-1] if steps else (fid, None)
+        for e in edges[shared:]:
             m = self.of_full_edge(cur, e)
             out = m if out is None else out * m
             cur = self.structure.children_of_full(cur)[e].child
+            steps.append((cur, out))
+        self._last_walk = fid, edges, steps
         if cur != fid:
             raise ValueError("edge sequence is not a cycle")
-        if out is None:
-            raise ValueError("empty cycle")
         return out

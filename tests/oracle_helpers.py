@@ -12,13 +12,16 @@ classification, kept as the reference for `TripleDiagram.cycle_limit`;
 inner bounds, kept as the reference for `dimension._lyndon_cycles`;
 `reference_inner_bounds`, the former loop that certifies every included
 cycle exactly, kept as the reference for the float screen of
-`dimension.essential_interval_bounds`; and `vectors_reaching`, a plain
+`dimension.essential_interval_bounds`; `reference_product`, the former
+entry-by-entry `Fraction` matrix product, kept as the reference for the
+integer multiply of `TransitionMatrix`; and `vectors_reaching`, a plain
 search over the explored child records.
 """
 
 from fractions import Fraction
 
 from ifsdim import dimension
+from ifsdim.matrices import TransitionMatrix
 from ifsdim.spectral import spectral_radius
 
 
@@ -293,8 +296,22 @@ def vectors_reaching(structure, targets):
     return found
 
 
+def reference_product(a, b):
+    """The product of two `TransitionMatrix`es, one `Fraction` at a time."""
+    rows, cols = a.rows, list(zip(*b.rows))
+    if len(rows[0]) != len(cols[0]):
+        raise ValueError("shape mismatch")
+    return TransitionMatrix(
+        [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in rows]
+    )
+
+
 def reference_inner_bounds(structure, dec, table, diagram, budget):
     """Inner bounds with an exact rate for every included cycle, no screen.
+
+    Each cycle's product is formed with `reference_product` from the edge
+    matrices that `table` hands out (`of_full_edge`, so a test may patch
+    one), with no prefix reuse and no shared certificate between cycles.
 
     Returns the fields of `EssentialBounds` that the screen could change:
     `inner_lo`, `inner_hi`, `cycle_count`, `excluded`, `excluded_count`,
@@ -326,7 +343,9 @@ def reference_inner_bounds(structure, dec, table, diagram, budget):
                     excluded.append((steps, reason))
                 continue
             edges = tuple(e for _, e in steps)
-            product = table.cycle_matrix(start, edges)
+            product = table.of_full_edge(*steps[0])
+            for fid, e in steps[1:]:
+                product = reference_product(product, table.of_full_edge(fid, e))
             sp = spectral_radius(product, rel_tol=Fraction(1, 10**9))
             rate = dimension._rate(sp.certified_lo, sp.certified_hi, len(edges), den)
             included.append(

@@ -399,6 +399,62 @@ def test_screen_certifies_every_cycle_when_the_eigensolver_fails(
         assert getattr(bounds, field) == reference[field], field
 
 
+def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
+    structure = gap_system_structure
+    dec, table = parts_of(structure)
+    diagram = build_triple_diagram(structure, dec)
+    products, radii = [], []
+    cycle_matrix = MatrixTable.cycle_matrix
+
+    def recording_cycle_matrix(self, fid, edges):
+        product = cycle_matrix(self, fid, edges)
+        products.append((product, len(edges)))
+        return product
+
+    def counting_spectral_radius(matrix, **kwargs):
+        radii.append(matrix)
+        return spectral_radius(matrix, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MatrixTable, "cycle_matrix", recording_cycle_matrix)
+        patch.setattr(dimension, "spectral_radius", counting_spectral_radius)
+        bounds = essential_interval_bounds(structure, dec, table, diagram, 5)
+    # every rate here is equal, so every cycle is certified
+    assert bounds.certified_count == bounds.cycle_count == len(products)
+    assert len(radii) == len(set(products)) < len(products)
+    reference = reference_inner_bounds(structure, dec, table, diagram, 5)
+    for field in SCREENED_FIELDS:
+        assert getattr(bounds, field) == reference[field], field
+
+
+def test_equal_products_of_different_lengths_get_their_own_rates(
+    monkeypatch, golden_third_structure
+):
+    structure = golden_third_structure
+    dec, table = parts_of(structure)
+    # every essential edge gets ones / (child neighbours), so a cycle's
+    # product is s^k ones / n for the k times it takes the first edge:
+    # cycles of many lengths share a product, and their rates differ
+    s = Fraction(1, 2)
+    first = min(dec.essential_reduced)
+    for rid in dec.essential_reduced:
+        for rec in structure.children_of_reduced(rid):
+            rows, cols = edge_matrix(structure, rid, rec.edge_index).shape
+            w = Fraction(1, cols) * (s if (rid, rec.edge_index) == (first, 0) else 1)
+            table._by_edge[(rid, rec.edge_index)] = TransitionMatrix([[w] * cols] * rows)
+    # certify every cycle
+    monkeypatch.setattr(
+        numpy.linalg, "eigvals", lambda a: numpy.full(len(a), numpy.nan)
+    )
+    diagram = build_triple_diagram(structure, dec)
+    bounds = essential_interval_bounds(structure, dec, table, diagram, 6)
+    reference = reference_inner_bounds(structure, dec, table, diagram, 6)
+    assert bounds.certified_count == bounds.cycle_count
+    assert bounds.inner_lo.hi < bounds.inner_hi.lo
+    for field in SCREENED_FIELDS:
+        assert getattr(bounds, field) == reference[field], field
+
+
 def test_cantor_default_report_certifies_only_the_extremes(cantor_4_9_structure):
     report = build_dimension_report(cantor_4_9_structure)
     bounds = report.bounds

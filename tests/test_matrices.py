@@ -1,11 +1,13 @@
 """Edge matrices: algebra, frozen examples, and the measure oracle."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from ifsdim import matrices
+from ifsdim import dimension, matrices
+from ifsdim.classes import decompose
 from ifsdim.ifs import cantor_like
 from ifsdim.net import NetStructureError, explore, iter_net_intervals, path_fulls
 from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
@@ -51,6 +53,40 @@ def test_matrix_basics():
         a * M([[1, 2, 3]])
     with pytest.raises(ValueError):
         TransitionMatrix([])
+
+
+def random_matrix(rng, n, m, dens):
+    """An n x m matrix with about a third zeros, other entries k / d for d in `dens`."""
+    return TransitionMatrix(
+        [
+            [F(0) if rng.random() < 0.3 else F(rng.randint(1, 50), rng.choice(dens))
+             for _ in range(m)]
+            for _ in range(n)
+        ]
+    )
+
+
+def test_integer_multiply_matches_the_fraction_loop():
+    rng = random.Random(7)
+    # coprime and mixed denominators, and one far beyond float range
+    dens = (1, 2, 3, 7, 9, 10, 11, 13, 87, 10**400)
+    shapes = [(1, n, n) for n in (1, 2, 5, 15)] + [(n, n, 1) for n in (2, 5, 15)]
+    shapes += [(1, 1, n) for n in (2, 5, 15)] + [(n, n, n) for n in range(2, 15)]
+    for n, k, m in shapes:
+        for _ in range(3):
+            a, b = random_matrix(rng, n, k, dens), random_matrix(rng, k, m, dens)
+            product = a * b
+            assert product == oh.reference_product(a, b)
+            assert product.shape == (n, m)
+            # a memoised integer form gives the same product again
+            assert a * b == product
+    tiny = M([[(1, 10**400), (1, 3)], [0, (2, 7)]])
+    other = M([[(1, 3), 0], [(5, 11), (1, 10**400)]])
+    assert tiny * other == oh.reference_product(tiny, other)
+    assert tiny * other * tiny == oh.reference_product(oh.reference_product(tiny, other), tiny)
+    zeros = M([[0, 0], [0, 0]])
+    assert zeros * tiny == zeros
+    assert (zeros * tiny).rows[0][0].denominator == 1
 
 
 def test_zero_row_and_positive_flags():
@@ -186,7 +222,7 @@ def test_path_products_match_word_masses(request, name, n_max):
         power = power * system.rho
 
 
-@pytest.mark.parametrize("name", [
+CYCLE_STRUCTURES = [
     "six_map_quarter_structure",
     "zero_row_third_structure",
     "eight_map_twelfths_structure",
@@ -197,7 +233,10 @@ def test_path_products_match_word_masses(request, name, n_max):
     "golden_third_structure",
     "tribonacci_third_structure",
     "quadratic_ninth_structure",
-])
+]
+
+
+@pytest.mark.parametrize("name", CYCLE_STRUCTURES)
 def test_shared_matrices_equal_per_edge_matrices(request, name):
     s = request.getfixturevalue(name)
     table = MatrixTable(s)
@@ -250,6 +289,64 @@ def test_cycle_matrix(golden_third_structure):
         table.cycle_matrix(fid, [0])
     with pytest.raises(ValueError):
         table.cycle_matrix(fid, [])
+
+
+def closed_walks(structure, budget):
+    """Every rotation of the essential cycles of at most `budget` edges, and its square."""
+    dec = decompose(structure)
+    children = {fid: structure.children_of_full(fid) for fid in dec.essential}
+    walks = []
+    for start in sorted(dec.essential):
+        for steps in dimension._lyndon_cycles(children, start, budget):
+            for r in range(len(steps)):
+                turned = steps[r:] + steps[:r]
+                edges = tuple(e for _, e in turned)
+                walks += [(turned[0][0], edges), (turned[0][0], edges + edges)]
+    return walks
+
+
+def closes(structure, fid, edges):
+    cur = fid
+    for e in edges:
+        cur = structure.children_of_full(cur)[e].child
+    return cur == fid
+
+
+@pytest.mark.parametrize("name", CYCLE_STRUCTURES)
+def test_cycle_matrix_reuses_prefixes_in_any_order(request, name):
+    structure = request.getfixturevalue(name)
+    rng = random.Random(name)
+    walks = closed_walks(structure, 4)
+    walks = rng.sample(walks, min(len(walks), 120))
+    expected = {w: MatrixTable(structure).cycle_matrix(*w) for w in walks}
+    for fid, edges in rng.sample(walks, min(len(walks), 20)):
+        product, cur = None, fid
+        for e in edges:
+            m = edge_matrix(structure, structure.reduced_of(cur), e)
+            product = m if product is None else oh.reference_product(product, m)
+            cur = structure.children_of_full(cur)[e].child
+        assert expected[(fid, edges)] == product
+    # shuffled, with starts interleaved; then equal edges from different
+    # starts next to each other; then each walk, its square, the walk again
+    by_edges = sorted(walks, key=lambda w: (w[1], w[0]))
+    repeats = []
+    for fid, edges in walks:
+        if len(edges) % 2 == 0 and (fid, edges[: len(edges) // 2]) in expected:
+            half = (fid, edges[: len(edges) // 2])
+            repeats += [half, (fid, edges), half, half]
+    for order in (walks, by_edges, repeats):
+        table = MatrixTable(structure)
+        for walk in order:
+            assert table.cycle_matrix(*walk) == expected[walk], walk
+    table = MatrixTable(structure)
+    for fid, edges in walks:
+        if len(edges) > 1 and not closes(structure, fid, edges[:-1]):
+            assert table.cycle_matrix(fid, edges) == expected[(fid, edges)]
+            with pytest.raises(ValueError, match="not a cycle"):
+                table.cycle_matrix(fid, edges[:-1])
+            with pytest.raises(ValueError, match="empty"):
+                table.cycle_matrix(fid, ())
+            assert table.cycle_matrix(fid, edges) == expected[(fid, edges)]
 
 
 def test_matrices_require_probabilities():
