@@ -11,7 +11,10 @@ detects by saturation.
 
 Children of a net interval depend only on (length, neighbours); the sibling
 index only disambiguates vertices of the transition diagram.  All coordinates
-are exact field elements, so vector identity is exact.
+are exact field elements, so vector identity is exact.  Every table is keyed
+by the elements themselves, and the explorer subdivides each (length,
+neighbours) signature once, forming each value it needs from a small set of
+shared elements whose hashes are computed once.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Iterator, Sequence
 from .field import FieldElement
 from .ifs import IFSSystem
 
-VectorKey = tuple  # ((length coeffs), (neighbour coeffs, ...))
+VectorKey = tuple  # (length, (neighbour, ...)) as FieldElements
 
 
 class NetStructureError(RuntimeError):
@@ -91,7 +94,7 @@ class FiniteTypeStructure:
     # -- registration (used by the explorer and the cache loader) ----------
 
     def _reduced_key(self, length: FieldElement, neighbours) -> VectorKey:
-        return (length.coeffs, tuple(v.coeffs for v in neighbours))
+        return (length, tuple(neighbours))
 
     def register_reduced(self, length, neighbours, level) -> tuple[int, bool]:
         key = self._reduced_key(length, neighbours)
@@ -179,6 +182,34 @@ class _Explorer:
         self.one = system.context.one
         self.key = system.context.sort_key
         self._gap_memo: dict[VectorKey, bool] = {}
+        self._pieces: dict[VectorKey, list] = {}
+        self._values: dict[tuple, FieldElement] = {}
+        self._shared: dict[FieldElement, FieldElement] = {}
+
+    def _value(self, op: str, a: FieldElement, b: FieldElement) -> FieldElement:
+        """a + b, a - b or (a - b) / rho for op '+', '-', '/', formed once.
+
+        Equal results are one shared element, so each distinct value is
+        hashed once however many signatures it appears in.
+        """
+        key = (op, a, b)
+        value = self._values.get(key)
+        if value is None:
+            if op == "+":
+                value = a + b
+            elif op == "-":
+                value = a - b
+            else:
+                value = (a - b) * self.rho_inv
+            value = self._values[key] = self._shared.setdefault(value, value)
+        return value
+
+    def _pieces_of(self, key: VectorKey) -> list:
+        """`subdivide` of the signature `key`, computed once per explorer."""
+        pieces = self._pieces.get(key)
+        if pieces is None:
+            pieces = self._pieces[key] = self.subdivide(*key)
+        return pieces
 
     def subdivide(self, length: FieldElement, neighbours):
         """The pieces (u, v, child length, child neighbours, letters) of one subdivision.
@@ -197,35 +228,37 @@ class _Explorer:
         child neighbour a_k, or None.  Since u - rho * a_k is the start s
         behind a_k, these are the pairs (i, j) with d_j - c_i = s, recorded
         while the starts are formed, so no arithmetic is needed.
+
+        Every value it forms comes from `_value`, so its tables are keyed
+        by shared elements; `_pieces_of` calls it once per signature.
         """
         key = self.key
         rho = self.rho
-        distinct: dict[tuple, FieldElement] = {}
-        origins: dict[tuple, list[tuple[int, int]]] = {}
+        value = self._value
+        origins: dict[FieldElement, list[tuple[int, int]]] = {}
         for i, c in enumerate(neighbours):
             for j, d in enumerate(self.system.translations):
-                s = d - c
-                distinct.setdefault(s.coeffs, s)
-                origins.setdefault(s.coeffs, []).append((i, j))
-        starts = sorted(distinct.values(), key=key)
+                origins.setdefault(value("-", d, c), []).append((i, j))
+        starts = sorted(origins, key=key)
         keys = [key(s) for s in starts]
         # starts s in (0, length) and s + rho in (0, length) are the inner cuts
         inner = starts[bisect_right(keys, key(self.zero)) : bisect_left(keys, key(length))]
-        shifted = starts[bisect_right(keys, key(-rho)) : bisect_left(keys, key(length - rho))]
-        cuts = {self.zero.coeffs: self.zero, length.coeffs: length}
-        for cut in inner + [s + rho for s in shifted]:
-            cuts.setdefault(cut.coeffs, cut)
-        ordered = sorted(cuts.values(), key=key)
+        shifted = starts[
+            bisect_right(keys, key(-rho)) : bisect_left(keys, key(value("-", length, rho)))
+        ]
+        cuts = dict.fromkeys([self.zero, length, *inner])
+        cuts.update(dict.fromkeys(value("+", s, rho) for s in shifted))
+        ordered = sorted(cuts, key=key)
         pieces = []
         for u, v in zip(ordered, ordered[1:]):
-            run = starts[bisect_left(keys, key(v - rho)) : bisect_right(keys, key(u))]
+            run = starts[bisect_left(keys, key(value("-", v, rho))) : bisect_right(keys, key(u))]
             run.reverse()
             letters: list[list[int | None]] = [[None] * len(run) for _ in neighbours]
             for k, s in enumerate(run):
-                for i, j in origins[s.coeffs]:
+                for i, j in origins[s]:
                     letters[i][k] = j
-            covers = tuple((u - s) * self.rho_inv for s in run)
-            pieces.append((u, v, (v - u) * self.rho_inv, covers, tuple(map(tuple, letters))))
+            covers = tuple(value("/", u, s) for s in run)
+            pieces.append((u, v, value("/", v, u), covers, tuple(map(tuple, letters))))
         return pieces
 
     def meets_attractor(self, length: FieldElement, neighbours) -> bool:
@@ -237,7 +270,7 @@ class _Explorer:
         walk is finite: it ends with a split or with no covering cylinder.
         """
         chain: list[VectorKey] = []
-        key = (length.coeffs, tuple(v.coeffs for v in neighbours))
+        key = (length, tuple(neighbours))
         result = None
         guard = 0
         while True:
@@ -245,16 +278,15 @@ class _Explorer:
             if cached is not None:
                 result = cached
                 break
-            if not neighbours:
+            if not key[1]:
                 result = False
                 break
             chain.append(key)
-            pieces = self.subdivide(length, neighbours)
+            pieces = self._pieces_of(key)
             if len(pieces) > 1:
                 result = True
                 break
-            length, neighbours = pieces[0][2:4]
-            key = (length.coeffs, tuple(v.coeffs for v in neighbours))
+            key = pieces[0][2:4]
             guard += 1
             if guard > 100000:
                 raise NetStructureError("attractor membership walk failed to terminate")
@@ -264,17 +296,17 @@ class _Explorer:
 
     def expand(self, structure: FiniteTypeStructure, rid: int) -> list[ChildRecord]:
         vec = structure.reduced[rid]
-        pieces = self.subdivide(vec.length, vec.neighbours)
+        pieces = self._pieces_of((vec.length, vec.neighbours))
         records: list[ChildRecord] = []
         gap_pending = False
-        sibling_counts: dict[tuple, int] = {}
+        sibling_counts: dict[FieldElement, int] = {}
         last_piece = len(pieces) - 1
         for idx, (u, _, ell_child, ws, letters) in enumerate(pieces):
             if not ws or not self.meets_attractor(ell_child, ws):
                 gap_pending = True
                 continue
-            r = sibling_counts.get(ell_child.coeffs, 0) + 1
-            sibling_counts[ell_child.coeffs] = r
+            r = sibling_counts.get(ell_child, 0) + 1
+            sibling_counts[ell_child] = r
             child_rid, is_new = structure.register_reduced(ell_child, ws, vec.level + 1)
             child_fid = structure.register_full(child_rid, r)
             records.append(
@@ -436,10 +468,10 @@ def locate_point(structure: FiniteTypeStructure, x, depth: int = 60) -> PointLoc
     edges: list[int] = []
     fulls = [fid]
     u = x
-    seen: dict[tuple, int] = {}
+    seen: dict[tuple[int, FieldElement], int] = {}
 
     while len(edges) < depth:
-        state = (fid, u.coeffs)
+        state = (fid, u)
         pos = seen.get(state)
         if pos is not None:
             rep = Representation("interior", edges, fulls, cycle=(pos, len(edges) - pos))

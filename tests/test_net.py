@@ -345,29 +345,48 @@ def test_letter_tables(request, name):
 # the sorted sweep of subdivide against the all-pairs reference loop
 # ---------------------------------------------------------------------------
 
-def _reached_signatures(system, monkeypatch):
-    """Every (length, neighbours) that exploring `system` subdivides."""
-    seen = {}
+def _recorded_explore(system, monkeypatch):
+    """Explore `system` and keep its explorer, the signature of every
+    `subdivide` call, and every signature the walk asks `_pieces_of` for."""
+    explorers = []
+    calls = []
+    asked = []
+    init = _Explorer.__init__
     sweep = _Explorer.subdivide
+    pieces_of = _Explorer._pieces_of
+
+    def keeping(self, *args):
+        init(self, *args)
+        explorers.append(self)
 
     def recording(self, length, neighbours):
-        key = (length.coeffs, tuple(a.coeffs for a in neighbours))
-        seen.setdefault(key, (length, tuple(neighbours)))
+        calls.append((length, tuple(neighbours)))
         return sweep(self, length, neighbours)
 
+    def asking(self, key):
+        asked.append(key)
+        return pieces_of(self, key)
+
     with monkeypatch.context() as patch:
+        patch.setattr(_Explorer, "__init__", keeping)
         patch.setattr(_Explorer, "subdivide", recording)
+        patch.setattr(_Explorer, "_pieces_of", asking)
         explore(system)
-    return list(seen.values())
+    (explorer,) = explorers
+    return explorer, calls, list(dict.fromkeys(asked))
 
 
-def _assert_sweep_matches_reference(system, length, neighbours):
-    pieces = _Explorer(system).subdivide(length, neighbours)
+def _assert_pieces_match_reference(system, length, neighbours, pieces):
     assert [piece[:4] for piece in pieces] == oh.reference_subdivide(
         system, length, neighbours
     )
     for u, _, _, covers, letters in pieces:
         assert letters == oh.reference_letters(system, neighbours, u, covers)
+
+
+def _assert_sweep_matches_reference(system, length, neighbours):
+    pieces = _Explorer(system).subdivide(length, neighbours)
+    _assert_pieces_match_reference(system, length, neighbours, pieces)
 
 
 SWEEP_SYSTEMS = [n.removesuffix("_structure") for n in ALL_STRUCTURES] + ["convolution_3_8"]
@@ -376,10 +395,34 @@ SWEEP_SYSTEMS = [n.removesuffix("_structure") for n in ALL_STRUCTURES] + ["convo
 @pytest.mark.parametrize("name", SWEEP_SYSTEMS)
 def test_sweep_matches_all_pairs_loop(request, monkeypatch, name):
     system = request.getfixturevalue(name)
-    signatures = _reached_signatures(system, monkeypatch)
+    _, _, signatures = _recorded_explore(system, monkeypatch)
     assert signatures
     for length, neighbours in signatures:
         _assert_sweep_matches_reference(system, length, neighbours)
+
+
+@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
+def test_warm_explorer_matches_all_pairs_loop(request, monkeypatch, name):
+    """After a full explore, the memoised pieces of every signature the walk
+    read, and a second subdivide of it from the explorer's shared values,
+    agree with the reference loop and with a fresh explorer."""
+    system = request.getfixturevalue(name)
+    explorer, _, signatures = _recorded_explore(system, monkeypatch)
+    assert signatures
+    for length, neighbours in signatures:
+        pieces = explorer._pieces_of((length, neighbours))
+        _assert_pieces_match_reference(system, length, neighbours, pieces)
+        again = explorer.subdivide(length, neighbours)
+        assert again == pieces == _Explorer(system).subdivide(length, neighbours)
+
+
+@pytest.mark.parametrize("name", SWEEP_SYSTEMS + ["table_87"])
+def test_explore_subdivides_each_signature_once(request, monkeypatch, name):
+    system = request.getfixturevalue(name)
+    _, calls, signatures = _recorded_explore(system, monkeypatch)
+    assert signatures
+    assert len(calls) == len(signatures)
+    assert set(calls) == set(signatures)
 
 
 def _closed_end_hits(system, length, neighbours):
