@@ -1,7 +1,9 @@
 """Save and reload explored structures.
 
-The saturated characteristic-vector table can take minutes to build for
-large systems, so the result is cached as JSON.  A version stamp plus a
+The cache is JSON holding only geometry: the reduced vectors with their
+child records, and the full vectors.  Letters are not stored: a command
+reads a few edges, and `matrices.edge_matrix` derives theirs more cheaply
+than every edge's could be written and parsed.  A version stamp plus a
 fingerprint of the defining system guard against stale or mismatched
 files; a cache never overrides the config it is loaded for.
 """
@@ -15,7 +17,7 @@ from fractions import Fraction
 from .ifs import IFSSystem
 from .net import ChildRecord, FiniteTypeStructure
 
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 class CacheError(RuntimeError):
@@ -61,11 +63,9 @@ def save_structure(path: str, structure: FiniteTypeStructure) -> None:
                 {
                     "child": rec.child,
                     "offset": _coeffs_out(rec.offset),
-                    "edge_index": rec.edge_index,
                     "gap_before": rec.gap_before,
                     "abuts_left": rec.abuts_left,
                     "abuts_right": rec.abuts_right,
-                    "letters": [list(row) for row in rec.letters],
                 }
                 for rec in vec.children
             ]
@@ -123,6 +123,8 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
         if rid != idx or not fresh:
             raise CacheError("cache lists duplicate reduced vectors")
     for idx, (rid, sibling) in enumerate(payload["fulls"]):
+        if not 0 <= rid < len(structure.reduced):
+            raise CacheError("cache reduced id out of range")
         fid = structure.register_full(rid, sibling)
         if fid != idx:
             raise CacheError("cache lists duplicate full vectors")
@@ -131,18 +133,17 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
         if entry["children"] is None:
             continue
         records = []
-        for raw in entry["children"]:
+        for edge_index, raw in enumerate(entry["children"]):
             if not 0 <= raw["child"] < full_count:
                 raise CacheError("cache child id out of range")
             records.append(
                 ChildRecord(
                     child=raw["child"],
                     offset=_coeffs_in(ctx, raw["offset"], decoded),
-                    edge_index=raw["edge_index"],
+                    edge_index=edge_index,
                     gap_before=raw["gap_before"],
                     abuts_left=raw["abuts_left"],
                     abuts_right=raw["abuts_right"],
-                    letters=tuple(tuple(row) for row in raw["letters"]),
                 )
             )
         structure.reduced[rid].children = records

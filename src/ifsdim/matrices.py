@@ -3,7 +3,8 @@
 The edge from a net interval to one of its children carries a nonnegative
 matrix with one row per parent neighbour and one column per child neighbour.
 Entry (j, k) is the probability of the letter extending parent cylinder j to
-child cylinder k, or 0 when no letter does.  Multiplying the matrices along
+child cylinder k, or 0 when no letter does; `edge_matrix` finds that letter
+from the two neighbours and the child's offset.  Multiplying the matrices along
 a root path and summing the entries gives the exact measure of the net
 interval at the end of the path, which is the basis for every dimension
 computation in this package.  `MatrixTable` builds each matrix the first
@@ -125,18 +126,21 @@ class TransitionMatrix:
 
 
 def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> TransitionMatrix:
-    """The matrix on one child edge of a reduced characteristic vector."""
+    """The matrix on one child edge of a reduced characteristic vector.
+
+    Entry (i, k) is p_j if d_j = c_i + t_k, else 0, for the parent neighbour
+    c_i and t_k = offset - rho * a_k, formed once per child neighbour a_k.
+    """
     system = structure.system
     if system.probabilities is None:
         raise NetStructureError("system has no probabilities")
     rec = structure.children_of_reduced(rid)[edge_index]
-    probs = system.probabilities
-    rows = []
-    for letter_row in rec.letters:
-        rows.append(
-            [Fraction(0) if L is None else probs[L] for L in letter_row]
-        )
-    matrix = TransitionMatrix(rows)
+    prob_of = dict(zip(system.translations, system.probabilities))
+    zero = Fraction(0)
+    shifts = [rec.offset - system.rho * a for a in structure.neighbours_of_full(rec.child)]
+    matrix = TransitionMatrix(
+        [[prob_of.get(c + t, zero) for t in shifts] for c in structure.reduced[rid].neighbours]
+    )
     if any(s == 0 for s in matrix.column_sums()):
         raise NetStructureError(
             "transition matrix has a zero column; child neighbour unaccounted"

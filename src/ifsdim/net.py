@@ -10,11 +10,12 @@ characteristic vectors reachable from [0, 1] is finite, which the explorer
 detects by saturation.
 
 Children of a net interval depend only on (length, neighbours); the sibling
-index only disambiguates vertices of the transition diagram.  All coordinates
-are exact field elements, so vector identity is exact.  Every table is keyed
-by the elements themselves, and the explorer subdivides each (length,
-neighbours) signature once, forming each value it needs from a small set of
-shared elements whose hashes are computed once.
+index only disambiguates vertices of the transition diagram.  Child records
+hold only geometry; `matrices.edge_matrix` derives the letters of an edge.
+All coordinates are exact field elements, so vector identity is exact.
+Every table is keyed by the elements themselves, and the explorer
+subdivides each (length, neighbours) signature once, forming each value it
+needs from a small set of shared elements whose hashes are computed once.
 """
 
 from __future__ import annotations
@@ -56,12 +57,10 @@ class ChildRecord:
 
     child: int  # full vector id
     offset: FieldElement  # left endpoint relative to the parent, scaled by rho^-n
-    edge_index: int
+    edge_index: int  # position among the parent's children
     gap_before: bool  # an excluded (attractor-free) stretch precedes this child
     abuts_left: bool
     abuts_right: bool
-    # letter (j, k) satisfying d_letter = offset + c_j - rho * a_k, else None
-    letters: tuple[tuple[int | None, ...], ...]
 
 
 @dataclass
@@ -212,7 +211,7 @@ class _Explorer:
         return pieces
 
     def subdivide(self, length: FieldElement, neighbours):
-        """The pieces (u, v, child length, child neighbours, letters) of one subdivision.
+        """The pieces (u, v, child length, child neighbours) of one subdivision.
 
         A neighbour c_i of the interval [0, length] has its level-(n+1)
         cylinders at the starts s = d_j - c_i, each of normalized length rho;
@@ -224,22 +223,14 @@ class _Explorer:
         descends as s ascends, so reading the run backwards lists the child
         neighbours in increasing order.
 
-        letters[i][k] is the letter j with d_j = u + c_i - rho * a_k for the
-        child neighbour a_k, or None.  Since u - rho * a_k is the start s
-        behind a_k, these are the pairs (i, j) with d_j - c_i = s, recorded
-        while the starts are formed, so no arithmetic is needed.
-
         Every value it forms comes from `_value`, so its tables are keyed
         by shared elements; `_pieces_of` calls it once per signature.
         """
         key = self.key
         rho = self.rho
         value = self._value
-        origins: dict[FieldElement, list[tuple[int, int]]] = {}
-        for i, c in enumerate(neighbours):
-            for j, d in enumerate(self.system.translations):
-                origins.setdefault(value("-", d, c), []).append((i, j))
-        starts = sorted(origins, key=key)
+        starts = {value("-", d, c): None for c in neighbours for d in self.system.translations}
+        starts = sorted(starts, key=key)
         keys = [key(s) for s in starts]
         # starts s in (0, length) and s + rho in (0, length) are the inner cuts
         inner = starts[bisect_right(keys, key(self.zero)) : bisect_left(keys, key(length))]
@@ -252,13 +243,8 @@ class _Explorer:
         pieces = []
         for u, v in zip(ordered, ordered[1:]):
             run = starts[bisect_left(keys, key(value("-", v, rho))) : bisect_right(keys, key(u))]
-            run.reverse()
-            letters: list[list[int | None]] = [[None] * len(run) for _ in neighbours]
-            for k, s in enumerate(run):
-                for i, j in origins[s]:
-                    letters[i][k] = j
-            covers = tuple(value("/", u, s) for s in run)
-            pieces.append((u, v, value("/", v, u), covers, tuple(map(tuple, letters))))
+            covers = tuple(value("/", u, s) for s in reversed(run))
+            pieces.append((u, v, value("/", v, u), covers))
         return pieces
 
     def meets_attractor(self, length: FieldElement, neighbours) -> bool:
@@ -301,7 +287,7 @@ class _Explorer:
         gap_pending = False
         sibling_counts: dict[FieldElement, int] = {}
         last_piece = len(pieces) - 1
-        for idx, (u, _, ell_child, ws, letters) in enumerate(pieces):
+        for idx, (u, _, ell_child, ws) in enumerate(pieces):
             if not ws or not self.meets_attractor(ell_child, ws):
                 gap_pending = True
                 continue
@@ -317,7 +303,6 @@ class _Explorer:
                     gap_before=gap_pending,
                     abuts_left=(idx == 0),
                     abuts_right=(idx == last_piece),
-                    letters=letters,
                 )
             )
             gap_pending = False

@@ -3,9 +3,12 @@
 Everything here works directly from the maps S_j(x) = rho*x + d_j by
 enumerating words, with no reference to the package's net-interval or
 matrix machinery, so agreement is meaningful evidence of correctness.
-The exceptions are `reference_subdivide` and `reference_letters`: the
-explorer's former all-pairs subdivision loop and letter lookup, kept as
-the slow exact reference for the sorted sweep that replaced them;
+The exceptions are `reference_subdivide`, the explorer's former all-pairs
+subdivision loop, kept as the slow exact reference for the sorted sweep
+that replaced it; `reference_letters`, the former per-record letter table,
+kept as the reference for the letters `matrices.edge_matrix` derives, with
+`with_letter_probabilities`, which reweights a structure so that each
+matrix entry names its letter;
 `reference_cycle_limit`, the former (node, phase) trail of periodic point
 classification, kept as the reference for `TripleDiagram.cycle_limit`;
 `reference_cycles`, the former all-rotations walk enumeration of the
@@ -18,6 +21,8 @@ integer multiply of `TransitionMatrix`; and `vectors_reaching`, a plain
 search over the explored child records.
 """
 
+import copy
+import dataclasses
 from fractions import Fraction
 
 from ifsdim import dimension
@@ -230,6 +235,20 @@ def reference_letters(system, parent_neighbours, offset, child_neighbours):
             row.append(letter_of.get((base - rho * a).coeffs))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def with_letter_probabilities(structure):
+    """(copy of `structure` with p_j = 2(j + 1) / ((m + 1)(m + 2)), letter of each p_j).
+
+    The probabilities are distinct, so each nonzero entry of an edge matrix
+    identifies its letter.
+    """
+    system = structure.system
+    count = system.alphabet_size
+    probs = tuple(Fraction(2 * (j + 1), count * (count + 1)) for j in range(count))
+    weighted = copy.copy(structure)
+    weighted.system = dataclasses.replace(system, probabilities=probs)
+    return weighted, {p: j for j, p in enumerate(probs)}
 
 
 def reference_cycle_limit(diagram, node, cycle):

@@ -392,10 +392,24 @@ def test_report_stdout_is_pinned(cfgdir, capsys, cfg):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT_STDOUT_SHA256[cfg]
 
 
-def test_report_cache_reuse_is_byte_identical(cfgdir, capsys, tmp_path):
+# commands whose stdout and --json must not depend on where the structure
+# came from; the pointdim points read edge matrices of a loaded structure
+CACHE_REUSE_CASES = [
+    pytest.param("gap", ["report", "--cycle-budget", "2"], id="gap-report"),
+    pytest.param("gap", ["pointdim", "--point", "0"], id="gap-0"),
+    pytest.param("gap", ["pointdim", "--point", "3/4"], id="gap-3_4"),
+    pytest.param("gap", ["pointdim", "--point", "1/15"], id="gap-1_15"),
+    pytest.param("golden_third", ["pointdim", "--point", "0"], id="golden_third-0"),
+    pytest.param("golden_third", ["pointdim", "--point", "1"], id="golden_third-1"),
+    pytest.param("six", ["pointdim", "--point", "1/97", "--depth", "20"], id="six-1_97"),
+]
+
+
+@pytest.mark.parametrize("cfg, args", CACHE_REUSE_CASES)
+def test_cache_reuse_is_byte_identical(cfgdir, capsys, tmp_path, cfg, args):
     cache = str(tmp_path / "structure.json")
     jsons = [str(tmp_path / ("out%d.json" % i)) for i in range(3)]
-    argv = ["report", "--config", str(cfgdir / "gap.cfg"), "--cycle-budget", "2"]
+    argv = [args[0], "--config", str(cfgdir / (cfg + ".cfg"))] + args[1:]
 
     assert main(argv + ["--cache", cache, "--json", jsons[0]]) == 0
     first = capsys.readouterr()
@@ -414,6 +428,24 @@ def test_report_cache_reuse_is_byte_identical(cfgdir, capsys, tmp_path):
         with open(path, encoding="utf-8") as handle:
             blobs.append(handle.read())
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize("bad_id", [-1, 999])
+def test_cache_with_bad_reduced_id_is_replaced(cfgdir, capsys, tmp_path, bad_id):
+    cache = tmp_path / "structure.json"
+    config_path = str(cfgdir / "six.cfg")
+    assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cache.read_text(encoding="utf-8"))
+    payload["fulls"][1][0] = bad_id
+    cache.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["report", "--config", config_path, "--cycle-budget", "2"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert "cache unusable" in captured.err
+    assert captured.out == fresh
 
 
 def test_stale_cache_is_replaced(cfgdir, capsys, tmp_path):

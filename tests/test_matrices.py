@@ -168,18 +168,18 @@ def test_gap_example_equal_column_sums(gap_system_structure):
 def test_cantor_letter_formula(cantor_4_9_structure):
     """Central vectors of the Cantor family: the letter extending cylinder x
     to child cylinder y under child i is d*x - y + i when that is a letter."""
-    s = cantor_4_9_structure
+    s, letter_of = oh.with_letter_probabilities(cantor_4_9_structure)
     d, m = 4, 9
     central = s.reduced_of(list(iter_net_intervals(s, 1))[2].full)
     records = s.children_of_reduced(central)
     assert len(records) == d
     for i, rec in enumerate(records):
         assert s.reduced_of(rec.child) == central
-        for x, row in enumerate(rec.letters):
-            for y, letter in enumerate(row):
+        for x, row in enumerate(edge_matrix(s, central, i).rows):
+            for y, entry in enumerate(row):
                 value = d * x - y + i
                 expected = value if 0 <= value <= m else None
-                assert letter == expected
+                assert letter_of.get(entry) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +264,8 @@ def test_table_builds_each_matrix_on_first_read(monkeypatch, golden_third_struct
 def test_zero_column_is_rejected(zero_row_third):
     s = explore(zero_row_third)
     records = s.children_of_reduced(3)
-    # no letter enters child cylinder 0 from any parent cylinder
-    records[0] = replace(
-        records[0], letters=tuple((None,) + row[1:] for row in records[0].letters)
-    )
+    # shifted off the lattice of translations, the edge matches no letter at all
+    records[0] = replace(records[0], offset=records[0].offset + F(1, 1000))
     with pytest.raises(NetStructureError, match="zero column"):
         edge_matrix(s, 3, 0)
     table = MatrixTable(s)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ifsdim.matrices import edge_matrix
 from ifsdim.net import (
     NotProvenFiniteTypeError,
     _Explorer,
@@ -318,27 +319,17 @@ def test_child_record_invariants(request, name):
 
 @pytest.mark.parametrize("name", ALL_STRUCTURES)
 def test_letter_tables(request, name):
-    s = request.getfixturevalue(name)
-    system = s.system
-    rho = system.rho
-    letter_of = {d.coeffs: j for j, d in enumerate(system.translations)}
+    """Each edge matrix names, entry by entry, the letter of the reference
+    lookup, and every column has a positive entry."""
+    s, letter_of = oh.with_letter_probabilities(request.getfixturevalue(name))
     for rid in range(s.reduced_count):
-        parent = s.reduced[rid]
+        parent = s.reduced[rid].neighbours
         for rec in s.children_of_reduced(rid):
-            child_neighbours = s.neighbours_of_full(rec.child)
-            assert len(rec.letters) == len(parent.neighbours)
-            seen_column = [False] * len(child_neighbours)
-            for j, c in enumerate(parent.neighbours):
-                row = rec.letters[j]
-                assert len(row) == len(child_neighbours)
-                for k, a in enumerate(child_neighbours):
-                    value = rec.offset + c - rho * a
-                    if row[k] is None:
-                        assert value.coeffs not in letter_of
-                    else:
-                        assert letter_of[value.coeffs] == row[k]
-                        seen_column[k] = True
-            assert all(seen_column)
+            rows = edge_matrix(s, rid, rec.edge_index).rows
+            assert tuple(tuple(letter_of.get(x) for x in row) for row in rows) == (
+                oh.reference_letters(s.system, parent, rec.offset, s.neighbours_of_full(rec.child))
+            )
+            assert all(any(x > 0 for x in column) for column in zip(*rows))
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +367,9 @@ def _recorded_explore(system, monkeypatch):
     return explorer, calls, list(dict.fromkeys(asked))
 
 
-def _assert_pieces_match_reference(system, length, neighbours, pieces):
-    assert [piece[:4] for piece in pieces] == oh.reference_subdivide(
-        system, length, neighbours
-    )
-    for u, _, _, covers, letters in pieces:
-        assert letters == oh.reference_letters(system, neighbours, u, covers)
-
-
 def _assert_sweep_matches_reference(system, length, neighbours):
     pieces = _Explorer(system).subdivide(length, neighbours)
-    _assert_pieces_match_reference(system, length, neighbours, pieces)
+    assert pieces == oh.reference_subdivide(system, length, neighbours)
 
 
 SWEEP_SYSTEMS = [n.removesuffix("_structure") for n in ALL_STRUCTURES] + ["convolution_3_8"]
@@ -411,7 +394,7 @@ def test_warm_explorer_matches_all_pairs_loop(request, monkeypatch, name):
     assert signatures
     for length, neighbours in signatures:
         pieces = explorer._pieces_of((length, neighbours))
-        _assert_pieces_match_reference(system, length, neighbours, pieces)
+        assert pieces == oh.reference_subdivide(system, length, neighbours)
         again = explorer.subdivide(length, neighbours)
         assert again == pieces == _Explorer(system).subdivide(length, neighbours)
 
