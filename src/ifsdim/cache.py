@@ -97,24 +97,42 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
     """Rebuild a structure for `system` from a cache written earlier.
 
     Raises CacheError when the file does not parse, carries a different
-    cache version, or fingerprints a different system.
+    cache version, fingerprints a different system, or holds a record
+    with a missing key, a wrongly typed field or an id out of range.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise CacheError(f"cache {path} is not a JSON object")
     if payload.get("cache_version") != CACHE_VERSION:
         raise CacheError(
             f"cache version {payload.get('cache_version')} != {CACHE_VERSION}"
         )
     if payload.get("fingerprint") != system_fingerprint(system):
         raise CacheError("cache was written for a different system")
+    try:
+        return _structure_from(payload, system)
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CacheError(f"malformed cache {path}: {exc!r}") from exc
 
+
+def _index(value, count: int, what: str) -> int:
+    """`value` if it is an int in range(count), else CacheError."""
+    if type(value) is not int or not 0 <= value < count:
+        raise CacheError(f"cache {what} id out of range: {value!r}")
+    return value
+
+
+def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
     ctx = system.context
     decoded: dict = {}
     structure = FiniteTypeStructure(system)
     for idx, entry in enumerate(payload["reduced"]):
+        if type(entry["level"]) is not int:
+            raise CacheError("cache vector level is not an integer")
         rid, fresh = structure.register_reduced(
             _coeffs_in(ctx, entry["length"], decoded),
             tuple(_coeffs_in(ctx, v, decoded) for v in entry["neighbours"]),
@@ -123,8 +141,9 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
         if rid != idx or not fresh:
             raise CacheError("cache lists duplicate reduced vectors")
     for idx, (rid, sibling) in enumerate(payload["fulls"]):
-        if not 0 <= rid < len(structure.reduced):
-            raise CacheError("cache reduced id out of range")
+        rid = _index(rid, len(structure.reduced), "reduced")
+        if type(sibling) is not int:
+            raise CacheError("cache sibling index is not an integer")
         fid = structure.register_full(rid, sibling)
         if fid != idx:
             raise CacheError("cache lists duplicate full vectors")
@@ -134,22 +153,16 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
             continue
         records = []
         for edge_index, raw in enumerate(entry["children"]):
-            if not 0 <= raw["child"] < full_count:
-                raise CacheError("cache child id out of range")
-            records.append(
-                ChildRecord(
-                    child=raw["child"],
-                    offset=_coeffs_in(ctx, raw["offset"], decoded),
-                    edge_index=edge_index,
-                    gap_before=raw["gap_before"],
-                    abuts_left=raw["abuts_left"],
-                    abuts_right=raw["abuts_right"],
-                )
-            )
+            child = _index(raw["child"], full_count, "child")
+            gap, left, right = raw["gap_before"], raw["abuts_left"], raw["abuts_right"]
+            if not (type(gap) is type(left) is type(right) is bool):
+                raise CacheError("cache child flags are not booleans")
+            offset = _coeffs_in(ctx, raw["offset"], decoded)
+            records.append(ChildRecord(child, offset, edge_index, gap, left, right))
         structure.reduced[rid].children = records
-    structure.root_full = payload["root_full"]
+    structure.root_full = _index(payload["root_full"], full_count, "root")
     structure.saturated = payload["saturated"]
     structure.levels_explored = payload["levels_explored"]
-    if not 0 <= structure.root_full < full_count:
-        raise CacheError("cache root id out of range")
+    if type(structure.saturated) is not bool or type(structure.levels_explored) is not int:
+        raise CacheError("cache saturation flag or explored depth is wrongly typed")
     return structure

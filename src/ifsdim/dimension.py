@@ -79,6 +79,8 @@ __all__ = [
 
 # relative margin of the float screen in `essential_interval_bounds`
 _SCREEN_MARGIN = 1e-6
+# most float cycle products that one `numpy.linalg.eigvals` call scores
+_SCREEN_CHUNK = 1024
 
 
 def log_enclosure(q, rel: float = 1e-12) -> tuple[Fraction, Fraction]:
@@ -326,23 +328,36 @@ def _lyndon_cycles(children, start: int, budget: int):
                 stack.append((rec.child, nxt, q))
 
 
-def _cycle_score(floats, table: MatrixTable, steps) -> float:
-    """ln sp / len(steps) of the cycle's product in floats, nan if not finite.
-
-    `floats` memoises the float copy of each (vector, edge) matrix.
-    """
-    product = None
-    for fid, e in steps:
-        m = floats.get((fid, e))
-        if m is None:
-            rows = table.of_full_edge(fid, e).rows
-            m = floats[(fid, e)] = numpy.array([[float(x) for x in r] for r in rows])
-        product = m if product is None else product @ m
+def _float_entry(x: Fraction) -> float:
+    """float(x) for a nonnegative x, inf where the conversion overflows."""
     try:
-        sp = float(numpy.abs(numpy.linalg.eigvals(product)).max())
-    except numpy.linalg.LinAlgError:
-        return math.nan
-    return math.log(sp) / len(steps) if 0 < sp < math.inf else math.nan
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
+def _chunk_scores(products, lengths) -> list[float]:
+    """ln sp / n of each float product, nan where that is not finite.
+
+    One `numpy.linalg.eigvals` call takes the stack of the products whose
+    entries are all finite; the others score nan without it, and so do
+    all of them if the call fails.
+    """
+    stack = numpy.stack(products)
+    finite = numpy.isfinite(stack).all(axis=(1, 2))
+    radii = [math.nan] * len(products)
+    if finite.any():
+        try:
+            moduli = numpy.abs(numpy.linalg.eigvals(stack[finite])).max(axis=-1)
+        except numpy.linalg.LinAlgError:
+            pass
+        else:
+            for i, sp in zip(numpy.flatnonzero(finite).tolist(), moduli.tolist()):
+                radii[i] = sp
+    return [
+        math.log(sp) / n if 0 < sp < math.inf else math.nan
+        for sp, n in zip(radii, lengths)
+    ]
 
 
 def _near_extreme(g: float, g_lo: float, g_hi: float) -> bool:
@@ -352,6 +367,76 @@ def _near_extreme(g: float, g_lo: float, g_hi: float) -> bool:
         or g <= g_lo + _SCREEN_MARGIN * abs(g_lo)
         or g >= g_hi - _SCREEN_MARGIN * abs(g_hi)
     )
+
+
+class _CycleScreen:
+    """The float screen of `essential_interval_bounds`.
+
+    `add` forms a cycle's float product from the prefix products of the
+    last walk it was given, multiplied left to right, and queues it with
+    the others of its shape; a full queue of `_SCREEN_CHUNK` products is
+    scored by one `_chunk_scores` call.  `near` holds the (score, start,
+    edges) of the scored cycles near the extremes of the scores so far.
+    The extremes only move outward, and the margin test only tightens as
+    they do, so `near` is refiltered only when they move.
+    """
+
+    def __init__(self, table: MatrixTable):
+        self.table = table
+        self.floats: dict[tuple[int, int], numpy.ndarray] = {}
+        # the last walk, and prefix[i] the float product of its first i + 1 steps
+        self.last: tuple = ()
+        self.prefix: list[numpy.ndarray] = []
+        self.queues: dict[tuple[int, int], list] = {}
+        self.g_lo, self.g_hi = math.inf, -math.inf
+        self.near: list[tuple[float, int, tuple[int, ...]]] = []
+
+    def add(self, steps: tuple[tuple[int, int], ...]) -> None:
+        prefix = self.prefix
+        shared = 0
+        for step, other in zip(steps, self.last):
+            if step != other:
+                break
+            shared += 1
+        del prefix[shared:]
+        product = prefix[-1] if prefix else None
+        for step in steps[shared:]:
+            m = self.floats.get(step)
+            if m is None:
+                rows = self.table.of_full_edge(*step).rows
+                m = self.floats[step] = numpy.array(
+                    [[_float_entry(x) for x in r] for r in rows]
+                )
+            product = m if product is None else product @ m
+            prefix.append(product)
+        self.last = steps
+        queue = self.queues.setdefault(product.shape, [])
+        queue.append((product, steps))
+        if len(queue) >= _SCREEN_CHUNK:
+            self._score(queue)
+            queue.clear()
+
+    def _score(self, queue) -> None:
+        scores = _chunk_scores([p for p, _ in queue], [len(s) for _, s in queue])
+        finite = [g for g in scores if math.isfinite(g)]
+        if finite:
+            g_lo, g_hi = min(self.g_lo, min(finite)), max(self.g_hi, max(finite))
+            if (g_lo, g_hi) != (self.g_lo, self.g_hi):
+                self.g_lo, self.g_hi = g_lo, g_hi
+                self.near = [c for c in self.near if _near_extreme(c[0], g_lo, g_hi)]
+        self.near.extend(
+            (g, steps[0][0], tuple(e for _, e in steps))
+            for g, (_, steps) in zip(scores, queue)
+            if _near_extreme(g, self.g_lo, self.g_hi)
+        )
+
+    def candidates(self) -> list[tuple[int, tuple[int, ...]]]:
+        """Score what is queued; the (start, edges) near the final extremes, sorted."""
+        for queue in self.queues.values():
+            if queue:
+                self._score(queue)
+        self.queues.clear()
+        return sorted((start, edges) for _, start, edges in self.near)
 
 
 def _witness(certified, attains) -> CycleWitness:
@@ -381,20 +466,31 @@ def essential_interval_bounds(
     Cycles that fail the filter are counted and sampled in `excluded`, not
     included; `cycle_count` counts the included ones.
 
-    Each included cycle is screened in floats: its score g = ln sp / n
-    (n edges) is read off the float product of its edge matrices, and the
-    rate is -g / |ln rho|.  Only the cycles whose g lies within the
-    relative `_SCREEN_MARGIN` of the least or greatest score, and those
-    whose g is not finite (a product that under- or overflows, or a
-    failed eigensolver), get an exact product, a certified spectral radius
-    and a certified rate; `certified_count` counts them.  This is sound:
-    every realizable cycle's rate is a local dimension at a truly
-    essential point, so the rates of any subset of the cycles bound the
-    interval from inside.  The margin also keeps the bounds that certifying
-    every cycle gives: float products and eigenvalues err by about 1e-15
-    relative, and the certified rate enclosures are at most about 2e-11
-    wide on the suite systems, so every cycle whose enclosure could reach
-    an extreme of the certified rates scores far inside the margin.
+    Each included cycle is screened in floats (`_CycleScreen`): its score
+    g = ln sp / n (n edges) is read off the float product of its edge
+    matrices, and the rate is -g / |ln rho|.  A product is formed from the
+    prefix products of the last screened walk, left to right, so it is the
+    same float matrix as one formed from scratch; consecutive Lyndon walks
+    share long prefixes.  Products are queued per shape and scored
+    `_SCREEN_CHUNK` at a time by one `numpy.linalg.eigvals` call on the
+    stack; a product with a non-finite entry scores nan without it, and a
+    chunk whose call raises `LinAlgError` scores nan throughout.  Only the
+    cycles whose g lies within the relative `_SCREEN_MARGIN` of the least
+    or greatest score, and those whose g is not finite (a product that
+    under- or overflows, or a failed eigensolver), get an exact product, a
+    certified spectral radius and a certified rate; `certified_count`
+    counts them.  The margin test only tightens as the extremes move out,
+    so the screen keeps the cycles near the extremes seen so far, drops
+    those the new extremes leave behind after each chunk, and ends with
+    exactly the cycles near the final extremes, whatever the chunk size.
+    This is sound: every realizable cycle's rate is a local dimension at a
+    truly essential point, so the rates of any subset of the cycles bound
+    the interval from inside.  The margin also keeps the bounds that
+    certifying every cycle gives: float products and eigenvalues err by
+    about 1e-15 relative, and the certified rate enclosures are at most
+    about 2e-11 wide on the suite systems, so every cycle whose enclosure
+    could reach an extreme of the certified rates scores far inside the
+    margin.
     The candidates are certified in (start, edges) order, so
     `MatrixTable.cycle_matrix` reuses the product of each shared prefix,
     and one spectral radius and rate serve all cycles with the same
@@ -426,7 +522,7 @@ def essential_interval_bounds(
     outer_hi = _rate(p_min, p_min, 1, den1)
 
     cycle_count = 0
-    near: list[tuple[float, int, tuple[int, ...]]] = []
+    candidates: list[tuple[int, tuple[int, ...]]] = []
     excluded: list[tuple] = []
     excluded_count = 0
     if inner:
@@ -437,42 +533,34 @@ def essential_interval_bounds(
         by_centre: dict[int, list[int]] = {}
         for nid, key in enumerate(diagram.keys):
             by_centre.setdefault(key[1], []).append(nid)
-        floats: dict = {}
-        g_lo, g_hi = math.inf, -math.inf
-        kept = 0
-        for start in essential:
-            for steps in _lyndon_cycles(children, start, cycle_budget):
-                recs = [children[f] for f, _ in steps]
-                if all(_step_is_leftmost(r, e) for r, (_, e) in zip(recs, steps)):
-                    reason = "all_leftmost"
-                elif all(_step_is_rightmost(r, e) for r, (_, e) in zip(recs, steps)):
-                    reason = "all_rightmost"
-                elif not _cycle_realizable(diagram, by_centre, steps):
-                    reason = "flank_limit_not_essential"
-                else:
-                    reason = None
-                if reason is not None:
-                    excluded_count += 1
-                    if len(excluded) < 50:
-                        excluded.append((steps, reason))
-                    continue
-                cycle_count += 1
-                g = _cycle_score(floats, table, steps)
-                if math.isfinite(g):
-                    g_lo, g_hi = min(g_lo, g), max(g_hi, g)
-                if _near_extreme(g, g_lo, g_hi):
-                    near.append((g, start, tuple(e for _, e in steps)))
-                    # drop the candidates that later extremes left behind
-                    if len(near) > 2 * kept + 64:
-                        near = [c for c in near if _near_extreme(c[0], g_lo, g_hi)]
-                        kept = len(near)
-        near = [c for c in near if _near_extreme(c[0], g_lo, g_hi)]
+        screen = _CycleScreen(table)
+        # inf * 0 in a product that overflows is nan: it scores nan, and is certified
+        with numpy.errstate(over="ignore", invalid="ignore"):
+            for start in essential:
+                for steps in _lyndon_cycles(children, start, cycle_budget):
+                    recs = [children[f] for f, _ in steps]
+                    if all(_step_is_leftmost(r, e) for r, (_, e) in zip(recs, steps)):
+                        reason = "all_leftmost"
+                    elif all(_step_is_rightmost(r, e) for r, (_, e) in zip(recs, steps)):
+                        reason = "all_rightmost"
+                    elif not _cycle_realizable(diagram, by_centre, steps):
+                        reason = "flank_limit_not_essential"
+                    else:
+                        reason = None
+                    if reason is not None:
+                        excluded_count += 1
+                        if len(excluded) < 50:
+                            excluded.append((steps, reason))
+                        continue
+                    cycle_count += 1
+                    screen.add(steps)
+            candidates = screen.candidates()
 
     loose = Fraction(1, 10**9)
     certified: list[CycleWitness] = []
     # the rate and positivity of a cycle depend only on its product and length
     certificates: dict[tuple[TransitionMatrix, int], tuple[Certified, bool]] = {}
-    for start, edges in sorted((start, edges) for _, start, edges in near):
+    for start, edges in candidates:
         product = table.cycle_matrix(start, edges)
         key = (product, len(edges))
         cert = certificates.get(key)

@@ -54,6 +54,16 @@ class TransitionMatrix:
         self._hash = None
         self._integer = None
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "TransitionMatrix":
+        """A matrix on `rows` as they are: nonempty, rectangular tuples of
+        nonnegative `Fraction`s, which `__init__` would only copy and check."""
+        matrix = cls.__new__(cls)
+        matrix.rows = rows
+        matrix._hash = None
+        matrix._integer = None
+        return matrix
+
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.rows[0])
@@ -83,7 +93,8 @@ class TransitionMatrix:
 
         With A = a / da and B = b / db for integer matrices a and b, entry
         (i, j) of AB is (a b)_ij / (da db): an integer dot product and one
-        reduced `Fraction` per entry.
+        reduced `Fraction` per entry.  Those entries are nonnegative and
+        the shape is the operands', so the result skips `__init__`'s checks.
         """
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
@@ -91,11 +102,11 @@ class TransitionMatrix:
         db, b = other._integer_form()
         den = da * db
         cols = list(zip(*b))
-        return TransitionMatrix(
-            [
-                [Fraction(sum(map(operator.mul, row, col)), den) for col in cols]
+        return TransitionMatrix._trusted(
+            tuple(
+                tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols)
                 for row in a
-            ]
+            )
         )
 
     @staticmethod

@@ -70,11 +70,15 @@ def ln_fraction(q) -> float:
 
 
 def safe_float(q: Fraction) -> float:
-    """float(q), through the logarithm when the direct conversion overflows."""
+    """float(q), through the logarithm when the direct conversion overflows;
+    +-inf when |q| is beyond the float range."""
     try:
         return float(q)
     except OverflowError:
-        mag = math.exp(ln_fraction(abs(q)))
+        try:
+            mag = math.exp(ln_fraction(abs(q)))
+        except OverflowError:
+            mag = math.inf
         return mag if q > 0 else -mag
 
 
@@ -204,6 +208,9 @@ def _rational_dominant_root(block, lo, hi):
     # root of a monic integer polynomial, hence an integer
     scale = math.lcm(*(x.denominator for row in block for x in row))
     mid = safe_float((lo + hi) / 2)
+    if math.isinf(mid):
+        # no float candidate beyond the float range; the enclosure stands
+        return None
     seen = set()
     for cap in _CANDIDATE_CAPS:
         r = Fraction(mid).limit_denominator(cap)

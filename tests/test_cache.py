@@ -110,6 +110,47 @@ def test_reduced_id_out_of_range_raises(
         load_structure(str(path), six_map_quarter)
 
 
+def _first_child(payload):
+    return next(e for e in payload["reduced"] if e["children"])["children"][0]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        pytest.param(lambda p: _first_child(p).pop("gap_before"), id="missing-key"),
+        pytest.param(lambda p: _first_child(p).update(child="0"), id="child-as-text"),
+        pytest.param(lambda p: _first_child(p).update(child=1.0), id="child-as-float"),
+        pytest.param(lambda p: _first_child(p).update(abuts_left=1), id="flag-as-int"),
+        pytest.param(lambda p: _first_child(p).update(offset=5), id="offset-not-a-list"),
+        pytest.param(lambda p: _first_child(p).update(offset=["x"]), id="offset-not-a-number"),
+        pytest.param(lambda p: _first_child(p).update(offset=["1/0"]), id="offset-over-0"),
+        pytest.param(lambda p: p.update(root_full=0.0), id="root-as-float"),
+        pytest.param(lambda p: p["fulls"][1].__setitem__(0, True), id="reduced-id-as-bool"),
+        pytest.param(lambda p: p["reduced"][0].pop("children"), id="missing-children"),
+        pytest.param(lambda p: p["reduced"][0].update(level="0"), id="level-as-text"),
+        pytest.param(lambda p: p["fulls"][1].__setitem__(1, None), id="sibling-as-null"),
+        pytest.param(lambda p: p.update(saturated=0), id="saturated-as-int"),
+        pytest.param(lambda p: p.update(levels_explored="many"), id="depth-as-text"),
+    ],
+)
+def test_malformed_record_raises(tmp_path, six_map_quarter, six_map_quarter_structure, spoil):
+    path = tmp_path / "cache.json"
+    save_structure(str(path), six_map_quarter_structure)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    spoil(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CacheError):
+        load_structure(str(path), six_map_quarter)
+
+
+@pytest.mark.parametrize("payload", [[], "text"])
+def test_malformed_payload_raises(tmp_path, six_map_quarter, payload):
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CacheError):
+        load_structure(str(path), six_map_quarter)
+
+
 def test_corrupted_file_raises(tmp_path, six_map_quarter):
     path = tmp_path / "cache.json"
     path.write_text("{ not json", encoding="utf-8")

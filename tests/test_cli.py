@@ -448,6 +448,25 @@ def test_cache_with_bad_reduced_id_is_replaced(cfgdir, capsys, tmp_path, bad_id)
     assert captured.out == fresh
 
 
+def test_cache_with_a_child_record_missing_a_key_is_replaced(cfgdir, capsys, tmp_path):
+    cache = tmp_path / "structure.json"
+    config_path = str(cfgdir / "six.cfg")
+    assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cache.read_text(encoding="utf-8"))
+    entry = next(e for e in payload["reduced"] if e["children"])
+    del entry["children"][0]["gap_before"]
+    cache.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["report", "--config", config_path, "--cycle-budget", "2"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert "cache unusable" in captured.err
+    assert "wrote structure cache" in captured.err
+    assert captured.out == fresh
+
+
 def test_stale_cache_is_replaced(cfgdir, capsys, tmp_path):
     cache = str(tmp_path / "structure.json")
     assert main(["explore", "--config", str(cfgdir / "six.cfg"), "--cache", cache]) == 0

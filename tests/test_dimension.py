@@ -364,6 +364,47 @@ def test_float_screen_matches_certifying_every_cycle(request, name):
         assert (bounds.certified_count > 0) == (bounds.cycle_count > 0)
 
 
+@pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8"])
+def test_screen_does_not_depend_on_the_chunk_size(request, monkeypatch, name):
+    structure = request.getfixturevalue(name)
+    if name == "convolution_3_8":
+        structure = explore(structure)
+    dec, table = parts_of(structure)
+    diagram = build_triple_diagram(structure, dec)
+    budget = LYNDON_BUDGETS.get(name, 6)
+    results = []
+    for chunk in (1, 7, dimension._SCREEN_CHUNK):
+        with monkeypatch.context() as patch:
+            patch.setattr(dimension, "_SCREEN_CHUNK", chunk)
+            bounds = essential_interval_bounds(structure, dec, table, diagram, budget)
+        results.append(
+            [getattr(bounds, field) for field in SCREENED_FIELDS + ("certified_count",)]
+        )
+    assert results[0] == results[1] == results[2]
+
+
+def test_screen_calls_eigvals_once_per_chunk(monkeypatch, gap_system_structure):
+    structure = gap_system_structure
+    dec, table = parts_of(structure)
+    diagram = build_triple_diagram(structure, dec)
+    eigvals = numpy.linalg.eigvals
+    calls = []
+
+    def counting_eigvals(a):
+        calls.append(numpy.shape(a))
+        return eigvals(a)
+
+    chunk = 7
+    monkeypatch.setattr(dimension, "_SCREEN_CHUNK", chunk)
+    monkeypatch.setattr(numpy.linalg, "eigvals", counting_eigvals)
+    bounds = essential_interval_bounds(structure, dec, table, diagram, 5)
+    shapes = {len(structure.neighbours_of_full(fid)) for fid in dec.essential}
+    assert bounds.cycle_count > 10 * chunk
+    assert len(calls) <= math.ceil(bounds.cycle_count / chunk) + len(shapes)
+    assert sum(shape[0] for shape in calls) == bounds.cycle_count
+    assert all(len(shape) == 3 and shape[0] <= chunk for shape in calls)
+
+
 def test_cycle_whose_float_product_underflows_is_certified(golden_third_structure):
     structure = golden_third_structure
     dec, table = parts_of(structure)
@@ -385,13 +426,50 @@ def test_cycle_whose_float_product_underflows_is_certified(golden_third_structur
     assert bounds.max_witness.rate.lo > 100 * plain.inner_hi.hi
 
 
+def test_cycle_whose_float_product_overflows_is_certified(golden_third_structure):
+    structure = golden_third_structure
+    dec, table = parts_of(structure)
+    plain = essential_interval_bounds(structure, dec, table, cycle_budget=4)
+    start, edge = plain.max_witness.start, plain.max_witness.edges[0]
+    rid = structure.reduced_of(start)
+    huge = Fraction(10**400)
+    # every product through this edge holds inf in floats, so its score is not finite
+    table = MatrixTable(structure)
+    table._by_edge[(rid, edge)] = TransitionMatrix(
+        [[x * huge for x in row] for row in edge_matrix(structure, rid, edge).rows]
+    )
+    diagram = build_triple_diagram(structure, dec)
+    bounds = essential_interval_bounds(structure, dec, table, diagram, 4)
+    reference = reference_inner_bounds(structure, dec, table, diagram, 4)
+    for field in SCREENED_FIELDS:
+        assert getattr(bounds, field) == reference[field], field
+    # only a cycle through the huge edge has a negative rate
+    assert bounds.min_witness.rate.hi < 0 < plain.inner_lo.lo
+
+
 def test_screen_certifies_every_cycle_when_the_eigensolver_fails(
     monkeypatch, cantor_3_4_skewed_structure
 ):
     structure = cantor_3_4_skewed_structure
     monkeypatch.setattr(
-        numpy.linalg, "eigvals", lambda a: numpy.full(len(a), numpy.nan)
+        numpy.linalg, "eigvals", lambda a: numpy.full(numpy.shape(a)[:-1], numpy.nan)
     )
+    bounds, reference = screened_and_reference(structure, 4)
+    assert bounds.cycle_count > 3
+    assert bounds.certified_count == bounds.cycle_count
+    for field in SCREENED_FIELDS:
+        assert getattr(bounds, field) == reference[field], field
+
+
+def test_screen_certifies_every_cycle_when_eigvals_raises(
+    monkeypatch, cantor_3_4_skewed_structure
+):
+    structure = cantor_3_4_skewed_structure
+
+    def failing_eigvals(a):
+        raise numpy.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(numpy.linalg, "eigvals", failing_eigvals)
     bounds, reference = screened_and_reference(structure, 4)
     assert bounds.cycle_count > 3
     assert bounds.certified_count == bounds.cycle_count
@@ -444,7 +522,7 @@ def test_equal_products_of_different_lengths_get_their_own_rates(
             table._by_edge[(rid, rec.edge_index)] = TransitionMatrix([[w] * cols] * rows)
     # certify every cycle
     monkeypatch.setattr(
-        numpy.linalg, "eigvals", lambda a: numpy.full(len(a), numpy.nan)
+        numpy.linalg, "eigvals", lambda a: numpy.full(numpy.shape(a)[:-1], numpy.nan)
     )
     diagram = build_triple_diagram(structure, dec)
     bounds = essential_interval_bounds(structure, dec, table, diagram, 6)
