@@ -33,11 +33,19 @@ def _coeffs_in(ctx, raw, decoded: dict) -> "FieldElement":
 
     A table repeats few distinct coefficient lists (59 among the 26,760 of
     x/3 + {0, 2/87, 2/3}); `decoded` maps each list, as a tuple, to its
-    element.  Elements are immutable, so sharing one is safe.
+    element.  Elements are immutable, so sharing one is safe.  Anything
+    but a list of one string per field coefficient is a CacheError: a
+    string would pass as the list of its characters, `Fraction` takes a
+    float as its binary value, and `ctx.element` pads a short list.  Only
+    such lists enter `decoded`, so its hits need no item check.
     """
+    if type(raw) is not list:
+        raise CacheError(f"cache coefficients are not a list: {raw!r}")
     key = tuple(raw)
     element = decoded.get(key)
     if element is None:
+        if len(raw) != ctx.degree or not all(type(c) is str for c in raw):
+            raise CacheError(f"cache coefficients are not {ctx.degree} strings: {raw!r}")
         element = decoded[key] = ctx.element([Fraction(c) for c in raw])
     return element
 

@@ -209,7 +209,7 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
         _print_local_dim(payload["local_dimension"])
         # the isolation verdict only needs the outer interval and the
         # column-sum extremes, so skip the walk enumeration
-        bounds = essential_interval_bounds(structure, dec, table, diagram, inner=False)
+        bounds = essential_interval_bounds(structure, dec, table, inner=False)
         isolated, reason, family_bound = isolation_verdict(structure, bounds, x, result)
         if isolated:
             if reason == "outside_outer":

@@ -7,6 +7,8 @@ local dimensions attained at truly essential points, a crude slope
 estimator along arbitrary symbolic paths, the isolation verdict for a
 local dimension (with family bounds at the hull endpoints), and two
 structural diagnostics (equal column sums, Pisot reciprocal ratio).
+The inner bounds need no triple diagram (see `essential_interval_bounds`);
+only the slope estimator reads one.
 
 Numbers are reported as a float `value` plus rational certified bounds.
 Every dimension is a rate -ln(q) / (n |ln rho|) of a mass factor q per n
@@ -33,7 +35,7 @@ import numpy
 from .classes import (
     ClassDecomposition,
     TripleDiagram,
-    build_triple_diagram,
+    build_triple_diagram,  # unused here; perfbench/tracer.py wraps this binding
     decompose,
     essential_incidence,
     positive_row_check,
@@ -279,23 +281,6 @@ class EssentialBounds:
     cycle_budget: int
 
 
-def _step_is_leftmost(records, edge: int) -> bool:
-    return edge == 0 and records[edge].abuts_left
-
-
-def _step_is_rightmost(records, edge: int) -> bool:
-    return edge == len(records) - 1 and records[edge].abuts_right
-
-
-def _cycle_realizable(diagram: TripleDiagram, by_centre, steps) -> bool:
-    """Does some point with this cyclic tail have all flank limits essential?"""
-    edges = [e for _, e in steps]
-    return any(
-        diagram.cycle_limit(nid, edges) in diagram.essential
-        for nid in by_centre.get(steps[0][0], ())
-    )
-
-
 def _lyndon_cycles(children, start: int, budget: int):
     """Closed walks from `start` of at most `budget` steps, one per cycle.
 
@@ -451,7 +436,6 @@ def essential_interval_bounds(
     structure: FiniteTypeStructure,
     dec: ClassDecomposition,
     table: MatrixTable,
-    diagram: TripleDiagram | None = None,
     cycle_budget: int = 8,
     inner: bool = True,
 ) -> EssentialBounds:
@@ -460,11 +444,20 @@ def essential_interval_bounds(
     Outer: [|log P_max|, |log P_min|] / |log rho| with P_max and P_min the
     extreme column sums over the transition matrices of the essential class.
     Inner: the min and max certified rate over the cycles of the class of
-    at most `cycle_budget` edges whose descent pattern is realizable at a
-    truly essential point.  `_lyndon_cycles` yields each primitive cycle
-    once, as its least rotation, so no rotation or power is tested twice.
-    Cycles that fail the filter are counted and sampled in `excluded`, not
-    included; `cycle_count` counts the included ones.
+    at most `cycle_budget` edges, less two kinds.  `_lyndon_cycles` yields
+    each primitive cycle once, as its least rotation, so no rotation or
+    power is tested twice.  A cycle whose steps all go to a first child
+    that abuts its parent's left end (`all_leftmost`), or all to a last
+    child that abuts the right end (`all_rightmost`), repeats to the end
+    point of its net intervals; the mass on the other side of that point
+    also decides its local dimension, so the cycle's rate need not be it.
+    Those cycles are counted and sampled in `excluded`, not included;
+    `cycle_count` counts the included ones.  Every other cycle is
+    realized at a truly essential point, so no triple diagram is needed:
+    the centres of the triple diagram's closed class are exactly the
+    essential class (K. G. Hare, K. E. Hare and K. R. Matthews, J. Fractal
+    Geom. 3 (2016)), and repeating a cycle from a triple of that class
+    stays in it.
 
     Each included cycle is screened in floats (`_CycleScreen`): its score
     g = ln sp / n (n edges) is read off the float product of its edge
@@ -483,7 +476,7 @@ def essential_interval_bounds(
     so the screen keeps the cycles near the extremes seen so far, drops
     those the new extremes leave behind after each chunk, and ends with
     exactly the cycles near the final extremes, whatever the chunk size.
-    This is sound: every realizable cycle's rate is a local dimension at a
+    This is sound: every included cycle's rate is a local dimension at a
     truly essential point, so the rates of any subset of the cycles bound
     the interval from inside.  The margin also keeps the bounds that
     certifying every cycle gives: float products and eigenvalues err by
@@ -504,9 +497,8 @@ def essential_interval_bounds(
     midpoints.
 
     With `inner=False` the walk enumeration (whose cost grows quickly with
-    the budget on classes with many parallel edges) is skipped, no triple
-    diagram is built, and only the outer interval and the extreme column
-    sums are produced.
+    the budget on classes with many parallel edges) is skipped, and only
+    the outer interval and the extreme column sums are produced.
     """
     den1 = rho_log_enclosure(structure)
     p_max = None
@@ -526,34 +518,29 @@ def essential_interval_bounds(
     excluded: list[tuple] = []
     excluded_count = 0
     if inner:
-        if diagram is None:
-            diagram = build_triple_diagram(structure, dec)
         essential = sorted(dec.essential)
         children = {fid: structure.children_of_full(fid) for fid in essential}
-        by_centre: dict[int, list[int]] = {}
-        for nid, key in enumerate(diagram.keys):
-            by_centre.setdefault(key[1], []).append(nid)
+        # the steps onto a first child at the left end, resp. a last at the right
+        leftmost = {(f, 0) for f in essential if children[f][0].abuts_left}
+        rightmost = {
+            (f, len(children[f]) - 1) for f in essential if children[f][-1].abuts_right
+        }
         screen = _CycleScreen(table)
         # inf * 0 in a product that overflows is nan: it scores nan, and is certified
         with numpy.errstate(over="ignore", invalid="ignore"):
             for start in essential:
                 for steps in _lyndon_cycles(children, start, cycle_budget):
-                    recs = [children[f] for f, _ in steps]
-                    if all(_step_is_leftmost(r, e) for r, (_, e) in zip(recs, steps)):
+                    if leftmost.issuperset(steps):
                         reason = "all_leftmost"
-                    elif all(_step_is_rightmost(r, e) for r, (_, e) in zip(recs, steps)):
+                    elif rightmost.issuperset(steps):
                         reason = "all_rightmost"
-                    elif not _cycle_realizable(diagram, by_centre, steps):
-                        reason = "flank_limit_not_essential"
                     else:
-                        reason = None
-                    if reason is not None:
-                        excluded_count += 1
-                        if len(excluded) < 50:
-                            excluded.append((steps, reason))
+                        cycle_count += 1
+                        screen.add(steps)
                         continue
-                    cycle_count += 1
-                    screen.add(steps)
+                    excluded_count += 1
+                    if len(excluded) < 50:
+                        excluded.append((steps, reason))
             candidates = screen.candidates()
 
     loose = Fraction(1, 10**9)
@@ -892,9 +879,8 @@ def build_dimension_report(
     """
     dec = decompose(structure)
     table = MatrixTable(structure)
-    diagram = build_triple_diagram(structure, dec)
     hausdorff = hausdorff_dimension(structure, dec)
-    bounds = essential_interval_bounds(structure, dec, table, diagram, cycle_budget)
+    bounds = essential_interval_bounds(structure, dec, table, cycle_budget)
     rows = positive_row_check(structure, dec, table)
     sums = equal_column_sum_check(structure, dec, table, hausdorff)
     pisot = pisot_check_reciprocal(structure.system)

@@ -26,6 +26,7 @@ import dataclasses
 from fractions import Fraction
 
 from ifsdim import dimension
+from ifsdim.classes import build_triple_diagram
 from ifsdim.matrices import TransitionMatrix
 from ifsdim.spectral import spectral_radius
 
@@ -325,8 +326,16 @@ def reference_product(a, b):
     )
 
 
-def reference_inner_bounds(structure, dec, table, diagram, budget):
+def reference_inner_bounds(structure, dec, table, budget):
     """Inner bounds with an exact rate for every included cycle, no screen.
+
+    A cycle is excluded when every step's child record is the first child
+    and abuts the left end ("all_leftmost"), or every one is the last and
+    abuts the right end ("all_rightmost"), or when no triple over its
+    start vector repeats it to a truly essential limit, walked state by
+    state with `reference_cycle_limit` ("flank_limit_not_essential").  The
+    last test never fires on an essential cycle; keeping it here shows
+    that `essential_interval_bounds` loses nothing by leaving it out.
 
     Each cycle's product is formed with `reference_product` from the edge
     matrices that `table` hands out (`of_full_edge`, so a test may patch
@@ -338,21 +347,29 @@ def reference_inner_bounds(structure, dec, table, diagram, budget):
     `essential_interval_bounds` among all included cycles.
     """
     den = dimension.rho_log_enclosure(structure)
+    diagram = build_triple_diagram(structure, dec)
     essential = sorted(dec.essential)
     children = {fid: structure.children_of_full(fid) for fid in essential}
+    record = {(f, r.edge_index): r for f in essential for r in children[f]}
+    last = {f: max(r.edge_index for r in children[f]) for f in essential}
     by_centre = {}
     for nid, key in enumerate(diagram.keys):
         by_centre.setdefault(key[1], []).append(nid)
     included, excluded, excluded_count = [], [], 0
     for start in essential:
         for steps in dimension._lyndon_cycles(children, start, budget):
-            recs = [children[f] for f, _ in steps]
-            pairs = list(zip(recs, (e for _, e in steps)))
-            if all(dimension._step_is_leftmost(r, e) for r, e in pairs):
+            recs = [record[step] for step in steps]
+            edges = tuple(e for _, e in steps)
+            if all(r.edge_index == 0 and r.abuts_left for r in recs):
                 reason = "all_leftmost"
-            elif all(dimension._step_is_rightmost(r, e) for r, e in pairs):
+            elif all(
+                r.edge_index == last[f] and r.abuts_right for r, (f, _) in zip(recs, steps)
+            ):
                 reason = "all_rightmost"
-            elif not dimension._cycle_realizable(diagram, by_centre, steps):
+            elif not any(
+                reference_cycle_limit(diagram, nid, edges)[0]
+                for nid in by_centre.get(start, ())
+            ):
                 reason = "flank_limit_not_essential"
             else:
                 reason = None
@@ -361,7 +378,6 @@ def reference_inner_bounds(structure, dec, table, diagram, budget):
                 if len(excluded) < 50:
                     excluded.append((steps, reason))
                 continue
-            edges = tuple(e for _, e in steps)
             product = table.of_full_edge(*steps[0])
             for fid, e in steps[1:]:
                 product = reference_product(product, table.of_full_edge(fid, e))

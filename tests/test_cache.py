@@ -122,6 +122,9 @@ def _first_child(payload):
         pytest.param(lambda p: _first_child(p).update(child=1.0), id="child-as-float"),
         pytest.param(lambda p: _first_child(p).update(abuts_left=1), id="flag-as-int"),
         pytest.param(lambda p: _first_child(p).update(offset=5), id="offset-not-a-list"),
+        pytest.param(lambda p: _first_child(p).update(offset="0"), id="offset-as-text"),
+        pytest.param(lambda p: _first_child(p).update(offset=[0.5]), id="offset-as-float"),
+        pytest.param(lambda p: _first_child(p).update(offset=[]), id="offset-too-short"),
         pytest.param(lambda p: _first_child(p).update(offset=["x"]), id="offset-not-a-number"),
         pytest.param(lambda p: _first_child(p).update(offset=["1/0"]), id="offset-over-0"),
         pytest.param(lambda p: p.update(root_full=0.0), id="root-as-float"),

@@ -22,7 +22,6 @@ from ifsdim.classes import (
     strongly_connected_components,
 )
 from ifsdim.matrices import MatrixTable
-from ifsdim.dimension import _cycle_realizable
 from ifsdim.net import (
     NetStructureError,
     NotProvenFiniteTypeError,
@@ -525,25 +524,19 @@ def test_cycle_limit_matches_the_phase_trail(request):
     assert outcomes == set(ORACLE_CLASS)
 
 
-def test_cycle_realizable_matches_the_phase_trail(request):
-    # the walk filter of the inner bounds: some triple over the walk's first
-    # vector has a truly essential limit
-    seen = set()
-    for name in ALL_STRUCTURES:
-        s = request.getfixturevalue(name)
-        diagram = build_triple_diagram(s, decompose(s))
-        by_centre = {}
-        for nid, key in enumerate(diagram.keys):
-            by_centre.setdefault(key[1], []).append(nid)
-        for centre, nodes in by_centre.items():
-            for steps in _closed_walks(s, centre, 3):
-                cycle = [e for _, e in steps]
-                expected = any(
-                    reference_cycle_limit(diagram, nid, cycle)[0] for nid in nodes
-                )
-                assert _cycle_realizable(diagram, by_centre, steps) == expected
-                seen.add(expected)
-    assert seen == {True, False}
+@pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8", "table_87"])
+def test_essential_triples_sit_over_every_essential_vector(request, name):
+    # the lemma that lets the inner bounds skip the triple diagram: the
+    # closed triple class has exactly the essential vectors as centres, so
+    # every essential cycle repeats from some essential triple and stays there
+    s = request.getfixturevalue(name)
+    if not name.endswith("_structure"):
+        s = explore(s)
+    dec = decompose(s)
+    diagram = build_triple_diagram(s, dec)
+    assert {diagram.keys[n][1] for n in diagram.essential} == dec.essential
+    for nid in diagram.essential:
+        assert all(step.child in diagram.essential for step in diagram.edges[nid])
 
 
 # ---------------------------------------------------------------------------

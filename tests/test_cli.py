@@ -529,10 +529,10 @@ def test_tracer_wraps_the_cli_path(cfgdir, monkeypatch, capsys):
     assert cli.load_config is config.load_config
 
     # report and an endpoint pointdim: the paths the isolation verdict runs on
-    layers = {"classes.triple", "matrices.table", "dimension.bounds", "dimension.local_dim"}
-    for argv, scans in (
-        (["report", "--cycle-budget", "2"], 1),
-        (["pointdim", "--point", "0"], 0),
+    layers = {"matrices.table", "dimension.bounds", "dimension.local_dim"}
+    for argv, scans, triples in (
+        (["report", "--cycle-budget", "2"], 1, 0),
+        (["pointdim", "--point", "0"], 0, 1),
     ):
         tracer = Tracer()
         with tracer.installed():
@@ -541,4 +541,6 @@ def test_tracer_wraps_the_cli_path(cfgdir, monkeypatch, capsys):
         assert layers <= set(names), argv
         # pointdim judges the value it computed; only report scans both endpoints
         assert names.count("dimension.isolation") == scans, argv
+        # only pointdim reads a triple diagram, to classify its point
+        assert names.count("classes.triple") == triples, argv
     capsys.readouterr()

@@ -228,8 +228,19 @@ def test_gap_system_bounds_collapse_to_one(gap_system_structure):
         assert abs(certified.value - 1.0) < 1e-9
     assert bounds.cycle_count > 0
     assert bounds.excluded_count >= 2
-    reasons = {reason for _, reason in bounds.excluded}
-    assert reasons <= {"all_leftmost", "all_rightmost", "flank_limit_not_essential"}
+    assert_excluded_walks_hug_one_end(structure, bounds.excluded)
+
+
+def assert_excluded_walks_hug_one_end(structure, excluded):
+    """Each excluded walk only steps to first (resp. last) children at that end."""
+    for steps, reason in excluded:
+        assert reason in {"all_leftmost", "all_rightmost"}
+        for fid, e in steps:
+            records = structure.children_of_full(fid)
+            if reason == "all_leftmost":
+                assert e == 0 and records[e].abuts_left
+            else:
+                assert e == len(records) - 1 and records[e].abuts_right
 
 
 def test_skewed_cantor_inner_bound_touches_outer(cantor_3_4_skewed_structure):
@@ -267,16 +278,35 @@ def test_quadratic_bounds_and_two_cycle_minimum(quadratic_ninth_structure):
 def test_inner_bounds_widen_with_the_budget(cantor_3_4_skewed_structure):
     structure = cantor_3_4_skewed_structure
     dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
     previous = None
     for budget in (2, 3, 4, 5):
-        bounds = essential_interval_bounds(
-            structure, dec, table, diagram, cycle_budget=budget
-        )
+        bounds = essential_interval_bounds(structure, dec, table, cycle_budget=budget)
         if previous is not None:
             assert bounds.inner_lo.value <= previous.inner_lo.value + 1e-12
             assert bounds.inner_hi.value >= previous.inner_hi.value - 1e-12
         previous = bounds
+
+
+@pytest.mark.parametrize("end", ["left", "right"])
+def test_an_end_child_that_does_not_abut_its_end_is_included(
+    monkeypatch, gap_system_structure, end
+):
+    # with a gap at that end, repeating the child does not run to the end point
+    structure = gap_system_structure
+    dec, table = parts_of(structure)
+    before = essential_interval_bounds(structure, dec, table, cycle_budget=3)
+    reason = "all_%smost" % end
+    moved = sum(r == reason for _, r in before.excluded)
+    assert 0 < moved and before.excluded_count < 50
+    for rid in dec.essential_reduced:
+        records = list(structure.children_of_reduced(rid))
+        i = 0 if end == "left" else -1
+        records[i] = dataclasses.replace(records[i], **{"abuts_" + end: False})
+        monkeypatch.setattr(structure.reduced[rid], "children", records)
+    after = essential_interval_bounds(structure, dec, table, cycle_budget=3)
+    assert reason not in {r for _, r in after.excluded}
+    assert after.excluded_count == before.excluded_count - moved
+    assert after.cycle_count == before.cycle_count + moved
 
 
 def test_descent_filter_reports_rather_than_includes(eight_map_twelfths_structure):
@@ -284,8 +314,8 @@ def test_descent_filter_reports_rather_than_includes(eight_map_twelfths_structur
     dec, table = parts_of(structure)
     bounds = essential_interval_bounds(structure, dec, table, cycle_budget=3)
     assert bounds.excluded_count >= 2
-    for steps, reason in bounds.excluded:
-        assert reason in {"all_leftmost", "all_rightmost", "flank_limit_not_essential"}
+    assert_excluded_walks_hug_one_end(structure, bounds.excluded)
+    for steps, _ in bounds.excluded:
         assert all(fid in dec.essential for fid, _ in steps)
 
 
@@ -303,7 +333,6 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, monkeypatch,
     if name == "convolution_3_8":
         structure = explore(structure)
     dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
     essential = sorted(dec.essential)
     children = {fid: structure.children_of_full(fid) for fid in essential}
     for budget in range(1, LYNDON_BUDGETS.get(name, 6) + 1):
@@ -311,10 +340,10 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, monkeypatch,
             lyndon = list(dimension._lyndon_cycles(children, start, budget))
             assert len(set(lyndon)) == len(lyndon)
             assert set(lyndon) == set(reference_cycles(children, start, budget))
-        bounds = essential_interval_bounds(structure, dec, table, diagram, budget)
+        bounds = essential_interval_bounds(structure, dec, table, budget)
         with monkeypatch.context() as patch:
             patch.setattr(dimension, "_lyndon_cycles", reference_cycles)
-            reference = essential_interval_bounds(structure, dec, table, diagram, budget)
+            reference = essential_interval_bounds(structure, dec, table, budget)
         assert bounds.cycle_count == reference.cycle_count
         assert bounds.excluded_count == reference.excluded_count
         assert sorted(bounds.excluded) == sorted(reference.excluded)
@@ -346,9 +375,8 @@ SCREENED_FIELDS = (
 
 def screened_and_reference(structure, budget):
     dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
-    bounds = essential_interval_bounds(structure, dec, table, diagram, budget)
-    return bounds, reference_inner_bounds(structure, dec, table, diagram, budget)
+    bounds = essential_interval_bounds(structure, dec, table, budget)
+    return bounds, reference_inner_bounds(structure, dec, table, budget)
 
 
 @pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8"])
@@ -370,13 +398,12 @@ def test_screen_does_not_depend_on_the_chunk_size(request, monkeypatch, name):
     if name == "convolution_3_8":
         structure = explore(structure)
     dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
     budget = LYNDON_BUDGETS.get(name, 6)
     results = []
     for chunk in (1, 7, dimension._SCREEN_CHUNK):
         with monkeypatch.context() as patch:
             patch.setattr(dimension, "_SCREEN_CHUNK", chunk)
-            bounds = essential_interval_bounds(structure, dec, table, diagram, budget)
+            bounds = essential_interval_bounds(structure, dec, table, budget)
         results.append(
             [getattr(bounds, field) for field in SCREENED_FIELDS + ("certified_count",)]
         )
@@ -386,7 +413,6 @@ def test_screen_does_not_depend_on_the_chunk_size(request, monkeypatch, name):
 def test_screen_calls_eigvals_once_per_chunk(monkeypatch, gap_system_structure):
     structure = gap_system_structure
     dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
     eigvals = numpy.linalg.eigvals
     calls = []
 
@@ -397,7 +423,7 @@ def test_screen_calls_eigvals_once_per_chunk(monkeypatch, gap_system_structure):
     chunk = 7
     monkeypatch.setattr(dimension, "_SCREEN_CHUNK", chunk)
     monkeypatch.setattr(numpy.linalg, "eigvals", counting_eigvals)
-    bounds = essential_interval_bounds(structure, dec, table, diagram, 5)
+    bounds = essential_interval_bounds(structure, dec, table, 5)
     shapes = {len(structure.neighbours_of_full(fid)) for fid in dec.essential}
     assert bounds.cycle_count > 10 * chunk
     assert len(calls) <= math.ceil(bounds.cycle_count / chunk) + len(shapes)
@@ -417,9 +443,8 @@ def test_cycle_whose_float_product_underflows_is_certified(golden_third_structur
     table._by_edge[(rid, edge)] = TransitionMatrix(
         [[x * tiny for x in row] for row in edge_matrix(structure, rid, edge).rows]
     )
-    diagram = build_triple_diagram(structure, dec)
-    bounds = essential_interval_bounds(structure, dec, table, diagram, 4)
-    reference = reference_inner_bounds(structure, dec, table, diagram, 4)
+    bounds = essential_interval_bounds(structure, dec, table, 4)
+    reference = reference_inner_bounds(structure, dec, table, 4)
     for field in SCREENED_FIELDS:
         assert getattr(bounds, field) == reference[field], field
     # only a cycle through the tiny edge has so steep a rate
@@ -438,9 +463,8 @@ def test_cycle_whose_float_product_overflows_is_certified(golden_third_structure
     table._by_edge[(rid, edge)] = TransitionMatrix(
         [[x * huge for x in row] for row in edge_matrix(structure, rid, edge).rows]
     )
-    diagram = build_triple_diagram(structure, dec)
-    bounds = essential_interval_bounds(structure, dec, table, diagram, 4)
-    reference = reference_inner_bounds(structure, dec, table, diagram, 4)
+    bounds = essential_interval_bounds(structure, dec, table, 4)
+    reference = reference_inner_bounds(structure, dec, table, 4)
     for field in SCREENED_FIELDS:
         assert getattr(bounds, field) == reference[field], field
     # only a cycle through the huge edge has a negative rate
@@ -480,7 +504,6 @@ def test_screen_certifies_every_cycle_when_eigvals_raises(
 def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
     structure = gap_system_structure
     dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
     products, radii = [], []
     cycle_matrix = MatrixTable.cycle_matrix
 
@@ -496,11 +519,11 @@ def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
     with monkeypatch.context() as patch:
         patch.setattr(MatrixTable, "cycle_matrix", recording_cycle_matrix)
         patch.setattr(dimension, "spectral_radius", counting_spectral_radius)
-        bounds = essential_interval_bounds(structure, dec, table, diagram, 5)
+        bounds = essential_interval_bounds(structure, dec, table, 5)
     # every rate here is equal, so every cycle is certified
     assert bounds.certified_count == bounds.cycle_count == len(products)
     assert len(radii) == len(set(products)) < len(products)
-    reference = reference_inner_bounds(structure, dec, table, diagram, 5)
+    reference = reference_inner_bounds(structure, dec, table, 5)
     for field in SCREENED_FIELDS:
         assert getattr(bounds, field) == reference[field], field
 
@@ -524,9 +547,8 @@ def test_equal_products_of_different_lengths_get_their_own_rates(
     monkeypatch.setattr(
         numpy.linalg, "eigvals", lambda a: numpy.full(numpy.shape(a)[:-1], numpy.nan)
     )
-    diagram = build_triple_diagram(structure, dec)
-    bounds = essential_interval_bounds(structure, dec, table, diagram, 6)
-    reference = reference_inner_bounds(structure, dec, table, diagram, 6)
+    bounds = essential_interval_bounds(structure, dec, table, 6)
+    reference = reference_inner_bounds(structure, dec, table, 6)
     assert bounds.certified_count == bounds.cycle_count
     assert bounds.inner_lo.hi < bounds.inner_hi.lo
     for field in SCREENED_FIELDS:
