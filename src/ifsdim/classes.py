@@ -7,6 +7,10 @@ that one (the essential class) absorbs every sufficiently deep descent.
 Triples track a net interval together with its two adjacent net intervals
 (or a gap marker), which is what distinguishes points that are merely in
 essential intervals from points whose whole neighbourhood is essential.
+The triple diagram is expanded on demand, so classifying one point builds
+only the triples along its walk: the closed triple class sits over exactly
+the essential vectors, so a triple over any other centre is outside it, and
+otherwise the closed class is read off the forward closure of the triple.
 """
 
 from __future__ import annotations
@@ -315,17 +319,49 @@ TripleKey = tuple  # (left fid | None, centre fid, right fid | None)
 
 
 class TripleDiagram:
-    """Closure of (gap, hull, gap) under adjacency-aware subdivision."""
+    """Closure of (gap, hull, gap) under adjacency-aware subdivision.
 
-    def __init__(self, structure: FiniteTypeStructure, dec: ClassDecomposition):
+    Nodes are created on demand: `out_edges` expands a node the first time
+    its edges are read, and `walk` and `cycle_limit` read edges through it,
+    so a diagram made with `expand=False` holds only the root and the nodes
+    its callers' walks have visited.  With `expand=True` the constructor
+    expands the whole diagram in FIFO order from the root and sets `sccs`,
+    `scc_of`, `loop_classes` and `essential` (the closed triple class) for
+    all of it.
+
+    `is_essential` decides membership in the closed triple class on either
+    kind of diagram.  The centres of the closed class are exactly the
+    essential vectors, so a node over a non-essential centre is outside it.
+    A node over an essential centre reaches the closed class, and its
+    forward closure stays over essential centres; the unique closed class
+    of that closure is the closed class of the whole diagram (a closed set
+    of the closure is closed in the whole graph), so it is computed once
+    and kept.
+    """
+
+    def __init__(
+        self,
+        structure: FiniteTypeStructure,
+        dec: ClassDecomposition,
+        expand: bool = True,
+    ):
         self.structure = structure
         self.decomposition = dec
         self.keys: list[TripleKey] = []
         self.index: dict[TripleKey, int] = {}
         self.edges: list[list[TripleEdge] | None] = []
+        self._closed: set[int] | None = None
         self.root = self._node((None, structure.root_full, None))
-        self._build()
-        self._classify()
+        if expand:
+            cursor = 0
+            while cursor < len(self.keys):
+                self.out_edges(cursor)
+                cursor += 1
+            nodes = list(range(len(self.keys)))
+            self.sccs, self.scc_of, self.loop_classes, self.essential = (
+                self._closed_classes(nodes)
+            )
+            self._closed = self.essential
 
     def _node(self, key: TripleKey) -> int:
         nid = self.index.get(key)
@@ -336,61 +372,78 @@ class TripleDiagram:
             self.edges.append(None)
         return nid
 
-    def _build(self):
+    def out_edges(self, nid: int) -> list[TripleEdge]:
+        """The descent steps of node `nid`, expanding it on first use."""
+        out = self.edges[nid]
+        if out is not None:
+            return out
         structure = self.structure
-        cursor = 0
-        while cursor < len(self.keys):
-            nid = cursor
-            cursor += 1
-            if self.edges[nid] is not None:
-                continue
-            left, centre, right = self.keys[nid]
-            records = structure.children_of_full(centre)
-            out = []
-            for i, rec in enumerate(records):
-                if i > 0 and not rec.gap_before:
-                    new_left = records[i - 1].child
-                    left_rule = ("sibling", i - 1)
-                elif rec.abuts_left and left is not None:
-                    flank = structure.children_of_full(left)[-1]
-                    if flank.abuts_right:
-                        new_left = flank.child
-                        left_rule = ("flank", flank.edge_index)
-                    else:
-                        new_left, left_rule = None, ("x",)
+        left, centre, right = self.keys[nid]
+        records = structure.children_of_full(centre)
+        out = []
+        for i, rec in enumerate(records):
+            if i > 0 and not rec.gap_before:
+                new_left = records[i - 1].child
+                left_rule = ("sibling", i - 1)
+            elif rec.abuts_left and left is not None:
+                flank = structure.children_of_full(left)[-1]
+                if flank.abuts_right:
+                    new_left = flank.child
+                    left_rule = ("flank", flank.edge_index)
                 else:
                     new_left, left_rule = None, ("x",)
-                if i + 1 < len(records) and not records[i + 1].gap_before:
-                    new_right = records[i + 1].child
-                    right_rule = ("sibling", i + 1)
-                elif rec.abuts_right and right is not None:
-                    flank = structure.children_of_full(right)[0]
-                    if flank.abuts_left:
-                        new_right = flank.child
-                        right_rule = ("flank", 0)
-                    else:
-                        new_right, right_rule = None, ("x",)
+            else:
+                new_left, left_rule = None, ("x",)
+            if i + 1 < len(records) and not records[i + 1].gap_before:
+                new_right = records[i + 1].child
+                right_rule = ("sibling", i + 1)
+            elif rec.abuts_right and right is not None:
+                flank = structure.children_of_full(right)[0]
+                if flank.abuts_left:
+                    new_right = flank.child
+                    right_rule = ("flank", 0)
                 else:
                     new_right, right_rule = None, ("x",)
-                child = self._node((new_left, rec.child, new_right))
-                out.append(
-                    TripleEdge(
-                        child,
-                        i,
-                        rec.abuts_left,
-                        rec.abuts_right,
-                        left_rule,
-                        right_rule,
-                    )
+            else:
+                new_right, right_rule = None, ("x",)
+            child = self._node((new_left, rec.child, new_right))
+            out.append(
+                TripleEdge(
+                    child,
+                    i,
+                    rec.abuts_left,
+                    rec.abuts_right,
+                    left_rule,
+                    right_rule,
                 )
-            self.edges[nid] = out
+            )
+        self.edges[nid] = out
+        return out
 
-    def _classify(self):
-        n = len(self.keys)
-        adjacency = [[e.child for e in self.edges[v]] for v in range(n)]
-        self.sccs, self.scc_of, self.loop_classes, self.essential = closed_classes(
-            n, lambda v: adjacency[v], "triple"
-        )
+    def _closed_classes(self, nodes: list[int]):
+        """`closed_classes` over `nodes`, a set closed under descent.
+
+        Vertex i of the result stands for node `nodes[i]`.
+        """
+        local = {nid: i for i, nid in enumerate(nodes)}
+        adjacency = [[local[e.child] for e in self.edges[v]] for v in nodes]
+        return closed_classes(len(nodes), adjacency.__getitem__, "triple")
+
+    def is_essential(self, nid: int) -> bool:
+        """Whether node `nid` lies in the closed (essential) triple class."""
+        if self.keys[nid][1] not in self.decomposition.essential:
+            return False
+        if self._closed is None:
+            closure = [nid]
+            seen = {nid}
+            for v in closure:
+                for step in self.out_edges(v):
+                    if step.child not in seen:
+                        seen.add(step.child)
+                        closure.append(step.child)
+            closed = self._closed_classes(closure)[3]
+            self._closed = {closure[i] for i in closed}
+        return nid in self._closed
 
     # -- views ------------------------------------------------------------
 
@@ -407,7 +460,7 @@ class TripleDiagram:
     def walk(self, edges: Sequence[int], start: int | None = None) -> int:
         nid = self.root if start is None else start
         for e in edges:
-            nid = self.edges[nid][e].child
+            nid = self.out_edges(nid)[e].child
         return nid
 
     def cycle_limit(self, nid: int, cycle: Sequence[int]) -> int:
@@ -425,9 +478,10 @@ class TripleDiagram:
 
 
 def build_triple_diagram(
-    structure: FiniteTypeStructure, dec: ClassDecomposition
+    structure: FiniteTypeStructure, dec: ClassDecomposition, *, expand: bool = True
 ) -> TripleDiagram:
-    return TripleDiagram(structure, dec)
+    """The triple diagram; `expand=False` leaves it to expand on demand."""
+    return TripleDiagram(structure, dec, expand)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +522,11 @@ def classify_truly_essential(diagram: TripleDiagram, location) -> str:
     points whose vectors stay outside the essential class are not essential
     at all.  Returns a needs-more-depth signal when the supplied location
     is too shallow to decide.
+
+    Boundary points never read the diagram, and interior points expand only
+    the triples of their walk (plus, once per diagram, the few essential
+    triples that `TripleDiagram.is_essential` needs), so `diagram` may be
+    an unexpanded one.
     """
     structure = diagram.structure
     dec = diagram.decomposition
@@ -504,14 +563,14 @@ def classify_truly_essential(diagram: TripleDiagram, location) -> str:
     rep = reps[0]
     if rep.cycle is None:
         node = diagram.walk(rep.edges)
-        if node in diagram.essential:
+        if diagram.is_essential(node):
             return INTERIOR_ESSENTIAL
         return NEEDS_MORE_DEPTH
     start, period = rep.cycle
     node = diagram.cycle_limit(
         diagram.walk(rep.edges[:start]), rep.edges[start:start + period]
     )
-    if node in diagram.essential:
+    if diagram.is_essential(node):
         return INTERIOR_ESSENTIAL
     if diagram.keys[node][1] in dec.essential:
         return ESSENTIAL_NOT_TRULY
@@ -520,7 +579,9 @@ def classify_truly_essential(diagram: TripleDiagram, location) -> str:
 
 def essential_not_truly_witness(diagram: TripleDiagram):
     """An adjacent pair witnessing a boundary point that is essential on one
-    side only, or None when no such configuration is reachable."""
+    side only, or None when no such configuration is reachable.
+
+    Reads the nodes `diagram` holds, so pass a fully expanded one."""
     structure = diagram.structure
     dec = diagram.decomposition
     cache: dict = {}

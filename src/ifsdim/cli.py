@@ -186,7 +186,9 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
     x = _parse_point(args.point, system)
     location = locate_point(structure, x, depth=args.depth)
     dec = decompose(structure)
-    diagram = build_triple_diagram(structure, dec)
+    # expanded on demand: the classification and the slope walk read only
+    # the triples along the point's walk
+    diagram = build_triple_diagram(structure, dec, expand=False)
     classification = classify_truly_essential(diagram, location)
     print("point %s" % args.point)
     print("boundary point: %s" % ("yes" if location.boundary else "no"))

@@ -630,7 +630,7 @@ def local_dim_estimate(
     out = []
     for n, e in enumerate(edges, start=1):
         key = diagram.keys[nid]
-        step = diagram.edges[nid][e]
+        step = diagram.out_edges(nid)[e]
         centre_rid = structure.reduced_of(key[1])
 
         def flank(rule, old_row, flank_fid):

@@ -341,12 +341,15 @@ class FieldContext:
         return self._compare_key(element.coeffs)
 
     def approx(self, coeffs: Coeffs, eps) -> Fraction:
-        """A rational within eps of the element's value."""
+        """A rational within eps of the element's value.
+
+        Exact for a rational rho: the value is then the one coordinate.
+        """
         eps = _as_fraction(eps)
         if eps <= 0:
             raise FieldError("eps must be positive")
         if self.degree == 1:
-            return _poly_eval(coeffs, self.rational_rho)
+            return coeffs[0]
         while True:
             lo, hi = self._interval_eval(coeffs)
             if hi - lo < eps:

@@ -78,11 +78,21 @@ def convolution_3_8():
 
 
 @pytest.fixture(scope="session")
+def convolution_3_8_structure(convolution_3_8):
+    return explore(convolution_3_8)
+
+
+@pytest.fixture(scope="session")
 def table_87():
     """rho = 1/3 with translations {0, 2/87, 2/3}, uniform; 2280 reduced vectors."""
     ctx = FieldContext([-1, 3])
     d = [Fraction(0), Fraction(2, 87), Fraction(2, 3)]
     return build_ifs(ctx, d, _uniform(3))
+
+
+@pytest.fixture(scope="session")
+def table_87_structure(table_87):
+    return explore(table_87)
 
 
 @pytest.fixture(scope="session")

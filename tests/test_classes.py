@@ -539,6 +539,47 @@ def test_essential_triples_sit_over_every_essential_vector(request, name):
         assert all(step.child in diagram.essential for step in diagram.edges[nid])
 
 
+@pytest.mark.parametrize(
+    "name", ALL_STRUCTURES + ["convolution_3_8_structure", "table_87_structure"]
+)
+def test_lazy_membership_matches_the_whole_build(request, name):
+    # an unexpanded diagram decides membership from the node's centre and,
+    # over an essential centre, from the closed class of its forward
+    # closure; Tarjan over the whole diagram is the reference
+    s = request.getfixturevalue(name)
+    dec = decompose(s)
+    whole = build_triple_diagram(s, dec)
+    shared = build_triple_diagram(s, dec, expand=False)
+    for nid, path in _root_paths(whole).items():
+        expected = nid in whole.essential
+        fresh = build_triple_diagram(s, dec, expand=False)
+        node = fresh.walk(path)
+        assert fresh.keys[node] == whole.keys[nid]
+        assert fresh.is_essential(node) == expected, (name, nid)
+        assert shared.is_essential(shared.walk(path)) == expected, (name, nid)
+        assert whole.is_essential(nid) == expected, (name, nid)
+    # walking every root path creates exactly the nodes of the whole build
+    assert shared.node_count() == whole.node_count()
+
+
+def test_table_87_points_classify_lazily(table_87_structure):
+    # boundary points never read the diagram; interior ones expand their
+    # walk and, for an essential-centred limit, the few triples of its
+    # forward closure, instead of all 4679 triples
+    s = table_87_structure
+    dec = decompose(s)
+    whole = build_triple_diagram(s, dec)
+    created = {}
+    for x in (F(0), F(1), F(2, 87), F(1, 87), F(1, 4), F(3, 4)):
+        location = locate_point(s, s.system.context.from_rational(x))
+        diagram = build_triple_diagram(s, dec, expand=False)
+        got = classify_truly_essential(diagram, location)
+        assert got == classify_truly_essential(whole, location), x
+        created[x] = diagram.node_count()
+    assert created[F(0)] == created[F(1)] == created[F(2, 87)] == 1
+    assert created[F(1, 87)] < 100 and created[F(1, 4)] < 100, created
+
+
 # ---------------------------------------------------------------------------
 # essential-but-not-truly scan
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from ifsdim import cli, config
+from ifsdim.classes import build_triple_diagram, classify_truly_essential, decompose
 from ifsdim.cli import ConfigError, main
 from ifsdim.config import build_system, parse_config
+from ifsdim.net import explore, locate_point
 
 SIX_CFG = """\
 # six maps with contraction 1/4 on eighths; full-interval attractor
@@ -56,6 +58,14 @@ probabilities = [1/10, 1/5, 1/5, 1/5, 3/10]
 """
 
 
+# x/3 + {0, 2/87, 2/3}: 2280 reduced vectors, 4679 triples
+TABLE_87_CFG = """\
+minpoly = [-1, 3]
+translations = [0, 2/87, 2/3]
+probabilities = [1/3, 1/3, 1/3]
+"""
+
+
 @pytest.fixture(scope="module")
 def cfgdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("configs")
@@ -67,6 +77,7 @@ def cfgdir(tmp_path_factory):
         ("golden_third.cfg", GOLDEN_THIRD_CFG),
         ("golden_half.cfg", GOLDEN_HALF_CFG),
         ("cantor_light.cfg", CANTOR_LIGHT_CFG),
+        ("table_87.cfg", TABLE_87_CFG),
     ):
         (root / name).write_text(text, encoding="utf-8")
     return root
@@ -505,6 +516,60 @@ def test_graph_triple(cfgdir, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("digraph triple_diagram {")
+
+
+# SHA-256 of `graph` stdout: node ids, their order, labels and fills, byte
+# for byte (the benchmark checker compares only node, edge and fill counts)
+GRAPH_STDOUT_SHA256 = {
+    ("six", "reduced"): "5906569da4c8cad83f1f892a15924e3f98611ef008f0cdcacd802081bb2c6a79",
+    ("six", "triple"): "28ab47127904cbd381f0fef1d7bbd98011d3771e3fbd141b3ad81f1d9cdb1a02",
+    ("free", "reduced"): "5906569da4c8cad83f1f892a15924e3f98611ef008f0cdcacd802081bb2c6a79",
+    ("free", "triple"): "28ab47127904cbd381f0fef1d7bbd98011d3771e3fbd141b3ad81f1d9cdb1a02",
+    ("gap", "reduced"): "185ef42d857b34c7e32d596b5884fa9970c3dbd2c3e06e27fd8e5e9c3ee53d86",
+    ("gap", "triple"): "5232081b20feb394a266fc6ebb364c1190862ca5bf0ce25a90d847d4a133340b",
+    ("zerorow", "reduced"): "6fbd6d667d62ef3740b09ac5e7ed7f2bb7c338a5723637318a520d81b13c1f66",
+    ("zerorow", "triple"): "31e89c8f5d9f742609cd608cb7a4d9e4c47cf396fb0cb2ac6dd0b7d3035e362b",
+    ("golden_third", "reduced"): "fdb21bd887c28f7d068a800e7974bcd870eee3dc2ff9da4717a396f450eb7883",
+    ("golden_third", "triple"): "f1e3edd1865b1bed364d2ea45f5369566542241c4c7746976646b1ddd9a6fc0b",
+    ("golden_half", "reduced"): "fdb21bd887c28f7d068a800e7974bcd870eee3dc2ff9da4717a396f450eb7883",
+    ("golden_half", "triple"): "f1e3edd1865b1bed364d2ea45f5369566542241c4c7746976646b1ddd9a6fc0b",
+    ("cantor_light", "reduced"): "60840feff4c2c1f8730dd85271834b10b49f75f39076f7a3b0c9a8859ec45bb0",
+    ("cantor_light", "triple"): "c887d230d5ccd4deb0b1b3b2451288452a9a1ddacf1e6304f2598130d979d86c",
+    ("table_87", "reduced"): "6d1e316731a8761e21974ffc1f8e990b527989a5d34c7d7c839c69bdcfd53882",
+    ("table_87", "triple"): "28662544edbd7f25a776bb3f8f383ac9bdf4a2ac96c7c39327e913edb1b5dcc0",
+}
+
+
+@pytest.mark.parametrize("cfg, which", sorted(GRAPH_STDOUT_SHA256))
+def test_graph_stdout_is_pinned(cfgdir, capsys, cfg, which):
+    assert main(["graph", which, "--config", str(cfgdir / (cfg + ".cfg"))]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GRAPH_STDOUT_SHA256[cfg, which]
+
+
+# every point pointdim classifies above, with its --depth
+QUERIED_POINTS = {
+    "six": [("1/2", 60), ("0", 60), ("1", 60), ("1/97", 20)],
+    "gap": [("0", 60), ("1", 60), ("3/4", 60), ("1/15", 60)],
+    "golden_third": [("0", 60), ("1", 60)],
+    "golden_half": [("0", 60), ("1", 60)],
+    "cantor_light": [("0", 60), ("1", 60)],
+}
+
+
+@pytest.mark.parametrize("cfg", sorted(QUERIED_POINTS))
+def test_pointdim_classifies_on_an_unexpanded_diagram(cfgdir, cfg):
+    # pointdim hands classify_truly_essential a diagram that expands on
+    # demand; the answer must be the one the whole diagram gives
+    system = config.load_config(str(cfgdir / (cfg + ".cfg")))
+    structure = explore(system)
+    dec = decompose(structure)
+    whole = build_triple_diagram(structure, dec)
+    for point, depth in QUERIED_POINTS[cfg]:
+        location = locate_point(structure, cli._parse_point(point, system), depth=depth)
+        fresh = build_triple_diagram(structure, dec, expand=False)
+        got = classify_truly_essential(fresh, location)
+        assert got == classify_truly_essential(whole, location), point
 
 
 # -- benchmark tracer bindings ---------------------------------------------------

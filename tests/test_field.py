@@ -144,6 +144,39 @@ def test_degree_one_sign_reads_the_value():
     assert ctx.sign_of((Fraction(0),)) == 0
 
 
+def test_degree_one_approx_reads_the_value():
+    # the value of a degree-1 element is its one coordinate, so approx
+    # returns it exactly, as Horner in the rational rho did
+    ctx = third()
+    rng = random.Random(9034)
+    eps = Fraction(1, 10**12)
+    for _ in range(200):
+        bits = rng.choice((8, 64, 400))
+        num = rng.randint(-(2**bits), 2**bits)
+        den = rng.randint(1, 2**rng.choice((8, 64, 400)))
+        e = ctx.element([Fraction(num, den)])
+        expected = _poly_eval(e.coeffs, ctx.rational_rho)
+        got = ctx.approx(e.coeffs, eps)
+        assert got == expected and type(got) is Fraction
+        assert e.approx(eps) == expected
+    with pytest.raises(FieldError):
+        ctx.approx((Fraction(1),), 0)
+
+
+def test_degree_two_approx_stays_within_eps():
+    ctx = golden()
+    rng = random.Random(5120)
+    for k in (3, 9, 15):
+        eps = Fraction(1, 10**k)
+        for _ in range(10):
+            coeffs = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2))
+            got = ctx.approx(coeffs, eps)
+            lo, hi = ctx.refine_interval(eps / 1000)
+            # the value lies between the element's values at lo and hi
+            ends = sorted(_poly_eval(coeffs, t) for t in (lo, hi))
+            assert ends[0] - eps <= got <= ends[1] + eps
+
+
 @pytest.mark.parametrize("make_ctx", [third, golden, quartic])
 def test_sort_key_orders_like_less_than(make_ctx):
     ctx = make_ctx()
