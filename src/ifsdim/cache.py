@@ -105,8 +105,9 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
     """Rebuild a structure for `system` from a cache written earlier.
 
     Raises CacheError when the file does not parse, carries a different
-    cache version, fingerprints a different system, or holds a record
-    with a missing key, a wrongly typed field or an id out of range.
+    cache version, fingerprints a different system, holds a record with a
+    missing key, a wrongly typed field or an id out of range, or claims
+    saturation while a vector has no child records.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -173,4 +174,6 @@ def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
     structure.levels_explored = payload["levels_explored"]
     if type(structure.saturated) is not bool or type(structure.levels_explored) is not int:
         raise CacheError("cache saturation flag or explored depth is wrongly typed")
+    if structure.saturated and any(vec.children is None for vec in structure.reduced):
+        raise CacheError("saturated cache holds a vector that was never expanded")
     return structure

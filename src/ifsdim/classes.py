@@ -1,4 +1,4 @@
-"""Loop classes, the essential class, positivity checks, and triples.
+"""Loop classes, the essential class, the positive-row check, and triples.
 
 The child relation on full characteristic vectors is a finite multigraph.
 Its strongly connected components with at least one internal edge are the
@@ -15,7 +15,6 @@ otherwise the closed class is read off the forward closure of the triple.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,39 +85,32 @@ def strongly_connected_components(count: int, successors) -> list[list[int]]:
 
 
 def closed_classes(count: int, successors, noun: str):
-    """SCCs, scc_of, sorted loop classes and the unique child-closed class.
+    """Sorted loop classes and the unique child-closed class.
 
     Loop classes are the components with at least one internal edge.  A
     graph without exactly one component closed under `successors` raises
     NetStructureError; `noun` names the kind of vertex in the message.
     """
-    sccs = strongly_connected_components(count, successors)
-    scc_of = [0] * count
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            scc_of[v] = i
     loop_classes = []
     closed = []
-    for i, comp in enumerate(sccs):
+    for comp in strongly_connected_components(count, successors):
         members = set(comp)
         if any(w in members for v in comp for w in successors(v)):
             loop_classes.append(comp)
         if all(w in members for v in comp for w in successors(v)):
-            closed.append(i)
+            closed.append(members)
     if len(closed) != 1:
         raise NetStructureError(
             f"expected exactly one child-closed {noun} class, found {len(closed)}"
         )
     loop_classes.sort()
-    return sccs, scc_of, loop_classes, set(sccs[closed[0]])
+    return loop_classes, closed[0]
 
 
 @dataclass
 class ClassDecomposition:
     """Loop-class structure of the full-vector child graph."""
 
-    scc_of: list[int]
-    sccs: list[list[int]]
     loop_classes: list[list[int]]
     essential: set[int]
     essential_reduced: list[int]
@@ -135,11 +127,9 @@ def decompose(structure: FiniteTypeStructure) -> ClassDecomposition:
     children = [
         [rec.child for rec in structure.children_of_full(f)] for f in range(n)
     ]
-    sccs, scc_of, loop_classes, essential = closed_classes(
-        n, lambda v: children[v], "vector"
-    )
+    loop_classes, essential = closed_classes(n, lambda v: children[v], "vector")
     essential_reduced = sorted({structure.reduced_of(f) for f in essential})
-    return ClassDecomposition(scc_of, sccs, loop_classes, essential, essential_reduced)
+    return ClassDecomposition(loop_classes, essential, essential_reduced)
 
 
 def essential_incidence(
@@ -176,124 +166,6 @@ def positive_row_check(
     return PositiveRowReport(not witnesses, witnesses)
 
 
-@dataclass
-class PathSearchResult:
-    path: list[int] | None
-    exhausted: bool = False
-
-
-def _support_bits(pattern: Sequence[Sequence[bool]]) -> int:
-    bits = 0
-    position = 0
-    for row in pattern:
-        for entry in row:
-            if entry:
-                bits |= 1 << position
-            position += 1
-    return bits
-
-
-def _multiply_support(bits: int, rows: int, mid: int, pattern) -> int:
-    cols = len(pattern[0])
-    col_bits = []
-    mask = (1 << mid) - 1
-    for j in range(cols):
-        b = 0
-        for t in range(mid):
-            if pattern[t][j]:
-                b |= 1 << t
-        col_bits.append(b)
-    out = 0
-    for i in range(rows):
-        row = (bits >> (i * mid)) & mask
-        for j in range(cols):
-            if row & col_bits[j]:
-                out |= 1 << (i * cols + j)
-    return out
-
-
-def find_positive_path(
-    structure: FiniteTypeStructure,
-    dec: ClassDecomposition,
-    table: MatrixTable,
-    from_fid: int,
-    to_fid: int,
-    budget: int = 10**6,
-) -> PathSearchResult:
-    """Shortest essential path with a strictly positive product matrix.
-
-    The path must not consist solely of leftmost descents, nor solely of
-    rightmost ones (those paths track an endpoint instead of an interior
-    point).  Positivity of a product depends only on the support of the
-    factors, so a breadth-first search over (vector, support, all-leftmost,
-    all-rightmost) states is exact; `budget` caps the states explored.
-    """
-    if from_fid not in dec.essential or to_fid not in dec.essential:
-        raise ValueError("positive-path search requires essential endpoints")
-    rows = len(structure.neighbours_of_full(from_fid))
-    queue: deque = deque()
-    parents: dict = {}
-
-    def push(state, parent, edge):
-        if state not in parents:
-            parents[state] = (parent, edge)
-            queue.append(state)
-
-    records = structure.children_of_full(from_fid)
-    last = len(records) - 1
-    for rec in records:
-        m = table.of_edge(structure.reduced_of(from_fid), rec.edge_index)
-        bits = _support_bits(m.zero_pattern())
-        push(
-            (
-                rec.child,
-                bits,
-                rec.edge_index == 0 and rec.abuts_left,
-                rec.edge_index == last and rec.abuts_right,
-            ),
-            None,
-            rec.edge_index,
-        )
-
-    explored = 0
-    while queue:
-        state = queue.popleft()
-        explored += 1
-        if explored > budget:
-            return PathSearchResult(None, exhausted=True)
-        fid, bits, all_left, all_right = state
-        cols = len(structure.neighbours_of_full(fid))
-        if (
-            fid == to_fid
-            and not all_left
-            and not all_right
-            and bits == (1 << (rows * cols)) - 1
-        ):
-            edges = []
-            cursor = state
-            while cursor is not None:
-                cursor, edge = parents[cursor]
-                edges.append(edge)
-            edges.reverse()
-            return PathSearchResult(edges)
-        records = structure.children_of_full(fid)
-        last = len(records) - 1
-        for rec in records:
-            m = table.of_edge(structure.reduced_of(fid), rec.edge_index)
-            nbits = _multiply_support(bits, rows, cols, m.zero_pattern())
-            push(
-                (
-                    rec.child,
-                    nbits,
-                    all_left and rec.edge_index == 0 and rec.abuts_left,
-                    all_right and rec.edge_index == last and rec.abuts_right,
-                ),
-                state,
-                rec.edge_index,
-            )
-    return PathSearchResult(None)
-
-
 # ---------------------------------------------------------------------------
 # triples
 # ---------------------------------------------------------------------------
@@ -325,9 +197,8 @@ class TripleDiagram:
     its edges are read, and `walk` and `cycle_limit` read edges through it,
     so a diagram made with `expand=False` holds only the root and the nodes
     its callers' walks have visited.  With `expand=True` the constructor
-    expands the whole diagram in FIFO order from the root and sets `sccs`,
-    `scc_of`, `loop_classes` and `essential` (the closed triple class) for
-    all of it.
+    expands the whole diagram in FIFO order from the root and sets
+    `loop_classes` and `essential` (the closed triple class) for all of it.
 
     `is_essential` decides membership in the closed triple class on either
     kind of diagram.  The centres of the closed class are exactly the
@@ -358,9 +229,7 @@ class TripleDiagram:
                 self.out_edges(cursor)
                 cursor += 1
             nodes = list(range(len(self.keys)))
-            self.sccs, self.scc_of, self.loop_classes, self.essential = (
-                self._closed_classes(nodes)
-            )
+            self.loop_classes, self.essential = self._closed_classes(nodes)
             self._closed = self.essential
 
     def _node(self, key: TripleKey) -> int:
@@ -441,7 +310,7 @@ class TripleDiagram:
                     if step.child not in seen:
                         seen.add(step.child)
                         closure.append(step.child)
-            closed = self._closed_classes(closure)[3]
+            closed = self._closed_classes(closure)[1]
             self._closed = {closure[i] for i in closed}
         return nid in self._closed
 
@@ -487,29 +356,6 @@ def build_triple_diagram(
 # ---------------------------------------------------------------------------
 # point classification
 # ---------------------------------------------------------------------------
-
-def side_chain_class(
-    structure: FiniteTypeStructure, dec: ClassDecomposition, fid: int, side: str
-) -> str:
-    """Eventual class of the forced descent keeping a shared endpoint.
-
-    side 'left' follows rightmost children (the intervals left of the
-    point), side 'right' follows leftmost ones.  Returns 'essential',
-    'non_essential', or 'empty' when the descent hits a gap and the side
-    stops contributing intervals.
-    """
-    seen = set()
-    cur = fid
-    while cur not in seen:
-        seen.add(cur)
-        records = structure.children_of_full(cur)
-        rec = records[-1] if side == "left" else records[0]
-        ok = rec.abuts_right if side == "left" else rec.abuts_left
-        if not ok:
-            return "empty"
-        cur = rec.child
-    return "essential" if cur in dec.essential else "non_essential"
-
 
 def classify_truly_essential(diagram: TripleDiagram, location) -> str:
     """Sort a located point into the truly-essential taxonomy.
@@ -575,31 +421,3 @@ def classify_truly_essential(diagram: TripleDiagram, location) -> str:
     if diagram.keys[node][1] in dec.essential:
         return ESSENTIAL_NOT_TRULY
     return NON_ESSENTIAL
-
-
-def essential_not_truly_witness(diagram: TripleDiagram):
-    """An adjacent pair witnessing a boundary point that is essential on one
-    side only, or None when no such configuration is reachable.
-
-    Reads the nodes `diagram` holds, so pass a fully expanded one."""
-    structure = diagram.structure
-    dec = diagram.decomposition
-    cache: dict = {}
-
-    def chain(fid, side):
-        key = (fid, side)
-        if key not in cache:
-            cache[key] = side_chain_class(structure, dec, fid, side)
-        return cache[key]
-
-    pairs = set()
-    for left, centre, right in diagram.keys:
-        if left is not None:
-            pairs.add((left, centre))
-        if right is not None:
-            pairs.add((centre, right))
-    for a, b in sorted(pairs):
-        kinds = {chain(a, "left"), chain(b, "right")}
-        if "essential" in kinds and "non_essential" in kinds:
-            return (a, b)
-    return None

@@ -83,14 +83,18 @@ __all__ = [
 _SCREEN_MARGIN = 1e-6
 # most float cycle products that one `numpy.linalg.eigvals` call scores
 _SCREEN_CHUNK = 1024
+# relative pad that `log_enclosure` puts around a float logarithm
+_LOG_REL_PAD = 1e-12
+# distance from the unit circle below which `pisot_check` trusts no float root
+_PISOT_TOL = 1e-9
 
 
-def log_enclosure(q, rel: float = 1e-12) -> tuple[Fraction, Fraction]:
+def log_enclosure(q) -> tuple[Fraction, Fraction]:
     """Rational bracket around ln(q) that absorbs float rounding error."""
     q = Fraction(q)
     v = ln_fraction(q)
     scale = q.numerator.bit_length() + q.denominator.bit_length()
-    pad = abs(v) * rel + scale * 1e-15 + 1e-15
+    pad = abs(v) * _LOG_REL_PAD + scale * 1e-15 + 1e-15
     return Fraction(v - pad), Fraction(v + pad)
 
 
@@ -799,13 +803,13 @@ class PisotResult:
     reason: str | None
 
 
-def pisot_check(minpoly: Sequence, tol: float = 1e-9) -> PisotResult:
+def pisot_check(minpoly: Sequence) -> PisotResult:
     """Is the dominant root of this minimal polynomial a Pisot number?
 
     `minpoly` lists coefficients lowest degree first.  A Pisot number is a
     real algebraic integer q > 1 whose conjugates all have modulus < 1,
     so non-integer or non-monic input fails immediately and conjugates
-    within `tol` of the unit circle flag the answer as indeterminate.
+    within `_PISOT_TOL` of the unit circle flag the answer as indeterminate.
     """
     coeffs = [Fraction(c) for c in minpoly]
     while coeffs and coeffs[-1] == 0:
@@ -824,24 +828,24 @@ def pisot_check(minpoly: Sequence, tol: float = 1e-9) -> PisotResult:
     roots = numpy.roots(list(reversed(ints)))
     order = sorted(roots, key=lambda z: abs(z), reverse=True)
     dominant, rest = order[0], order[1:]
-    if abs(dominant.imag) > tol * (1 + abs(dominant)):
+    if abs(dominant.imag) > _PISOT_TOL * (1 + abs(dominant)):
         return PisotResult(False, False, None, (), "dominant root is not real")
     q = float(dominant.real)
     moduli = tuple(float(abs(z)) for z in rest)
-    if q <= 1 + tol:
+    if q <= 1 + _PISOT_TOL:
         return PisotResult(False, False, q, moduli, "dominant root is not > 1")
-    if any(1 - tol <= m <= 1 + tol for m in moduli):
+    if any(1 - _PISOT_TOL <= m <= 1 + _PISOT_TOL for m in moduli):
         return PisotResult(
             False, True, q, moduli, "a conjugate sits too close to the unit circle"
         )
-    if all(m < 1 - tol for m in moduli):
+    if all(m < 1 - _PISOT_TOL for m in moduli):
         return PisotResult(True, False, q, moduli, None)
     return PisotResult(False, False, q, moduli, "a conjugate has modulus >= 1")
 
 
-def pisot_check_reciprocal(system, tol: float = 1e-9) -> PisotResult:
+def pisot_check_reciprocal(system) -> PisotResult:
     """Pisot test for 1/rho, read off the reversed minimal polynomial of rho."""
-    return pisot_check(tuple(reversed(system.context.minpoly_int)), tol)
+    return pisot_check(tuple(reversed(system.context.minpoly_int)))
 
 
 def sanity_dim_in_interval(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .field import FieldContext, FieldElement, FieldError, _as_fraction
+from .field import FieldContext, FieldElement, _as_fraction
 
 
 class IFSError(ValueError):
@@ -31,20 +31,6 @@ class IFSSystem:
     @property
     def rho(self) -> FieldElement:
         return self.context.rho
-
-    @property
-    def alphabet_size(self) -> int:
-        return len(self.translations)
-
-    @property
-    def last_letter(self) -> int:
-        return len(self.translations) - 1
-
-    @property
-    def p_star(self) -> Fraction | None:
-        if self.probabilities is None:
-            return None
-        return min(self.probabilities)
 
     def apply(self, letter: int, point: FieldElement) -> FieldElement:
         return self.rho * point + self.translations[letter]
@@ -179,27 +165,3 @@ def convolution_power(d: int, base_probabilities: Sequence, k: int) -> IFSSystem
     family.update({"name": "cantor", "convolution_of": tuple(base), "k": k})
     return IFSSystem(system.context, system.translations, system.probabilities, family)
 
-
-# ---------------------------------------------------------------------------
-# words
-# ---------------------------------------------------------------------------
-
-def evaluate_map(system: IFSSystem, word: Sequence[int], point) -> FieldElement:
-    """Apply the composition S_{j_1} o ... o S_{j_n} to a point."""
-    if not isinstance(point, FieldElement):
-        point = system.context.from_rational(point)
-    acc = point
-    for j in reversed(list(word)):
-        if not 0 <= j < system.alphabet_size:
-            raise IFSError(f"letter {j} outside alphabet")
-        acc = system.apply(j, acc)
-    return acc
-
-
-def word_probability(system: IFSSystem, word: Sequence[int]) -> Fraction:
-    if system.probabilities is None:
-        raise IFSError("system has no probabilities")
-    out = Fraction(1)
-    for j in word:
-        out *= system.probabilities[j]
-    return out

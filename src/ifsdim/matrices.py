@@ -131,10 +131,6 @@ class TransitionMatrix:
     def has_zero_row(self) -> bool:
         return any(all(x == 0 for x in row) for row in self.rows)
 
-    def zero_pattern(self) -> tuple[tuple[bool, ...], ...]:
-        """True where the entry is positive (the support of the matrix)."""
-        return tuple(tuple(x > 0 for x in row) for row in self.rows)
-
 
 def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> TransitionMatrix:
     """The matrix on one child edge of a reduced characteristic vector.

@@ -11,6 +11,9 @@ kept as the reference for the letters `matrices.edge_matrix` derives, with
 matrix entry names its letter;
 `reference_cycle_limit`, the former (node, phase) trail of periodic point
 classification, kept as the reference for `TripleDiagram.cycle_limit`;
+`essential_not_truly_witness` with `side_chain_class`, a scan of a whole
+triple diagram for a boundary point that is essential on one side only,
+which checks the essential-but-not-truly taxonomy of the fixtures;
 `reference_cycles`, the former all-rotations walk enumeration of the
 inner bounds, kept as the reference for `dimension._lyndon_cycles`;
 `reference_inner_bounds`, the former loop that certifies every included
@@ -245,7 +248,7 @@ def with_letter_probabilities(structure):
     identifies its letter.
     """
     system = structure.system
-    count = system.alphabet_size
+    count = len(system.translations)
     probs = tuple(Fraction(2 * (j + 1), count * (count + 1)) for j in range(count))
     weighted = copy.copy(structure)
     weighted.system = dataclasses.replace(system, probabilities=probs)
@@ -273,6 +276,55 @@ def reference_cycle_limit(diagram, node, cycle):
         all(n in diagram.essential for n in limit),
         all(diagram.keys[n][1] in essential for n in limit),
     )
+
+
+def side_chain_class(structure, dec, fid, side):
+    """Eventual class of the forced descent keeping a shared endpoint.
+
+    side 'left' follows rightmost children (the intervals left of the
+    point), side 'right' follows leftmost ones.  Returns 'essential',
+    'non_essential', or 'empty' when the descent hits a gap and the side
+    stops contributing intervals.
+    """
+    seen = set()
+    cur = fid
+    while cur not in seen:
+        seen.add(cur)
+        records = structure.children_of_full(cur)
+        rec = records[-1] if side == "left" else records[0]
+        ok = rec.abuts_right if side == "left" else rec.abuts_left
+        if not ok:
+            return "empty"
+        cur = rec.child
+    return "essential" if cur in dec.essential else "non_essential"
+
+
+def essential_not_truly_witness(diagram):
+    """An adjacent pair witnessing a boundary point that is essential on one
+    side only, or None when no such configuration is reachable.
+
+    Reads the nodes `diagram` holds, so pass a fully expanded one."""
+    structure = diagram.structure
+    dec = diagram.decomposition
+    cache: dict = {}
+
+    def chain(fid, side):
+        key = (fid, side)
+        if key not in cache:
+            cache[key] = side_chain_class(structure, dec, fid, side)
+        return cache[key]
+
+    pairs = set()
+    for left, centre, right in diagram.keys:
+        if left is not None:
+            pairs.add((left, centre))
+        if right is not None:
+            pairs.add((centre, right))
+    for a, b in sorted(pairs):
+        kinds = {chain(a, "left"), chain(b, "right")}
+        if "essential" in kinds and "non_essential" in kinds:
+            return (a, b)
+    return None
 
 
 def reference_cycles(children, start, budget):

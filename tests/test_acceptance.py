@@ -19,7 +19,6 @@ from ifsdim.classes import (
     build_triple_diagram,
     classify_truly_essential,
     decompose,
-    essential_not_truly_witness,
     positive_row_check,
 )
 from ifsdim.dimension import (
@@ -431,7 +430,7 @@ def test_08_classification_and_positive_rows(
 
     # in the zero-row example every essential point is truly essential
     zr = zero_row_third_structure
-    assert essential_not_truly_witness(
+    assert oh.essential_not_truly_witness(
         build_triple_diagram(zr, decompose(zr))
     ) is None
 

@@ -134,6 +134,9 @@ def _first_child(payload):
         pytest.param(lambda p: p["fulls"][1].__setitem__(1, None), id="sibling-as-null"),
         pytest.param(lambda p: p.update(saturated=0), id="saturated-as-int"),
         pytest.param(lambda p: p.update(levels_explored="many"), id="depth-as-text"),
+        pytest.param(
+            lambda p: p["reduced"][2].update(children=None), id="saturated-but-unexpanded"
+        ),
     ],
 )
 def test_malformed_record_raises(tmp_path, six_map_quarter, six_map_quarter_structure, spoil):

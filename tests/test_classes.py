@@ -1,5 +1,6 @@
-"""Loop-class decomposition, positivity diagnostics, and triples."""
+"""Loop-class decomposition, the positive-row check, and triples."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,10 +16,7 @@ from ifsdim.classes import (
     closed_classes,
     decompose,
     essential_incidence,
-    essential_not_truly_witness,
-    find_positive_path,
     positive_row_check,
-    side_chain_class,
     strongly_connected_components,
 )
 from ifsdim.matrices import MatrixTable
@@ -30,7 +28,12 @@ from ifsdim.net import (
     locate_point,
 )
 
-from oracle_helpers import reference_cycle_limit, vectors_reaching
+from oracle_helpers import (
+    essential_not_truly_witness,
+    reference_cycle_limit,
+    side_chain_class,
+    vectors_reaching,
+)
 
 ALL_STRUCTURES = [
     "six_map_quarter_structure",
@@ -92,6 +95,61 @@ def test_scc_dag_singletons():
 def test_closed_classes_needs_exactly_one(count, adjacency):
     with pytest.raises(NetStructureError, match="child-closed vector class"):
         closed_classes(count, lambda v: adjacency[v], "vector")
+
+
+def _reachable(count, adjacency):
+    """Per vertex, the vertices reached by walks of one or more edges."""
+    out = []
+    for v in range(count):
+        seen = set()
+        frontier = list(adjacency[v])
+        while frontier:
+            w = frontier.pop()
+            if w not in seen:
+                seen.add(w)
+                frontier.extend(adjacency[w])
+        out.append(seen)
+    return out
+
+
+def test_closed_classes_match_brute_force_on_random_digraphs():
+    rng = random.Random(2016)
+    outcomes = {"one": 0, "raised": 0}
+    for _ in range(300):
+        count = rng.randint(0, 9)
+        density = rng.choice((0.1, 0.25, 0.5))
+        # a multigraph: repeated edges and self-loops both occur
+        adjacency = [
+            [w for w in range(count) if rng.random() < density] * rng.choice((1, 1, 2))
+            for _ in range(count)
+        ]
+        reach = _reachable(count, adjacency)
+        component = [
+            frozenset({v} | {w for w in reach[v] if v in reach[w]}) for v in range(count)
+        ]
+
+        comps = strongly_connected_components(count, adjacency.__getitem__)
+        assert sorted(v for comp in comps for v in comp) == list(range(count))
+        assert {frozenset(comp) for comp in comps} == set(component)
+        assert all(comp == sorted(comp) for comp in comps)
+        # reverse topological order: an edge between components points back
+        emitted = {v: i for i, comp in enumerate(comps) for v in comp}
+        for v in range(count):
+            assert all(emitted[w] <= emitted[v] for w in adjacency[v])
+
+        loops = sorted(sorted(c) for c in set(component) if min(c) in reach[min(c)])
+        closed = [c for c in set(component) if reach[min(c)] <= c]
+        if len(closed) == 1:
+            outcomes["one"] += 1
+            assert closed_classes(count, adjacency.__getitem__, "vector") == (
+                loops,
+                set(closed[0]),
+            )
+        else:
+            outcomes["raised"] += 1
+            with pytest.raises(NetStructureError, match=f"found {len(closed)}"):
+                closed_classes(count, adjacency.__getitem__, "vector")
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -224,74 +282,6 @@ def test_positive_row_cantor_holds(request, name):
     report = positive_row_check(s, decompose(s), MatrixTable(s))
     assert report.holds
     assert report.witnesses == []
-
-
-# ---------------------------------------------------------------------------
-# positive-path search
-# ---------------------------------------------------------------------------
-
-def test_positive_path_despite_zero_rows(zero_row_third_structure):
-    s = zero_row_third_structure
-    dec = decompose(s)
-    table = MatrixTable(s)
-    start = fid_of(s, 3, 3)
-    result = find_positive_path(s, dec, table, start, start)
-    assert result.path == [2, 1, 2]
-    assert not result.exhausted
-    assert table.cycle_matrix(start, result.path).is_positive()
-
-
-def test_positive_path_single_step(cantor_3_4_skewed_structure):
-    s = cantor_3_4_skewed_structure
-    dec = decompose(s)
-    table = MatrixTable(s)
-    middle = fid_of(s, 2, 2)
-    result = find_positive_path(s, dec, table, middle, middle)
-    assert result.path == [1]
-    assert table.cycle_matrix(middle, [1]).is_positive()
-
-
-def test_positive_path_six_map(six_map_quarter_structure):
-    s = six_map_quarter_structure
-    dec = decompose(s)
-    table = MatrixTable(s)
-    start = fid_of(s, 2, 1)
-    target = fid_of(s, 2, 3)
-    result = find_positive_path(s, dec, table, start, target)
-    assert result.path is not None
-    cur = start
-    product = None
-    leftmost = rightmost = True
-    for e in result.path:
-        records = s.children_of_full(cur)
-        rec = records[e]
-        m = table.of_edge(s.fulls[cur].reduced, e)
-        product = m if product is None else product * m
-        leftmost = leftmost and e == 0 and rec.abuts_left
-        rightmost = rightmost and e == len(records) - 1 and rec.abuts_right
-        cur = rec.child
-        assert dec.is_essential(cur)
-    assert cur == target
-    assert product.is_positive()
-    assert not leftmost and not rightmost
-
-
-def test_positive_path_budget_exhaustion(zero_row_third_structure):
-    s = zero_row_third_structure
-    dec = decompose(s)
-    table = MatrixTable(s)
-    start = fid_of(s, 3, 3)
-    result = find_positive_path(s, dec, table, start, start, budget=2)
-    assert result.path is None
-    assert result.exhausted
-
-
-def test_positive_path_rejects_non_essential(zero_row_third_structure):
-    s = zero_row_third_structure
-    dec = decompose(s)
-    table = MatrixTable(s)
-    with pytest.raises(ValueError):
-        find_positive_path(s, dec, table, s.root_full, s.root_full)
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,25 @@ def test_cache_with_a_child_record_missing_a_key_is_replaced(cfgdir, capsys, tmp
     assert captured.out == fresh
 
 
+def test_saturated_cache_with_an_unexpanded_vector_is_replaced(cfgdir, capsys, tmp_path):
+    cache = tmp_path / "structure.json"
+    config_path = str(cfgdir / "golden_third.cfg")
+    assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
+    capsys.readouterr()
+    payload = json.loads(cache.read_text(encoding="utf-8"))
+    assert payload["saturated"] is True
+    payload["reduced"][2]["children"] = None
+    cache.write_text(json.dumps(payload), encoding="utf-8")
+    argv = ["report", "--config", config_path, "--cycle-budget", "2"]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert "cache unusable" in captured.err
+    assert "wrote structure cache" in captured.err
+    assert captured.out == fresh
+
+
 def test_stale_cache_is_replaced(cfgdir, capsys, tmp_path):
     cache = str(tmp_path / "structure.json")
     assert main(["explore", "--config", str(cfgdir / "six.cfg"), "--cache", cache]) == 0

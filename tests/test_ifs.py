@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +5,7 @@ import pytest
 from ifsdim import ifs
 from ifsdim.config import ConfigError, build_system, parse_config
 from ifsdim.field import FieldContext
-from ifsdim.ifs import IFSError, build_ifs, evaluate_map, word_probability
+from ifsdim.ifs import IFSError, build_ifs
 
 
 def test_build_normalizes_shift_and_scale():
@@ -24,7 +23,6 @@ def test_normalization_carries_probabilities_with_sorted_maps():
     ctx = FieldContext([-1, 2])
     system = build_ifs(ctx, [Fraction(1), Fraction(0)], [Fraction(1, 3), Fraction(2, 3)])
     assert system.probabilities == (Fraction(2, 3), Fraction(1, 3))
-    assert system.p_star == Fraction(1, 3)
 
 
 def test_single_map_rejected():
@@ -47,7 +45,7 @@ def test_cantor_family():
 def test_hull_endpoints_are_fixed():
     for system in (ifs.cantor_like(3, 4), ifs.bernoulli_simple_pisot(2, Fraction(1, 3))):
         assert system.apply(0, system.context.zero).is_zero()
-        assert system.apply(system.last_letter, system.context.one) == 1
+        assert system.apply(len(system.translations) - 1, system.context.one) == 1
 
 
 def test_bernoulli_simple_pisot_identity():
@@ -57,21 +55,6 @@ def test_bernoulli_simple_pisot_identity():
     assert rho + rho**2 + rho**3 == 1
     assert 1 - rho == rho - rho**4
     assert system.translations == (system.context.zero, 1 - rho)
-
-
-def test_composition_is_homomorphism():
-    system = ifs.bernoulli_simple_pisot(2, Fraction(1, 3))
-    rng = random.Random(5)
-    for _ in range(20):
-        u = [rng.randrange(2) for _ in range(rng.randint(0, 4))]
-        v = [rng.randrange(2) for _ in range(rng.randint(0, 4))]
-        x = system.context.from_rational(Fraction(rng.randint(0, 8), 8))
-        assert evaluate_map(system, u + v, x) == evaluate_map(system, u, evaluate_map(system, v, x))
-
-
-def test_word_probability():
-    system = ifs.bernoulli_simple_pisot(2, Fraction(1, 3))
-    assert word_probability(system, [0, 1, 0]) == Fraction(1, 3) * Fraction(2, 3) * Fraction(1, 3)
 
 
 def test_convolution_power_probabilities():
@@ -101,7 +84,7 @@ def test_config_direct_form():
 def test_config_family_forms():
     system = build_system(parse_config("family = cantor\nd = 4\nm = 9\n"))
     assert system.family["name"] == "cantor"
-    assert system.alphabet_size == 10
+    assert len(system.translations) == 10
     system = build_system(parse_config("family = bernoulli_simple_pisot\nk = 2\np = 1/3\n"))
     assert system.probabilities == (Fraction(1, 3), Fraction(2, 3))
     system = build_system(
