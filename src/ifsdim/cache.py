@@ -1,11 +1,21 @@
 """Save and reload explored structures.
 
-The cache is JSON holding only geometry: the reduced vectors with their
-child records, and the full vectors.  Letters are not stored: a command
-reads a few edges, and `matrices.edge_matrix` derives theirs more cheaply
-than every edge's could be written and parsed.  A version stamp plus a
-fingerprint of the defining system guard against stale or mismatched
-files; a cache never overrides the config it is loaded for.
+The cache is compact JSON holding only geometry: the reduced vectors with
+their child records, and the full vectors.  Each distinct field element is
+written once, as its coefficient strings, in the `"elements"` table, and
+every record refers to elements by their index there:
+
+    reduced vector  [length, [neighbour, ...], level, [child record, ...] | null]
+    child record    [child full id, offset, gap_before, abuts_left, abuts_right]
+    full vector     [reduced id, sibling index]
+
+A table repeats few values (59 distinct elements among the 26,760 of
+x/3 + {0, 2/87, 2/3}), so the loader decodes each once.  Letters are not
+stored: a command reads a few edges, and `matrices.edge_matrix` derives
+theirs more cheaply than every edge's could be written and parsed.  A
+version stamp plus a fingerprint of the defining system guard against
+stale or mismatched files; a cache never overrides the config it is loaded
+for.  A file of an older version is reported unusable.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from fractions import Fraction
 from .ifs import IFSSystem
 from .net import ChildRecord, FiniteTypeStructure
 
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 class CacheError(RuntimeError):
@@ -28,26 +38,19 @@ def _coeffs_out(element) -> list[str]:
     return [str(c) for c in element.coeffs]
 
 
-def _coeffs_in(ctx, raw, decoded: dict) -> "FieldElement":
-    """The element with coefficient strings `raw`, decoded once per load.
+def _coeffs_in(ctx, raw) -> "FieldElement":
+    """The element with coefficient strings `raw`.
 
-    A table repeats few distinct coefficient lists (59 among the 26,760 of
-    x/3 + {0, 2/87, 2/3}); `decoded` maps each list, as a tuple, to its
-    element.  Elements are immutable, so sharing one is safe.  Anything
-    but a list of one string per field coefficient is a CacheError: a
-    string would pass as the list of its characters, `Fraction` takes a
-    float as its binary value, and `ctx.element` pads a short list.  Only
-    such lists enter `decoded`, so its hits need no item check.
+    Anything but a list of one string per field coefficient is a
+    CacheError: a string would pass as the list of its characters,
+    `Fraction` takes a float as its binary value, and `ctx.element` pads a
+    short list.
     """
     if type(raw) is not list:
         raise CacheError(f"cache coefficients are not a list: {raw!r}")
-    key = tuple(raw)
-    element = decoded.get(key)
-    if element is None:
-        if len(raw) != ctx.degree or not all(type(c) is str for c in raw):
-            raise CacheError(f"cache coefficients are not {ctx.degree} strings: {raw!r}")
-        element = decoded[key] = ctx.element([Fraction(c) for c in raw])
-    return element
+    if len(raw) != ctx.degree or not all(type(c) is str for c in raw):
+        raise CacheError(f"cache coefficients are not {ctx.degree} strings: {raw!r}")
+    return ctx.element([Fraction(c) for c in raw])
 
 
 def system_fingerprint(system: IFSSystem) -> dict:
@@ -63,31 +66,25 @@ def system_fingerprint(system: IFSSystem) -> dict:
 
 
 def save_structure(path: str, structure: FiniteTypeStructure) -> None:
+    index: dict = {}
+
+    def ref(element) -> int:
+        """The position of `element` in the element table, added when new."""
+        return index.setdefault(element, len(index))
+
     reduced = []
     for vec in structure.reduced:
-        children = None
+        entry = [ref(vec.length), [ref(v) for v in vec.neighbours], vec.level, None]
         if vec.children is not None:
-            children = [
-                {
-                    "child": rec.child,
-                    "offset": _coeffs_out(rec.offset),
-                    "gap_before": rec.gap_before,
-                    "abuts_left": rec.abuts_left,
-                    "abuts_right": rec.abuts_right,
-                }
+            entry[3] = [
+                [rec.child, ref(rec.offset), rec.gap_before, rec.abuts_left, rec.abuts_right]
                 for rec in vec.children
             ]
-        reduced.append(
-            {
-                "length": _coeffs_out(vec.length),
-                "neighbours": [_coeffs_out(v) for v in vec.neighbours],
-                "level": vec.level,
-                "children": children,
-            }
-        )
+        reduced.append(entry)
     payload = {
         "cache_version": CACHE_VERSION,
         "fingerprint": system_fingerprint(structure.system),
+        "elements": [_coeffs_out(element) for element in index],
         "root_full": structure.root_full,
         "saturated": structure.saturated,
         "levels_explored": structure.levels_explored,
@@ -96,8 +93,7 @@ def save_structure(path: str, structure: FiniteTypeStructure) -> None:
     }
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
     os.replace(tmp, path)
 
 
@@ -105,9 +101,10 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
     """Rebuild a structure for `system` from a cache written earlier.
 
     Raises CacheError when the file does not parse, carries a different
-    cache version, fingerprints a different system, holds a record with a
-    missing key, a wrongly typed field or an id out of range, or claims
-    saturation while a vector has no child records.
+    cache version, fingerprints a different system, holds a record of the
+    wrong length, a wrongly typed field or an id out of range, or is not
+    saturated, or claims saturation while a vector has no child records.
+    `cli` saves only saturated structures, so an unsaturated one is stale.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -137,15 +134,18 @@ def _index(value, count: int, what: str) -> int:
 
 def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
     ctx = system.context
-    decoded: dict = {}
+    elements = [_coeffs_in(ctx, raw) for raw in payload["elements"]]
+    element_count = len(elements)
+
+    def element(value):
+        return elements[_index(value, element_count, "element")]
+
     structure = FiniteTypeStructure(system)
-    for idx, entry in enumerate(payload["reduced"]):
-        if type(entry["level"]) is not int:
+    for idx, (length, neighbours, level, _) in enumerate(payload["reduced"]):
+        if type(level) is not int:
             raise CacheError("cache vector level is not an integer")
         rid, fresh = structure.register_reduced(
-            _coeffs_in(ctx, entry["length"], decoded),
-            tuple(_coeffs_in(ctx, v, decoded) for v in entry["neighbours"]),
-            entry["level"],
+            element(length), tuple(element(v) for v in neighbours), level
         )
         if rid != idx or not fresh:
             raise CacheError("cache lists duplicate reduced vectors")
@@ -157,23 +157,23 @@ def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
         if fid != idx:
             raise CacheError("cache lists duplicate full vectors")
     full_count = len(structure.fulls)
-    for rid, entry in enumerate(payload["reduced"]):
-        if entry["children"] is None:
+    for rid, (_, _, _, children) in enumerate(payload["reduced"]):
+        if children is None:
             continue
         records = []
-        for edge_index, raw in enumerate(entry["children"]):
-            child = _index(raw["child"], full_count, "child")
-            gap, left, right = raw["gap_before"], raw["abuts_left"], raw["abuts_right"]
+        for edge_index, (child, offset, gap, left, right) in enumerate(children):
+            child = _index(child, full_count, "child")
             if not (type(gap) is type(left) is type(right) is bool):
                 raise CacheError("cache child flags are not booleans")
-            offset = _coeffs_in(ctx, raw["offset"], decoded)
-            records.append(ChildRecord(child, offset, edge_index, gap, left, right))
+            records.append(ChildRecord(child, element(offset), edge_index, gap, left, right))
         structure.reduced[rid].children = records
     structure.root_full = _index(payload["root_full"], full_count, "root")
-    structure.saturated = payload["saturated"]
-    structure.levels_explored = payload["levels_explored"]
-    if type(structure.saturated) is not bool or type(structure.levels_explored) is not int:
-        raise CacheError("cache saturation flag or explored depth is wrongly typed")
-    if structure.saturated and any(vec.children is None for vec in structure.reduced):
+    if payload["saturated"] is not True:
+        raise CacheError("cache holds a structure that is not saturated")
+    if type(payload["levels_explored"]) is not int:
+        raise CacheError("cache explored depth is not an integer")
+    if any(vec.children is None for vec in structure.reduced):
         raise CacheError("saturated cache holds a vector that was never expanded")
+    structure.saturated = True
+    structure.levels_explored = payload["levels_explored"]
     return structure

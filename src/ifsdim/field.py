@@ -11,6 +11,7 @@ vanish at rho.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
@@ -332,13 +333,28 @@ class FieldContext:
     def sort_key(self, element: "FieldElement"):
         """An exact key ordering elements of this field by value.
 
-        For degree 1 the key is the rational value itself.  Otherwise it
-        compares by the sign of the difference, so every order decision
-        goes through `sign_of`; keys of equal elements compare equal.
+        For degree 1 the key is (float(value), value).  Correctly rounded
+        Fraction -> float conversion is monotone, so the float decides
+        every pair it tells apart and the exact value breaks float ties
+        only; a value beyond the float range maps to +-inf and is still
+        ordered exactly by the tie-break.  Otherwise the key compares by
+        the sign of the difference, so every order decision goes through
+        `sign_of`.  Keys of equal elements compare equal.  The key is
+        memoised on the element, so a shared element is keyed once.
         """
-        if self.degree == 1:
-            return element.coeffs[0]
-        return self._compare_key(element.coeffs)
+        key = element._key
+        if key is None:
+            if self.degree == 1:
+                value = element.coeffs[0]
+                try:
+                    approx = float(value)
+                except OverflowError:
+                    approx = math.inf if value > 0 else -math.inf
+                key = (approx, value)
+            else:
+                key = self._compare_key(element.coeffs)
+            element._key = key
+        return key
 
     def approx(self, coeffs: Coeffs, eps) -> Fraction:
         """A rational within eps of the element's value.
@@ -363,12 +379,13 @@ class FieldContext:
 class FieldElement:
     """An element of Q(rho) in canonical coordinates over the power basis."""
 
-    __slots__ = ("ctx", "coeffs", "_hash")
+    __slots__ = ("ctx", "coeffs", "_hash", "_key")
 
     def __init__(self, ctx: FieldContext, coeffs: Coeffs):
         self.ctx = ctx
         self.coeffs = coeffs
         self._hash = None
+        self._key = None  # FieldContext.sort_key, once asked for
 
     # -- coercion ----------------------------------------------------------
 

@@ -15,7 +15,8 @@ hold only geometry; `matrices.edge_matrix` derives the letters of an edge.
 All coordinates are exact field elements, so vector identity is exact.
 Every table is keyed by the elements themselves, and the explorer
 subdivides each (length, neighbours) signature once, forming each value it
-needs from a small set of shared elements whose hashes are computed once.
+needs from a small set of shared elements whose hashes and sort keys are
+computed once.
 """
 
 from __future__ import annotations
@@ -177,6 +178,7 @@ class _Explorer:
         self.system = system
         self.rho = system.rho
         self.rho_inv = system.rho.inverse()
+        self.neg_rho = -system.rho
         self.zero = system.context.zero
         self.one = system.context.one
         self.key = system.context.sort_key
@@ -223,8 +225,12 @@ class _Explorer:
         descends as s ascends, so reading the run backwards lists the child
         neighbours in increasing order.
 
-        Every value it forms comes from `_value`, so its tables are keyed
-        by shared elements; `_pieces_of` calls it once per signature.
+        Values are ordered by `FieldContext.sort_key`: for a rational rho,
+        (float(value), value), where the float decides every pair it tells
+        apart and the exact value breaks float ties only.  Every value it
+        forms comes from `_value`, so its tables and the keys memoised on
+        its elements belong to shared elements; `_pieces_of` calls it once
+        per signature.
         """
         key = self.key
         rho = self.rho
@@ -235,7 +241,7 @@ class _Explorer:
         # starts s in (0, length) and s + rho in (0, length) are the inner cuts
         inner = starts[bisect_right(keys, key(self.zero)) : bisect_left(keys, key(length))]
         shifted = starts[
-            bisect_right(keys, key(-rho)) : bisect_left(keys, key(value("-", length, rho)))
+            bisect_right(keys, key(self.neg_rho)) : bisect_left(keys, key(value("-", length, rho)))
         ]
         cuts = dict.fromkeys([self.zero, length, *inner])
         cuts.update(dict.fromkeys(value("+", s, rho) for s in shifted))

@@ -42,6 +42,21 @@ def _children_snapshot(structure):
     return out
 
 
+def _layout(structure):
+    """Everything a cache stores, with elements as coefficient tuples."""
+    return (
+        [
+            (tuple(v.length.coeffs), tuple(n.coeffs for n in v.neighbours), v.level)
+            for v in structure.reduced
+        ],
+        _children_snapshot(structure),
+        [(f.reduced, f.sibling_index) for f in structure.fulls],
+        structure.root_full,
+        structure.saturated,
+        structure.levels_explored,
+    )
+
+
 def test_round_trip_preserves_structure(
     tmp_path, six_map_quarter, six_map_quarter_structure
 ):
@@ -111,32 +126,51 @@ def test_reduced_id_out_of_range_raises(
 
 
 def _first_child(payload):
-    return next(e for e in payload["reduced"] if e["children"])["children"][0]
+    return next(e for e in payload["reduced"] if e[3])[3][0]
+
+
+def _set_offset(payload, raw):
+    """Replace the element-table entry of the first child's offset."""
+    payload["elements"][_first_child(payload)[1]] = raw
 
 
 @pytest.mark.parametrize(
     "spoil",
     [
-        pytest.param(lambda p: _first_child(p).pop("gap_before"), id="missing-key"),
-        pytest.param(lambda p: _first_child(p).update(child="0"), id="child-as-text"),
-        pytest.param(lambda p: _first_child(p).update(child=1.0), id="child-as-float"),
-        pytest.param(lambda p: _first_child(p).update(abuts_left=1), id="flag-as-int"),
-        pytest.param(lambda p: _first_child(p).update(offset=5), id="offset-not-a-list"),
-        pytest.param(lambda p: _first_child(p).update(offset="0"), id="offset-as-text"),
-        pytest.param(lambda p: _first_child(p).update(offset=[0.5]), id="offset-as-float"),
-        pytest.param(lambda p: _first_child(p).update(offset=[]), id="offset-too-short"),
-        pytest.param(lambda p: _first_child(p).update(offset=["x"]), id="offset-not-a-number"),
-        pytest.param(lambda p: _first_child(p).update(offset=["1/0"]), id="offset-over-0"),
+        pytest.param(lambda p: _first_child(p).pop(), id="missing-key"),
+        pytest.param(lambda p: _first_child(p).__setitem__(0, "0"), id="child-as-text"),
+        pytest.param(lambda p: _first_child(p).__setitem__(0, 1.0), id="child-as-float"),
+        pytest.param(lambda p: _first_child(p).__setitem__(3, 1), id="flag-as-int"),
+        pytest.param(lambda p: _set_offset(p, 5), id="offset-not-a-list"),
+        pytest.param(lambda p: _set_offset(p, "0"), id="offset-as-text"),
+        pytest.param(lambda p: _set_offset(p, [0.5]), id="offset-as-float"),
+        pytest.param(lambda p: _set_offset(p, []), id="offset-too-short"),
+        pytest.param(lambda p: _set_offset(p, ["x"]), id="offset-not-a-number"),
+        pytest.param(lambda p: _set_offset(p, ["1/0"]), id="offset-over-0"),
         pytest.param(lambda p: p.update(root_full=0.0), id="root-as-float"),
         pytest.param(lambda p: p["fulls"][1].__setitem__(0, True), id="reduced-id-as-bool"),
-        pytest.param(lambda p: p["reduced"][0].pop("children"), id="missing-children"),
-        pytest.param(lambda p: p["reduced"][0].update(level="0"), id="level-as-text"),
+        pytest.param(lambda p: p["reduced"][0].pop(), id="missing-children"),
+        pytest.param(lambda p: p["reduced"][0].__setitem__(2, "0"), id="level-as-text"),
         pytest.param(lambda p: p["fulls"][1].__setitem__(1, None), id="sibling-as-null"),
         pytest.param(lambda p: p.update(saturated=0), id="saturated-as-int"),
+        pytest.param(lambda p: p.update(saturated=False), id="saturated-false"),
         pytest.param(lambda p: p.update(levels_explored="many"), id="depth-as-text"),
         pytest.param(
-            lambda p: p["reduced"][2].update(children=None), id="saturated-but-unexpanded"
+            lambda p: p["reduced"][2].__setitem__(3, None), id="saturated-but-unexpanded"
         ),
+        pytest.param(lambda p: p.update(elements={}), id="elements-not-a-list"),
+        pytest.param(lambda p: p["reduced"][1].__setitem__(1, 0), id="neighbours-not-a-list"),
+        pytest.param(lambda p: p["reduced"][0].__setitem__(0, -1), id="length-id-minus-one"),
+        pytest.param(
+            lambda p: p["reduced"][1][1].__setitem__(0, len(p["elements"])),
+            id="neighbour-id-past-end",
+        ),
+        pytest.param(lambda p: _first_child(p).__setitem__(1, -1), id="offset-id-minus-one"),
+        pytest.param(
+            lambda p: _first_child(p).__setitem__(1, len(p["elements"])), id="offset-id-past-end"
+        ),
+        pytest.param(lambda p: _first_child(p).__setitem__(1, True), id="offset-id-as-bool"),
+        pytest.param(lambda p: p["reduced"][0].__setitem__(0, 0.0), id="length-id-as-float"),
     ],
 )
 def test_malformed_record_raises(tmp_path, six_map_quarter, six_map_quarter_structure, spoil):
@@ -146,6 +180,43 @@ def test_malformed_record_raises(tmp_path, six_map_quarter, six_map_quarter_stru
     spoil(payload)
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CacheError):
+        load_structure(str(path), six_map_quarter)
+
+
+def _version_3_payload(payload):
+    """The same structure in the version-3 layout: one object per record,
+    every element spelt out as its coefficient strings."""
+    elements = payload["elements"]
+    reduced = [
+        {
+            "length": elements[length],
+            "neighbours": [elements[v] for v in neighbours],
+            "level": level,
+            "children": [
+                {
+                    "child": child,
+                    "offset": elements[offset],
+                    "gap_before": gap,
+                    "abuts_left": left,
+                    "abuts_right": right,
+                }
+                for child, offset, gap, left, right in children
+            ],
+        }
+        for length, neighbours, level, children in payload["reduced"]
+    ]
+    old = {k: v for k, v in payload.items() if k != "elements"}
+    return dict(old, cache_version=3, reduced=reduced)
+
+
+def test_version_3_file_is_rejected_on_its_version(
+    tmp_path, six_map_quarter, six_map_quarter_structure
+):
+    path = tmp_path / "cache.json"
+    save_structure(str(path), six_map_quarter_structure)
+    payload = _version_3_payload(json.loads(path.read_text(encoding="utf-8")))
+    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    with pytest.raises(CacheError, match="cache version 3 != 4"):
         load_structure(str(path), six_map_quarter)
 
 
@@ -191,18 +262,21 @@ def test_fingerprint_tells_the_roots_of_one_polynomial_apart(tmp_path):
         load_structure(path, large)
 
 
-# SHA-256 of `save_structure` output (cache version 3) for the benchmark
-# suite.  Each file equals the version-2 payload recorded from the all-pairs
-# explorer with its letter tables and edge indices dropped, so a match proves
-# the same vector order and ids, child offsets and flags; the letters are
-# checked where `edge_matrix` derives them.
+# SHA-256 of `save_structure` output (cache version 4) for the benchmark
+# suite.  Each file was recorded only after it loaded to a structure equal
+# to the one loaded from the version-3 file, written when the explorer still
+# ordered values by the exact Fraction alone: the same vector order and ids,
+# lengths, neighbours, levels, child offsets and flags.  The version-3 files
+# in turn equal the version-2 payloads recorded from the all-pairs explorer
+# with their letter tables and edge indices dropped; the letters are checked
+# where `edge_matrix` derives them.
 SUITE_CACHE_SHA256 = {
-    "table_87": "705546258461e51637072843f8a4ae0821b38f28175ca91a4cc8f05792bfbd5e",
-    "cantor_4_9": "83d50d6e235106434609c9f604ff98023f847ca2e9b751f9216966179b9fa8e6",
-    "convolution_3_8": "eeb5b7f5a96801610b7cd80e2f91ffd786f749c94640a6efd8dd75fb80200c71",
-    "golden_third": "b73856596791f52fce831f2d9a0bd7ecd6f1b38f6305b4d193c9e358bc9b4823",
-    "tribonacci_third": "01bab4354e831eb16fc88c70db2650bdc5f72f6b0e2e4d2be1f23d89ee6ecbf5",
-    "quadratic_ninth": "55e800a147f95b51ef29e16cace1f7e8dc101e9ad01baa0a930fc792e58102cd",
+    "table_87": "1fc342b4f040bac91eab6833b917e25b5f4745b6638633ced6a96304b32993cc",
+    "cantor_4_9": "63faf6c37ef45ae0dcc4d211269ce47f8dc558107d86cd7ed57c57ffc694c712",
+    "convolution_3_8": "12258cdc0e701a98a31f36d3e02ec949820b3be02745ad6a97252c3da5382c74",
+    "golden_third": "cb1d289d6a5f7a6764004c7d1aa5d14f8a97eaf077f3ac5e8fafef53cc11b251",
+    "tribonacci_third": "c168ae1356780e16a15527fd8afbfa773d52bcfe9367fc457679ef613adec5d9",
+    "quadratic_ninth": "8990b411767a5d22218e7ebae32f44f11e9355a32f4a2204ddba6e1340fa89eb",
 }
 
 
@@ -213,5 +287,8 @@ def test_suite_cache_bytes_are_pinned(tmp_path, monkeypatch, name):
 
     system = build_system(parse_config(SYSTEMS[name]))
     path = tmp_path / "cache.json"
-    save_structure(str(path), explore(system))
+    structure = explore(system)
+    save_structure(str(path), structure)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_CACHE_SHA256[name]
+    loaded = load_structure(str(path), system)
+    assert _layout(loaded) == _layout(structure)

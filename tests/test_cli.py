@@ -465,8 +465,8 @@ def test_cache_with_a_child_record_missing_a_key_is_replaced(cfgdir, capsys, tmp
     assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
     capsys.readouterr()
     payload = json.loads(cache.read_text(encoding="utf-8"))
-    entry = next(e for e in payload["reduced"] if e["children"])
-    del entry["children"][0]["gap_before"]
+    entry = next(e for e in payload["reduced"] if e[3])
+    entry[3][0].pop()  # the child record is one field short
     cache.write_text(json.dumps(payload), encoding="utf-8")
     argv = ["report", "--config", config_path, "--cycle-budget", "2"]
     assert main(argv) == 0
@@ -485,7 +485,7 @@ def test_saturated_cache_with_an_unexpanded_vector_is_replaced(cfgdir, capsys, t
     capsys.readouterr()
     payload = json.loads(cache.read_text(encoding="utf-8"))
     assert payload["saturated"] is True
-    payload["reduced"][2]["children"] = None
+    payload["reduced"][2][3] = None
     cache.write_text(json.dumps(payload), encoding="utf-8")
     argv = ["report", "--config", config_path, "--cycle-budget", "2"]
     assert main(argv) == 0
@@ -495,6 +495,23 @@ def test_saturated_cache_with_an_unexpanded_vector_is_replaced(cfgdir, capsys, t
     assert "cache unusable" in captured.err
     assert "wrote structure cache" in captured.err
     assert captured.out == fresh
+
+
+def test_unsaturated_cache_is_replaced(cfgdir, capsys, tmp_path):
+    cache = tmp_path / "structure.json"
+    argv = ["explore", "--config", str(cfgdir / "six.cfg"), "--cache", str(cache)]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert "finite type proven: yes" in fresh
+    payload = json.loads(cache.read_text(encoding="utf-8"))
+    payload["saturated"] = False
+    cache.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "cache unusable" in captured.err
+    assert "wrote structure cache" in captured.err
+    assert captured.out == fresh
+    assert json.loads(cache.read_text(encoding="utf-8"))["saturated"] is True
 
 
 def test_stale_cache_is_replaced(cfgdir, capsys, tmp_path):

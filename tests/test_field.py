@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -192,3 +193,60 @@ def test_sort_key_orders_like_less_than(make_ctx):
     for a, b in zip(elems, reversed(elems)):
         assert (key(a) < key(b)) == (a < b)
         assert (key(a) == key(b)) == (a == b)
+
+
+def _hard_rationals():
+    """Values that a float alone cannot order: pairs closer than one ulp,
+    equal values held as different objects, negatives, values beyond the
+    float range, and values that underflow to a signed zero."""
+    tiny = Fraction(1, 10**40)
+    base = [Fraction(1, 3), Fraction(1, 3) + tiny, Fraction(1, 3) - tiny, Fraction(2, 87)]
+    huge = [Fraction(10**400), Fraction(10**400) + 1]
+    huge += [-v for v in huge]
+    small = [Fraction(1, 10**400), Fraction(-1, 10**400), Fraction(0)]
+    values = base + [-v for v in base] + huge + small
+    return values + [Fraction(v.numerator, v.denominator) for v in values]
+
+
+def _seeded_rationals(count, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        den = rng.choice([1, 3, 87, 3**rng.randint(1, 60), rng.randint(1, 10**30)])
+        out.append(Fraction(rng.randint(-(10**30), 10**30), den) / 10**rng.randint(0, 20))
+    return out
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param(_hard_rationals(), id="hard"),
+        pytest.param(_seeded_rationals(3000, 8101), id="seeded"),
+    ],
+)
+def test_degree_one_key_is_the_exact_order(values):
+    ctx = third()
+    key = ctx.sort_key
+    elems = [ctx.element([v]) for v in values]
+    by_key = sorted(elems, key=key)
+    assert [e.coeffs[0] for e in by_key] == sorted(values)
+    keys = [key(e) for e in by_key]
+    exact = [e.coeffs[0] for e in by_key]
+    # fresh elements, so every probe computes its key anew
+    for v in values + [Fraction(1, 3) + Fraction(1, 10**41), Fraction(10**401)]:
+        probe = key(ctx.element([v]))
+        assert bisect_left(keys, probe) == bisect_left(exact, v)
+        assert bisect_right(keys, probe) == bisect_right(exact, v)
+    for a, b in zip(elems, reversed(elems)):
+        assert (key(a) < key(b)) == (a.coeffs[0] < b.coeffs[0])
+        assert (key(a) == key(b)) == (a.coeffs[0] == b.coeffs[0])
+
+
+@pytest.mark.parametrize("make_ctx", [third, golden])
+def test_sort_key_is_memoised_on_the_element(make_ctx):
+    ctx = make_ctx()
+    elem = ctx.rho * ctx.rho + 1
+    assert ctx.sort_key(elem) is ctx.sort_key(elem)
+    twin = ctx.element(elem.coeffs)
+    assert ctx.sort_key(twin) is not ctx.sort_key(elem)
+    assert ctx.sort_key(twin) == ctx.sort_key(elem)
