@@ -83,6 +83,9 @@ __all__ = [
 _SCREEN_MARGIN = 1e-6
 # most float cycle products that one `numpy.linalg.eigvals` call scores
 _SCREEN_CHUNK = 1024
+# most walks that `_included_cycle_batches` extends at once; at 1024 the
+# perfbench `enumeration` peak RSS rose by 0.7 MB, at 256 it does not
+_WALK_BATCH = 256
 # relative pad that `log_enclosure` puts around a float logarithm
 _LOG_REL_PAD = 1e-12
 # distance from the unit circle below which `pisot_check` trusts no float root
@@ -317,6 +320,124 @@ def _lyndon_cycles(children, start: int, budget: int):
                 stack.append((rec.child, nxt, q))
 
 
+def _end_steps(children) -> tuple[set, set]:
+    """The steps onto a first child at the left end, and onto a last at the right."""
+    leftmost = {(f, 0) for f, recs in children.items() if recs[0].abuts_left}
+    rightmost = {
+        (f, len(recs) - 1) for f, recs in children.items() if recs[-1].abuts_right
+    }
+    return leftmost, rightmost
+
+
+def _excluded_cycles(children, budget: int) -> tuple[list, int]:
+    """The cycles whose steps all hug one end: the first 50 with their reason, and the count.
+
+    They are the Lyndon cycles of the child lists cut down to the end
+    steps.  Cutting lists only drops subtrees of the depth-first walk of
+    `_lyndon_cycles`, so the cycles it keeps come in the order the walk
+    over the whole lists meets them.
+    """
+    leftmost, rightmost = _end_steps(children)
+    ends = leftmost | rightmost
+    cut = {f: [r for r in recs if (f, r.edge_index) in ends] for f, recs in children.items()}
+    excluded: list[tuple] = []
+    count = 0
+    for start in sorted(children):
+        for steps in _lyndon_cycles(cut, start, budget):
+            if leftmost.issuperset(steps):
+                reason = "all_leftmost"
+            elif rightmost.issuperset(steps):
+                reason = "all_rightmost"
+            else:
+                continue
+            count += 1
+            if len(excluded) < 50:
+                excluded.append((steps, reason))
+    return excluded, count
+
+
+def _included_cycle_batches(children, budget: int, floats):
+    """The included Lyndon cycles of at most `budget` steps, in float batches.
+
+    `children` maps each vector of a closed class to its child records and
+    `floats[step]` is the float matrix of a (vector, edge) step.  Yields
+    (start, edges, products): the (N, n) edge choices of N Lyndon cycles
+    of n steps from `start` that hug neither end (`_excluded_cycles` has
+    those), and their (N, k, k) float products, multiplied left to right.
+
+    The walks are those of `_lyndon_cycles`, extended a batch of walks of
+    one length at a time.  Steps are coded by their (vector, edge) order,
+    so the pre-necklace test compares codes: a step is kept when its code
+    is at least the one `p` places back, and the period stays `p` when
+    they are equal; a code -1 before the first step lets every first step
+    pass.  A pre-necklace holds no step below its first, so a walk from
+    `start` only visits vectors >= `start`, and a step is dropped when the
+    fewest steps back to `start` through such vectors would take the walk
+    past `budget`: that drops no cycle, and keeps every walk that can
+    still close.  Products are padded with zero columns to the largest
+    neighbour count of the class, so one matmul extends a whole batch; a
+    zero term adds nothing to a finite entry, and a product with an entry
+    that overflows stays not finite either way.
+    """
+    vectors = sorted(children)
+    index = {f: i for i, f in enumerate(vectors)}
+    # a child record's edge index is its position, so this is (vector, edge) order
+    records = [(f, r) for f in vectors for r in children[f]]
+    steps = [(f, r.edge_index) for f, r in records]
+    src = numpy.array([index[f] for f, _ in records])
+    dst = numpy.array([index[r.child] for _, r in records])
+    edge = numpy.array([r.edge_index for _, r in records])
+    # the codes of a vector's steps are first[v], ..., first[v] + count[v] - 1
+    count = numpy.array([len(children[f]) for f in vectors])
+    first = numpy.cumsum(count) - count
+    leftmost, rightmost = _end_steps(children)
+    # bit 1: the step is leftmost, bit 2: rightmost
+    hugs = numpy.array([(s in leftmost) + 2 * (s in rightmost) for s in steps])
+    width = max(max(floats[s].shape) for s in steps)
+    mats = numpy.zeros((len(steps), width, width))
+    for c, s in enumerate(steps):
+        m = floats[s]
+        mats[c, : m.shape[0], : m.shape[1]] = m
+    for s, start in enumerate(vectors):
+        # the fewest steps from each vector back to `start`, through vectors >= `start`
+        far = numpy.full(len(vectors), budget + 1)
+        far[s] = 0
+        up = (src >= s) & (dst >= s)
+        for _ in range(budget):
+            numpy.minimum.at(far, src[up], far[dst[up]] + 1)
+        reach = far[dst]
+        k = floats[steps[first[s]]].shape[0]
+        # walks of n steps: codes after a -1, periods, end bits, vectors, products
+        stack = [(0, numpy.full((1, 1), -1), numpy.ones(1, int), numpy.full(1, 3),
+                  numpy.full(1, s), numpy.eye(k, width)[None])]
+        while stack:
+            n, hist, period, hug, at, products = stack.pop()
+            back = hist[numpy.arange(len(hist)), n + 1 - period]
+            fan = count[at]
+            walk = numpy.repeat(numpy.arange(len(at)), fan)
+            # the codes of each walk's vector, one after the other
+            codes = numpy.arange(len(walk)) - numpy.repeat(
+                numpy.cumsum(fan) - fan - first[at], fan
+            )
+            keep = (codes >= back[walk]) & (n + 1 + reach[codes] <= budget)
+            walk, codes = walk[keep], codes[keep]
+            n += 1
+            period = numpy.where(codes == back[walk], period[walk], n)
+            hug = hug[walk] & hugs[codes]
+            at = dst[codes]
+            hist = numpy.concatenate([hist[walk], codes[:, None]], axis=1)
+            products = numpy.matmul(products[walk], mats[codes])
+            closed = (at == s) & (period == n) & (hug == 0)
+            if closed.any():
+                yield start, edge[hist[closed, 1:]], products[closed, :, :k]
+            if n < budget:
+                batch = hist, period, hug, at, products
+                stack += [
+                    (n, *(x[a : a + _WALK_BATCH] for x in batch))
+                    for a in range(0, len(codes), _WALK_BATCH)
+                ]
+
+
 def _float_entry(x: Fraction) -> float:
     """float(x) for a nonnegative x, inf where the conversion overflows."""
     try:
@@ -325,115 +446,110 @@ def _float_entry(x: Fraction) -> float:
         return math.inf
 
 
-def _chunk_scores(products, lengths) -> list[float]:
-    """ln sp / n of each float product, nan where that is not finite.
+def _chunk_scores(stack, lengths):
+    """ln sp / n of each float product in `stack`, nan where that is not finite.
 
-    One `numpy.linalg.eigvals` call takes the stack of the products whose
-    entries are all finite; the others score nan without it, and so do
-    all of them if the call fails.
+    One `numpy.linalg.eigvals` call takes the products whose entries are
+    all finite; the others score nan without it, and so do all of them if
+    the call fails.
     """
-    stack = numpy.stack(products)
     finite = numpy.isfinite(stack).all(axis=(1, 2))
-    radii = [math.nan] * len(products)
+    radii = numpy.full(len(stack), math.nan)
     if finite.any():
         try:
-            moduli = numpy.abs(numpy.linalg.eigvals(stack[finite])).max(axis=-1)
+            radii[finite] = numpy.abs(numpy.linalg.eigvals(stack[finite])).max(axis=-1)
         except numpy.linalg.LinAlgError:
             pass
-        else:
-            for i, sp in zip(numpy.flatnonzero(finite).tolist(), moduli.tolist()):
-                radii[i] = sp
-    return [
-        math.log(sp) / n if 0 < sp < math.inf else math.nan
-        for sp, n in zip(radii, lengths)
-    ]
+    scores = numpy.full(len(stack), math.nan)
+    ok = (radii > 0) & (radii < math.inf)
+    scores[ok] = numpy.log(radii[ok]) / lengths[ok]
+    return scores
 
 
-def _near_extreme(g: float, g_lo: float, g_hi: float) -> bool:
-    """Is the score g within `_SCREEN_MARGIN` of g_lo or g_hi, or not finite?"""
+def _near_extreme(g, g_lo: float, g_hi: float):
+    """Which scores in the array g are within `_SCREEN_MARGIN` of g_lo or g_hi, or not finite."""
     return (
-        not math.isfinite(g)
-        or g <= g_lo + _SCREEN_MARGIN * abs(g_lo)
-        or g >= g_hi - _SCREEN_MARGIN * abs(g_hi)
+        ~numpy.isfinite(g)
+        | (g <= g_lo + _SCREEN_MARGIN * abs(g_lo))
+        | (g >= g_hi - _SCREEN_MARGIN * abs(g_hi))
     )
 
 
 class _CycleScreen:
     """The float screen of `essential_interval_bounds`.
 
-    `add` forms a cycle's float product from the prefix products of the
-    last walk it was given, multiplied left to right, and queues it with
-    the others of its shape; a full queue of `_SCREEN_CHUNK` products is
-    scored by one `_chunk_scores` call.  `near` holds the (score, start,
-    edges) of the scored cycles near the extremes of the scores so far.
-    The extremes only move outward, and the margin test only tightens as
-    they do, so `near` is refiltered only when they move.
+    `add` queues a batch of cycle products with the others of their shape;
+    each full `_SCREEN_CHUNK` of a queue is scored by one `_chunk_scores`
+    call.  `near` holds the (start, edges) of the scored cycles near the
+    extremes of the scores so far, and `near_g` their scores.  The
+    extremes only move outward, and the margin test only tightens as they
+    do, so `near` is refiltered only when they move.
     """
 
-    def __init__(self, table: MatrixTable):
-        self.table = table
-        self.floats: dict[tuple[int, int], numpy.ndarray] = {}
-        # the last walk, and prefix[i] the float product of its first i + 1 steps
-        self.last: tuple = ()
-        self.prefix: list[numpy.ndarray] = []
-        self.queues: dict[tuple[int, int], list] = {}
+    def __init__(self, budget: int):
+        self.budget = budget
+        # shape -> batches of (products, lengths, starts, edges padded with -1)
+        self.queues: dict[int, list[tuple]] = {}
         self.g_lo, self.g_hi = math.inf, -math.inf
-        self.near: list[tuple[float, int, tuple[int, ...]]] = []
+        self.near_g = numpy.empty(0)
+        self.near: list[tuple[int, tuple[int, ...]]] = []
 
-    def add(self, steps: tuple[tuple[int, int], ...]) -> None:
-        prefix = self.prefix
-        shared = 0
-        for step, other in zip(steps, self.last):
-            if step != other:
-                break
-            shared += 1
-        del prefix[shared:]
-        product = prefix[-1] if prefix else None
-        for step in steps[shared:]:
-            m = self.floats.get(step)
-            if m is None:
-                rows = self.table.of_full_edge(*step).rows
-                m = self.floats[step] = numpy.array(
-                    [[_float_entry(x) for x in r] for r in rows]
-                )
-            product = m if product is None else product @ m
-            prefix.append(product)
-        self.last = steps
-        queue = self.queues.setdefault(product.shape, [])
-        queue.append((product, steps))
-        if len(queue) >= _SCREEN_CHUNK:
-            self._score(queue)
-            queue.clear()
+    def add(self, start: int, edges, products) -> None:
+        size, n = edges.shape
+        padded = numpy.full((size, self.budget), -1)
+        padded[:, :n] = edges
+        queue = self.queues.setdefault(products.shape[1], [])
+        queue.append((products, numpy.full(size, n), numpy.full(size, start), padded))
+        total = sum(len(batch[0]) for batch in queue)
+        if total >= _SCREEN_CHUNK:
+            parts = [numpy.concatenate(column) for column in zip(*queue)]
+            full = total - total % _SCREEN_CHUNK
+            for a in range(0, full, _SCREEN_CHUNK):
+                self._score(*(part[a : a + _SCREEN_CHUNK] for part in parts))
+            queue[:] = [tuple(part[full:] for part in parts)] if full < total else []
 
-    def _score(self, queue) -> None:
-        scores = _chunk_scores([p for p, _ in queue], [len(s) for _, s in queue])
-        finite = [g for g in scores if math.isfinite(g)]
-        if finite:
-            g_lo, g_hi = min(self.g_lo, min(finite)), max(self.g_hi, max(finite))
+    def _score(self, products, lengths, starts, edges) -> None:
+        g = _chunk_scores(products, lengths)
+        finite = g[numpy.isfinite(g)]
+        if finite.size:
+            g_lo = min(self.g_lo, float(finite.min()))
+            g_hi = max(self.g_hi, float(finite.max()))
             if (g_lo, g_hi) != (self.g_lo, self.g_hi):
                 self.g_lo, self.g_hi = g_lo, g_hi
-                self.near = [c for c in self.near if _near_extreme(c[0], g_lo, g_hi)]
-        self.near.extend(
-            (g, steps[0][0], tuple(e for _, e in steps))
-            for g, (_, steps) in zip(scores, queue)
-            if _near_extreme(g, self.g_lo, self.g_hi)
-        )
+                keep = _near_extreme(self.near_g, g_lo, g_hi)
+                self.near_g = self.near_g[keep]
+                self.near = [c for c, k in zip(self.near, keep.tolist()) if k]
+        near = numpy.flatnonzero(_near_extreme(g, self.g_lo, self.g_hi))
+        self.near_g = numpy.concatenate([self.near_g, g[near]])
+        self.near += [
+            (start, tuple(row[:n]))
+            for start, row, n in zip(
+                starts[near].tolist(), edges[near].tolist(), lengths[near].tolist()
+            )
+        ]
 
     def candidates(self) -> list[tuple[int, tuple[int, ...]]]:
         """Score what is queued; the (start, edges) near the final extremes, sorted."""
         for queue in self.queues.values():
             if queue:
-                self._score(queue)
+                self._score(*(numpy.concatenate(column) for column in zip(*queue)))
         self.queues.clear()
-        return sorted((start, edges) for _, start, edges in self.near)
+        return sorted(self.near)
 
 
-def _witness(certified, attains) -> CycleWitness:
-    """The witness among the cycles whose enclosure `attains` the extreme."""
-    return min(
-        (w for w in certified if attains(w.rate)),
-        key=lambda w: (not w.positive, len(w.edges), w.start, w.edges),
+def _witness(certificates, attains) -> CycleWitness:
+    """The witness among the cycles whose certified rate `attains` the extreme.
+
+    `certificates` holds (rate, positive, cycles) with the (start, edges)
+    of the cycles that share that rate and positivity.
+    """
+    best = min(
+        (not positive, len(edges), start, edges, rate, positive)
+        for rate, positive, cycles in certificates
+        if attains(rate)
+        for start, edges in cycles
     )
+    return CycleWitness(*best[2:])
 
 
 def essential_interval_bounds(
@@ -448,27 +564,27 @@ def essential_interval_bounds(
     Outer: [|log P_max|, |log P_min|] / |log rho| with P_max and P_min the
     extreme column sums over the transition matrices of the essential class.
     Inner: the min and max certified rate over the cycles of the class of
-    at most `cycle_budget` edges, less two kinds.  `_lyndon_cycles` yields
-    each primitive cycle once, as its least rotation, so no rotation or
-    power is tested twice.  A cycle whose steps all go to a first child
-    that abuts its parent's left end (`all_leftmost`), or all to a last
-    child that abuts the right end (`all_rightmost`), repeats to the end
-    point of its net intervals; the mass on the other side of that point
-    also decides its local dimension, so the cycle's rate need not be it.
-    Those cycles are counted and sampled in `excluded`, not included;
-    `cycle_count` counts the included ones.  Every other cycle is
-    realized at a truly essential point, so no triple diagram is needed:
-    the centres of the triple diagram's closed class are exactly the
-    essential class (K. G. Hare, K. E. Hare and K. R. Matthews, J. Fractal
-    Geom. 3 (2016)), and repeating a cycle from a triple of that class
-    stays in it.
+    at most `cycle_budget` edges (at least 1, else ValueError), less two
+    kinds.  Each primitive cycle is met once, as its least rotation (the
+    Lyndon walks of `_lyndon_cycles`), so no rotation or power is tested
+    twice.  A cycle whose steps all go to a first child that abuts its
+    parent's left end (`all_leftmost`), or all to a last child that abuts
+    the right end (`all_rightmost`), repeats to the end point of its net
+    intervals; the mass on the other side of that point also decides its
+    local dimension, so the cycle's rate need not be it.  Those cycles
+    (`_excluded_cycles`) are counted and sampled in `excluded`, in the
+    order of `_lyndon_cycles`, not included; `cycle_count` counts the
+    included ones.  Every other cycle is realized at a truly essential
+    point, so no triple diagram is needed: the centres of the triple
+    diagram's closed class are exactly the essential class (K. G. Hare,
+    K. E. Hare and K. R. Matthews, J. Fractal Geom. 3 (2016)), and
+    repeating a cycle from a triple of that class stays in it.
 
-    Each included cycle is screened in floats (`_CycleScreen`): its score
-    g = ln sp / n (n edges) is read off the float product of its edge
-    matrices, and the rate is -g / |ln rho|.  A product is formed from the
-    prefix products of the last screened walk, left to right, so it is the
-    same float matrix as one formed from scratch; consecutive Lyndon walks
-    share long prefixes.  Products are queued per shape and scored
+    Each included cycle is screened in floats: `_included_cycle_batches`
+    enumerates them level by level and multiplies the float edge matrices
+    of all walks of a level at once, left to right, and its score g = ln
+    sp / n (n edges) is read off that product; the rate is -g / |ln rho|.
+    Products are queued per shape (`_CycleScreen`) and scored
     `_SCREEN_CHUNK` at a time by one `numpy.linalg.eigvals` call on the
     stack; a product with a non-finite entry scores nan without it, and a
     chunk whose call raises `LinAlgError` scores nan throughout.  Only the
@@ -489,9 +605,10 @@ def essential_interval_bounds(
     could reach an extreme of the certified rates scores far inside the
     margin.
     The candidates are certified in (start, edges) order, so
-    `MatrixTable.cycle_matrix` reuses the product of each shared prefix,
-    and one spectral radius and rate serve all cycles with the same
-    product and length: many cycles tie exactly at an extreme.
+    `MatrixTable.cycle_matrix` reuses the integer product of each shared
+    prefix, and one spectral radius and rate serve all cycles with the
+    same product and length: many cycles tie exactly at an extreme.  The
+    inner ends are taken over these distinct certificates.
 
     `min_witness` and `max_witness` are taken among the certified cycles
     whose enclosure reaches the extreme enclosure (`rate.lo <=
@@ -504,6 +621,8 @@ def essential_interval_bounds(
     the budget on classes with many parallel edges) is skipped, and only
     the outer interval and the extreme column sums are produced.
     """
+    if cycle_budget < 1:
+        raise ValueError(f"cycle budget must be at least 1, not {cycle_budget}")
     den1 = rho_log_enclosure(structure)
     p_max = None
     p_min = None
@@ -522,35 +641,28 @@ def essential_interval_bounds(
     excluded: list[tuple] = []
     excluded_count = 0
     if inner:
-        essential = sorted(dec.essential)
-        children = {fid: structure.children_of_full(fid) for fid in essential}
-        # the steps onto a first child at the left end, resp. a last at the right
-        leftmost = {(f, 0) for f in essential if children[f][0].abuts_left}
-        rightmost = {
-            (f, len(children[f]) - 1) for f in essential if children[f][-1].abuts_right
+        children = {fid: structure.children_of_full(fid) for fid in sorted(dec.essential)}
+        excluded, excluded_count = _excluded_cycles(children, cycle_budget)
+        floats = {
+            (f, r.edge_index): numpy.array(
+                [[_float_entry(x) for x in row] for row in table.of_full_edge(f, r.edge_index).rows]
+            )
+            for f, recs in children.items()
+            for r in recs
         }
-        screen = _CycleScreen(table)
+        screen = _CycleScreen(cycle_budget)
         # inf * 0 in a product that overflows is nan: it scores nan, and is certified
         with numpy.errstate(over="ignore", invalid="ignore"):
-            for start in essential:
-                for steps in _lyndon_cycles(children, start, cycle_budget):
-                    if leftmost.issuperset(steps):
-                        reason = "all_leftmost"
-                    elif rightmost.issuperset(steps):
-                        reason = "all_rightmost"
-                    else:
-                        cycle_count += 1
-                        screen.add(steps)
-                        continue
-                    excluded_count += 1
-                    if len(excluded) < 50:
-                        excluded.append((steps, reason))
+            for start, edges, products in _included_cycle_batches(
+                children, cycle_budget, floats
+            ):
+                cycle_count += len(edges)
+                screen.add(start, edges, products)
             candidates = screen.candidates()
 
     loose = Fraction(1, 10**9)
-    certified: list[CycleWitness] = []
     # the rate and positivity of a cycle depend only on its product and length
-    certificates: dict[tuple[TransitionMatrix, int], tuple[Certified, bool]] = {}
+    certificates: dict[tuple[TransitionMatrix, int], tuple[Certified, bool, list]] = {}
     for start, edges in candidates:
         product = table.cycle_matrix(start, edges)
         key = (product, len(edges))
@@ -558,18 +670,15 @@ def essential_interval_bounds(
         if cert is None:
             sp = spectral_radius(product, rel_tol=loose)
             rate = _rate(sp.certified_lo, sp.certified_hi, len(edges), den1)
-            cert = certificates[key] = rate, product.is_positive()
-        certified.append(CycleWitness(start, edges, *cert))
+            cert = certificates[key] = rate, product.is_positive(), []
+        cert[2].append((start, edges))
 
-    if certified:
-        inner_lo = _certify(
-            min(w.rate.lo for w in certified), min(w.rate.hi for w in certified)
-        )
-        inner_hi = _certify(
-            max(w.rate.lo for w in certified), max(w.rate.hi for w in certified)
-        )
-        min_witness = _witness(certified, lambda r: r.lo <= inner_lo.hi)
-        max_witness = _witness(certified, lambda r: r.hi >= inner_hi.lo)
+    if certificates:
+        rates = [rate for rate, _, _ in certificates.values()]
+        inner_lo = _certify(min(r.lo for r in rates), min(r.hi for r in rates))
+        inner_hi = _certify(max(r.lo for r in rates), max(r.hi for r in rates))
+        min_witness = _witness(certificates.values(), lambda r: r.lo <= inner_lo.hi)
+        max_witness = _witness(certificates.values(), lambda r: r.hi >= inner_hi.lo)
     else:
         inner_lo = inner_hi = None
         min_witness = max_witness = None
@@ -583,7 +692,7 @@ def essential_interval_bounds(
         min_witness,
         max_witness,
         cycle_count,
-        len(certified),
+        len(candidates),
         tuple(excluded),
         excluded_count,
         cycle_budget,

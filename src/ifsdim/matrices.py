@@ -13,11 +13,13 @@ follows, a few edges of the table.
 
 Products are formed in integers: each matrix keeps its entries as integer
 numerators over one common denominator, so a product entry is one integer
-dot product and one `Fraction` over the product of the two denominators,
-reduced once, instead of a sum of `Fraction` products each reduced on its
-own.  `MatrixTable.cycle_matrix` keeps the prefix products of the walk it
-formed last, so a walk that shares a prefix with it, as consecutive walks
-in sorted order do, multiplies only past the shared prefix.
+dot product over the product of the two denominators, instead of a sum of
+`Fraction` products each reduced on its own; a product makes its
+`Fraction` entries only when they are read.  `MatrixTable.cycle_matrix`
+multiplies a whole walk in that integer form and keeps the integer prefix
+products of the walk it formed last, so a walk that shares a prefix with
+it, as consecutive walks in sorted order do, multiplies only past the
+shared prefix.
 """
 
 from __future__ import annotations
@@ -33,47 +35,68 @@ from .net import FiniteTypeStructure, NetStructureError
 class TransitionMatrix:
     """An immutable matrix of nonnegative Fractions.
 
-    `rows` is the public view.  `_integer` memoises the integer form that
-    `__mul__` works in: the least common denominator d of the entries and
-    the rows of integers d * entry.
+    `rows` is the public view.  The integer form that `__mul__` works in is
+    the least common denominator d of the entries and the rows of integers
+    d * entry.  It is unique to the matrix, so equality and the hash are
+    read off it.  A matrix made by `__mul__` or `MatrixTable.cycle_matrix`
+    starts in integer form and makes its `Fraction` rows when they are
+    first read; one made from rows makes its integer form when first used.
     """
 
-    __slots__ = ("rows", "_hash", "_integer")
+    __slots__ = ("_rows", "_hash", "_integer")
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        self.rows: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(x) for x in row) for row in rows
-        )
-        if not self.rows or not self.rows[0]:
+        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
-        width = len(self.rows[0])
-        if any(len(row) != width for row in self.rows):
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
             raise ValueError("ragged matrix")
-        if any(x < 0 for row in self.rows for x in row):
+        if any(x < 0 for row in rows for x in row):
             raise ValueError("matrix entries must be nonnegative")
+        self._rows = rows
         self._hash = None
         self._integer = None
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "TransitionMatrix":
-        """A matrix on `rows` as they are: nonempty, rectangular tuples of
-        nonnegative `Fraction`s, which `__init__` would only copy and check."""
+    def _from_integer(cls, den: int, rows: tuple[tuple[int, ...], ...]) -> "TransitionMatrix":
+        """The matrix rows / den, for den > 0 and nonempty, rectangular rows
+        of nonnegative integers, which need none of `__init__`'s checks.
+
+        Dividing den and every entry by their gcd gives the integer form:
+        d / gcd(d, a) is the reduced denominator of a / d, and the lcm of
+        those is d / gcd(d, all a).
+        """
+        g = math.gcd(den, *(x for row in rows for x in row))
+        if g > 1:
+            den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
         matrix = cls.__new__(cls)
-        matrix.rows = rows
+        matrix._rows = None
         matrix._hash = None
-        matrix._integer = None
+        matrix._integer = den, rows
         return matrix
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            den, rows = self._integer
+            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        return self._rows
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
+        rows = self._rows or self._integer[1]
+        return len(rows), len(rows[0])
 
     def __eq__(self, other):
-        return isinstance(other, TransitionMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, TransitionMatrix)
+            and self._integer_form() == other._integer_form()
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.rows)
+            self._hash = hash(self._integer_form())
         return self._hash
 
     def __repr__(self):
@@ -81,33 +104,25 @@ class TransitionMatrix:
 
     def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         if self._integer is None:
-            den = math.lcm(*(x.denominator for row in self.rows for x in row))
+            den = math.lcm(*(x.denominator for row in self._rows for x in row))
             self._integer = den, tuple(
                 tuple(x.numerator * (den // x.denominator) for x in row)
-                for row in self.rows
+                for row in self._rows
             )
         return self._integer
 
     def __mul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
         """The exact product, formed over the operands' common denominators.
 
-        With A = a / da and B = b / db for integer matrices a and b, entry
-        (i, j) of AB is (a b)_ij / (da db): an integer dot product and one
-        reduced `Fraction` per entry.  Those entries are nonnegative and
-        the shape is the operands', so the result skips `__init__`'s checks.
+        With A = a / da and B = b / db for integer matrices a and b, AB is
+        (a b) / (da db): an integer dot product per entry, and no `Fraction`
+        until the product's rows are read.
         """
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
         da, a = self._integer_form()
         db, b = other._integer_form()
-        den = da * db
-        cols = list(zip(*b))
-        return TransitionMatrix._trusted(
-            tuple(
-                tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols)
-                for row in a
-            )
-        )
+        return TransitionMatrix._from_integer(da * db, _integer_product(a, b))
 
     @staticmethod
     def identity(n: int) -> "TransitionMatrix":
@@ -130,6 +145,12 @@ class TransitionMatrix:
 
     def has_zero_row(self) -> bool:
         return any(all(x == 0 for x in row) for row in self.rows)
+
+
+def _integer_product(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product of two matrices given as rows of integers."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> TransitionMatrix:
@@ -201,11 +222,13 @@ class MatrixTable:
     def cycle_matrix(self, fid: int, edges: Sequence[int]) -> TransitionMatrix:
         """Product along a cycle of edges starting (and ending) at `fid`.
 
-        The prefix products of the last walk are kept: a walk from the same
-        `fid` reuses those of its longest common prefix with the last one,
-        so walks taken in sorted order cost about one product per distinct
-        prefix.  Raises ValueError for an empty walk or one that does not
-        end at `fid`.
+        The walk is multiplied in integer form: a prefix product is a
+        denominator and rows of integers, the product of its edges' integer
+        forms, and no prefix is made of `Fraction`s.  The prefixes of the
+        last walk are kept: a walk from the same `fid` reuses those of its
+        longest common prefix with the last one, so walks taken in sorted
+        order cost about one integer product per distinct prefix.  Raises
+        ValueError for an empty walk or one that does not end at `fid`.
         """
         edges = tuple(edges)
         if not edges:
@@ -217,15 +240,15 @@ class MatrixTable:
                 if a != b:
                     break
                 shared += 1
-        # steps[i] = (vector after i + 1 edges, product of the first i + 1)
+        # steps[i] = (vector after i + 1 edges, (den, rows) of the product of the first i + 1)
         steps = steps[:shared]
-        cur, out = steps[-1] if steps else (fid, None)
+        cur, (den, rows) = steps[-1] if steps else (fid, (1, None))
         for e in edges[shared:]:
-            m = self.of_full_edge(cur, e)
-            out = m if out is None else out * m
+            d, m = self.of_full_edge(cur, e)._integer_form()
+            den, rows = den * d, m if rows is None else _integer_product(rows, m)
             cur = self.structure.children_of_full(cur)[e].child
-            steps.append((cur, out))
+            steps.append((cur, (den, rows)))
         self._last_walk = fid, edges, steps
         if cur != fid:
             raise ValueError("edge sequence is not a cycle")
-        return out
+        return TransitionMatrix._from_integer(den, rows)

@@ -184,25 +184,31 @@ class _Explorer:
         self.key = system.context.sort_key
         self._gap_memo: dict[VectorKey, bool] = {}
         self._pieces: dict[VectorKey, list] = {}
-        self._values: dict[tuple, FieldElement] = {}
+        # (op, id(a), id(b)) -> (a, b, value) of `_value`
+        self._values: dict[tuple, tuple] = {}
         self._shared: dict[FieldElement, FieldElement] = {}
 
     def _value(self, op: str, a: FieldElement, b: FieldElement) -> FieldElement:
         """a + b, a - b or (a - b) / rho for op '+', '-', '/', formed once.
 
         Equal results are one shared element, so each distinct value is
-        hashed once however many signatures it appears in.
+        hashed once however many signatures it appears in.  The memo is
+        keyed on the operands' ids, which hash in C, and holds the operands
+        with the value: they stay alive, so their ids are not reused, and a
+        hit counts only when its operands are these very elements.
         """
-        key = (op, a, b)
-        value = self._values.get(key)
-        if value is None:
-            if op == "+":
-                value = a + b
-            elif op == "-":
-                value = a - b
-            else:
-                value = (a - b) * self.rho_inv
-            value = self._values[key] = self._shared.setdefault(value, value)
+        key = (op, id(a), id(b))
+        hit = self._values.get(key)
+        if hit is not None and hit[0] is a and hit[1] is b:
+            return hit[2]
+        if op == "+":
+            value = a + b
+        elif op == "-":
+            value = a - b
+        else:
+            value = (a - b) * self.rho_inv
+        value = self._shared.setdefault(value, value)
+        self._values[key] = a, b, value
         return value
 
     def _pieces_of(self, key: VectorKey) -> list:

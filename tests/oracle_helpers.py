@@ -15,7 +15,8 @@ classification, kept as the reference for `TripleDiagram.cycle_limit`;
 triple diagram for a boundary point that is essential on one side only,
 which checks the essential-but-not-truly taxonomy of the fixtures;
 `reference_cycles`, the former all-rotations walk enumeration of the
-inner bounds, kept as the reference for `dimension._lyndon_cycles`;
+inner bounds, kept as the reference for `dimension._lyndon_cycles` and
+`dimension._included_cycle_batches`;
 `reference_inner_bounds`, the former loop that certifies every included
 cycle exactly, kept as the reference for the float screen of
 `dimension.essential_interval_bounds`; `reference_product`, the former

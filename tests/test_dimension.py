@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import mpmath
 import numpy
@@ -31,7 +33,7 @@ from ifsdim.dimension import (
 )
 from ifsdim.ifs import cantor_like
 from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
-from ifsdim.net import explore, locate_point
+from ifsdim.net import ChildRecord, explore, locate_point
 from ifsdim.spectral import spectral_radius
 
 from oracle_helpers import reference_cycles, reference_inner_bounds
@@ -336,10 +338,21 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, monkeypatch,
     essential = sorted(dec.essential)
     children = {fid: structure.children_of_full(fid) for fid in essential}
     for budget in range(1, LYNDON_BUDGETS.get(name, 6) + 1):
+        cycles = set()
         for start in essential:
             lyndon = list(dimension._lyndon_cycles(children, start, budget))
             assert len(set(lyndon)) == len(lyndon)
             assert set(lyndon) == set(reference_cycles(children, start, budget))
+            cycles.update(lyndon)
+        ones = {
+            (f, r.edge_index): numpy.ones(table.of_full_edge(f, r.edge_index).shape)
+            for f in essential
+            for r in children[f]
+        }
+        batched = [w for walks, _ in batched_cycles(children, budget, ones) for w in walks]
+        hugging = {c for c, _ in hugging_cycles(children, cycles)}
+        assert len(batched) == len(set(batched))
+        assert set(batched) == cycles - hugging
         bounds = essential_interval_bounds(structure, dec, table, budget)
         with monkeypatch.context() as patch:
             patch.setattr(dimension, "_lyndon_cycles", reference_cycles)
@@ -350,6 +363,134 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, monkeypatch,
         # the witness rule does not depend on the order of enumeration, and
         # on these systems the excluded sample comes out in the same order
         assert bounds == reference
+
+
+def random_class(rng):
+    """A random closed multigraph of child records, with a float matrix per step.
+
+    Vector ids are spread out, each vector has 1 to 3 children, and first
+    and last children often abut their end, so cycles that hug one end are
+    common.  Neighbour counts run from 1 to 3, so products are padded.
+    """
+    vectors = sorted(rng.sample(range(40), rng.randint(1, 4)))
+    size = {f: rng.randint(1, 3) for f in vectors}
+    children, floats = {}, {}
+    for f in vectors:
+        fan = rng.choice([1, 1, 1, 2, 2, 3])
+        children[f] = [
+            ChildRecord(
+                rng.choice(vectors), None, e, False,
+                e == 0 and rng.random() < 0.7, e == fan - 1 and rng.random() < 0.7,
+            )
+            for e in range(fan)
+        ]
+        for r in children[f]:
+            floats[(f, r.edge_index)] = numpy.array(
+                [[rng.uniform(0.1, 1.0) for _ in range(size[r.child])] for _ in range(size[f])]
+            )
+    return children, floats
+
+
+def is_prenecklace(steps):
+    """Every suffix is at least the prefix of its length: a prefix of some necklace."""
+    return all(steps[i:] >= steps[: len(steps) - i] for i in range(1, len(steps)))
+
+
+def prenecklace_walks(children, start, budget):
+    """(length, steps back) of each pre-necklace walk from `start` of at most
+    `budget` steps, found by brute force: the fewest steps from its end back
+    to `start` through vectors >= `start`, or budget + 1 if there are more."""
+    far = {start: 0}
+    for _ in range(budget):
+        for f, recs in children.items():
+            for r in recs:
+                if f >= start and r.child in far:
+                    far[f] = min(far.get(f, budget + 1), far[r.child] + 1)
+    walks = []
+    stack = [(start, ())]
+    while stack:
+        fid, steps = stack.pop()
+        for r in children[fid]:
+            nxt = steps + ((fid, r.edge_index),)
+            # a prefix of a pre-necklace is one
+            if is_prenecklace(nxt):
+                walks.append((len(nxt), far.get(r.child, budget + 1)))
+                if len(nxt) < budget:
+                    stack.append((r.child, nxt))
+    return walks
+
+
+def hugging_cycles(children, cycles):
+    """The (cycle, reason) of the cycles whose steps all go to a first child
+    at the left end, or else all to a last child at the right end."""
+    out = []
+    for c in cycles:
+        recs = [children[f][e] for f, e in c]
+        if all(r.edge_index == 0 and r.abuts_left for r in recs):
+            out.append((c, "all_leftmost"))
+        elif all(
+            r.edge_index == len(children[f]) - 1 and r.abuts_right for r, (f, _) in zip(recs, c)
+        ):
+            out.append((c, "all_rightmost"))
+    return out
+
+
+def batched_cycles(children, budget, floats):
+    """The batches of `dimension._included_cycle_batches`, each as its
+    cycles' steps and its float products."""
+    for start, edges, products in dimension._included_cycle_batches(children, budget, floats):
+        walks = []
+        for row in edges.tolist():
+            steps, cur = [], start
+            for e in row:
+                steps.append((cur, e))
+                cur = children[cur][e].child
+            assert cur == start
+            walks.append(tuple(steps))
+        yield walks, products
+
+
+def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch):
+    rng = random.Random(20261018)
+    rows = []
+    matmul = numpy.matmul
+
+    def counting_matmul(a, b):
+        rows.append(len(a))
+        return matmul(a, b)
+
+    monkeypatch.setattr(numpy, "matmul", counting_matmul)
+    for _ in range(200):
+        children, floats = random_class(rng)
+        starts = sorted(children)
+        cycles = [c for s in starts for c in reference_cycles(children, s, 8)]
+        prenecklaces = [w for s in starts for w in prenecklace_walks(children, s, 8)]
+        for budget in range(1, 9):
+            lyndon = [c for s in starts for c in dimension._lyndon_cycles(children, s, budget)]
+            assert sorted(lyndon) == sorted(c for c in cycles if len(c) <= budget)
+            hugging = hugging_cycles(children, lyndon)
+            excluded, excluded_count = dimension._excluded_cycles(children, budget)
+            assert excluded == hugging[:50] and excluded_count == len(hugging)
+            rows.clear()
+            got = []
+            for walks, products in batched_cycles(children, budget, floats):
+                got += walks
+                if budget == 8:
+                    expected = [reduce(operator.matmul, [floats[s] for s in w]) for w in walks]
+                    numpy.testing.assert_allclose(products, expected, rtol=1e-12)
+            # the same cycles, each once: cycle_count is len(got)
+            assert sorted(got) == sorted(set(lyndon) - {c for c, _ in hugging})
+            # the distance pruning keeps exactly the walks that can still close
+            assert sum(rows) == sum(1 for n, back in prenecklaces if n + back <= budget)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_cycle_budget_below_one_is_rejected(quadratic_ninth_structure, budget):
+    structure = quadratic_ninth_structure
+    dec, table = parts_of(structure)
+    for inner in (True, False):
+        with pytest.raises(ValueError, match="cycle budget must be at least 1"):
+            essential_interval_bounds(structure, dec, table, budget, inner=inner)
 
 
 def test_witness_ties_go_to_the_shortest_cycle(six_map_quarter_structure):

@@ -408,6 +408,26 @@ def test_explore_subdivides_each_signature_once(request, monkeypatch, name):
     assert set(calls) == set(signatures)
 
 
+def test_value_memo_hits_only_its_own_operands(golden_third):
+    explorer = _Explorer(golden_third)
+    one, rho = golden_third.context.one, golden_third.rho
+    twin = one + golden_third.context.zero
+    assert twin == one and twin is not one
+    # equal but distinct operands get their own entries and one shared value
+    first = explorer._value("-", one, rho)
+    assert first == one - rho
+    assert explorer._value("-", twin, rho) is first
+    assert explorer._value("-", one, rho) is first
+    assert len(explorer._values) == 2
+    # an entry under the operands' ids that holds another object is no hit
+    stale = rho * rho
+    explorer._values[("+", id(one), id(rho))] = (twin, rho, stale)
+    value = explorer._value("+", one, rho)
+    assert value == one + rho != stale
+    assert explorer._values[("+", id(one), id(rho))] == (one, rho, value)
+    assert explorer._values[("+", id(one), id(rho))][0] is one
+
+
 def _closed_end_hits(system, length, neighbours):
     """Whether some start sits on a piece's u, and some on a piece's v - rho."""
     starts = {(d - c).coeffs for c in neighbours for d in system.translations}
