@@ -10,7 +10,10 @@ every record refers to elements by their index there:
     full vector     [reduced id, sibling index]
 
 A table repeats few values (59 distinct elements among the 26,760 of
-x/3 + {0, 2/87, 2/3}), so the loader decodes each once.  Letters are not
+x/3 + {0, 2/87, 2/3}), so the loader decodes each once.  It then walks
+the records once, checking each id where it reads it (an int, not a bool,
+in range of the table it indexes) and raising CacheError for anything
+else, and builds each child record directly from its row.  Letters are not
 stored: a command reads a few edges, and `matrices.edge_matrix` derives
 theirs more cheaply than every edge's could be written and parsed.  A
 version stamp plus a fingerprint of the defining system guard against
@@ -125,49 +128,60 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
         raise CacheError(f"malformed cache {path}: {exc!r}") from exc
 
 
-def _index(value, count: int, what: str) -> int:
-    """`value` if it is an int in range(count), else CacheError."""
-    if type(value) is not int or not 0 <= value < count:
-        raise CacheError(f"cache {what} id out of range: {value!r}")
-    return value
+def _bad_id(what: str, value) -> CacheError:
+    return CacheError(f"cache {what} id out of range: {value!r}")
 
 
 def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
+    """The structure that `payload` describes.
+
+    Each id check is written out where the id is read, not behind a helper
+    call: a table of 2280 vectors holds about 37,000 ids.
+    """
     ctx = system.context
     elements = [_coeffs_in(ctx, raw) for raw in payload["elements"]]
     element_count = len(elements)
-
-    def element(value):
-        return elements[_index(value, element_count, "element")]
-
+    rows = payload["reduced"]
     structure = FiniteTypeStructure(system)
-    for idx, (length, neighbours, level, _) in enumerate(payload["reduced"]):
+    for idx, (length, neighbours, level, _) in enumerate(rows):
         if type(level) is not int:
             raise CacheError("cache vector level is not an integer")
+        if type(length) is not int or not 0 <= length < element_count:
+            raise _bad_id("element", length)
+        for v in neighbours:
+            if type(v) is not int or not 0 <= v < element_count:
+                raise _bad_id("element", v)
         rid, fresh = structure.register_reduced(
-            element(length), tuple(element(v) for v in neighbours), level
+            elements[length], tuple([elements[v] for v in neighbours]), level
         )
         if rid != idx or not fresh:
             raise CacheError("cache lists duplicate reduced vectors")
+    reduced_count = len(structure.reduced)
     for idx, (rid, sibling) in enumerate(payload["fulls"]):
-        rid = _index(rid, len(structure.reduced), "reduced")
+        if type(rid) is not int or not 0 <= rid < reduced_count:
+            raise _bad_id("reduced", rid)
         if type(sibling) is not int:
             raise CacheError("cache sibling index is not an integer")
-        fid = structure.register_full(rid, sibling)
-        if fid != idx:
+        if structure.register_full(rid, sibling) != idx:
             raise CacheError("cache lists duplicate full vectors")
     full_count = len(structure.fulls)
-    for rid, (_, _, _, children) in enumerate(payload["reduced"]):
+    for vec, (_, _, _, children) in zip(structure.reduced, rows):
         if children is None:
             continue
         records = []
         for edge_index, (child, offset, gap, left, right) in enumerate(children):
-            child = _index(child, full_count, "child")
+            if type(child) is not int or not 0 <= child < full_count:
+                raise _bad_id("child", child)
+            if type(offset) is not int or not 0 <= offset < element_count:
+                raise _bad_id("element", offset)
             if not (type(gap) is type(left) is type(right) is bool):
                 raise CacheError("cache child flags are not booleans")
-            records.append(ChildRecord(child, element(offset), edge_index, gap, left, right))
-        structure.reduced[rid].children = records
-    structure.root_full = _index(payload["root_full"], full_count, "root")
+            records.append(ChildRecord(child, elements[offset], edge_index, gap, left, right))
+        vec.children = records
+    root = payload["root_full"]
+    if type(root) is not int or not 0 <= root < full_count:
+        raise _bad_id("root", root)
+    structure.root_full = root
     if payload["saturated"] is not True:
         raise CacheError("cache holds a structure that is not saturated")
     if type(payload["levels_explored"]) is not int:

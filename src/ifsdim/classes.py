@@ -170,7 +170,7 @@ def positive_row_check(
 # triples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TripleEdge:
     """One descent step of a triple; rules record how each flank arose.
 

@@ -158,22 +158,33 @@ def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> Tr
 
     Entry (i, k) is p_j if d_j = c_i + t_k, else 0, for the parent neighbour
     c_i and t_k = offset - rho * a_k, formed once per child neighbour a_k.
+    Each row costs the smaller of its m sums c_i + t_k, each looked up in
+    {d_j: p_j}, and its |D| differences d_j - c_i, a table {d_j - c_i: p_j}
+    that each t_k is looked up in: the 14 x 15 matrices of the essential
+    class of x/3 + {0, 2/87, 2/3} take the table, and the 3 x 3 ones of the
+    Cantor and convolution families, with 9 or 10 translations, the sums.
     """
     system = structure.system
     if system.probabilities is None:
         raise NetStructureError("system has no probabilities")
     rec = structure.children_of_reduced(rid)[edge_index]
-    prob_of = dict(zip(system.translations, system.probabilities))
+    pairs = list(zip(system.translations, system.probabilities))
     zero = Fraction(0)
     shifts = [rec.offset - system.rho * a for a in structure.neighbours_of_full(rec.child)]
-    matrix = TransitionMatrix(
-        [[prob_of.get(c + t, zero) for t in shifts] for c in structure.reduced[rid].neighbours]
-    )
-    if any(s == 0 for s in matrix.column_sums()):
+    parents = structure.reduced[rid].neighbours
+    if len(pairs) < len(shifts):
+        rows = []
+        for c in parents:
+            prob_at = {d - c: p for d, p in pairs}
+            rows.append([prob_at.get(t, zero) for t in shifts])
+    else:
+        prob_of = dict(pairs)
+        rows = [[prob_of.get(c + t, zero) for t in shifts] for c in parents]
+    if not all(any(column) for column in zip(*rows)):
         raise NetStructureError(
             "transition matrix has a zero column; child neighbour unaccounted"
         )
-    return matrix
+    return TransitionMatrix(rows)
 
 
 class MatrixTable:

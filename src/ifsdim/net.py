@@ -12,6 +12,9 @@ detects by saturation.
 Children of a net interval depend only on (length, neighbours); the sibling
 index only disambiguates vertices of the transition diagram.  Child records
 hold only geometry; `matrices.edge_matrix` derives the letters of an edge.
+`ChildRecord` and `FullVector` are slotted dataclasses that are not frozen:
+a table and each cache load build thousands of them, a frozen dataclass
+sets every field through `object.__setattr__`, and nothing hashes them.
 All coordinates are exact field elements, so vector identity is exact.
 Every table is keyed by the elements themselves, and the explorer
 subdivides each (length, neighbours) signature once, forming each value it
@@ -30,6 +33,8 @@ from .field import FieldElement
 from .ifs import IFSSystem
 
 VectorKey = tuple  # (length, (neighbour, ...)) as FieldElements
+
+DISPLAY_EPS = Fraction(1, 10**12)  # how close a printed coordinate is to its value
 
 
 class NetStructureError(RuntimeError):
@@ -52,7 +57,7 @@ class PointNotInAttractorError(NetStructureError):
         self.level = level
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChildRecord:
     """One child of a net interval, in parent-normalized coordinates."""
 
@@ -72,7 +77,7 @@ class ReducedVector:
     children: list[ChildRecord] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FullVector:
     reduced: int
     sibling_index: int
@@ -153,8 +158,10 @@ class FiniteTypeStructure:
     def reduced_signature(self, rid: int) -> tuple[Fraction, tuple[Fraction, ...]]:
         """Approximate (length, neighbours) for display, exact when rational."""
         vec = self.reduced[rid]
-        eps = Fraction(1, 10**12)
-        return vec.length.approx(eps), tuple(v.approx(eps) for v in vec.neighbours)
+        return (
+            vec.length.approx(DISPLAY_EPS),
+            tuple(v.approx(DISPLAY_EPS) for v in vec.neighbours),
+        )
 
     def edge_count(self) -> int:
         return sum(len(self.children_of_reduced(r)) for r in range(self.reduced_count))

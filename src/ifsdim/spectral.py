@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy
 
 from .classes import strongly_connected_components
+from .matrices import TransitionMatrix
 
 __all__ = ["SpectralResult", "ln_fraction", "safe_float", "spectral_radius"]
 
@@ -83,15 +84,21 @@ def safe_float(q: Fraction) -> float:
 
 
 def _as_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    raw = getattr(matrix, "rows", matrix)
-    rows = tuple(tuple(Fraction(x) for x in row) for row in raw)
+    """The rows of a square nonnegative matrix, as tuples of `Fraction`s.
+
+    A `TransitionMatrix` holds nonnegative `Fraction`s by construction, so
+    its rows pass through; other rows are converted and checked entry by
+    entry.
+    """
+    if isinstance(matrix, TransitionMatrix):
+        rows = matrix.rows
+    else:
+        rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+        if any(x < 0 for row in rows for x in row):
+            raise ValueError("spectral radius is defined here for nonnegative matrices")
     n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("spectral radius needs a square matrix")
-        for x in row:
-            if x < 0:
-                raise ValueError("spectral radius is defined here for nonnegative matrices")
+    if any(len(row) != n for row in rows):
+        raise ValueError("spectral radius needs a square matrix")
     return rows
 
 

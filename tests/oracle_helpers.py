@@ -8,7 +8,10 @@ subdivision loop, kept as the slow exact reference for the sorted sweep
 that replaced it; `reference_letters`, the former per-record letter table,
 kept as the reference for the letters `matrices.edge_matrix` derives, with
 `with_letter_probabilities`, which reweights a structure so that each
-matrix entry names its letter;
+matrix entry names its letter; `reference_edge_matrix`, the
+pair-by-pair sums that `edge_matrix` once formed on every edge, kept as
+the reference for the per-row tables of differences it takes when a row
+has more columns than the system has translations;
 `reference_cycle_limit`, the former (node, phase) trail of periodic point
 classification, kept as the reference for `TripleDiagram.cycle_limit`;
 `essential_not_truly_witness` with `side_chain_class`, a scan of a whole
@@ -240,6 +243,18 @@ def reference_letters(system, parent_neighbours, offset, child_neighbours):
             row.append(letter_of.get((base - rho * a).coeffs))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def reference_edge_matrix(structure, rid, edge_index):
+    """Entry (i, k) is the probability of the translation c_i + t_k, else 0,
+    found by forming that sum for every pair (parent c_i, shift t_k)."""
+    system = structure.system
+    rec = structure.children_of_reduced(rid)[edge_index]
+    prob_of = dict(zip(system.translations, system.probabilities))
+    shifts = [rec.offset - system.rho * a for a in structure.neighbours_of_full(rec.child)]
+    return TransitionMatrix(
+        [[prob_of.get(c + t, Fraction(0)) for t in shifts] for c in structure.reduced[rid].neighbours]
+    )
 
 
 def with_letter_probabilities(structure):

@@ -171,6 +171,15 @@ def _set_offset(payload, raw):
         ),
         pytest.param(lambda p: _first_child(p).__setitem__(1, True), id="offset-id-as-bool"),
         pytest.param(lambda p: p["reduced"][0].__setitem__(0, 0.0), id="length-id-as-float"),
+        pytest.param(lambda p: _first_child(p).__setitem__(0, True), id="child-id-as-bool"),
+        pytest.param(lambda p: _first_child(p).__setitem__(0, -1), id="child-id-minus-one"),
+        pytest.param(
+            lambda p: _first_child(p).__setitem__(0, len(p["fulls"])), id="child-id-past-end"
+        ),
+        pytest.param(
+            lambda p: p["reduced"][1][1].__setitem__(0, True), id="neighbour-id-as-bool"
+        ),
+        pytest.param(lambda p: p["fulls"].append(list(p["fulls"][-1])), id="duplicate-full"),
     ],
 )
 def test_malformed_record_raises(tmp_path, six_map_quarter, six_map_quarter_structure, spoil):

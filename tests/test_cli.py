@@ -583,6 +583,22 @@ def test_graph_stdout_is_pinned(cfgdir, capsys, cfg, which):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GRAPH_STDOUT_SHA256[cfg, which]
 
 
+@pytest.mark.parametrize("cfg", ["table_87", "golden_third"])
+def test_graph_stdout_from_a_warm_cache_is_pinned(cfgdir, tmp_path, capsys, cfg):
+    # the pins above come from fresh explorations; a cached structure must
+    # print the same bytes, irrational coordinates included
+    config_path = str(cfgdir / (cfg + ".cfg"))
+    cache = str(tmp_path / "cache.json")
+    assert main(["explore", "--config", config_path, "--cache", cache]) == 0
+    capsys.readouterr()
+    for which in ("reduced", "triple"):
+        assert main(["graph", which, "--config", config_path, "--cache", cache]) == 0
+        captured = capsys.readouterr()
+        assert "loaded structure cache" in captured.err
+        digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+        assert digest == GRAPH_STDOUT_SHA256[cfg, which], which
+
+
 # every point pointdim classifies above, with its --depth
 QUERIED_POINTS = {
     "six": [("1/2", 60), ("0", 60), ("1", 60), ("1/97", 20)],

@@ -8,7 +8,8 @@ import pytest
 
 from ifsdim import dimension, matrices
 from ifsdim.classes import decompose
-from ifsdim.ifs import cantor_like
+from ifsdim.field import FieldContext
+from ifsdim.ifs import build_ifs, cantor_like
 from ifsdim.net import NetStructureError, explore, iter_net_intervals, path_fulls
 from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
 
@@ -243,6 +244,57 @@ def test_shared_matrices_equal_per_edge_matrices(request, name):
         for rec in s.children_of_reduced(rid):
             e = rec.edge_index
             assert table.of_edge(rid, e) == edge_matrix(s, rid, e)
+
+
+@pytest.fixture(scope="module")
+def golden_three_maps_structure():
+    """rho x + {0, rho^3, rho^2} for the golden rho = (sqrt(5) - 1) / 2: on
+    28 of its 41 edges the child has more neighbours than there are maps."""
+    ctx = FieldContext([-1, 1, 1], [F(1, 2), F(1)])
+    rho = ctx.rho
+    return explore(build_ifs(ctx, [ctx.zero, rho**3, rho**2], [F(1, 3)] * 3))
+
+
+def _wide(structure, rec):
+    """Whether `edge_matrix` takes the row tables of differences on this edge."""
+    return len(structure.neighbours_of_full(rec.child)) > len(structure.system.translations)
+
+
+def _assert_matches_pairwise_sums(structure, records):
+    # the letter weights make every nonzero entry name its translation, so
+    # a lookup that found the wrong one would not go unseen
+    weighted, _ = oh.with_letter_probabilities(structure)
+    for s in (structure, weighted):
+        for rid, rec in records:
+            e = rec.edge_index
+            assert edge_matrix(s, rid, e) == oh.reference_edge_matrix(s, rid, e), (rid, e)
+
+
+@pytest.mark.parametrize(
+    "name", CYCLE_STRUCTURES + ["convolution_3_8_structure", "golden_three_maps_structure"]
+)
+def test_edge_matrix_matches_the_pairwise_sums(request, name):
+    s = request.getfixturevalue(name)
+    records = [(rid, rec) for rid in range(s.reduced_count) for rec in s.children_of_reduced(rid)]
+    if name == "golden_three_maps_structure":
+        # the only fixture here whose edges take the tables, on an irrational field
+        assert sum(_wide(s, rec) for rid, rec in records) == 28
+    _assert_matches_pairwise_sums(s, records)
+
+
+def test_edge_matrix_matches_the_pairwise_sums_on_the_essential_table_87_edges(
+    table_87_structure,
+):
+    # all 7267 edges would take the pairwise sums about 10 s; the essential
+    # class holds the 14 x 15 matrices that report and pointdim read
+    s = table_87_structure
+    records = [
+        (rid, rec)
+        for rid in sorted({s.reduced_of(fid) for fid in decompose(s).essential})
+        for rec in s.children_of_reduced(rid)
+    ]
+    assert all(_wide(s, rec) for rid, rec in records)
+    _assert_matches_pairwise_sums(s, records)
 
 
 def test_table_builds_each_matrix_on_first_read(monkeypatch, golden_third_structure):
