@@ -6,8 +6,9 @@ Subcommands:
   graph     export the reduced graph or the triple diagram as DOT
   pointdim  local dimension at a point or along an explicit periodic path
 
-Exit codes: 0 success, 2 exploration budget exhausted before saturation,
-3 invalid input, 4 point not in the attractor.
+Exit codes: 0 success, 2 exploration budget exhausted before saturation
+or an argument usage error (argparse), 3 invalid input, 4 point not in the
+attractor.
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ Logarithms of rationals are evaluated with the float `math.log` and padded
 by 1e-12 relative plus about 1e-15 per bit of the rational.  The padding
 rests on libm's `log` being within a few ulp of the true value, which
 IEEE 754 recommends but does not require; it is not a proof (ROADMAP F4).
+numpy is imported only inside the functions of the float cycle screen of
+`essential_interval_bounds` and in `pisot_check`, so importing this module
+does not load it, and neither does an `inner=False` bounds call.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy
 
 from .classes import (
     ClassDecomposition,
@@ -379,6 +380,8 @@ def _included_cycle_batches(children, budget: int, floats):
     zero term adds nothing to a finite entry, and a product with an entry
     that overflows stays not finite either way.
     """
+    import numpy
+
     vectors = sorted(children)
     index = {f: i for i, f in enumerate(vectors)}
     # a child record's edge index is its position, so this is (vector, edge) order
@@ -453,6 +456,8 @@ def _chunk_scores(stack, lengths):
     all finite; the others score nan without it, and so do all of them if
     the call fails.
     """
+    import numpy
+
     finite = numpy.isfinite(stack).all(axis=(1, 2))
     radii = numpy.full(len(stack), math.nan)
     if finite.any():
@@ -468,6 +473,8 @@ def _chunk_scores(stack, lengths):
 
 def _near_extreme(g, g_lo: float, g_hi: float):
     """Which scores in the array g are within `_SCREEN_MARGIN` of g_lo or g_hi, or not finite."""
+    import numpy
+
     return (
         ~numpy.isfinite(g)
         | (g <= g_lo + _SCREEN_MARGIN * abs(g_lo))
@@ -487,6 +494,8 @@ class _CycleScreen:
     """
 
     def __init__(self, budget: int):
+        import numpy
+
         self.budget = budget
         # shape -> batches of (products, lengths, starts, edges padded with -1)
         self.queues: dict[int, list[tuple]] = {}
@@ -495,6 +504,8 @@ class _CycleScreen:
         self.near: list[tuple[int, tuple[int, ...]]] = []
 
     def add(self, start: int, edges, products) -> None:
+        import numpy
+
         size, n = edges.shape
         padded = numpy.full((size, self.budget), -1)
         padded[:, :n] = edges
@@ -509,6 +520,8 @@ class _CycleScreen:
             queue[:] = [tuple(part[full:] for part in parts)] if full < total else []
 
     def _score(self, products, lengths, starts, edges) -> None:
+        import numpy
+
         g = _chunk_scores(products, lengths)
         finite = g[numpy.isfinite(g)]
         if finite.size:
@@ -530,6 +543,8 @@ class _CycleScreen:
 
     def candidates(self) -> list[tuple[int, tuple[int, ...]]]:
         """Score what is queued; the (start, edges) near the final extremes, sorted."""
+        import numpy
+
         for queue in self.queues.values():
             if queue:
                 self._score(*(numpy.concatenate(column) for column in zip(*queue)))
@@ -641,6 +656,8 @@ def essential_interval_bounds(
     excluded: list[tuple] = []
     excluded_count = 0
     if inner:
+        import numpy
+
         children = {fid: structure.children_of_full(fid) for fid in sorted(dec.essential)}
         excluded, excluded_count = _excluded_cycles(children, cycle_budget)
         floats = {
@@ -934,6 +951,8 @@ def pisot_check(minpoly: Sequence) -> PisotResult:
         )
     if ints[-1] == -1:
         ints = [-c for c in ints]
+    import numpy
+
     roots = numpy.roots(list(reversed(ints)))
     order = sorted(roots, key=lambda z: abs(z), reverse=True)
     dominant, rest = order[0], order[1:]

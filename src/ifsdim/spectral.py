@@ -15,6 +15,8 @@ not strictly positive (all ones is used then), power iteration on B + tI
 (primitive whenever B is irreducible) tightens them.  Neither the float
 seed nor rounding the iterate can invalidate the enclosure, because the
 inequality holds for every positive vector.
+numpy is imported only inside `_perron_seed`, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy
 
 from .classes import strongly_connected_components
 from .matrices import TransitionMatrix
@@ -126,6 +126,8 @@ def _perron_seed(block):
     Only a strictly positive vector is returned; how accurate it is decides
     how many exact rounds follow, never whether the enclosure holds.
     """
+    import numpy
+
     top = max(max(row) for row in block)
     scaled = numpy.array([[float(x / top) for x in row] for row in block])
     try:

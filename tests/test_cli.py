@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -622,6 +625,68 @@ def test_pointdim_classifies_on_an_unexpanded_diagram(cfgdir, cfg):
         fresh = build_triple_diagram(structure, dec, expand=False)
         got = classify_truly_essential(fresh, location)
         assert got == classify_truly_essential(whole, location), point
+
+
+# -- numpy only where a cycle is screened or a Perron vector is seeded ----------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs `cli.main` (config parse included) on each argv in a fresh
+# interpreter and prints, as JSON, each (exit code, stdout) and whether
+# numpy got loaded; with "block" set, any import of numpy raises ImportError
+FRESH_RUNS = """\
+import contextlib, io, json, sys
+argvs, block = json.loads(sys.argv[1])
+if block:
+    sys.modules["numpy"] = None
+from ifsdim import cli
+runs = []
+for argv in argvs:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv)
+    runs.append([rc, out.getvalue()])
+print(json.dumps([runs, sys.modules.get("numpy") is not None]))
+"""
+
+
+def _fresh_runs(argvs, block):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUNS, json.dumps([argvs, block])],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_commands_that_screen_nothing_run_without_numpy(cfgdir, capsys):
+    # the pytest process has numpy loaded already, so only a fresh
+    # interpreter shows what a command imports
+    argvs = [
+        ["explore", "--config", str(cfgdir / "six.cfg")],
+        ["graph", "reduced", "--config", str(cfgdir / "golden_third.cfg")],
+        ["graph", "triple", "--config", str(cfgdir / "golden_third.cfg")],
+        ["pointdim", "--config", str(cfgdir / "zerorow.cfg"), "--point", "0.35"],
+    ]
+    runs, loaded = _fresh_runs(argvs, block=True)
+    assert not loaded
+    expected = []
+    for argv in argvs:
+        rc = main(argv)
+        expected.append([rc, capsys.readouterr().out])
+    assert runs == expected
+    assert [rc for rc, _ in runs] == [0, 0, 0, 4]
+
+    # a report does load numpy, and must show it loaded, so the check above
+    # cannot pass for want of detecting an import
+    report = ["report", "--config", str(cfgdir / "six.cfg"), "--cycle-budget", "2"]
+    runs, loaded = _fresh_runs([report], block=False)
+    assert loaded
+    assert runs == [[main(report), capsys.readouterr().out]]
 
 
 # -- benchmark tracer bindings ---------------------------------------------------
