@@ -172,19 +172,16 @@ def positive_row_check(
 
 @dataclass(slots=True)
 class TripleEdge:
-    """One descent step of a triple; rules record how each flank arose.
+    """One descent step of a triple to the child over child edge `edge_index`.
 
-    left_rule / right_rule are ('sibling', edge), ('flank', edge), or ('x',):
-    a sibling flank extends the centre's path by the named edge, a flank
-    rule extends the previous flank's path, and ('x',) is a gap.
+    `is_leftmost` / `is_rightmost` say whether that child abuts its
+    parent's left / right end.
     """
 
     child: int
     edge_index: int
     is_leftmost: bool
     is_rightmost: bool
-    left_rule: tuple
-    right_rule: tuple
 
 
 TripleKey = tuple  # (left fid | None, centre fid, right fid | None)
@@ -251,41 +248,21 @@ class TripleDiagram:
         records = structure.children_of_full(centre)
         out = []
         for i, rec in enumerate(records):
+            new_left = new_right = None
             if i > 0 and not rec.gap_before:
                 new_left = records[i - 1].child
-                left_rule = ("sibling", i - 1)
             elif rec.abuts_left and left is not None:
                 flank = structure.children_of_full(left)[-1]
                 if flank.abuts_right:
                     new_left = flank.child
-                    left_rule = ("flank", flank.edge_index)
-                else:
-                    new_left, left_rule = None, ("x",)
-            else:
-                new_left, left_rule = None, ("x",)
             if i + 1 < len(records) and not records[i + 1].gap_before:
                 new_right = records[i + 1].child
-                right_rule = ("sibling", i + 1)
             elif rec.abuts_right and right is not None:
                 flank = structure.children_of_full(right)[0]
                 if flank.abuts_left:
                     new_right = flank.child
-                    right_rule = ("flank", 0)
-                else:
-                    new_right, right_rule = None, ("x",)
-            else:
-                new_right, right_rule = None, ("x",)
             child = self._node((new_left, rec.child, new_right))
-            out.append(
-                TripleEdge(
-                    child,
-                    i,
-                    rec.abuts_left,
-                    rec.abuts_right,
-                    left_rule,
-                    right_rule,
-                )
-            )
+            out.append(TripleEdge(child, i, rec.abuts_left, rec.abuts_right))
         self.edges[nid] = out
         return out
 

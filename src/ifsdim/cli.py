@@ -6,9 +6,9 @@ Subcommands:
   graph     export the reduced graph or the triple diagram as DOT
   pointdim  local dimension at a point or along an explicit periodic path
 
-Exit codes: 0 success, 2 exploration budget exhausted before saturation
-or an argument usage error (argparse), 3 invalid input, 4 point not in the
-attractor.
+Exit codes: 0 success, 1 stdout closed by its reader, 2 exploration
+budget exhausted before saturation or an argument usage error (argparse),
+3 invalid input, 4 point not in the attractor.
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ import sys
 from fractions import Fraction
 
 from .cache import CacheError, load_structure, save_structure
-from .classes import build_triple_diagram, classify_truly_essential, decompose
+from .classes import (
+    INTERIOR_ESSENTIAL,
+    build_triple_diagram,
+    classify_truly_essential,
+    decompose,
+)
 from .config import ConfigError, _parse_value, load_config
 from .dimension import (
     PeriodicSpec,
@@ -27,7 +32,6 @@ from .dimension import (
     essential_interval_bounds,
     isolated_point_scan,  # unused here; perfbench/tracer.py wraps cli's binding
     isolation_verdict,
-    local_dim_estimate,
     local_dim_periodic,
 )
 from .dot import reduced_dot, triple_dot
@@ -45,6 +49,7 @@ from .report import (
     _fmt_certified,
     dumps,
     format_enclosure,
+    fraction_str,
     full_report,
     local_dim_dict,
     render_text,
@@ -52,6 +57,7 @@ from .report import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_NOT_FINITE_TYPE = 2
 EXIT_INPUT = 3
 EXIT_NOT_IN_ATTRACTOR = 4
@@ -187,8 +193,8 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
     x = _parse_point(args.point, system)
     location = locate_point(structure, x, depth=args.depth)
     dec = decompose(structure)
-    # expanded on demand: the classification and the slope walk read only
-    # the triples along the point's walk
+    # expanded on demand: the classification reads only the triples along
+    # the point's walk
     diagram = build_triple_diagram(structure, dec, expand=False)
     classification = classify_truly_essential(diagram, location)
     print("point %s" % args.point)
@@ -202,6 +208,10 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
         print("  side %s: edges %s%s%s" % (rep.side, shown, "..." if len(rep.edges) > 12 else "", cyc))
 
     table = MatrixTable(structure)
+    # the isolation verdict and the aperiodic answer only need the outer
+    # interval and the column-sum extremes, so skip the walk enumeration
+    bounds = essential_interval_bounds(structure, dec, table, inner=False)
+    outer = format_enclosure(bounds.outer_lo.lo, bounds.outer_hi.hi)
     live = [r for r in location.representations if r.alive]
     periodic = live and all(r.cycle is not None for r in live)
     payload: dict = {"point": args.point, "classification": classification}
@@ -210,27 +220,32 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
         result = local_dim_periodic(structure, table, spec)
         payload["local_dimension"] = local_dim_dict(result)
         _print_local_dim(payload["local_dimension"])
-        # the isolation verdict only needs the outer interval and the
-        # column-sum extremes, so skip the walk enumeration
-        bounds = essential_interval_bounds(structure, dec, table, inner=False)
         isolated, reason, family_bound = isolation_verdict(structure, bounds, x, result)
         if isolated:
             if reason == "outside_outer":
-                phrase = "outside the certified outer interval %s" % format_enclosure(
-                    bounds.outer_lo.lo, bounds.outer_hi.hi
-                )
+                phrase = "outside the certified outer interval %s" % outer
             else:
                 phrase = _ISOLATION_PHRASES[reason]
                 if family_bound is not None:
                     phrase += " (bound %.12g)" % family_bound
             print("ISOLATED: the value lies %s" % phrase)
         payload["isolated"] = isolated
+    elif classification == INTERIOR_ESSENTIAL:
+        # both local dimensions at a truly essential point lie in the outer
+        # interval (Hare, Hare and Matthews, J. Fractal Geom. 3 (2016))
+        print(
+            "no period within depth %d; the lower and upper local dimensions "
+            "lie in the certified outer interval %s" % (args.depth, outer)
+        )
+        payload["local_dimension_bounds"] = {
+            "lo": fraction_str(bounds.outer_lo.lo),
+            "hi": fraction_str(bounds.outer_hi.hi),
+        }
     else:
-        slopes = local_dim_estimate(structure, diagram, table, location, args.depth)
-        print("no periodic representation within depth; slope sequence:")
-        for n, slope in slopes[-10:]:
-            print("  n=%4d  log-mass slope %.9f" % (n, slope))
-        payload["slopes"] = [[n, s] for n, s in slopes]
+        print(
+            "no period within depth %d; no local dimension is certified "
+            "(a larger --depth may settle it)" % args.depth
+        )
     if args.json is not None:
         _write_or_print(args.json, dumps(payload))
     return EXIT_OK
@@ -246,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-vectors", type=int, default=100000)
     common.add_argument("--max-level", type=int, default=200)
     measure = argparse.ArgumentParser(add_help=False)
-    measure.add_argument("--depth", type=int, default=60)
+    measure.add_argument("--depth", type=int, default=1000)
     measure.add_argument("--json", default=None, help="JSON output path")
 
     parser = argparse.ArgumentParser(
@@ -275,13 +290,20 @@ def main(argv=None) -> int:
             if name in ("max_vectors", "max_level", "cycle_budget", "depth") and value <= 0:
                 raise ConfigError(f"--{name.replace('_', '-')} must be positive")
         system = load_config(args.config)
-        if args.command == "explore":
-            return cmd_explore(args, system)
-        if args.command == "report":
-            return cmd_report(args, system)
-        if args.command == "graph":
-            return cmd_graph(args, system)
-        return cmd_pointdim(args, system)
+        command = {
+            "explore": cmd_explore,
+            "report": cmd_report,
+            "graph": cmd_graph,
+            "pointdim": cmd_pointdim,
+        }[args.command]
+        code = command(args, system)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; send the unwritten rest to devnull so the
+        # flush at interpreter exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except NotProvenFiniteTypeError as exc:
         print(f"not proven finite type: {exc}", file=sys.stderr)
         return EXIT_NOT_FINITE_TYPE

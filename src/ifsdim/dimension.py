@@ -3,12 +3,14 @@
 Everything quantitative lives here: the Hausdorff dimension of the
 attractor, local dimensions of the self-similar measure at eventually
 periodic points, certified outer and inner bounds for the interval of
-local dimensions attained at truly essential points, a crude slope
-estimator along arbitrary symbolic paths, the isolation verdict for a
-local dimension (with family bounds at the hull endpoints), and two
-structural diagnostics (equal column sums, Pisot reciprocal ratio).
-The inner bounds need no triple diagram (see `essential_interval_bounds`);
-only the slope estimator reads one.
+local dimensions attained at truly essential points, the isolation
+verdict for a local dimension (with family bounds at the hull
+endpoints), and two structural diagnostics (equal column sums, Pisot
+reciprocal ratio).  No code here reads the triple diagram; the inner
+bounds need none (see `essential_interval_bounds`).  The outer interval
+also bounds the lower and upper local dimensions at every truly
+essential point, so `pointdim` prints it for such a point with no period
+in reach.
 
 Numbers are reported as a float `value` plus rational certified bounds.
 Every dimension is a rate -ln(q) / (n |ln rho|) of a mass factor q per n
@@ -35,7 +37,6 @@ from typing import Sequence
 
 from .classes import (
     ClassDecomposition,
-    TripleDiagram,
     build_triple_diagram,  # unused here; perfbench/tracer.py wraps this binding
     decompose,
     essential_incidence,
@@ -70,7 +71,6 @@ __all__ = [
     "hausdorff_dimension",
     "local_dim_periodic",
     "essential_interval_bounds",
-    "local_dim_estimate",
     "isolation_verdict",
     "isolated_point_scan",
     "equal_column_sum_check",
@@ -94,8 +94,13 @@ _PISOT_TOL = 1e-9
 
 
 def log_enclosure(q) -> tuple[Fraction, Fraction]:
-    """Rational bracket around ln(q) that absorbs float rounding error."""
+    """Rational bracket around ln(q) that absorbs float rounding error.
+
+    ln 1 = 0 exactly, so a rate of mass factor 1 (p_max = 1) is exactly 0.
+    """
     q = Fraction(q)
+    if q == 1:
+        return Fraction(0), Fraction(0)
     v = ln_fraction(q)
     scale = q.numerator.bit_length() + q.denominator.bit_length()
     pad = abs(v) * _LOG_REL_PAD + scale * 1e-15 + 1e-15
@@ -714,75 +719,6 @@ def essential_interval_bounds(
         excluded_count,
         cycle_budget,
     )
-
-
-# -- slope estimates along arbitrary symbolic paths --------------------------
-
-
-def _path_edges(path, depth: int) -> list[int]:
-    if isinstance(path, PointLocation):
-        live = [r for r in path.representations if r.alive]
-        path = (live or path.representations)[0]
-    if isinstance(path, Representation):
-        if path.cycle is None:
-            return list(path.edges)[:depth]
-        path = PeriodicSpec.from_representation(path)
-    if isinstance(path, PeriodicSpec):
-        edges = list(path.prefix)
-        while len(edges) < depth:
-            edges.extend(path.cycle)
-        return edges[:depth]
-    return list(path)[:depth]
-
-
-def local_dim_estimate(
-    structure: FiniteTypeStructure,
-    diagram: TripleDiagram,
-    table: MatrixTable,
-    path,
-    depth: int,
-) -> list[tuple[int, float]]:
-    """Slope sequence log(mass around the path) / (n log rho), no limit claim.
-
-    The mass surrogate at step n adds the path-product entry sums of the
-    net interval and of whichever adjacent intervals exist at that level,
-    following the triple diagram, so points on a shared endpoint pick up
-    the mass on both sides automatically.
-    """
-    edges = _path_edges(path, depth)
-    den_lo, den_hi = rho_log_enclosure(structure)
-    ln_rho = -float((den_lo + den_hi) / 2)
-    nid = diagram.root
-    size = len(structure.neighbours_of_full(structure.root_full))
-    centre_row = TransitionMatrix.identity(size)
-    left_row = None
-    right_row = None
-    out = []
-    for n, e in enumerate(edges, start=1):
-        key = diagram.keys[nid]
-        step = diagram.out_edges(nid)[e]
-        centre_rid = structure.reduced_of(key[1])
-
-        def flank(rule, old_row, flank_fid):
-            if rule[0] == "sibling":
-                return centre_row * table.of_edge(centre_rid, rule[1])
-            if rule[0] == "flank":
-                return old_row * table.of_edge(
-                    structure.reduced_of(flank_fid), rule[1]
-                )
-            return None
-
-        new_left = flank(step.left_rule, left_row, key[0])
-        new_right = flank(step.right_rule, right_row, key[2])
-        centre_row = centre_row * table.of_edge(centre_rid, e)
-        left_row, right_row, nid = new_left, new_right, step.child
-        mass = centre_row.entry_sum()
-        if left_row is not None:
-            mass += left_row.entry_sum()
-        if right_row is not None:
-            mass += right_row.entry_sum()
-        out.append((n, ln_fraction(mass) / (n * ln_rho)))
-    return out
 
 
 # -- isolation of the endpoint dimensions ------------------------------------

@@ -26,7 +26,6 @@ from ifsdim.dimension import (
     essential_interval_bounds,
     hausdorff_dimension,
     isolated_point_scan,
-    local_dim_estimate,
     local_dim_periodic,
     sanity_dim_in_interval,
 )
@@ -330,19 +329,6 @@ def test_05_periodic_local_dimensions(
         spec = PeriodicSpec(_root_path_to(structure, fid), (edge,))
         result = local_dim_periodic(structure, table, spec)
         assert abs(result.dimension.value - target) < 1e-9
-
-    # the boundary point 2/3 descends along rightmost children on one side;
-    # the slope of the log-mass sequence approaches the true value 0.5
-    dec = decompose(structure)
-    diagram = build_triple_diagram(structure, dec)
-    location = locate_point(
-        structure, structure.system.context.from_rational(F(2, 3)), depth=200
-    )
-    assert location.boundary
-    slopes = local_dim_estimate(structure, diagram, table, location, 200)
-    n, slope = slopes[-1]
-    assert n == 200
-    assert abs(slope - 0.5) < 0.01
 
 
 # -- 6: certified bounds on the interval of local dimensions ---------------------

@@ -60,6 +60,13 @@ m = 4
 probabilities = [1/10, 1/5, 1/5, 1/5, 3/10]
 """
 
+# x/4 + {0, 1/12, ..., 9/12}, equal weights: 1/1009 has period 252
+CANTOR_4_9_CFG = """\
+family = cantor
+d = 4
+m = 9
+probabilities = [1/10, 1/10, 1/10, 1/10, 1/10, 1/10, 1/10, 1/10, 1/10, 1/10]
+"""
 
 # x/3 + {0, 2/87, 2/3}: 2280 reduced vectors, 4679 triples
 TABLE_87_CFG = """\
@@ -80,6 +87,7 @@ def cfgdir(tmp_path_factory):
         ("golden_third.cfg", GOLDEN_THIRD_CFG),
         ("golden_half.cfg", GOLDEN_HALF_CFG),
         ("cantor_light.cfg", CANTOR_LIGHT_CFG),
+        ("cantor_4_9.cfg", CANTOR_4_9_CFG),
         ("table_87.cfg", TABLE_87_CFG),
     ):
         (root / name).write_text(text, encoding="utf-8")
@@ -281,22 +289,54 @@ def test_pointdim_bad_cycle_edge(cfgdir, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
-def test_pointdim_slope_sequence_for_aperiodic_point(cfgdir, capsys):
-    rc = main(
-        [
-            "pointdim",
-            "--config",
-            str(cfgdir / "six.cfg"),
-            "--point",
-            "1/97",
-            "--depth",
-            "20",
-        ]
+def test_pointdim_slope_sequence_for_aperiodic_point(cfgdir, capsys, tmp_path):
+    # no float slope sequence: an aperiodic point gets a certified interval
+    # or no number at all
+    six = str(cfgdir / "six.cfg")
+    jsons = []
+    outs = []
+    for depth in ("3", "20", "60"):
+        jsons.append(tmp_path / ("six-%s.json" % depth))
+        argv = ["pointdim", "--config", six, "--point", "1/97", "--depth", depth]
+        assert main(argv + ["--json", str(jsons[-1])]) == 0
+        outs.append(capsys.readouterr().out)
+    shallow, aperiodic, periodic = outs
+
+    # at depth 3 the walk has not reached the essential triple class yet
+    assert "classification: needs_more_depth" in shallow
+    assert "local dimension:" not in shallow
+    assert json.loads(jsons[0].read_text()) == {
+        "classification": "needs_more_depth",
+        "point": "1/97",
+    }
+    assert shallow.splitlines()[-1] == (
+        "no period within depth 3; no local dimension is certified "
+        "(a larger --depth may settle it)"
     )
+
+    # at depth 20 the point is truly essential but shows no period; the
+    # certified outer interval contains the value that depth 60 certifies
+    assert "classification: interior_essential" in aperiodic
+    lines = aperiodic.splitlines()
+    assert lines[-1] == (
+        "no period within depth 20; the lower and upper local dimensions lie "
+        "in the certified outer interval [0.792481250358, 1.292481250364]"
+    )
+    assert "local dimension: 1.01456770863 in [1.014567708631, 1.014567708636]" in periodic
+    bounds = json.loads(jsons[1].read_text())["local_dimension_bounds"]
+    value = json.loads(jsons[2].read_text())["local_dimension"]["dimension"]
+    assert Fraction(bounds["lo"]) <= Fraction(value["lo"])
+    assert Fraction(value["hi"]) <= Fraction(bounds["hi"])
+
+    for path in jsons:
+        assert "slopes" not in json.loads(path.read_text())
+
+    # period 252: the default depth closes it
+    cantor = str(cfgdir / "cantor_4_9.cfg")
+    assert main(["pointdim", "--config", cantor, "--point", "1/1009"]) == 0
     out = capsys.readouterr().out
-    assert rc == 0
-    assert "no periodic representation within depth" in out
-    assert "log-mass slope" in out
+    assert "cycle(start=5, period=252)" in out
+    assert "local dimension: 1.01065475209 in [1.010654752091, 1.010654752096]\n" in out
 
 
 def test_pointdim_needs_probabilities(cfgdir, capsys):
@@ -392,8 +432,8 @@ REPORT_STDOUT_SHA256 = {
     "free": "759517f166b1f9e54b9dc22c2597dabd2e185c3e4c8e394e4208942d108f0244",
     "gap": "b5f6283ba6fcfdf0137416df5d8d853ed2a971deb55be990b2444c24659d78fb",
     "zerorow": "e597b3954ba617cf48570e31cb51f402455e08efcd151571fc35a161bea7524e",
-    "golden_third": "d3de840851b23744e3c15e3d17ebcab6ba44040362657e13284ae9ffd7d60445",
-    "golden_half": "04c5ee3e07f62e5832997b7cf85b9727e65659a7a3f894ce3f51a1e2280c8515",
+    "golden_third": "e27358d3c0cb9a746d398bd506f0f1318aaa58d6929e7dce204d91c9bf71fcec",
+    "golden_half": "86ea0ef0a13f7d277dc6f85516587b52174c1772243f6500973f91ad13cc37fe",
     "cantor_light": "da047da41f643728320708edd3e50864938e5432c10f283e1ef5170cf3925143",
 }
 
@@ -687,6 +727,31 @@ def test_commands_that_screen_nothing_run_without_numpy(cfgdir, capsys):
     runs, loaded = _fresh_runs([report], block=False)
     assert loaded
     assert runs == [[main(report), capsys.readouterr().out]]
+
+
+def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback(cfgdir, tmp_path, capsys):
+    # the triple DOT of table_87 is about 650 kB, more than a pipe holds, so
+    # the write is still under way when the reader goes
+    config_path = str(cfgdir / "table_87.cfg")
+    cache = str(tmp_path / "cache.json")
+    assert main(["explore", "--config", config_path, "--cache", cache]) == 0
+    capsys.readouterr()
+    # unbuffered, the one large write comes back short instead of raising
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ifsdim.cli", "graph", "triple"]
+        + ["--config", config_path, "--cache", cache],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"digraph triple_diagram {\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == "loaded structure cache %s\n" % cache
 
 
 # -- benchmark tracer bindings ---------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for dimensions, interval bounds, estimates, and diagnostics."""
+"""Tests for dimensions, interval bounds, isolation and diagnostics."""
 
 import dataclasses
 import math
@@ -12,7 +12,7 @@ import numpy
 import pytest
 
 from ifsdim import dimension
-from ifsdim.classes import build_triple_diagram, decompose
+from ifsdim.classes import decompose
 from ifsdim.dimension import (
     Certified,
     LocalDimensionResult,
@@ -24,7 +24,6 @@ from ifsdim.dimension import (
     isolated_point_scan,
     isolation_verdict,
     ln_fraction,
-    local_dim_estimate,
     local_dim_periodic,
     pisot_check,
     pisot_check_reciprocal,
@@ -713,29 +712,12 @@ def test_cantor_default_report_certifies_only_the_extremes(cantor_4_9_structure)
     assert bounds.certified_count <= 20
 
 
-# -- slope estimates -----------------------------------------------------------
-
-
-def test_estimate_matches_exact_dimension_on_a_forced_chain(gap_system_structure):
-    structure = gap_system_structure
-    dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
-    location = locate_point(structure, 0)
-    slopes = local_dim_estimate(structure, diagram, table, location, depth=60)
-    assert len(slopes) == 60
-    assert slopes[-1][0] == 60
-    assert abs(slopes[-1][1] - 1.5) < 0.02
-
-
-def test_estimate_tracks_the_flank_mass_at_a_boundary_point(
-    eight_map_twelfths_structure,
-):
+def test_boundary_point_takes_the_flank_mass(eight_map_twelfths_structure):
     # 2/3 separates two first-level pieces.  The all-rightmost side has
     # cycle value log 14 / log 4, but the abutting chain on the other side
-    # carries mass 2^-n / 7, so the ball mass tracks dimension 1/2.
+    # carries mass 2^-n / 7, so the ball mass gives dimension 1/2.
     structure = eight_map_twelfths_structure
-    dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
+    table = MatrixTable(structure)
     location = locate_point(structure, Fraction(2, 3), depth=80)
     assert location.boundary
     spec = PeriodicSpec.from_location(location)
@@ -744,49 +726,6 @@ def test_estimate_tracks_the_flank_mass_at_a_boundary_point(
     assert abs(values[0] - 0.5) < 1e-9
     assert abs(values[1] - math.log(14) / math.log(4)) < 1e-9
     assert abs(result.dimension.value - 0.5) < 1e-9
-    slopes = local_dim_estimate(structure, diagram, table, location, depth=200)
-    assert abs(slopes[-1][1] - 0.5) <= 0.01
-
-
-def test_estimate_agrees_with_periodic_value(
-    eight_map_twelfths_structure, gap_system_structure
-):
-    # an interior essential self-loop whose contraction rate is irrational
-    structure = eight_map_twelfths_structure
-    dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
-    picked = None
-    for fid in sorted(dec.essential):
-        for rec in structure.children_of_full(fid):
-            if rec.child == fid and not rec.abuts_left and not rec.abuts_right:
-                sp = spectral_radius(table.cycle_matrix(fid, (rec.edge_index,)))
-                if sp.exact is None:
-                    picked = (fid, rec.edge_index)
-    assert picked is not None
-    spec = PeriodicSpec(_root_path_to(structure, picked[0]), (picked[1],))
-    exact = local_dim_periodic(structure, table, spec).dimension.value
-    slopes = local_dim_estimate(structure, diagram, table, spec, depth=60)
-    assert abs(slopes[-1][1] - exact) < 0.02
-
-    # a mixed two-cycle converges the same way, just from further out
-    structure = gap_system_structure
-    dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
-    prefix, cycle = _essential_two_cycle(structure)
-    spec = PeriodicSpec(prefix, cycle)
-    exact = local_dim_periodic(structure, table, spec).dimension.value
-    slopes = local_dim_estimate(structure, diagram, table, spec, depth=240)
-    assert abs(slopes[-1][1] - exact) < 0.01
-
-
-def test_estimate_trivial_depths(gap_system_structure):
-    structure = gap_system_structure
-    dec, table = parts_of(structure)
-    diagram = build_triple_diagram(structure, dec)
-    assert local_dim_estimate(structure, diagram, table, [0, 0], depth=0) == []
-    short = local_dim_estimate(structure, diagram, table, [0, 0], depth=2)
-    assert [n for n, _ in short] == [1, 2]
-    assert all(s > 0 for _, s in short)
 
 
 # -- isolation scans -----------------------------------------------------------
@@ -837,6 +776,23 @@ def test_cantor_criterion_flags_the_light_endpoint():
     assert findings.at_zero.reason == "outside_outer"
     assert abs(findings.at_zero.dimension.dimension.value - math.log(10) / math.log(3)) < 1e-9
     assert not findings.at_one.isolated
+
+
+def test_cantor_criterion_decides_within_the_log_padding():
+    # p_first sits 1e-14 below p_min = 1/5: the rate enclosures of the two
+    # overlap, so only the exact comparison of the probabilities isolates 0
+    tiny = Fraction(1, 10**14)
+    for below, reason in ((tiny, "column_sum_criterion"), (Fraction(1, 10**6), "outside_outer")):
+        fifth = Fraction(1, 5)
+        probs = (fifth - below, fifth, fifth, fifth, fifth + below)
+        structure = explore(cantor_like(3, 4, probs))
+        dec, table = parts_of(structure)
+        bounds = essential_interval_bounds(structure, dec, table, inner=False)
+        assert bounds.p_min == fifth
+        findings = isolated_point_scan(structure, dec, table, bounds)
+        assert findings.cantor_criterion["first_isolated"]
+        assert findings.at_zero.isolated
+        assert findings.at_zero.reason == reason
 
 
 def test_uniform_cantor_singleton_class_isolates_both_endpoints():
@@ -1093,6 +1049,14 @@ def test_rate_encloses_the_50_digit_value(name, request):
             for q in (lo, hi):
                 true = mp_rate(q, steps, rho)
                 assert _mp(rate.lo) <= true <= _mp(rate.hi), (lo, hi, steps)
+
+
+def test_a_mass_factor_of_one_has_rate_exactly_zero(golden_third_structure):
+    assert dimension.log_enclosure(1) == (0, 0)
+    den = rho_log_enclosure(golden_third_structure)
+    assert dimension._rate(1, 1, 3, den) == Certified(0.0, Fraction(0), Fraction(0))
+    lo, hi = dimension.log_enclosure(Fraction(10**12 + 1, 10**12))
+    assert 0 < lo < hi
 
 
 def test_ln_fraction_handles_huge_ratios():
