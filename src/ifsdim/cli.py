@@ -14,6 +14,7 @@ budget exhausted before saturation or an argument usage error (argparse),
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from fractions import Fraction
@@ -79,11 +80,27 @@ def _obtain_structure(args: argparse.Namespace, system: IFSSystem):
 
 
 def _write_or_print(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
+    """Write `text` to the file `path`, or to stdout when it is None.
+
+    Unbuffered (`PYTHONUNBUFFERED` or `python -u`), `sys.stdout.buffer` is
+    the raw `FileIO`, and a large write to a pipe may come back short,
+    which `sys.stdout.write` does not retry: the rest would be dropped
+    with no error.  So the bytes go to the `FileIO` in a loop until all
+    are written, and a reader that closed the pipe raises
+    `BrokenPipeError`.  A stdout with no `.buffer` is written as it is.
+    """
+    if path is not None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+        return
+    raw = getattr(sys.stdout, "buffer", None)
+    if not isinstance(raw, io.FileIO):
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[raw.write(data) :]
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -109,7 +126,7 @@ def cmd_report(args: argparse.Namespace, system: IFSSystem) -> int:
             structure, cycle_budget=args.cycle_budget, depth=args.depth
         )
         payload = full_report(structure, report)
-    sys.stdout.write(render_text(payload))
+    _write_or_print(None, render_text(payload))
     if args.json is not None:
         _write_or_print(args.json, dumps(payload))
     return EXIT_OK

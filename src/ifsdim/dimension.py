@@ -24,8 +24,9 @@ by 1e-12 relative plus about 1e-15 per bit of the rational.  The padding
 rests on libm's `log` being within a few ulp of the true value, which
 IEEE 754 recommends but does not require; it is not a proof (ROADMAP F4).
 numpy is imported only inside the functions of the float cycle screen of
-`essential_interval_bounds` and in `pisot_check`, so importing this module
-does not load it, and neither does an `inner=False` bounds call.
+`essential_interval_bounds` (and by `MatrixTable.cycle_matrices`, which
+multiplies the cycles it keeps) and in `pisot_check`, so importing this
+module does not load it, and neither does an `inner=False` bounds call.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .classes import (
     positive_row_check,
     PositiveRowReport,
 )
-from .matrices import MatrixTable, TransitionMatrix
+from .matrices import _WALK_BATCH, MatrixTable, TransitionMatrix
 from .net import (
     FiniteTypeStructure,
     NetStructureError,
@@ -84,9 +85,6 @@ __all__ = [
 _SCREEN_MARGIN = 1e-6
 # most float cycle products that one `numpy.linalg.eigvals` call scores
 _SCREEN_CHUNK = 1024
-# most walks that `_included_cycle_batches` extends at once; at 1024 the
-# perfbench `enumeration` peak RSS rose by 0.7 MB, at 256 it does not
-_WALK_BATCH = 256
 # relative pad that `log_enclosure` puts around a float logarithm
 _LOG_REL_PAD = 1e-12
 # distance from the unit circle below which `pisot_check` trusts no float root
@@ -624,11 +622,12 @@ def essential_interval_bounds(
     about 2e-11 wide on the suite systems, so every cycle whose enclosure
     could reach an extreme of the certified rates scores far inside the
     margin.
-    The candidates are certified in (start, edges) order, so
-    `MatrixTable.cycle_matrix` reuses the integer product of each shared
-    prefix, and one spectral radius and rate serve all cycles with the
-    same product and length: many cycles tie exactly at an extreme.  The
-    inner ends are taken over these distinct certificates.
+    The exact products of all candidates come from one
+    `MatrixTable.cycle_matrices` call, batched integer products in which
+    tied cycles share one `TransitionMatrix`, and one spectral radius and
+    rate serve all cycles with the same product and length: many cycles
+    tie exactly at an extreme.  The inner ends are taken over these
+    distinct certificates.
 
     `min_witness` and `max_witness` are taken among the certified cycles
     whose enclosure reaches the extreme enclosure (`rate.lo <=
@@ -685,8 +684,7 @@ def essential_interval_bounds(
     loose = Fraction(1, 10**9)
     # the rate and positivity of a cycle depend only on its product and length
     certificates: dict[tuple[TransitionMatrix, int], tuple[Certified, bool, list]] = {}
-    for start, edges in candidates:
-        product = table.cycle_matrix(start, edges)
+    for (start, edges), product in zip(candidates, table.cycle_matrices(candidates)):
         key = (product, len(edges))
         cert = certificates.get(key)
         if cert is None:

@@ -16,10 +16,13 @@ numerators over one common denominator, so a product entry is one integer
 dot product over the product of the two denominators, instead of a sum of
 `Fraction` products each reduced on its own; a product makes its
 `Fraction` entries only when they are read.  `MatrixTable.cycle_matrix`
-multiplies a whole walk in that integer form and keeps the integer prefix
-products of the walk it formed last, so a walk that shares a prefix with
-it, as consecutive walks in sorted order do, multiplies only past the
-shared prefix.
+multiplies one walk in that integer form.  `MatrixTable.cycle_matrices`
+multiplies many walks at once in numpy: stacks of walks of one length,
+one matrix product per step, in `int64` where a bound on the entries
+proves that nothing overflows and in exact Python integers otherwise,
+and one `TransitionMatrix` per distinct product.  numpy is imported only
+inside `cycle_matrices` and the `_WalkSteps` it drives, so importing this
+module does not load it.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ from typing import Sequence
 
 from .net import FiniteTypeStructure, NetStructureError
 
+# most walks of one length that `MatrixTable.cycle_matrices` multiplies at
+# once, and that `dimension._included_cycle_batches` extends at once; at
+# 1024 the perfbench `enumeration` peak RSS rose by 0.7 MB, at 256 it does not
+_WALK_BATCH = 256
+# a walk whose steps' bit bounds (see `MatrixTable.cycle_matrices`) sum to
+# less than this is multiplied in int64; any sum up to 63 would fit
+_INT64_BITS = 62
+
 
 class TransitionMatrix:
     """An immutable matrix of nonnegative Fractions.
@@ -38,9 +49,10 @@ class TransitionMatrix:
     `rows` is the public view.  The integer form that `__mul__` works in is
     the least common denominator d of the entries and the rows of integers
     d * entry.  It is unique to the matrix, so equality and the hash are
-    read off it.  A matrix made by `__mul__` or `MatrixTable.cycle_matrix`
-    starts in integer form and makes its `Fraction` rows when they are
-    first read; one made from rows makes its integer form when first used.
+    read off it.  A matrix made by `__mul__`, `MatrixTable.cycle_matrix`
+    or `MatrixTable.cycle_matrices` starts in integer form and makes its
+    `Fraction` rows when they are first read; one made from rows makes its
+    integer form when first used.
     """
 
     __slots__ = ("_rows", "_hash", "_integer")
@@ -57,6 +69,16 @@ class TransitionMatrix:
         self._rows = rows
         self._hash = None
         self._integer = None
+
+    @classmethod
+    def _from_rows(cls, rows: list[list[Fraction]]) -> "TransitionMatrix":
+        """The matrix of nonempty, rectangular rows of nonnegative
+        `Fraction`s, taken as they are, without `__init__`'s copy and checks."""
+        matrix = cls.__new__(cls)
+        matrix._rows = tuple(map(tuple, rows))
+        matrix._hash = None
+        matrix._integer = None
+        return matrix
 
     @classmethod
     def _from_integer(cls, den: int, rows: tuple[tuple[int, ...], ...]) -> "TransitionMatrix":
@@ -184,7 +206,8 @@ def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> Tr
         raise NetStructureError(
             "transition matrix has a zero column; child neighbour unaccounted"
         )
-    return TransitionMatrix(rows)
+    # every entry is a probability, which `build_ifs` checked, or `zero`
+    return TransitionMatrix._from_rows(rows)
 
 
 class MatrixTable:
@@ -203,8 +226,6 @@ class MatrixTable:
             raise NetStructureError("system has no probabilities")
         self.structure = structure
         self._by_edge: dict[tuple[int, int], TransitionMatrix] = {}
-        # (start, edges, prefix steps) of the last `cycle_matrix` walk
-        self._last_walk: tuple = (None, (), [])
 
     def of_edge(self, rid: int, edge_index: int) -> TransitionMatrix:
         key = (rid, edge_index)
@@ -235,31 +256,183 @@ class MatrixTable:
 
         The walk is multiplied in integer form: a prefix product is a
         denominator and rows of integers, the product of its edges' integer
-        forms, and no prefix is made of `Fraction`s.  The prefixes of the
-        last walk are kept: a walk from the same `fid` reuses those of its
-        longest common prefix with the last one, so walks taken in sorted
-        order cost about one integer product per distinct prefix.  Raises
-        ValueError for an empty walk or one that does not end at `fid`.
+        forms, and no prefix is made of `Fraction`s.  Raises ValueError for
+        an empty walk or one that does not end at `fid`.
         """
         edges = tuple(edges)
         if not edges:
             raise ValueError("empty cycle")
-        last_fid, last_edges, steps = self._last_walk
-        shared = 0
-        if last_fid == fid:
-            for a, b in zip(edges, last_edges):
-                if a != b:
-                    break
-                shared += 1
-        # steps[i] = (vector after i + 1 edges, (den, rows) of the product of the first i + 1)
-        steps = steps[:shared]
-        cur, (den, rows) = steps[-1] if steps else (fid, (1, None))
-        for e in edges[shared:]:
+        cur, den, rows = fid, 1, None
+        for e in edges:
             d, m = self.of_full_edge(cur, e)._integer_form()
             den, rows = den * d, m if rows is None else _integer_product(rows, m)
             cur = self.structure.children_of_full(cur)[e].child
-            steps.append((cur, (den, rows)))
-        self._last_walk = fid, edges, steps
         if cur != fid:
             raise ValueError("edge sequence is not a cycle")
         return TransitionMatrix._from_integer(den, rows)
+
+    def cycle_matrices(
+        self, walks: Sequence[tuple[int, Sequence[int]]]
+    ) -> list[TransitionMatrix]:
+        """`[self.cycle_matrix(fid, edges) for fid, edges in walks]`, in batches.
+
+        Walks of one length are multiplied `_WALK_BATCH` at a time, left
+        to right, one `matmul` of padded integer forms per step
+        (`_WalkSteps`).  A walk is multiplied in `int64` when the sum over
+        its steps of the bit length of the larger of the step's denominator
+        and its greatest integer row sum is below `_INT64_BITS`: entries are
+        nonnegative, so no partial sum exceeds the final entry, which is at
+        most the product of the row sums, and the denominator is the
+        product of the denominators.  The other walks are multiplied by the
+        same code in exact Python integers (`dtype=object`).  Walks whose
+        products come out with the same denominator and rows, from starts
+        with the same neighbour count, share one `TransitionMatrix`.  An
+        empty walk, one with an edge index out of range and one that does
+        not close go to `cycle_matrix` in their turn, which raises for them
+        as it does for a single walk.
+        """
+        import numpy
+
+        walks = list(walks)
+        out: list = [None] * len(walks)
+        by_length: dict[int, list[int]] = {}
+        for i, (_, edges) in enumerate(walks):
+            if edges:
+                by_length.setdefault(len(edges), []).append(i)
+        if by_length:
+            steps = _WalkSteps(self, {fid for fid, _ in walks})
+            shared: dict = {}
+            for group in by_length.values():
+                for a in range(0, len(group), _WALK_BATCH):
+                    chunk = group[a : a + _WALK_BATCH]
+                    keys = steps.keys([walks[i] for i in chunk])
+                    for key in set(keys).difference(shared):
+                        if key is not None:
+                            shared[key] = steps.matrix(key)
+                    for i, key in zip(chunk, keys):
+                        out[i] = shared.get(key)
+        for i in [i for i, matrix in enumerate(out) if matrix is None]:
+            out[i] = self.cycle_matrix(*walks[i])
+        return out
+
+
+class _WalkSteps:
+    """The (vector, edge) steps reachable from a set of vectors, for
+    `MatrixTable.cycle_matrices`.
+
+    Step (v, e) has code `first[index[v]] + e` and leads to vector index
+    `dst[code]`; `size` holds the neighbour counts of the vectors and
+    `width` the greatest.  The integer form (d, m) of a step is read into
+    `forms` when a walk first uses it, and placed in `stack` (`int64`,
+    left zero for a step whose `bits` are `_INT64_BITS` or more) as the
+    block matrix diag(m, d) padded with zeros to `width` + 1 square: a
+    product of those is diag(product of the m, product of the d).  The
+    same stack in Python ints is made only for a batch that needs it.
+    `bits` is -1 for a step not read yet.
+    """
+
+    def __init__(self, table: MatrixTable, starts: set[int]):
+        import numpy
+
+        structure = table.structure
+        self.table = table
+        vectors = sorted(starts)
+        self.index = {f: i for i, f in enumerate(vectors)}
+        self.steps, children, count = [], [], []
+        for f in vectors:  # grows as new children are met
+            recs = structure.children_of_full(f)
+            count.append(len(recs))
+            for rec in recs:
+                self.steps.append((f, rec.edge_index))
+                children.append(rec.child)
+                if rec.child not in self.index:
+                    self.index[rec.child] = len(vectors)
+                    vectors.append(rec.child)
+        self.count = numpy.array(count)
+        self.first = numpy.cumsum(self.count) - self.count
+        self.dst = numpy.array([self.index[f] for f in children])
+        self.size = numpy.array([len(structure.neighbours_of_full(f)) for f in vectors])
+        self.width = int(self.size.max())
+        self.bits = numpy.full(len(children), -1)
+        w = self.width + 1
+        self.stack = numpy.zeros((len(children), w, w), dtype=numpy.int64)
+        self.forms: dict[int, tuple[int, tuple]] = {}
+
+    def keys(self, walks) -> list:
+        """A key per walk of one length for `matrix`: the neighbour count
+        of its start and its padded product with the denominator, as
+        `int64` bytes or as a tuple of Python ints; None for a walk with an
+        edge index out of range or one that does not close."""
+        import numpy
+
+        starts = numpy.array([self.index[fid] for fid, _ in walks])
+        codes, closed = self._codes(starts, numpy.array([edges for _, edges in walks]))
+        fits = self.bits[codes].sum(axis=1) < _INT64_BITS
+        keys: list = [None] * len(walks)
+        for exact, take in ((False, closed & fits), (True, closed & ~fits)):
+            take = numpy.flatnonzero(take)
+            if take.size:
+                products = self._products(starts[take], codes[take], exact)
+                for i, key in zip(take.tolist(), products):
+                    keys[i] = key
+        return keys
+
+    def _codes(self, starts, edges):
+        """The step codes of the walks `edges` from the vector indices
+        `starts`, and which walks keep their edge indices in range and
+        close.  The steps of the walks that close are read in."""
+        import numpy
+
+        codes = numpy.empty(edges.shape, dtype=int)
+        cur = starts
+        for j in range(edges.shape[1]):
+            # an edge index out of range still gives a code; the walk fails `ok`
+            codes[:, j] = (self.first[cur] + edges[:, j]) % len(self.dst)
+            cur = self.dst[codes[:, j]]
+        at = numpy.concatenate([starts[:, None], self.dst[codes[:, :-1]]], axis=1)
+        ok = ((edges >= 0) & (edges < self.count[at])).all(axis=1) & (cur == starts)
+        fresh = numpy.zeros(len(self.bits), dtype=bool)
+        fresh[codes[ok]] = True
+        for c in numpy.flatnonzero(fresh & (self.bits < 0)).tolist():
+            den, rows = self.forms[c] = self.table.of_full_edge(*self.steps[c])._integer_form()
+            self.bits[c] = max(den.bit_length(), max(map(sum, rows)).bit_length())
+            if self.bits[c] < _INT64_BITS:
+                _place(self.stack, c, den, rows)
+        return codes, ok
+
+    def _products(self, starts, codes, exact: bool) -> list:
+        """The keys of the walks of step `codes` from the vector indices
+        `starts`, as `int64` bytes, or as tuples of ints when `exact`."""
+        import numpy
+
+        stack = self.stack
+        if exact:
+            stack = numpy.zeros(stack.shape, dtype=object)
+            for c, (den, rows) in self.forms.items():
+                _place(stack, c, den, rows)
+        product = stack[codes[:, 0]]
+        for j in range(1, codes.shape[1]):
+            product = numpy.matmul(product, stack[codes[:, j]])
+        sizes = self.size[starts, None].astype(product.dtype)
+        flat = numpy.concatenate([sizes, product.reshape(len(product), -1)], axis=1)
+        if exact:
+            return list(map(tuple, flat.tolist()))
+        raw, size = flat.tobytes(), flat.shape[1] * flat.itemsize
+        return [raw[a : a + size] for a in range(0, len(raw), size)]
+
+    def matrix(self, key) -> TransitionMatrix:
+        """The `TransitionMatrix` of a key of `keys`."""
+        import numpy
+
+        if not isinstance(key, tuple):
+            key = numpy.frombuffer(key, numpy.int64).tolist()
+        k, *flat = key
+        w = self.width + 1
+        rows = tuple(tuple(flat[i : i + k]) for i in range(0, k * w, w))
+        return TransitionMatrix._from_integer(flat[-1], rows)
+
+
+def _place(stack, c, den: int, rows) -> None:
+    """Put diag(rows, den) at `stack[c]`, which is zero."""
+    stack[c, : len(rows), : len(rows[0])] = rows
+    stack[c, -1, -1] = den

@@ -24,8 +24,10 @@ inner bounds, kept as the reference for `dimension._lyndon_cycles` and
 cycle exactly, kept as the reference for the float screen of
 `dimension.essential_interval_bounds`; `reference_product`, the former
 entry-by-entry `Fraction` matrix product, kept as the reference for the
-integer multiply of `TransitionMatrix`; and `vectors_reaching`, a plain
-search over the explored child records.
+integer multiply of `TransitionMatrix`; `vectors_reaching`, a plain
+search over the explored child records; and `closed_walks`, every
+closed walk of a few edges, the inputs on which
+`MatrixTable.cycle_matrices` is checked against `cycle_matrix`.
 """
 
 import copy
@@ -263,12 +265,16 @@ def with_letter_probabilities(structure):
     The probabilities are distinct, so each nonzero entry of an edge matrix
     identifies its letter.
     """
-    system = structure.system
-    count = len(system.translations)
+    count = len(structure.system.translations)
     probs = tuple(Fraction(2 * (j + 1), count * (count + 1)) for j in range(count))
+    return with_probabilities(structure, probs), {p: j for j, p in enumerate(probs)}
+
+
+def with_probabilities(structure, probs):
+    """A copy of `structure` whose system has the probabilities `probs`."""
     weighted = copy.copy(structure)
-    weighted.system = dataclasses.replace(system, probabilities=probs)
-    return weighted, {p: j for j, p in enumerate(probs)}
+    weighted.system = dataclasses.replace(structure.system, probabilities=tuple(probs))
+    return weighted
 
 
 def reference_cycle_limit(diagram, node, cycle):
@@ -366,6 +372,23 @@ def reference_cycles(children, start, budget):
                     yield canon
             if n < budget:
                 stack.append((rec.child, nxt))
+
+
+def closed_walks(structure, starts, budget):
+    """Every closed walk of 1 to `budget` edges from each full vector in
+    `starts`, as (start, edges), powers and rotations included."""
+    walks = []
+    for start in starts:
+        stack = [(start, ())]
+        while stack:
+            fid, edges = stack.pop()
+            for rec in structure.children_of_full(fid):
+                nxt = edges + (rec.edge_index,)
+                if rec.child == start:
+                    walks.append((start, nxt))
+                if len(nxt) < budget:
+                    stack.append((rec.child, nxt))
+    return walks
 
 
 def vectors_reaching(structure, targets):

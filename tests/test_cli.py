@@ -729,16 +729,19 @@ def test_commands_that_screen_nothing_run_without_numpy(cfgdir, capsys):
     assert runs == [[main(report), capsys.readouterr().out]]
 
 
-def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback(cfgdir, tmp_path, capsys):
+def _graph_triple_read_for_one_line(cfgdir, tmp_path, capsys, unbuffered):
+    """(exit code, stderr) of `graph triple` of table_87 read by a reader
+    that closes the pipe after the first line."""
     # the triple DOT of table_87 is about 650 kB, more than a pipe holds, so
     # the write is still under way when the reader goes
     config_path = str(cfgdir / "table_87.cfg")
     cache = str(tmp_path / "cache.json")
     assert main(["explore", "--config", config_path, "--cache", cache]) == 0
     capsys.readouterr()
-    # unbuffered, the one large write comes back short instead of raising
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "ifsdim.cli", "graph", "triple"]
         + ["--config", config_path, "--cache", cache],
@@ -750,8 +753,18 @@ def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback(cfgdir, tmp_pat
     proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 1
     assert err == "loaded structure cache %s\n" % cache
+    return proc.wait(timeout=120)
+
+
+def test_a_reader_that_closes_early_gets_exit_1_and_no_traceback(cfgdir, tmp_path, capsys):
+    assert _graph_triple_read_for_one_line(cfgdir, tmp_path, capsys, False) == 1
+
+
+def test_an_unbuffered_reader_that_closes_early_gets_exit_1(cfgdir, tmp_path, capsys):
+    # unbuffered, the one large write to the pipe comes back short instead
+    # of raising; the write loop sees the closed pipe on its next write
+    assert _graph_triple_read_for_one_line(cfgdir, tmp_path, capsys, True) == 1
 
 
 # -- benchmark tracer bindings ---------------------------------------------------

@@ -645,19 +645,19 @@ def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
     structure = gap_system_structure
     dec, table = parts_of(structure)
     products, radii = [], []
-    cycle_matrix = MatrixTable.cycle_matrix
+    cycle_matrices = MatrixTable.cycle_matrices
 
-    def recording_cycle_matrix(self, fid, edges):
-        product = cycle_matrix(self, fid, edges)
-        products.append((product, len(edges)))
-        return product
+    def recording_cycle_matrices(self, walks):
+        out = cycle_matrices(self, walks)
+        products.extend((product, len(edges)) for (_, edges), product in zip(walks, out))
+        return out
 
     def counting_spectral_radius(matrix, **kwargs):
         radii.append(matrix)
         return spectral_radius(matrix, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(MatrixTable, "cycle_matrix", recording_cycle_matrix)
+        patch.setattr(MatrixTable, "cycle_matrices", recording_cycle_matrices)
         patch.setattr(dimension, "spectral_radius", counting_spectral_radius)
         bounds = essential_interval_bounds(structure, dec, table, 5)
     # every rate here is equal, so every cycle is certified

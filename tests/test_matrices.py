@@ -398,6 +398,151 @@ def test_cycle_matrix_reuses_prefixes_in_any_order(request, name):
             assert table.cycle_matrix(fid, edges) == expected[(fid, edges)]
 
 
+STRUCTURE_FIXTURES = CYCLE_STRUCTURES + [
+    "convolution_3_8_structure",
+    "golden_three_maps_structure",
+    "table_87_structure",
+]
+
+
+def _walk_bits(table, walk):
+    """The bits `cycle_matrices` sums over a walk's steps to decide on int64."""
+    fid, edges = walk
+    total = 0
+    for e in edges:
+        den, rows = table.of_full_edge(fid, e)._integer_form()
+        total += max(den.bit_length(), max(map(sum, rows)).bit_length())
+        fid = table.structure.children_of_full(fid)[e].child
+    return total
+
+
+def _prime_probabilities(structure, den):
+    """c_j / den for the distinct c_j = 1, ..., m - 1 and the rest."""
+    m = len(structure.system.translations)
+    probs = [F(c, den) for c in range(1, m)]
+    return oh.with_probabilities(structure, probs + [1 - sum(probs)])
+
+
+def _scaled_table(structure, factor):
+    """A table whose edge matrices are `factor` times the integer forms:
+    denominator 1, and row sums far above it."""
+    table = MatrixTable(structure)
+    for rid in range(structure.reduced_count):
+        for rec in structure.children_of_reduced(rid):
+            den, rows = table.of_edge(rid, rec.edge_index)._integer_form()
+            table._by_edge[(rid, rec.edge_index)] = TransitionMatrix(
+                [[F(x * factor) for x in row] for row in rows]
+            )
+    return table
+
+
+def _assert_batched_products_match(table, walks, rng):
+    walks = list(walks)
+    walks += rng.sample(walks, min(len(walks), 50))  # repeats share one product
+    rng.shuffle(walks)
+    reference = MatrixTable(table.structure)
+    reference._by_edge = table._by_edge
+    expected = [reference.cycle_matrix(*walk) for walk in walks]
+    got = table.cycle_matrices(walks)
+    assert len(got) == len(walks)
+    for walk, product, want in zip(walks, got, expected):
+        assert product == want and product.shape == want.shape, walk
+        assert product.rows == want.rows, walk
+    first = {}
+    for walk, product in zip(walks, got):
+        assert first.setdefault(walk, product) is product, walk
+
+
+def _assert_same_error(table, walks, rng):
+    """A walk that `cycle_matrix` rejects makes `cycle_matrices` raise the
+    same error, wherever it stands in the list."""
+    for fid, edges in rng.sample(walks, min(len(walks), 10)):
+        out_of_range = len(table.structure.children_of_full(fid))
+        for walk in [(fid, edges[:-1]), (fid, ()), (fid, edges + (out_of_range,))]:
+            try:
+                table.cycle_matrix(*walk)
+            except (ValueError, IndexError) as exc:
+                kind, message = type(exc), str(exc)
+            else:
+                continue  # a shorter walk that closes too
+            batch = rng.sample(walks, min(len(walks), 20))
+            batch.insert(rng.randrange(len(batch) + 1), walk)
+            with pytest.raises(kind) as info:
+                table.cycle_matrices(batch)
+            assert str(info.value) == message, walk
+
+
+def _closed_walks(structure, budget=6):
+    return oh.closed_walks(structure, range(structure.full_count), budget)
+
+
+@pytest.mark.parametrize("name", STRUCTURE_FIXTURES)
+def test_cycle_matrices_equal_cycle_matrix_on_every_closed_walk(request, name):
+    structure = request.getfixturevalue(name)
+    rng = random.Random(name)
+    if name == "table_87_structure":
+        # the essential class, whose 14 x 15 matrices `report` multiplies
+        walks = oh.closed_walks(structure, sorted(decompose(structure).essential), 3)
+    else:
+        walks = _closed_walks(structure)
+    table = MatrixTable(structure)
+    _assert_batched_products_match(table, walks, rng)
+    _assert_same_error(table, walks, rng)
+    assert table.cycle_matrices([]) == []
+
+
+@pytest.mark.parametrize("den", [2**20 + 7, 65521])
+@pytest.mark.parametrize("name", ["cantor_3_4_skewed_structure", "quadratic_ninth_structure"])
+def test_cycle_matrices_mix_int64_and_exact_walks(request, name, den):
+    # with a prime denominator every edge's integer form has its bits: 21,
+    # so walks of 1 or 2 edges take int64 and 3 to 6 do not; or 16, and
+    # 65521**4 > 2**63, so a walk of 4 edges, 64 bits, overflows int64 (a
+    # guard that let 63 bits through would still be exact)
+    structure = _prime_probabilities(request.getfixturevalue(name), den)
+    rng = random.Random(den)
+    walks = _closed_walks(structure)
+    table = MatrixTable(structure)
+    bits = {_walk_bits(table, walk) for walk in walks}
+    assert min(bits) < 62 <= max(bits)
+    assert 64 in bits or den != 65521
+    _assert_batched_products_match(table, walks, rng)
+    _assert_same_error(table, walks, rng)
+
+
+@pytest.mark.parametrize("factor", [2**20 + 1, 2**70 + 1])
+@pytest.mark.parametrize("name", ["cantor_3_4_skewed_structure", "golden_third_structure"])
+def test_cycle_matrices_bound_the_row_sums_not_only_the_denominators(request, name, factor):
+    # denominator 1 on every edge: only the row sums show that a walk of a
+    # few edges overflows int64; times 2**70 + 1 no single step fits int64
+    structure = request.getfixturevalue(name)
+    rng = random.Random(name)
+    table = _scaled_table(structure, factor)
+    walks = _closed_walks(structure)
+    bits = [_walk_bits(table, walk) for walk in walks]
+    assert max(bits) >= 62
+    assert min(bits) < 62 or factor > 2**63
+    _assert_batched_products_match(table, walks, rng)
+
+
+def test_edge_matrix_equals_the_checked_constructor_on_every_edge(request):
+    # `edge_matrix` skips the `Fraction` copy and the sign check of the
+    # constructor; on table_87, whose 7267 edges would take about 4 s, it
+    # takes the essential edges and those of every tenth reduced vector
+    for name in STRUCTURE_FIXTURES:
+        s = request.getfixturevalue(name)
+        rids = range(s.reduced_count)
+        if name == "table_87_structure":
+            essential = {s.reduced_of(fid) for fid in decompose(s).essential}
+            rids = sorted(essential | set(rids[::10]))
+        for rid in rids:
+            for rec in s.children_of_reduced(rid):
+                m = edge_matrix(s, rid, rec.edge_index)
+                checked = TransitionMatrix(m.rows)
+                assert m == checked and hash(m) == hash(checked), (name, rid)
+                assert m.rows == checked.rows and m.shape == checked.shape
+                assert all(type(x) is Fraction for row in m.rows for x in row)
+
+
 def test_matrices_require_probabilities():
     bare = cantor_like(3, 4)
     structure = explore(bare)
