@@ -18,11 +18,11 @@ dot product over the product of the two denominators, instead of a sum of
 `Fraction` entries only when they are read.  `MatrixTable.cycle_matrix`
 multiplies one walk in that integer form.  `MatrixTable.cycle_matrices`
 multiplies many walks at once in numpy: stacks of walks of one length,
-one matrix product per step, in `int64` where a bound on the entries
-proves that nothing overflows and in exact Python integers otherwise,
-and one `TransitionMatrix` per distinct product.  numpy is imported only
-inside `cycle_matrices` and the `_WalkSteps` it drives, so importing this
-module does not load it.
+one `int64` matrix product per step where a bound on the entries proves
+that nothing overflows, one `TransitionMatrix` per distinct product, and
+`cycle_matrix` for every other walk.  numpy is imported only inside the
+`_WalkSteps` that `cycle_matrices` drives, so importing this module does
+not load it.
 """
 
 from __future__ import annotations
@@ -274,25 +274,25 @@ class MatrixTable:
     def cycle_matrices(
         self, walks: Sequence[tuple[int, Sequence[int]]]
     ) -> list[TransitionMatrix]:
-        """`[self.cycle_matrix(fid, edges) for fid, edges in walks]`, in batches.
+        """The products `cycle_matrix` gives for `walks`, in batches.
 
         Walks of one length are multiplied `_WALK_BATCH` at a time, left
-        to right, one `matmul` of padded integer forms per step
-        (`_WalkSteps`).  A walk is multiplied in `int64` when the sum over
-        its steps of the bit length of the larger of the step's denominator
-        and its greatest integer row sum is below `_INT64_BITS`: entries are
+        to right, one `int64` `matmul` of padded integer forms per step
+        (`_WalkSteps`).  A walk is batched when the sum over its steps of
+        the bit length of the larger of the step's denominator and its
+        greatest integer row sum is below `_INT64_BITS`: entries are
         nonnegative, so no partial sum exceeds the final entry, which is at
         most the product of the row sums, and the denominator is the
-        product of the denominators.  The other walks are multiplied by the
-        same code in exact Python integers (`dtype=object`).  Walks whose
-        products come out with the same denominator and rows, from starts
-        with the same neighbour count, share one `TransitionMatrix`.  An
-        empty walk, one with an edge index out of range and one that does
-        not close go to `cycle_matrix` in their turn, which raises for them
-        as it does for a single walk.
+        product of the denominators.  Batched walks whose products come out
+        with the same denominator and rows, from starts with the same
+        neighbour count, share one `TransitionMatrix`.  Every other walk
+        (over that bound, empty, with an edge index out of range, or not
+        closing) goes to `cycle_matrix`.  So the products equal
+        `[self.cycle_matrix(fid, edges) for fid, edges in walks]`, and a
+        list with an invalid walk raises: ValueError for an empty walk or
+        one that does not close, IndexError for an edge index or a start
+        out of range, though not always for the first invalid walk.
         """
-        import numpy
-
         walks = list(walks)
         out: list = [None] * len(walks)
         by_length: dict[int, list[int]] = {}
@@ -322,13 +322,12 @@ class _WalkSteps:
 
     Step (v, e) has code `first[index[v]] + e` and leads to vector index
     `dst[code]`; `size` holds the neighbour counts of the vectors and
-    `width` the greatest.  The integer form (d, m) of a step is read into
-    `forms` when a walk first uses it, and placed in `stack` (`int64`,
-    left zero for a step whose `bits` are `_INT64_BITS` or more) as the
-    block matrix diag(m, d) padded with zeros to `width` + 1 square: a
-    product of those is diag(product of the m, product of the d).  The
-    same stack in Python ints is made only for a batch that needs it.
-    `bits` is -1 for a step not read yet.
+    `width` the greatest.  The integer form (d, m) of a step is read when
+    a walk first uses it: `bits` gets the bit length of the larger of d
+    and the greatest row sum of m, and, when that is below `_INT64_BITS`,
+    `stack` (`int64`) gets the block matrix diag(m, d) padded with zeros
+    to `width` + 1 square, so that a product of those is diag(product of
+    the m, product of the d).  `bits` is -1 for a step not read yet.
     """
 
     def __init__(self, table: MatrixTable, starts: set[int]):
@@ -356,25 +355,22 @@ class _WalkSteps:
         self.bits = numpy.full(len(children), -1)
         w = self.width + 1
         self.stack = numpy.zeros((len(children), w, w), dtype=numpy.int64)
-        self.forms: dict[int, tuple[int, tuple]] = {}
 
     def keys(self, walks) -> list:
         """A key per walk of one length for `matrix`: the neighbour count
         of its start and its padded product with the denominator, as
-        `int64` bytes or as a tuple of Python ints; None for a walk with an
-        edge index out of range or one that does not close."""
+        `int64` bytes; None for a walk whose bits reach `_INT64_BITS`, one
+        with an edge index out of range and one that does not close."""
         import numpy
 
         starts = numpy.array([self.index[fid] for fid, _ in walks])
         codes, closed = self._codes(starts, numpy.array([edges for _, edges in walks]))
         fits = self.bits[codes].sum(axis=1) < _INT64_BITS
+        take = numpy.flatnonzero(closed & fits)
         keys: list = [None] * len(walks)
-        for exact, take in ((False, closed & fits), (True, closed & ~fits)):
-            take = numpy.flatnonzero(take)
-            if take.size:
-                products = self._products(starts[take], codes[take], exact)
-                for i, key in zip(take.tolist(), products):
-                    keys[i] = key
+        if take.size:
+            for i, key in zip(take.tolist(), self._products(starts[take], codes[take])):
+                keys[i] = key
         return keys
 
     def _codes(self, starts, edges):
@@ -394,45 +390,31 @@ class _WalkSteps:
         fresh = numpy.zeros(len(self.bits), dtype=bool)
         fresh[codes[ok]] = True
         for c in numpy.flatnonzero(fresh & (self.bits < 0)).tolist():
-            den, rows = self.forms[c] = self.table.of_full_edge(*self.steps[c])._integer_form()
+            den, rows = self.table.of_full_edge(*self.steps[c])._integer_form()
             self.bits[c] = max(den.bit_length(), max(map(sum, rows)).bit_length())
             if self.bits[c] < _INT64_BITS:
-                _place(self.stack, c, den, rows)
+                self.stack[c, : len(rows), : len(rows[0])] = rows
+                self.stack[c, -1, -1] = den
         return codes, ok
 
-    def _products(self, starts, codes, exact: bool) -> list:
+    def _products(self, starts, codes) -> list[bytes]:
         """The keys of the walks of step `codes` from the vector indices
-        `starts`, as `int64` bytes, or as tuples of ints when `exact`."""
+        `starts`."""
         import numpy
 
-        stack = self.stack
-        if exact:
-            stack = numpy.zeros(stack.shape, dtype=object)
-            for c, (den, rows) in self.forms.items():
-                _place(stack, c, den, rows)
-        product = stack[codes[:, 0]]
+        product = self.stack[codes[:, 0]]
         for j in range(1, codes.shape[1]):
-            product = numpy.matmul(product, stack[codes[:, j]])
-        sizes = self.size[starts, None].astype(product.dtype)
+            product = numpy.matmul(product, self.stack[codes[:, j]])
+        sizes = self.size[starts, None].astype(numpy.int64)
         flat = numpy.concatenate([sizes, product.reshape(len(product), -1)], axis=1)
-        if exact:
-            return list(map(tuple, flat.tolist()))
         raw, size = flat.tobytes(), flat.shape[1] * flat.itemsize
         return [raw[a : a + size] for a in range(0, len(raw), size)]
 
-    def matrix(self, key) -> TransitionMatrix:
+    def matrix(self, key: bytes) -> TransitionMatrix:
         """The `TransitionMatrix` of a key of `keys`."""
         import numpy
 
-        if not isinstance(key, tuple):
-            key = numpy.frombuffer(key, numpy.int64).tolist()
-        k, *flat = key
+        k, *flat = numpy.frombuffer(key, numpy.int64).tolist()
         w = self.width + 1
         rows = tuple(tuple(flat[i : i + k]) for i in range(0, k * w, w))
         return TransitionMatrix._from_integer(flat[-1], rows)
-
-
-def _place(stack, c, den: int, rows) -> None:
-    """Put diag(rows, den) at `stack[c]`, which is zero."""
-    stack[c, : len(rows), : len(rows[0])] = rows
-    stack[c, -1, -1] = den

@@ -363,6 +363,8 @@ def closes(structure, fid, edges):
 
 @pytest.mark.parametrize("name", CYCLE_STRUCTURES)
 def test_cycle_matrix_reuses_prefixes_in_any_order(request, name):
+    """`cycle_matrix` gives the reference product whatever order walks
+    sharing prefixes come in, and one call's error leaves the next right."""
     structure = request.getfixturevalue(name)
     rng = random.Random(name)
     walks = closed_walks(structure, 4)
@@ -450,7 +452,8 @@ def _assert_batched_products_match(table, walks, rng):
         assert product.rows == want.rows, walk
     first = {}
     for walk, product in zip(walks, got):
-        assert first.setdefault(walk, product) is product, walk
+        if _walk_bits(table, walk) < 62:  # batched in int64
+            assert first.setdefault(walk, product) is product, walk
 
 
 def _assert_same_error(table, walks, rng):
@@ -493,11 +496,11 @@ def test_cycle_matrices_equal_cycle_matrix_on_every_closed_walk(request, name):
 
 @pytest.mark.parametrize("den", [2**20 + 7, 65521])
 @pytest.mark.parametrize("name", ["cantor_3_4_skewed_structure", "quadratic_ninth_structure"])
-def test_cycle_matrices_mix_int64_and_exact_walks(request, name, den):
+def test_cycle_matrices_mix_int64_and_cycle_matrix_walks(request, name, den):
     # with a prime denominator every edge's integer form has its bits: 21,
-    # so walks of 1 or 2 edges take int64 and 3 to 6 do not; or 16, and
-    # 65521**4 > 2**63, so a walk of 4 edges, 64 bits, overflows int64 (a
-    # guard that let 63 bits through would still be exact)
+    # so walks of 1 or 2 edges take int64 and 3 to 6 go to `cycle_matrix`;
+    # or 16, and 65521**4 > 2**63, so a walk of 4 edges, 64 bits, overflows
+    # int64 (a guard that let 63 bits through would still be exact)
     structure = _prime_probabilities(request.getfixturevalue(name), den)
     rng = random.Random(den)
     walks = _closed_walks(structure)
