@@ -115,9 +115,6 @@ class ClassDecomposition:
     essential: set[int]
     essential_reduced: list[int]
 
-    def is_essential(self, fid: int) -> bool:
-        return fid in self.essential
-
 
 def decompose(structure: FiniteTypeStructure) -> ClassDecomposition:
     """SCC decomposition with the unique child-closed (essential) class."""
@@ -295,13 +292,6 @@ class TripleDiagram:
 
     def node_count(self) -> int:
         return len(self.keys)
-
-    def reduced_pattern(self, nid: int) -> tuple:
-        """(left, centre, right) as reduced ids, None marking a gap."""
-        structure = self.structure
-        left, centre, right = self.keys[nid]
-        take = lambda f: None if f is None else structure.reduced_of(f)
-        return (take(left), take(centre), take(right))
 
     def walk(self, edges: Sequence[int], start: int | None = None) -> int:
         nid = self.root if start is None else start

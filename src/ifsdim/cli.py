@@ -40,6 +40,7 @@ from .field import FieldError
 from .ifs import IFSError, IFSSystem
 from .matrices import MatrixTable
 from .net import (
+    DEFAULT_DEPTH,
     NetStructureError,
     NotProvenFiniteTypeError,
     PointNotInAttractorError,
@@ -278,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-vectors", type=int, default=100000)
     common.add_argument("--max-level", type=int, default=200)
     measure = argparse.ArgumentParser(add_help=False)
-    measure.add_argument("--depth", type=int, default=1000)
+    measure.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     measure.add_argument("--json", default=None, help="JSON output path")
 
     parser = argparse.ArgumentParser(

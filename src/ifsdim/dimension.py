@@ -23,10 +23,11 @@ Logarithms of rationals are evaluated with the float `math.log` and padded
 by 1e-12 relative plus about 1e-15 per bit of the rational.  The padding
 rests on libm's `log` being within a few ulp of the true value, which
 IEEE 754 recommends but does not require; it is not a proof (ROADMAP F4).
-numpy is imported only inside the functions of the float cycle screen of
-`essential_interval_bounds` (and by `MatrixTable.cycle_matrices`, which
-multiplies the cycles it keeps) and in `pisot_check`, so importing this
-module does not load it, and neither does an `inner=False` bounds call.
+The cycles of the inner bounds are enumerated, screened in floats and
+multiplied exactly from one table of the essential class's steps,
+`_StepTable`.  numpy is imported only inside that table, the functions
+that read it, and `pisot_check`, so importing this module does not load
+it, and neither does an `inner=False` bounds call.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from .classes import (
     positive_row_check,
     PositiveRowReport,
 )
-from .matrices import _WALK_BATCH, MatrixTable, TransitionMatrix
+from .matrices import MatrixTable, TransitionMatrix
 from .net import (
+    DEFAULT_DEPTH,
     FiniteTypeStructure,
     NetStructureError,
     PointLocation,
@@ -85,6 +87,13 @@ __all__ = [
 _SCREEN_MARGIN = 1e-6
 # most float cycle products that one `numpy.linalg.eigvals` call scores
 _SCREEN_CHUNK = 1024
+# most walks of one length that `_included_cycle_batches` extends, and that
+# `_StepTable.products` multiplies, at once; at 1024 the perfbench
+# `enumeration` peak RSS rose by 0.7 MB, at 256 it does not
+_WALK_BATCH = 256
+# a walk whose steps' bit bounds (see `_StepTable`) sum to less than this is
+# multiplied in int64; any sum up to 63 would fit
+_INT64_BITS = 62
 # relative pad that `log_enclosure` puts around a float logarithm
 _LOG_REL_PAD = 1e-12
 # distance from the unit circle below which `pisot_check` trusts no float root
@@ -125,9 +134,6 @@ class Certified:
     value: float
     lo: Fraction
     hi: Fraction
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
 
 
 def _certify(lo: Fraction, hi: Fraction) -> Certified:
@@ -360,24 +366,122 @@ def _excluded_cycles(children, budget: int) -> tuple[list, int]:
     return excluded, count
 
 
-def _included_cycle_batches(children, budget: int, floats):
+class _StepTable:
+    """The (vector, edge) steps of a set of vectors closed under children.
+
+    `children` maps each vector to its child records, and `table` gives
+    each step's matrix (`of_full_edge`).  Steps are coded in (vector,
+    edge) order, vectors sorted: the codes of vector index v are
+    `first[v]` to `first[v] + count[v] - 1`, and code c leaves vector
+    index `src[c]` by edge `edge[c]` for vector index `dst[c]`.  `hugs`
+    has bit 1 for a step onto a first child at the left end and bit 2 for
+    one onto a last child at the right end (`_end_steps`).  `size` holds
+    the neighbour counts of the vectors and `width` the greatest.
+
+    Each step's matrix is read once, in its integer form (d, m).
+    `floats` holds m / d padded with zeros to `width` square: Python's
+    `m / d` is correctly rounded, so these are the floats of the
+    `Fraction` entries, with inf where that overflows.  `bits` holds the
+    bit length of the larger of d and the greatest row sum of m, and
+    where that is below `_INT64_BITS`, `exact` (`int64`) holds diag(m, d)
+    padded with zeros to `width` + 1 square, so that a product of those
+    is diag(product of the m, product of the d).
+    """
+
+    def __init__(self, children, table: MatrixTable):
+        import numpy
+
+        self.table = table
+        self.vectors = sorted(children)
+        index = {f: i for i, f in enumerate(self.vectors)}
+        # a child record's edge index is its position, so this is (vector, edge) order
+        steps = [(f, r.edge_index) for f in self.vectors for r in children[f]]
+        self.src = numpy.array([index[f] for f, _ in steps])
+        self.dst = numpy.array([index[children[f][e].child] for f, e in steps])
+        self.edge = numpy.array([e for _, e in steps])
+        self.count = numpy.array([len(children[f]) for f in self.vectors])
+        self.first = numpy.cumsum(self.count) - self.count
+        leftmost, rightmost = _end_steps(children)
+        self.hugs = numpy.array([(s in leftmost) + 2 * (s in rightmost) for s in steps])
+        forms = [table.of_full_edge(*s)._integer_form() for s in steps]
+        self.size = numpy.zeros(len(self.vectors), dtype=numpy.int64)
+        self.size[self.src] = [len(m) for _, m in forms]
+        self.width = w = int(self.size.max())
+        self.bits = numpy.array(
+            [max(d.bit_length(), max(map(sum, m)).bit_length()) for d, m in forms]
+        )
+        self.floats = numpy.zeros((len(steps), w, w))
+        self.exact = numpy.zeros((len(steps), w + 1, w + 1), dtype=numpy.int64)
+        for c, (d, m) in enumerate(forms):
+            r, k = len(m), len(m[0])
+            self.floats[c, :r, :k] = [[_float_ratio(x, d) for x in row] for row in m]
+            if self.bits[c] < _INT64_BITS:
+                self.exact[c, :r, :k] = m
+                self.exact[c, -1, -1] = d
+
+    def cycle(self, codes: list[int]) -> tuple[int, tuple[int, ...]]:
+        """The (start, edges) of the walk of step `codes`."""
+        return self.vectors[self.src[codes[0]]], tuple(self.edge[codes].tolist())
+
+    def products(self, codes) -> list[TransitionMatrix]:
+        """The exact products of the closed walks of step `codes`, an (N, n) array.
+
+        A walk whose steps' `bits` sum to less than `_INT64_BITS` is
+        multiplied in `int64`, `_WALK_BATCH` walks at a time, one `matmul`
+        per step: entries are nonnegative, so no partial sum exceeds the
+        final entry, which is at most the product of the row sums, and the
+        denominator is the product of the denominators.  Those whose
+        products come out with the same denominator and rows, from starts
+        with the same neighbour count, share one `TransitionMatrix`.
+        Every other walk goes to `MatrixTable.cycle_matrix`.  So the
+        products equal `cycle_matrix` of each walk's `cycle`.
+        """
+        import numpy
+
+        out: list = [None] * len(codes)
+        fits = self.bits[codes].sum(axis=1) < _INT64_BITS
+        take = numpy.flatnonzero(fits)
+        w = self.width + 1
+        shared: dict[bytes, TransitionMatrix] = {}
+        for a in range(0, len(take), _WALK_BATCH):
+            chunk = take[a : a + _WALK_BATCH]
+            rows = codes[chunk]
+            product = self.exact[rows[:, 0]]
+            for j in range(1, rows.shape[1]):
+                product = numpy.matmul(product, self.exact[rows[:, j]])
+            sizes = self.size[self.src[rows[:, 0]], None]
+            flat = numpy.concatenate([sizes, product.reshape(len(rows), -1)], axis=1)
+            raw, length = flat.tobytes(), flat.shape[1] * flat.itemsize
+            for i, at in zip(chunk.tolist(), range(0, len(raw), length)):
+                key = raw[at : at + length]
+                matrix = shared.get(key)
+                if matrix is None:
+                    k, *entries = numpy.frombuffer(key, numpy.int64).tolist()
+                    top = tuple(tuple(entries[r : r + k]) for r in range(0, k * w, w))
+                    matrix = shared[key] = TransitionMatrix._from_integer(entries[-1], top)
+                out[i] = matrix
+        for i in numpy.flatnonzero(~fits).tolist():
+            out[i] = self.table.cycle_matrix(*self.cycle(codes[i].tolist()))
+        return out
+
+
+def _included_cycle_batches(steps: _StepTable, budget: int):
     """The included Lyndon cycles of at most `budget` steps, in float batches.
 
-    `children` maps each vector of a closed class to its child records and
-    `floats[step]` is the float matrix of a (vector, edge) step.  Yields
-    (start, edges, products): the (N, n) edge choices of N Lyndon cycles
-    of n steps from `start` that hug neither end (`_excluded_cycles` has
-    those), and their (N, k, k) float products, multiplied left to right.
+    `steps` is the step table of a closed class.  Yields (codes,
+    products): the (N, n) step codes of N Lyndon cycles of n steps from
+    one start that hug neither end (`_excluded_cycles` has those), and
+    their (N, k, k) float products, multiplied left to right.
 
     The walks are those of `_lyndon_cycles`, extended a batch of walks of
-    one length at a time.  Steps are coded by their (vector, edge) order,
-    so the pre-necklace test compares codes: a step is kept when its code
-    is at least the one `p` places back, and the period stays `p` when
-    they are equal; a code -1 before the first step lets every first step
-    pass.  A pre-necklace holds no step below its first, so a walk from
-    `start` only visits vectors >= `start`, and a step is dropped when the
-    fewest steps back to `start` through such vectors would take the walk
-    past `budget`: that drops no cycle, and keeps every walk that can
+    one length at a time.  Step codes follow the (vector, edge) order, so
+    the pre-necklace test compares codes: a step is kept when its code is
+    at least the one `p` places back, and the period stays `p` when they
+    are equal; a code -1 before the first step lets every first step
+    pass.  A pre-necklace holds no step below its first, so a walk only
+    visits vectors >= its start, and a step is dropped when the fewest
+    steps back to the start through such vectors would take the walk past
+    `budget`: that drops no cycle, and keeps every walk that can
     still close.  Products are padded with zero columns to the largest
     neighbour count of the class, so one matmul extends a whole batch; a
     zero term adds nothing to a finite entry, and a product with an entry
@@ -385,37 +489,19 @@ def _included_cycle_batches(children, budget: int, floats):
     """
     import numpy
 
-    vectors = sorted(children)
-    index = {f: i for i, f in enumerate(vectors)}
-    # a child record's edge index is its position, so this is (vector, edge) order
-    records = [(f, r) for f in vectors for r in children[f]]
-    steps = [(f, r.edge_index) for f, r in records]
-    src = numpy.array([index[f] for f, _ in records])
-    dst = numpy.array([index[r.child] for _, r in records])
-    edge = numpy.array([r.edge_index for _, r in records])
-    # the codes of a vector's steps are first[v], ..., first[v] + count[v] - 1
-    count = numpy.array([len(children[f]) for f in vectors])
-    first = numpy.cumsum(count) - count
-    leftmost, rightmost = _end_steps(children)
-    # bit 1: the step is leftmost, bit 2: rightmost
-    hugs = numpy.array([(s in leftmost) + 2 * (s in rightmost) for s in steps])
-    width = max(max(floats[s].shape) for s in steps)
-    mats = numpy.zeros((len(steps), width, width))
-    for c, s in enumerate(steps):
-        m = floats[s]
-        mats[c, : m.shape[0], : m.shape[1]] = m
-    for s, start in enumerate(vectors):
-        # the fewest steps from each vector back to `start`, through vectors >= `start`
-        far = numpy.full(len(vectors), budget + 1)
+    src, dst, count, first = steps.src, steps.dst, steps.count, steps.first
+    for s in range(len(steps.vectors)):
+        # the fewest steps from each vector back to start s, through vectors >= s
+        far = numpy.full(len(steps.vectors), budget + 1)
         far[s] = 0
         up = (src >= s) & (dst >= s)
         for _ in range(budget):
             numpy.minimum.at(far, src[up], far[dst[up]] + 1)
         reach = far[dst]
-        k = floats[steps[first[s]]].shape[0]
+        k = int(steps.size[s])
         # walks of n steps: codes after a -1, periods, end bits, vectors, products
         stack = [(0, numpy.full((1, 1), -1), numpy.ones(1, int), numpy.full(1, 3),
-                  numpy.full(1, s), numpy.eye(k, width)[None])]
+                  numpy.full(1, s), numpy.eye(k, steps.width)[None])]
         while stack:
             n, hist, period, hug, at, products = stack.pop()
             back = hist[numpy.arange(len(hist)), n + 1 - period]
@@ -429,13 +515,13 @@ def _included_cycle_batches(children, budget: int, floats):
             walk, codes = walk[keep], codes[keep]
             n += 1
             period = numpy.where(codes == back[walk], period[walk], n)
-            hug = hug[walk] & hugs[codes]
+            hug = hug[walk] & steps.hugs[codes]
             at = dst[codes]
             hist = numpy.concatenate([hist[walk], codes[:, None]], axis=1)
-            products = numpy.matmul(products[walk], mats[codes])
+            products = numpy.matmul(products[walk], steps.floats[codes])
             closed = (at == s) & (period == n) & (hug == 0)
             if closed.any():
-                yield start, edge[hist[closed, 1:]], products[closed, :, :k]
+                yield hist[closed, 1:], products[closed, :, :k]
             if n < budget:
                 batch = hist, period, hug, at, products
                 stack += [
@@ -444,10 +530,10 @@ def _included_cycle_batches(children, budget: int, floats):
                 ]
 
 
-def _float_entry(x: Fraction) -> float:
-    """float(x) for a nonnegative x, inf where the conversion overflows."""
+def _float_ratio(m: int, d: int) -> float:
+    """m / d for integers m >= 0 and d > 0, inf where the quotient overflows."""
     try:
-        return float(x)
+        return m / d
     except OverflowError:
         return math.inf
 
@@ -488,32 +574,30 @@ def _near_extreme(g, g_lo: float, g_hi: float):
 class _CycleScreen:
     """The float screen of `essential_interval_bounds`.
 
-    `add` queues a batch of cycle products with the others of their shape;
-    each full `_SCREEN_CHUNK` of a queue is scored by one `_chunk_scores`
-    call.  `near` holds the (start, edges) of the scored cycles near the
-    extremes of the scores so far, and `near_g` their scores.  The
-    extremes only move outward, and the margin test only tightens as they
-    do, so `near` is refiltered only when they move.
+    `add` queues a batch of cycles, their step codes and float products,
+    with the others of their product shape; each full `_SCREEN_CHUNK` of a
+    queue is scored by one `_chunk_scores` call.  `near` holds, per scored
+    chunk, the scores, lengths and step codes (padded with -1) of its
+    cycles near the extremes of the scores so far.  The extremes only
+    move outward, and the margin test only tightens as they do, so `near`
+    is refiltered only when they move.
     """
 
     def __init__(self, budget: int):
-        import numpy
-
         self.budget = budget
-        # shape -> batches of (products, lengths, starts, edges padded with -1)
+        # shape -> batches of (products, lengths, codes padded with -1)
         self.queues: dict[int, list[tuple]] = {}
         self.g_lo, self.g_hi = math.inf, -math.inf
-        self.near_g = numpy.empty(0)
-        self.near: list[tuple[int, tuple[int, ...]]] = []
+        self.near: list[tuple] = []
 
-    def add(self, start: int, edges, products) -> None:
+    def add(self, codes, products) -> None:
         import numpy
 
-        size, n = edges.shape
-        padded = numpy.full((size, self.budget), -1)
-        padded[:, :n] = edges
+        size, n = codes.shape
+        padded = numpy.full((size, self.budget), -1, dtype=numpy.int32)
+        padded[:, :n] = codes
         queue = self.queues.setdefault(products.shape[1], [])
-        queue.append((products, numpy.full(size, n), numpy.full(size, start), padded))
+        queue.append((products, numpy.full(size, n), padded))
         total = sum(len(batch[0]) for batch in queue)
         if total >= _SCREEN_CHUNK:
             parts = [numpy.concatenate(column) for column in zip(*queue)]
@@ -522,7 +606,7 @@ class _CycleScreen:
                 self._score(*(part[a : a + _SCREEN_CHUNK] for part in parts))
             queue[:] = [tuple(part[full:] for part in parts)] if full < total else []
 
-    def _score(self, products, lengths, starts, edges) -> None:
+    def _score(self, products, lengths, codes) -> None:
         import numpy
 
         g = _chunk_scores(products, lengths)
@@ -532,42 +616,49 @@ class _CycleScreen:
             g_hi = max(self.g_hi, float(finite.max()))
             if (g_lo, g_hi) != (self.g_lo, self.g_hi):
                 self.g_lo, self.g_hi = g_lo, g_hi
-                keep = _near_extreme(self.near_g, g_lo, g_hi)
-                self.near_g = self.near_g[keep]
-                self.near = [c for c, k in zip(self.near, keep.tolist()) if k]
-        near = numpy.flatnonzero(_near_extreme(g, self.g_lo, self.g_hi))
-        self.near_g = numpy.concatenate([self.near_g, g[near]])
-        self.near += [
-            (start, tuple(row[:n]))
-            for start, row, n in zip(
-                starts[near].tolist(), edges[near].tolist(), lengths[near].tolist()
-            )
-        ]
+                self.near = [_near_part(*part, g_lo, g_hi) for part in self.near]
+        self.near.append(_near_part(g, lengths, codes, self.g_lo, self.g_hi))
 
-    def candidates(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Score what is queued; the (start, edges) near the final extremes, sorted."""
+    def candidates(self) -> list:
+        """Score what is queued and empty the screen; the step codes of the
+        cycles near the final extremes, one (N, n) array per length n."""
         import numpy
 
         for queue in self.queues.values():
             if queue:
                 self._score(*(numpy.concatenate(column) for column in zip(*queue)))
         self.queues.clear()
-        return sorted(self.near)
+        parts, self.near = self.near, []
+        # not `numpy.unique`, which loads `numpy.ma`: 1.5 MB more peak RSS
+        lengths = sorted({n for _, part, _ in parts for n in part.tolist()})
+        return [
+            numpy.concatenate([codes[part == n, :n] for _, part, codes in parts])
+            for n in lengths
+        ]
 
 
-def _witness(certificates, attains) -> CycleWitness:
+def _near_part(g, lengths, codes, g_lo: float, g_hi: float) -> tuple:
+    """The scores, lengths and codes of the cycles `_near_extreme` keeps."""
+    keep = _near_extreme(g, g_lo, g_hi)
+    return g[keep], lengths[keep], codes[keep]
+
+
+def _witness(certificates, attains, steps: _StepTable) -> CycleWitness:
     """The witness among the cycles whose certified rate `attains` the extreme.
 
-    `certificates` holds (rate, positive, cycles) with the (start, edges)
-    of the cycles that share that rate and positivity.
+    `certificates` holds (rate, positive, codes) with the (N, n) step
+    codes of the cycles that share that rate and positivity.  A positive
+    product wins, then the fewest edges, then the least (start, edges).
+    Step codes follow the (vector, edge) order, and the steps before a
+    code fix the vector it leaves, so among walks of one length the least
+    row of codes is the least (start, edges): only that row is read back.
     """
-    best = min(
-        (not positive, len(edges), start, edges, rate, positive)
-        for rate, positive, cycles in certificates
+    not_positive, _, row, rate = min(
+        (not positive, codes.shape[1], min(codes.tolist()), rate)
+        for rate, positive, codes in certificates
         if attains(rate)
-        for start, edges in cycles
     )
-    return CycleWitness(*best[2:])
+    return CycleWitness(*steps.cycle(row), rate, not not_positive)
 
 
 def essential_interval_bounds(
@@ -622,12 +713,15 @@ def essential_interval_bounds(
     about 2e-11 wide on the suite systems, so every cycle whose enclosure
     could reach an extreme of the certified rates scores far inside the
     margin.
-    The exact products of all candidates come from one
-    `MatrixTable.cycle_matrices` call, batched integer products in which
-    tied cycles share one `TransitionMatrix`, and one spectral radius and
-    rate serve all cycles with the same product and length: many cycles
-    tie exactly at an extreme.  The inner ends are taken over these
-    distinct certificates.
+    The enumeration, the screen and the exact products all read one
+    `_StepTable` of the class, built once per call, and a cycle travels
+    as its row of step codes.  The exact products of the candidates come
+    from `_StepTable.products`, batched `int64` products of each length
+    in which tied cycles share one `TransitionMatrix`, and one spectral
+    radius and rate serve all cycles with the same product and length:
+    many cycles tie exactly at an extreme.  The inner ends are taken over
+    these distinct certificates, and each witness turns one row of step
+    codes back into (start, edges).
 
     `min_witness` and `max_witness` are taken among the certified cycles
     whose enclosure reaches the extreme enclosure (`rate.lo <=
@@ -656,49 +750,44 @@ def essential_interval_bounds(
     outer_hi = _rate(p_min, p_min, 1, den1)
 
     cycle_count = 0
-    candidates: list[tuple[int, tuple[int, ...]]] = []
+    certified_count = 0
     excluded: list[tuple] = []
     excluded_count = 0
+    # (rate, positive, step codes of the cycles) per distinct product and length
+    certificates: list[tuple[Certified, bool, object]] = []
     if inner:
         import numpy
 
         children = {fid: structure.children_of_full(fid) for fid in sorted(dec.essential)}
         excluded, excluded_count = _excluded_cycles(children, cycle_budget)
-        floats = {
-            (f, r.edge_index): numpy.array(
-                [[_float_entry(x) for x in row] for row in table.of_full_edge(f, r.edge_index).rows]
-            )
-            for f, recs in children.items()
-            for r in recs
-        }
+        steps = _StepTable(children, table)
         screen = _CycleScreen(cycle_budget)
         # inf * 0 in a product that overflows is nan: it scores nan, and is certified
         with numpy.errstate(over="ignore", invalid="ignore"):
-            for start, edges, products in _included_cycle_batches(
-                children, cycle_budget, floats
-            ):
-                cycle_count += len(edges)
-                screen.add(start, edges, products)
+            for codes, products in _included_cycle_batches(steps, cycle_budget):
+                cycle_count += len(codes)
+                screen.add(codes, products)
             candidates = screen.candidates()
 
-    loose = Fraction(1, 10**9)
-    # the rate and positivity of a cycle depend only on its product and length
-    certificates: dict[tuple[TransitionMatrix, int], tuple[Certified, bool, list]] = {}
-    for (start, edges), product in zip(candidates, table.cycle_matrices(candidates)):
-        key = (product, len(edges))
-        cert = certificates.get(key)
-        if cert is None:
-            sp = spectral_radius(product, rel_tol=loose)
-            rate = _rate(sp.certified_lo, sp.certified_hi, len(edges), den1)
-            cert = certificates[key] = rate, product.is_positive(), []
-        cert[2].append((start, edges))
+        loose = Fraction(1, 10**9)
+        for codes in candidates:
+            n = codes.shape[1]
+            certified_count += len(codes)
+            # the rate and positivity of a cycle depend only on its product and length
+            rows: dict[TransitionMatrix, list[int]] = {}
+            for i, product in enumerate(steps.products(codes)):
+                rows.setdefault(product, []).append(i)
+            for product, which in rows.items():
+                sp = spectral_radius(product, rel_tol=loose)
+                rate = _rate(sp.certified_lo, sp.certified_hi, n, den1)
+                certificates.append((rate, product.is_positive(), codes[which]))
 
     if certificates:
-        rates = [rate for rate, _, _ in certificates.values()]
+        rates = [rate for rate, _, _ in certificates]
         inner_lo = _certify(min(r.lo for r in rates), min(r.hi for r in rates))
         inner_hi = _certify(max(r.lo for r in rates), max(r.hi for r in rates))
-        min_witness = _witness(certificates.values(), lambda r: r.lo <= inner_lo.hi)
-        max_witness = _witness(certificates.values(), lambda r: r.hi >= inner_hi.lo)
+        min_witness = _witness(certificates, lambda r: r.lo <= inner_lo.hi, steps)
+        max_witness = _witness(certificates, lambda r: r.hi >= inner_hi.lo, steps)
     else:
         inner_lo = inner_hi = None
         min_witness = max_witness = None
@@ -712,7 +801,7 @@ def essential_interval_bounds(
         min_witness,
         max_witness,
         cycle_count,
-        len(candidates),
+        certified_count,
         tuple(excluded),
         excluded_count,
         cycle_budget,
@@ -783,7 +872,7 @@ def isolated_point_scan(
     dec: ClassDecomposition,
     table: MatrixTable,
     bounds: EssentialBounds,
-    depth: int = 60,
+    depth: int = DEFAULT_DEPTH,
 ) -> IsolationFindings:
     """Local dimensions at 0 and 1 and their `isolation_verdict`s."""
     system = structure.system
@@ -936,7 +1025,7 @@ class DimensionReport:
 def build_dimension_report(
     structure: FiniteTypeStructure,
     cycle_budget: int = 8,
-    depth: int = 60,
+    depth: int = DEFAULT_DEPTH,
 ) -> DimensionReport:
     """One-stop aggregation of every quantitative output for a structure.
 

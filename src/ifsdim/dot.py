@@ -17,9 +17,10 @@ def _quote(text: str) -> str:
 def reduced_dot(structure: FiniteTypeStructure, dec: ClassDecomposition) -> str:
     """The reduced characteristic-vector graph; essential vectors filled.
 
-    Labels print `reduced_signature`'s values.  A table repeats few of them
-    (59 distinct among the 19,493 labels of x/3 + {0, 2/87, 2/3}), so each
-    rational element is turned into text once.  An irrational one is
+    Labels print each length and neighbour to within `DISPLAY_EPS`.  A
+    table repeats few of these values (59 distinct among the 19,493 labels
+    of x/3 + {0, 2/87, 2/3}), so each rational element is turned into text
+    once.  An irrational one is
     approximated afresh, in label order: the midpoint `approx` returns
     depends on how far the field context has refined rho.
     """

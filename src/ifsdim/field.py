@@ -273,15 +273,6 @@ class FieldContext:
         else:
             self._hi = mid
 
-    def refine_interval(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Shrink the isolating interval below `width` and return it."""
-        width = _as_fraction(width)
-        while self._hi - self._lo > width:
-            if self.degree == 1:
-                break
-            self._bisect()
-        return self._lo, self._hi
-
     def root_index(self) -> int:
         """Index of rho among the real roots of the minimal polynomial, smallest first.
 
@@ -538,11 +529,6 @@ class FieldElement:
 
     def approx(self, eps) -> Fraction:
         return self.ctx.approx(self.coeffs, eps)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise FieldError("element is irrational")
-        return self.coeffs[0]
 
     def __float__(self) -> float:
         return float(self.approx(Fraction(1, 10**17)))

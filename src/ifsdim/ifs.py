@@ -32,9 +32,6 @@ class IFSSystem:
     def rho(self) -> FieldElement:
         return self.context.rho
 
-    def apply(self, letter: int, point: FieldElement) -> FieldElement:
-        return self.rho * point + self.translations[letter]
-
     def describe(self) -> dict:
         out = {
             "minpoly": list(self.context.minpoly_int),

@@ -16,13 +16,8 @@ numerators over one common denominator, so a product entry is one integer
 dot product over the product of the two denominators, instead of a sum of
 `Fraction` products each reduced on its own; a product makes its
 `Fraction` entries only when they are read.  `MatrixTable.cycle_matrix`
-multiplies one walk in that integer form.  `MatrixTable.cycle_matrices`
-multiplies many walks at once in numpy: stacks of walks of one length,
-one `int64` matrix product per step where a bound on the entries proves
-that nothing overflows, one `TransitionMatrix` per distinct product, and
-`cycle_matrix` for every other walk.  numpy is imported only inside the
-`_WalkSteps` that `cycle_matrices` drives, so importing this module does
-not load it.
+multiplies one walk in that integer form.  numpy is not used here: the
+essential cycles are multiplied in batches by `dimension._StepTable`.
 """
 
 from __future__ import annotations
@@ -34,14 +29,6 @@ from typing import Sequence
 
 from .net import FiniteTypeStructure, NetStructureError
 
-# most walks of one length that `MatrixTable.cycle_matrices` multiplies at
-# once, and that `dimension._included_cycle_batches` extends at once; at
-# 1024 the perfbench `enumeration` peak RSS rose by 0.7 MB, at 256 it does not
-_WALK_BATCH = 256
-# a walk whose steps' bit bounds (see `MatrixTable.cycle_matrices`) sum to
-# less than this is multiplied in int64; any sum up to 63 would fit
-_INT64_BITS = 62
-
 
 class TransitionMatrix:
     """An immutable matrix of nonnegative Fractions.
@@ -50,7 +37,7 @@ class TransitionMatrix:
     the least common denominator d of the entries and the rows of integers
     d * entry.  It is unique to the matrix, so equality and the hash are
     read off it.  A matrix made by `__mul__`, `MatrixTable.cycle_matrix`
-    or `MatrixTable.cycle_matrices` starts in integer form and makes its
+    or `dimension._StepTable.products` starts in integer form and makes its
     `Fraction` rows when they are first read; one made from rows makes its
     integer form when first used.
     """
@@ -146,18 +133,7 @@ class TransitionMatrix:
         db, b = other._integer_form()
         return TransitionMatrix._from_integer(da * db, _integer_product(a, b))
 
-    @staticmethod
-    def identity(n: int) -> "TransitionMatrix":
-        one = Fraction(1)
-        zero = Fraction(0)
-        return TransitionMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
-
     # -- norms and structure -------------------------------------------------
-
-    def entry_sum(self) -> Fraction:
-        return sum(x for row in self.rows for x in row)
 
     def column_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(col) for col in zip(*self.rows))
@@ -237,20 +213,6 @@ class MatrixTable:
     def of_full_edge(self, fid: int, edge_index: int) -> TransitionMatrix:
         return self.of_edge(self.structure.reduced_of(fid), edge_index)
 
-    def path_matrix(self, edges: Sequence[int]) -> TransitionMatrix:
-        """Product of the matrices along a root path of edge choices."""
-        fid = self.structure.root_full
-        out = None
-        for e in edges:
-            m = self.of_full_edge(fid, e)
-            out = m if out is None else out * m
-            fid = self.structure.children_of_full(fid)[e].child
-        if out is None:
-            return TransitionMatrix.identity(
-                len(self.structure.neighbours_of_full(fid))
-            )
-        return out
-
     def cycle_matrix(self, fid: int, edges: Sequence[int]) -> TransitionMatrix:
         """Product along a cycle of edges starting (and ending) at `fid`.
 
@@ -270,151 +232,3 @@ class MatrixTable:
         if cur != fid:
             raise ValueError("edge sequence is not a cycle")
         return TransitionMatrix._from_integer(den, rows)
-
-    def cycle_matrices(
-        self, walks: Sequence[tuple[int, Sequence[int]]]
-    ) -> list[TransitionMatrix]:
-        """The products `cycle_matrix` gives for `walks`, in batches.
-
-        Walks of one length are multiplied `_WALK_BATCH` at a time, left
-        to right, one `int64` `matmul` of padded integer forms per step
-        (`_WalkSteps`).  A walk is batched when the sum over its steps of
-        the bit length of the larger of the step's denominator and its
-        greatest integer row sum is below `_INT64_BITS`: entries are
-        nonnegative, so no partial sum exceeds the final entry, which is at
-        most the product of the row sums, and the denominator is the
-        product of the denominators.  Batched walks whose products come out
-        with the same denominator and rows, from starts with the same
-        neighbour count, share one `TransitionMatrix`.  Every other walk
-        (over that bound, empty, with an edge index out of range, or not
-        closing) goes to `cycle_matrix`.  So the products equal
-        `[self.cycle_matrix(fid, edges) for fid, edges in walks]`, and a
-        list with an invalid walk raises: ValueError for an empty walk or
-        one that does not close, IndexError for an edge index or a start
-        out of range, though not always for the first invalid walk.
-        """
-        walks = list(walks)
-        out: list = [None] * len(walks)
-        by_length: dict[int, list[int]] = {}
-        for i, (_, edges) in enumerate(walks):
-            if edges:
-                by_length.setdefault(len(edges), []).append(i)
-        if by_length:
-            steps = _WalkSteps(self, {fid for fid, _ in walks})
-            shared: dict = {}
-            for group in by_length.values():
-                for a in range(0, len(group), _WALK_BATCH):
-                    chunk = group[a : a + _WALK_BATCH]
-                    keys = steps.keys([walks[i] for i in chunk])
-                    for key in set(keys).difference(shared):
-                        if key is not None:
-                            shared[key] = steps.matrix(key)
-                    for i, key in zip(chunk, keys):
-                        out[i] = shared.get(key)
-        for i in [i for i, matrix in enumerate(out) if matrix is None]:
-            out[i] = self.cycle_matrix(*walks[i])
-        return out
-
-
-class _WalkSteps:
-    """The (vector, edge) steps reachable from a set of vectors, for
-    `MatrixTable.cycle_matrices`.
-
-    Step (v, e) has code `first[index[v]] + e` and leads to vector index
-    `dst[code]`; `size` holds the neighbour counts of the vectors and
-    `width` the greatest.  The integer form (d, m) of a step is read when
-    a walk first uses it: `bits` gets the bit length of the larger of d
-    and the greatest row sum of m, and, when that is below `_INT64_BITS`,
-    `stack` (`int64`) gets the block matrix diag(m, d) padded with zeros
-    to `width` + 1 square, so that a product of those is diag(product of
-    the m, product of the d).  `bits` is -1 for a step not read yet.
-    """
-
-    def __init__(self, table: MatrixTable, starts: set[int]):
-        import numpy
-
-        structure = table.structure
-        self.table = table
-        vectors = sorted(starts)
-        self.index = {f: i for i, f in enumerate(vectors)}
-        self.steps, children, count = [], [], []
-        for f in vectors:  # grows as new children are met
-            recs = structure.children_of_full(f)
-            count.append(len(recs))
-            for rec in recs:
-                self.steps.append((f, rec.edge_index))
-                children.append(rec.child)
-                if rec.child not in self.index:
-                    self.index[rec.child] = len(vectors)
-                    vectors.append(rec.child)
-        self.count = numpy.array(count)
-        self.first = numpy.cumsum(self.count) - self.count
-        self.dst = numpy.array([self.index[f] for f in children])
-        self.size = numpy.array([len(structure.neighbours_of_full(f)) for f in vectors])
-        self.width = int(self.size.max())
-        self.bits = numpy.full(len(children), -1)
-        w = self.width + 1
-        self.stack = numpy.zeros((len(children), w, w), dtype=numpy.int64)
-
-    def keys(self, walks) -> list:
-        """A key per walk of one length for `matrix`: the neighbour count
-        of its start and its padded product with the denominator, as
-        `int64` bytes; None for a walk whose bits reach `_INT64_BITS`, one
-        with an edge index out of range and one that does not close."""
-        import numpy
-
-        starts = numpy.array([self.index[fid] for fid, _ in walks])
-        codes, closed = self._codes(starts, numpy.array([edges for _, edges in walks]))
-        fits = self.bits[codes].sum(axis=1) < _INT64_BITS
-        take = numpy.flatnonzero(closed & fits)
-        keys: list = [None] * len(walks)
-        if take.size:
-            for i, key in zip(take.tolist(), self._products(starts[take], codes[take])):
-                keys[i] = key
-        return keys
-
-    def _codes(self, starts, edges):
-        """The step codes of the walks `edges` from the vector indices
-        `starts`, and which walks keep their edge indices in range and
-        close.  The steps of the walks that close are read in."""
-        import numpy
-
-        codes = numpy.empty(edges.shape, dtype=int)
-        cur = starts
-        for j in range(edges.shape[1]):
-            # an edge index out of range still gives a code; the walk fails `ok`
-            codes[:, j] = (self.first[cur] + edges[:, j]) % len(self.dst)
-            cur = self.dst[codes[:, j]]
-        at = numpy.concatenate([starts[:, None], self.dst[codes[:, :-1]]], axis=1)
-        ok = ((edges >= 0) & (edges < self.count[at])).all(axis=1) & (cur == starts)
-        fresh = numpy.zeros(len(self.bits), dtype=bool)
-        fresh[codes[ok]] = True
-        for c in numpy.flatnonzero(fresh & (self.bits < 0)).tolist():
-            den, rows = self.table.of_full_edge(*self.steps[c])._integer_form()
-            self.bits[c] = max(den.bit_length(), max(map(sum, rows)).bit_length())
-            if self.bits[c] < _INT64_BITS:
-                self.stack[c, : len(rows), : len(rows[0])] = rows
-                self.stack[c, -1, -1] = den
-        return codes, ok
-
-    def _products(self, starts, codes) -> list[bytes]:
-        """The keys of the walks of step `codes` from the vector indices
-        `starts`."""
-        import numpy
-
-        product = self.stack[codes[:, 0]]
-        for j in range(1, codes.shape[1]):
-            product = numpy.matmul(product, self.stack[codes[:, j]])
-        sizes = self.size[starts, None].astype(numpy.int64)
-        flat = numpy.concatenate([sizes, product.reshape(len(product), -1)], axis=1)
-        raw, size = flat.tobytes(), flat.shape[1] * flat.itemsize
-        return [raw[a : a + size] for a in range(0, len(raw), size)]
-
-    def matrix(self, key: bytes) -> TransitionMatrix:
-        """The `TransitionMatrix` of a key of `keys`."""
-        import numpy
-
-        k, *flat = numpy.frombuffer(key, numpy.int64).tolist()
-        w = self.width + 1
-        rows = tuple(tuple(flat[i : i + k]) for i in range(0, k * w, w))
-        return TransitionMatrix._from_integer(flat[-1], rows)

@@ -35,6 +35,8 @@ from .ifs import IFSSystem
 VectorKey = tuple  # (length, (neighbour, ...)) as FieldElements
 
 DISPLAY_EPS = Fraction(1, 10**12)  # how close a printed coordinate is to its value
+# most edges `locate_point` follows looking for a period, unless told otherwise
+DEFAULT_DEPTH = 1000
 
 
 class NetStructureError(RuntimeError):
@@ -147,21 +149,6 @@ class FiniteTypeStructure:
 
     def neighbours_of_full(self, fid: int) -> tuple[FieldElement, ...]:
         return self.reduced[self.fulls[fid].reduced].neighbours
-
-    def reduced_child_map(self) -> list[list[int]]:
-        """Per reduced vector, the reduced ids of its children, left to right."""
-        return [
-            [self.reduced_of(rec.child) for rec in self.children_of_reduced(rid)]
-            for rid in range(self.reduced_count)
-        ]
-
-    def reduced_signature(self, rid: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-        """Approximate (length, neighbours) for display, exact when rational."""
-        vec = self.reduced[rid]
-        return (
-            vec.length.approx(DISPLAY_EPS),
-            tuple(v.approx(DISPLAY_EPS) for v in vec.neighbours),
-        )
 
     def edge_count(self) -> int:
         return sum(len(self.children_of_reduced(r)) for r in range(self.reduced_count))
@@ -452,7 +439,9 @@ class PointLocation:
     representations: list[Representation]
 
 
-def locate_point(structure: FiniteTypeStructure, x, depth: int = 60) -> PointLocation:
+def locate_point(
+    structure: FiniteTypeStructure, x, depth: int = DEFAULT_DEPTH
+) -> PointLocation:
     """Resolve a point of [0, 1] to its symbolic address(es).
 
     Boundary points (endpoints of some net interval) get one or two forced

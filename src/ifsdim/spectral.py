@@ -51,9 +51,6 @@ class SpectralResult:
     certified_hi: Fraction
     exact: Fraction | None = None
 
-    def width(self) -> Fraction:
-        return self.certified_hi - self.certified_lo
-
 
 def ln_fraction(q) -> float:
     """Natural log of a positive rational, safe for huge numerators."""

@@ -26,8 +26,12 @@ cycle exactly, kept as the reference for the float screen of
 entry-by-entry `Fraction` matrix product, kept as the reference for the
 integer multiply of `TransitionMatrix`; `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
-closed walk of a few edges, the inputs on which
-`MatrixTable.cycle_matrices` is checked against `cycle_matrix`.
+closed walk of a few edges, the inputs on which the batched products of
+`dimension._StepTable` are checked against `MatrixTable.cycle_matrix`.
+
+The last section holds views of package objects that only tests read,
+such as the reduced child map, a path product and a rational element's
+value, kept here rather than as members the package never calls.
 """
 
 import copy
@@ -36,7 +40,9 @@ from fractions import Fraction
 
 from ifsdim import dimension
 from ifsdim.classes import build_triple_diagram
+from ifsdim.field import FieldError
 from ifsdim.matrices import TransitionMatrix
+from ifsdim.net import DISPLAY_EPS
 from ifsdim.spectral import spectral_radius
 
 
@@ -502,4 +508,75 @@ def reference_inner_bounds(structure, dec, table, budget):
         min_witness=witness([w for w in included if w.rate.lo <= lo_hi]),
         max_witness=witness([w for w in included if w.rate.hi >= hi_lo]),
     )
+    return out
+
+
+# -- views of package objects that only tests read ---------------------------
+
+
+def reduced_child_map(structure):
+    """Per reduced vector, the reduced ids of its children, left to right."""
+    return [
+        [structure.reduced_of(rec.child) for rec in structure.children_of_reduced(rid)]
+        for rid in range(structure.reduced_count)
+    ]
+
+
+def reduced_signature(structure, rid):
+    """Approximate (length, neighbours) of a reduced vector, exact when rational."""
+    vec = structure.reduced[rid]
+    return (
+        vec.length.approx(DISPLAY_EPS),
+        tuple(v.approx(DISPLAY_EPS) for v in vec.neighbours),
+    )
+
+
+def reduced_pattern(diagram, nid):
+    """(left, centre, right) of a triple-diagram node as reduced ids, None marking a gap."""
+    take = lambda f: None if f is None else diagram.structure.reduced_of(f)
+    return tuple(take(f) for f in diagram.keys[nid])
+
+
+def as_rational(element):
+    """The value of a rational field element as a `Fraction`."""
+    if not element.is_rational():
+        raise FieldError("element is irrational")
+    return element.coeffs[0]
+
+
+def refine_interval(ctx, width):
+    """Shrink the isolating interval of `ctx` below `width` and return it."""
+    lo, hi = ctx.interval()
+    while ctx.degree > 1 and hi - lo > width:
+        ctx._bisect()
+        lo, hi = ctx.interval()
+    return lo, hi
+
+
+def apply_map(system, letter, point):
+    """S_letter(point) = rho * point + d_letter."""
+    return system.rho * point + system.translations[letter]
+
+
+def entry_sum(matrix):
+    """The sum of the entries of a `TransitionMatrix`."""
+    return sum(x for row in matrix.rows for x in row)
+
+
+def identity_matrix(n):
+    """The n x n identity `TransitionMatrix`."""
+    return TransitionMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+
+
+def path_matrix(table, edges):
+    """Product of the matrices of a `MatrixTable` along a root path of edge choices."""
+    structure = table.structure
+    fid = structure.root_full
+    out = None
+    for e in edges:
+        m = table.of_full_edge(fid, e)
+        out = m if out is None else out * m
+        fid = structure.children_of_full(fid)[e].child
+    if out is None:
+        return identity_matrix(len(structure.neighbours_of_full(fid)))
     return out

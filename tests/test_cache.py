@@ -19,6 +19,8 @@ from ifsdim.field import FieldContext
 from ifsdim.ifs import build_ifs
 from ifsdim.net import explore
 
+import oracle_helpers as oh
+
 
 def _children_snapshot(structure):
     out = []
@@ -71,7 +73,7 @@ def test_round_trip_preserves_structure(
     assert loaded.levels_explored == orig.levels_explored
     assert loaded.edge_count() == orig.edge_count()
     for rid in range(len(orig.reduced)):
-        assert loaded.reduced_signature(rid) == orig.reduced_signature(rid)
+        assert oh.reduced_signature(loaded, rid) == oh.reduced_signature(orig, rid)
         assert loaded.reduced[rid].level == orig.reduced[rid].level
     assert [(f.reduced, f.sibling_index) for f in loaded.fulls] == [
         (f.reduced, f.sibling_index) for f in orig.fulls

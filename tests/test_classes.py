@@ -30,6 +30,7 @@ from ifsdim.net import (
 
 from oracle_helpers import (
     essential_not_truly_witness,
+    reduced_pattern,
     reference_cycle_limit,
     side_chain_class,
     vectors_reaching,
@@ -160,7 +161,7 @@ def test_six_map_decomposition(six_map_quarter_structure):
     s = six_map_quarter_structure
     dec = decompose(s)
     assert pairs_of(s, dec.essential) == {(2, 1), (2, 2), (2, 3), (2, 4)}
-    assert not dec.is_essential(fid_of(s, 2, 7))
+    assert fid_of(s, 2, 7) not in dec.essential
     assert dec.essential_reduced == [2]
     assert loop_class_pairs(s, dec) == sorted(
         [
@@ -209,7 +210,7 @@ def test_eight_map_decomposition(eight_map_twelfths_structure):
     dec = decompose(s)
     assert pairs_of(s, dec.essential) == {(3, 1), (3, 2), (3, 3), (3, 4)}
     for pair in [(4, 7), (1, 9), (3, 5), (3, 6), (5, 10)]:
-        assert not dec.is_essential(fid_of(s, *pair))
+        assert fid_of(s, *pair) not in dec.essential
     assert loop_class_pairs(s, dec) == sorted(
         [
             sorted({(1, 1)}),
@@ -228,15 +229,15 @@ def test_quadratic_decomposition(quadratic_ninth_structure):
     assert sorted(dec.loop_classes[0]) == sorted(dec.essential)
     # the root and its sibling-4 child of type 3 are the only transients
     assert len(dec.essential) == s.full_count - 2
-    assert not dec.is_essential(s.root_full)
-    assert not dec.is_essential(fid_of(s, 3, 4))
+    assert s.root_full not in dec.essential
+    assert fid_of(s, 3, 4) not in dec.essential
 
 
 def test_cantor_3_4_decomposition(cantor_3_4_skewed_structure):
     s = cantor_3_4_skewed_structure
     dec = decompose(s)
     assert pairs_of(s, dec.essential) == {(2, 1), (2, 2), (2, 3)}
-    assert not dec.is_essential(fid_of(s, 2, 4))
+    assert fid_of(s, 2, 4) not in dec.essential
     assert dec.essential_reduced == [2]
 
 
@@ -290,7 +291,7 @@ def test_positive_row_cantor_holds(request, name):
 
 def triple_pattern_sets(diagram):
     return {
-        frozenset(diagram.reduced_pattern(n) for n in comp)
+        frozenset(reduced_pattern(diagram, n) for n in comp)
         for comp in diagram.loop_classes
     }
 
@@ -299,7 +300,7 @@ def test_triple_diagram_eight_map(eight_map_twelfths_structure):
     s = eight_map_twelfths_structure
     dec = decompose(s)
     diagram = build_triple_diagram(s, dec)
-    assert diagram.reduced_pattern(diagram.root) == (None, 0, None)
+    assert reduced_pattern(diagram, diagram.root) == (None, 0, None)
     assert len(diagram.loop_classes) == 5
     assert triple_pattern_sets(diagram) == {
         frozenset({(3, 3, 3)}),
@@ -308,10 +309,10 @@ def test_triple_diagram_eight_map(eight_map_twelfths_structure):
         frozenset({(6, 5, None)}),
         frozenset({(1, 6, 5), (3, 4, 5), (4, 5, 1), (6, 5, 1)}),
     }
-    assert {diagram.reduced_pattern(n) for n in diagram.essential} == {(3, 3, 3)}
+    assert {reduced_pattern(diagram, n) for n in diagram.essential} == {(3, 3, 3)}
     # the four-pattern class never descends through a leftmost child
     for comp in diagram.loop_classes:
-        patterns = {diagram.reduced_pattern(n) for n in comp}
+        patterns = {reduced_pattern(diagram, n) for n in comp}
         if patterns == {(1, 6, 5), (3, 4, 5), (4, 5, 1), (6, 5, 1)}:
             members = set(comp)
             internal = [
@@ -328,7 +329,7 @@ def test_triple_diagram_six_map(six_map_quarter_structure):
     s = six_map_quarter_structure
     dec = decompose(s)
     diagram = build_triple_diagram(s, dec)
-    assert {diagram.reduced_pattern(n) for n in diagram.essential} == {(2, 2, 2)}
+    assert {reduced_pattern(diagram, n) for n in diagram.essential} == {(2, 2, 2)}
     assert frozenset({(None, 1, 2)}) in triple_pattern_sets(diagram)
 
 

@@ -1,11 +1,15 @@
-"""Every top-level function and class in the package is used by the package.
+"""Every top-level function and class, and every method, is used by the package.
 
 A helper that only tests call belongs in `tests/oracle_helpers.py`, not in
 `src/`.  The exceptions are references that tests compare the package
-against and that no command needs.
+against and that no command needs, and a method that the benchmark's
+tracer reads.  Methods are matched by name, so a method that shares its
+name with a used one (`is_essential`, `width`) passes unseen; dunder
+methods are left out, since the language calls them.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "ifsdim"
@@ -13,32 +17,49 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "ifsdim"
 # the net-interval walks that tests check exploration, `locate_point` and
 # the matrices against
 TEST_REFERENCES = {"iter_net_intervals", "path_fulls", "path_left_endpoint"}
+# the isolating interval, which `perfbench/tracer.py` reads before and
+# after a sign decision to count bisections
+TRACER_REFERENCES = {"FieldContext.interval"}
 
 
 def _names_used(node):
-    names = set()
+    names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            names.add(sub.name)
+            names[sub.name] += 1
     return names
 
 
-def test_every_top_level_definition_is_referenced_in_the_package():
-    statements = [
-        statement
-        for path in sorted(SOURCE.glob("*.py"))
-        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+def _definitions(module):
+    """(qualified name, node) of the top-level functions and classes and
+    of the methods that are not dunders."""
+    for statement in module.body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            yield statement.name, statement
+        if isinstance(statement, ast.ClassDef):
+            for member in statement.body:
+                name = getattr(member, "name", "")
+                if isinstance(member, ast.FunctionDef) and not (
+                    name.startswith("__") and name.endswith("__")
+                ):
+                    yield f"{statement.name}.{name}", member
+
+
+def test_every_definition_is_referenced_in_the_package():
+    modules = [
+        ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))
     ]
-    names = [_names_used(statement) for statement in statements]
+    used = sum((_names_used(module) for module in modules), Counter())
     unreferenced = {
-        definition.name
-        for i, definition in enumerate(statements)
-        if isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-        and not any(definition.name in used for j, used in enumerate(names) if j != i)
+        qualified
+        for module in modules
+        for qualified, node in _definitions(module)
+        # a name used only inside its own definition is not used
+        if used[node.name] == _names_used(node)[node.name]
     }
     # equality, so a reference that a command comes to use leaves the allowlist
-    assert unreferenced == TEST_REFERENCES
+    assert unreferenced == TEST_REFERENCES | TRACER_REFERENCES

@@ -81,7 +81,7 @@ def test_hausdorff_dimension_one_for_full_interval_attractors(name, request):
     dec, _ = parts_of(structure)
     result = hausdorff_dimension(structure, dec)
     assert abs(result.dimension.value - 1.0) < 1e-9
-    assert result.dimension.contains(1)
+    assert result.dimension.lo <= 1 <= result.dimension.hi
 
 
 def test_hausdorff_dimension_quadratic(quadratic_ninth_structure):
@@ -112,7 +112,7 @@ def test_gap_system_endpoint_dimension(gap_system_structure):
         spec = PeriodicSpec.from_location(locate_point(gap_system_structure, x))
         result = local_dim_periodic(gap_system_structure, table, spec)
         assert abs(result.dimension.value - 1.5) < 1e-10
-        assert result.dimension.contains(Fraction(3, 2))
+        assert result.dimension.lo <= Fraction(3, 2) <= result.dimension.hi
 
 
 def test_middle_map_fixed_point_takes_middle_probability():
@@ -343,12 +343,8 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, monkeypatch,
             assert len(set(lyndon)) == len(lyndon)
             assert set(lyndon) == set(reference_cycles(children, start, budget))
             cycles.update(lyndon)
-        ones = {
-            (f, r.edge_index): numpy.ones(table.of_full_edge(f, r.edge_index).shape)
-            for f in essential
-            for r in children[f]
-        }
-        batched = [w for walks, _ in batched_cycles(children, budget, ones) for w in walks]
+        steps = dimension._StepTable(children, table)
+        batched = [w for walks, _ in batched_cycles(steps, budget) for w in walks]
         hugging = {c for c, _ in hugging_cycles(children, cycles)}
         assert len(batched) == len(set(batched))
         assert set(batched) == cycles - hugging
@@ -364,16 +360,27 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, monkeypatch,
         assert bounds == reference
 
 
+class RandomTable:
+    """The matrices of a `random_class` by step, read as `MatrixTable.of_full_edge`."""
+
+    def __init__(self, matrices):
+        self.matrices = matrices
+
+    def of_full_edge(self, fid, edge_index):
+        return self.matrices[(fid, edge_index)]
+
+
 def random_class(rng):
-    """A random closed multigraph of child records, with a float matrix per step.
+    """A random closed multigraph of child records, with a matrix per step.
 
     Vector ids are spread out, each vector has 1 to 3 children, and first
     and last children often abut their end, so cycles that hug one end are
     common.  Neighbour counts run from 1 to 3, so products are padded.
+    Entries are fractions with denominators up to 2000.
     """
     vectors = sorted(rng.sample(range(40), rng.randint(1, 4)))
     size = {f: rng.randint(1, 3) for f in vectors}
-    children, floats = {}, {}
+    children, matrices = {}, {}
     for f in vectors:
         fan = rng.choice([1, 1, 1, 2, 2, 3])
         children[f] = [
@@ -384,10 +391,14 @@ def random_class(rng):
             for e in range(fan)
         ]
         for r in children[f]:
-            floats[(f, r.edge_index)] = numpy.array(
-                [[rng.uniform(0.1, 1.0) for _ in range(size[r.child])] for _ in range(size[f])]
+            matrices[(f, r.edge_index)] = TransitionMatrix(
+                [
+                    [Fraction(rng.randint(100, 1000), rng.randint(1000, 2000))
+                     for _ in range(size[r.child])]
+                    for _ in range(size[f])
+                ]
             )
-    return children, floats
+    return children, RandomTable(matrices)
 
 
 def is_prenecklace(steps):
@@ -434,18 +445,15 @@ def hugging_cycles(children, cycles):
     return out
 
 
-def batched_cycles(children, budget, floats):
-    """The batches of `dimension._included_cycle_batches`, each as its
-    cycles' steps and its float products."""
-    for start, edges, products in dimension._included_cycle_batches(children, budget, floats):
-        walks = []
-        for row in edges.tolist():
-            steps, cur = [], start
-            for e in row:
-                steps.append((cur, e))
-                cur = children[cur][e].child
-            assert cur == start
-            walks.append(tuple(steps))
+def batched_cycles(steps, budget):
+    """The batches of `dimension._included_cycle_batches` on a `_StepTable`,
+    each as its cycles' (vector, edge) steps and its float products."""
+    src, edge = steps.src.tolist(), steps.edge.tolist()
+    for codes, products in dimension._included_cycle_batches(steps, budget):
+        # each step leaves the vector the one before it enters, and the last
+        # enters the first's
+        assert (steps.dst[codes] == steps.src[numpy.roll(codes, -1, axis=1)]).all()
+        walks = [tuple((steps.vectors[src[c]], edge[c]) for c in row) for row in codes.tolist()]
         yield walks, products
 
 
@@ -460,7 +468,15 @@ def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch
 
     monkeypatch.setattr(numpy, "matmul", counting_matmul)
     for _ in range(200):
-        children, floats = random_class(rng)
+        children, table = random_class(rng)
+        steps = dimension._StepTable(children, table)
+        floats = {s: numpy.array(m.rows, dtype=float) for s, m in table.matrices.items()}
+        for c, (f, e) in enumerate(zip(steps.src.tolist(), steps.edge.tolist())):
+            # the step table's floats are those of the `Fraction` entries, padded
+            m = floats[(steps.vectors[f], e)]
+            padded = numpy.zeros((steps.width, steps.width))
+            padded[: m.shape[0], : m.shape[1]] = m
+            assert (steps.floats[c] == padded).all()
         starts = sorted(children)
         cycles = [c for s in starts for c in reference_cycles(children, s, 8)]
         prenecklaces = [w for s in starts for w in prenecklace_walks(children, s, 8)]
@@ -472,7 +488,7 @@ def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch
             assert excluded == hugging[:50] and excluded_count == len(hugging)
             rows.clear()
             got = []
-            for walks, products in batched_cycles(children, budget, floats):
+            for walks, products in batched_cycles(steps, budget):
                 got += walks
                 if budget == 8:
                     expected = [reduce(operator.matmul, [floats[s] for s in w]) for w in walks]
@@ -645,11 +661,11 @@ def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
     structure = gap_system_structure
     dec, table = parts_of(structure)
     products, radii = [], []
-    cycle_matrices = MatrixTable.cycle_matrices
+    products_of = dimension._StepTable.products
 
-    def recording_cycle_matrices(self, walks):
-        out = cycle_matrices(self, walks)
-        products.extend((product, len(edges)) for (_, edges), product in zip(walks, out))
+    def recording_products(self, codes):
+        out = products_of(self, codes)
+        products.extend((product, codes.shape[1]) for product in out)
         return out
 
     def counting_spectral_radius(matrix, **kwargs):
@@ -657,7 +673,7 @@ def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
         return spectral_radius(matrix, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(MatrixTable, "cycle_matrices", recording_cycle_matrices)
+        patch.setattr(dimension._StepTable, "products", recording_products)
         patch.setattr(dimension, "spectral_radius", counting_spectral_radius)
         bounds = essential_interval_bounds(structure, dec, table, 5)
     # every rate here is equal, so every cycle is certified

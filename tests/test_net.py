@@ -47,14 +47,14 @@ def test_six_map_quarter_tables(six_map_quarter_structure):
     s = six_map_quarter_structure
     assert s.saturated
     assert s.reduced_count == 4
-    sigs = [s.reduced_signature(r) for r in range(4)]
+    sigs = [oh.reduced_signature(s, r) for r in range(4)]
     assert sigs == [
         (F(1), (F(0),)),
         (F(1, 2), (F(0),)),
         (F(1, 2), (F(0), F(1, 2))),
         (F(1, 2), (F(1, 2),)),
     ]
-    assert s.reduced_child_map() == [
+    assert oh.reduced_child_map(s) == [
         [1, 2, 2, 2, 3, 1, 2, 3],
         [1, 2, 2, 2],
         [2, 2, 2, 2],
@@ -75,7 +75,7 @@ def test_six_map_quarter_tables(six_map_quarter_structure):
 def test_zero_row_third_tables(zero_row_third_structure):
     s = zero_row_third_structure
     assert s.reduced_count == 6
-    sigs = [s.reduced_signature(r) for r in range(6)]
+    sigs = [oh.reduced_signature(s, r) for r in range(6)]
     assert sigs == [
         (F(1), (F(0),)),
         (F(1, 3), (F(0),)),
@@ -84,7 +84,7 @@ def test_zero_row_third_tables(zero_row_third_structure):
         (F(1, 3), (F(1, 3), F(2, 3))),
         (F(1, 3), (F(2, 3),)),
     ]
-    assert s.reduced_child_map() == [
+    assert oh.reduced_child_map(s) == [
         [0, 1, 2, 3, 4, 5],
         [0],
         [1, 2, 3],
@@ -109,7 +109,7 @@ def test_zero_row_third_tables(zero_row_third_structure):
 def test_eight_map_twelfths_tables(eight_map_twelfths_structure):
     s = eight_map_twelfths_structure
     assert s.reduced_count == 7
-    sigs = [s.reduced_signature(r) for r in range(7)]
+    sigs = [oh.reduced_signature(s, r) for r in range(7)]
     assert sigs == [
         (F(1), (F(0),)),
         (F(1, 3), (F(0),)),
@@ -119,7 +119,7 @@ def test_eight_map_twelfths_tables(eight_map_twelfths_structure):
         (F(1, 3), (F(2, 3),)),
         (F(2, 3), (F(0), F(1, 3))),
     ]
-    assert s.reduced_child_map() == [
+    assert oh.reduced_child_map(s) == [
         [1, 2, 3, 3, 3, 3, 4, 5, 1, 6, 5],
         [1, 2, 3, 3],
         [3, 3, 3, 3],
@@ -157,7 +157,7 @@ def test_golden_half_tables(golden_half_structure):
         vec = s.reduced[rid]
         assert vec.length == length
         assert vec.neighbours == neighbours
-    assert s.reduced_child_map() == [
+    assert oh.reduced_child_map(s) == [
         [1, 2, 3],
         [1, 2],
         [4],
@@ -188,7 +188,7 @@ def test_quadratic_ninth_tables(quadratic_ninth_structure):
         vec = s.reduced[rid]
         assert vec.length == length
         assert vec.neighbours == neighbours
-    assert s.reduced_child_map() == [
+    assert oh.reduced_child_map(s) == [
         [1, 2, 3, 1, 2, 3],
         [1, 2, 3, 1],
         [2, 4, 2],
@@ -210,8 +210,8 @@ def test_cantor_4_9_level_one(cantor_4_9_structure):
     s = cantor_4_9_structure
     intervals = list(iter_net_intervals(s, 1))
     assert len(intervals) == 12
-    assert [iv.left.as_rational() for iv in intervals] == [F(j, 12) for j in range(12)]
-    sigs = [s.reduced_signature(s.reduced_of(iv.full)) for iv in intervals]
+    assert [oh.as_rational(iv.left) for iv in intervals] == [F(j, 12) for j in range(12)]
+    sigs = [oh.reduced_signature(s, s.reduced_of(iv.full)) for iv in intervals]
     third = F(1, 3)
     full_neighbours = (F(0), F(1, 3), F(2, 3))
     assert sigs[0] == (third, (F(0),))
@@ -221,7 +221,7 @@ def test_cantor_4_9_level_one(cantor_4_9_structure):
     assert sigs[10] == (third, (F(1, 3), F(2, 3)))
     assert sigs[11] == (third, (F(2, 3),))
     central = s.reduced_of(intervals[2].full)
-    assert s.reduced_child_map()[central] == [central] * 4
+    assert oh.reduced_child_map(s)[central] == [central] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +463,7 @@ def test_iter_matches_path_helpers(golden_half_structure):
 def test_exploration_is_deterministic(golden_third):
     a = explore(golden_third)
     b = explore(golden_third)
-    assert a.reduced_child_map() == b.reduced_child_map()
+    assert oh.reduced_child_map(a) == oh.reduced_child_map(b)
     assert full_pairs(a) == full_pairs(b)
     assert a.describe() == b.describe()
 

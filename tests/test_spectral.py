@@ -218,12 +218,12 @@ def test_without_a_positive_seed_iteration_from_ones_still_certifies(monkeypatch
     result = spectral_radius(golden)
     assert result.certified_lo <= (3 + s5_lo) / 32
     assert (3 + s5_hi) / 32 <= result.certified_hi
-    assert result.width() <= DEFAULT_REL_TOL * result.certified_hi
+    assert result.certified_hi - result.certified_lo <= DEFAULT_REL_TOL * result.certified_hi
     s2_lo, s2_hi = isqrt_fraction_bounds(2)
     result = spectral_radius(quadratic)
     assert result.certified_lo <= 2 + s2_lo
     assert 2 + s2_hi <= result.certified_hi
-    assert result.width() <= DEFAULT_REL_TOL * result.certified_hi
+    assert result.certified_hi - result.certified_lo <= DEFAULT_REL_TOL * result.certified_hi
 
 
 def test_loose_rounds_still_bracket_the_tight_answer():
