@@ -298,74 +298,6 @@ class EssentialBounds:
     cycle_budget: int
 
 
-def _lyndon_cycles(children, start: int, budget: int):
-    """Closed walks from `start` of at most `budget` steps, one per cycle.
-
-    A step is a (vector, edge) pair.  The walk is extended depth first
-    while its steps form a pre-necklace (Fredricksen and Maiorana): `p` is
-    the period of the prefix, and a step below the one `p` places back is
-    pruned, since no Lyndon word has that prefix.  A walk back at `start`
-    is yielded when its period is its length, that is when it is the
-    Lyndon word of a primitive cycle: its least rotation, which starts at
-    the cycle's least vector.  Powers of a cycle are skipped; they repeat
-    its rate.
-    """
-    stack = [(start, (), 0)]
-    while stack:
-        fid, steps, p = stack.pop()
-        n = len(steps) + 1
-        for rec in children[fid]:
-            step = (fid, rec.edge_index)
-            if steps:
-                back = steps[n - 1 - p]
-                if step < back:
-                    continue
-                q = p if step == back else n
-            else:
-                q = 1
-            nxt = steps + (step,)
-            if rec.child == start and q == n:
-                yield nxt
-            if n < budget:
-                stack.append((rec.child, nxt, q))
-
-
-def _end_steps(children) -> tuple[set, set]:
-    """The steps onto a first child at the left end, and onto a last at the right."""
-    leftmost = {(f, 0) for f, recs in children.items() if recs[0].abuts_left}
-    rightmost = {
-        (f, len(recs) - 1) for f, recs in children.items() if recs[-1].abuts_right
-    }
-    return leftmost, rightmost
-
-
-def _excluded_cycles(children, budget: int) -> tuple[list, int]:
-    """The cycles whose steps all hug one end: the first 50 with their reason, and the count.
-
-    They are the Lyndon cycles of the child lists cut down to the end
-    steps.  Cutting lists only drops subtrees of the depth-first walk of
-    `_lyndon_cycles`, so the cycles it keeps come in the order the walk
-    over the whole lists meets them.
-    """
-    leftmost, rightmost = _end_steps(children)
-    ends = leftmost | rightmost
-    cut = {f: [r for r in recs if (f, r.edge_index) in ends] for f, recs in children.items()}
-    excluded: list[tuple] = []
-    count = 0
-    for start in sorted(children):
-        for steps in _lyndon_cycles(cut, start, budget):
-            if leftmost.issuperset(steps):
-                reason = "all_leftmost"
-            elif rightmost.issuperset(steps):
-                reason = "all_rightmost"
-            else:
-                continue
-            count += 1
-            if len(excluded) < 50:
-                excluded.append((steps, reason))
-    return excluded, count
-
-
 class _StepTable:
     """The (vector, edge) steps of a set of vectors closed under children.
 
@@ -374,8 +306,8 @@ class _StepTable:
     edge) order, vectors sorted: the codes of vector index v are
     `first[v]` to `first[v] + count[v] - 1`, and code c leaves vector
     index `src[c]` by edge `edge[c]` for vector index `dst[c]`.  `hugs`
-    has bit 1 for a step onto a first child at the left end and bit 2 for
-    one onto a last child at the right end (`_end_steps`).  `size` holds
+    has bit 1 for a step onto a first child that abuts the left end and
+    bit 2 for one onto a last child that abuts the right end.  `size` holds
     the neighbour counts of the vectors and `width` the greatest.
 
     Each step's matrix is read once, in its integer form (d, m).
@@ -401,8 +333,13 @@ class _StepTable:
         self.edge = numpy.array([e for _, e in steps])
         self.count = numpy.array([len(children[f]) for f in self.vectors])
         self.first = numpy.cumsum(self.count) - self.count
-        leftmost, rightmost = _end_steps(children)
-        self.hugs = numpy.array([(s in leftmost) + 2 * (s in rightmost) for s in steps])
+        self.hugs = numpy.array(
+            [
+                (e == 0 and children[f][e].abuts_left)
+                + 2 * (e == len(children[f]) - 1 and children[f][e].abuts_right)
+                for f, e in steps
+            ]
+        )
         forms = [table.of_full_edge(*s)._integer_form() for s in steps]
         self.size = numpy.zeros(len(self.vectors), dtype=numpy.int64)
         self.size[self.src] = [len(m) for _, m in forms]
@@ -465,6 +402,36 @@ class _StepTable:
         return out
 
 
+def _excluded_cycles(steps: _StepTable, budget: int) -> tuple[list, int]:
+    """The cycles whose steps all hug one end: the first 50 with their reason, and the count.
+
+    A vector leaves by at most one step that hugs the left end, its first,
+    and one that hugs the right end, its last, so these cycles are the
+    cycles of two maps from vectors to vectors.  Each map is followed from
+    each vector s for at most `budget` steps, until it reaches a vector <=
+    s; a walk that ends at s is a cycle whose least vector is s, so it is
+    met once, as its least rotation.  A cycle whose steps hug both ends is
+    a cycle of both maps, and counts once, as all_leftmost.  The cycles
+    come as (steps, reason), steps the (vector, edge) pairs, sorted.
+    """
+    hugs, src, dst, edge = (x.tolist() for x in (steps.hugs, steps.src, steps.dst, steps.edge))
+    first = steps.first.tolist()
+    last = (steps.first + steps.count - 1).tolist()
+    found = []
+    for s in range(len(steps.vectors)):
+        for reason, bit, leave in (("all_leftmost", 1, first), ("all_rightmost", 2, last)):
+            walk, v = [], s
+            while len(walk) < budget and hugs[leave[v]] & bit:
+                walk.append(leave[v])
+                v = dst[leave[v]]
+                if v <= s:
+                    break
+            if walk and v == s and (bit == 1 or any(hugs[c] != 3 for c in walk)):
+                found.append((tuple((steps.vectors[src[c]], edge[c]) for c in walk), reason))
+    found.sort()
+    return found[:50], len(found)
+
+
 def _included_cycle_batches(steps: _StepTable, budget: int):
     """The included Lyndon cycles of at most `budget` steps, in float batches.
 
@@ -473,8 +440,12 @@ def _included_cycle_batches(steps: _StepTable, budget: int):
     one start that hug neither end (`_excluded_cycles` has those), and
     their (N, k, k) float products, multiplied left to right.
 
-    The walks are those of `_lyndon_cycles`, extended a batch of walks of
-    one length at a time.  Step codes follow the (vector, edge) order, so
+    A walk is extended while its steps form a pre-necklace (Fredricksen
+    and Maiorana), a batch of walks of one length at a time, and a walk
+    back at its start is a cycle when its period `p` is its length: it is
+    then the Lyndon word of a primitive cycle, its least rotation, which
+    starts at the cycle's least vector.  Powers of a cycle, which repeat
+    its rate, are skipped.  Step codes follow the (vector, edge) order, so
     the pre-necklace test compares codes: a step is kept when its code is
     at least the one `p` places back, and the period stays `p` when they
     are equal; a code -1 before the first step lets every first step
@@ -674,20 +645,21 @@ def essential_interval_bounds(
     extreme column sums over the transition matrices of the essential class.
     Inner: the min and max certified rate over the cycles of the class of
     at most `cycle_budget` edges (at least 1, else ValueError), less two
-    kinds.  Each primitive cycle is met once, as its least rotation (the
-    Lyndon walks of `_lyndon_cycles`), so no rotation or power is tested
-    twice.  A cycle whose steps all go to a first child that abuts its
-    parent's left end (`all_leftmost`), or all to a last child that abuts
-    the right end (`all_rightmost`), repeats to the end point of its net
+    kinds.  Each primitive cycle is met once, as its least rotation (its
+    Lyndon word of steps), so no rotation or power is tested twice.  A
+    cycle whose steps all go to a first child that abuts its parent's
+    left end (`all_leftmost`), or all to a last child that abuts the
+    right end (`all_rightmost`), repeats to the end point of its net
     intervals; the mass on the other side of that point also decides its
     local dimension, so the cycle's rate need not be it.  Those cycles
-    (`_excluded_cycles`) are counted and sampled in `excluded`, in the
-    order of `_lyndon_cycles`, not included; `cycle_count` counts the
-    included ones.  Every other cycle is realized at a truly essential
-    point, so no triple diagram is needed: the centres of the triple
-    diagram's closed class are exactly the essential class (K. G. Hare,
-    K. E. Hare and K. R. Matthews, J. Fractal Geom. 3 (2016)), and
-    repeating a cycle from a triple of that class stays in it.
+    are the cycles of the leftmost and the rightmost child map
+    (`_excluded_cycles`); they are counted and sampled in `excluded`,
+    sorted, not included, and `cycle_count` counts the included ones.
+    Every other cycle is realized at a truly essential point, so no
+    triple diagram is needed: the centres of the triple diagram's closed
+    class are exactly the essential class (K. G. Hare, K. E. Hare and
+    K. R. Matthews, J. Fractal Geom. 3 (2016)), and repeating a cycle
+    from a triple of that class stays in it.
 
     Each included cycle is screened in floats: `_included_cycle_batches`
     enumerates them level by level and multiplies the float edge matrices
@@ -759,8 +731,8 @@ def essential_interval_bounds(
         import numpy
 
         children = {fid: structure.children_of_full(fid) for fid in sorted(dec.essential)}
-        excluded, excluded_count = _excluded_cycles(children, cycle_budget)
         steps = _StepTable(children, table)
+        excluded, excluded_count = _excluded_cycles(steps, cycle_budget)
         screen = _CycleScreen(cycle_budget)
         # inf * 0 in a product that overflows is nan: it scores nan, and is certified
         with numpy.errstate(over="ignore", invalid="ignore"):

@@ -18,8 +18,9 @@ classification, kept as the reference for `TripleDiagram.cycle_limit`;
 triple diagram for a boundary point that is essential on one side only,
 which checks the essential-but-not-truly taxonomy of the fixtures;
 `reference_cycles`, the former all-rotations walk enumeration of the
-inner bounds, kept as the reference for `dimension._lyndon_cycles` and
-`dimension._included_cycle_batches`;
+inner bounds, kept as the reference for the Lyndon walks of
+`dimension._included_cycle_batches` and the end map walks of
+`dimension._excluded_cycles`;
 `reference_inner_bounds`, the former loop that certifies every included
 cycle exactly, kept as the reference for the float screen of
 `dimension.essential_interval_bounds`; `reference_product`, the former
@@ -452,9 +453,9 @@ def reference_inner_bounds(structure, dec, table, budget):
     by_centre = {}
     for nid, key in enumerate(diagram.keys):
         by_centre.setdefault(key[1], []).append(nid)
-    included, excluded, excluded_count = [], [], 0
+    included, excluded = [], []
     for start in essential:
-        for steps in dimension._lyndon_cycles(children, start, budget):
+        for steps in reference_cycles(children, start, budget):
             recs = [record[step] for step in steps]
             edges = tuple(e for _, e in steps)
             if all(r.edge_index == 0 and r.abuts_left for r in recs):
@@ -471,9 +472,7 @@ def reference_inner_bounds(structure, dec, table, budget):
             else:
                 reason = None
             if reason is not None:
-                excluded_count += 1
-                if len(excluded) < 50:
-                    excluded.append((steps, reason))
+                excluded.append((steps, reason))
                 continue
             product = table.of_full_edge(*steps[0])
             for fid, e in steps[1:]:
@@ -485,8 +484,8 @@ def reference_inner_bounds(structure, dec, table, budget):
             )
     out = {
         "cycle_count": len(included),
-        "excluded": tuple(excluded),
-        "excluded_count": excluded_count,
+        "excluded": tuple(sorted(excluded)[:50]),
+        "excluded_count": len(excluded),
         "inner_lo": None,
         "inner_hi": None,
         "min_witness": None,

@@ -347,7 +347,7 @@ def closed_walks(structure, budget):
     children = {fid: structure.children_of_full(fid) for fid in dec.essential}
     walks = []
     for start in sorted(dec.essential):
-        for steps in dimension._lyndon_cycles(children, start, budget):
+        for steps in oh.reference_cycles(children, start, budget):
             for r in range(len(steps)):
                 turned = steps[r:] + steps[:r]
                 edges = tuple(e for _, e in turned)
