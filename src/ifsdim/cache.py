@@ -34,7 +34,8 @@ CACHE_VERSION = 4
 
 
 class CacheError(RuntimeError):
-    """The cache file is unreadable, stale, or belongs to another system."""
+    """The cache file is unreadable, stale, belongs to another system, or
+    cannot be written."""
 
 
 def _coeffs_out(element) -> list[str]:
@@ -95,9 +96,14 @@ def save_structure(path: str, structure: FiniteTypeStructure) -> None:
         "fulls": [[f.reduced, f.sibling_index] for f in structure.fulls],
     }
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise CacheError(f"cannot write cache {path}: {exc.strerror or exc}") from exc
 
 
 def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:

@@ -14,31 +14,16 @@ budget exhausted before saturation or an argument usage error (argparse),
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import os
 import sys
 from fractions import Fraction
 
 from .cache import CacheError, load_structure, save_structure
-from .classes import (
-    INTERIOR_ESSENTIAL,
-    build_triple_diagram,
-    classify_truly_essential,
-    decompose,
-)
 from .config import ConfigError, _parse_value, load_config
-from .dimension import (
-    PeriodicSpec,
-    build_dimension_report,
-    essential_interval_bounds,
-    isolated_point_scan,  # unused here; perfbench/tracer.py wraps cli's binding
-    isolation_verdict,
-    local_dim_periodic,
-)
-from .dot import reduced_dot, triple_dot
 from .field import FieldError
 from .ifs import IFSError, IFSSystem
-from .matrices import MatrixTable
 from .net import (
     DEFAULT_DEPTH,
     NetStructureError,
@@ -47,16 +32,60 @@ from .net import (
     explore,
     locate_point,
 )
-from .report import (
-    _fmt_certified,
-    dumps,
-    format_enclosure,
-    fraction_str,
-    full_report,
-    local_dim_dict,
-    render_text,
-    structural_report,
-)
+
+# The analysis layers, and the names this module takes from each.  They are
+# most of what a fresh process compiles at start-up, and `explore` and input
+# errors use none of them, so they are bound on first use: by `main` for the
+# other commands, and by the module `__getattr__` for a lookup from outside.
+_LAYERS = {
+    "classes": (
+        "INTERIOR_ESSENTIAL",
+        "build_triple_diagram",
+        "classify_truly_essential",
+        "decompose",
+    ),
+    "dimension": (
+        "PeriodicSpec",
+        "build_dimension_report",
+        "essential_interval_bounds",
+        "isolated_point_scan",  # unused here; perfbench/tracer.py wraps cli's binding
+        "isolation_verdict",
+        "local_dim_periodic",
+    ),
+    "dot": ("reduced_dot", "triple_dot"),
+    "matrices": ("MatrixTable",),
+    "report": (
+        "_fmt_certified",
+        "dumps",
+        "format_enclosure",
+        "fraction_str",
+        "full_report",
+        "local_dim_dict",
+        "render_text",
+        "structural_report",
+    ),
+}
+
+
+def _load_layers() -> None:
+    """Import the modules of `_LAYERS` and bind their names here.
+
+    A name already bound keeps its value: the benchmark's tracer may have
+    wrapped it before the first command ran.
+    """
+    namespace = globals()
+    for module_name, names in _LAYERS.items():
+        module = importlib.import_module(f".{module_name}", __package__)
+        for name in names:
+            namespace.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _LAYERS.values()):
+        _load_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
@@ -75,8 +104,12 @@ def _obtain_structure(args: argparse.Namespace, system: IFSSystem):
             print(f"cache unusable ({exc}); re-exploring", file=sys.stderr)
     structure = explore(system, max_vectors=args.max_vectors, max_level=args.max_level)
     if args.cache is not None:
-        save_structure(args.cache, structure)
-        print(f"wrote structure cache {args.cache}", file=sys.stderr)
+        try:
+            save_structure(args.cache, structure)
+        except CacheError as exc:
+            print(f"cache not written ({exc})", file=sys.stderr)
+        else:
+            print(f"wrote structure cache {args.cache}", file=sys.stderr)
     return structure
 
 
@@ -91,8 +124,11 @@ def _write_or_print(path: str | None, text: str) -> None:
     `BrokenPipeError`.  A stdout with no `.buffer` is written as it is.
     """
     if path is not None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return
     raw = getattr(sys.stdout, "buffer", None)
     if not isinstance(raw, io.FileIO):
@@ -194,9 +230,11 @@ _ISOLATION_PHRASES = {
 def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
     if system.probabilities is None:
         raise ConfigError("pointdim needs probabilities in the config")
-    structure = _obtain_structure(args, system)
+    # each flag is parsed before exploring, so a malformed one explores
+    # nothing; whether the cycle's edges exist is checked on the structure
     if args.cycle is not None:
         spec = _parse_cycle_spec(args.cycle)
+        structure = _obtain_structure(args, system)
         try:
             result = local_dim_periodic(structure, MatrixTable(structure), spec)
         except ValueError as exc:
@@ -209,6 +247,7 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
         return EXIT_OK
 
     x = _parse_point(args.point, system)
+    structure = _obtain_structure(args, system)
     location = locate_point(structure, x, depth=args.depth)
     dec = decompose(structure)
     # expanded on demand: the classification reads only the triples along
@@ -308,6 +347,8 @@ def main(argv=None) -> int:
             if name in ("max_vectors", "max_level", "cycle_budget", "depth") and value <= 0:
                 raise ConfigError(f"--{name.replace('_', '-')} must be positive")
         system = load_config(args.config)
+        if args.command != "explore":
+            _load_layers()
         command = {
             "explore": cmd_explore,
             "report": cmd_report,

@@ -289,6 +289,21 @@ def test_pointdim_bad_cycle_edge(cfgdir, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--point", "abc"], ["--cycle", "0,x"]])
+def test_pointdim_malformed_flag_fails_before_exploring(
+    cfgdir, capsys, tmp_path, monkeypatch, flag
+):
+    def no_explore(*args, **kwargs):
+        raise AssertionError("explored before the flag was parsed")
+
+    monkeypatch.setattr(cli, "explore", no_explore)
+    cache = tmp_path / "structure.json"
+    argv = ["pointdim", "--config", str(cfgdir / "table_87.cfg"), "--cache", str(cache)]
+    assert main(argv + flag) == 3
+    assert "input error" in capsys.readouterr().err
+    assert not cache.exists()
+
+
 def test_pointdim_slope_sequence_for_aperiodic_point(cfgdir, capsys, tmp_path):
     # no float slope sequence: an aperiodic point gets a certified interval
     # or no number at all
@@ -568,6 +583,41 @@ def test_stale_cache_is_replaced(cfgdir, capsys, tmp_path):
     assert "wrote structure cache" in captured.err
 
 
+def test_cache_that_cannot_be_written_warns_and_finishes(cfgdir, capsys, tmp_path):
+    six = ["explore", "--config", str(cfgdir / "six.cfg")]
+    assert main(six) == 0
+    expected = capsys.readouterr().out
+    # a directory can be neither read nor replaced as a cache file
+    cache = tmp_path / "structure"
+    cache.mkdir()
+    rc = main(six + ["--cache", str(cache)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.out == expected
+    assert "cache unusable" in captured.err
+    assert "cache not written" in captured.err
+    assert "wrote structure cache" not in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["structure"]
+
+
+def test_json_path_that_cannot_be_written_is_an_input_error(cfgdir, capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "report.json"
+    argv = ["report", "--config", str(cfgdir / "six.cfg"), "--cycle-budget", "2"]
+    assert main(argv + ["--json", str(missing)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write %s" % missing)
+    assert "Traceback" not in err
+
+
+def test_dot_path_that_cannot_be_written_is_an_input_error(cfgdir, capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "graph.dot"
+    argv = ["graph", "reduced", "--config", str(cfgdir / "six.cfg")]
+    assert main(argv + ["--dot", str(missing)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: cannot write %s" % missing)
+
+
 def test_graph_to_stdout_and_file(cfgdir, capsys, tmp_path):
     rc = main(["graph", "reduced", "--config", str(cfgdir / "six.cfg")])
     out = capsys.readouterr().out
@@ -667,33 +717,53 @@ def test_pointdim_classifies_on_an_unexpanded_diagram(cfgdir, cfg):
         assert got == classify_truly_essential(whole, location), point
 
 
-# -- numpy only where a cycle is screened or a Perron vector is seeded ----------
+# -- what a fresh process imports ----------------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # runs `cli.main` (config parse included) on each argv in a fresh
-# interpreter and prints, as JSON, each (exit code, stdout) and whether
-# numpy got loaded; with "block" set, any import of numpy raises ImportError
+# interpreter and prints, as JSON, each (exit code, stdout), whether numpy
+# got loaded and which `ifsdim` modules did; with "block" set, any import of
+# numpy raises ImportError; with "trace" set, a perfbench Tracer is installed
+# around every command and the names of its spans are printed too
 FRESH_RUNS = """\
 import contextlib, io, json, sys
-argvs, block = json.loads(sys.argv[1])
+argvs, block, trace = json.loads(sys.argv[1])
 if block:
     sys.modules["numpy"] = None
 from ifsdim import cli
+tracer = None
+if trace:
+    sys.path.insert(0, trace)
+    from tracer import Tracer
+    tracer = Tracer()
+cold = "decompose" not in vars(cli)
 runs = []
-for argv in argvs:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = cli.main(argv)
-    runs.append([rc, out.getvalue()])
-print(json.dumps([runs, sys.modules.get("numpy") is not None]))
+with tracer.installed() if tracer else contextlib.nullcontext():
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(argv)
+        runs.append([rc, out.getvalue()])
+print(json.dumps({
+    "runs": runs,
+    "numpy": sys.modules.get("numpy") is not None,
+    "modules": sorted(m[7:] for m in sys.modules if m.startswith("ifsdim.")),
+    "cold": cold,
+    "spans": None if tracer is None else [s.name for s in tracer.spans],
+}))
 """
 
+# the modules that only the analysis commands need
+LAYERS = {"classes", "dimension", "dot", "matrices", "report", "spectral"}
 
-def _fresh_runs(argvs, block):
+
+def _fresh_runs(argvs, block=False, trace=False):
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    arg = json.dumps([argvs, block, str(PERFBENCH) if trace else None])
     proc = subprocess.run(
-        [sys.executable, "-c", FRESH_RUNS, json.dumps([argvs, block])],
+        [sys.executable, "-c", FRESH_RUNS, arg],
         capture_output=True,
         text=True,
         env=env,
@@ -712,21 +782,47 @@ def test_commands_that_screen_nothing_run_without_numpy(cfgdir, capsys):
         ["graph", "triple", "--config", str(cfgdir / "golden_third.cfg")],
         ["pointdim", "--config", str(cfgdir / "zerorow.cfg"), "--point", "0.35"],
     ]
-    runs, loaded = _fresh_runs(argvs, block=True)
-    assert not loaded
+    fresh = _fresh_runs(argvs, block=True)
+    assert not fresh["numpy"]
     expected = []
     for argv in argvs:
         rc = main(argv)
         expected.append([rc, capsys.readouterr().out])
-    assert runs == expected
-    assert [rc for rc, _ in runs] == [0, 0, 0, 4]
+    assert fresh["runs"] == expected
+    assert [rc for rc, _ in fresh["runs"]] == [0, 0, 0, 4]
 
-    # a report does load numpy, and must show it loaded, so the check above
-    # cannot pass for want of detecting an import
+    # a report does load numpy and the analysis layers, and must show them
+    # loaded, so neither check can pass for want of detecting an import
     report = ["report", "--config", str(cfgdir / "six.cfg"), "--cycle-budget", "2"]
-    runs, loaded = _fresh_runs([report], block=False)
-    assert loaded
-    assert runs == [[main(report), capsys.readouterr().out]]
+    fresh = _fresh_runs([report])
+    assert fresh["numpy"]
+    assert LAYERS <= set(fresh["modules"])
+    assert fresh["runs"] == [[main(report), capsys.readouterr().out]]
+
+
+def test_explore_and_input_errors_load_no_analysis_layer(cfgdir, tmp_path):
+    # the test above checks that a report does load them
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("minpoly = [-1, 4]\ntranslations [0, 1/2]\n", encoding="utf-8")
+    for argvs, codes in (
+        ([], []),
+        ([["explore", "--config", str(cfgdir / "six.cfg")]], [0]),
+        ([["report", "--config", str(bad)]], [3]),
+    ):
+        fresh = _fresh_runs(argvs)
+        assert [rc for rc, _ in fresh["runs"]] == codes
+        assert {"cli", "config", "net"} <= set(fresh["modules"]), argvs
+        assert not LAYERS & set(fresh["modules"]), argvs
+
+
+def test_a_tracer_installed_on_a_cold_cli_wraps_the_report(cfgdir, capsys):
+    # the tracer looks the layer names up on `cli` before any command has
+    # bound them; the wrappers it sets must survive the command's own binding
+    report = ["report", "--config", str(cfgdir / "six.cfg"), "--cycle-budget", "2"]
+    fresh = _fresh_runs([report], trace=True)
+    assert fresh["cold"]
+    assert {"dimension.report", "dimension.bounds"} <= set(fresh["spans"])
+    assert fresh["runs"] == [[main(report), capsys.readouterr().out]]
 
 
 def _graph_triple_read_for_one_line(cfgdir, tmp_path, capsys, unbuffered):

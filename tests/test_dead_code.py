@@ -5,7 +5,8 @@ A helper that only tests call belongs in `tests/oracle_helpers.py`, not in
 against and that no command needs, and a method that the benchmark's
 tracer reads.  Methods are matched by name, so a method that shares its
 name with a used one (`is_essential`, `width`) passes unseen; dunder
-methods are left out, since the language calls them.
+functions and methods, such as a module `__getattr__`, are left out,
+since the language calls them.
 """
 
 import ast
@@ -34,19 +35,22 @@ def _names_used(node):
     return names
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(module):
-    """(qualified name, node) of the top-level functions and classes and
-    of the methods that are not dunders."""
+    """(qualified name, node) of the top-level classes, and of the
+    top-level functions and the methods that are not dunders."""
     for statement in module.body:
-        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(statement, ast.ClassDef) or (
+            isinstance(statement, ast.FunctionDef) and not _is_dunder(statement.name)
+        ):
             yield statement.name, statement
         if isinstance(statement, ast.ClassDef):
             for member in statement.body:
-                name = getattr(member, "name", "")
-                if isinstance(member, ast.FunctionDef) and not (
-                    name.startswith("__") and name.endswith("__")
-                ):
-                    yield f"{statement.name}.{name}", member
+                if isinstance(member, ast.FunctionDef) and not _is_dunder(member.name):
+                    yield f"{statement.name}.{member.name}", member
 
 
 def test_every_definition_is_referenced_in_the_package():
