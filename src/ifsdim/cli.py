@@ -113,6 +113,29 @@ def _obtain_structure(args: argparse.Namespace, system: IFSSystem):
     return structure
 
 
+def _cannot_write(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _check_writable(path: str | None) -> None:
+    """Raise ConfigError, before any work, unless the file `path` (if given)
+    can be opened for writing.  It is opened for appending, which truncates
+    nothing, and removed again if this made it; an existing FIFO or device
+    is left to the final write, as closing it could end its reader's input.
+    """
+    if path is None:
+        return
+    made = not os.path.lexists(path)
+    if not made and not os.path.isfile(path) and not os.path.isdir(path):
+        return
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    if made:
+        os.remove(path)
+
+
 def _write_or_print(path: str | None, text: str) -> None:
     """Write `text` to the file `path`, or to stdout when it is None.
 
@@ -128,7 +151,7 @@ def _write_or_print(path: str | None, text: str) -> None:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            raise _cannot_write(path, exc) from exc
         return
     raw = getattr(sys.stdout, "buffer", None)
     if not isinstance(raw, io.FileIO):
@@ -347,6 +370,8 @@ def main(argv=None) -> int:
             if name in ("max_vectors", "max_level", "cycle_budget", "depth") and value <= 0:
                 raise ConfigError(f"--{name.replace('_', '-')} must be positive")
         system = load_config(args.config)
+        _check_writable(getattr(args, "json", None))
+        _check_writable(getattr(args, "dot", None))
         if args.command != "explore":
             _load_layers()
         command = {

@@ -310,7 +310,7 @@ class _StepTable:
     bit 2 for one onto a last child that abuts the right end.  `size` holds
     the neighbour counts of the vectors and `width` the greatest.
 
-    Each step's matrix is read once, in its integer form (d, m).
+    Each step's matrix is read once, as its integer form: `den` d, `ints` m.
     `floats` holds m / d padded with zeros to `width` square: Python's
     `m / d` is correctly rounded, so these are the floats of the
     `Fraction` entries, with inf where that overflows.  `bits` holds the
@@ -340,7 +340,7 @@ class _StepTable:
                 for f, e in steps
             ]
         )
-        forms = [table.of_full_edge(*s)._integer_form() for s in steps]
+        forms = [(m.den, m.ints) for m in (table.of_full_edge(*s) for s in steps)]
         self.size = numpy.zeros(len(self.vectors), dtype=numpy.int64)
         self.size[self.src] = [len(m) for _, m in forms]
         self.width = w = int(self.size.max())

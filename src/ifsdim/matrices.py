@@ -11,12 +11,13 @@ computation in this package.  `MatrixTable` builds each matrix the first
 time it is read: a command reads only the essential class and the paths it
 follows, a few edges of the table.
 
-Products are formed in integers: each matrix keeps its entries as integer
-numerators over one common denominator, so a product entry is one integer
-dot product over the product of the two denominators, instead of a sum of
-`Fraction` products each reduced on its own; a product makes its
-`Fraction` entries only when they are read.  `MatrixTable.cycle_matrix`
-multiplies one walk in that integer form.  numpy is not used here: the
+A matrix is stored in one form only: its entries as integers over their
+least common denominator.  Edge matrices are built in that form, and a
+product entry is one integer dot product over the product of the two
+denominators, instead of a sum of `Fraction` products each reduced on its
+own.  The `Fraction` entries are made only when `rows` is read, which the
+spectral certificate does once per matrix.  `MatrixTable.cycle_matrix`
+multiplies one walk in integer form.  numpy is not used here: the
 essential cycles are multiplied in batches by `dimension._StepTable`.
 """
 
@@ -31,18 +32,18 @@ from .net import FiniteTypeStructure, NetStructureError
 
 
 class TransitionMatrix:
-    """An immutable matrix of nonnegative Fractions.
+    """An immutable matrix of nonnegative rationals, stored in integer form.
 
-    `rows` is the public view.  The integer form that `__mul__` works in is
-    the least common denominator d of the entries and the rows of integers
-    d * entry.  It is unique to the matrix, so equality and the hash are
-    read off it.  A matrix made by `__mul__`, `MatrixTable.cycle_matrix`
-    or `dimension._StepTable.products` starts in integer form and makes its
-    `Fraction` rows when they are first read; one made from rows makes its
-    integer form when first used.
+    `den` is the least common denominator d of the entries and `ints` the
+    rows of integers d * entry.  That form is unique to the matrix, so
+    equality and the hash are read off it, and it is the only one stored:
+    `rows`, the entries as `Fraction`s, is made anew on each read.  The
+    constructor checks and converts rows of rationals; `__mul__`,
+    `edge_matrix`, `MatrixTable.cycle_matrix` and
+    `dimension._StepTable.products` build the integer form directly.
     """
 
-    __slots__ = ("_rows", "_hash", "_integer")
+    __slots__ = ("den", "ints", "_hash")
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -53,19 +54,9 @@ class TransitionMatrix:
             raise ValueError("ragged matrix")
         if any(x < 0 for row in rows for x in row):
             raise ValueError("matrix entries must be nonnegative")
-        self._rows = rows
+        self.den = den = math.lcm(*(x.denominator for row in rows for x in row))
+        self.ints = tuple(tuple(int(x * den) for x in row) for row in rows)
         self._hash = None
-        self._integer = None
-
-    @classmethod
-    def _from_rows(cls, rows: list[list[Fraction]]) -> "TransitionMatrix":
-        """The matrix of nonempty, rectangular rows of nonnegative
-        `Fraction`s, taken as they are, without `__init__`'s copy and checks."""
-        matrix = cls.__new__(cls)
-        matrix._rows = tuple(map(tuple, rows))
-        matrix._hash = None
-        matrix._integer = None
-        return matrix
 
     @classmethod
     def _from_integer(cls, den: int, rows: tuple[tuple[int, ...], ...]) -> "TransitionMatrix":
@@ -80,69 +71,57 @@ class TransitionMatrix:
         if g > 1:
             den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
         matrix = cls.__new__(cls)
-        matrix._rows = None
+        matrix.den = den
+        matrix.ints = rows
         matrix._hash = None
-        matrix._integer = den, rows
         return matrix
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
-            den, rows = self._integer
-            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in rows)
-        return self._rows
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.ints)
 
     @property
     def shape(self) -> tuple[int, int]:
-        rows = self._rows or self._integer[1]
-        return len(rows), len(rows[0])
+        return len(self.ints), len(self.ints[0])
 
     def __eq__(self, other):
         return (
             isinstance(other, TransitionMatrix)
-            and self._integer_form() == other._integer_form()
+            and self.den == other.den
+            and self.ints == other.ints
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self._integer_form())
+            self._hash = hash((self.den, self.ints))
         return self._hash
 
     def __repr__(self):
         return f"TransitionMatrix({[[str(x) for x in row] for row in self.rows]})"
 
-    def _integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        if self._integer is None:
-            den = math.lcm(*(x.denominator for row in self._rows for x in row))
-            self._integer = den, tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row)
-                for row in self._rows
-            )
-        return self._integer
-
     def __mul__(self, other: "TransitionMatrix") -> "TransitionMatrix":
         """The exact product, formed over the operands' common denominators.
 
         With A = a / da and B = b / db for integer matrices a and b, AB is
-        (a b) / (da db): an integer dot product per entry, and no `Fraction`
-        until the product's rows are read.
+        (a b) / (da db): an integer dot product per entry, and no `Fraction`.
         """
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"shape mismatch: {self.shape} * {other.shape}")
-        da, a = self._integer_form()
-        db, b = other._integer_form()
-        return TransitionMatrix._from_integer(da * db, _integer_product(a, b))
+        return TransitionMatrix._from_integer(
+            self.den * other.den, _integer_product(self.ints, other.ints)
+        )
 
     # -- norms and structure -------------------------------------------------
 
     def column_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(col) for col in zip(*self.rows))
+        return tuple(Fraction(sum(col), self.den) for col in zip(*self.ints))
 
     def is_positive(self) -> bool:
-        return all(x > 0 for row in self.rows for x in row)
+        return all(x > 0 for row in self.ints for x in row)
 
     def has_zero_row(self) -> bool:
-        return any(all(x == 0 for x in row) for row in self.rows)
+        return not all(map(any, self.ints))
 
 
 def _integer_product(a, b) -> tuple[tuple[int, ...], ...]:
@@ -166,24 +145,24 @@ def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> Tr
     if system.probabilities is None:
         raise NetStructureError("system has no probabilities")
     rec = structure.children_of_reduced(rid)[edge_index]
-    pairs = list(zip(system.translations, system.probabilities))
-    zero = Fraction(0)
+    den = math.lcm(*(p.denominator for p in system.probabilities))
+    pairs = [(d, int(p * den)) for d, p in zip(system.translations, system.probabilities)]
     shifts = [rec.offset - system.rho * a for a in structure.neighbours_of_full(rec.child)]
     parents = structure.reduced[rid].neighbours
     if len(pairs) < len(shifts):
         rows = []
         for c in parents:
             prob_at = {d - c: p for d, p in pairs}
-            rows.append([prob_at.get(t, zero) for t in shifts])
+            rows.append(tuple(prob_at.get(t, 0) for t in shifts))
     else:
         prob_of = dict(pairs)
-        rows = [[prob_of.get(c + t, zero) for t in shifts] for c in parents]
-    if not all(any(column) for column in zip(*rows)):
+        rows = [tuple(prob_of.get(c + t, 0) for t in shifts) for c in parents]
+    if not all(map(any, zip(*rows))):
         raise NetStructureError(
             "transition matrix has a zero column; child neighbour unaccounted"
         )
-    # every entry is a probability, which `build_ifs` checked, or `zero`
-    return TransitionMatrix._from_rows(rows)
+    # every entry is 0 or den times a probability, which `build_ifs` checked
+    return TransitionMatrix._from_integer(den, tuple(rows))
 
 
 class MatrixTable:
@@ -226,8 +205,8 @@ class MatrixTable:
             raise ValueError("empty cycle")
         cur, den, rows = fid, 1, None
         for e in edges:
-            d, m = self.of_full_edge(cur, e)._integer_form()
-            den, rows = den * d, m if rows is None else _integer_product(rows, m)
+            m = self.of_full_edge(cur, e)
+            den, rows = den * m.den, m.ints if rows is None else _integer_product(rows, m.ints)
             cur = self.structure.children_of_full(cur)[e].child
         if cur != fid:
             raise ValueError("edge sequence is not a cycle")

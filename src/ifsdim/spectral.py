@@ -80,25 +80,6 @@ def safe_float(q: Fraction) -> float:
         return mag if q > 0 else -mag
 
 
-def _as_rows(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """The rows of a square nonnegative matrix, as tuples of `Fraction`s.
-
-    A `TransitionMatrix` holds nonnegative `Fraction`s by construction, so
-    its rows pass through; other rows are converted and checked entry by
-    entry.
-    """
-    if isinstance(matrix, TransitionMatrix):
-        rows = matrix.rows
-    else:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        if any(x < 0 for row in rows for x in row):
-            raise ValueError("spectral radius is defined here for nonnegative matrices")
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("spectral radius needs a square matrix")
-    return rows
-
-
 def _mat_vec(rows, v):
     return [sum(r[j] * v[j] for j in range(len(v)) if v[j]) for r in rows]
 
@@ -233,11 +214,14 @@ def spectral_radius(
     rel_tol: Fraction = DEFAULT_REL_TOL,
     max_rounds: int = 500,
 ) -> SpectralResult:
-    """Certified spectral radius of a nonnegative rational matrix."""
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if n == 0:
-        return SpectralResult(0.0, Fraction(0), Fraction(0), Fraction(0))
+    """Certified spectral radius of a nonnegative rational matrix, given as
+    a `TransitionMatrix` or as rows, which its constructor checks."""
+    if not isinstance(matrix, TransitionMatrix):
+        matrix = TransitionMatrix(matrix)
+    n, width = matrix.shape
+    if width != n:
+        raise ValueError("spectral radius needs a square matrix")
+    rows = matrix.rows
     succ = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
     blocks = []
     for comp in strongly_connected_components(n, lambda v: succ[v]):

@@ -25,7 +25,10 @@ inner bounds, kept as the reference for the Lyndon walks of
 cycle exactly, kept as the reference for the float screen of
 `dimension.essential_interval_bounds`; `reference_product`, the former
 entry-by-entry `Fraction` matrix product, kept as the reference for the
-integer multiply of `TransitionMatrix`; `vectors_reaching`, a plain
+integer multiply of `TransitionMatrix`; `reference_matrix_flags`, the
+column sums and sign flags of a matrix read off its `Fraction` entries, the
+reference for those `TransitionMatrix` reads off its integer form;
+`vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
 `dimension._StepTable` are checked against `MatrixTable.cycle_matrix`.
@@ -421,6 +424,16 @@ def reference_product(a, b):
         raise ValueError("shape mismatch")
     return TransitionMatrix(
         [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in rows]
+    )
+
+
+def reference_matrix_flags(rows):
+    """(column sums, all entries positive, some row all zero) of rows of
+    `Fraction`s, one entry at a time."""
+    return (
+        tuple(sum((row[j] for row in rows), Fraction(0)) for j in range(len(rows[0]))),
+        all(x > 0 for row in rows for x in row),
+        any(all(x == 0 for x in row) for row in rows),
     )
 
 

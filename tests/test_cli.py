@@ -604,9 +604,44 @@ def test_json_path_that_cannot_be_written_is_an_input_error(cfgdir, capsys, tmp_
     missing = tmp_path / "no-such-dir" / "report.json"
     argv = ["report", "--config", str(cfgdir / "six.cfg"), "--cycle-budget", "2"]
     assert main(argv + ["--json", str(missing)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("input error: cannot write %s" % missing)
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: cannot write %s" % missing)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--cycle-budget", "2", "--json"],
+        ["pointdim", "--point", "1/3", "--json"],
+        ["graph", "reduced", "--dot"],
+    ],
+)
+def test_output_path_is_checked_before_exploring(cfgdir, capsys, tmp_path, monkeypatch, argv):
+    def no_explore(*args, **kwargs):
+        raise AssertionError("explored before the output path was checked")
+
+    monkeypatch.setattr(cli, "explore", no_explore)
+    # a missing directory, and a directory where the file should be
+    for path in (tmp_path / "no-such-dir" / "out", tmp_path):
+        assert main(argv + [str(path), "--config", str(cfgdir / "six.cfg")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: cannot write %s" % path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_run_leaves_its_json_path_as_it_was(cfgdir, capsys, tmp_path):
+    # the path check neither truncates an existing file nor leaves a new one
+    argv = ["pointdim", "--config", str(cfgdir / "zerorow.cfg"), "--point", "0.35", "--json"]
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept", encoding="utf-8")
+    assert main(argv + [str(new)]) == 4
+    assert main(argv + [str(old)]) == 4
+    assert capsys.readouterr().out == ""
+    assert not new.exists()
+    assert old.read_text(encoding="utf-8") == "kept"
 
 
 def test_dot_path_that_cannot_be_written_is_an_input_error(cfgdir, capsys, tmp_path):

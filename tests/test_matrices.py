@@ -1,5 +1,6 @@
 """Edge matrices: algebra, frozen examples, and the measure oracle."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from ifsdim.field import FieldContext
 from ifsdim.ifs import build_ifs, cantor_like
 from ifsdim.net import NetStructureError, explore, iter_net_intervals, path_fulls
 from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
+from ifsdim.spectral import spectral_radius
 
 import oracle_helpers as oh
 
@@ -94,6 +96,57 @@ def test_zero_row_and_positive_flags():
     zero_row = M([[1, 1], [0, 0]])
     assert zero_row.has_zero_row()
     assert M([[1, 1], [1, 1]]).is_positive()
+
+
+def random_rational_rows(rng, n, m):
+    """n x m rows of `Fraction`s from 10**-400 to 10**400, about a third of
+    them 0, and each row and each column all 0 with chance 1/5."""
+    zero_rows = {i for i in range(n) if rng.random() < 0.2}
+    zero_cols = {j for j in range(m) if rng.random() < 0.2}
+
+    def entry(i, j):
+        if i in zero_rows or j in zero_cols or rng.random() < 0.3:
+            return F(0)
+        num = rng.randint(1, 999) * 10 ** rng.randint(0, 400)
+        return F(num, rng.randint(1, 999) * 10 ** rng.randint(0, 400))
+
+    return [[entry(i, j) for j in range(m)] for i in range(n)]
+
+
+def test_integer_form_is_the_only_stored_form():
+    rng = random.Random(2016)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        m = n if rng.random() < 0.5 else rng.randint(1, 5)
+        rows = random_rational_rows(rng, n, m)
+        a = TransitionMatrix(rows)
+        assert a.rows == tuple(map(tuple, rows)) and a.shape == (n, m)
+        assert all(type(x) is Fraction for row in a.rows for x in row)
+        assert TransitionMatrix(a.rows) == a
+        # any common denominator of the rows gives the same matrix
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        scaled = [[int(x * den) for x in row] for row in rows]
+        for k in (1, 2, 3, 10**40 + 7):
+            ints = tuple(tuple(k * x for x in row) for row in scaled)
+            b = TransitionMatrix._from_integer(k * den, ints)
+            assert b == a and hash(b) == hash(a)
+            assert (b.den, b.ints, b.rows) == (a.den, a.ints, a.rows)
+        flags = a.column_sums(), a.is_positive(), a.has_zero_row()
+        assert flags == oh.reference_matrix_flags(rows)
+        if n == m:
+            # entries 800 decades apart could take all 500 rounds
+            assert spectral_radius(rows, max_rounds=20) == spectral_radius(a, max_rounds=20)
+        else:
+            with pytest.raises(ValueError, match="square"):
+                spectral_radius(rows)
+        negative = [row[:] for row in rows]
+        negative[rng.randrange(n)][rng.randrange(m)] = F(-1, rng.randint(1, 10**400))
+        ragged = [row[:] for row in rows] + [[F(1)] * (m + 1)]
+        for bad in (negative, ragged):
+            with pytest.raises(ValueError):
+                TransitionMatrix(bad)
+            with pytest.raises(ValueError):
+                spectral_radius(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +466,8 @@ def _walk_bits(table, walk):
     fid, edges = walk
     total = 0
     for e in edges:
-        den, rows = table.of_full_edge(fid, e)._integer_form()
-        total += max(den.bit_length(), max(map(sum, rows)).bit_length())
+        m = table.of_full_edge(fid, e)
+        total += max(m.den.bit_length(), max(map(sum, m.ints)).bit_length())
         fid = table.structure.children_of_full(fid)[e].child
     return total
 
@@ -432,7 +485,7 @@ def _scaled_table(structure, factor):
     table = MatrixTable(structure)
     for rid in range(structure.reduced_count):
         for rec in structure.children_of_reduced(rid):
-            den, rows = table.of_edge(rid, rec.edge_index)._integer_form()
+            rows = table.of_edge(rid, rec.edge_index).ints
             table._by_edge[(rid, rec.edge_index)] = TransitionMatrix(
                 [[F(x * factor) for x in row] for row in rows]
             )
@@ -497,9 +550,9 @@ def _closed_walks(structure, budget=6):
 
 
 @pytest.mark.parametrize("name", STRUCTURE_FIXTURES)
-def test_cycle_matrices_equal_cycle_matrix_on_every_closed_walk(request, name):
+def test_step_table_products_equal_cycle_matrix_on_every_closed_walk(request, name):
     """`_StepTable.products` equals `cycle_matrix` on every closed walk of
-    at most 6 edges; the test keeps the name of the method it first checked."""
+    at most 6 edges."""
     structure = request.getfixturevalue(name)
     rng = random.Random(name)
     table = MatrixTable(structure)
@@ -514,7 +567,7 @@ def test_cycle_matrices_equal_cycle_matrix_on_every_closed_walk(request, name):
 
 @pytest.mark.parametrize("den", [2**20 + 7, 65521])
 @pytest.mark.parametrize("name", ["cantor_3_4_skewed_structure", "quadratic_ninth_structure"])
-def test_cycle_matrices_mix_int64_and_cycle_matrix_walks(request, name, den):
+def test_step_table_products_mix_int64_and_cycle_matrix_walks(request, name, den):
     # with a prime denominator every edge's integer form has its bits: 21,
     # so walks of 1 or 2 edges take int64 and 3 to 6, 63 bits or more, go
     # to `cycle_matrix` (a guard that let 63 bits through would still be
@@ -532,7 +585,7 @@ def test_cycle_matrices_mix_int64_and_cycle_matrix_walks(request, name, den):
 
 @pytest.mark.parametrize("factor", [2**20 + 1, 2**70 + 1])
 @pytest.mark.parametrize("name", ["cantor_3_4_skewed_structure", "golden_third_structure"])
-def test_cycle_matrices_bound_the_row_sums_not_only_the_denominators(request, name, factor):
+def test_step_table_products_bound_the_row_sums_not_only_the_denominators(request, name, factor):
     # denominator 1 on every edge: only the row sums show that a walk of a
     # few edges overflows int64; times 2**70 + 1 no single step fits int64
     structure = request.getfixturevalue(name)
