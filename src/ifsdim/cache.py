@@ -1,24 +1,25 @@
 """Save and reload explored structures.
 
-The cache is compact JSON holding only geometry: the reduced vectors with
-their child records, and the full vectors.  Each distinct field element is
-written once, as its coefficient strings, in the `"elements"` table, and
-every record refers to elements by their index there:
+The cache is compact JSON holding only geometry, as flat lists (columns).
+Each distinct field element is written once, as its coefficient strings,
+in the `"elements"` table; element columns hold indices into it:
 
-    reduced vector  [length, [neighbour, ...], level, [child record, ...] | null]
-    child record    [child full id, offset, gap_before, abuts_left, abuts_right]
-    full vector     [reduced id, sibling index]
+    per reduced vector  length (element), level, neighbour_count, child_count
+    per neighbour       neighbours (element), vector by vector
+    per child record    child (full id), offset (element), gap_before,
+                        abuts_left, abuts_right, vector by vector
+    per full vector     full_reduced (reduced id), sibling
 
-A table repeats few values (59 distinct elements among the 26,760 of
-x/3 + {0, 2/87, 2/3}), so the loader decodes each once.  It then walks
-the records once, checking each id where it reads it (an int, not a bool,
-in range of the table it indexes) and raising CacheError for anything
-else, and builds each child record directly from its row.  Letters are not
-stored: a command reads a few edges, and `matrices.edge_matrix` derives
-theirs more cheaply than every edge's could be written and parsed.  A
-version stamp plus a fingerprint of the defining system guard against
-stale or mismatched files; a cache never overrides the config it is loaded
-for.  A file of an older version is reported unusable.
+The loader checks each column once with C-level builtins: a list of the
+right length, `set(map(type, column))` only int (only bool for the flags,
+so no bool, float or string passes as an id), `min` and `max` in range,
+and counts that add up to the lengths of the flat lists; every vector has
+a child.  Duplicate vectors are found on int keys, each element index
+first replaced by that of the first equal element, so a repeated table
+entry cannot hide one.  Anything else raises CacheError.  Letters are not
+stored: `edge_matrix` derives the few a command reads.  A version stamp
+and a fingerprint of the defining system guard against stale or
+mismatched files; a cache never overrides the config it is loaded for.
 """
 
 from __future__ import annotations
@@ -26,16 +27,16 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from itertools import accumulate, chain
 
 from .ifs import IFSSystem
-from .net import ChildRecord, FiniteTypeStructure
+from .net import ChildRecord, FiniteTypeStructure, FullVector, ReducedVector
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 
 class CacheError(RuntimeError):
-    """The cache file is unreadable, stale, belongs to another system, or
-    cannot be written."""
+    """The cache file is unreadable, stale, for another system, or cannot be written."""
 
 
 def _coeffs_out(element) -> list[str]:
@@ -58,7 +59,7 @@ def _coeffs_in(ctx, raw) -> "FieldElement":
 
 
 def system_fingerprint(system: IFSSystem) -> dict:
-    out = {
+    return {
         "minpoly": list(system.context.minpoly_int),
         "root_index": system.context.root_index(),
         "translations": [_coeffs_out(t) for t in system.translations],
@@ -66,35 +67,38 @@ def system_fingerprint(system: IFSSystem) -> dict:
         if system.probabilities is None
         else [str(p) for p in system.probabilities],
     }
-    return out
 
 
 def save_structure(path: str, structure: FiniteTypeStructure) -> None:
+    """Write a saturated `structure` to `path`, replacing the file atomically."""
     index: dict = {}
 
-    def ref(element) -> int:
-        """The position of `element` in the element table, added when new."""
-        return index.setdefault(element, len(index))
+    def refs(elements) -> list[int]:
+        """The positions of `elements` in the element table, adding new ones."""
+        return [index.setdefault(element, len(index)) for element in elements]
 
-    reduced = []
-    for vec in structure.reduced:
-        entry = [ref(vec.length), [ref(v) for v in vec.neighbours], vec.level, None]
-        if vec.children is not None:
-            entry[3] = [
-                [rec.child, ref(rec.offset), rec.gap_before, rec.abuts_left, rec.abuts_right]
-                for rec in vec.children
-            ]
-        reduced.append(entry)
+    reduced = structure.reduced
+    edges = [rec for vec in reduced for rec in vec.children]
     payload = {
         "cache_version": CACHE_VERSION,
         "fingerprint": system_fingerprint(structure.system),
-        "elements": [_coeffs_out(element) for element in index],
         "root_full": structure.root_full,
         "saturated": structure.saturated,
         "levels_explored": structure.levels_explored,
-        "reduced": reduced,
-        "fulls": [[f.reduced, f.sibling_index] for f in structure.fulls],
+        "length": refs(vec.length for vec in reduced),
+        "level": [vec.level for vec in reduced],
+        "neighbour_count": [len(vec.neighbours) for vec in reduced],
+        "neighbours": refs(v for vec in reduced for v in vec.neighbours),
+        "child_count": [len(vec.children) for vec in reduced],
+        "child": [rec.child for rec in edges],
+        "offset": refs(rec.offset for rec in edges),
+        "gap_before": [rec.gap_before for rec in edges],
+        "abuts_left": [rec.abuts_left for rec in edges],
+        "abuts_right": [rec.abuts_right for rec in edges],
+        "full_reduced": [f.reduced for f in structure.fulls],
+        "sibling": [f.sibling_index for f in structure.fulls],
     }
+    payload["elements"] = [_coeffs_out(element) for element in index]
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -110,10 +114,9 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
     """Rebuild a structure for `system` from a cache written earlier.
 
     Raises CacheError when the file does not parse, carries a different
-    cache version, fingerprints a different system, holds a record of the
-    wrong length, a wrongly typed field or an id out of range, or is not
-    saturated, or claims saturation while a vector has no child records.
-    `cli` saves only saturated structures, so an unsaturated one is stale.
+    cache version, fingerprints a different system, fails a column check,
+    lists a vector twice, or is not saturated.  `cli` saves only saturated
+    structures, so an unsaturated one is stale.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -123,9 +126,7 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
     if not isinstance(payload, dict):
         raise CacheError(f"cache {path} is not a JSON object")
     if payload.get("cache_version") != CACHE_VERSION:
-        raise CacheError(
-            f"cache version {payload.get('cache_version')} != {CACHE_VERSION}"
-        )
+        raise CacheError(f"cache version {payload.get('cache_version')} != {CACHE_VERSION}")
     if payload.get("fingerprint") != system_fingerprint(system):
         raise CacheError("cache was written for a different system")
     try:
@@ -134,66 +135,67 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
         raise CacheError(f"malformed cache {path}: {exc!r}") from exc
 
 
-def _bad_id(what: str, value) -> CacheError:
-    return CacheError(f"cache {what} id out of range: {value!r}")
+def _column(payload: dict, name: str, kind: type, size: int | None, lo=None, hi=None) -> list:
+    """`payload[name]`, checked: `size` values (any for None) of type `kind` in [lo, hi)."""
+    col = payload[name]
+    if type(col) is not list or size is not None and len(col) != size:
+        raise CacheError(f"cache column {name} is not a list of {size} entries")
+    if not set(map(type, col)) <= {kind}:
+        raise CacheError(f"cache column {name} holds a value that is not {kind.__name__}")
+    if col and (lo is not None and min(col) < lo or hi is not None and max(col) >= hi):
+        raise CacheError(f"cache {name} id out of range: {min(col)!r}..{max(col)!r}")
+    return col
+
+
+def _split(flat: list, counts: list[int]) -> list[list]:
+    """`flat` cut into consecutive slices of `counts` entries each."""
+    ends = list(accumulate(counts))
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
-    """The structure that `payload` describes.
-
-    Each id check is written out where the id is read, not behind a helper
-    call: a table of 2280 vectors holds about 37,000 ids.
-    """
+    """The structure that `payload` describes, built column by column."""
     ctx = system.context
     elements = [_coeffs_in(ctx, raw) for raw in payload["elements"]]
     element_count = len(elements)
-    rows = payload["reduced"]
-    structure = FiniteTypeStructure(system)
-    for idx, (length, neighbours, level, _) in enumerate(rows):
-        if type(level) is not int:
-            raise CacheError("cache vector level is not an integer")
-        if type(length) is not int or not 0 <= length < element_count:
-            raise _bad_id("element", length)
-        for v in neighbours:
-            if type(v) is not int or not 0 <= v < element_count:
-                raise _bad_id("element", v)
-        rid, fresh = structure.register_reduced(
-            elements[length], tuple([elements[v] for v in neighbours]), level
-        )
-        if rid != idx or not fresh:
-            raise CacheError("cache lists duplicate reduced vectors")
-    reduced_count = len(structure.reduced)
-    for idx, (rid, sibling) in enumerate(payload["fulls"]):
-        if type(rid) is not int or not 0 <= rid < reduced_count:
-            raise _bad_id("reduced", rid)
-        if type(sibling) is not int:
-            raise CacheError("cache sibling index is not an integer")
-        if structure.register_full(rid, sibling) != idx:
-            raise CacheError("cache lists duplicate full vectors")
-    full_count = len(structure.fulls)
-    for vec, (_, _, _, children) in zip(structure.reduced, rows):
-        if children is None:
-            continue
-        records = []
-        for edge_index, (child, offset, gap, left, right) in enumerate(children):
-            if type(child) is not int or not 0 <= child < full_count:
-                raise _bad_id("child", child)
-            if type(offset) is not int or not 0 <= offset < element_count:
-                raise _bad_id("element", offset)
-            if not (type(gap) is type(left) is type(right) is bool):
-                raise CacheError("cache child flags are not booleans")
-            records.append(ChildRecord(child, elements[offset], edge_index, gap, left, right))
-        vec.children = records
+    length = _column(payload, "length", int, None, 0, element_count)
+    count = len(length)
+    level = _column(payload, "level", int, count)
+    neighbour_count = _column(payload, "neighbour_count", int, count, 0)
+    child_count = _column(payload, "child_count", int, count, 1)
+    neighbours = _column(payload, "neighbours", int, sum(neighbour_count), 0, element_count)
+    full_reduced = _column(payload, "full_reduced", int, None, 0, count)
+    full_count = len(full_reduced)
+    sibling = _column(payload, "sibling", int, full_count)
+    edges = sum(child_count)
+    child = _column(payload, "child", int, edges, 0, full_count)
+    offset = _column(payload, "offset", int, edges, 0, element_count)
+    flags = [_column(payload, f, bool, edges) for f in ("gap_before", "abuts_left", "abuts_right")]
+    first: dict = {}
+    canon = [first.setdefault(element, i) for i, element in enumerate(elements)]
+    canon_neighbours = _split([canon[v] for v in neighbours], neighbour_count)
+    if len(set(zip(map(canon.__getitem__, length), map(tuple, canon_neighbours)))) != count:
+        raise CacheError("cache lists duplicate reduced vectors")
+    if len(set(zip(full_reduced, sibling))) != full_count:
+        raise CacheError("cache lists duplicate full vectors")
     root = payload["root_full"]
     if type(root) is not int or not 0 <= root < full_count:
-        raise _bad_id("root", root)
-    structure.root_full = root
+        raise CacheError(f"cache root id out of range: {root!r}")
     if payload["saturated"] is not True:
         raise CacheError("cache holds a structure that is not saturated")
     if type(payload["levels_explored"]) is not int:
         raise CacheError("cache explored depth is not an integer")
-    if any(vec.children is None for vec in structure.reduced):
-        raise CacheError("saturated cache holds a vector that was never expanded")
+    element_at = elements.__getitem__
+    edge_index = chain.from_iterable(map(range, child_count))
+    records = list(map(ChildRecord, child, map(element_at, offset), edge_index, *flags))
+    vector_neighbours = map(tuple, _split(list(map(element_at, neighbours)), neighbour_count))
+    children = _split(records, child_count)
+    structure = FiniteTypeStructure(system)
+    structure.reduced = list(
+        map(ReducedVector, map(element_at, length), vector_neighbours, level, children)
+    )
+    structure.fulls = list(map(FullVector, full_reduced, sibling))
+    structure.root_full = root
     structure.saturated = True
     structure.levels_explored = payload["levels_explored"]
     return structure

@@ -54,7 +54,13 @@ from .net import (
     Representation,
     locate_point,
 )
-from .spectral import SpectralResult, ln_fraction, safe_float, spectral_radius
+from .spectral import (
+    SpectralResult,
+    _positive_eigenvector,
+    ln_fraction,
+    safe_float,
+    spectral_radius,
+)
 
 __all__ = [
     "Certified",
@@ -890,7 +896,10 @@ def equal_column_sum_check(
 
     When they do, every cylinder of the class scales its mass by the same
     factor v per level; v = rho^s with s the Hausdorff dimension is the
-    classical indication of an absolutely continuous part.
+    classical indication of an absolutely continuous part.  Since
+    rho^dim_H = 1/sp(I) for the essential incidence matrix I, that equality
+    is decided exactly: 1/v must be an eigenvalue of I with a positive
+    eigenvector, which makes it sp(I).
     """
     common = None
     for rid in dec.essential_reduced:
@@ -911,6 +920,7 @@ def equal_column_sum_check(
         hausdorff is not None
         and exponent.lo <= hausdorff.dimension.hi
         and hausdorff.dimension.lo <= exponent.hi
+        and _positive_eigenvector(essential_incidence(structure, dec)[1], 1 / common)
     )
     return ColumnSumReport(True, common, None, exponent.value, matches)
 

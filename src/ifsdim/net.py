@@ -12,14 +12,18 @@ detects by saturation.
 Children of a net interval depend only on (length, neighbours); the sibling
 index only disambiguates vertices of the transition diagram.  Child records
 hold only geometry; `matrices.edge_matrix` derives the letters of an edge.
-`ChildRecord` and `FullVector` are slotted dataclasses that are not frozen:
-a table and each cache load build thousands of them, a frozen dataclass
-sets every field through `object.__setattr__`, and nothing hashes them.
+`ChildRecord`, `ReducedVector` and `FullVector` are slotted dataclasses that
+are not frozen: a table and each cache load build thousands of them, a
+frozen dataclass sets every field through `object.__setattr__`, and
+nothing hashes them.
 All coordinates are exact field elements, so vector identity is exact.
-Every table is keyed by the elements themselves, and the explorer
-subdivides each (length, neighbours) signature once, forming each value it
-needs from a small set of shared elements whose hashes and sort keys are
-computed once.
+The explorer owns the registries that give each (length, neighbours)
+signature and each (reduced id, sibling index) pair its id; a structure
+holds only the lists they fill, so a cache load builds those lists
+directly.  Every table is keyed by the elements themselves, and the
+explorer subdivides each signature once, forming each value it needs from
+a small set of shared elements whose hashes and sort keys are computed
+once.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ class ChildRecord:
     abuts_right: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class ReducedVector:
     length: FieldElement
     neighbours: tuple[FieldElement, ...]
@@ -92,35 +96,9 @@ class FiniteTypeStructure:
         self.system = system
         self.reduced: list[ReducedVector] = []
         self.fulls: list[FullVector] = []
-        self._reduced_index: dict[VectorKey, int] = {}
-        self._full_index: dict[tuple[int, int], int] = {}
         self.root_full: int = -1
         self.saturated: bool = False
         self.levels_explored: int = 0
-
-    # -- registration (used by the explorer and the cache loader) ----------
-
-    def _reduced_key(self, length: FieldElement, neighbours) -> VectorKey:
-        return (length, tuple(neighbours))
-
-    def register_reduced(self, length, neighbours, level) -> tuple[int, bool]:
-        key = self._reduced_key(length, neighbours)
-        rid = self._reduced_index.get(key)
-        if rid is not None:
-            return rid, False
-        rid = len(self.reduced)
-        self.reduced.append(ReducedVector(length, tuple(neighbours), level))
-        self._reduced_index[key] = rid
-        return rid, True
-
-    def register_full(self, rid: int, sibling_index: int) -> int:
-        key = (rid, sibling_index)
-        fid = self._full_index.get(key)
-        if fid is None:
-            fid = len(self.fulls)
-            self.fulls.append(FullVector(rid, sibling_index))
-            self._full_index[key] = fid
-        return fid
 
     # -- views ---------------------------------------------------------------
 
@@ -181,6 +159,26 @@ class _Explorer:
         # (op, id(a), id(b)) -> (a, b, value) of `_value`
         self._values: dict[tuple, tuple] = {}
         self._shared: dict[FieldElement, FieldElement] = {}
+        self._reduced_index: dict[VectorKey, int] = {}
+        self._full_index: dict[tuple[int, int], int] = {}
+
+    def register_reduced(self, structure: FiniteTypeStructure, length, neighbours, level) -> int:
+        key = (length, tuple(neighbours))
+        rid = self._reduced_index.get(key)
+        if rid is None:
+            rid = len(structure.reduced)
+            structure.reduced.append(ReducedVector(length, key[1], level))
+            self._reduced_index[key] = rid
+        return rid
+
+    def register_full(self, structure: FiniteTypeStructure, rid: int, sibling_index: int) -> int:
+        key = (rid, sibling_index)
+        fid = self._full_index.get(key)
+        if fid is None:
+            fid = len(structure.fulls)
+            structure.fulls.append(FullVector(rid, sibling_index))
+            self._full_index[key] = fid
+        return fid
 
     def _value(self, op: str, a: FieldElement, b: FieldElement) -> FieldElement:
         """a + b, a - b or (a - b) / rho for op '+', '-', '/', formed once.
@@ -299,8 +297,8 @@ class _Explorer:
                 continue
             r = sibling_counts.get(ell_child, 0) + 1
             sibling_counts[ell_child] = r
-            child_rid, is_new = structure.register_reduced(ell_child, ws, vec.level + 1)
-            child_fid = structure.register_full(child_rid, r)
+            child_rid = self.register_reduced(structure, ell_child, ws, vec.level + 1)
+            child_fid = self.register_full(structure, child_rid, r)
             records.append(
                 ChildRecord(
                     child=child_fid,
@@ -330,8 +328,8 @@ def explore(
     """
     ex = _Explorer(system)
     structure = FiniteTypeStructure(system)
-    root_rid, _ = structure.register_reduced(ex.one, (ex.zero,), 0)
-    structure.root_full = structure.register_full(root_rid, 1)
+    root_rid = ex.register_reduced(structure, ex.one, (ex.zero,), 0)
+    structure.root_full = ex.register_full(structure, root_rid, 1)
     queue = [root_rid]
     head = 0
     while head < len(queue):

@@ -32,6 +32,7 @@ __all__ = ["SpectralResult", "ln_fraction", "safe_float", "spectral_radius"]
 
 DEFAULT_REL_TOL = Fraction(1, 10**12)
 _ROUNDING_CAP = 10**40
+_KEPT_BITS = 140  # leading bits a component below 1/_ROUNDING_CAP keeps
 _CANDIDATE_CAPS = (1, 10**3, 10**6, 10**9, 10**12)
 _LN2 = math.log(2)
 
@@ -85,11 +86,19 @@ def _mat_vec(rows, v):
 
 
 def _round_positive(v):
-    """Shrink denominators of a positive vector without losing positivity."""
+    """Shrink denominators of a positive vector without losing positivity.
+
+    A component that the cap rounds to 0 is rounded relative to itself
+    instead, down to its leading `_KEPT_BITS` bits over a power of two:
+    kept exact, its denominator would grow every round.
+    """
     out = []
     for x in v:
         r = x.limit_denominator(_ROUNDING_CAP)
-        out.append(r if r > 0 else x)
+        if r <= 0:
+            shift = _KEPT_BITS + x.denominator.bit_length() - x.numerator.bit_length()
+            r = Fraction((x.numerator << shift) // x.denominator, 1 << shift)
+        out.append(r)
     return out
 
 

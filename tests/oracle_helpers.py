@@ -28,6 +28,10 @@ entry-by-entry `Fraction` matrix product, kept as the reference for the
 integer multiply of `TransitionMatrix`; `reference_matrix_flags`, the
 column sums and sign flags of a matrix read off its `Fraction` entries, the
 reference for those `TransitionMatrix` reads off its integer form;
+`reference_load`, a record-by-record reader of a version-5 cache payload
+with the per-id checks and `FieldElement`-keyed duplicate registries of
+the former row loader, kept as the reference for the column checks of
+`cache._structure_from`;
 `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
@@ -46,7 +50,14 @@ from ifsdim import dimension
 from ifsdim.classes import build_triple_diagram
 from ifsdim.field import FieldError
 from ifsdim.matrices import TransitionMatrix
-from ifsdim.net import DISPLAY_EPS
+from ifsdim.cache import CacheError
+from ifsdim.net import (
+    DISPLAY_EPS,
+    ChildRecord,
+    FiniteTypeStructure,
+    FullVector,
+    ReducedVector,
+)
 from ifsdim.spectral import spectral_radius
 
 
@@ -521,6 +532,143 @@ def reference_inner_bounds(structure, dec, table, budget):
         max_witness=witness([w for w in included if w.rate.hi >= hi_lo]),
     )
     return out
+
+
+def reference_load(payload, system):
+    """The structure a version-5 cache payload describes, read record by
+    record with a check on each id where it is read, as the row loader of
+    version 4 did; CacheError for anything malformed."""
+    try:
+        return _reference_load(payload, system)
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CacheError(f"malformed cache: {exc!r}") from exc
+
+
+def _reference_load(payload, system):
+    def index(value, size):
+        if type(value) is not int or not 0 <= value < size:
+            raise CacheError(f"id out of range: {value!r}")
+        return value
+
+    def column(name, size):
+        col = payload[name]
+        if type(col) is not list or size is not None and len(col) != size:
+            raise CacheError(f"column {name} is not a list of {size} entries")
+        return col
+
+    ctx = system.context
+    elements = []
+    for raw in payload["elements"]:
+        if type(raw) is not list or len(raw) != ctx.degree:
+            raise CacheError(f"coefficients are not a list of {ctx.degree}: {raw!r}")
+        if not all(type(c) is str for c in raw):
+            raise CacheError(f"coefficients are not strings: {raw!r}")
+        elements.append(ctx.element([Fraction(c) for c in raw]))
+    lengths = column("length", None)
+    count = len(lengths)
+    levels, neighbour_counts, child_counts = (
+        column(name, count) for name in ("level", "neighbour_count", "child_count")
+    )
+    neighbour_ids = column("neighbours", None)
+    full_reduced = column("full_reduced", None)
+    siblings = column("sibling", len(full_reduced))
+    edge_columns = [
+        column(name, None)
+        for name in ("child", "offset", "gap_before", "abuts_left", "abuts_right")
+    ]
+    structure = FiniteTypeStructure(system)
+    seen = {}
+    at = 0
+    for length, level, n in zip(lengths, levels, neighbour_counts):
+        if type(level) is not int or type(n) is not int or n < 0:
+            raise CacheError("vector level or neighbour count is not an integer")
+        neighbours = tuple(
+            elements[index(v, len(elements))] for v in neighbour_ids[at : at + n]
+        )
+        if len(neighbours) != n:
+            raise CacheError("neighbour counts exceed the neighbour list")
+        at += n
+        key = (elements[index(length, len(elements))], neighbours)
+        if key in seen:
+            raise CacheError("duplicate reduced vector")
+        seen[key] = len(structure.reduced)
+        structure.reduced.append(ReducedVector(key[0], neighbours, level))
+    if at != len(neighbour_ids):
+        raise CacheError("neighbour counts fall short of the neighbour list")
+    seen = {}
+    for rid, sibling in zip(full_reduced, siblings):
+        if type(sibling) is not int:
+            raise CacheError("sibling index is not an integer")
+        key = (index(rid, count), sibling)
+        if key in seen:
+            raise CacheError("duplicate full vector")
+        seen[key] = len(structure.fulls)
+        structure.fulls.append(FullVector(*key))
+    at = 0
+    for vec, n in zip(structure.reduced, child_counts):
+        if type(n) is not int or n < 1:
+            raise CacheError("a vector has no child records")
+        vec.children = []
+        for edge_index in range(n):
+            child, offset, *flags = (col[at] for col in edge_columns)
+            if not all(type(flag) is bool for flag in flags):
+                raise CacheError("child flags are not booleans")
+            child = index(child, len(structure.fulls))
+            offset = elements[index(offset, len(elements))]
+            vec.children.append(ChildRecord(child, offset, edge_index, *flags))
+            at += 1
+    if any(len(col) != at for col in edge_columns):
+        raise CacheError("child counts do not match the child columns")
+    structure.root_full = index(payload["root_full"], len(structure.fulls))
+    if payload["saturated"] is not True:
+        raise CacheError("structure is not saturated")
+    if type(payload["levels_explored"]) is not int:
+        raise CacheError("explored depth is not an integer")
+    structure.saturated = True
+    structure.levels_explored = payload["levels_explored"]
+    return structure
+
+
+# -- edits of version-5 cache payloads -----------------------------------------
+
+REDUCED_COLUMNS = ("length", "level", "neighbour_count", "child_count")
+EDGE_COLUMNS = ("child", "offset", "gap_before", "abuts_left", "abuts_right")
+FULL_COLUMNS = ("full_reduced", "sibling")
+
+
+def _span(counts, rid):
+    start = sum(counts[:rid])
+    return start, start + counts[rid]
+
+
+def drop_children(payload, rid):
+    """Remove every child record of reduced vector `rid`, counts kept in step."""
+    a, b = _span(payload["child_count"], rid)
+    for name in EDGE_COLUMNS:
+        del payload[name][a:b]
+    payload["child_count"][rid] = 0
+
+
+def append_vector_copy(payload, rid, fresh_elements=False):
+    """Append a copy of reduced vector `rid`, with its neighbours and child
+    records; with `fresh_elements`, its element ids point at new copies of
+    the element-table entries, so only the elements' values repeat."""
+
+    def ref(i):
+        if not fresh_elements:
+            return i
+        payload["elements"].append(list(payload["elements"][i]))
+        return len(payload["elements"]) - 1
+
+    a, b = _span(payload["neighbour_count"], rid)
+    payload["neighbours"] += [ref(v) for v in payload["neighbours"][a:b]]
+    a, b = _span(payload["child_count"], rid)
+    for name in EDGE_COLUMNS:
+        rows = payload[name][a:b]
+        payload[name] += [ref(v) for v in rows] if name == "offset" else rows
+    for name in REDUCED_COLUMNS:
+        payload[name].append(payload[name][rid])
+    payload["length"][-1] = ref(payload["length"][rid])
 
 
 # -- views of package objects that only tests read ---------------------------

@@ -506,7 +506,7 @@ def test_cache_with_bad_reduced_id_is_replaced(cfgdir, capsys, tmp_path, bad_id)
     assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
     capsys.readouterr()
     payload = json.loads(cache.read_text(encoding="utf-8"))
-    payload["fulls"][1][0] = bad_id
+    payload["full_reduced"][1] = bad_id
     cache.write_text(json.dumps(payload), encoding="utf-8")
     argv = ["report", "--config", config_path, "--cycle-budget", "2"]
     assert main(argv) == 0
@@ -523,8 +523,7 @@ def test_cache_with_a_child_record_missing_a_key_is_replaced(cfgdir, capsys, tmp
     assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
     capsys.readouterr()
     payload = json.loads(cache.read_text(encoding="utf-8"))
-    entry = next(e for e in payload["reduced"] if e[3])
-    entry[3][0].pop()  # the child record is one field short
+    payload["abuts_right"].pop()  # the last child record is one field short
     cache.write_text(json.dumps(payload), encoding="utf-8")
     argv = ["report", "--config", config_path, "--cycle-budget", "2"]
     assert main(argv) == 0
@@ -543,7 +542,11 @@ def test_saturated_cache_with_an_unexpanded_vector_is_replaced(cfgdir, capsys, t
     capsys.readouterr()
     payload = json.loads(cache.read_text(encoding="utf-8"))
     assert payload["saturated"] is True
-    payload["reduced"][2][3] = None
+    # vector 2 loses its child records, as if it had never been expanded
+    start, count = sum(payload["child_count"][:2]), payload["child_count"][2]
+    for name in ("child", "offset", "gap_before", "abuts_left", "abuts_right"):
+        del payload[name][start : start + count]
+    payload["child_count"][2] = 0
     cache.write_text(json.dumps(payload), encoding="utf-8")
     argv = ["report", "--config", config_path, "--cycle-budget", "2"]
     assert main(argv) == 0

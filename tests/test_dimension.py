@@ -35,6 +35,7 @@ from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
 from ifsdim.net import ChildRecord, explore, locate_point
 from ifsdim.spectral import spectral_radius
 
+import oracle_helpers as oh
 from oracle_helpers import reference_cycles, reference_inner_bounds
 
 ALL_STRUCTURES = [
@@ -919,6 +920,25 @@ def test_column_sum_exponent_matches_only_an_overlapping_enclosure(gap_system_st
     near = dataclasses.replace(real, dimension=off)
     report = equal_column_sum_check(structure, dec, table, near)
     assert abs(report.exponent - near.dimension.value) < 1e-9
+    assert not report.matches_hausdorff
+
+
+def test_column_sum_exponent_matches_only_an_exact_equality(gap_system_structure):
+    # weights scaled by 1 + 10^-6 keep every column sum equal, at (1 + 10^-6)/4,
+    # but 4/(1 + 10^-6) is not sp(I) = 4; a Hausdorff enclosure widened to
+    # overlap the exponent's, 7e-7 below 1, must not make them equal
+    structure = oh.with_probabilities(
+        gap_system_structure,
+        [p * Fraction(10**6 + 1, 10**6) for p in gap_system_structure.system.probabilities],
+    )
+    dec, table = parts_of(structure)
+    real = hausdorff_dimension(structure, dec)
+    wide = Certified(1.0, 1 - Fraction(1, 10**6), 1 + Fraction(1, 10**6))
+    report = equal_column_sum_check(
+        structure, dec, table, dataclasses.replace(real, dimension=wide)
+    )
+    assert report.holds and report.common_sum == Fraction(10**6 + 1, 4 * 10**6)
+    assert 1 - 1e-6 < report.exponent < 1
     assert not report.matches_hausdorff
 
 

@@ -149,6 +149,24 @@ def test_integer_form_is_the_only_stored_form():
                 spectral_radius(bad)
 
 
+def test_perron_vector_over_hundreds_of_decades_keeps_small_bounds():
+    # the 138th matrix that `random_rational_rows` draws from Random(2016)
+    # with the shapes of the test above (without its other draws): 4 x 4,
+    # with a Perron vector whose small components the 10^40 cap rounds to 0;
+    # kept exact, their denominators grew every round, and `certified_hi`
+    # had 235,110 bits after 160 rounds
+    rng = random.Random(2016)
+    for _ in range(138):
+        n = rng.randint(1, 5)
+        m = n if rng.random() < 0.5 else rng.randint(1, 5)
+        rows = random_rational_rows(rng, n, m)
+    assert (n, m) == (4, 4)
+    short = spectral_radius(rows, max_rounds=20)
+    long = spectral_radius(rows, max_rounds=160)
+    assert short.certified_lo <= long.certified_lo <= long.certified_hi <= short.certified_hi
+    assert long.certified_hi.denominator.bit_length() < 2000
+
+
 # ---------------------------------------------------------------------------
 # frozen edge matrices for the worked examples
 # ---------------------------------------------------------------------------
