@@ -20,14 +20,15 @@ All coordinates are exact field elements, so vector identity is exact.
 The explorer owns the registries that give each (length, neighbours)
 signature and each (reduced id, sibling index) pair its id; a structure
 holds only the lists they fill, so a cache load builds those lists
-directly.  Every table is keyed by the elements themselves, and the
-explorer subdivides each signature once, forming each value it needs from
-a small set of shared elements whose hashes and sort keys are computed
-once.
+directly.  The explorer runs on interned value ids: each distinct value
+gets a small integer id and is hashed and sort-keyed once, its operation
+tables map pairs of ids to ids, and it subdivides each signature once.
+The records it builds hold the elements, so a structure has no value ids.
 """
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ from typing import Iterator, Sequence
 from .field import FieldElement
 from .ifs import IFSSystem
 
-VectorKey = tuple  # (length, (neighbour, ...)) as FieldElements
+VectorKey = tuple  # (length, (neighbour, ...)) as value ids
 
 DISPLAY_EPS = Fraction(1, 10**12)  # how close a printed coordinate is to its value
 # most edges `locate_point` follows looking for a period, unless told otherwise
@@ -145,63 +146,81 @@ class FiniteTypeStructure:
 # exploration
 # ---------------------------------------------------------------------------
 
+class _Ids(dict):
+    """Interned values: maps each distinct element to its id, which a new
+    value gets on first lookup.  `elements[i]` and `keys[i]` are the element
+    and the `FieldContext.sort_key` of id i, so each value is hashed and
+    keyed once."""
+
+    def __init__(self, sort_key):
+        self.elements: list[FieldElement] = []
+        self.keys: list = []
+        self.sort_key = sort_key
+
+    def __missing__(self, value: FieldElement) -> int:
+        vid = self[value] = len(self.elements)
+        self.elements.append(value)
+        self.keys.append(self.sort_key(value))
+        return vid
+
+
+class _Operation(dict):
+    """op(a, b) of two value ids, keyed by (a, b): a miss forms, interns and
+    stores the value, so a hit runs no Python code."""
+
+    def __init__(self, ids: _Ids, op):
+        self.ids, self.op = ids, op
+
+    def __missing__(self, pair: tuple[int, int]) -> int:
+        elements = self.ids.elements
+        vid = self[pair] = self.ids[self.op(elements[pair[0]], elements[pair[1]])]
+        return vid
+
+
 class _Explorer:
+    """The registries and memos of one exploration, all on value ids.
+
+    Signatures are (length id, tuple of neighbour ids), and the tables
+    `plus`, `minus` and `step` form a + b, a - b and (a - b) / rho.  They
+    hold the id table, not the explorer: a reference back would make a
+    cycle that keeps each explorer alive until a full collection.
+    """
+
     def __init__(self, system: IFSSystem):
         self.system = system
-        self.rho = system.rho
-        self.rho_inv = system.rho.inverse()
-        self.neg_rho = -system.rho
-        self.zero = system.context.zero
-        self.one = system.context.one
-        self.key = system.context.sort_key
+        self.ids = ids = _Ids(system.context.sort_key)
+        self.elements, self.keys = ids.elements, ids.keys
+        self.zero, self.one = ids[system.context.zero], ids[system.context.one]
+        self.rho, self.neg_rho = ids[system.rho], ids[-system.rho]
+        self.translations = tuple(ids[d] for d in system.translations)
+        rho_inv = system.rho.inverse()
+        self.plus = _Operation(ids, operator.add)
+        self.minus = _Operation(ids, operator.sub)
+        self.step = _Operation(ids, lambda a, b: (a - b) * rho_inv)
         self._gap_memo: dict[VectorKey, bool] = {}
         self._pieces: dict[VectorKey, list] = {}
-        # (op, id(a), id(b)) -> (a, b, value) of `_value`
-        self._values: dict[tuple, tuple] = {}
-        self._shared: dict[FieldElement, FieldElement] = {}
         self._reduced_index: dict[VectorKey, int] = {}
+        self._signatures: list[VectorKey] = []  # by reduced id
         self._full_index: dict[tuple[int, int], int] = {}
 
     def register_reduced(self, structure: FiniteTypeStructure, length, neighbours, level) -> int:
-        key = (length, tuple(neighbours))
+        key = (length, neighbours)
         rid = self._reduced_index.get(key)
         if rid is None:
-            rid = len(structure.reduced)
-            structure.reduced.append(ReducedVector(length, key[1], level))
-            self._reduced_index[key] = rid
+            rid = self._reduced_index[key] = len(structure.reduced)
+            self._signatures.append(key)
+            elements = self.elements
+            values = tuple([elements[c] for c in neighbours])
+            structure.reduced.append(ReducedVector(elements[length], values, level))
         return rid
 
     def register_full(self, structure: FiniteTypeStructure, rid: int, sibling_index: int) -> int:
         key = (rid, sibling_index)
         fid = self._full_index.get(key)
         if fid is None:
-            fid = len(structure.fulls)
+            fid = self._full_index[key] = len(structure.fulls)
             structure.fulls.append(FullVector(rid, sibling_index))
-            self._full_index[key] = fid
         return fid
-
-    def _value(self, op: str, a: FieldElement, b: FieldElement) -> FieldElement:
-        """a + b, a - b or (a - b) / rho for op '+', '-', '/', formed once.
-
-        Equal results are one shared element, so each distinct value is
-        hashed once however many signatures it appears in.  The memo is
-        keyed on the operands' ids, which hash in C, and holds the operands
-        with the value: they stay alive, so their ids are not reused, and a
-        hit counts only when its operands are these very elements.
-        """
-        key = (op, id(a), id(b))
-        hit = self._values.get(key)
-        if hit is not None and hit[0] is a and hit[1] is b:
-            return hit[2]
-        if op == "+":
-            value = a + b
-        elif op == "-":
-            value = a - b
-        else:
-            value = (a - b) * self.rho_inv
-        value = self._shared.setdefault(value, value)
-        self._values[key] = a, b, value
-        return value
 
     def _pieces_of(self, key: VectorKey) -> list:
         """`subdivide` of the signature `key`, computed once per explorer."""
@@ -210,7 +229,7 @@ class _Explorer:
             pieces = self._pieces[key] = self.subdivide(*key)
         return pieces
 
-    def subdivide(self, length: FieldElement, neighbours):
+    def subdivide(self, length: int, neighbours):
         """The pieces (u, v, child length, child neighbours) of one subdivision.
 
         A neighbour c_i of the interval [0, length] has its level-(n+1)
@@ -223,35 +242,31 @@ class _Explorer:
         descends as s ascends, so reading the run backwards lists the child
         neighbours in increasing order.
 
-        Values are ordered by `FieldContext.sort_key`: for a rational rho,
-        (float(value), value), where the float decides every pair it tells
-        apart and the exact value breaks float ties only.  Every value it
-        forms comes from `_value`, so its tables and the keys memoised on
-        its elements belong to shared elements; `_pieces_of` calls it once
-        per signature.
+        Arguments and pieces are value ids, ordered by the sort keys of their
+        values: for a rational rho, (float(value), value), where the float
+        decides every pair it tells apart and the exact value breaks ties.
         """
-        key = self.key
-        rho = self.rho
-        value = self._value
-        starts = {value("-", d, c): None for c in neighbours for d in self.system.translations}
-        starts = sorted(starts, key=key)
-        keys = [key(s) for s in starts]
+        key = self.keys
+        rho, minus, step = self.rho, self.minus, self.step
+        starts = {minus[d, c]: None for c in neighbours for d in self.translations}
+        starts = sorted(starts, key=key.__getitem__)
+        keys = [key[s] for s in starts]
         # starts s in (0, length) and s + rho in (0, length) are the inner cuts
-        inner = starts[bisect_right(keys, key(self.zero)) : bisect_left(keys, key(length))]
+        inner = starts[bisect_right(keys, key[self.zero]) : bisect_left(keys, key[length])]
         shifted = starts[
-            bisect_right(keys, key(self.neg_rho)) : bisect_left(keys, key(value("-", length, rho)))
+            bisect_right(keys, key[self.neg_rho]) : bisect_left(keys, key[minus[length, rho]])
         ]
         cuts = dict.fromkeys([self.zero, length, *inner])
-        cuts.update(dict.fromkeys(value("+", s, rho) for s in shifted))
-        ordered = sorted(cuts, key=key)
+        cuts.update(dict.fromkeys(self.plus[s, rho] for s in shifted))
+        ordered = sorted(cuts, key=key.__getitem__)
         pieces = []
         for u, v in zip(ordered, ordered[1:]):
-            run = starts[bisect_left(keys, key(value("-", v, rho))) : bisect_right(keys, key(u))]
-            covers = tuple(value("/", u, s) for s in reversed(run))
-            pieces.append((u, v, value("/", v, u), covers))
+            run = starts[bisect_left(keys, key[minus[v, rho]]) : bisect_right(keys, key[u])]
+            covers = tuple([step[u, s] for s in reversed(run)])
+            pieces.append((u, v, step[v, u], covers))
         return pieces
 
-    def meets_attractor(self, length: FieldElement, neighbours) -> bool:
+    def meets_attractor(self, length: int, neighbours: tuple[int, ...]) -> bool:
         """Whether the interior of an interval with this signature meets K.
 
         Splitting produces an interior endpoint (a point of K) exactly when
@@ -260,14 +275,8 @@ class _Explorer:
         walk is finite: it ends with a split or with no covering cylinder.
         """
         chain: list[VectorKey] = []
-        key = (length, tuple(neighbours))
-        result = None
-        guard = 0
-        while True:
-            cached = self._gap_memo.get(key)
-            if cached is not None:
-                result = cached
-                break
+        key = (length, neighbours)
+        while (result := self._gap_memo.get(key)) is None:
             if not key[1]:
                 result = False
                 break
@@ -277,19 +286,17 @@ class _Explorer:
                 result = True
                 break
             key = pieces[0][2:4]
-            guard += 1
-            if guard > 100000:
+            if len(chain) > 100000:
                 raise NetStructureError("attractor membership walk failed to terminate")
-        for k in chain:
-            self._gap_memo[k] = result
+        self._gap_memo.update(dict.fromkeys(chain, result))
         return result
 
     def expand(self, structure: FiniteTypeStructure, rid: int) -> list[ChildRecord]:
-        vec = structure.reduced[rid]
-        pieces = self._pieces_of((vec.length, vec.neighbours))
+        pieces = self._pieces_of(self._signatures[rid])
+        level = structure.reduced[rid].level + 1
         records: list[ChildRecord] = []
         gap_pending = False
-        sibling_counts: dict[FieldElement, int] = {}
+        sibling_counts: dict[int, int] = {}
         last_piece = len(pieces) - 1
         for idx, (u, _, ell_child, ws) in enumerate(pieces):
             if not ws or not self.meets_attractor(ell_child, ws):
@@ -297,18 +304,12 @@ class _Explorer:
                 continue
             r = sibling_counts.get(ell_child, 0) + 1
             sibling_counts[ell_child] = r
-            child_rid = self.register_reduced(structure, ell_child, ws, vec.level + 1)
+            child_rid = self.register_reduced(structure, ell_child, ws, level)
             child_fid = self.register_full(structure, child_rid, r)
-            records.append(
-                ChildRecord(
-                    child=child_fid,
-                    offset=u,
-                    edge_index=len(records),
-                    gap_before=gap_pending,
-                    abuts_left=(idx == 0),
-                    abuts_right=(idx == last_piece),
-                )
-            )
+            records.append(ChildRecord(
+                child=child_fid, offset=self.elements[u], edge_index=len(records),
+                gap_before=gap_pending, abuts_left=(idx == 0), abuts_right=(idx == last_piece),
+            ))
             gap_pending = False
         if not records:
             raise NetStructureError("net interval without children (interior met K)")
@@ -330,11 +331,8 @@ def explore(
     structure = FiniteTypeStructure(system)
     root_rid = ex.register_reduced(structure, ex.one, (ex.zero,), 0)
     structure.root_full = ex.register_full(structure, root_rid, 1)
-    queue = [root_rid]
-    head = 0
-    while head < len(queue):
-        rid = queue[head]
-        head += 1
+    rid = root_rid
+    while rid < structure.reduced_count:  # ids are given in breadth-first order
         level = structure.reduced[rid].level
         if level > max_level:
             structure.levels_explored = level
@@ -343,11 +341,9 @@ def explore(
                 f"({structure.reduced_count} reduced vectors so far)",
                 partial=structure,
             )
-        before = structure.reduced_count
         structure.reduced[rid].children = ex.expand(structure, rid)
         structure.levels_explored = max(structure.levels_explored, level + 1)
-        for new_rid in range(before, structure.reduced_count):
-            queue.append(new_rid)
+        rid += 1
         if structure.full_count > max_vectors:
             raise NotProvenFiniteTypeError(
                 f"vector budget {max_vectors} exhausted "

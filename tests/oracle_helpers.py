@@ -5,7 +5,9 @@ enumerating words, with no reference to the package's net-interval or
 matrix machinery, so agreement is meaningful evidence of correctness.
 The exceptions are `reference_subdivide`, the explorer's former all-pairs
 subdivision loop, kept as the slow exact reference for the sorted sweep
-that replaced it; `reference_letters`, the former per-record letter table,
+that replaced it, with `reference_explore`, a memo-free breadth-first
+exploration on it, the reference for the interned-id explorer;
+`reference_letters`, the former per-record letter table,
 kept as the reference for the letters `matrices.edge_matrix` derives, with
 `with_letter_probabilities`, which reweights a structure so that each
 matrix entry names its letter; `reference_edge_matrix`, the
@@ -38,8 +40,9 @@ closed walk of a few edges, the inputs on which the batched products of
 `dimension._StepTable` are checked against `MatrixTable.cycle_matrix`.
 
 The last section holds views of package objects that only tests read,
-such as the reduced child map, a path product and a rational element's
-value, kept here rather than as members the package never calls.
+such as the layout a cache stores, the reduced child map, a path product
+and a rational element's value, kept here rather than as members the
+package never calls.
 """
 
 import copy
@@ -252,6 +255,57 @@ def reference_subdivide(system, length, neighbours):
                     covers.append(w)
         pieces.append((u, v, ell_child, tuple(sorted(covers))))
     return pieces
+
+
+def reference_explore(system, max_vectors=100000):
+    """Breadth-first saturation with `reference_subdivide` and no memo.
+
+    Vectors are keyed by their elements' coefficients and numbered in the
+    order they are first met, as `net.explore` numbers them.  The result is
+    saturated unless the vector budget ran out first.
+    """
+    one, zero = system.context.one, system.context.zero
+    structure = FiniteTypeStructure(system)
+    reduced_ids, full_ids = {}, {}
+
+    def meets_attractor(length, neighbours):
+        while neighbours:
+            pieces = reference_subdivide(system, length, neighbours)
+            if len(pieces) > 1:
+                return True
+            _, _, length, neighbours = pieces[0]
+        return False
+
+    def full(length, neighbours, level, sibling_index):
+        key = (length.coeffs, tuple(c.coeffs for c in neighbours))
+        if key not in reduced_ids:
+            reduced_ids[key] = len(structure.reduced)
+            structure.reduced.append(ReducedVector(length, neighbours, level))
+        key = (reduced_ids[key], sibling_index)
+        if key not in full_ids:
+            full_ids[key] = len(structure.fulls)
+            structure.fulls.append(FullVector(*key))
+        return full_ids[key]
+
+    structure.root_full = full(one, (zero,), 0, 1)
+    for vec in structure.reduced:  # grows while it is read
+        pieces = reference_subdivide(system, vec.length, vec.neighbours)
+        vec.children, gap, siblings = [], False, {}
+        for index, (u, _, length, neighbours) in enumerate(pieces):
+            if not neighbours or not meets_attractor(length, neighbours):
+                gap = True
+                continue
+            siblings[length.coeffs] = siblings.get(length.coeffs, 0) + 1
+            child = full(length, neighbours, vec.level + 1, siblings[length.coeffs])
+            vec.children.append(ChildRecord(
+                child, u, len(vec.children), gap, index == 0, index == len(pieces) - 1
+            ))
+            gap = False
+        structure.levels_explored = vec.level + 1
+        if len(structure.fulls) > max_vectors:
+            return structure
+    structure.saturated = True
+    return structure
 
 
 def reference_letters(system, parent_neighbours, offset, child_neighbours):
@@ -672,6 +726,44 @@ def append_vector_copy(payload, rid, fresh_elements=False):
 
 
 # -- views of package objects that only tests read ---------------------------
+
+
+def children_snapshot(structure):
+    """Per reduced vector, its child records as tuples, or None if unexpanded."""
+    out = []
+    for vec in structure.reduced:
+        if vec.children is None:
+            out.append(None)
+            continue
+        out.append(
+            [
+                (
+                    rec.child,
+                    tuple(rec.offset.coeffs),
+                    rec.edge_index,
+                    rec.gap_before,
+                    rec.abuts_left,
+                    rec.abuts_right,
+                )
+                for rec in vec.children
+            ]
+        )
+    return out
+
+
+def structure_layout(structure):
+    """Everything a cache stores, in id order, with elements as coefficient tuples."""
+    return (
+        [
+            (tuple(v.length.coeffs), tuple(n.coeffs for n in v.neighbours), v.level)
+            for v in structure.reduced
+        ],
+        children_snapshot(structure),
+        [(f.reduced, f.sibling_index) for f in structure.fulls],
+        structure.root_full,
+        structure.saturated,
+        structure.levels_explored,
+    )
 
 
 def reduced_child_map(structure):

@@ -23,43 +23,6 @@ from ifsdim.net import explore
 import oracle_helpers as oh
 
 
-def _children_snapshot(structure):
-    out = []
-    for vec in structure.reduced:
-        if vec.children is None:
-            out.append(None)
-            continue
-        out.append(
-            [
-                (
-                    rec.child,
-                    tuple(rec.offset.coeffs),
-                    rec.edge_index,
-                    rec.gap_before,
-                    rec.abuts_left,
-                    rec.abuts_right,
-                )
-                for rec in vec.children
-            ]
-        )
-    return out
-
-
-def _layout(structure):
-    """Everything a cache stores, with elements as coefficient tuples."""
-    return (
-        [
-            (tuple(v.length.coeffs), tuple(n.coeffs for n in v.neighbours), v.level)
-            for v in structure.reduced
-        ],
-        _children_snapshot(structure),
-        [(f.reduced, f.sibling_index) for f in structure.fulls],
-        structure.root_full,
-        structure.saturated,
-        structure.levels_explored,
-    )
-
-
 def test_round_trip_preserves_structure(
     tmp_path, six_map_quarter, six_map_quarter_structure
 ):
@@ -79,7 +42,7 @@ def test_round_trip_preserves_structure(
     assert [(f.reduced, f.sibling_index) for f in loaded.fulls] == [
         (f.reduced, f.sibling_index) for f in orig.fulls
     ]
-    assert _children_snapshot(loaded) == _children_snapshot(orig)
+    assert oh.children_snapshot(loaded) == oh.children_snapshot(orig)
 
 
 def test_fingerprint_guards_against_system_swap(
@@ -225,7 +188,7 @@ def test_an_element_written_twice_is_one_value(
     payload["length"][1] = len(payload["elements"]) - 1
     path.write_text(json.dumps(payload), encoding="utf-8")
     loaded = load_structure(str(path), six_map_quarter)
-    assert _layout(loaded) == _layout(six_map_quarter_structure)
+    assert oh.structure_layout(loaded) == oh.structure_layout(six_map_quarter_structure)
 
 
 # what a past-the-end id is for each column: the length of the table it indexes
@@ -291,7 +254,7 @@ def test_column_loader_agrees_with_the_record_loader(request, tmp_path, name):
             got = None
         assert (got is None) == (expected is None), how
         if got is not None:
-            assert _layout(got) == _layout(expected), how
+            assert oh.structure_layout(got) == oh.structure_layout(expected), how
         outcomes.append(got is None)
     # both verdicts occur often enough for the agreement to mean something
     assert 10 <= sum(outcomes) <= 140
@@ -401,7 +364,7 @@ def test_fingerprint_tells_the_roots_of_one_polynomial_apart(tmp_path):
 
 # SHA-256 of `save_structure` output (cache version 5) for the benchmark
 # suite.  A pin is replaced only after the file of the new version loads to
-# a `_layout` equal to the one loaded from the file of the version before:
+# a `structure_layout` equal to the one loaded from the file of the version before:
 # the same vector order and ids, lengths, neighbours, levels, child offsets
 # and flags.  Each version-5 file was recorded so against the version-4
 # file; those equal the version-3 files, which were recorded against the
@@ -429,4 +392,4 @@ def test_suite_cache_bytes_are_pinned(tmp_path, monkeypatch, name):
     save_structure(str(path), structure)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_CACHE_SHA256[name]
     loaded = load_structure(str(path), system)
-    assert _layout(loaded) == _layout(structure)
+    assert oh.structure_layout(loaded) == oh.structure_layout(structure)

@@ -1,9 +1,13 @@
 """Structure tables, net-interval enumeration, and point location."""
 
+import gc
+import random
 from fractions import Fraction
 
 import pytest
 
+from ifsdim.field import FieldContext
+from ifsdim.ifs import build_ifs
 from ifsdim.matrices import edge_matrix
 from ifsdim.net import (
     NotProvenFiniteTypeError,
@@ -338,7 +342,8 @@ def test_letter_tables(request, name):
 
 def _recorded_explore(system, monkeypatch):
     """Explore `system` and keep its explorer, the signature of every
-    `subdivide` call, and every signature the walk asks `_pieces_of` for."""
+    `subdivide` call, and every signature the walk asks `_pieces_of` for.
+    Signatures are (length id, neighbour ids) in the explorer's value ids."""
     explorers = []
     calls = []
     asked = []
@@ -367,8 +372,28 @@ def _recorded_explore(system, monkeypatch):
     return explorer, calls, list(dict.fromkeys(asked))
 
 
+def _as_elements(explorer, pieces):
+    """Pieces of value ids, with each id replaced by its element."""
+    value = explorer.elements
+    return [
+        (value[u], value[v], value[ell], tuple(value[w] for w in ws)) for u, v, ell, ws in pieces
+    ]
+
+
+def _signature_elements(explorer, signature):
+    length, neighbours = signature
+    return explorer.elements[length], tuple(explorer.elements[c] for c in neighbours)
+
+
+def _subdivide_elements(explorer, length, neighbours):
+    """`subdivide` of a signature given by its elements, as elements."""
+    ids = explorer.ids
+    pieces = explorer.subdivide(ids[length], tuple(ids[c] for c in neighbours))
+    return _as_elements(explorer, pieces)
+
+
 def _assert_sweep_matches_reference(system, length, neighbours):
-    pieces = _Explorer(system).subdivide(length, neighbours)
+    pieces = _subdivide_elements(_Explorer(system), length, neighbours)
     assert pieces == oh.reference_subdivide(system, length, neighbours)
 
 
@@ -378,25 +403,29 @@ SWEEP_SYSTEMS = [n.removesuffix("_structure") for n in ALL_STRUCTURES] + ["convo
 @pytest.mark.parametrize("name", SWEEP_SYSTEMS)
 def test_sweep_matches_all_pairs_loop(request, monkeypatch, name):
     system = request.getfixturevalue(name)
-    _, _, signatures = _recorded_explore(system, monkeypatch)
+    explorer, _, signatures = _recorded_explore(system, monkeypatch)
     assert signatures
-    for length, neighbours in signatures:
-        _assert_sweep_matches_reference(system, length, neighbours)
+    for signature in signatures:
+        _assert_sweep_matches_reference(system, *_signature_elements(explorer, signature))
 
 
 @pytest.mark.parametrize("name", SWEEP_SYSTEMS)
 def test_warm_explorer_matches_all_pairs_loop(request, monkeypatch, name):
     """After a full explore, the memoised pieces of every signature the walk
-    read, and a second subdivide of it from the explorer's shared values,
+    read, and a second subdivide of it from the explorer's interned values,
     agree with the reference loop and with a fresh explorer."""
     system = request.getfixturevalue(name)
     explorer, _, signatures = _recorded_explore(system, monkeypatch)
     assert signatures
-    for length, neighbours in signatures:
-        pieces = explorer._pieces_of((length, neighbours))
+    for signature in signatures:
+        length, neighbours = _signature_elements(explorer, signature)
+        memoised = explorer._pieces_of(signature)
+        pieces = _as_elements(explorer, memoised)
         assert pieces == oh.reference_subdivide(system, length, neighbours)
-        again = explorer.subdivide(length, neighbours)
-        assert again == pieces == _Explorer(system).subdivide(length, neighbours)
+        again = explorer.subdivide(*signature)
+        assert again == memoised
+        assert _as_elements(explorer, again) == pieces
+        assert pieces == _subdivide_elements(_Explorer(system), length, neighbours)
 
 
 @pytest.mark.parametrize("name", SWEEP_SYSTEMS + ["table_87"])
@@ -408,24 +437,63 @@ def test_explore_subdivides_each_signature_once(request, monkeypatch, name):
     assert set(calls) == set(signatures)
 
 
-def test_value_memo_hits_only_its_own_operands(golden_third):
+def test_each_value_is_interned_once(golden_third, six_map_quarter):
     explorer = _Explorer(golden_third)
-    one, rho = golden_third.context.one, golden_third.rho
-    twin = one + golden_third.context.zero
-    assert twin == one and twin is not one
-    # equal but distinct operands get their own entries and one shared value
-    first = explorer._value("-", one, rho)
-    assert first == one - rho
-    assert explorer._value("-", twin, rho) is first
-    assert explorer._value("-", one, rho) is first
-    assert len(explorer._values) == 2
-    # an entry under the operands' ids that holds another object is no hit
-    stale = rho * rho
-    explorer._values[("+", id(one), id(rho))] = (twin, rho, stale)
-    value = explorer._value("+", one, rho)
-    assert value == one + rho != stale
-    assert explorer._values[("+", id(one), id(rho))] == (one, rho, value)
-    assert explorer._values[("+", id(one), id(rho))][0] is one
+    one, zero, rho = explorer.one, explorer.zero, explorer.rho
+    ctx = golden_third.context
+    # 1 - rho formed along two routes, and values equal to the constants
+    first = explorer.minus[one, rho]
+    assert explorer.plus[explorer.minus[zero, rho], one] == first
+    assert explorer.elements[first] == ctx.one - golden_third.rho
+    assert explorer.step[rho, zero] == one
+    assert explorer.minus[explorer.plus[one, rho], rho] == one
+    twin = ctx.one + ctx.zero
+    assert twin == ctx.one and twin is not ctx.one
+    assert explorer.ids[twin] == one
+    assert len(set(explorer.elements)) == len(explorer.elements) == len(explorer.ids)
+    assert [explorer.ids[e] for e in explorer.elements] == list(range(len(explorer.elements)))
+    for system in (golden_third, six_map_quarter):
+        # equal lengths, neighbours and offsets of a structure are one object
+        shared = {}
+        for vec in explore(system).reduced:
+            for value in (vec.length, *vec.neighbours, *(r.offset for r in vec.children)):
+                assert shared.setdefault(value, value) is value
+        # the explorer leaves no reference cycle for the collector
+        gc.collect()
+        explore(system)
+        assert gc.collect() == 0
+
+
+def _random_rational_structures(count, budget):
+    """`count` seeded systems with rho = 1/m, m in 2..5, and 2-4 translations
+    of denominator at most 12, each explored to saturation within `budget`
+    full vectors."""
+    rng = random.Random(2016)
+    structures = []
+    while len(structures) < count:
+        q = rng.randint(3, 12)
+        points = rng.sample(range(q + 1), rng.choice((2, 3, 3, 4, 4, 4)))
+        system = build_ifs(FieldContext([-1, rng.randint(2, 5)]), [F(p, q) for p in points])
+        try:
+            structures.append(explore(system, max_vectors=budget))
+        except NotProvenFiniteTypeError:
+            pass  # no saturation within the budget: draw another system
+    return structures
+
+
+def test_explore_matches_memo_free_reference_on_random_systems():
+    structures = _random_rational_structures(30, budget=500)
+    assert max(s.full_count for s in structures) > 50
+    for structure in structures:
+        expected = oh.reference_explore(structure.system)
+        assert oh.structure_layout(structure) == oh.structure_layout(expected)
+
+
+@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
+def test_explore_matches_memo_free_reference(request, name):
+    system = request.getfixturevalue(name)
+    expected = oh.reference_explore(system)
+    assert oh.structure_layout(explore(system)) == oh.structure_layout(expected)
 
 
 def _closed_end_hits(system, length, neighbours):
