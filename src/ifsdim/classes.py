@@ -15,8 +15,7 @@ otherwise the closed class is read off the forward closure of the triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .net import (
     FiniteTypeStructure,
@@ -107,8 +106,7 @@ def closed_classes(count: int, successors, noun: str):
     return loop_classes, closed[0]
 
 
-@dataclass
-class ClassDecomposition:
+class ClassDecomposition(NamedTuple):
     """Loop-class structure of the full-vector child graph."""
 
     loop_classes: list[list[int]]
@@ -145,8 +143,7 @@ def essential_incidence(
     return ids, tuple(rows)
 
 
-@dataclass
-class PositiveRowReport:
+class PositiveRowReport(NamedTuple):
     holds: bool
     witnesses: list[tuple[int, int]]  # (reduced id, edge index) with a zero row
 
@@ -167,7 +164,6 @@ def positive_row_check(
 # triples
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class TripleEdge:
     """One descent step of a triple to the child over child edge `edge_index`.
 
@@ -175,10 +171,13 @@ class TripleEdge:
     parent's left / right end.
     """
 
-    child: int
-    edge_index: int
-    is_leftmost: bool
-    is_rightmost: bool
+    __slots__ = ("child", "edge_index", "is_leftmost", "is_rightmost")
+
+    def __init__(self, child, edge_index, is_leftmost, is_rightmost):
+        self.child: int = child
+        self.edge_index: int = edge_index
+        self.is_leftmost: bool = is_leftmost
+        self.is_rightmost: bool = is_rightmost
 
 
 TripleKey = tuple  # (left fid | None, centre fid, right fid | None)

@@ -33,9 +33,8 @@ it, and neither does an `inner=False` bounds call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classes import (
     ClassDecomposition,
@@ -133,8 +132,7 @@ def rho_log_enclosure(structure: FiniteTypeStructure) -> tuple[Fraction, Fractio
     return -top, -bot
 
 
-@dataclass(frozen=True)
-class Certified:
+class Certified(NamedTuple):
     """A float answer together with rational bounds that contain the truth."""
 
     value: float
@@ -162,8 +160,7 @@ def _rate(lo, hi, steps: int, den: tuple[Fraction, Fraction]) -> Certified:
 # -- Hausdorff dimension of the attractor ----------------------------------
 
 
-@dataclass(frozen=True)
-class HausdorffResult:
+class HausdorffResult(NamedTuple):
     dimension: Certified
     spectral: SpectralResult
     reduced_ids: tuple[int, ...]
@@ -187,8 +184,7 @@ def hausdorff_dimension(
 # -- local dimensions at eventually periodic points -------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicSpec:
+class PeriodicSpec(NamedTuple):
     """A symbolic address that is eventually periodic.
 
     `prefix` is a root path of edge choices, `cycle` the edges repeated
@@ -225,8 +221,7 @@ class PeriodicSpec:
         return PeriodicSpec(specs[0].prefix, specs[0].cycle, specs[1])
 
 
-@dataclass(frozen=True)
-class LocalDimensionResult:
+class LocalDimensionResult(NamedTuple):
     dimension: Certified
     winner: int
     rates: tuple[Certified, ...]
@@ -279,16 +274,14 @@ def local_dim_periodic(
 # -- bounds for the truly essential interval of local dimensions ------------
 
 
-@dataclass(frozen=True)
-class CycleWitness:
+class CycleWitness(NamedTuple):
     start: int
     edges: tuple[int, ...]
     rate: Certified
     positive: bool
 
 
-@dataclass(frozen=True)
-class EssentialBounds:
+class EssentialBounds(NamedTuple):
     outer_lo: Certified
     outer_hi: Certified
     inner_lo: Certified | None
@@ -789,8 +782,7 @@ def essential_interval_bounds(
 # -- isolation of the endpoint dimensions ------------------------------------
 
 
-@dataclass(frozen=True)
-class EndpointFinding:
+class EndpointFinding(NamedTuple):
     point: str
     dimension: LocalDimensionResult
     isolated: bool
@@ -798,8 +790,7 @@ class EndpointFinding:
     family_bound: float | None
 
 
-@dataclass(frozen=True)
-class IsolationFindings:
+class IsolationFindings(NamedTuple):
     at_zero: EndpointFinding
     at_one: EndpointFinding
     cantor_criterion: dict | None
@@ -877,8 +868,7 @@ def isolated_point_scan(
 # -- diagnostics --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColumnSumReport:
+class ColumnSumReport(NamedTuple):
     holds: bool
     common_sum: Fraction | None
     counterexample: tuple | None
@@ -925,8 +915,7 @@ def equal_column_sum_check(
     return ColumnSumReport(True, common, None, exponent.value, matches)
 
 
-@dataclass(frozen=True)
-class PisotResult:
+class PisotResult(NamedTuple):
     is_pisot: bool
     indeterminate: bool
     dominant_root: float | None
@@ -992,8 +981,7 @@ def sanity_dim_in_interval(
 # -- aggregate report ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     decomposition: ClassDecomposition
     hausdorff: HausdorffResult
     bounds: EssentialBounds

@@ -10,9 +10,8 @@ extending a word on the right refines the corresponding cylinder.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import FieldContext, FieldElement, _as_fraction
 
@@ -21,8 +20,7 @@ class IFSError(ValueError):
     """Raised for invalid system descriptions."""
 
 
-@dataclass(frozen=True)
-class IFSSystem:
+class IFSSystem(NamedTuple):
     context: FieldContext
     translations: tuple[FieldElement, ...]
     probabilities: tuple[Fraction, ...] | None = None

@@ -22,8 +22,8 @@ does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classes import strongly_connected_components
 from .matrices import TransitionMatrix
@@ -34,11 +34,15 @@ DEFAULT_REL_TOL = Fraction(1, 10**12)
 _ROUNDING_CAP = 10**40
 _KEPT_BITS = 140  # leading bits a component below 1/_ROUNDING_CAP keeps
 _CANDIDATE_CAPS = (1, 10**3, 10**6, 10**9, 10**12)
+# `_cw_bounds` stalls when its enclosure has not narrowed by _STALL_FACTOR
+# within _STALL_ROUNDS rounds and the last round moved no component of the
+# vector by more than the tolerance
+_STALL_ROUNDS = 20
+_STALL_FACTOR = 2
 _LN2 = math.log(2)
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Spectral radius with a rigorous rational enclosure.
 
     `certified_lo <= sp <= certified_hi` always holds.  `exact` is set when
@@ -136,6 +140,13 @@ def _cw_bounds(block, rel_tol, max_rounds):
     iterates on block + t*I with t at the scale of the matrix: the shift
     makes periodic supports primitive without drowning the spectral gap the
     way a unit shift would for matrices with tiny entries.
+
+    Besides the tolerance and `max_rounds`, a stall ends the loop: once the
+    vector has stopped moving, later rounds only repeat its rounding.  A
+    width that stays put is not enough on its own: from all ones,
+    [[1, 10^-30], [10^-30, 1/2]] keeps a width of 1/2 for 230 rounds while
+    one component of its vector still falls by a quarter per round, and
+    then converges.
     """
     n = len(block)
     lo, hi = _column_sum_range(block)
@@ -148,6 +159,7 @@ def _cw_bounds(block, rel_tol, max_rounds):
         for i in range(n)
     ]
     v = _perron_seed(block) or [Fraction(1)] * n
+    widths = []
     for _ in range(max_rounds):
         w = _mat_vec(shifted, v)
         quotients = [w[i] / v[i] for i in range(n)]
@@ -156,7 +168,14 @@ def _cw_bounds(block, rel_tol, max_rounds):
         if hi - lo <= rel_tol * max(hi, Fraction(1, 10**30)):
             break
         top = max(w)
-        v = _round_positive([x / top for x in w])
+        last, v = v, _round_positive([x / top for x in w])
+        widths.append(hi - lo)
+        if (
+            len(widths) > _STALL_ROUNDS
+            and widths[-1] * _STALL_FACTOR > widths[-1 - _STALL_ROUNDS]
+            and all(abs(x - y) <= rel_tol * x for x, y in zip(v, last))
+        ):
+            break
     return lo, hi
 
 

@@ -46,7 +46,6 @@ package never calls.
 """
 
 import copy
-import dataclasses
 from fractions import Fraction
 
 from ifsdim import dimension
@@ -348,7 +347,7 @@ def with_letter_probabilities(structure):
 def with_probabilities(structure, probs):
     """A copy of `structure` whose system has the probabilities `probs`."""
     weighted = copy.copy(structure)
-    weighted.system = dataclasses.replace(structure.system, probabilities=tuple(probs))
+    weighted.system = structure.system._replace(probabilities=tuple(probs))
     return weighted
 
 

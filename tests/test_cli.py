@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line entry point in process."""
 
+import ast
 import hashlib
 import json
 import os
@@ -762,11 +763,13 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # runs `cli.main` (config parse included) on each argv in a fresh
 # interpreter and prints, as JSON, each (exit code, stdout), whether numpy
-# got loaded and which `ifsdim` modules did; with "block" set, any import of
-# numpy raises ImportError; with "trace" set, a perfbench Tracer is installed
-# around every command and the names of its spans are printed too
+# got loaded, which `ifsdim` modules did, and whether dataclasses was loaded
+# at the start and at the end; with "block" set, any import of numpy raises
+# ImportError; with "trace" set, a perfbench Tracer is installed around
+# every command and the names of its spans are printed too
 FRESH_RUNS = """\
 import contextlib, io, json, sys
+dataclasses_at_start = "dataclasses" in sys.modules
 argvs, block, trace = json.loads(sys.argv[1])
 if block:
     sys.modules["numpy"] = None
@@ -788,6 +791,7 @@ print(json.dumps({
     "runs": runs,
     "numpy": sys.modules.get("numpy") is not None,
     "modules": sorted(m[7:] for m in sys.modules if m.startswith("ifsdim.")),
+    "dataclasses": [dataclasses_at_start, "dataclasses" in sys.modules],
     "cold": cold,
     "spans": None if tracer is None else [s.name for s in tracer.spans],
 }))
@@ -835,6 +839,7 @@ def test_commands_that_screen_nothing_run_without_numpy(cfgdir, capsys):
     fresh = _fresh_runs([report])
     assert fresh["numpy"]
     assert LAYERS <= set(fresh["modules"])
+    assert fresh["dataclasses"] == [False, False]
     assert fresh["runs"] == [[main(report), capsys.readouterr().out]]
 
 
@@ -851,6 +856,22 @@ def test_explore_and_input_errors_load_no_analysis_layer(cfgdir, tmp_path):
         assert [rc for rc, _ in fresh["runs"]] == codes
         assert {"cli", "config", "net"} <= set(fresh["modules"]), argvs
         assert not LAYERS & set(fresh["modules"]), argvs
+        # dataclasses would bring inspect, ast, dis and tokenize with it
+        assert fresh["dataclasses"] == [False, False], argvs
+
+
+def test_no_package_module_imports_dataclasses():
+    # the fresh runs above check the commands they run; this covers every
+    # module, lazy imports inside functions included
+    for path in sorted((SRC / "ifsdim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in [n.split(".")[0] for n in names], (path.name, node.lineno)
 
 
 def test_a_tracer_installed_on_a_cold_cli_wraps_the_report(cfgdir, capsys):

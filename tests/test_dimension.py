@@ -1,6 +1,5 @@
 """Tests for dimensions, interval bounds, isolation and diagnostics."""
 
-import dataclasses
 import math
 import operator
 import random
@@ -303,7 +302,9 @@ def test_an_end_child_that_does_not_abut_its_end_is_included(
     for rid in dec.essential_reduced:
         records = list(structure.children_of_reduced(rid))
         i = 0 if end == "left" else -1
-        records[i] = dataclasses.replace(records[i], **{"abuts_" + end: False})
+        r = records[i]
+        left, right = (False, r.abuts_right) if end == "left" else (r.abuts_left, False)
+        records[i] = ChildRecord(r.child, r.offset, r.edge_index, r.gap_before, left, right)
         monkeypatch.setattr(structure.reduced[rid], "children", records)
     after = essential_interval_bounds(structure, dec, table, cycle_budget=3)
     assert reason not in {r for _, r in after.excluded}
@@ -917,7 +918,7 @@ def test_column_sum_exponent_matches_only_an_overlapping_enclosure(gap_system_st
     real = hausdorff_dimension(structure, dec)
     assert equal_column_sum_check(structure, dec, table, real).matches_hausdorff
     off = Certified(1 + 5e-10, 1 + Fraction(4, 10**10), 1 + Fraction(6, 10**10))
-    near = dataclasses.replace(real, dimension=off)
+    near = real._replace(dimension=off)
     report = equal_column_sum_check(structure, dec, table, near)
     assert abs(report.exponent - near.dimension.value) < 1e-9
     assert not report.matches_hausdorff
@@ -935,7 +936,7 @@ def test_column_sum_exponent_matches_only_an_exact_equality(gap_system_structure
     real = hausdorff_dimension(structure, dec)
     wide = Certified(1.0, 1 - Fraction(1, 10**6), 1 + Fraction(1, 10**6))
     report = equal_column_sum_check(
-        structure, dec, table, dataclasses.replace(real, dimension=wide)
+        structure, dec, table, real._replace(dimension=wide)
     )
     assert report.holds and report.common_sum == Fraction(10**6 + 1, 4 * 10**6)
     assert 1 - 1e-6 < report.exponent < 1

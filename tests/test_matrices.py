@@ -2,17 +2,16 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy
 import pytest
 
-from ifsdim import dimension, matrices
+from ifsdim import dimension, matrices, spectral
 from ifsdim.classes import decompose
 from ifsdim.field import FieldContext
 from ifsdim.ifs import build_ifs, cantor_like
-from ifsdim.net import NetStructureError, explore, iter_net_intervals, path_fulls
+from ifsdim.net import ChildRecord, NetStructureError, explore, iter_net_intervals, path_fulls
 from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
 from ifsdim.spectral import spectral_radius
 
@@ -149,22 +148,48 @@ def test_integer_form_is_the_only_stored_form():
                 spectral_radius(bad)
 
 
-def test_perron_vector_over_hundreds_of_decades_keeps_small_bounds():
-    # the 138th matrix that `random_rational_rows` draws from Random(2016)
-    # with the shapes of the test above (without its other draws): 4 x 4,
-    # with a Perron vector whose small components the 10^40 cap rounds to 0;
-    # kept exact, their denominators grew every round, and `certified_hi`
-    # had 235,110 bits after 160 rounds
+def _hundreds_of_decades_rows():
+    """The 138th matrix that `random_rational_rows` draws from Random(2016)
+    with the shapes of the test above (without its other draws): 4 x 4, with
+    a Perron vector whose small components the 10^40 cap rounds to 0."""
     rng = random.Random(2016)
     for _ in range(138):
         n = rng.randint(1, 5)
         m = n if rng.random() < 0.5 else rng.randint(1, 5)
         rows = random_rational_rows(rng, n, m)
     assert (n, m) == (4, 4)
+    return rows
+
+
+def test_perron_vector_over_hundreds_of_decades_keeps_small_bounds():
+    # kept exact, the small components' denominators grew every round, and
+    # `certified_hi` had 235,110 bits after 160 rounds
+    rows = _hundreds_of_decades_rows()
     short = spectral_radius(rows, max_rounds=20)
     long = spectral_radius(rows, max_rounds=160)
     assert short.certified_lo <= long.certified_lo <= long.certified_hi <= short.certified_hi
     assert long.certified_hi.denominator.bit_length() < 2000
+
+
+def test_an_enclosure_that_stopped_narrowing_stops_the_rounds(monkeypatch):
+    # from the first round on, the block's relative width stays 7.97e-11, above
+    # the 1e-12 tolerance, while its vector moves only in the rounding
+    rows = _hundreds_of_decades_rows()
+    long = spectral_radius(rows, max_rounds=160)
+    calls = []
+    real = spectral._mat_vec
+    monkeypatch.setattr(spectral, "_mat_vec", lambda *a: calls.append(1) or real(*a))
+    stalled = spectral_radius(rows)
+    assert len(calls) <= 60
+    assert stalled.certified_lo <= long.certified_lo <= long.certified_hi <= stalled.certified_hi
+    assert stalled.certified_hi.denominator.bit_length() < 2000
+    # a width that stays put while the vector still moves is no stall: from all
+    # ones, this block keeps half its width for 230 rounds, then converges
+    monkeypatch.setattr(spectral, "_perron_seed", lambda block: None)
+    calls.clear()
+    plateau = spectral_radius([[1, F(1, 10**30)], [F(1, 10**30), F(1, 2)]])
+    assert len(calls) > 300
+    assert plateau.certified_hi - plateau.certified_lo <= plateau.certified_hi / 10**12
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +413,10 @@ def test_zero_column_is_rejected(zero_row_third):
     s = explore(zero_row_third)
     records = s.children_of_reduced(3)
     # shifted off the lattice of translations, the edge matches no letter at all
-    records[0] = replace(records[0], offset=records[0].offset + F(1, 1000))
+    r = records[0]
+    records[0] = ChildRecord(
+        r.child, r.offset + F(1, 1000), r.edge_index, r.gap_before, r.abuts_left, r.abuts_right
+    )
     with pytest.raises(NetStructureError, match="zero column"):
         edge_matrix(s, 3, 0)
     table = MatrixTable(s)

@@ -8,13 +8,19 @@ computes on a worked example.
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ifsdim.classes import decompose
-from ifsdim.dimension import equal_column_sum_check, essential_interval_bounds
-from ifsdim.ifs import cantor_like, convolution_power
+from ifsdim.dimension import (
+    build_dimension_report,
+    equal_column_sum_check,
+    essential_interval_bounds,
+)
+from ifsdim.ifs import bernoulli_simple_pisot, cantor_like, convolution_power
 from ifsdim.matrices import MatrixTable
 from ifsdim.net import explore
+from ifsdim.report import full_report, render_text
 
 
 def _outer(system):
@@ -73,3 +79,69 @@ def test_cantor_convolutions_have_outer_intervals_closing_in_on_1():
         assert (p_min > p_min_before) == (k % 2 == 0)  # the upper end falls
     for k in range(2, 15):
         assert ends[k + 2][0] < ends[k][0] and ends[k + 2][1] > ends[k][1]
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 5), Fraction(1, 3), Fraction(2, 5), Fraction(2, 3)])
+@pytest.mark.parametrize("k", range(2, 7))
+def test_biased_bernoulli_convolutions_with_simple_pisot_ratio_have_an_isolated_point(k, p):
+    """Biased Bernoulli convolutions with 1/rho a simple Pisot number (the
+    root in (1, 2) of x^k - x^(k-1) - ... - x - 1): the local dimension at
+    the endpoint of the lighter map, 0 when p < 1/2 and 1 when p > 1/2, is
+    isolated, and the report proves it by the family bound at
+    `--cycle-budget 4`.
+
+    Read from the data of the grid k = 2 ... 6 and p = 1/5, 1/3, 2/5, 2/3.
+    """
+    structure = explore(bernoulli_simple_pisot(k, p))
+    report = build_dimension_report(structure, cycle_budget=4)
+    text = render_text(full_report(structure, report))
+    light = "endpoint %d: " % (p > Fraction(1, 2))
+    (line,) = [line for line in text.splitlines() if line.startswith(light)]
+    assert "ISOLATED (family_bound)" in line
+
+
+def _mp(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+@pytest.mark.parametrize("d,m", CANTOR_GRID)
+def test_uniform_cantor_measures_have_endpoint_dimension_log_m_plus_1_over_log_d(d, m):
+    """Generalized Cantor sets: for uniform `cantor_like(d, m)` the local
+    dimension at 0 and at 1 is ln(m + 1) / ln d, whether or not d divides
+    m + 1: the endpoint's level-n net interval carries (m + 1)^-n of the mass.
+
+    Read from the data of the grid d = 3, 4, 5 and m = d+1 ... 3d+1, with
+    mpmath at 50 digits as the oracle.
+    """
+    structure = explore(cantor_like(d, m, [Fraction(1, m + 1)] * (m + 1)))
+    isolation = build_dimension_report(structure, cycle_budget=2).isolation
+    with mpmath.workdps(50):
+        expected = mpmath.log(m + 1) / mpmath.log(d)
+        for finding in (isolation.at_zero, isolation.at_one):
+            dim = finding.dimension.dimension
+            assert _mp(dim.lo) <= expected <= _mp(dim.hi), (finding.point, dim)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cantor_4_9_structure",
+        "convolution_3_8_structure",
+        "golden_third_structure",
+        "tribonacci_third_structure",
+        "quadratic_ninth_structure",
+    ],
+)
+def test_the_inner_interval_strictly_contains_the_hausdorff_dimension(request, name):
+    """A truly essential point has local dimension dim_H of the support: on
+    the suite systems the certified inner interval at budget 8 contains the
+    whole dim_H enclosure, each end strictly.
+
+    Read from the data of the suite.  `table_87` is left out: every rate
+    there is exactly 1, so its enclosures only overlap, and separating them
+    waits for exact log ratios (ROADMAP direction 4).
+    """
+    structure = request.getfixturevalue(name)
+    report = build_dimension_report(structure, cycle_budget=8)
+    bounds, dim = report.bounds, report.hausdorff.dimension
+    assert bounds.inner_lo.hi <= dim.lo and dim.hi <= bounds.inner_hi.lo
