@@ -1,25 +1,24 @@
 """Save and reload explored structures.
 
-The cache is compact JSON holding only geometry, as flat lists (columns).
-Each distinct field element is written once, as its coefficient strings,
-in the `"elements"` table; element columns hold indices into it:
-
-    per reduced vector  length (element), level, neighbour_count, child_count
-    per neighbour       neighbours (element), vector by vector
-    per child record    child (full id), offset (element), gap_before,
-                        abuts_left, abuts_right, vector by vector
-    per full vector     full_reduced (reduced id), sibling
+The cache is compact JSON holding only geometry: the columns of
+`net.FiniteTypeStructure`, with per-vector `neighbour_count` and
+`child_count` in place of its prefix sums.  Each distinct field element
+is written once, as its coefficient strings (`n` or `n/d`, as
+`str(Fraction)` writes them), in the `"elements"` table, numbered in the
+order the length, neighbours and offset columns first use them.
 
 The loader checks each column once with C-level builtins: a list of the
 right length, `set(map(type, column))` only int (only bool for the flags,
 so no bool, float or string passes as an id), `min` and `max` in range,
 and counts that add up to the lengths of the flat lists; every vector has
-a child.  Duplicate vectors are found on int keys, each element index
-first replaced by that of the first equal element, so a repeated table
-entry cannot hide one.  Anything else raises CacheError.  Letters are not
-stored: `edge_matrix` derives the few a command reads.  A version stamp
-and a fingerprint of the defining system guard against stale or
-mismatched files; a cache never overrides the config it is loaded for.
+a child.  Each element index is replaced by that of the first equal
+element, so ids are canonical and a repeated table entry cannot hide a
+duplicate vector, found on int keys.  Anything else raises CacheError.
+The structure then adopts the checked columns: a load builds no object
+per vector or per edge.  Letters are not stored: `edge_matrix` derives
+the few a command reads.  A version stamp and a fingerprint of the
+defining system guard against stale or mismatched files; a cache never
+overrides the config it is loaded for.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 
 from .ifs import IFSSystem
-from .net import ChildRecord, FiniteTypeStructure, FullVector, ReducedVector
+from .net import FiniteTypeStructure
 
 CACHE_VERSION = 5
 
@@ -43,19 +42,29 @@ def _coeffs_out(element) -> list[str]:
     return [str(c) for c in element.coeffs]
 
 
+def _rational_in(text: str) -> Fraction:
+    """The rational that `str(Fraction)` writes as `text`: "2/4", " 1", "1_0"
+    or "+1", which `int` and `Fraction` would take, do not read back as
+    themselves, and "1.5" is a ValueError, so the loader rejects each."""
+    num, slash, den = text.partition("/")
+    value = Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    if str(value) != text:
+        raise CacheError(f"cache coefficient is not a reduced fraction: {text!r}")
+    return value
+
+
 def _coeffs_in(ctx, raw) -> "FieldElement":
     """The element with coefficient strings `raw`.
 
     Anything but a list of one string per field coefficient is a
-    CacheError: a string would pass as the list of its characters,
-    `Fraction` takes a float as its binary value, and `ctx.element` pads a
-    short list.
+    CacheError: a string would pass as the list of its characters, and
+    `ctx.element` pads a short list.
     """
     if type(raw) is not list:
         raise CacheError(f"cache coefficients are not a list: {raw!r}")
     if len(raw) != ctx.degree or not all(type(c) is str for c in raw):
         raise CacheError(f"cache coefficients are not {ctx.degree} strings: {raw!r}")
-    return ctx.element([Fraction(c) for c in raw])
+    return ctx.element(list(map(_rational_in, raw)))
 
 
 def system_fingerprint(system: IFSSystem) -> dict:
@@ -71,34 +80,37 @@ def system_fingerprint(system: IFSSystem) -> dict:
 
 def save_structure(path: str, structure: FiniteTypeStructure) -> None:
     """Write a saturated `structure` to `path`, replacing the file atomically."""
-    index: dict = {}
+    index: dict[int, int] = {}
 
-    def refs(elements) -> list[int]:
-        """The positions of `elements` in the element table, adding new ones."""
-        return [index.setdefault(element, len(index)) for element in elements]
+    def refs(ids: list[int]) -> list[int]:
+        """`ids` renumbered in the order of first use over all element columns."""
+        return [index.setdefault(vid, len(index)) for vid in ids]
 
-    reduced = structure.reduced
-    edges = [rec for vec in reduced for rec in vec.children]
+    def counts(starts: list[int]) -> list[int]:
+        return [b - a for a, b in zip(starts, starts[1:])]
+
+    s = structure
     payload = {
         "cache_version": CACHE_VERSION,
-        "fingerprint": system_fingerprint(structure.system),
-        "root_full": structure.root_full,
-        "saturated": structure.saturated,
-        "levels_explored": structure.levels_explored,
-        "length": refs(vec.length for vec in reduced),
-        "level": [vec.level for vec in reduced],
-        "neighbour_count": [len(vec.neighbours) for vec in reduced],
-        "neighbours": refs(v for vec in reduced for v in vec.neighbours),
-        "child_count": [len(vec.children) for vec in reduced],
-        "child": [rec.child for rec in edges],
-        "offset": refs(rec.offset for rec in edges),
-        "gap_before": [rec.gap_before for rec in edges],
-        "abuts_left": [rec.abuts_left for rec in edges],
-        "abuts_right": [rec.abuts_right for rec in edges],
-        "full_reduced": [f.reduced for f in structure.fulls],
-        "sibling": [f.sibling_index for f in structure.fulls],
+        "fingerprint": system_fingerprint(s.system),
+        "root_full": s.root_full,
+        "saturated": s.saturated,
+        "levels_explored": s.levels_explored,
+        "length": refs(s.length),
+        "level": s.level,
+        "neighbour_count": counts(s.neighbour_start),
+        "neighbours": refs(s.neighbours),
+        "child_count": counts(s.edge_start),
+        "child": s.child,
+        "offset": refs(s.offset),
+        "gap_before": s.gap_before,
+        "abuts_left": s.abuts_left,
+        "abuts_right": s.abuts_right,
+        "full_reduced": s.full_reduced,
+        "sibling": s.sibling,
     }
-    payload["elements"] = [_coeffs_out(element) for element in index]
+    # ids are canonical, so this is the order in which the values are first used
+    payload["elements"] = [_coeffs_out(s.elements[vid]) for vid in index]
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -147,14 +159,8 @@ def _column(payload: dict, name: str, kind: type, size: int | None, lo=None, hi=
     return col
 
 
-def _split(flat: list, counts: list[int]) -> list[list]:
-    """`flat` cut into consecutive slices of `counts` entries each."""
-    ends = list(accumulate(counts))
-    return [flat[a:b] for a, b in zip([0, *ends], ends)]
-
-
 def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
-    """The structure that `payload` describes, built column by column."""
+    """The structure that `payload` describes, its columns checked and adopted."""
     ctx = system.context
     elements = [_coeffs_in(ctx, raw) for raw in payload["elements"]]
     element_count = len(elements)
@@ -172,9 +178,11 @@ def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
     offset = _column(payload, "offset", int, edges, 0, element_count)
     flags = [_column(payload, f, bool, edges) for f in ("gap_before", "abuts_left", "abuts_right")]
     first: dict = {}
-    canon = [first.setdefault(element, i) for i, element in enumerate(elements)]
-    canon_neighbours = _split([canon[v] for v in neighbours], neighbour_count)
-    if len(set(zip(map(canon.__getitem__, length), map(tuple, canon_neighbours)))) != count:
+    canon = [first.setdefault(element, i) for i, element in enumerate(elements)].__getitem__
+    length, neighbours, offset = (list(map(canon, col)) for col in (length, neighbours, offset))
+    neighbour_start = [0, *accumulate(neighbour_count)]
+    vectors = [tuple(neighbours[a:b]) for a, b in zip(neighbour_start, neighbour_start[1:])]
+    if len(set(zip(length, vectors))) != count:
         raise CacheError("cache lists duplicate reduced vectors")
     if len(set(zip(full_reduced, sibling))) != full_count:
         raise CacheError("cache lists duplicate full vectors")
@@ -185,17 +193,10 @@ def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
         raise CacheError("cache holds a structure that is not saturated")
     if type(payload["levels_explored"]) is not int:
         raise CacheError("cache explored depth is not an integer")
-    element_at = elements.__getitem__
-    edge_index = chain.from_iterable(map(range, child_count))
-    records = list(map(ChildRecord, child, map(element_at, offset), edge_index, *flags))
-    vector_neighbours = map(tuple, _split(list(map(element_at, neighbours)), neighbour_count))
-    children = _split(records, child_count)
-    structure = FiniteTypeStructure(system)
-    structure.reduced = list(
-        map(ReducedVector, map(element_at, length), vector_neighbours, level, children)
-    )
-    structure.fulls = list(map(FullVector, full_reduced, sibling))
-    structure.root_full = root
-    structure.saturated = True
-    structure.levels_explored = payload["levels_explored"]
-    return structure
+    s = FiniteTypeStructure(system)
+    s.elements, s.length, s.level, s.neighbours = elements, length, level, neighbours
+    s.neighbour_start, s.edge_start = neighbour_start, [0, *accumulate(child_count)]
+    s.child, s.offset, s.full_reduced, s.sibling = child, offset, full_reduced, sibling
+    s.gap_before, s.abuts_left, s.abuts_right = flags
+    s.root_full, s.saturated, s.levels_explored = root, True, payload["levels_explored"]
+    return s

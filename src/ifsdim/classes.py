@@ -119,10 +119,10 @@ def decompose(structure: FiniteTypeStructure) -> ClassDecomposition:
     if not structure.saturated:
         raise NetStructureError("structure must be saturated before decomposition")
     n = structure.full_count
-    children = [
-        [rec.child for rec in structure.children_of_full(f)] for f in range(n)
-    ]
-    loop_classes, essential = closed_classes(n, lambda v: children[v], "vector")
+    child, starts = structure.child, structure.edge_start
+    by_reduced = [child[a:b] for a, b in zip(starts, starts[1:])]
+    children = [by_reduced[rid] for rid in structure.full_reduced]
+    loop_classes, essential = closed_classes(n, children.__getitem__, "vector")
     essential_reduced = sorted({structure.reduced_of(f) for f in essential})
     return ClassDecomposition(loop_classes, essential, essential_reduced)
 
@@ -133,12 +133,12 @@ def essential_incidence(
     """Child-count matrix over the reduced vectors of the essential class."""
     ids = dec.essential_reduced
     position = {rid: i for i, rid in enumerate(ids)}
+    child, full_reduced = structure.child, structure.full_reduced
     rows = []
     for rid in ids:
         row = [0] * len(ids)
-        for rec in structure.children_of_reduced(rid):
-            child_rid = structure.reduced_of(rec.child)
-            row[position[child_rid]] += 1
+        for e in structure.edges_of_reduced(rid):
+            row[position[full_reduced[child[e]]]] += 1
         rows.append(tuple(row))
     return ids, tuple(rows)
 
@@ -154,9 +154,9 @@ def positive_row_check(
     """Whether every matrix between essential vectors has no zero row."""
     witnesses = []
     for rid in dec.essential_reduced:
-        for rec in structure.children_of_reduced(rid):
-            if table.of_edge(rid, rec.edge_index).has_zero_row():
-                witnesses.append((rid, rec.edge_index))
+        for i in range(len(structure.edges_of_reduced(rid))):
+            if table.of_edge(rid, i).has_zero_row():
+                witnesses.append((rid, i))
     return PositiveRowReport(not witnesses, witnesses)
 
 
@@ -239,26 +239,32 @@ class TripleDiagram:
         out = self.edges[nid]
         if out is not None:
             return out
-        structure = self.structure
+        s = self.structure
+        child, gap_before, abuts_left, abuts_right = (
+            s.child, s.gap_before, s.abuts_left, s.abuts_right
+        )
+        # `decompose` checked that the structure is saturated: every vector has edges
+        starts, reduced = s.edge_start, s.full_reduced
         left, centre, right = self.keys[nid]
-        records = structure.children_of_full(centre)
+        first, stop = starts[reduced[centre]], starts[reduced[centre] + 1]
+        last = stop - 1
         out = []
-        for i, rec in enumerate(records):
+        for e in range(first, stop):
             new_left = new_right = None
-            if i > 0 and not rec.gap_before:
-                new_left = records[i - 1].child
-            elif rec.abuts_left and left is not None:
-                flank = structure.children_of_full(left)[-1]
-                if flank.abuts_right:
-                    new_left = flank.child
-            if i + 1 < len(records) and not records[i + 1].gap_before:
-                new_right = records[i + 1].child
-            elif rec.abuts_right and right is not None:
-                flank = structure.children_of_full(right)[0]
-                if flank.abuts_left:
-                    new_right = flank.child
-            child = self._node((new_left, rec.child, new_right))
-            out.append(TripleEdge(child, i, rec.abuts_left, rec.abuts_right))
+            if e > first and not gap_before[e]:
+                new_left = child[e - 1]
+            elif abuts_left[e] and left is not None:
+                flank = starts[reduced[left] + 1] - 1  # the last edge of `left`
+                if abuts_right[flank]:
+                    new_left = child[flank]
+            if e < last and not gap_before[e + 1]:
+                new_right = child[e + 1]
+            elif abuts_right[e] and right is not None:
+                flank = starts[reduced[right]]  # the first edge of `right`
+                if abuts_left[flank]:
+                    new_right = child[flank]
+            node = self._node((new_left, child[e], new_right))
+            out.append(TripleEdge(node, e - first, abuts_left[e], abuts_right[e]))
         self.edges[nid] = out
         return out
 

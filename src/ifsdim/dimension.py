@@ -231,12 +231,12 @@ class LocalDimensionResult(NamedTuple):
 def _walk_from(structure: FiniteTypeStructure, fid: int, edges: Sequence[int]) -> int:
     cur = fid
     for e in edges:
-        records = structure.children_of_full(cur)
-        if not 0 <= e < len(records):
+        span = structure.edges_of_full(cur)
+        if not 0 <= e < len(span):
             raise ValueError(
-                f"edge {e} is out of range for a vector with {len(records)} children"
+                f"edge {e} is out of range for a vector with {len(span)} children"
             )
-        cur = records[e].child
+        cur = structure.child[span[e]]
     return cur
 
 
@@ -300,8 +300,8 @@ class EssentialBounds(NamedTuple):
 class _StepTable:
     """The (vector, edge) steps of a set of vectors closed under children.
 
-    `children` maps each vector to its child records, and `table` gives
-    each step's matrix (`of_full_edge`).  Steps are coded in (vector,
+    `vectors` are full vectors of `structure`, and `table` gives each
+    step's matrix (`of_full_edge`).  Steps are coded in (vector,
     edge) order, vectors sorted: the codes of vector index v are
     `first[v]` to `first[v] + count[v] - 1`, and code c leaves vector
     index `src[c]` by edge `edge[c]` for vector index `dst[c]`.  `hugs`
@@ -319,24 +319,25 @@ class _StepTable:
     is diag(product of the m, product of the d).
     """
 
-    def __init__(self, children, table: MatrixTable):
+    def __init__(self, structure: FiniteTypeStructure, vectors, table: MatrixTable):
         import numpy
 
         self.table = table
-        self.vectors = sorted(children)
+        self.vectors = sorted(vectors)
         index = {f: i for i, f in enumerate(self.vectors)}
-        # a child record's edge index is its position, so this is (vector, edge) order
-        steps = [(f, r.edge_index) for f in self.vectors for r in children[f]]
+        spans = [structure.edges_of_full(f) for f in self.vectors]
+        steps = [(f, i) for f, span in zip(self.vectors, spans) for i in range(len(span))]
+        child, left, right = structure.child, structure.abuts_left, structure.abuts_right
         self.src = numpy.array([index[f] for f, _ in steps])
-        self.dst = numpy.array([index[children[f][e].child] for f, e in steps])
-        self.edge = numpy.array([e for _, e in steps])
-        self.count = numpy.array([len(children[f]) for f in self.vectors])
+        self.dst = numpy.array([index[child[e]] for span in spans for e in span])
+        self.edge = numpy.array([i for _, i in steps])
+        self.count = numpy.array([len(span) for span in spans])
         self.first = numpy.cumsum(self.count) - self.count
         self.hugs = numpy.array(
             [
-                (e == 0 and children[f][e].abuts_left)
-                + 2 * (e == len(children[f]) - 1 and children[f][e].abuts_right)
-                for f, e in steps
+                (e == span.start and left[e]) + 2 * (e == span.stop - 1 and right[e])
+                for span in spans
+                for e in span
             ]
         )
         forms = [(m.den, m.ints) for m in (table.of_full_edge(*s) for s in steps)]
@@ -711,8 +712,8 @@ def essential_interval_bounds(
     p_max = None
     p_min = None
     for rid in dec.essential_reduced:
-        for rec in structure.children_of_reduced(rid):
-            for s in table.of_edge(rid, rec.edge_index).column_sums():
+        for edge_index in range(len(structure.edges_of_reduced(rid))):
+            for s in table.of_edge(rid, edge_index).column_sums():
                 p_max = s if p_max is None or s > p_max else p_max
                 p_min = s if p_min is None or s < p_min else p_min
     if p_min is None or p_min <= 0:
@@ -729,8 +730,7 @@ def essential_interval_bounds(
     if inner:
         import numpy
 
-        children = {fid: structure.children_of_full(fid) for fid in sorted(dec.essential)}
-        steps = _StepTable(children, table)
+        steps = _StepTable(structure, dec.essential, table)
         excluded, excluded_count = _excluded_cycles(steps, cycle_budget)
         screen = _CycleScreen(cycle_budget)
         # inf * 0 in a product that overflows is nan: it scores nan, and is certified
@@ -893,15 +893,15 @@ def equal_column_sum_check(
     """
     common = None
     for rid in dec.essential_reduced:
-        for rec in structure.children_of_reduced(rid):
-            for s in table.of_edge(rid, rec.edge_index).column_sums():
+        for edge_index in range(len(structure.edges_of_reduced(rid))):
+            for s in table.of_edge(rid, edge_index).column_sums():
                 if common is None:
                     common = s
                 elif s != common:
                     return ColumnSumReport(
                         False,
                         None,
-                        (rid, rec.edge_index, s, common),
+                        (rid, edge_index, s, common),
                         None,
                         False,
                     )

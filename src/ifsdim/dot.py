@@ -20,19 +20,21 @@ def reduced_dot(structure: FiniteTypeStructure, dec: ClassDecomposition) -> str:
     Labels print each length and neighbour to within `DISPLAY_EPS`.  A
     table repeats few of these values (59 distinct among the 19,493 labels
     of x/3 + {0, 2/87, 2/3}), so each rational element is turned into text
-    once.  An irrational one is
+    once, keyed by its element id.  An irrational one is
     approximated afresh, in label order: the midpoint `approx` returns
     depends on how far the field context has refined rho.
     """
     essential = set(dec.essential_reduced)
-    text_of: dict = {}
+    s = structure
+    text_of: dict[int, str] = {}
 
-    def text(element) -> str:
-        out = text_of.get(element)
+    def text(vid: int) -> str:
+        out = text_of.get(vid)
         if out is None:
+            element = s.elements[vid]
             out = str(element.approx(DISPLAY_EPS))
             if element.is_rational():
-                text_of[element] = out
+                text_of[vid] = out
         return out
 
     lines = [
@@ -40,19 +42,20 @@ def reduced_dot(structure: FiniteTypeStructure, dec: ClassDecomposition) -> str:
         "  rankdir=LR;",
         '  node [shape=box, fontsize=10];',
     ]
-    for rid, vec in enumerate(structure.reduced):
+    starts = s.neighbour_start
+    for rid, length in enumerate(s.length):
         label = "r%d\\nlen %s\\nnbrs %s" % (
             rid,
-            text(vec.length),
-            ", ".join([text(v) for v in vec.neighbours]),
+            text(length),
+            ", ".join([text(v) for v in s.neighbours[starts[rid] : starts[rid + 1]]]),
         )
         style = ', style=filled, fillcolor="#cfe8cf"' if rid in essential else ""
         lines.append("  r%d [label=%s%s];" % (rid, _quote(label), style))
-    for rid in range(structure.reduced_count):
-        for rec in structure.children_of_reduced(rid):
+    for rid in range(s.reduced_count):
+        span = s.edges_of_reduced(rid)
+        for e in span:
             lines.append(
-                '  r%d -> r%d [label="%d"];'
-                % (rid, structure.reduced_of(rec.child), rec.edge_index)
+                '  r%d -> r%d [label="%d"];' % (rid, s.full_reduced[s.child[e]], e - span.start)
             )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -144,11 +144,12 @@ def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> Tr
     system = structure.system
     if system.probabilities is None:
         raise NetStructureError("system has no probabilities")
-    rec = structure.children_of_reduced(rid)[edge_index]
+    e = structure.edges_of_reduced(rid)[edge_index]
     den = math.lcm(*(p.denominator for p in system.probabilities))
     pairs = [(d, int(p * den)) for d, p in zip(system.translations, system.probabilities)]
-    shifts = [rec.offset - system.rho * a for a in structure.neighbours_of_full(rec.child)]
-    parents = structure.reduced[rid].neighbours
+    offset = structure.elements[structure.offset[e]]
+    shifts = [offset - system.rho * a for a in structure.neighbours_of_full(structure.child[e])]
+    parents = structure.neighbours_of_reduced(rid)
     if len(pairs) < len(shifts):
         rows = []
         for c in parents:
@@ -207,7 +208,7 @@ class MatrixTable:
         for e in edges:
             m = self.of_full_edge(cur, e)
             den, rows = den * m.den, m.ints if rows is None else _integer_product(rows, m.ints)
-            cur = self.structure.children_of_full(cur)[e].child
+            cur = self.structure.child[self.structure.edges_of_full(cur)[e]]
         if cur != fid:
             raise ValueError("edge sequence is not a cycle")
         return TransitionMatrix._from_integer(den, rows)

@@ -10,20 +10,27 @@ characteristic vectors reachable from [0, 1] is finite, which the explorer
 detects by saturation.
 
 Children of a net interval depend only on (length, neighbours); the sibling
-index only disambiguates vertices of the transition diagram.  Child records
+index only disambiguates vertices of the transition diagram.  Child edges
 hold only geometry; `matrices.edge_matrix` derives the letters of an edge.
-`ChildRecord`, `ReducedVector` and `FullVector` are `__slots__` classes, not
-NamedTuples: a table or a cache load builds thousands, and 7,000 six-field
-records take 4.3 ms to build and 1.7 ms to read as NamedTuples against 2.8
-and 0.8 ms as slotted classes or dataclasses (Python 3.11, 2-vCPU Xeon VM).
 All coordinates are exact field elements, so vector identity is exact.
+
+A structure holds its table as flat columns, as the cache writes them:
+`elements` lists each distinct field element once; per reduced vector,
+`length` (element id), `level` and the prefix sums `neighbour_start`
+into `neighbours` (element ids) and `edge_start` into the edges; per
+edge, `child` (full id), `offset` (element id), `gap_before`,
+`abuts_left` and `abuts_right`; per full vector, `full_reduced` and
+`sibling`.  An edge's position among its parent's children is its id
+minus the parent's `edge_start`.  Element ids are canonical: two are
+equal exactly when their elements are, so vectors compare on ids.  A
+command that reads a few vectors builds no object per vector or edge.
+
 The explorer owns the registries that give each (length, neighbours)
-signature and each (reduced id, sibling index) pair its id; a structure
-holds only the lists they fill, so a cache load builds those lists
-directly.  The explorer runs on interned value ids: each distinct value
-gets a small integer id and is hashed and sort-keyed once, its operation
-tables map pairs of ids to ids, and it subdivides each signature once.
-The records it builds hold the elements, so a structure has no value ids.
+signature and each (reduced id, sibling index) pair its id, and appends
+to the columns directly.  It runs on interned value ids: each distinct
+value gets a small integer id and is hashed and sort-keyed once, its
+operation tables map pairs of ids to ids, and it subdivides each
+signature once.  Its value table is the structure's element table.
 """
 
 from __future__ import annotations
@@ -63,45 +70,25 @@ class PointNotInAttractorError(NetStructureError):
         self.level = level
 
 
-class ChildRecord:
-    """One child of a net interval, in parent-normalized coordinates."""
-
-    __slots__ = ("child", "offset", "edge_index", "gap_before", "abuts_left", "abuts_right")
-
-    def __init__(self, child, offset, edge_index, gap_before, abuts_left, abuts_right):
-        self.child: int = child  # full vector id
-        self.offset: FieldElement = offset  # left endpoint relative to the parent, scaled by rho^-n
-        self.edge_index: int = edge_index  # position among the parent's children
-        self.gap_before: bool = gap_before  # an attractor-free stretch precedes this child
-        self.abuts_left: bool = abuts_left
-        self.abuts_right: bool = abuts_right
-
-
-class ReducedVector:
-    __slots__ = ("length", "neighbours", "level", "children")
-
-    def __init__(self, length, neighbours, level, children=None):
-        self.length: FieldElement = length
-        self.neighbours: tuple[FieldElement, ...] = neighbours
-        self.level: int = level
-        self.children: list[ChildRecord] | None = children
-
-
-class FullVector:
-    __slots__ = ("reduced", "sibling_index")
-
-    def __init__(self, reduced, sibling_index):
-        self.reduced: int = reduced
-        self.sibling_index: int = sibling_index
-
-
 class FiniteTypeStructure:
-    """The saturated table of characteristic vectors and child records."""
+    """The saturated table of characteristic vectors, as columns (see above)."""
 
     def __init__(self, system: IFSSystem):
         self.system = system
-        self.reduced: list[ReducedVector] = []
-        self.fulls: list[FullVector] = []
+        self.elements: list[FieldElement] = []
+        self.length: list[int] = []
+        self.level: list[int] = []
+        self.neighbour_start: list[int] = [0]
+        self.neighbours: list[int] = []
+        # one entry past each expanded vector: the explorer expands in id order
+        self.edge_start: list[int] = [0]
+        self.child: list[int] = []
+        self.offset: list[int] = []
+        self.gap_before: list[bool] = []  # an attractor-free stretch precedes this child
+        self.abuts_left: list[bool] = []
+        self.abuts_right: list[bool] = []
+        self.full_reduced: list[int] = []
+        self.sibling: list[int] = []
         self.root_full: int = -1
         self.saturated: bool = False
         self.levels_explored: int = 0
@@ -110,32 +97,37 @@ class FiniteTypeStructure:
 
     @property
     def reduced_count(self) -> int:
-        return len(self.reduced)
+        return len(self.length)
 
     @property
     def full_count(self) -> int:
-        return len(self.fulls)
+        return len(self.full_reduced)
 
     def reduced_of(self, fid: int) -> int:
-        return self.fulls[fid].reduced
+        return self.full_reduced[fid]
 
-    def children_of_reduced(self, rid: int) -> list[ChildRecord]:
-        records = self.reduced[rid].children
-        if records is None:
+    def edges_of_reduced(self, rid: int) -> range:
+        """The edge ids of reduced vector `rid`, left to right."""
+        starts = self.edge_start
+        if rid + 1 >= len(starts):
             raise NetStructureError(f"reduced vector {rid} was never expanded")
-        return records
+        return range(starts[rid], starts[rid + 1])
 
-    def children_of_full(self, fid: int) -> list[ChildRecord]:
-        return self.children_of_reduced(self.fulls[fid].reduced)
+    def edges_of_full(self, fid: int) -> range:
+        return self.edges_of_reduced(self.full_reduced[fid])
 
     def length_of_full(self, fid: int) -> FieldElement:
-        return self.reduced[self.fulls[fid].reduced].length
+        return self.elements[self.length[self.full_reduced[fid]]]
+
+    def neighbours_of_reduced(self, rid: int) -> tuple[FieldElement, ...]:
+        a, b = self.neighbour_start[rid : rid + 2]
+        return tuple(map(self.elements.__getitem__, self.neighbours[a:b]))
 
     def neighbours_of_full(self, fid: int) -> tuple[FieldElement, ...]:
-        return self.reduced[self.fulls[fid].reduced].neighbours
+        return self.neighbours_of_reduced(self.full_reduced[fid])
 
     def edge_count(self) -> int:
-        return sum(len(self.children_of_reduced(r)) for r in range(self.reduced_count))
+        return len(self.child)
 
     def describe(self) -> dict:
         return {
@@ -212,19 +204,21 @@ class _Explorer:
         key = (length, neighbours)
         rid = self._reduced_index.get(key)
         if rid is None:
-            rid = self._reduced_index[key] = len(structure.reduced)
+            rid = self._reduced_index[key] = len(structure.length)
             self._signatures.append(key)
-            elements = self.elements
-            values = tuple([elements[c] for c in neighbours])
-            structure.reduced.append(ReducedVector(elements[length], values, level))
+            structure.length.append(length)
+            structure.level.append(level)
+            structure.neighbours += neighbours
+            structure.neighbour_start.append(len(structure.neighbours))
         return rid
 
     def register_full(self, structure: FiniteTypeStructure, rid: int, sibling_index: int) -> int:
         key = (rid, sibling_index)
         fid = self._full_index.get(key)
         if fid is None:
-            fid = self._full_index[key] = len(structure.fulls)
-            structure.fulls.append(FullVector(rid, sibling_index))
+            fid = self._full_index[key] = len(structure.full_reduced)
+            structure.full_reduced.append(rid)
+            structure.sibling.append(sibling_index)
         return fid
 
     def _pieces_of(self, key: VectorKey) -> list:
@@ -296,10 +290,11 @@ class _Explorer:
         self._gap_memo.update(dict.fromkeys(chain, result))
         return result
 
-    def expand(self, structure: FiniteTypeStructure, rid: int) -> list[ChildRecord]:
+    def expand(self, structure: FiniteTypeStructure, rid: int) -> None:
+        """Append the child edges of `rid`, the next vector to expand."""
         pieces = self._pieces_of(self._signatures[rid])
-        level = structure.reduced[rid].level + 1
-        records: list[ChildRecord] = []
+        level = structure.level[rid] + 1
+        first = len(structure.child)
         gap_pending = False
         sibling_counts: dict[int, int] = {}
         last_piece = len(pieces) - 1
@@ -310,15 +305,15 @@ class _Explorer:
             r = sibling_counts.get(ell_child, 0) + 1
             sibling_counts[ell_child] = r
             child_rid = self.register_reduced(structure, ell_child, ws, level)
-            child_fid = self.register_full(structure, child_rid, r)
-            records.append(ChildRecord(
-                child=child_fid, offset=self.elements[u], edge_index=len(records),
-                gap_before=gap_pending, abuts_left=(idx == 0), abuts_right=(idx == last_piece),
-            ))
+            structure.child.append(self.register_full(structure, child_rid, r))
+            structure.offset.append(u)
+            structure.gap_before.append(gap_pending)
+            structure.abuts_left.append(idx == 0)
+            structure.abuts_right.append(idx == last_piece)
             gap_pending = False
-        if not records:
+        if len(structure.child) == first:
             raise NetStructureError("net interval without children (interior met K)")
-        return records
+        structure.edge_start.append(len(structure.child))
 
 
 def explore(
@@ -334,11 +329,12 @@ def explore(
     """
     ex = _Explorer(system)
     structure = FiniteTypeStructure(system)
+    structure.elements = ex.elements
     root_rid = ex.register_reduced(structure, ex.one, (ex.zero,), 0)
     structure.root_full = ex.register_full(structure, root_rid, 1)
     rid = root_rid
     while rid < structure.reduced_count:  # ids are given in breadth-first order
-        level = structure.reduced[rid].level
+        level = structure.level[rid]
         if level > max_level:
             structure.levels_explored = level
             raise NotProvenFiniteTypeError(
@@ -346,7 +342,7 @@ def explore(
                 f"({structure.reduced_count} reduced vectors so far)",
                 partial=structure,
             )
-        structure.reduced[rid].children = ex.expand(structure, rid)
+        ex.expand(structure, rid)
         structure.levels_explored = max(structure.levels_explored, level + 1)
         rid += 1
         if structure.full_count > max_vectors:
@@ -377,13 +373,15 @@ def iter_net_intervals(structure: FiniteTypeStructure, level: int) -> Iterator[N
     for _ in range(level):
         rho_pow.append(rho_pow[-1] * system.rho)
 
+    elements, child, offset = structure.elements, structure.child, structure.offset
+
     def rec(depth: int, left: FieldElement, fid: int, edges: tuple[int, ...]):
         if depth == level:
             yield NetInterval(depth, left, fid, edges)
             return
-        for record in structure.children_of_full(fid):
-            child_left = left + rho_pow[depth] * record.offset
-            yield from rec(depth + 1, child_left, record.child, edges + (record.edge_index,))
+        for i, e in enumerate(structure.edges_of_full(fid)):
+            child_left = left + rho_pow[depth] * elements[offset[e]]
+            yield from rec(depth + 1, child_left, child[e], edges + (i,))
 
     yield from rec(0, system.context.zero, structure.root_full, ())
 
@@ -391,8 +389,7 @@ def iter_net_intervals(structure: FiniteTypeStructure, level: int) -> Iterator[N
 def path_fulls(structure: FiniteTypeStructure, edges: Sequence[int]) -> list[int]:
     fulls = [structure.root_full]
     for e in edges:
-        records = structure.children_of_full(fulls[-1])
-        fulls.append(records[e].child)
+        fulls.append(structure.child[structure.edges_of_full(fulls[-1])[e]])
     return fulls
 
 
@@ -401,11 +398,11 @@ def path_left_endpoint(structure: FiniteTypeStructure, edges: Sequence[int]) -> 
     left = system.context.zero
     power = system.context.one
     fid = structure.root_full
-    for e in edges:
-        record = structure.children_of_full(fid)[e]
-        left = left + power * record.offset
+    for i in edges:
+        e = structure.edges_of_full(fid)[i]
+        left = left + power * structure.elements[structure.offset[e]]
         power = power * system.rho
-        fid = record.child
+        fid = structure.child[e]
     return left
 
 
@@ -453,6 +450,7 @@ def locate_point(
 
     rho = system.rho
     rho_inv = rho.inverse()
+    elements, child, offset = structure.elements, structure.child, structure.offset
     fid = structure.root_full
     edges: list[int] = []
     fulls = [fid]
@@ -467,11 +465,11 @@ def locate_point(
             return PointLocation(False, None, [rep])
         seen[state] = len(edges)
 
-        records = structure.children_of_full(fid)
+        span = structure.edges_of_full(fid)
         placed = None
-        for i, rec in enumerate(records):
-            t = rec.offset
-            end = t + rho * structure.length_of_full(rec.child)
+        for i, e in enumerate(span):
+            t = elements[offset[e]]
+            end = t + rho * structure.length_of_full(child[e])
             c_left = (u - t).sign()
             if c_left < 0:
                 raise PointNotInAttractorError(
@@ -479,16 +477,16 @@ def locate_point(
                     level=len(edges) + 1,
                 )
             if c_left == 0:
-                if i > 0 and not rec.gap_before:
+                if i > 0 and not structure.gap_before[e]:
                     return _boundary(structure, edges, fulls, i - 1, i, depth)
                 # x == 0 at the root, or the right edge of a gap
                 return _boundary(structure, edges, fulls, None, i, depth)
             c_right = (u - end).sign()
             if c_right < 0:
-                placed = (i, rec, t)
+                placed = (i, e, t)
                 break
             if c_right == 0:
-                if i + 1 < len(records) and not records[i + 1].gap_before:
+                if i + 1 < len(span) and not structure.gap_before[e + 1]:
                     return _boundary(structure, edges, fulls, i, i + 1, depth)
                 return _boundary(structure, edges, fulls, i, None, depth)
         if placed is None:
@@ -496,11 +494,11 @@ def locate_point(
                 f"point lies in an attractor-free gap at level {len(edges) + 1}",
                 level=len(edges) + 1,
             )
-        i, rec, t = placed
+        i, e, t = placed
         u = (u - t) * rho_inv
         edges.append(i)
-        fulls.append(rec.child)
-        fid = rec.child
+        fid = child[e]
+        fulls.append(fid)
 
     rep = Representation("interior", edges, fulls, cycle=None)
     return PointLocation(False, None, [rep])
@@ -521,24 +519,25 @@ def _forced_chain(structure, edges, fulls, first_edge, side, depth) -> Represent
     right endpoint of every interval, so each step must take the rightmost
     child and that child must abut the parent's right end (symmetrically
     for side 'right').  The chain dies if the required child is missing."""
+    child = structure.child
+    end, abuts = (-1, structure.abuts_right) if side == "left" else (0, structure.abuts_left)
     rep_edges = list(edges) + [first_edge]
-    rec = structure.children_of_full(fulls[-1])[first_edge]
-    rep_fulls = list(fulls) + [rec.child]
+    rep_fulls = list(fulls) + [child[structure.edges_of_full(fulls[-1])[first_edge]]]
     alive = True
     cycle = None
     seen = {rep_fulls[-1]: len(rep_edges)}
     while len(rep_edges) < depth:
-        records = structure.children_of_full(rep_fulls[-1])
-        rec = records[-1] if side == "left" else records[0]
-        ok = rec.abuts_right if side == "left" else rec.abuts_left
-        if not ok:
+        span = structure.edges_of_full(rep_fulls[-1])
+        e = span[end]
+        if not abuts[e]:
             alive = False
             break
-        rep_edges.append(rec.edge_index)
-        rep_fulls.append(rec.child)
-        pos = seen.get(rec.child)
+        fid = child[e]
+        rep_edges.append(e - span.start)
+        rep_fulls.append(fid)
+        pos = seen.get(fid)
         if pos is not None:
             cycle = (pos, len(rep_edges) - pos)
             break
-        seen[rec.child] = len(rep_edges)
+        seen[fid] = len(rep_edges)
     return Representation(side, rep_edges, rep_fulls, cycle=cycle, alive=alive)

@@ -6,7 +6,9 @@ matrix machinery, so agreement is meaningful evidence of correctness.
 The exceptions are `reference_subdivide`, the explorer's former all-pairs
 subdivision loop, kept as the slow exact reference for the sorted sweep
 that replaced it, with `reference_explore`, a memo-free breadth-first
-exploration on it, the reference for the interned-id explorer;
+exploration on it, the reference for the interned-id explorer, which
+builds a `RecordTable`: the table held record by record, one `Record`
+per child edge, as the package once held it;
 `reference_letters`, the former per-record letter table,
 kept as the reference for the letters `matrices.edge_matrix` derives, with
 `with_letter_probabilities`, which reweights a structure so that each
@@ -31,35 +33,31 @@ integer multiply of `TransitionMatrix`; `reference_matrix_flags`, the
 column sums and sign flags of a matrix read off its `Fraction` entries, the
 reference for those `TransitionMatrix` reads off its integer form;
 `reference_load`, a record-by-record reader of a version-5 cache payload
-with the per-id checks and `FieldElement`-keyed duplicate registries of
-the former row loader, kept as the reference for the column checks of
-`cache._structure_from`;
+into a `RecordTable`, with the per-id checks and `FieldElement`-keyed
+duplicate registries of the former row loader, kept as the reference for
+the column checks of `cache._structure_from`;
 `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
 `dimension._StepTable` are checked against `MatrixTable.cycle_matrix`.
 
 The last section holds views of package objects that only tests read,
-such as the layout a cache stores, the reduced child map, a path product
-and a rational element's value, kept here rather than as members the
-package never calls.
+such as the layout a cache stores, the child edges of a vector as
+`Record`s, the reduced child map, a path product and a rational
+element's value, kept here rather than as members the package never
+calls.
 """
 
 import copy
 from fractions import Fraction
+from typing import NamedTuple
 
 from ifsdim import dimension
 from ifsdim.classes import build_triple_diagram
 from ifsdim.field import FieldError
 from ifsdim.matrices import TransitionMatrix
 from ifsdim.cache import CacheError
-from ifsdim.net import (
-    DISPLAY_EPS,
-    ChildRecord,
-    FiniteTypeStructure,
-    FullVector,
-    ReducedVector,
-)
+from ifsdim.net import DISPLAY_EPS
 from ifsdim.spectral import spectral_radius
 
 
@@ -256,15 +254,44 @@ def reference_subdivide(system, length, neighbours):
     return pieces
 
 
+class Record(NamedTuple):
+    """One child edge of a net interval, in parent-normalized coordinates."""
+
+    child: int  # full vector id
+    offset: object  # left endpoint relative to the parent, a FieldElement
+    edge_index: int  # position among the parent's children
+    gap_before: bool  # an attractor-free stretch precedes this child
+    abuts_left: bool
+    abuts_right: bool
+
+
+class Vector:
+    """One reduced vector of a `RecordTable`; `children` is None until expanded."""
+
+    def __init__(self, length, neighbours, level):
+        self.length, self.neighbours, self.level = length, neighbours, level
+        self.children = None
+
+
+class RecordTable:
+    """A net-interval table held record by record: `reduced` lists the
+    `Vector`s and `fulls` the (reduced id, sibling index) pairs."""
+
+    def __init__(self, system):
+        self.system = system
+        self.reduced, self.fulls = [], []
+        self.root_full, self.saturated, self.levels_explored = -1, False, 0
+
+
 def reference_explore(system, max_vectors=100000):
     """Breadth-first saturation with `reference_subdivide` and no memo.
 
     Vectors are keyed by their elements' coefficients and numbered in the
     order they are first met, as `net.explore` numbers them.  The result is
-    saturated unless the vector budget ran out first.
+    a `RecordTable`, saturated unless the vector budget ran out first.
     """
     one, zero = system.context.one, system.context.zero
-    structure = FiniteTypeStructure(system)
+    structure = RecordTable(system)
     reduced_ids, full_ids = {}, {}
 
     def meets_attractor(length, neighbours):
@@ -279,11 +306,11 @@ def reference_explore(system, max_vectors=100000):
         key = (length.coeffs, tuple(c.coeffs for c in neighbours))
         if key not in reduced_ids:
             reduced_ids[key] = len(structure.reduced)
-            structure.reduced.append(ReducedVector(length, neighbours, level))
+            structure.reduced.append(Vector(length, neighbours, level))
         key = (reduced_ids[key], sibling_index)
         if key not in full_ids:
             full_ids[key] = len(structure.fulls)
-            structure.fulls.append(FullVector(*key))
+            structure.fulls.append(key)
         return full_ids[key]
 
     structure.root_full = full(one, (zero,), 0, 1)
@@ -296,7 +323,7 @@ def reference_explore(system, max_vectors=100000):
                 continue
             siblings[length.coeffs] = siblings.get(length.coeffs, 0) + 1
             child = full(length, neighbours, vec.level + 1, siblings[length.coeffs])
-            vec.children.append(ChildRecord(
+            vec.children.append(Record(
                 child, u, len(vec.children), gap, index == 0, index == len(pieces) - 1
             ))
             gap = False
@@ -325,12 +352,11 @@ def reference_edge_matrix(structure, rid, edge_index):
     """Entry (i, k) is the probability of the translation c_i + t_k, else 0,
     found by forming that sum for every pair (parent c_i, shift t_k)."""
     system = structure.system
-    rec = structure.children_of_reduced(rid)[edge_index]
+    rec = reduced_records(structure, rid)[edge_index]
     prob_of = dict(zip(system.translations, system.probabilities))
     shifts = [rec.offset - system.rho * a for a in structure.neighbours_of_full(rec.child)]
-    return TransitionMatrix(
-        [[prob_of.get(c + t, Fraction(0)) for t in shifts] for c in structure.reduced[rid].neighbours]
-    )
+    parents = structure.neighbours_of_reduced(rid)
+    return TransitionMatrix([[prob_of.get(c + t, Fraction(0)) for t in shifts] for c in parents])
 
 
 def with_letter_probabilities(structure):
@@ -386,7 +412,7 @@ def side_chain_class(structure, dec, fid, side):
     cur = fid
     while cur not in seen:
         seen.add(cur)
-        records = structure.children_of_full(cur)
+        records = child_records(structure, cur)
         rec = records[-1] if side == "left" else records[0]
         ok = rec.abuts_right if side == "left" else rec.abuts_left
         if not ok:
@@ -456,7 +482,7 @@ def closed_walks(structure, starts, budget):
         stack = [(start, ())]
         while stack:
             fid, edges = stack.pop()
-            for rec in structure.children_of_full(fid):
+            for rec in child_records(structure, fid):
                 nxt = edges + (rec.edge_index,)
                 if rec.child == start:
                     walks.append((start, nxt))
@@ -469,7 +495,7 @@ def vectors_reaching(structure, targets):
     """The full vectors with a path of child edges into `targets`."""
     parents = {}
     for f in range(structure.full_count):
-        for rec in structure.children_of_full(f):
+        for rec in child_records(structure, f):
             parents.setdefault(rec.child, []).append(f)
     found = set(targets)
     frontier = list(found)
@@ -524,7 +550,7 @@ def reference_inner_bounds(structure, dec, table, budget):
     den = dimension.rho_log_enclosure(structure)
     diagram = build_triple_diagram(structure, dec)
     essential = sorted(dec.essential)
-    children = {fid: structure.children_of_full(fid) for fid in essential}
+    children = {fid: child_records(structure, fid) for fid in essential}
     record = {(f, r.edge_index): r for f in essential for r in children[f]}
     last = {f: max(r.edge_index for r in children[f]) for f in essential}
     by_centre = {}
@@ -616,7 +642,10 @@ def _reference_load(payload, system):
             raise CacheError(f"coefficients are not a list of {ctx.degree}: {raw!r}")
         if not all(type(c) is str for c in raw):
             raise CacheError(f"coefficients are not strings: {raw!r}")
-        elements.append(ctx.element([Fraction(c) for c in raw]))
+        coeffs = [Fraction(c) for c in raw]
+        if [str(c) for c in coeffs] != raw:
+            raise CacheError(f"coefficients are not written as reduced fractions: {raw!r}")
+        elements.append(ctx.element(coeffs))
     lengths = column("length", None)
     count = len(lengths)
     levels, neighbour_counts, child_counts = (
@@ -629,7 +658,7 @@ def _reference_load(payload, system):
         column(name, None)
         for name in ("child", "offset", "gap_before", "abuts_left", "abuts_right")
     ]
-    structure = FiniteTypeStructure(system)
+    structure = RecordTable(system)
     seen = {}
     at = 0
     for length, level, n in zip(lengths, levels, neighbour_counts):
@@ -645,7 +674,7 @@ def _reference_load(payload, system):
         if key in seen:
             raise CacheError("duplicate reduced vector")
         seen[key] = len(structure.reduced)
-        structure.reduced.append(ReducedVector(key[0], neighbours, level))
+        structure.reduced.append(Vector(key[0], neighbours, level))
     if at != len(neighbour_ids):
         raise CacheError("neighbour counts fall short of the neighbour list")
     seen = {}
@@ -656,7 +685,7 @@ def _reference_load(payload, system):
         if key in seen:
             raise CacheError("duplicate full vector")
         seen[key] = len(structure.fulls)
-        structure.fulls.append(FullVector(*key))
+        structure.fulls.append(key)
     at = 0
     for vec, n in zip(structure.reduced, child_counts):
         if type(n) is not int or n < 1:
@@ -668,7 +697,7 @@ def _reference_load(payload, system):
                 raise CacheError("child flags are not booleans")
             child = index(child, len(structure.fulls))
             offset = elements[index(offset, len(elements))]
-            vec.children.append(ChildRecord(child, offset, edge_index, *flags))
+            vec.children.append(Record(child, offset, edge_index, *flags))
             at += 1
     if any(len(col) != at for col in edge_columns):
         raise CacheError("child counts do not match the child columns")
@@ -727,58 +756,97 @@ def append_vector_copy(payload, rid, fresh_elements=False):
 # -- views of package objects that only tests read ---------------------------
 
 
-def children_snapshot(structure):
-    """Per reduced vector, its child records as tuples, or None if unexpanded."""
-    out = []
-    for vec in structure.reduced:
-        if vec.children is None:
-            out.append(None)
-            continue
-        out.append(
-            [
-                (
-                    rec.child,
-                    tuple(rec.offset.coeffs),
-                    rec.edge_index,
-                    rec.gap_before,
-                    rec.abuts_left,
-                    rec.abuts_right,
-                )
-                for rec in vec.children
-            ]
+def reduced_records(structure, rid):
+    """The child edges of reduced vector `rid` as `Record`s, left to right."""
+    s = structure
+    span = s.edges_of_reduced(rid)
+    return [
+        Record(
+            s.child[e], s.elements[s.offset[e]], e - span.start,
+            s.gap_before[e], s.abuts_left[e], s.abuts_right[e],
         )
-    return out
+        for e in span
+    ]
+
+
+def child_records(structure, fid):
+    """The child edges of full vector `fid` as `Record`s, left to right."""
+    return reduced_records(structure, structure.reduced_of(fid))
 
 
 def structure_layout(structure):
-    """Everything a cache stores, in id order, with elements as coefficient tuples."""
-    return (
-        [
-            (tuple(v.length.coeffs), tuple(n.coeffs for n in v.neighbours), v.level)
-            for v in structure.reduced
-        ],
-        children_snapshot(structure),
-        [(f.reduced, f.sibling_index) for f in structure.fulls],
-        structure.root_full,
-        structure.saturated,
-        structure.levels_explored,
+    """Everything a cache stores, as its columns, of a package structure or a
+    `RecordTable`.
+
+    Element ids are numbered in the order the length, neighbours and
+    offset columns first use their values, and `elements` lists the values
+    as coefficient tuples, so equal layouts mean the same vectors, ids,
+    levels, offsets and flags.  Counts cover the expanded vectors.
+    """
+    if isinstance(structure, RecordTable):
+        reduced = structure.reduced
+        expanded = [v.children for v in reduced if v.children is not None]
+        edges = [r for children in expanded for r in children]
+        values = {
+            "length": [v.length for v in reduced],
+            "neighbours": [n for v in reduced for n in v.neighbours],
+            "offset": [r.offset for r in edges],
+        }
+        out = {
+            "level": [v.level for v in reduced],
+            "neighbour_count": [len(v.neighbours) for v in reduced],
+            "child_count": [len(children) for children in expanded],
+            "child": [r.child for r in edges],
+            "gap_before": [r.gap_before for r in edges],
+            "abuts_left": [r.abuts_left for r in edges],
+            "abuts_right": [r.abuts_right for r in edges],
+            "full_reduced": [f[0] for f in structure.fulls],
+            "sibling": [f[1] for f in structure.fulls],
+        }
+    else:
+        s = structure
+        values = {
+            name: [s.elements[v] for v in getattr(s, name)]
+            for name in ("length", "neighbours", "offset")
+        }
+        counts = lambda starts: [b - a for a, b in zip(starts, starts[1:])]
+        out = {
+            "level": list(s.level),
+            "neighbour_count": counts(s.neighbour_start),
+            "child_count": counts(s.edge_start),
+            "child": list(s.child),
+            "gap_before": list(s.gap_before),
+            "abuts_left": list(s.abuts_left),
+            "abuts_right": list(s.abuts_right),
+            "full_reduced": list(s.full_reduced),
+            "sibling": list(s.sibling),
+        }
+    table = {}
+    for name, column in values.items():
+        out[name] = [table.setdefault(tuple(v.coeffs), len(table)) for v in column]
+    out.update(
+        elements=list(table),
+        root_full=structure.root_full,
+        saturated=structure.saturated,
+        levels_explored=structure.levels_explored,
     )
+    return out
 
 
 def reduced_child_map(structure):
     """Per reduced vector, the reduced ids of its children, left to right."""
+    s = structure
     return [
-        [structure.reduced_of(rec.child) for rec in structure.children_of_reduced(rid)]
-        for rid in range(structure.reduced_count)
+        [s.full_reduced[s.child[e]] for e in s.edges_of_reduced(rid)]
+        for rid in range(s.reduced_count)
     ]
 
 
 def reduced_signature(structure, rid):
     """Approximate (length, neighbours) of a reduced vector, exact when rational."""
-    vec = structure.reduced[rid]
     return (
-        vec.length.approx(DISPLAY_EPS),
-        tuple(v.approx(DISPLAY_EPS) for v in vec.neighbours),
+        structure.elements[structure.length[rid]].approx(DISPLAY_EPS),
+        tuple(v.approx(DISPLAY_EPS) for v in structure.neighbours_of_reduced(rid)),
     )
 
 
@@ -827,7 +895,7 @@ def path_matrix(table, edges):
     for e in edges:
         m = table.of_full_edge(fid, e)
         out = m if out is None else out * m
-        fid = structure.children_of_full(fid)[e].child
+        fid = child_records(structure, fid)[e].child
     if out is None:
         return identity_matrix(len(structure.neighbours_of_full(fid)))
     return out

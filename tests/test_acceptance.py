@@ -62,7 +62,7 @@ def _matrix(rows):
 
 def _self_loop_with_rate(structure, table, sp_value):
     for fid in range(structure.full_count):
-        for rec in structure.children_of_full(fid):
+        for rec in oh.child_records(structure, fid):
             if rec.child != fid:
                 continue
             m = table.of_edge(structure.reduced_of(fid), rec.edge_index)
@@ -78,7 +78,7 @@ def _root_path_to(structure, fid):
         cur = queue.pop(0)
         if cur == fid:
             return parents[cur]
-        for rec in structure.children_of_full(cur):
+        for rec in oh.child_records(structure, cur):
             if rec.child not in parents:
                 parents[rec.child] = parents[cur] + (rec.edge_index,)
                 queue.append(rec.child)
@@ -139,7 +139,7 @@ def test_01_structure_tables_are_exact():
         [3, 4, 5],
     ]
     # an attractor gap sits between the first two children of the root
-    gaps = [rec.gap_before for rec in zero_row.children_of_reduced(0)]
+    gaps = [rec.gap_before for rec in oh.reduced_records(zero_row, 0)]
     assert gaps == [False, True, False, False, False, False]
 
     started = time.monotonic()
@@ -197,7 +197,7 @@ def test_02_edge_matrices_are_exact(
     central = next(
         rid
         for rid, row in enumerate(oh.reduced_child_map(st))
-        if row == [rid] * 4 and len(st.reduced[rid].neighbours) == 3
+        if row == [rid] * 4 and len(st.neighbours_of_reduced(rid)) == 3
     )
     for e in range(4):
         m = edge_matrix(st, central, e)
@@ -217,7 +217,7 @@ def test_02_edge_matrices_are_exact(
     count = Counter()
     for fid in sorted(dec.essential):
         rid = st3.reduced_of(fid)
-        for rec in st3.children_of_reduced(rid):
+        for rec in oh.reduced_records(st3, rid):
             if rec.child in dec.essential:
                 count[table.of_edge(rid, rec.edge_index).rows] += 1
     p, r = F(1, 3), F(2, 3)
@@ -471,7 +471,7 @@ def _random_root_path(rng, structure, length):
     fid = structure.root_full
     edges = []
     for _ in range(length):
-        recs = structure.children_of_full(fid)
+        recs = oh.child_records(structure, fid)
         rec = recs[rng.randrange(len(recs))]
         edges.append(rec.edge_index)
         fid = rec.child
@@ -486,7 +486,7 @@ def _random_essential_cycle(rng, structure, essential):
     while True:
         recs = [
             rec
-            for rec in structure.children_of_full(cur)
+            for rec in oh.child_records(structure, cur)
             if rec.child in essential
         ]
         rec = recs[rng.randrange(len(recs))]
@@ -498,7 +498,7 @@ def _random_essential_cycle(rng, structure, essential):
 
 
 def _step(structure, fid, edge):
-    return structure.children_of_full(fid)[edge].child
+    return oh.child_records(structure, fid)[edge].child
 
 
 def _path_from(table, fid, edges):

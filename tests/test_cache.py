@@ -1,5 +1,6 @@
 """Tests for saving and reloading explored structures."""
 
+import gc
 import hashlib
 import json
 import random
@@ -17,7 +18,7 @@ from ifsdim.cache import (
 )
 from ifsdim.config import build_system, parse_config
 from ifsdim.field import FieldContext
-from ifsdim.ifs import build_ifs
+from ifsdim.ifs import bernoulli_simple_pisot, build_ifs, cantor_like
 from ifsdim.net import explore
 
 import oracle_helpers as oh
@@ -30,19 +31,18 @@ def test_round_trip_preserves_structure(
     orig = six_map_quarter_structure
     save_structure(path, orig)
     loaded = load_structure(path, six_map_quarter)
-    assert len(loaded.reduced) == len(orig.reduced)
-    assert len(loaded.fulls) == len(orig.fulls)
+    assert loaded.reduced_count == orig.reduced_count
+    assert loaded.full_count == orig.full_count
     assert loaded.root_full == orig.root_full
     assert loaded.saturated == orig.saturated
     assert loaded.levels_explored == orig.levels_explored
     assert loaded.edge_count() == orig.edge_count()
-    for rid in range(len(orig.reduced)):
+    for rid in range(orig.reduced_count):
         assert oh.reduced_signature(loaded, rid) == oh.reduced_signature(orig, rid)
-        assert loaded.reduced[rid].level == orig.reduced[rid].level
-    assert [(f.reduced, f.sibling_index) for f in loaded.fulls] == [
-        (f.reduced, f.sibling_index) for f in orig.fulls
-    ]
-    assert oh.children_snapshot(loaded) == oh.children_snapshot(orig)
+        assert loaded.level[rid] == orig.level[rid]
+        assert oh.reduced_records(loaded, rid) == oh.reduced_records(orig, rid)
+    assert loaded.full_reduced == orig.full_reduced
+    assert loaded.sibling == orig.sibling
 
 
 def test_fingerprint_guards_against_system_swap(
@@ -124,6 +124,13 @@ def _duplicate_full(payload):
         pytest.param(lambda p: _set_offset(p, []), id="offset-too-short"),
         pytest.param(lambda p: _set_offset(p, ["x"]), id="offset-not-a-number"),
         pytest.param(lambda p: _set_offset(p, ["1/0"]), id="offset-over-0"),
+        # a coefficient must read back as itself through `str(Fraction)`
+        pytest.param(lambda p: _set_offset(p, ["2/4"]), id="offset-unreduced"),
+        pytest.param(lambda p: _set_offset(p, [" 1"]), id="offset-with-space"),
+        pytest.param(lambda p: _set_offset(p, ["1_0"]), id="offset-with-underscore"),
+        pytest.param(lambda p: _set_offset(p, ["+1"]), id="offset-with-plus"),
+        pytest.param(lambda p: _set_offset(p, ["1.5"]), id="offset-as-decimal"),
+        pytest.param(lambda p: _set_offset(p, ["1/-2"]), id="offset-negative-denominator"),
         pytest.param(lambda p: p.update(root_full=0.0), id="root-as-float"),
         pytest.param(_set("full_reduced", 1, True), id="reduced-id-as-bool"),
         pytest.param(lambda p: p.pop("child"), id="missing-children"),
@@ -189,6 +196,83 @@ def test_an_element_written_twice_is_one_value(
     path.write_text(json.dumps(payload), encoding="utf-8")
     loaded = load_structure(str(path), six_map_quarter)
     assert oh.structure_layout(loaded) == oh.structure_layout(six_map_quarter_structure)
+    assert_canonical_ids(loaded)
+
+
+def assert_canonical_ids(structure):
+    """Two element ids the columns use are equal exactly when their values are."""
+    used = {*structure.length, *structure.neighbours, *structure.offset}
+    assert len({tuple(structure.elements[vid].coeffs) for vid in used}) == len(used)
+
+
+INTEGER_COLUMNS = (
+    "length", "level", "neighbour_start", "neighbours", "edge_start", "child", "offset",
+    "gap_before", "abuts_left", "abuts_right", "full_reduced", "sibling",
+)
+
+
+def assert_columns_agree(path, structure, reference=True):
+    """The columns of `structure` from `explore`, of the structure its cache
+    loads to, and, unless `reference` is False, of `oh.reference_explore`
+    are the same; the cache holds them in the order of first use."""
+    save_structure(str(path), structure)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    loaded = load_structure(str(path), structure.system)
+    layout = oh.structure_layout(structure)
+    assert oh.structure_layout(loaded) == layout
+    if reference:
+        assert oh.structure_layout(oh.reference_explore(structure.system)) == layout
+    written = {name: payload[name] for name in layout if name != "elements"}
+    written["elements"] = [tuple(map(Fraction, raw)) for raw in payload["elements"]]
+    assert written == layout
+    # the loaded ids are the cache's: its elements are numbered by first use too
+    for name in INTEGER_COLUMNS:
+        assert getattr(loaded, name) == layout.get(name, getattr(structure, name)), name
+    assert_canonical_ids(structure)
+    assert_canonical_ids(loaded)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "six_map_quarter", "zero_row_third", "eight_map_twelfths", "cantor_4_9",
+        "convolution_3_8", "table_87", "cantor_3_4_skewed", "gap_system", "golden_half",
+        "golden_third", "tribonacci_third", "quadratic_ninth",
+    ],
+)
+def test_explored_loaded_and_reference_columns_agree(request, tmp_path, name):
+    system = request.getfixturevalue(name)
+    structure = (
+        request.getfixturevalue(name + "_structure") if name != "convolution_3_8"
+        else explore(system)
+    )
+    # the memo-free reference takes about 14 s on the 2280 vectors of table_87
+    assert_columns_agree(tmp_path / "cache.json", structure, reference=name != "table_87")
+
+
+def test_columns_agree_on_random_family_draws(tmp_path):
+    rng = random.Random(30)
+    systems = []
+    for _ in range(8):
+        d = rng.randint(2, 5)
+        systems.append(cantor_like(d, rng.randint(d, 11)))
+    for _ in range(4):
+        p = Fraction(rng.randint(1, 9), 10)
+        systems.append(bernoulli_simple_pisot(rng.choice((2, 3)), p))
+    for system in systems:
+        assert_columns_agree(tmp_path / "cache.json", explore(system))
+
+
+def test_a_loaded_table_holds_no_object_per_vector(tmp_path, table_87, table_87_structure):
+    # a table held as records took 17,292 objects for its 2280 vectors and 7267 edges
+    path = str(tmp_path / "cache.json")
+    save_structure(path, table_87_structure)
+    gc.collect()
+    before = len(gc.get_objects())
+    loaded = load_structure(path, table_87)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 1000
+    assert loaded.reduced_count == 2280
 
 
 # what a past-the-end id is for each column: the length of the table it indexes

@@ -28,6 +28,7 @@ from ifsdim.net import (
     locate_point,
 )
 
+import oracle_helpers as oh
 from oracle_helpers import (
     essential_not_truly_witness,
     reduced_pattern,
@@ -51,16 +52,14 @@ ALL_STRUCTURES = [
 
 
 def fid_of(structure, rid, sibling):
-    for i, fv in enumerate(structure.fulls):
-        if fv.reduced == rid and fv.sibling_index == sibling:
+    for i, pair in enumerate(zip(structure.full_reduced, structure.sibling)):
+        if pair == (rid, sibling):
             return i
     raise AssertionError(f"no full vector ({rid}, {sibling})")
 
 
 def pairs_of(structure, fids):
-    return {
-        (structure.fulls[f].reduced, structure.fulls[f].sibling_index) for f in fids
-    }
+    return {(structure.full_reduced[f], structure.sibling[f]) for f in fids}
 
 
 def loop_class_pairs(structure, dec):
@@ -346,7 +345,7 @@ def test_triple_invariants(request, name):
 
     for nid in range(diagram.node_count()):
         left, centre, right = diagram.keys[nid]
-        records = s.children_of_full(centre)
+        records = oh.child_records(s, centre)
         assert len(diagram.edges[nid]) == len(records)
         for e, rec in zip(diagram.edges[nid], records):
             assert e.edge_index == rec.edge_index
@@ -443,7 +442,7 @@ def _closed_walks(structure, fid, max_len):
     stack = [(fid, ())]
     while stack:
         cur, steps = stack.pop()
-        for rec in structure.children_of_full(cur):
+        for rec in oh.child_records(structure, cur):
             walk = steps + ((cur, rec.edge_index),)
             if rec.child == fid:
                 out.append(walk)

@@ -31,7 +31,7 @@ from ifsdim.dimension import (
 )
 from ifsdim.ifs import cantor_like
 from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
-from ifsdim.net import ChildRecord, explore, locate_point
+from ifsdim.net import FiniteTypeStructure, explore, locate_point
 from ifsdim.spectral import spectral_radius
 
 import oracle_helpers as oh
@@ -128,7 +128,7 @@ def test_middle_map_fixed_point_takes_middle_probability():
 def _self_loop_with_rate(structure, table, sp_value):
     """A (full id, edge) self-loop whose matrix has exact spectral radius sp_value."""
     for fid in range(structure.full_count):
-        for rec in structure.children_of_full(fid):
+        for rec in oh.child_records(structure, fid):
             if rec.child != fid:
                 continue
             m = table.of_edge(structure.reduced_of(fid), rec.edge_index)
@@ -146,7 +146,7 @@ def _root_path_to(structure, fid):
         cur = queue.popleft()
         if cur == fid:
             return parents[cur]
-        for rec in structure.children_of_full(cur):
+        for rec in oh.child_records(structure, cur):
             if rec.child not in parents:
                 parents[rec.child] = parents[cur] + (rec.edge_index,)
                 queue.append(rec.child)
@@ -186,13 +186,13 @@ def test_eight_map_boundary_point_takes_min_rate(eight_map_twelfths_structure):
 def _essential_two_cycle(structure):
     """(prefix to an anchor, (e1, e2)) tracing a two-step essential cycle."""
     dec = decompose(structure)
-    root_records = structure.children_of_full(structure.root_full)
+    root_records = oh.child_records(structure, structure.root_full)
     entry = next(
         i for i, rec in enumerate(root_records) if rec.child in dec.essential
     )
     anchor = root_records[entry].child
-    for out in structure.children_of_full(anchor):
-        for back in structure.children_of_full(out.child):
+    for out in oh.child_records(structure, anchor):
+        for back in oh.child_records(structure, out.child):
             if back.child == anchor and out.edge_index != back.edge_index:
                 return (entry,), (out.edge_index, back.edge_index)
     raise AssertionError("no mixed two-cycle in the essential class")
@@ -237,7 +237,7 @@ def assert_excluded_walks_hug_one_end(structure, excluded):
     for steps, reason in excluded:
         assert reason in {"all_leftmost", "all_rightmost"}
         for fid, e in steps:
-            records = structure.children_of_full(fid)
+            records = oh.child_records(structure, fid)
             if reason == "all_leftmost":
                 assert e == 0 and records[e].abuts_left
             else:
@@ -299,13 +299,12 @@ def test_an_end_child_that_does_not_abut_its_end_is_included(
     reason = "all_%smost" % end
     moved = sum(r == reason for _, r in before.excluded)
     assert 0 < moved and before.excluded_count < 50
+    column = "abuts_%s" % end
+    flags = list(getattr(structure, column))
     for rid in dec.essential_reduced:
-        records = list(structure.children_of_reduced(rid))
-        i = 0 if end == "left" else -1
-        r = records[i]
-        left, right = (False, r.abuts_right) if end == "left" else (r.abuts_left, False)
-        records[i] = ChildRecord(r.child, r.offset, r.edge_index, r.gap_before, left, right)
-        monkeypatch.setattr(structure.reduced[rid], "children", records)
+        span = structure.edges_of_reduced(rid)
+        flags[span[0] if end == "left" else span[-1]] = False
+    monkeypatch.setattr(structure, column, flags)
     after = essential_interval_bounds(structure, dec, table, cycle_budget=3)
     assert reason not in {r for _, r in after.excluded}
     assert after.excluded_count == before.excluded_count - moved
@@ -337,8 +336,8 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, name):
         structure = explore(structure)
     dec, table = parts_of(structure)
     essential = sorted(dec.essential)
-    children = {fid: structure.children_of_full(fid) for fid in essential}
-    steps = dimension._StepTable(children, table)
+    children = {fid: oh.child_records(structure, fid) for fid in essential}
+    steps = dimension._StepTable(structure, essential, table)
     for budget in range(1, LYNDON_BUDGETS.get(name, 6) + 1):
         cycles = {c for start in essential for c in reference_cycles(children, start, budget)}
         batched = [w for walks, _ in batched_cycles(steps, budget) for w in walks]
@@ -362,7 +361,8 @@ class RandomTable:
 
 
 def random_class(rng):
-    """A random closed multigraph of child records, with a matrix per step.
+    """A random closed multigraph of child records, with a matrix per step,
+    and the structure that holds those records as its columns.
 
     Vector ids are spread out, each vector has 1 to 3 children, and first
     and last children often abut their end, so cycles that hug one end are
@@ -375,7 +375,7 @@ def random_class(rng):
     for f in vectors:
         fan = rng.choice([1, 1, 1, 2, 2, 3])
         children[f] = [
-            ChildRecord(
+            oh.Record(
                 rng.choice(vectors), None, e, False,
                 e == 0 and rng.random() < 0.7, e == fan - 1 and rng.random() < 0.7,
             )
@@ -389,7 +389,16 @@ def random_class(rng):
                     for _ in range(size[f])
                 ]
             )
-    return children, RandomTable(matrices)
+    # each vector id is also its own reduced id; offsets are not read
+    structure = FiniteTypeStructure(None)
+    structure.full_reduced = list(range(vectors[-1] + 1))
+    for f in structure.full_reduced:
+        for r in children.get(f, ()):
+            structure.child.append(r.child)
+            structure.abuts_left.append(r.abuts_left)
+            structure.abuts_right.append(r.abuts_right)
+        structure.edge_start.append(len(structure.child))
+    return structure, children, RandomTable(matrices)
 
 
 def is_prenecklace(steps):
@@ -468,8 +477,8 @@ def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch
     monkeypatch.setattr(numpy, "matmul", counting_matmul)
     both_ends = through_smaller = 0
     for _ in range(200):
-        children, table = random_class(rng)
-        steps = dimension._StepTable(children, table)
+        structure, children, table = random_class(rng)
+        steps = dimension._StepTable(structure, children, table)
         floats = {s: numpy.array(m.rows, dtype=float) for s, m in table.matrices.items()}
         for c, (f, e) in enumerate(zip(steps.src.tolist(), steps.edge.tolist())):
             # the step table's floats are those of the `Fraction` entries, padded
@@ -710,7 +719,7 @@ def test_equal_products_of_different_lengths_get_their_own_rates(
     s = Fraction(1, 2)
     first = min(dec.essential_reduced)
     for rid in dec.essential_reduced:
-        for rec in structure.children_of_reduced(rid):
+        for rec in oh.reduced_records(structure, rid):
             rows, cols = edge_matrix(structure, rid, rec.edge_index).shape
             w = Fraction(1, cols) * (s if (rid, rec.edge_index) == (first, 0) else 1)
             table._by_edge[(rid, rec.edge_index)] = TransitionMatrix([[w] * cols] * rows)

@@ -28,12 +28,11 @@ def F(a, b=1):
 
 
 def full_pair(structure, fid):
-    fv = structure.fulls[fid]
-    return (fv.reduced, fv.sibling_index)
+    return (structure.full_reduced[fid], structure.sibling[fid])
 
 
 def full_pairs(structure):
-    return [(fv.reduced, fv.sibling_index) for fv in structure.fulls]
+    return list(zip(structure.full_reduced, structure.sibling))
 
 
 def right_end(structure, iv):
@@ -72,7 +71,7 @@ def test_six_map_quarter_tables(six_map_quarter_structure):
         (3, 1), (3, 4), (3, 5), (3, 8),
     }
     for rid in range(4):
-        for rec in s.children_of_reduced(rid):
+        for rec in oh.reduced_records(s, rid):
             assert not rec.gap_before
 
 
@@ -96,7 +95,7 @@ def test_zero_row_third_tables(zero_row_third_structure):
         [3, 3, 3],
         [3, 4, 5],
     ]
-    root_records = s.children_of_reduced(0)
+    root_records = oh.reduced_records(s, 0)
     assert [rec.gap_before for rec in root_records] == [
         False, True, False, False, False, False,
     ]
@@ -133,14 +132,14 @@ def test_eight_map_twelfths_tables(eight_map_twelfths_structure):
         [3, 3, 3, 3, 3, 3, 4, 5],
     ]
     root_children = [
-        full_pair(s, rec.child) for rec in s.children_of_reduced(0)
+        full_pair(s, rec.child) for rec in oh.reduced_records(s, 0)
     ]
     assert root_children == [
         (1, 1), (2, 2), (3, 3), (3, 4), (3, 5), (3, 6),
         (4, 7), (5, 8), (1, 9), (6, 1), (5, 10),
     ]
     for rid in range(7):
-        for rec in s.children_of_reduced(rid):
+        for rec in oh.reduced_records(s, rid):
             assert not rec.gap_before
 
 
@@ -158,9 +157,8 @@ def test_golden_half_tables(golden_half_structure):
         (rho * rho * rho, (rho * rho,)),
     ]
     for rid, (length, neighbours) in enumerate(expected):
-        vec = s.reduced[rid]
-        assert vec.length == length
-        assert vec.neighbours == neighbours
+        assert s.elements[s.length[rid]] == length
+        assert s.neighbours_of_reduced(rid) == neighbours
     assert oh.reduced_child_map(s) == [
         [1, 2, 3],
         [1, 2],
@@ -189,9 +187,8 @@ def test_quadratic_ninth_tables(quadratic_ninth_structure):
         (one - rho - rho, (rho,)),
     ]
     for rid, (length, neighbours) in enumerate(expected):
-        vec = s.reduced[rid]
-        assert vec.length == length
-        assert vec.neighbours == neighbours
+        assert s.elements[s.length[rid]] == length
+        assert s.neighbours_of_reduced(rid) == neighbours
     assert oh.reduced_child_map(s) == [
         [1, 2, 3, 1, 2, 3],
         [1, 2, 3, 1],
@@ -200,7 +197,7 @@ def test_quadratic_ninth_tables(quadratic_ninth_structure):
         [3, 1],
     ]
     gaps = {
-        rid: [rec.gap_before for rec in s.children_of_reduced(rid)]
+        rid: [rec.gap_before for rec in oh.reduced_records(s, rid)]
         for rid in range(5)
     }
     assert gaps[0] == [False, False, False, True, False, False]
@@ -297,8 +294,8 @@ def test_child_record_invariants(request, name):
     assert s.saturated
     rho = s.system.rho
     for rid in range(s.reduced_count):
-        parent = s.reduced[rid]
-        records = s.children_of_reduced(rid)
+        parent_length = s.elements[s.length[rid]]
+        records = oh.reduced_records(s, rid)
         assert records
         sibling_counts = {}
         prev_end = None
@@ -307,9 +304,9 @@ def test_child_record_invariants(request, name):
             child_len = s.length_of_full(rec.child)
             end = rec.offset + rho * child_len
             assert rec.offset.sign() >= 0
-            assert (end - parent.length).sign() <= 0
+            assert (end - parent_length).sign() <= 0
             assert rec.abuts_left == (rec.offset.sign() == 0)
-            assert rec.abuts_right == (end == parent.length)
+            assert rec.abuts_right == (end == parent_length)
             if prev_end is None:
                 assert rec.gap_before == (rec.offset.sign() > 0)
             else:
@@ -318,7 +315,7 @@ def test_child_record_invariants(request, name):
             prev_end = end
             key = child_len.coeffs
             sibling_counts[key] = sibling_counts.get(key, 0) + 1
-            assert s.fulls[rec.child].sibling_index == sibling_counts[key]
+            assert s.sibling[rec.child] == sibling_counts[key]
 
 
 @pytest.mark.parametrize("name", ALL_STRUCTURES)
@@ -327,8 +324,8 @@ def test_letter_tables(request, name):
     lookup, and every column has a positive entry."""
     s, letter_of = oh.with_letter_probabilities(request.getfixturevalue(name))
     for rid in range(s.reduced_count):
-        parent = s.reduced[rid].neighbours
-        for rec in s.children_of_reduced(rid):
+        parent = s.neighbours_of_reduced(rid)
+        for rec in oh.reduced_records(s, rid):
             rows = edge_matrix(s, rid, rec.edge_index).rows
             assert tuple(tuple(letter_of.get(x) for x in row) for row in rows) == (
                 oh.reference_letters(s.system, parent, rec.offset, s.neighbours_of_full(rec.child))
@@ -453,11 +450,11 @@ def test_each_value_is_interned_once(golden_third, six_map_quarter):
     assert len(set(explorer.elements)) == len(explorer.elements) == len(explorer.ids)
     assert [explorer.ids[e] for e in explorer.elements] == list(range(len(explorer.elements)))
     for system in (golden_third, six_map_quarter):
-        # equal lengths, neighbours and offsets of a structure are one object
+        # equal lengths, neighbours and offsets of a structure have one element id
+        s = explore(system)
         shared = {}
-        for vec in explore(system).reduced:
-            for value in (vec.length, *vec.neighbours, *(r.offset for r in vec.children)):
-                assert shared.setdefault(value, value) is value
+        for vid in (*s.length, *s.neighbours, *s.offset):
+            assert shared.setdefault(s.elements[vid], vid) == vid
         # the explorer leaves no reference cycle for the collector
         gc.collect()
         explore(system)
