@@ -171,7 +171,7 @@ def hausdorff_dimension(
 ) -> HausdorffResult:
     """dim_H K = log sp(I) / |log rho| for the essential incidence matrix I."""
     ids, rows = essential_incidence(structure, dec)
-    sp = spectral_radius(rows)
+    sp = spectral_radius(TransitionMatrix._from_integer(1, rows))
     if sp.certified_lo < 1:
         # every net interval keeps at least one child, so sp >= 1 holds
         raise NetStructureError("incidence spectral radius could not be certified")

@@ -15,10 +15,12 @@ A matrix is stored in one form only: its entries as integers over their
 least common denominator.  Edge matrices are built in that form, and a
 product entry is one integer dot product over the product of the two
 denominators, instead of a sum of `Fraction` products each reduced on its
-own.  The `Fraction` entries are made only when `rows` is read, which the
-spectral certificate does once per matrix.  `MatrixTable.cycle_matrix`
-multiplies one walk in integer form.  numpy is not used here: the
-essential cycles are multiplied in batches by `dimension._StepTable`.
+own.  `rows` makes the `Fraction` entries on demand, and no command reads
+it: the spectral certificate finds its blocks and column sums on the
+integer form, and makes `Fraction` entries only of a block whose column
+sums differ.  `MatrixTable.cycle_matrix` multiplies one walk in integer
+form.  numpy is not used here: the essential cycles are multiplied in
+batches by `dimension._StepTable`.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ class TransitionMatrix:
     `den` is the least common denominator d of the entries and `ints` the
     rows of integers d * entry.  That form is unique to the matrix, so
     equality and the hash are read off it, and it is the only one stored:
-    `rows`, the entries as `Fraction`s, is made anew on each read.  The
-    constructor checks and converts rows of rationals; `__mul__`,
-    `edge_matrix`, `MatrixTable.cycle_matrix` and
-    `dimension._StepTable.products` build the integer form directly.
+    `rows`, the entries as `Fraction`s, is made anew on each read, and
+    in the package only `__repr__` reads it: `spectral.spectral_radius`
+    works on `den` and `ints`.  The constructor checks and converts rows
+    of rationals; `__mul__`, `edge_matrix`, `MatrixTable.cycle_matrix`
+    and `dimension._StepTable.products` build the integer form directly.
     """
 
     __slots__ = ("den", "ints", "_hash")

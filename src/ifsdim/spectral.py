@@ -7,7 +7,11 @@ positive vector v,
     min_i (Pv)_i / v_i  <=  sp(P)  <=  max_i (Pv)_i / v_i.
 
 A general matrix is first reduced to the strongly connected blocks of its
-support graph; the spectral radius is the maximum over the blocks.  Each
+support graph; the spectral radius is the maximum over the blocks.  The
+reduction and a first test run on the matrix's integer form, entries
+ints / den: a block whose column sums are all c / den has the all-ones
+row vector as a positive left eigenvector, so its radius is c / den
+exactly, and it is never made into `Fraction` entries.  Any other
 block is seeded with its Perron vector from a floating-point eigensolver,
 converted exactly to rationals, and one exact mat-vec usually closes the
 quotients to the requested tolerance.  When it does not, or the seed is
@@ -46,9 +50,10 @@ class SpectralResult(NamedTuple):
     """Spectral radius with a rigorous rational enclosure.
 
     `certified_lo <= sp <= certified_hi` always holds.  `exact` is set when
-    the radius is a known rational: a 1x1 block, an enclosure that closed
-    completely, or a small block with a rational eigenvalue inside the
-    enclosure that has a positive eigenvector.
+    the radius is a known rational: a block with equal column sums (a 1x1
+    block among them), an enclosure that closed completely, or a small
+    block with a rational eigenvalue inside the enclosure that has a
+    positive eigenvector.
     """
 
     value: float
@@ -106,11 +111,6 @@ def _round_positive(v):
     return out
 
 
-def _column_sum_range(block):
-    sums = [sum(row[j] for row in block) for j in range(len(block))]
-    return min(sums), max(sums)
-
-
 def _perron_seed(block):
     """Float Perron vector of an irreducible block as exact rationals, or None.
 
@@ -133,13 +133,16 @@ def _perron_seed(block):
     return [Fraction(float(x)) for x in v]
 
 
-def _cw_bounds(block, rel_tol, max_rounds):
-    """Certified enclosure of sp(block) for an irreducible block.
+def _cw_bounds(block, lo, hi, rel_tol, max_rounds):
+    """Certified enclosure of sp(block) for an irreducible block whose
+    least and greatest column sums are lo < hi.
 
-    Starts from the float Perron seed (all ones when there is none) and
-    iterates on block + t*I with t at the scale of the matrix: the shift
-    makes periodic supports primitive without drowning the spectral gap the
-    way a unit shift would for matrices with tiny entries.
+    The column sums bound sp(block) on both sides, so the enclosure starts
+    from them.  The vector starts from the float Perron seed (all ones when
+    there is none) and iterates on block + t*I with t = hi, at the scale of
+    the matrix: the shift makes periodic supports primitive without
+    drowning the spectral gap the way a unit shift would for matrices with
+    tiny entries.
 
     Besides the tolerance and `max_rounds`, a stall ends the loop: once the
     vector has stopped moving, later rounds only repeat its rounding.  A
@@ -149,10 +152,6 @@ def _cw_bounds(block, rel_tol, max_rounds):
     then converges.
     """
     n = len(block)
-    lo, hi = _column_sum_range(block)
-    if lo == hi:
-        # the all-ones row vector is a positive left eigenvector
-        return lo, hi
     t = hi
     shifted = [
         tuple(block[i][j] + (t if i == j else 0) for j in range(n))
@@ -243,29 +242,44 @@ def spectral_radius(
     max_rounds: int = 500,
 ) -> SpectralResult:
     """Certified spectral radius of a nonnegative rational matrix, given as
-    a `TransitionMatrix` or as rows, which its constructor checks."""
+    a `TransitionMatrix` or as rows, which its constructor checks.
+
+    The support graph, its strongly connected blocks and each block's
+    column sums are read off the integer form `den`/`ints`.  A 1x1 zero
+    block has radius 0 and never decides the maximum, since every other
+    block has a positive radius.  The column sums of an irreducible block
+    bound its radius on both sides; when they are all equal, to c / den,
+    the all-ones row vector is a positive left eigenvector for c / den,
+    which is then the radius exactly, by Perron-Frobenius.  Only a block
+    with unequal sums is made into `Fraction` entries for `_cw_bounds`.
+    """
     if not isinstance(matrix, TransitionMatrix):
         matrix = TransitionMatrix(matrix)
     n, width = matrix.shape
     if width != n:
         raise ValueError("spectral radius needs a square matrix")
-    rows = matrix.rows
-    succ = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
+    den, ints = matrix.den, matrix.ints
+    succ = [[j for j, x in enumerate(row) if x] for row in ints]
     blocks = []
-    for comp in strongly_connected_components(n, lambda v: succ[v]):
-        if len(comp) == 1 and rows[comp[0]][comp[0]] == 0:
-            blocks.append((Fraction(0), Fraction(0), Fraction(0)))
+    for comp in strongly_connected_components(n, succ.__getitem__):
+        if len(comp) == 1 and not ints[comp[0]][comp[0]]:
             continue
-        sub = [tuple(rows[i][j] for j in comp) for i in comp]
-        lo, hi = _cw_bounds(sub, rel_tol, max_rounds)
-        exact = None
+        sub = [[ints[i][j] for j in comp] for i in comp]
+        sums = [sum(col) for col in zip(*sub)]
+        lo, hi = Fraction(min(sums), den), Fraction(max(sums), den)
         if lo == hi:
-            exact = lo
-        else:
-            exact = _rational_dominant_root(sub, lo, hi)
-            if exact is not None:
-                lo = hi = exact
+            blocks.append((lo, hi, lo))
+            continue
+        sub = [tuple(Fraction(x, den) for x in row) for row in sub]
+        lo, hi = _cw_bounds(sub, lo, hi, rel_tol, max_rounds)
+        exact = lo if lo == hi else _rational_dominant_root(sub, lo, hi)
+        if exact is not None:
+            lo = hi = exact
         blocks.append((lo, hi, exact))
+    if not blocks:
+        # nilpotent: every block is a 1x1 zero
+        zero = Fraction(0)
+        return SpectralResult(0.0, zero, zero, zero)
     lo = max(b[0] for b in blocks)
     hi = max(b[1] for b in blocks)
     exact = None

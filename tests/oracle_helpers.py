@@ -32,6 +32,11 @@ entry-by-entry `Fraction` matrix product, kept as the reference for the
 integer multiply of `TransitionMatrix`; `reference_matrix_flags`, the
 column sums and sign flags of a matrix read off its `Fraction` entries, the
 reference for those `TransitionMatrix` reads off its integer form;
+`reference_spectral_radius`, the former `spectral_radius` that made every
+matrix into `Fraction` rows, found its blocks and took their column sums
+on those, with the column-sum shortcut inside `_reference_cw_bounds`,
+kept as the reference for the integer-form block reduction of
+`spectral.spectral_radius`;
 `reference_load`, a record-by-record reader of a version-5 cache payload
 into a `RecordTable`, with the per-id checks and `FieldElement`-keyed
 duplicate registries of the former row loader, kept as the reference for
@@ -52,8 +57,8 @@ import copy
 from fractions import Fraction
 from typing import NamedTuple
 
-from ifsdim import dimension
-from ifsdim.classes import build_triple_diagram
+from ifsdim import dimension, spectral
+from ifsdim.classes import build_triple_diagram, strongly_connected_components
 from ifsdim.field import FieldError
 from ifsdim.matrices import TransitionMatrix
 from ifsdim.cache import CacheError
@@ -525,6 +530,84 @@ def reference_matrix_flags(rows):
         all(x > 0 for row in rows for x in row),
         any(all(x == 0 for x in row) for row in rows),
     )
+
+
+def _reference_column_sum_range(block):
+    sums = [sum(row[j] for row in block) for j in range(len(block))]
+    return min(sums), max(sums)
+
+
+def _reference_cw_bounds(block, rel_tol, max_rounds):
+    """`spectral._cw_bounds` as it was when it took the column sums itself."""
+    n = len(block)
+    lo, hi = _reference_column_sum_range(block)
+    if lo == hi:
+        # the all-ones row vector is a positive left eigenvector
+        return lo, hi
+    t = hi
+    shifted = [
+        tuple(block[i][j] + (t if i == j else 0) for j in range(n))
+        for i in range(n)
+    ]
+    v = spectral._perron_seed(block) or [Fraction(1)] * n
+    widths = []
+    for _ in range(max_rounds):
+        w = spectral._mat_vec(shifted, v)
+        quotients = [w[i] / v[i] for i in range(n)]
+        lo = max(lo, min(quotients) - t)
+        hi = min(hi, max(quotients) - t)
+        if hi - lo <= rel_tol * max(hi, Fraction(1, 10**30)):
+            break
+        top = max(w)
+        last, v = v, spectral._round_positive([x / top for x in w])
+        widths.append(hi - lo)
+        if (
+            len(widths) > spectral._STALL_ROUNDS
+            and widths[-1] * spectral._STALL_FACTOR > widths[-1 - spectral._STALL_ROUNDS]
+            and all(abs(x - y) <= rel_tol * x for x, y in zip(v, last))
+        ):
+            break
+    return lo, hi
+
+
+def reference_spectral_radius(
+    matrix,
+    rel_tol=spectral.DEFAULT_REL_TOL,
+    max_rounds=500,
+):
+    """The certified spectral radius, found on the `Fraction` rows."""
+    if not isinstance(matrix, TransitionMatrix):
+        matrix = TransitionMatrix(matrix)
+    n, width = matrix.shape
+    if width != n:
+        raise ValueError("spectral radius needs a square matrix")
+    rows = matrix.rows
+    succ = [[j for j in range(n) if rows[i][j] > 0] for i in range(n)]
+    blocks = []
+    for comp in strongly_connected_components(n, lambda v: succ[v]):
+        if len(comp) == 1 and rows[comp[0]][comp[0]] == 0:
+            blocks.append((Fraction(0), Fraction(0), Fraction(0)))
+            continue
+        sub = [tuple(rows[i][j] for j in comp) for i in comp]
+        lo, hi = _reference_cw_bounds(sub, rel_tol, max_rounds)
+        exact = None
+        if lo == hi:
+            exact = lo
+        else:
+            exact = spectral._rational_dominant_root(sub, lo, hi)
+            if exact is not None:
+                lo = hi = exact
+        blocks.append((lo, hi, exact))
+    lo = max(b[0] for b in blocks)
+    hi = max(b[1] for b in blocks)
+    exact = None
+    dominant = max(blocks, key=lambda b: b[1])
+    if dominant[2] is not None and all(
+        b[1] <= dominant[2] for b in blocks if b is not dominant
+    ):
+        exact = dominant[2]
+        lo = hi = exact
+    return spectral.SpectralResult(spectral.safe_float((lo + hi) / 2), lo, hi, exact)
 
 
 def reference_inner_bounds(structure, dec, table, budget):

@@ -7,9 +7,15 @@ from fractions import Fraction
 import numpy
 import pytest
 
-from ifsdim import spectral
+from ifsdim import dimension, spectral
+from ifsdim.classes import strongly_connected_components
+from ifsdim.matrices import TransitionMatrix
 from ifsdim.spectral import DEFAULT_REL_TOL, spectral_radius
-from oracle_helpers import matrix_power_entry_sum, power_row_sum_ranges
+from oracle_helpers import (
+    matrix_power_entry_sum,
+    power_row_sum_ranges,
+    reference_spectral_radius,
+)
 
 
 def isqrt_fraction_bounds(n, scale=10**30):
@@ -249,3 +255,125 @@ def test_accepts_transition_matrix_objects(six_map_quarter_structure):
     result = spectral_radius(table.of_edge(1, 0))
     assert result.certified_lo <= result.certified_hi
     assert result.certified_hi <= 1
+
+
+# ---------------------------------------------------------------------------
+# the integer-form block reduction against the former `Fraction`-row one
+# ---------------------------------------------------------------------------
+
+
+def _random_block(rng, k, kind):
+    """A k x k block of integers times a scale: "equal" column sums, or "mixed"
+    entries each with a scale of its own; both with an irreducible support."""
+    ints = [[rng.randrange(1, 10) if rng.random() < 0.5 else 0 for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        if not ints[i][(i + 1) % k]:
+            ints[i][(i + 1) % k] = rng.randrange(1, 10)
+    if kind == "equal":
+        sums = [sum(col) for col in zip(*ints)]
+        top = max(sums) + rng.randrange(0, 3)
+        for j in range(k):
+            ints[(j - 1) % k][j] += top - sums[j]
+        scale = Fraction(10) ** rng.randrange(-400, 401)
+        return [[x * scale for x in row] for row in ints]
+    return [[x * Fraction(10) ** rng.randrange(-400, 401) for x in row] for row in ints]
+
+
+def _random_reducible(rng):
+    """An n x n matrix, n <= 8, of diagonal blocks: 1x1 zeros, and blocks
+    with equal or unequal column sums, coupled upwards, under a random
+    permutation; some 1x1 zeros stay uncoupled, giving zero rows and columns."""
+    n = rng.randrange(1, 9)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randrange(1, n - sum(sizes) + 1))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    starts = []
+    for k in sizes:
+        kind = rng.choice(["zero", "equal", "mixed"]) if k == 1 else rng.choice(["equal", "mixed"])
+        if kind != "zero":
+            for i, row in enumerate(_random_block(rng, k, kind)):
+                rows[start + i][start : start + k] = row
+        starts.append((start, kind))
+        start += k
+    block_of = [max(s for s, _ in starts if s <= i) for i in range(n)]
+    uncoupled = {s for s, kind in starts if kind == "zero" and s % 2 == 0}
+    for i in range(n):
+        for j in range(n):
+            pair = {block_of[i], block_of[j]}
+            if block_of[i] < block_of[j] and not pair & uncoupled and rng.random() < 0.3:
+                scale = Fraction(10) ** rng.randrange(-400, 401)
+                rows[i][j] = Fraction(rng.randrange(1, 10), rng.randrange(1, 10)) * scale
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[rows[i][j] for j in order] for i in order]
+
+
+def test_integer_blocks_match_the_fraction_rows_on_random_matrices():
+    rng = random.Random(20261019)
+    settings = ((DEFAULT_REL_TOL, 4), (Fraction(1, 10**6), 2))
+    kinds = dict.fromkeys(
+        [
+            "zero_row", "zero_column", "reducible", "zero_block",
+            "equal_sums", "unequal_sums", "exact", "enclosed",
+        ],
+        0,
+    )
+    for k in range(1000):
+        rows = _random_reducible(rng)
+        n = len(rows)
+        kinds["zero_row"] += any(not any(row) for row in rows)
+        kinds["zero_column"] += any(not any(col) for col in zip(*rows))
+        comps = strongly_connected_components(n, lambda v: [j for j in range(n) if rows[v][j]])
+        kinds["reducible"] += len(comps) > 1
+        kinds["zero_block"] += any(len(c) == 1 and not rows[c[0]][c[0]] for c in comps)
+        for c in comps:
+            if len(c) > 1:
+                sums = {sum(rows[i][j] for i in c) for j in c}
+                kinds["equal_sums" if len(sums) == 1 else "unequal_sums"] += 1
+        rel_tol, max_rounds = settings[k % 2]
+        got = spectral_radius(rows, rel_tol=rel_tol, max_rounds=max_rounds)
+        want = reference_spectral_radius(rows, rel_tol=rel_tol, max_rounds=max_rounds)
+        kinds["exact" if want.exact is not None else "enclosed"] += 1
+        assert got == want, rows
+        assert [type(x) for x in got] == [type(x) for x in want], rows
+    assert min(kinds.values()) >= 100, kinds
+
+
+def _certified_products(monkeypatch, structure, budget):
+    """Every distinct (matrix, keyword arguments) that `build_dimension_report`
+    certifies a spectral radius of."""
+    seen = {}
+    real = dimension.spectral_radius
+
+    def record(matrix, **kwargs):
+        seen[matrix, tuple(sorted(kwargs.items()))] = None
+        return real(matrix, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dimension, "spectral_radius", record)
+        dimension.build_dimension_report(structure, cycle_budget=budget)
+    return list(seen)
+
+
+@pytest.mark.parametrize("name", ["table_87_structure", "cantor_4_9_structure"])
+def test_integer_blocks_match_the_fraction_rows_on_report_products(request, monkeypatch, name):
+    products = _certified_products(monkeypatch, request.getfixturevalue(name), 6)
+    assert len(products) >= 5
+    for matrix, kwargs in products:
+        kwargs = dict(kwargs)
+        got = spectral_radius(matrix, **kwargs)
+        assert got == reference_spectral_radius(matrix, **kwargs), matrix
+
+
+def test_certified_report_products_never_read_fraction_rows(monkeypatch, table_87_structure):
+    products = _certified_products(monkeypatch, table_87_structure, 4)
+    assert len(products) >= 30
+
+    def rows(self):
+        raise AssertionError("spectral_radius read TransitionMatrix.rows")
+
+    monkeypatch.setattr(TransitionMatrix, "rows", property(rows))
+    for matrix, kwargs in products:
+        spectral_radius(matrix, **dict(kwargs))
