@@ -5,33 +5,45 @@ The cache is compact JSON holding only geometry: the columns of
 `child_count` in place of its prefix sums.  Each distinct field element
 is written once, as its coefficient strings (`n` or `n/d`, as
 `str(Fraction)` writes them), in the `"elements"` table, numbered in the
-order the length, neighbours and offset columns first use them.
+order the length, neighbours and offset columns first use them.  Since
+version 6 each integer column is one string, the hex of its values as
+little-endian int32 (`[1, -1]` is `"01000000ffffffff"`), and each flag
+column the hex of one 0 or 1 byte per edge, so a load parses a dozen
+strings instead of about 40,000 JSON numbers.
 
-The loader checks each column once with C-level builtins: a list of the
-right length, `set(map(type, column))` only int (only bool for the flags,
-so no bool, float or string passes as an id), `min` and `max` in range,
-and counts that add up to the lengths of the flat lists; every vector has
-a child.  Each element index is replaced by that of the first equal
+The loader checks each column once with C-level builtins: a string of
+exactly two hex digits per byte, the right number of bytes, `min` and
+`max` in range, and counts that add up to the lengths of the flat lists;
+every vector has a child, and every flag byte is 0 or 1.  A column is
+decoded as a typed `array`, so each value is an int by construction: the
+per-value type check of version 5, which kept bools, floats and strings
+out of the id lists, has nothing left to catch.  When an element value is
+listed twice, each element index is replaced by that of the first equal
 element, so ids are canonical and a repeated table entry cannot hide a
 duplicate vector, found on int keys.  Anything else raises CacheError.
-The structure then adopts the checked columns: a load builds no object
-per vector or per edge.  Letters are not stored: `edge_matrix` derives
-the few a command reads.  A version stamp and a fingerprint of the
-defining system guard against stale or mismatched files; a cache never
-overrides the config it is loaded for.
+The structure then adopts the decoded columns as plain lists: a load
+builds no object per vector or per edge.  Letters are not stored:
+`edge_matrix` derives the few a command reads.  A version stamp and a
+fingerprint of the defining system guard against stale or mismatched
+files (a version-5 file is unusable); a cache never overrides the config
+it is loaded for.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+from array import array
 from fractions import Fraction
 from itertools import accumulate
 
 from .ifs import IFSSystem
 from .net import FiniteTypeStructure
 
-CACHE_VERSION = 5
+CACHE_VERSION = 6
+
+_FLAG_COLUMNS = ("gap_before", "abuts_left", "abuts_right")
 
 
 class CacheError(RuntimeError):
@@ -78,6 +90,18 @@ def system_fingerprint(system: IFSSystem) -> dict:
     }
 
 
+def _pack(name: str, col: list[int]) -> str:
+    """The hex of `col` as little-endian int32 values; CacheError for a
+    value outside int32, so the cache is not written."""
+    try:
+        packed = array("i", col)
+    except OverflowError as exc:
+        raise CacheError(f"cache column {name} holds a value outside int32: {exc}") from exc
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes().hex()
+
+
 def save_structure(path: str, structure: FiniteTypeStructure) -> None:
     """Write a saturated `structure` to `path`, replacing the file atomically."""
     index: dict[int, int] = {}
@@ -90,12 +114,7 @@ def save_structure(path: str, structure: FiniteTypeStructure) -> None:
         return [b - a for a, b in zip(starts, starts[1:])]
 
     s = structure
-    payload = {
-        "cache_version": CACHE_VERSION,
-        "fingerprint": system_fingerprint(s.system),
-        "root_full": s.root_full,
-        "saturated": s.saturated,
-        "levels_explored": s.levels_explored,
+    columns = {
         "length": refs(s.length),
         "level": s.level,
         "neighbour_count": counts(s.neighbour_start),
@@ -103,14 +122,20 @@ def save_structure(path: str, structure: FiniteTypeStructure) -> None:
         "child_count": counts(s.edge_start),
         "child": s.child,
         "offset": refs(s.offset),
-        "gap_before": s.gap_before,
-        "abuts_left": s.abuts_left,
-        "abuts_right": s.abuts_right,
         "full_reduced": s.full_reduced,
         "sibling": s.sibling,
     }
-    # ids are canonical, so this is the order in which the values are first used
-    payload["elements"] = [_coeffs_out(s.elements[vid]) for vid in index]
+    payload = {name: _pack(name, col) for name, col in columns.items()}
+    payload.update({name: bytes(getattr(s, name)).hex() for name in _FLAG_COLUMNS})
+    payload.update(
+        cache_version=CACHE_VERSION,
+        fingerprint=system_fingerprint(s.system),
+        root_full=s.root_full,
+        saturated=s.saturated,
+        levels_explored=s.levels_explored,
+        # ids are canonical, so this is the order in which the values are first used
+        elements=[_coeffs_out(s.elements[vid]) for vid in index],
+    )
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
@@ -125,15 +150,16 @@ def save_structure(path: str, structure: FiniteTypeStructure) -> None:
 def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
     """Rebuild a structure for `system` from a cache written earlier.
 
-    Raises CacheError when the file does not parse, carries a different
-    cache version, fingerprints a different system, fails a column check,
-    lists a vector twice, or is not saturated.  `cli` saves only saturated
-    structures, so an unsaturated one is stale.
+    Raises CacheError when the file is not UTF-8 JSON (or nests too deep
+    to parse), carries a different cache version, fingerprints a different
+    system, fails a column check, lists a vector twice, or is not
+    saturated.  `cli` saves only saturated structures, so an unsaturated
+    one is stale.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
         raise CacheError(f"cannot read cache {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise CacheError(f"cache {path} is not a JSON object")
@@ -147,16 +173,40 @@ def load_structure(path: str, system: IFSSystem) -> FiniteTypeStructure:
         raise CacheError(f"malformed cache {path}: {exc!r}") from exc
 
 
-def _column(payload: dict, name: str, kind: type, size: int | None, lo=None, hi=None) -> list:
-    """`payload[name]`, checked: `size` values (any for None) of type `kind` in [lo, hi)."""
-    col = payload[name]
-    if type(col) is not list or size is not None and len(col) != size:
-        raise CacheError(f"cache column {name} is not a list of {size} entries")
-    if not set(map(type, col)) <= {kind}:
-        raise CacheError(f"cache column {name} holds a value that is not {kind.__name__}")
+def _hex_bytes(payload: dict, name: str, width: int, size: int | None) -> bytes:
+    """The bytes that `payload[name]` writes in hex, two digits each: `size`
+    values of `width` bytes (any whole number of values for None)."""
+    text = payload[name]
+    if type(text) is not str:
+        raise CacheError(f"cache column {name} is not a hex string")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as exc:
+        raise CacheError(f"cache column {name} is not hex: {exc}") from exc
+    count = len(raw) // width if size is None else size
+    # fromhex skips whitespace, so two digits per byte also rules that out
+    if 2 * len(raw) != len(text) or len(raw) != count * width:
+        raise CacheError(f"cache column {name} is not {count} values of {width} bytes in hex")
+    return raw
+
+
+def _column(payload: dict, name: str, size: int | None, lo=None, hi=None) -> list:
+    """`payload[name]` decoded: `size` int32 values (any number for None) in [lo, hi)."""
+    packed = array("i", _hex_bytes(payload, name, 4, size))
+    if sys.byteorder == "big":
+        packed.byteswap()
+    col = packed.tolist()
     if col and (lo is not None and min(col) < lo or hi is not None and max(col) >= hi):
         raise CacheError(f"cache {name} id out of range: {min(col)!r}..{max(col)!r}")
     return col
+
+
+def _flags(payload: dict, name: str, size: int) -> list:
+    """`payload[name]` decoded: `size` bools, each written as a 0 or 1 byte."""
+    raw = _hex_bytes(payload, name, 1, size)
+    if raw.translate(None, b"\0\1"):
+        raise CacheError(f"cache column {name} holds a flag byte that is not 0 or 1")
+    return list(map(bool, raw))
 
 
 def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
@@ -164,22 +214,25 @@ def _structure_from(payload: dict, system: IFSSystem) -> FiniteTypeStructure:
     ctx = system.context
     elements = [_coeffs_in(ctx, raw) for raw in payload["elements"]]
     element_count = len(elements)
-    length = _column(payload, "length", int, None, 0, element_count)
+    length = _column(payload, "length", None, 0, element_count)
     count = len(length)
-    level = _column(payload, "level", int, count)
-    neighbour_count = _column(payload, "neighbour_count", int, count, 0)
-    child_count = _column(payload, "child_count", int, count, 1)
-    neighbours = _column(payload, "neighbours", int, sum(neighbour_count), 0, element_count)
-    full_reduced = _column(payload, "full_reduced", int, None, 0, count)
+    level = _column(payload, "level", count)
+    neighbour_count = _column(payload, "neighbour_count", count, 0)
+    child_count = _column(payload, "child_count", count, 1)
+    neighbours = _column(payload, "neighbours", sum(neighbour_count), 0, element_count)
+    full_reduced = _column(payload, "full_reduced", None, 0, count)
     full_count = len(full_reduced)
-    sibling = _column(payload, "sibling", int, full_count)
+    sibling = _column(payload, "sibling", full_count)
     edges = sum(child_count)
-    child = _column(payload, "child", int, edges, 0, full_count)
-    offset = _column(payload, "offset", int, edges, 0, element_count)
-    flags = [_column(payload, f, bool, edges) for f in ("gap_before", "abuts_left", "abuts_right")]
+    child = _column(payload, "child", edges, 0, full_count)
+    offset = _column(payload, "offset", edges, 0, element_count)
+    flags = [_flags(payload, name, edges) for name in _FLAG_COLUMNS]
     first: dict = {}
-    canon = [first.setdefault(element, i) for i, element in enumerate(elements)].__getitem__
-    length, neighbours, offset = (list(map(canon, col)) for col in (length, neighbours, offset))
+    canon = [first.setdefault(element, i) for i, element in enumerate(elements)]
+    if len(first) < element_count:  # with no value repeated, each id is canonical already
+        length, neighbours, offset = (
+            list(map(canon.__getitem__, col)) for col in (length, neighbours, offset)
+        )
     neighbour_start = [0, *accumulate(neighbour_count)]
     vectors = [tuple(neighbours[a:b]) for a, b in zip(neighbour_start, neighbour_start[1:])]
     if len(set(zip(length, vectors))) != count:

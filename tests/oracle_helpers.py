@@ -37,10 +37,11 @@ matrix into `Fraction` rows, found its blocks and took their column sums
 on those, with the column-sum shortcut inside `_reference_cw_bounds`,
 kept as the reference for the integer-form block reduction of
 `spectral.spectral_radius`;
-`reference_load`, a record-by-record reader of a version-5 cache payload
-into a `RecordTable`, with the per-id checks and `FieldElement`-keyed
-duplicate registries of the former row loader, kept as the reference for
-the column checks of `cache._structure_from`;
+`reference_load`, a record-by-record reader of a version-6 cache payload
+into a `RecordTable`: it unpacks each column with `unpack_columns`, a
+digit-by-digit decode of its own, then applies the per-id checks and
+`FieldElement`-keyed duplicate registries of the former row loader, kept
+as the reference for the column checks of `cache._structure_from`;
 `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
@@ -54,6 +55,8 @@ calls.
 """
 
 import copy
+import json
+import string
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -697,11 +700,12 @@ def reference_inner_bounds(structure, dec, table, budget):
 
 
 def reference_load(payload, system):
-    """The structure a version-5 cache payload describes, read record by
-    record with a check on each id where it is read, as the row loader of
-    version 4 did; CacheError for anything malformed."""
+    """The structure a version-6 cache payload describes, its columns
+    unpacked by `unpack_columns` and read record by record with a check on
+    each id where it is read, as the row loader of version 4 did;
+    CacheError for anything malformed."""
     try:
-        return _reference_load(payload, system)
+        return _reference_load(unpack_columns(payload), system)
     except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CacheError(f"malformed cache: {exc!r}") from exc
 
@@ -794,7 +798,75 @@ def _reference_load(payload, system):
     return structure
 
 
-# -- edits of version-5 cache payloads -----------------------------------------
+# -- packed columns of version-6 cache payloads --------------------------------
+
+INT_COLUMNS = (
+    "length", "level", "neighbour_count", "neighbours", "child_count", "child", "offset",
+    "full_reduced", "sibling",
+)
+FLAG_COLUMNS = ("gap_before", "abuts_left", "abuts_right")
+_INT32 = range(-(2**31), 2**31)
+
+
+def _unpack(name, text):
+    width = 1 if name in FLAG_COLUMNS else 4
+    if type(text) is not str or len(text) % (2 * width) or set(text) - set(string.hexdigits):
+        raise CacheError(f"column {name} is not {width}-byte values in hex")
+    raw = bytes(int(text[i : i + 2], 16) for i in range(0, len(text), 2))
+    if width == 1:
+        if set(raw) - {0, 1}:
+            raise CacheError(f"column {name} holds a flag byte that is not 0 or 1")
+        return [b == 1 for b in raw]
+    return [int.from_bytes(raw[i : i + 4], "little", signed=True) for i in range(0, len(raw), 4)]
+
+
+def unpack_columns(payload):
+    """A copy of `payload` with each packed column as the list of its values,
+    ints or, for the flags, bools: the version-5 form of the columns.
+    CacheError for a column that is not packed as `save_structure` packs it,
+    KeyError for a missing one."""
+    columns = {name: _unpack(name, payload[name]) for name in INT_COLUMNS + FLAG_COLUMNS}
+    return dict(payload, **columns)
+
+
+def _pack(name, col):
+    if type(col) is list and name in FLAG_COLUMNS and all(type(v) is bool for v in col):
+        return bytes(col).hex()
+    if type(col) is list and name in INT_COLUMNS and all(
+        type(v) is int and v in _INT32 for v in col
+    ):
+        return b"".join(v.to_bytes(4, "little", signed=True) for v in col).hex()
+    return col
+
+
+def pack_columns(payload):
+    """A copy of `payload` with each column list packed as `save_structure`
+    packs it: int32 little-endian in hex, or a 0 or 1 byte per flag.
+
+    A column that holds a value packing cannot write (a bool, float, string
+    or None among the ints, anything but a bool among the flags, an int
+    outside int32), or that is not a list, is kept as it is, so a spoiled
+    column stays in the file as the version-5 list a loader must reject.
+    A missing column stays missing."""
+    columns = {
+        name: _pack(name, payload[name])
+        for name in INT_COLUMNS + FLAG_COLUMNS
+        if name in payload
+    }
+    return dict(payload, **columns)
+
+
+def read_unpacked(path):
+    """The cache file at `path` (a `pathlib.Path`), its columns unpacked."""
+    return unpack_columns(json.loads(path.read_text(encoding="utf-8")))
+
+
+def write_packed(path, payload):
+    """Write `payload` to `path` with its columns packed by `pack_columns`."""
+    path.write_text(json.dumps(pack_columns(payload)), encoding="utf-8")
+
+
+# -- edits of unpacked cache payloads ------------------------------------------
 
 REDUCED_COLUMNS = ("length", "level", "neighbour_count", "child_count")
 EDGE_COLUMNS = ("child", "offset", "gap_before", "abuts_left", "abuts_right")

@@ -1,5 +1,6 @@
 """Tests for saving and reloading explored structures."""
 
+import copy
 import gc
 import hashlib
 import json
@@ -12,6 +13,7 @@ import pytest
 from ifsdim.cache import (
     CACHE_VERSION,
     CacheError,
+    _pack,
     load_structure,
     save_structure,
     system_fingerprint,
@@ -84,9 +86,9 @@ def test_reduced_id_out_of_range_raises(
 ):
     path = tmp_path / "cache.json"
     save_structure(str(path), six_map_quarter_structure)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = oh.read_unpacked(path)
     payload["full_reduced"][1] = bad_id
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    oh.write_packed(path, payload)
     with pytest.raises(CacheError, match="reduced id out of range"):
         load_structure(str(path), six_map_quarter)
 
@@ -176,11 +178,71 @@ def _duplicate_full(payload):
 def test_malformed_record_raises(tmp_path, six_map_quarter, six_map_quarter_structure, spoil):
     path = tmp_path / "cache.json"
     save_structure(str(path), six_map_quarter_structure)
+    payload = oh.read_unpacked(path)
+    spoil(payload)
+    oh.write_packed(path, payload)
+    with pytest.raises(CacheError):
+        load_structure(str(path), six_map_quarter)
+
+
+def _splice(name, start, stop, text):
+    """A spoiler that puts `text` in place of hex digits [start, stop) of the
+    packed column `name`."""
+
+    def spoil(payload):
+        packed = payload[name]
+        payload[name] = packed[:start] + text + packed[stop:]
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        pytest.param(_splice("child", 0, 0, "0"), id="odd-length-hex"),
+        pytest.param(_splice("child", 0, 1, "g"), id="non-hex-digit"),
+        pytest.param(_splice("neighbours", 0, 1, "\u0660"), id="non-ascii-digit"),
+        pytest.param(_splice("length", 8, 8, " "), id="hex-with-space"),
+        pytest.param(_splice("length", 0, 2, ""), id="byte-count-not-a-multiple-of-4"),
+        pytest.param(_splice("gap_before", 0, 2, "02"), id="flag-byte-2"),
+        pytest.param(
+            lambda p: p.update(child=oh.unpack_columns(p)["child"]), id="column-as-json-list"
+        ),
+        pytest.param(
+            lambda p: p.update(gap_before=oh.unpack_columns(p)["gap_before"]),
+            id="flags-as-json-list",
+        ),
+        pytest.param(lambda p: p.update(child=0), id="column-as-int"),
+    ],
+)
+def test_malformed_packing_raises(tmp_path, six_map_quarter, six_map_quarter_structure, spoil):
+    path = tmp_path / "cache.json"
+    save_structure(str(path), six_map_quarter_structure)
     payload = json.loads(path.read_text(encoding="utf-8"))
     spoil(payload)
+    with pytest.raises(CacheError):
+        oh.reference_load(payload, six_map_quarter)
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(CacheError):
         load_structure(str(path), six_map_quarter)
+
+
+def test_packed_byte_layout_is_pinned():
+    # little-endian int32 on every host; the helper packs as the package does
+    values = [1, -1, 2**31 - 1]
+    assert _pack("level", values) == "01000000ffffffffffffff7f"
+    packed = oh.pack_columns({"level": values, "gap_before": [True, False]})
+    assert packed == {"level": "01000000ffffffffffffff7f", "gap_before": "0100"}
+
+
+@pytest.mark.parametrize("value", [2**31, -(2**31) - 1])
+def test_a_value_outside_int32_is_not_written(tmp_path, six_map_quarter_structure, value):
+    structure = copy.copy(six_map_quarter_structure)
+    structure.level = [value, *structure.level[1:]]
+    path = tmp_path / "cache.json"
+    with pytest.raises(CacheError, match="level holds a value outside int32"):
+        save_structure(str(path), structure)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_element_written_twice_is_one_value(
@@ -190,10 +252,10 @@ def test_an_element_written_twice_is_one_value(
     # other vector repeats loads to the same structure
     path = tmp_path / "cache.json"
     save_structure(str(path), six_map_quarter_structure)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = oh.read_unpacked(path)
     payload["elements"].append(payload["elements"][payload["length"][1]])
     payload["length"][1] = len(payload["elements"]) - 1
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    oh.write_packed(path, payload)
     loaded = load_structure(str(path), six_map_quarter)
     assert oh.structure_layout(loaded) == oh.structure_layout(six_map_quarter_structure)
     assert_canonical_ids(loaded)
@@ -216,7 +278,7 @@ def assert_columns_agree(path, structure, reference=True):
     loads to, and, unless `reference` is False, of `oh.reference_explore`
     are the same; the cache holds them in the order of first use."""
     save_structure(str(path), structure)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = oh.read_unpacked(path)
     loaded = load_structure(str(path), structure.system)
     layout = oh.structure_layout(structure)
     assert oh.structure_layout(loaded) == layout
@@ -228,6 +290,8 @@ def assert_columns_agree(path, structure, reference=True):
     # the loaded ids are the cache's: its elements are numbered by first use too
     for name in INTEGER_COLUMNS:
         assert getattr(loaded, name) == layout.get(name, getattr(structure, name)), name
+    # the flags load as bools, as `explore` makes them, not as their 0 or 1 bytes
+    assert {type(v) for name in oh.FLAG_COLUMNS for v in getattr(loaded, name)} <= {bool}
     assert_canonical_ids(structure)
     assert_canonical_ids(loaded)
 
@@ -325,8 +389,9 @@ def test_column_loader_agrees_with_the_record_loader(request, tmp_path, name):
     rng = random.Random(27)
     outcomes = []
     for _ in range(150):
-        payload = json.loads(text)
+        payload = oh.unpack_columns(json.loads(text))
         how = _spoil_at_random(payload, rng)
+        payload = oh.pack_columns(payload)
         try:
             expected = oh.reference_load(payload, system)
         except CacheError:
@@ -342,6 +407,12 @@ def test_column_loader_agrees_with_the_record_loader(request, tmp_path, name):
         outcomes.append(got is None)
     # both verdicts occur often enough for the agreement to mean something
     assert 10 <= sum(outcomes) <= 140
+
+
+def _version_5_payload(payload):
+    """The same structure in the version-5 layout: each column a JSON list,
+    which is how `oh.unpack_columns` gives it."""
+    return dict(payload, cache_version=5)
 
 
 def _version_4_payload(payload):
@@ -397,10 +468,11 @@ def test_version_3_file_is_rejected_on_its_version(
 ):
     path = tmp_path / "cache.json"
     save_structure(str(path), six_map_quarter_structure)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    for version, old in ((3, _version_3_payload), (4, _version_4_payload)):
+    payload = oh.read_unpacked(path)
+    olds = ((3, _version_3_payload), (4, _version_4_payload), (5, _version_5_payload))
+    for version, old in olds:
         path.write_text(json.dumps(old(payload), indent=1, sort_keys=True) + "\n", "utf-8")
-        with pytest.raises(CacheError, match=f"cache version {version} != 5"):
+        with pytest.raises(CacheError, match=f"cache version {version} != {CACHE_VERSION}"):
             load_structure(str(path), six_map_quarter)
 
 
@@ -416,6 +488,20 @@ def test_corrupted_file_raises(tmp_path, six_map_quarter):
     path = tmp_path / "cache.json"
     path.write_text("{ not json", encoding="utf-8")
     with pytest.raises(CacheError):
+        load_structure(str(path), six_map_quarter)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(b"\xff\xfe{", id="not-utf-8"),
+        pytest.param(b"[" * 200_000, id="nested-200000-deep"),
+    ],
+)
+def test_undecodable_file_raises(tmp_path, six_map_quarter, data):
+    path = tmp_path / "cache.json"
+    path.write_bytes(data)
+    with pytest.raises(CacheError, match="cannot read cache"):
         load_structure(str(path), six_map_quarter)
 
 
@@ -446,22 +532,24 @@ def test_fingerprint_tells_the_roots_of_one_polynomial_apart(tmp_path):
         load_structure(path, large)
 
 
-# SHA-256 of `save_structure` output (cache version 5) for the benchmark
+# SHA-256 of `save_structure` output (cache version 6) for the benchmark
 # suite.  A pin is replaced only after the file of the new version loads to
-# a `structure_layout` equal to the one loaded from the file of the version before:
-# the same vector order and ids, lengths, neighbours, levels, child offsets
-# and flags.  Each version-5 file was recorded so against the version-4
-# file; those equal the version-3 files, which were recorded against the
-# version-2 payloads of the all-pairs explorer with their letter tables and
-# edge indices dropped.  The letters are checked where `edge_matrix`
-# derives them.
+# a `structure_layout` equal to the one loaded from the file of the version
+# before, written by the code before: the same vector order and ids, lengths,
+# neighbours, levels, child offsets and flags.  Each version-6 file was
+# recorded so against the version-5 file, and unpacks (`oh.unpack_columns`)
+# to exactly its payload but for the version stamp; the version-5 files were
+# recorded against the version-4 files, which equal the version-3 files,
+# which were recorded against the version-2 payloads of the all-pairs
+# explorer with their letter tables and edge indices dropped.  The letters
+# are checked where `edge_matrix` derives them.
 SUITE_CACHE_SHA256 = {
-    "table_87": "7920b8c1cfe926b9add99e0fb0bbc45595013f311135fbe1ea75e32c0a84c791",
-    "cantor_4_9": "a0211489c9e09bd8f44ae31af5a0ff6f9c1e874cd71d750b835dfd3ff1630a08",
-    "convolution_3_8": "33898c614f2d6b3f7a75755fd76f848e234f201492c8bd05876def45fb476bfd",
-    "golden_third": "4220f4f1f3a8be56d8f1e65b33443a1e00b81985bab0f5404b98888e5c001021",
-    "tribonacci_third": "bd1de4db88f5c74488428c0509aa211c5552ccdae96f79e53a5e59b820233e95",
-    "quadratic_ninth": "bd88389803f79ac252553154146d115cf86b2a7e4d355cfc5f4eff2a5f515c8d",
+    "table_87": "9627fe4d9f33f34a4a89b6a11b014b6b8a18a035a117e5a5b884085adeeea581",
+    "cantor_4_9": "2de956287e1c45117cc9e98d4f200ffc97337d8b05c469decb746a7b97a6e418",
+    "convolution_3_8": "377b89f61d803ccecb07fb255e415a413a81e7b62e228de786ba2e0e0b49f138",
+    "golden_third": "097e80e02b64e044882bd77c5d352dea854cca43829b67bd0ab11f06187acd5a",
+    "tribonacci_third": "6327bd29fcf4e8581ae6fc920c0f96ae3550d8b7fb19d2073b84e3f136ae76ca",
+    "quadratic_ninth": "05eaae4cf049d86bf089f89c3bce2181210f672416fa275c254bf9ce0e34c8d7",
 }
 
 

@@ -17,6 +17,8 @@ from ifsdim.cli import ConfigError, main
 from ifsdim.config import build_system, parse_config
 from ifsdim.net import explore, locate_point
 
+import oracle_helpers as oh
+
 SIX_CFG = """\
 # six maps with contraction 1/4 on eighths; full-interval attractor
 minpoly = [-1, 4]
@@ -506,9 +508,9 @@ def test_cache_with_bad_reduced_id_is_replaced(cfgdir, capsys, tmp_path, bad_id)
     config_path = str(cfgdir / "six.cfg")
     assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
     capsys.readouterr()
-    payload = json.loads(cache.read_text(encoding="utf-8"))
+    payload = oh.read_unpacked(cache)
     payload["full_reduced"][1] = bad_id
-    cache.write_text(json.dumps(payload), encoding="utf-8")
+    oh.write_packed(cache, payload)
     argv = ["report", "--config", config_path, "--cycle-budget", "2"]
     assert main(argv) == 0
     fresh = capsys.readouterr().out
@@ -523,9 +525,9 @@ def test_cache_with_a_child_record_missing_a_key_is_replaced(cfgdir, capsys, tmp
     config_path = str(cfgdir / "six.cfg")
     assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
     capsys.readouterr()
-    payload = json.loads(cache.read_text(encoding="utf-8"))
+    payload = oh.read_unpacked(cache)
     payload["abuts_right"].pop()  # the last child record is one field short
-    cache.write_text(json.dumps(payload), encoding="utf-8")
+    oh.write_packed(cache, payload)
     argv = ["report", "--config", config_path, "--cycle-budget", "2"]
     assert main(argv) == 0
     fresh = capsys.readouterr().out
@@ -541,14 +543,14 @@ def test_saturated_cache_with_an_unexpanded_vector_is_replaced(cfgdir, capsys, t
     config_path = str(cfgdir / "golden_third.cfg")
     assert main(["explore", "--config", config_path, "--cache", str(cache)]) == 0
     capsys.readouterr()
-    payload = json.loads(cache.read_text(encoding="utf-8"))
+    payload = oh.read_unpacked(cache)
     assert payload["saturated"] is True
     # vector 2 loses its child records, as if it had never been expanded
     start, count = sum(payload["child_count"][:2]), payload["child_count"][2]
     for name in ("child", "offset", "gap_before", "abuts_left", "abuts_right"):
         del payload[name][start : start + count]
     payload["child_count"][2] = 0
-    cache.write_text(json.dumps(payload), encoding="utf-8")
+    oh.write_packed(cache, payload)
     argv = ["report", "--config", config_path, "--cycle-budget", "2"]
     assert main(argv) == 0
     fresh = capsys.readouterr().out
@@ -574,6 +576,30 @@ def test_unsaturated_cache_is_replaced(cfgdir, capsys, tmp_path):
     assert "wrote structure cache" in captured.err
     assert captured.out == fresh
     assert json.loads(cache.read_text(encoding="utf-8"))["saturated"] is True
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(b"\xff\xfe{", id="not-utf-8"),
+        pytest.param(b"[" * 200_000, id="nested-200000-deep"),
+    ],
+)
+def test_cache_that_does_not_decode_is_replaced(cfgdir, capsys, tmp_path, data):
+    argv = ["explore", "--config", str(cfgdir / "golden_third.cfg")]
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    cache = tmp_path / "structure.json"
+    cache.write_bytes(data)
+    assert main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert "cache unusable (cannot read cache" in captured.err
+    assert "wrote structure cache" in captured.err
+    assert captured.out == fresh
+    assert main(argv + ["--cache", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert "loaded structure cache" in captured.err
+    assert captured.out == fresh
 
 
 def test_stale_cache_is_replaced(cfgdir, capsys, tmp_path):
