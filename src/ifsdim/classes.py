@@ -11,18 +11,15 @@ The triple diagram is expanded on demand, so classifying one point builds
 only the triples along its walk: the closed triple class sits over exactly
 the essential vectors, so a triple over any other centre is outside it, and
 otherwise the closed class is read off the forward closure of the triple.
+The diagram keeps only the child node of each descent step: the step's edge
+position and end flags are read from the structure's edge columns.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .net import (
-    FiniteTypeStructure,
-    NetStructureError,
-    PointLocation,
-    Representation,
-)
+from .net import FiniteTypeStructure, NetStructureError, PointLocation
 from .matrices import MatrixTable
 
 INTERIOR_ESSENTIAL = "interior_essential"
@@ -164,22 +161,6 @@ def positive_row_check(
 # triples
 # ---------------------------------------------------------------------------
 
-class TripleEdge:
-    """One descent step of a triple to the child over child edge `edge_index`.
-
-    `is_leftmost` / `is_rightmost` say whether that child abuts its
-    parent's left / right end.
-    """
-
-    __slots__ = ("child", "edge_index", "is_leftmost", "is_rightmost")
-
-    def __init__(self, child, edge_index, is_leftmost, is_rightmost):
-        self.child: int = child
-        self.edge_index: int = edge_index
-        self.is_leftmost: bool = is_leftmost
-        self.is_rightmost: bool = is_rightmost
-
-
 TripleKey = tuple  # (left fid | None, centre fid, right fid | None)
 
 
@@ -192,6 +173,12 @@ class TripleDiagram:
     its callers' walks have visited.  With `expand=True` the constructor
     expands the whole diagram in FIFO order from the root and sets
     `loop_classes` and `essential` (the closed triple class) for all of it.
+
+    `edges[nid]` lists the child node of each descent step of node `nid`,
+    in edge order, or is None until the node is expanded.  Step i of a node
+    over centre f descends through structure edge
+    `edge_start[full_reduced[f]] + i`, whose `abuts_left`/`abuts_right`
+    flags say whether that child abuts its parent's left/right end.
 
     `is_essential` decides membership in the closed triple class on either
     kind of diagram.  The centres of the closed class are exactly the
@@ -213,7 +200,7 @@ class TripleDiagram:
         self.decomposition = dec
         self.keys: list[TripleKey] = []
         self.index: dict[TripleKey, int] = {}
-        self.edges: list[list[TripleEdge] | None] = []
+        self.edges: list[list[int] | None] = []
         self._closed: set[int] | None = None
         self.root = self._node((None, structure.root_full, None))
         if expand:
@@ -234,8 +221,8 @@ class TripleDiagram:
             self.edges.append(None)
         return nid
 
-    def out_edges(self, nid: int) -> list[TripleEdge]:
-        """The descent steps of node `nid`, expanding it on first use."""
+    def out_edges(self, nid: int) -> list[int]:
+        """The child node of each descent step of `nid`, expanding it on first use."""
         out = self.edges[nid]
         if out is not None:
             return out
@@ -263,8 +250,7 @@ class TripleDiagram:
                 flank = starts[reduced[right]]  # the first edge of `right`
                 if abuts_left[flank]:
                     new_right = child[flank]
-            node = self._node((new_left, child[e], new_right))
-            out.append(TripleEdge(node, e - first, abuts_left[e], abuts_right[e]))
+            out.append(self._node((new_left, child[e], new_right)))
         self.edges[nid] = out
         return out
 
@@ -274,7 +260,7 @@ class TripleDiagram:
         Vertex i of the result stands for node `nodes[i]`.
         """
         local = {nid: i for i, nid in enumerate(nodes)}
-        adjacency = [[local[e.child] for e in self.edges[v]] for v in nodes]
+        adjacency = [[local[w] for w in self.edges[v]] for v in nodes]
         return closed_classes(len(nodes), adjacency.__getitem__, "triple")
 
     def is_essential(self, nid: int) -> bool:
@@ -285,10 +271,10 @@ class TripleDiagram:
             closure = [nid]
             seen = {nid}
             for v in closure:
-                for step in self.out_edges(v):
-                    if step.child not in seen:
-                        seen.add(step.child)
-                        closure.append(step.child)
+                for w in self.out_edges(v):
+                    if w not in seen:
+                        seen.add(w)
+                        closure.append(w)
             closed = self._closed_classes(closure)[1]
             self._closed = {closure[i] for i in closed}
         return nid in self._closed
@@ -301,7 +287,7 @@ class TripleDiagram:
     def walk(self, edges: Sequence[int], start: int | None = None) -> int:
         nid = self.root if start is None else start
         for e in edges:
-            nid = self.out_edges(nid)[e].child
+            nid = self.out_edges(nid)[e]
         return nid
 
     def cycle_limit(self, nid: int, cycle: Sequence[int]) -> int:
@@ -329,7 +315,7 @@ def build_triple_diagram(
 # point classification
 # ---------------------------------------------------------------------------
 
-def classify_truly_essential(diagram: TripleDiagram, location) -> str:
+def classify_truly_essential(diagram: TripleDiagram, location: PointLocation) -> str:
     """Sort a located point into the truly-essential taxonomy.
 
     Interior points are truly essential when their triple walk ends up (and
@@ -348,16 +334,8 @@ def classify_truly_essential(diagram: TripleDiagram, location) -> str:
     """
     structure = diagram.structure
     dec = diagram.decomposition
-    if isinstance(location, Representation):
-        reps = [location]
-        boundary = location.side != "interior"
-    elif isinstance(location, PointLocation):
-        reps = location.representations
-        boundary = location.boundary
-    else:
-        raise TypeError("expected a PointLocation or Representation")
-
-    if boundary:
+    reps = location.representations
+    if location.boundary:
         verdicts = []
         for rep in reps:
             if not rep.alive:

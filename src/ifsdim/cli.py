@@ -18,10 +18,9 @@ import importlib
 import io
 import os
 import sys
-from fractions import Fraction
 
 from .cache import CacheError, load_structure, save_structure
-from .config import ConfigError, _parse_value, load_config
+from .config import ConfigError, _parse_value, field_element, load_config
 from .field import FieldError
 from .ifs import IFSError, IFSSystem
 from .net import (
@@ -204,13 +203,10 @@ def cmd_graph(args: argparse.Namespace, system: IFSSystem) -> int:
 
 
 def _parse_point(text: str, system: IFSSystem):
-    value = _parse_value(text, 0)
-    if isinstance(value, Fraction):
-        return system.context.from_rational(value)
-    if isinstance(value, list) and all(isinstance(c, Fraction) for c in value):
-        return system.context.element(value)
-    raise ConfigError(
-        "--point must be a rational like 2/3 or a coefficient list like [0, 1]"
+    return field_element(
+        system.context,
+        _parse_value(text, 0),
+        "--point must be a rational like 2/3 or a coefficient list like [0, 1]",
     )
 
 

@@ -20,13 +20,16 @@ Family shorthand::
 
 `parse_config` turns config text into a {key: value} dict, `build_system`
 turns that dict into an `IFSSystem`, and `load_config` does both for a file.
+`field_element` reads one parsed value, a rational or a non-empty
+coefficient list, as a field element: a translation here, `--point` in the
+command line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import FieldContext
+from .field import FieldContext, FieldElement
 from .ifs import (
     IFSSystem,
     bernoulli_simple_pisot,
@@ -139,6 +142,19 @@ def _fraction_list(cfg: dict, key: str) -> list[Fraction]:
     return value
 
 
+def field_element(context: FieldContext, value, error: str) -> FieldElement:
+    """The element that a parsed value names, or ConfigError(error).
+
+    The value is a rational, or a non-empty list of rational polynomial
+    coefficients in rho; an empty list names no element.
+    """
+    if isinstance(value, Fraction):
+        return context.from_rational(value)
+    if isinstance(value, list) and value and all(isinstance(c, Fraction) for c in value):
+        return context.element(value)
+    raise ConfigError(error)
+
+
 def build_system(cfg: dict) -> IFSSystem:
     """Construct an IFSSystem from a parsed config dict."""
     known = {
@@ -176,22 +192,18 @@ def build_system(cfg: dict) -> IFSSystem:
         if len(isolating) != 2:
             raise ConfigError("key 'isolating' must be [lo, hi]")
     context = FieldContext(minpoly, isolating)
-    translations = []
     raw = cfg["translations"]
     if not isinstance(raw, list):
         raise ConfigError("key 'translations' must be a list")
-    for entry in raw:
-        if isinstance(entry, Fraction):
-            translations.append(context.from_rational(entry))
-        elif isinstance(entry, list) and all(
-            isinstance(c, Fraction) for c in entry
-        ):
-            translations.append(context.element(entry))
-        else:
-            raise ConfigError(
-                "each translation must be a rational or a list of "
-                "polynomial coefficients in rho"
-            )
+    translations = [
+        field_element(
+            context,
+            entry,
+            "each translation must be a rational or a list of "
+            "polynomial coefficients in rho",
+        )
+        for entry in raw
+    ]
     probs = _fraction_list(cfg, "probabilities") if "probabilities" in cfg else None
     return build_ifs(context, translations, probs)
 

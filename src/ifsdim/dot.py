@@ -68,8 +68,13 @@ def _triple_label(structure: FiniteTypeStructure, key) -> str:
 
 
 def triple_dot(structure: FiniteTypeStructure, diagram: TripleDiagram) -> str:
-    """The triple diagram; essential triples filled, descent direction
-    annotated on edges (L = leftmost child and abutting, R = rightmost)."""
+    """The triple diagram; essential triples filled.
+
+    Each edge is labelled with the position of its descent step among the
+    centre's children, then L if that child abuts its parent's left end
+    and R if it abuts the right end, read from the structure's edge
+    columns.
+    """
     lines = [
         "digraph triple_diagram {",
         "  rankdir=LR;",
@@ -81,16 +86,14 @@ def triple_dot(structure: FiniteTypeStructure, diagram: TripleDiagram) -> str:
             ', style=filled, fillcolor="#cfd8e8"' if nid in diagram.essential else ""
         )
         lines.append("  t%d [label=%s%s];" % (nid, _quote(label), style))
-    for nid in range(diagram.node_count()):
-        for edge in diagram.edges[nid]:
-            marks = ""
-            if edge.is_leftmost:
-                marks += " L"
-            if edge.is_rightmost:
-                marks += " R"
-            lines.append(
-                '  t%d -> t%d [label="%d%s"];'
-                % (nid, edge.child, edge.edge_index, marks)
-            )
+    marks = [
+        (" L" if left else "") + (" R" if right else "")
+        for left, right in zip(structure.abuts_left, structure.abuts_right)
+    ]
+    starts, reduced = structure.edge_start, structure.full_reduced
+    for nid, (_, centre, _) in enumerate(diagram.keys):
+        first = starts[reduced[centre]]
+        for i, target in enumerate(diagram.edges[nid]):
+            lines.append('  t%d -> t%d [label="%d%s"];' % (nid, target, i, marks[first + i]))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -398,7 +398,7 @@ def reference_cycle_limit(diagram, node, cycle):
     while (node, phase) not in seen:
         seen[(node, phase)] = len(trail)
         trail.append(node)
-        node = diagram.edges[node][cycle[phase]].child
+        node = diagram.edges[node][cycle[phase]]
         phase = (phase + 1) % len(cycle)
     limit = trail[seen[(node, phase)]:]
     essential = diagram.decomposition.essential

@@ -1,5 +1,6 @@
 """Loop-class decomposition, the positive-row check, and triples."""
 
+import gc
 import random
 from fractions import Fraction as F
 
@@ -23,6 +24,7 @@ from ifsdim.matrices import MatrixTable
 from ifsdim.net import (
     NetStructureError,
     NotProvenFiniteTypeError,
+    PointLocation,
     Representation,
     explore,
     locate_point,
@@ -315,13 +317,13 @@ def test_triple_diagram_eight_map(eight_map_twelfths_structure):
         if patterns == {(1, 6, 5), (3, 4, 5), (4, 5, 1), (6, 5, 1)}:
             members = set(comp)
             internal = [
-                e
+                s.edge_start[s.full_reduced[diagram.keys[v][1]]] + i
                 for v in comp
-                for e in diagram.edges[v]
-                if e.child in members
+                for i, w in enumerate(diagram.edges[v])
+                if w in members
             ]
             assert internal
-            assert all(not e.is_leftmost for e in internal)
+            assert all(not s.abuts_left[e] for e in internal)
 
 
 def test_triple_diagram_six_map(six_map_quarter_structure):
@@ -347,13 +349,11 @@ def test_triple_invariants(request, name):
         left, centre, right = diagram.keys[nid]
         records = oh.child_records(s, centre)
         assert len(diagram.edges[nid]) == len(records)
-        for e, rec in zip(diagram.edges[nid], records):
-            assert e.edge_index == rec.edge_index
-            assert e.is_leftmost == rec.abuts_left
-            assert e.is_rightmost == rec.abuts_right
-            assert diagram.keys[e.child][1] == rec.child
+        for w, rec in zip(diagram.edges[nid], records):
+            assert 0 <= w < diagram.node_count()
+            assert diagram.keys[w][1] == rec.child
         if omega_only(nid):
-            assert all(omega_only(e.child) for e in diagram.edges[nid])
+            assert all(omega_only(w) for w in diagram.edges[nid])
     # the essential triple class only holds fully essential neighbourhoods
     for nid in diagram.essential:
         assert omega_only(nid)
@@ -456,10 +456,10 @@ def _root_paths(diagram):
     paths = {diagram.root: ()}
     queue = [diagram.root]
     for nid in queue:
-        for step in diagram.edges[nid]:
-            if step.child not in paths:
-                paths[step.child] = paths[nid] + (step.edge_index,)
-                queue.append(step.child)
+        for i, w in enumerate(diagram.edges[nid]):
+            if w not in paths:
+                paths[w] = paths[nid] + (i,)
+                queue.append(w)
     return paths
 
 
@@ -467,7 +467,7 @@ def _node_trail(diagram, edges):
     """The triple nodes a root path of edges passes through."""
     trail = [diagram.root]
     for e in edges:
-        trail.append(diagram.edges[trail[-1]][e].child)
+        trail.append(diagram.edges[trail[-1]][e])
     return trail
 
 
@@ -507,7 +507,8 @@ def test_cycle_limit_matches_the_phase_trail(request):
                 rep = Representation(
                     "interior", edges, fulls, cycle=(len(paths[nid]), len(cycle))
                 )
-                assert classify_truly_essential(diagram, rep) == ORACLE_CLASS[expected]
+                location = PointLocation(False, None, [rep])
+                assert classify_truly_essential(diagram, location) == ORACLE_CLASS[expected]
                 outcomes.add(expected)
                 cases += 1
     assert cases > 800
@@ -526,7 +527,7 @@ def test_essential_triples_sit_over_every_essential_vector(request, name):
     diagram = build_triple_diagram(s, dec)
     assert {diagram.keys[n][1] for n in diagram.essential} == dec.essential
     for nid in diagram.essential:
-        assert all(step.child in diagram.essential for step in diagram.edges[nid])
+        assert all(w in diagram.essential for w in diagram.edges[nid])
 
 
 @pytest.mark.parametrize(
@@ -550,6 +551,22 @@ def test_lazy_membership_matches_the_whole_build(request, name):
         assert whole.is_essential(nid) == expected, (name, nid)
     # walking every root path creates exactly the nodes of the whole build
     assert shared.node_count() == whole.node_count()
+
+
+def test_full_table_87_diagram_adds_about_one_gc_object_per_node(table_87_structure):
+    # a step is its child node id, so a whole diagram tracks one edge list
+    # per node (its key tuples hold only ints and None, which the collector
+    # stops tracking) and a few containers, not one object per step
+    s = table_87_structure
+    dec = decompose(s)
+    gc.collect()
+    before = len(gc.get_objects())
+    diagram = build_triple_diagram(s, dec)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert diagram.node_count() == 4679
+    assert sum(len(out) for out in diagram.edges) == 14380
+    assert added <= diagram.node_count() + 100, added
 
 
 def test_table_87_points_classify_lazily(table_87_structure):

@@ -154,6 +154,14 @@ def test_missing_required_key_rejected():
         build_system({"minpoly": [Fraction(-1), Fraction(4)]})
 
 
+@pytest.mark.parametrize("entry", ["[]", "[[0]]", "word"])
+def test_a_translation_must_name_an_element(entry):
+    # an empty coefficient list names no element; it is not 0
+    cfg = parse_config("minpoly = [-1, 3]\ntranslations = [%s, 2/3]\n" % entry)
+    with pytest.raises(ConfigError, match="each translation must be a rational"):
+        build_system(cfg)
+
+
 # -- exit codes ---------------------------------------------------------------
 
 
@@ -163,6 +171,16 @@ def test_explore_summary(cfgdir, capsys):
     assert rc == 0
     assert "4 reduced characteristic vectors" in out
     assert "finite type proven: yes" in out
+
+
+@pytest.mark.parametrize("point", ["[]", "[[1/2]]", "half"])
+def test_pointdim_point_must_name_an_element(cfgdir, capsys, point):
+    # an empty coefficient list names no point; it is not 0
+    rc = main(["pointdim", "--config", str(cfgdir / "six.cfg"), "--point", point])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "--point must be a rational like 2/3" in captured.err
 
 
 def test_malformed_config_reports_line(tmp_path, capsys):

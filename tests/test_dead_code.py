@@ -19,8 +19,9 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "ifsdim"
 # the matrices against
 TEST_REFERENCES = {"iter_net_intervals", "path_fulls", "path_left_endpoint"}
 # the isolating interval, which `perfbench/tracer.py` reads before and
-# after a sign decision to count bisections
-TRACER_REFERENCES = {"FieldContext.interval"}
+# after a sign decision to count bisections, and the triple count it
+# reads off each diagram built
+TRACER_REFERENCES = {"FieldContext.interval", "TripleDiagram.node_count"}
 
 
 def _names_used(node):
