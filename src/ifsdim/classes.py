@@ -11,6 +11,8 @@ The triple diagram is expanded on demand, so classifying one point builds
 only the triples along its walk: the closed triple class sits over exactly
 the essential vectors, so a triple over any other centre is outside it, and
 otherwise the closed class is read off the forward closure of the triple.
+That closure is the only place the closed triple class is found, also when
+the whole diagram is expanded, as its DOT export does.
 The diagram keeps only the child node of each descent step: the step's edge
 position and end flags are read from the structure's edge columns.
 """
@@ -169,10 +171,10 @@ class TripleDiagram:
 
     Nodes are created on demand: `out_edges` expands a node the first time
     its edges are read, and `walk` and `cycle_limit` read edges through it,
-    so a diagram made with `expand=False` holds only the root and the nodes
-    its callers' walks have visited.  With `expand=True` the constructor
-    expands the whole diagram in FIFO order from the root and sets
-    `loop_classes` and `essential` (the closed triple class) for all of it.
+    so a diagram holds only the root and the nodes its callers' walks have
+    visited.  Expanding node ids 0, 1, 2, ... in turn until `node_count()`
+    stops growing builds the whole diagram, numbered in FIFO order from the
+    root.
 
     `edges[nid]` lists the child node of each descent step of node `nid`,
     in edge order, or is None until the node is expanded.  Step i of a node
@@ -180,22 +182,17 @@ class TripleDiagram:
     `edge_start[full_reduced[f]] + i`, whose `abuts_left`/`abuts_right`
     flags say whether that child abuts its parent's left/right end.
 
-    `is_essential` decides membership in the closed triple class on either
-    kind of diagram.  The centres of the closed class are exactly the
-    essential vectors, so a node over a non-essential centre is outside it.
-    A node over an essential centre reaches the closed class, and its
-    forward closure stays over essential centres; the unique closed class
-    of that closure is the closed class of the whole diagram (a closed set
-    of the closure is closed in the whole graph), so it is computed once
-    and kept.
+    `is_essential` decides membership in the closed triple class, however
+    much of the diagram is expanded.  The centres of the closed class are
+    exactly the essential vectors, so a node over a non-essential centre
+    is outside it.  A node over an essential centre reaches the closed
+    class, and its forward closure stays over essential centres; the
+    unique closed class of that closure is the closed class of the whole
+    diagram (a closed set of the closure is closed in the whole graph), so
+    it is computed once and kept.
     """
 
-    def __init__(
-        self,
-        structure: FiniteTypeStructure,
-        dec: ClassDecomposition,
-        expand: bool = True,
-    ):
+    def __init__(self, structure: FiniteTypeStructure, dec: ClassDecomposition):
         self.structure = structure
         self.decomposition = dec
         self.keys: list[TripleKey] = []
@@ -203,14 +200,6 @@ class TripleDiagram:
         self.edges: list[list[int] | None] = []
         self._closed: set[int] | None = None
         self.root = self._node((None, structure.root_full, None))
-        if expand:
-            cursor = 0
-            while cursor < len(self.keys):
-                self.out_edges(cursor)
-                cursor += 1
-            nodes = list(range(len(self.keys)))
-            self.loop_classes, self.essential = self._closed_classes(nodes)
-            self._closed = self.essential
 
     def _node(self, key: TripleKey) -> int:
         nid = self.index.get(key)
@@ -254,28 +243,20 @@ class TripleDiagram:
         self.edges[nid] = out
         return out
 
-    def _closed_classes(self, nodes: list[int]):
-        """`closed_classes` over `nodes`, a set closed under descent.
-
-        Vertex i of the result stands for node `nodes[i]`.
-        """
-        local = {nid: i for i, nid in enumerate(nodes)}
-        adjacency = [[local[w] for w in self.edges[v]] for v in nodes]
-        return closed_classes(len(nodes), adjacency.__getitem__, "triple")
-
     def is_essential(self, nid: int) -> bool:
         """Whether node `nid` lies in the closed (essential) triple class."""
         if self.keys[nid][1] not in self.decomposition.essential:
             return False
         if self._closed is None:
             closure = [nid]
-            seen = {nid}
+            local = {nid: 0}  # node id -> its position in `closure`
             for v in closure:
                 for w in self.out_edges(v):
-                    if w not in seen:
-                        seen.add(w)
+                    if w not in local:
+                        local[w] = len(closure)
                         closure.append(w)
-            closed = self._closed_classes(closure)[1]
+            adjacency = [[local[w] for w in self.edges[v]] for v in closure]
+            closed = closed_classes(len(closure), adjacency.__getitem__, "triple")[1]
             self._closed = {closure[i] for i in closed}
         return nid in self._closed
 
@@ -305,10 +286,10 @@ class TripleDiagram:
 
 
 def build_triple_diagram(
-    structure: FiniteTypeStructure, dec: ClassDecomposition, *, expand: bool = True
+    structure: FiniteTypeStructure, dec: ClassDecomposition
 ) -> TripleDiagram:
-    """The triple diagram; `expand=False` leaves it to expand on demand."""
-    return TripleDiagram(structure, dec, expand)
+    """The triple diagram, holding only its root until its edges are read."""
+    return TripleDiagram(structure, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +310,8 @@ def classify_truly_essential(diagram: TripleDiagram, location: PointLocation) ->
 
     Boundary points never read the diagram, and interior points expand only
     the triples of their walk (plus, once per diagram, the few essential
-    triples that `TripleDiagram.is_essential` needs), so `diagram` may be
-    an unexpanded one.
+    triples that `TripleDiagram.is_essential` needs), so a fresh diagram
+    from `build_triple_diagram` serves.
     """
     structure = diagram.structure
     dec = diagram.decomposition

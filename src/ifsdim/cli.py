@@ -271,8 +271,7 @@ def cmd_pointdim(args: argparse.Namespace, system: IFSSystem) -> int:
     dec = decompose(structure)
     # expanded on demand: the classification reads only the triples along
     # the point's walk
-    diagram = build_triple_diagram(structure, dec, expand=False)
-    classification = classify_truly_essential(diagram, location)
+    classification = classify_truly_essential(build_triple_diagram(structure, dec), location)
     print("point %s" % args.point)
     print("boundary point: %s" % ("yes" if location.boundary else "no"))
     print("classification: %s" % classification)

@@ -70,11 +70,17 @@ def _triple_label(structure: FiniteTypeStructure, key) -> str:
 def triple_dot(structure: FiniteTypeStructure, diagram: TripleDiagram) -> str:
     """The triple diagram; essential triples filled.
 
-    Each edge is labelled with the position of its descent step among the
-    centre's children, then L if that child abuts its parent's left end
-    and R if it abuts the right end, read from the structure's edge
-    columns.
+    Expands `diagram` whole first: node ids 0, 1, 2, ... in turn, until no
+    new node appears, so the ids are those of a FIFO expansion from the
+    root.  A node is filled when `diagram.is_essential` holds.  Each edge
+    is labelled with the position of its descent step among the centre's
+    children, then L if that child abuts its parent's left end and R if it
+    abuts the right end, read from the structure's edge columns.
     """
+    nid = 0
+    while nid < diagram.node_count():
+        diagram.out_edges(nid)
+        nid += 1
     lines = [
         "digraph triple_diagram {",
         "  rankdir=LR;",
@@ -82,9 +88,7 @@ def triple_dot(structure: FiniteTypeStructure, diagram: TripleDiagram) -> str:
     ]
     for nid, key in enumerate(diagram.keys):
         label = "t%d %s" % (nid, _triple_label(structure, key))
-        style = (
-            ', style=filled, fillcolor="#cfd8e8"' if nid in diagram.essential else ""
-        )
+        style = ', style=filled, fillcolor="#cfd8e8"' if diagram.is_essential(nid) else ""
         lines.append("  t%d [label=%s%s];" % (nid, _quote(label), style))
     marks = [
         (" L" if left else "") + (" R" if right else "")

@@ -243,10 +243,10 @@ def format_enclosure(lo, hi, places: int = 12) -> str:
     )
 
 
-def _fmt_certified(c: dict | None, digits: int = 12) -> str:
+def _fmt_certified(c: dict | None) -> str:
     if c is None:
         return "n/a"
-    return "%.*g in %s" % (digits, c["value"], format_enclosure(c["lo"], c["hi"]))
+    return "%.12g in %s" % (c["value"], format_enclosure(c["lo"], c["hi"]))
 
 
 def _fmt_endpoint(e: dict) -> str:

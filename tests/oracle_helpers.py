@@ -16,6 +16,10 @@ matrix entry names its letter; `reference_edge_matrix`, the
 pair-by-pair sums that `edge_matrix` once formed on every edge, kept as
 the reference for the per-row tables of differences it takes when a row
 has more columns than the system has translations;
+`whole_triple_diagram`, the former whole-diagram build: every triple
+expanded in id order, with the loop classes and the closed class found by
+Tarjan over all of it, kept as the reference for the closed class that
+`TripleDiagram.is_essential` reads off one forward closure;
 `reference_cycle_limit`, the former (node, phase) trail of periodic point
 classification, kept as the reference for `TripleDiagram.cycle_limit`;
 `essential_not_truly_witness` with `side_chain_class`, a scan of a whole
@@ -61,7 +65,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from ifsdim import dimension, spectral
-from ifsdim.classes import build_triple_diagram, strongly_connected_components
+from ifsdim.classes import TripleDiagram, strongly_connected_components
 from ifsdim.field import FieldError
 from ifsdim.matrices import TransitionMatrix
 from ifsdim.cache import CacheError
@@ -385,12 +389,56 @@ def with_probabilities(structure, probs):
     return weighted
 
 
+def expand_whole(diagram):
+    """Expand every node of `diagram`, in id order, until no new node appears."""
+    nid = 0
+    while nid < diagram.node_count():
+        diagram.out_edges(nid)
+        nid += 1
+
+
+class WholeTripleDiagram(TripleDiagram):
+    """A wholly expanded triple diagram whose `is_essential` reads `essential`.
+
+    `loop_classes` are the sorted components with a step inside them and
+    `essential` is the one component closed under descent, both found by
+    `whole_triple_diagram`.
+    """
+
+    loop_classes: list[list[int]]
+    essential: set[int]
+
+    def is_essential(self, nid):
+        return nid in self.essential
+
+
+def whole_triple_diagram(structure, dec):
+    """The triple diagram, expanded whole, with its classes from Tarjan over
+    every node rather than over one forward closure."""
+    diagram = WholeTripleDiagram(structure, dec)
+    expand_whole(diagram)
+    edges = diagram.edges
+    loop_classes, closed = [], []
+    for comp in strongly_connected_components(diagram.node_count(), edges.__getitem__):
+        members = set(comp)
+        inside = [w in members for v in comp for w in edges[v]]
+        if any(inside):
+            loop_classes.append(comp)
+        if all(inside):
+            closed.append(members)
+    assert len(closed) == 1, len(closed)
+    diagram.loop_classes = sorted(loop_classes)
+    diagram.essential = closed[0]
+    return diagram
+
+
 def reference_cycle_limit(diagram, node, cycle):
     """(truly essential, essential) of the limit of repeating `cycle` from `node`.
 
     Follows the triple walk one edge at a time until a (node, phase) state
     repeats; every node of the limit loop must be essential for the first
-    answer, and every centre vector for the second.
+    answer, and every centre vector for the second.  `diagram` comes from
+    `whole_triple_diagram`, whose `essential` is the closed triple class.
     """
     seen = {}
     trail = []
@@ -429,13 +477,11 @@ def side_chain_class(structure, dec, fid, side):
     return "essential" if cur in dec.essential else "non_essential"
 
 
-def essential_not_truly_witness(diagram):
+def essential_not_truly_witness(structure, dec):
     """An adjacent pair witnessing a boundary point that is essential on one
     side only, or None when no such configuration is reachable.
 
-    Reads the nodes `diagram` holds, so pass a fully expanded one."""
-    structure = diagram.structure
-    dec = diagram.decomposition
+    Scans every triple of `whole_triple_diagram`."""
     cache: dict = {}
 
     def chain(fid, side):
@@ -445,7 +491,7 @@ def essential_not_truly_witness(diagram):
         return cache[key]
 
     pairs = set()
-    for left, centre, right in diagram.keys:
+    for left, centre, right in whole_triple_diagram(structure, dec).keys:
         if left is not None:
             pairs.add((left, centre))
         if right is not None:
@@ -634,7 +680,7 @@ def reference_inner_bounds(structure, dec, table, budget):
     `essential_interval_bounds` among all included cycles.
     """
     den = dimension.rho_log_enclosure(structure)
-    diagram = build_triple_diagram(structure, dec)
+    diagram = whole_triple_diagram(structure, dec)
     essential = sorted(dec.essential)
     children = {fid: child_records(structure, fid) for fid in essential}
     record = {(f, r.edge_index): r for f in essential for r in children[f]}

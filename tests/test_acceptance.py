@@ -416,9 +416,7 @@ def test_08_classification_and_positive_rows(
 
     # in the zero-row example every essential point is truly essential
     zr = zero_row_third_structure
-    assert oh.essential_not_truly_witness(
-        build_triple_diagram(zr, decompose(zr))
-    ) is None
+    assert oh.essential_not_truly_witness(zr, decompose(zr)) is None
 
     for structure, holds in (
         (zero_row_third_structure, False),

@@ -300,7 +300,7 @@ def triple_pattern_sets(diagram):
 def test_triple_diagram_eight_map(eight_map_twelfths_structure):
     s = eight_map_twelfths_structure
     dec = decompose(s)
-    diagram = build_triple_diagram(s, dec)
+    diagram = oh.whole_triple_diagram(s, dec)
     assert reduced_pattern(diagram, diagram.root) == (None, 0, None)
     assert len(diagram.loop_classes) == 5
     assert triple_pattern_sets(diagram) == {
@@ -329,7 +329,7 @@ def test_triple_diagram_eight_map(eight_map_twelfths_structure):
 def test_triple_diagram_six_map(six_map_quarter_structure):
     s = six_map_quarter_structure
     dec = decompose(s)
-    diagram = build_triple_diagram(s, dec)
+    diagram = oh.whole_triple_diagram(s, dec)
     assert {reduced_pattern(diagram, n) for n in diagram.essential} == {(2, 2, 2)}
     assert frozenset({(None, 1, 2)}) in triple_pattern_sets(diagram)
 
@@ -338,7 +338,7 @@ def test_triple_diagram_six_map(six_map_quarter_structure):
 def test_triple_invariants(request, name):
     s = request.getfixturevalue(name)
     dec = decompose(s)
-    diagram = build_triple_diagram(s, dec)
+    diagram = oh.whole_triple_diagram(s, dec)
 
     def omega_only(nid):
         return all(
@@ -486,7 +486,7 @@ def test_cycle_limit_matches_the_phase_trail(request):
     cases = 0
     for name in ALL_STRUCTURES:
         s = request.getfixturevalue(name)
-        diagram = build_triple_diagram(s, decompose(s))
+        diagram = oh.whole_triple_diagram(s, decompose(s))
         paths = _root_paths(diagram)
         assert len(paths) == diagram.node_count()
         walks = {}
@@ -524,7 +524,7 @@ def test_essential_triples_sit_over_every_essential_vector(request, name):
     if not name.endswith("_structure"):
         s = explore(s)
     dec = decompose(s)
-    diagram = build_triple_diagram(s, dec)
+    diagram = oh.whole_triple_diagram(s, dec)
     assert {diagram.keys[n][1] for n in diagram.essential} == dec.essential
     for nid in diagram.essential:
         assert all(w in diagram.essential for w in diagram.edges[nid])
@@ -534,21 +534,25 @@ def test_essential_triples_sit_over_every_essential_vector(request, name):
     "name", ALL_STRUCTURES + ["convolution_3_8_structure", "table_87_structure"]
 )
 def test_lazy_membership_matches_the_whole_build(request, name):
-    # an unexpanded diagram decides membership from the node's centre and,
-    # over an essential centre, from the closed class of its forward
-    # closure; Tarjan over the whole diagram is the reference
+    # a diagram decides membership from the node's centre and, over an
+    # essential centre, from the closed class of its forward closure, however
+    # much of it is expanded; Tarjan over the whole diagram is the reference
     s = request.getfixturevalue(name)
     dec = decompose(s)
-    whole = build_triple_diagram(s, dec)
-    shared = build_triple_diagram(s, dec, expand=False)
+    whole = oh.whole_triple_diagram(s, dec)
+    shared = build_triple_diagram(s, dec)
+    # expanded whole in id order first, as the DOT export does
+    expanded = build_triple_diagram(s, dec)
+    oh.expand_whole(expanded)
+    assert expanded.keys == whole.keys
     for nid, path in _root_paths(whole).items():
         expected = nid in whole.essential
-        fresh = build_triple_diagram(s, dec, expand=False)
+        fresh = build_triple_diagram(s, dec)
         node = fresh.walk(path)
         assert fresh.keys[node] == whole.keys[nid]
         assert fresh.is_essential(node) == expected, (name, nid)
         assert shared.is_essential(shared.walk(path)) == expected, (name, nid)
-        assert whole.is_essential(nid) == expected, (name, nid)
+        assert expanded.is_essential(nid) == expected, (name, nid)
     # walking every root path creates exactly the nodes of the whole build
     assert shared.node_count() == whole.node_count()
 
@@ -562,6 +566,7 @@ def test_full_table_87_diagram_adds_about_one_gc_object_per_node(table_87_struct
     gc.collect()
     before = len(gc.get_objects())
     diagram = build_triple_diagram(s, dec)
+    oh.expand_whole(diagram)
     gc.collect()
     added = len(gc.get_objects()) - before
     assert diagram.node_count() == 4679
@@ -575,11 +580,11 @@ def test_table_87_points_classify_lazily(table_87_structure):
     # forward closure, instead of all 4679 triples
     s = table_87_structure
     dec = decompose(s)
-    whole = build_triple_diagram(s, dec)
+    whole = oh.whole_triple_diagram(s, dec)
     created = {}
     for x in (F(0), F(1), F(2, 87), F(1, 87), F(1, 4), F(3, 4)):
         location = locate_point(s, s.system.context.from_rational(x))
-        diagram = build_triple_diagram(s, dec, expand=False)
+        diagram = build_triple_diagram(s, dec)
         got = classify_truly_essential(diagram, location)
         assert got == classify_truly_essential(whole, location), x
         created[x] = diagram.node_count()
@@ -594,8 +599,7 @@ def test_table_87_points_classify_lazily(table_87_structure):
 def test_six_map_has_one_sided_boundary(six_map_quarter_structure):
     s = six_map_quarter_structure
     dec = decompose(s)
-    diagram = build_triple_diagram(s, dec)
-    witness = essential_not_truly_witness(diagram)
+    witness = essential_not_truly_witness(s, dec)
     assert witness is not None
     left, right = witness
     kinds = {
@@ -616,8 +620,7 @@ def test_six_map_has_one_sided_boundary(six_map_quarter_structure):
 )
 def test_truly_essential_matches_essential(request, name):
     s = request.getfixturevalue(name)
-    diagram = build_triple_diagram(s, decompose(s))
-    assert essential_not_truly_witness(diagram) is None
+    assert essential_not_truly_witness(s, decompose(s)) is None
 
 
 def test_side_chain_classes(six_map_quarter_structure):

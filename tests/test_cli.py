@@ -775,6 +775,33 @@ def test_graph_stdout_from_a_warm_cache_is_pinned(cfgdir, tmp_path, capsys, cfg)
         assert digest == GRAPH_STDOUT_SHA256[cfg, which], which
 
 
+# SHA-256 of `graph triple` stdout and its number of filled (essential)
+# triples on the six benchmark systems, as recorded when the constructor
+# still expanded the whole diagram and ran Tarjan over all of it
+SUITE_TRIPLE_DOT = {
+    "table_87": ("28662544edbd7f25a776bb3f8f383ac9bdf4a2ac96c7c39327e913edb1b5dcc0", 6),
+    "cantor_4_9": ("2bb94b3034b50b359dbbc0bb64e3c76ecf89bfba5de67518eb50647d07087960", 4),
+    "convolution_3_8": ("66e59da0a5a0fc242ab754404e376d6f032aa3808790e42e02683748f68bd2ee", 3),
+    "golden_third": ("f1e3edd1865b1bed364d2ea45f5369566542241c4c7746976646b1ddd9a6fc0b", 6),
+    "tribonacci_third": ("b5caccdeb2b0d3c09bfbe545138fbcbc244e2251febdb661602137786208554e", 15),
+    "quadratic_ninth": ("cd12731b905223701b752fe7da70c31a22a386f9cee516c3e28ba10c409ebd33", 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE_TRIPLE_DOT))
+def test_suite_triple_dot_stdout_is_pinned(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import SYSTEMS
+
+    config_path = tmp_path / (name + ".cfg")
+    config_path.write_text(SYSTEMS[name], encoding="utf-8")
+    assert main(["graph", "triple", "--config", str(config_path)]) == 0
+    out = capsys.readouterr().out
+    digest, filled = SUITE_TRIPLE_DOT[name]
+    assert out.count('fillcolor="#cfd8e8"') == filled
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 # every point pointdim classifies above, with its --depth
 QUERIED_POINTS = {
     "six": [("1/2", 60), ("0", 60), ("1", 60), ("1/97", 20)],
@@ -792,10 +819,10 @@ def test_pointdim_classifies_on_an_unexpanded_diagram(cfgdir, cfg):
     system = config.load_config(str(cfgdir / (cfg + ".cfg")))
     structure = explore(system)
     dec = decompose(structure)
-    whole = build_triple_diagram(structure, dec)
+    whole = oh.whole_triple_diagram(structure, dec)
     for point, depth in QUERIED_POINTS[cfg]:
         location = locate_point(structure, cli._parse_point(point, system), depth=depth)
-        fresh = build_triple_diagram(structure, dec, expand=False)
+        fresh = build_triple_diagram(structure, dec)
         got = classify_truly_essential(fresh, location)
         assert got == classify_truly_essential(whole, location), point
 

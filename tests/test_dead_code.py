@@ -19,9 +19,8 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "ifsdim"
 # the matrices against
 TEST_REFERENCES = {"iter_net_intervals", "path_fulls", "path_left_endpoint"}
 # the isolating interval, which `perfbench/tracer.py` reads before and
-# after a sign decision to count bisections, and the triple count it
-# reads off each diagram built
-TRACER_REFERENCES = {"FieldContext.interval", "TripleDiagram.node_count"}
+# after a sign decision to count bisections
+TRACER_REFERENCES = {"FieldContext.interval"}
 
 
 def _names_used(node):

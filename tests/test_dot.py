@@ -38,7 +38,8 @@ def test_triple_dot_annotates_descent(gap_system_structure):
     assert len(nodes) == diagram.node_count()
     assert ' L"' in text
     assert ' R"' in text
-    assert text.count('fillcolor="#cfd8e8"') == len(diagram.essential)
+    whole = oh.whole_triple_diagram(gap_system_structure, dec)
+    assert text.count('fillcolor="#cfd8e8"') == len(whole.essential)
 
 
 @pytest.mark.parametrize("name", ALL_STRUCTURES)
