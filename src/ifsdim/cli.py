@@ -181,9 +181,7 @@ def cmd_report(args: argparse.Namespace, system: IFSSystem) -> int:
     if system.probabilities is None:
         payload = structural_report(structure)
     else:
-        report = build_dimension_report(
-            structure, cycle_budget=args.cycle_budget, depth=args.depth
-        )
+        report = build_dimension_report(structure, cycle_budget=args.cycle_budget)
         payload = full_report(structure, report)
     _write_or_print(None, render_text(payload))
     if args.json is not None:
@@ -336,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-vectors", type=int, default=100000)
     common.add_argument("--max-level", type=int, default=200)
     measure = argparse.ArgumentParser(add_help=False)
-    measure.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     measure.add_argument("--json", default=None, help="JSON output path")
 
     parser = argparse.ArgumentParser(
@@ -351,6 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     graph.add_argument("which", choices=("reduced", "triple"))
     graph.add_argument("--dot", default=None, help="DOT output path")
     point = sub.add_parser("pointdim", parents=[common, measure])
+    point.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     group = point.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", help="rational like 2/3, or [c0, c1, ...] in rho")
     group.add_argument("--cycle", help="edge path 'p1,p2|c1,c2' (prefix | cycle)")

@@ -46,7 +46,6 @@ from .classes import (
 )
 from .matrices import MatrixTable, TransitionMatrix
 from .net import (
-    DEFAULT_DEPTH,
     FiniteTypeStructure,
     NetStructureError,
     PointLocation,
@@ -509,9 +508,10 @@ def _float_ratio(m: int, d: int) -> float:
         return math.inf
 
 
-def _chunk_scores(stack, lengths):
+def _chunk_scores(stack, n: int):
     """ln sp / n of each float product in `stack`, nan where that is not finite.
 
+    The products are of cycles of n steps, so one length divides them all.
     One `numpy.linalg.eigvals` call takes the products whose entries are
     all finite; the others score nan without it, and so do all of them if
     the call fails.
@@ -527,7 +527,7 @@ def _chunk_scores(stack, lengths):
             pass
     scores = numpy.full(len(stack), math.nan)
     ok = (radii > 0) & (radii < math.inf)
-    scores[ok] = numpy.log(radii[ok]) / lengths[ok]
+    scores[ok] = numpy.log(radii[ok]) / n
     return scores
 
 
@@ -546,49 +546,44 @@ class _CycleScreen:
     """The float screen of `essential_interval_bounds`.
 
     `add` queues a batch of cycles, their step codes and float products,
-    with the others of their product shape; each full `_SCREEN_CHUNK` of a
-    queue is scored by one `_chunk_scores` call.  `near` holds, per scored
-    chunk, the scores, lengths and step codes (padded with -1) of its
-    cycles near the extremes of the scores so far.  The extremes only
-    move outward, and the margin test only tightens as they do, so `near`
-    is refiltered only when they move.
+    with the others of their length and product shape; each full
+    `_SCREEN_CHUNK` of a queue is scored by one `_chunk_scores` call.
+    `near` holds, per scored chunk, the scores and `int32` step codes of
+    its cycles near the extremes of the scores so far.  The extremes only
+    move outward, and the margin test only tightens as they do, so a cycle
+    near the final extremes was near the extremes when it was scored:
+    `candidates` filters `near` once more, against the final extremes.
     """
 
-    def __init__(self, budget: int):
-        self.budget = budget
-        # shape -> batches of (products, lengths, codes padded with -1)
-        self.queues: dict[int, list[tuple]] = {}
+    def __init__(self):
+        # (length, shape) -> batches of (products, codes)
+        self.queues: dict[tuple[int, int], list[tuple]] = {}
         self.g_lo, self.g_hi = math.inf, -math.inf
         self.near: list[tuple] = []
 
     def add(self, codes, products) -> None:
         import numpy
 
-        size, n = codes.shape
-        padded = numpy.full((size, self.budget), -1, dtype=numpy.int32)
-        padded[:, :n] = codes
-        queue = self.queues.setdefault(products.shape[1], [])
-        queue.append((products, numpy.full(size, n), padded))
-        total = sum(len(batch[0]) for batch in queue)
+        queue = self.queues.setdefault((codes.shape[1], products.shape[1]), [])
+        queue.append((products, codes.astype(numpy.int32)))
+        total = sum(len(batch[1]) for batch in queue)
         if total >= _SCREEN_CHUNK:
-            parts = [numpy.concatenate(column) for column in zip(*queue)]
+            products, codes = (numpy.concatenate(column) for column in zip(*queue))
             full = total - total % _SCREEN_CHUNK
             for a in range(0, full, _SCREEN_CHUNK):
-                self._score(*(part[a : a + _SCREEN_CHUNK] for part in parts))
-            queue[:] = [tuple(part[full:] for part in parts)] if full < total else []
+                self._score(products[a : a + _SCREEN_CHUNK], codes[a : a + _SCREEN_CHUNK])
+            queue[:] = [(products[full:], codes[full:])] if full < total else []
 
-    def _score(self, products, lengths, codes) -> None:
+    def _score(self, products, codes) -> None:
         import numpy
 
-        g = _chunk_scores(products, lengths)
+        g = _chunk_scores(products, codes.shape[1])
         finite = g[numpy.isfinite(g)]
         if finite.size:
-            g_lo = min(self.g_lo, float(finite.min()))
-            g_hi = max(self.g_hi, float(finite.max()))
-            if (g_lo, g_hi) != (self.g_lo, self.g_hi):
-                self.g_lo, self.g_hi = g_lo, g_hi
-                self.near = [_near_part(*part, g_lo, g_hi) for part in self.near]
-        self.near.append(_near_part(g, lengths, codes, self.g_lo, self.g_hi))
+            self.g_lo = min(self.g_lo, float(finite.min()))
+            self.g_hi = max(self.g_hi, float(finite.max()))
+        keep = _near_extreme(g, self.g_lo, self.g_hi)
+        self.near.append((g[keep], codes[keep]))
 
     def candidates(self) -> list:
         """Score what is queued and empty the screen; the step codes of the
@@ -599,19 +594,13 @@ class _CycleScreen:
             if queue:
                 self._score(*(numpy.concatenate(column) for column in zip(*queue)))
         self.queues.clear()
-        parts, self.near = self.near, []
-        # not `numpy.unique`, which loads `numpy.ma`: 1.5 MB more peak RSS
-        lengths = sorted({n for _, part, _ in parts for n in part.tolist()})
-        return [
-            numpy.concatenate([codes[part == n, :n] for _, part, codes in parts])
-            for n in lengths
-        ]
-
-
-def _near_part(g, lengths, codes, g_lo: float, g_hi: float) -> tuple:
-    """The scores, lengths and codes of the cycles `_near_extreme` keeps."""
-    keep = _near_extreme(g, g_lo, g_hi)
-    return g[keep], lengths[keep], codes[keep]
+        by_length: dict[int, list] = {}
+        for g, codes in self.near:
+            keep = _near_extreme(g, self.g_lo, self.g_hi)
+            if keep.any():
+                by_length.setdefault(codes.shape[1], []).append(codes[keep])
+        self.near = []
+        return [numpy.concatenate(by_length[n]) for n in sorted(by_length)]
 
 
 def _witness(certificates, attains, steps: _StepTable) -> CycleWitness:
@@ -665,7 +654,7 @@ def essential_interval_bounds(
     enumerates them level by level and multiplies the float edge matrices
     of all walks of a level at once, left to right, and its score g = ln
     sp / n (n edges) is read off that product; the rate is -g / |ln rho|.
-    Products are queued per shape (`_CycleScreen`) and scored
+    Products are queued per length and shape (`_CycleScreen`) and scored
     `_SCREEN_CHUNK` at a time by one `numpy.linalg.eigvals` call on the
     stack; a product with a non-finite entry scores nan without it, and a
     chunk whose call raises `LinAlgError` scores nan throughout.  Only the
@@ -674,9 +663,10 @@ def essential_interval_bounds(
     under- or overflows, or a failed eigensolver), get an exact product, a
     certified spectral radius and a certified rate; `certified_count`
     counts them.  The margin test only tightens as the extremes move out,
-    so the screen keeps the cycles near the extremes seen so far, drops
-    those the new extremes leave behind after each chunk, and ends with
-    exactly the cycles near the final extremes, whatever the chunk size.
+    so the screen keeps, chunk by chunk, the cycles near the extremes seen
+    so far, and filters those once more against the final extremes: that
+    leaves exactly the cycles near the final extremes, whatever the chunk
+    size.
     This is sound: every included cycle's rate is a local dimension at a
     truly essential point, so the rates of any subset of the cycles bound
     the interval from inside.  The margin also keeps the bounds that
@@ -732,7 +722,7 @@ def essential_interval_bounds(
 
         steps = _StepTable(structure, dec.essential, table)
         excluded, excluded_count = _excluded_cycles(steps, cycle_budget)
-        screen = _CycleScreen(cycle_budget)
+        screen = _CycleScreen()
         # inf * 0 in a product that overflows is nan: it scores nan, and is certified
         with numpy.errstate(over="ignore", invalid="ignore"):
             for codes, products in _included_cycle_batches(steps, cycle_budget):
@@ -841,9 +831,14 @@ def isolated_point_scan(
     dec: ClassDecomposition,
     table: MatrixTable,
     bounds: EssentialBounds,
-    depth: int = DEFAULT_DEPTH,
 ) -> IsolationFindings:
-    """Local dimensions at 0 and 1 and their `isolation_verdict`s."""
+    """Local dimensions at 0 and 1 and their `isolation_verdict`s.
+
+    The addresses of 0 and 1 are forced chains: the first, resp. last,
+    child at every step while it abuts its parent's end.  A chain stops at
+    the first full vector it meets twice, or where it dies, so it is
+    settled within `full_count + 1` edges, the depth it is located to.
+    """
     system = structure.system
     cantor = None
     if (system.family or {}).get("name") == "cantor":
@@ -858,7 +853,7 @@ def isolated_point_scan(
 
     findings = []
     for x, label in ((0, "0"), (1, "1")):
-        spec = PeriodicSpec.from_location(locate_point(structure, x, depth))
+        spec = PeriodicSpec.from_location(locate_point(structure, x, structure.full_count + 1))
         result = local_dim_periodic(structure, table, spec)
         verdict = isolation_verdict(structure, bounds, x, result)
         findings.append(EndpointFinding(label, result, *verdict))
@@ -995,12 +990,12 @@ class DimensionReport(NamedTuple):
 def build_dimension_report(
     structure: FiniteTypeStructure,
     cycle_budget: int = 8,
-    depth: int = DEFAULT_DEPTH,
 ) -> DimensionReport:
     """One-stop aggregation of every quantitative output for a structure.
 
     Analysis at a chosen point is `pointdim`'s job; the report covers the
-    system and its hull endpoints 0 and 1.
+    system and its hull endpoints 0 and 1, which need no depth
+    (`isolated_point_scan`).
     """
     dec = decompose(structure)
     table = MatrixTable(structure)
@@ -1009,7 +1004,7 @@ def build_dimension_report(
     rows = positive_row_check(structure, dec, table)
     sums = equal_column_sum_check(structure, dec, table, hausdorff)
     pisot = pisot_check_reciprocal(structure.system)
-    isolation = isolated_point_scan(structure, dec, table, bounds, depth)
+    isolation = isolated_point_scan(structure, dec, table, bounds)
 
     sane = sanity_dim_in_interval(hausdorff, bounds)
     if bounds.inner_lo is not None:

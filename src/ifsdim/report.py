@@ -29,6 +29,8 @@ from .net import FiniteTypeStructure
 from .spectral import SpectralResult
 
 SCHEMA_VERSION = 2
+# decimal places of the printed enclosures
+_PLACES = 12
 
 
 def fraction_str(q) -> str:
@@ -220,10 +222,10 @@ def dumps(d: dict) -> str:
 # -- plain text rendering -------------------------------------------------
 
 
-def _dec_bound(q: Fraction, places: int, round_up: bool) -> str:
-    """Decimal string of q rounded outward, so printed intervals still
-    enclose the certified ones."""
-    scale = 10**places
+def _dec_bound(q: Fraction, round_up: bool) -> str:
+    """Decimal string of q rounded outward to `_PLACES` places, so printed
+    intervals still enclose the certified ones."""
+    scale = 10**_PLACES
     num = q * scale
     if round_up:
         n = -((-num.numerator) // num.denominator)
@@ -231,16 +233,13 @@ def _dec_bound(q: Fraction, places: int, round_up: bool) -> str:
         n = num.numerator // num.denominator
     sign = "-" if n < 0 else ""
     whole, frac = divmod(abs(n), scale)
-    text = "%s%d.%0*d" % (sign, whole, places, frac)
+    text = "%s%d.%0*d" % (sign, whole, _PLACES, frac)
     return text.rstrip("0").rstrip(".") or "0"
 
 
-def format_enclosure(lo, hi, places: int = 12) -> str:
+def format_enclosure(lo, hi) -> str:
     """"[lo, hi]" with the endpoints rounded outward to decimals."""
-    return "[%s, %s]" % (
-        _dec_bound(Fraction(lo), places, False),
-        _dec_bound(Fraction(hi), places, True),
-    )
+    return "[%s, %s]" % (_dec_bound(Fraction(lo), False), _dec_bound(Fraction(hi), True))
 
 
 def _fmt_certified(c: dict | None) -> str:

@@ -31,7 +31,9 @@ inner bounds, kept as the reference for the Lyndon walks of
 `dimension._excluded_cycles`;
 `reference_inner_bounds`, the former loop that certifies every included
 cycle exactly, kept as the reference for the float screen of
-`dimension.essential_interval_bounds`; `reference_product`, the former
+`dimension.essential_interval_bounds`; `reference_screen`, the cycles
+that screen keeps, found by scoring every batch first and filtering once
+against the global extremes; `reference_product`, the former
 entry-by-entry `Fraction` matrix product, kept as the reference for the
 integer multiply of `TransitionMatrix`; `reference_matrix_flags`, the
 column sums and sign flags of a matrix read off its `Fraction` entries, the
@@ -60,6 +62,7 @@ calls.
 
 import copy
 import json
+import math
 import string
 from fractions import Fraction
 from typing import NamedTuple
@@ -743,6 +746,36 @@ def reference_inner_bounds(structure, dec, table, budget):
         max_witness=witness([w for w in included if w.rate.hi >= hi_lo]),
     )
     return out
+
+
+def reference_screen(structure, dec, table, budget):
+    """The step-code rows, as tuples, of the cycles that the float screen
+    of `essential_interval_bounds` sends to be certified.
+
+    Every batch of `dimension._included_cycle_batches` is scored with
+    `dimension._chunk_scores` before any is filtered, so the floats are
+    the package's own; the rows kept are those whose score is not finite
+    or lies within the relative `_SCREEN_MARGIN` of the least or greatest
+    finite score of all batches.
+    """
+    import numpy
+
+    steps = dimension._StepTable(structure, dec.essential, table)
+    scored = []
+    with numpy.errstate(over="ignore", invalid="ignore"):
+        for codes, products in dimension._included_cycle_batches(steps, budget):
+            scored.append((dimension._chunk_scores(products, codes.shape[1]), codes))
+    finite = [x for g, _ in scored for x in g.tolist() if math.isfinite(x)]
+    g_lo, g_hi = min(finite, default=math.inf), max(finite, default=-math.inf)
+    margin = dimension._SCREEN_MARGIN
+    return {
+        tuple(row)
+        for g, codes in scored
+        for x, row in zip(g.tolist(), codes.tolist())
+        if not math.isfinite(x)
+        or x <= g_lo + margin * abs(g_lo)
+        or x >= g_hi - margin * abs(g_hi)
+    }
 
 
 def reference_load(payload, system):

@@ -212,7 +212,7 @@ def test_budget_exhaustion_exit_code(cfgdir, capsys):
 
 
 def test_flag_validation(cfgdir, capsys):
-    base = ["report", "--config", str(cfgdir / "six.cfg")]
+    base = ["pointdim", "--config", str(cfgdir / "six.cfg"), "--point", "0"]
     assert main(base + ["--depth", "-3"]) == 3
     assert "--depth" in capsys.readouterr().err
 
@@ -224,6 +224,7 @@ def test_flag_validation(cfgdir, capsys):
         ["explore", "--json", "out.json"],
         ["graph", "reduced", "--depth", "5"],
         ["report", "--dot", "out.dot"],
+        ["report", "--depth", "5"],
     ],
 )
 def test_subcommands_reject_flags_they_ignore(cfgdir, capsys, argv):

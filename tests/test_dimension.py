@@ -31,7 +31,7 @@ from ifsdim.dimension import (
 )
 from ifsdim.ifs import cantor_like
 from ifsdim.matrices import MatrixTable, TransitionMatrix, edge_matrix
-from ifsdim.net import FiniteTypeStructure, explore, locate_point
+from ifsdim.net import DEFAULT_DEPTH, FiniteTypeStructure, explore, locate_point
 from ifsdim.spectral import spectral_radius
 
 import oracle_helpers as oh
@@ -590,6 +590,31 @@ def test_screen_does_not_depend_on_the_chunk_size(request, monkeypatch, name):
     assert results[0] == results[1] == results[2]
 
 
+@pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8"])
+def test_screen_certifies_the_cycles_near_the_global_extremes(request, monkeypatch, name):
+    structure = request.getfixturevalue(name)
+    if name == "convolution_3_8":
+        structure = explore(structure)
+    dec, table = parts_of(structure)
+    products_of = dimension._StepTable.products
+    certified = []
+
+    def recording_products(self, codes):
+        certified.extend(map(tuple, codes.tolist()))
+        return products_of(self, codes)
+
+    monkeypatch.setattr(dimension._StepTable, "products", recording_products)
+    for budget in range(1, LYNDON_BUDGETS.get(name, 6) + 1):
+        reference = oh.reference_screen(structure, dec, table, budget)
+        for chunk in (1, 7, dimension._SCREEN_CHUNK):
+            certified.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(dimension, "_SCREEN_CHUNK", chunk)
+                bounds = essential_interval_bounds(structure, dec, table, budget)
+            assert len(certified) == len(set(certified)) == bounds.certified_count
+            assert set(certified) == reference, (budget, chunk)
+
+
 def test_screen_calls_eigvals_once_per_chunk(monkeypatch, gap_system_structure):
     structure = gap_system_structure
     dec, table = parts_of(structure)
@@ -604,9 +629,13 @@ def test_screen_calls_eigvals_once_per_chunk(monkeypatch, gap_system_structure):
     monkeypatch.setattr(dimension, "_SCREEN_CHUNK", chunk)
     monkeypatch.setattr(numpy.linalg, "eigvals", counting_eigvals)
     bounds = essential_interval_bounds(structure, dec, table, 5)
-    shapes = {len(structure.neighbours_of_full(fid)) for fid in dec.essential}
+    steps = dimension._StepTable(structure, dec.essential, table)
+    batches = dimension._included_cycle_batches(steps, 5)
+    queues = {(codes.shape[1], products.shape[1]) for codes, products in batches}
     assert bounds.cycle_count > 10 * chunk
-    assert len(calls) <= math.ceil(bounds.cycle_count / chunk) + len(shapes)
+    assert len(queues) <= 5
+    # one call per full chunk, and one per (length, shape) queue for what is left
+    assert len(calls) <= math.ceil(bounds.cycle_count / chunk) + len(queues)
     assert sum(shape[0] for shape in calls) == bounds.cycle_count
     assert all(len(shape) == 3 and shape[0] <= chunk for shape in calls)
 
@@ -769,6 +798,22 @@ def test_boundary_point_takes_the_flank_mass(eight_map_twelfths_structure):
 
 
 # -- isolation scans -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_STRUCTURES)
+def test_endpoint_scan_follows_each_address_to_its_cycle(request, name):
+    structure = request.getfixturevalue(name)
+    dec, table = parts_of(structure)
+    bounds = essential_interval_bounds(structure, dec, table, inner=False)
+    findings = isolated_point_scan(structure, dec, table, bounds)
+    for x, finding in ((0, findings.at_zero), (1, findings.at_one)):
+        # the scan as it was, located to the default depth
+        spec = PeriodicSpec.from_location(locate_point(structure, x, DEFAULT_DEPTH))
+        result = local_dim_periodic(structure, table, spec)
+        assert finding == (str(x), result, *isolation_verdict(structure, bounds, x, result))
+        for rep in locate_point(structure, x, structure.full_count + 1).representations:
+            assert rep.cycle is not None
+            assert sum(rep.cycle) == len(rep.edges) <= structure.full_count + 1
 
 
 def test_biased_golden_isolates_zero_through_the_family_bound(
