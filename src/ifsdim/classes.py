@@ -305,8 +305,9 @@ def classify_truly_essential(diagram: TripleDiagram, location: PointLocation) ->
     eventually essential.  Points whose vectors are eventually essential
     without the full neighbourhood being so are essential but not truly;
     points whose vectors stay outside the essential class are not essential
-    at all.  Returns a needs-more-depth signal when the supplied location
-    is too shallow to decide.
+    at all.  Boundary sides run to their close or death, so the
+    needs-more-depth signal comes for an interior point that the location
+    is too shallow to decide, or for a boundary point with no live side.
 
     Boundary points never read the diagram, and interior points expand only
     the triples of their walk (plus, once per diagram, the few essential
@@ -321,13 +322,11 @@ def classify_truly_essential(diagram: TripleDiagram, location: PointLocation) ->
         for rep in reps:
             if not rep.alive:
                 verdicts.append("empty")
-            elif rep.cycle is not None:
+            else:
                 fid = rep.fulls[rep.cycle[0]]
                 verdicts.append(
                     "essential" if fid in dec.essential else "non_essential"
                 )
-            else:
-                return NEEDS_MORE_DEPTH
         live = [v for v in verdicts if v != "empty"]
         if not live:
             return NEEDS_MORE_DEPTH

@@ -91,7 +91,7 @@ __all__ = [
 _SCREEN_MARGIN = 1e-6
 # most float cycle products that one `numpy.linalg.eigvals` call scores
 _SCREEN_CHUNK = 1024
-# most walks of one length that `_included_cycle_batches` extends, and that
+# most walks of one length that `_cycle_batches` extends, and that
 # `_StepTable.products` multiplies, at once; at 1024 the perfbench
 # `enumeration` peak RSS rose by 0.7 MB, at 256 it does not
 _WALK_BATCH = 256
@@ -359,6 +359,20 @@ class _StepTable:
         """The (start, edges) of the walk of step `codes`."""
         return self.vectors[self.src[codes[0]]], tuple(self.edge[codes].tolist())
 
+    def hugging(self, codes, hug) -> list[tuple]:
+        """The (steps, reason) of each cycle of step `codes` with end bits
+        `hug`, steps its (vector, edge) pairs: `all_leftmost` where bit 1 is
+        set, else `all_rightmost`, so a cycle that hugs both ends counts once."""
+        return [
+            (
+                tuple((self.vectors[v], e) for v, e in zip(src, edge)),
+                "all_leftmost" if bits & 1 else "all_rightmost",
+            )
+            for src, edge, bits in zip(
+                self.src[codes].tolist(), self.edge[codes].tolist(), hug.tolist()
+            )
+        ]
+
     def products(self, codes) -> list[TransitionMatrix]:
         """The exact products of the closed walks of step `codes`, an (N, n) array.
 
@@ -401,43 +415,15 @@ class _StepTable:
         return out
 
 
-def _excluded_cycles(steps: _StepTable, budget: int) -> tuple[list, int]:
-    """The cycles whose steps all hug one end: the first 50 with their reason, and the count.
-
-    A vector leaves by at most one step that hugs the left end, its first,
-    and one that hugs the right end, its last, so these cycles are the
-    cycles of two maps from vectors to vectors.  Each map is followed from
-    each vector s for at most `budget` steps, until it reaches a vector <=
-    s; a walk that ends at s is a cycle whose least vector is s, so it is
-    met once, as its least rotation.  A cycle whose steps hug both ends is
-    a cycle of both maps, and counts once, as all_leftmost.  The cycles
-    come as (steps, reason), steps the (vector, edge) pairs, sorted.
-    """
-    hugs, src, dst, edge = (x.tolist() for x in (steps.hugs, steps.src, steps.dst, steps.edge))
-    first = steps.first.tolist()
-    last = (steps.first + steps.count - 1).tolist()
-    found = []
-    for s in range(len(steps.vectors)):
-        for reason, bit, leave in (("all_leftmost", 1, first), ("all_rightmost", 2, last)):
-            walk, v = [], s
-            while len(walk) < budget and hugs[leave[v]] & bit:
-                walk.append(leave[v])
-                v = dst[leave[v]]
-                if v <= s:
-                    break
-            if walk and v == s and (bit == 1 or any(hugs[c] != 3 for c in walk)):
-                found.append((tuple((steps.vectors[src[c]], edge[c]) for c in walk), reason))
-    found.sort()
-    return found[:50], len(found)
-
-
-def _included_cycle_batches(steps: _StepTable, budget: int):
-    """The included Lyndon cycles of at most `budget` steps, in float batches.
+def _cycle_batches(steps: _StepTable, budget: int):
+    """The Lyndon cycles of at most `budget` steps, in float batches.
 
     `steps` is the step table of a closed class.  Yields (codes,
-    products): the (N, n) step codes of N Lyndon cycles of n steps from
-    one start that hug neither end (`_excluded_cycles` has those), and
-    their (N, k, k) float products, multiplied left to right.
+    products, hug): the (N, n) step codes of N Lyndon cycles of n steps
+    from one start, their (N, k, k) float products, multiplied left to
+    right, and their end bits, the `_StepTable.hugs` of all their steps
+    and-ed together: bit 1 when every step hugs the left end, bit 2 when
+    every step hugs the right end.
 
     A walk is extended while its steps form a pre-necklace (Fredricksen
     and Maiorana), a batch of walks of one length at a time, and a walk
@@ -489,9 +475,9 @@ def _included_cycle_batches(steps: _StepTable, budget: int):
             at = dst[codes]
             hist = numpy.concatenate([hist[walk], codes[:, None]], axis=1)
             products = numpy.matmul(products[walk], steps.floats[codes])
-            closed = (at == s) & (period == n) & (hug == 0)
+            closed = (at == s) & (period == n)
             if closed.any():
-                yield hist[closed, 1:], products[closed, :, :k]
+                yield hist[closed, 1:], products[closed, :, :k], hug[closed]
             if n < budget:
                 batch = hist, period, hug, at, products
                 stack += [
@@ -640,17 +626,18 @@ def essential_interval_bounds(
     left end (`all_leftmost`), or all to a last child that abuts the
     right end (`all_rightmost`), repeats to the end point of its net
     intervals; the mass on the other side of that point also decides its
-    local dimension, so the cycle's rate need not be it.  Those cycles
-    are the cycles of the leftmost and the rightmost child map
-    (`_excluded_cycles`); they are counted and sampled in `excluded`,
-    sorted, not included, and `cycle_count` counts the included ones.
+    local dimension, so the cycle's rate need not be it.  The one
+    enumeration, `_cycle_batches`, marks those cycles by their end bits:
+    they are counted in `excluded_count`, the first 50 sorted are sampled
+    in `excluded` (`_StepTable.hugging`), and `cycle_count` counts the
+    included ones.
     Every other cycle is realized at a truly essential point, so no
     triple diagram is needed: the centres of the triple diagram's closed
     class are exactly the essential class (K. G. Hare, K. E. Hare and
     K. R. Matthews, J. Fractal Geom. 3 (2016)), and repeating a cycle
     from a triple of that class stays in it.
 
-    Each included cycle is screened in floats: `_included_cycle_batches`
+    Each included cycle is screened in floats: `_cycle_batches`
     enumerates them level by level and multiplies the float edge matrices
     of all walks of a level at once, left to right, and its score g = ln
     sp / n (n edges) is read off that product; the rate is -g / |ln rho|.
@@ -714,18 +701,19 @@ def essential_interval_bounds(
     cycle_count = 0
     certified_count = 0
     excluded: list[tuple] = []
-    excluded_count = 0
     # (rate, positive, step codes of the cycles) per distinct product and length
     certificates: list[tuple[Certified, bool, object]] = []
     if inner:
         import numpy
 
         steps = _StepTable(structure, dec.essential, table)
-        excluded, excluded_count = _excluded_cycles(steps, cycle_budget)
         screen = _CycleScreen()
         # inf * 0 in a product that overflows is nan: it scores nan, and is certified
         with numpy.errstate(over="ignore", invalid="ignore"):
-            for codes, products in _included_cycle_batches(steps, cycle_budget):
+            for codes, products, hug in _cycle_batches(steps, cycle_budget):
+                if hug.any():
+                    excluded += steps.hugging(codes[hug != 0], hug[hug != 0])
+                    codes, products = codes[hug == 0], products[hug == 0]
                 cycle_count += len(codes)
                 screen.add(codes, products)
             candidates = screen.candidates()
@@ -763,8 +751,8 @@ def essential_interval_bounds(
         max_witness,
         cycle_count,
         certified_count,
-        tuple(excluded),
-        excluded_count,
+        tuple(sorted(excluded)[:50]),
+        len(excluded),
         cycle_budget,
     )
 
@@ -835,9 +823,9 @@ def isolated_point_scan(
     """Local dimensions at 0 and 1 and their `isolation_verdict`s.
 
     The addresses of 0 and 1 are forced chains: the first, resp. last,
-    child at every step while it abuts its parent's end.  A chain stops at
-    the first full vector it meets twice, or where it dies, so it is
-    settled within `full_count + 1` edges, the depth it is located to.
+    child at every step while it abuts its parent's end.  `locate_point`
+    follows a chain to the first full vector it meets twice, or to where
+    it dies, within `full_count + 1` edges, so no depth is passed.
     """
     system = structure.system
     cantor = None
@@ -853,7 +841,7 @@ def isolated_point_scan(
 
     findings = []
     for x, label in ((0, "0"), (1, "1")):
-        spec = PeriodicSpec.from_location(locate_point(structure, x, structure.full_count + 1))
+        spec = PeriodicSpec.from_location(locate_point(structure, x))
         result = local_dim_periodic(structure, table, spec)
         verdict = isolation_verdict(structure, bounds, x, result)
         findings.append(EndpointFinding(label, result, *verdict))

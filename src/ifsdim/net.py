@@ -438,8 +438,10 @@ def locate_point(
     """Resolve a point of [0, 1] to its symbolic address(es).
 
     Boundary points (endpoints of some net interval) get one or two forced
-    representations; interior points descend until `depth` or until the
-    (vector, relative position) state repeats, which pins an exact period.
+    representations, each followed to its close or its death
+    (`_forced_chain`), so `depth` bounds only the interior search: an
+    interior point descends until `depth` or until the (vector, relative
+    position) state repeats, which pins an exact period.
     """
     system = structure.system
     ctx = system.context
@@ -478,17 +480,17 @@ def locate_point(
                 )
             if c_left == 0:
                 if i > 0 and not structure.gap_before[e]:
-                    return _boundary(structure, edges, fulls, i - 1, i, depth)
+                    return _boundary(structure, edges, fulls, i - 1, i)
                 # x == 0 at the root, or the right edge of a gap
-                return _boundary(structure, edges, fulls, None, i, depth)
+                return _boundary(structure, edges, fulls, None, i)
             c_right = (u - end).sign()
             if c_right < 0:
                 placed = (i, e, t)
                 break
             if c_right == 0:
                 if i + 1 < len(span) and not structure.gap_before[e + 1]:
-                    return _boundary(structure, edges, fulls, i, i + 1, depth)
-                return _boundary(structure, edges, fulls, i, None, depth)
+                    return _boundary(structure, edges, fulls, i, i + 1)
+                return _boundary(structure, edges, fulls, i, None)
         if placed is None:
             raise PointNotInAttractorError(
                 f"point lies in an attractor-free gap at level {len(edges) + 1}",
@@ -504,40 +506,38 @@ def locate_point(
     return PointLocation(False, None, [rep])
 
 
-def _boundary(structure, edges, fulls, left_idx, right_idx, depth) -> PointLocation:
+def _boundary(structure, edges, fulls, left_idx, right_idx) -> PointLocation:
     boundary_level = len(edges) + 1
     reps = []
     if left_idx is not None:
-        reps.append(_forced_chain(structure, edges, fulls, left_idx, "left", depth))
+        reps.append(_forced_chain(structure, edges, fulls, left_idx, "left"))
     if right_idx is not None:
-        reps.append(_forced_chain(structure, edges, fulls, right_idx, "right", depth))
+        reps.append(_forced_chain(structure, edges, fulls, right_idx, "right"))
     return PointLocation(True, boundary_level, reps)
 
 
-def _forced_chain(structure, edges, fulls, first_edge, side, depth) -> Representation:
+def _forced_chain(structure, edges, fulls, first_edge, side) -> Representation:
     """Extend a boundary representation; on side 'left' the point is the
     right endpoint of every interval, so each step must take the rightmost
     child and that child must abut the parent's right end (symmetrically
-    for side 'right').  The chain dies if the required child is missing."""
+    for side 'right').  The chain dies where the required child is
+    missing, and closes at the first full vector it meets twice; by
+    pigeonhole one of the two happens within `full_count + 1` edges of
+    the boundary level, so no depth bounds the chain."""
     child = structure.child
     end, abuts = (-1, structure.abuts_right) if side == "left" else (0, structure.abuts_left)
     rep_edges = list(edges) + [first_edge]
-    rep_fulls = list(fulls) + [child[structure.edges_of_full(fulls[-1])[first_edge]]]
-    alive = True
-    cycle = None
-    seen = {rep_fulls[-1]: len(rep_edges)}
-    while len(rep_edges) < depth:
-        span = structure.edges_of_full(rep_fulls[-1])
+    fid = child[structure.edges_of_full(fulls[-1])[first_edge]]
+    rep_fulls = list(fulls) + [fid]
+    seen: dict[int, int] = {}
+    while fid not in seen:
+        seen[fid] = len(rep_edges)
+        span = structure.edges_of_full(fid)
         e = span[end]
         if not abuts[e]:
-            alive = False
-            break
+            return Representation(side, rep_edges, rep_fulls, alive=False)
         fid = child[e]
         rep_edges.append(e - span.start)
         rep_fulls.append(fid)
-        pos = seen.get(fid)
-        if pos is not None:
-            cycle = (pos, len(rep_edges) - pos)
-            break
-        seen[fid] = len(rep_edges)
-    return Representation(side, rep_edges, rep_fulls, cycle=cycle, alive=alive)
+    start = seen[fid]
+    return Representation(side, rep_edges, rep_fulls, cycle=(start, len(rep_edges) - start))

@@ -27,8 +27,8 @@ triple diagram for a boundary point that is essential on one side only,
 which checks the essential-but-not-truly taxonomy of the fixtures;
 `reference_cycles`, the former all-rotations walk enumeration of the
 inner bounds, kept as the reference for the Lyndon walks of
-`dimension._included_cycle_batches` and the end map walks of
-`dimension._excluded_cycles`;
+`dimension._cycle_batches`, both those it includes and the end-hugging
+ones it excludes;
 `reference_inner_bounds`, the former loop that certifies every included
 cycle exactly, kept as the reference for the float screen of
 `dimension.essential_interval_bounds`; `reference_screen`, the cycles
@@ -752,18 +752,19 @@ def reference_screen(structure, dec, table, budget):
     """The step-code rows, as tuples, of the cycles that the float screen
     of `essential_interval_bounds` sends to be certified.
 
-    Every batch of `dimension._included_cycle_batches` is scored with
-    `dimension._chunk_scores` before any is filtered, so the floats are
-    the package's own; the rows kept are those whose score is not finite
-    or lies within the relative `_SCREEN_MARGIN` of the least or greatest
-    finite score of all batches.
+    The cycles of every batch of `dimension._cycle_batches` that hug
+    neither end are scored with `dimension._chunk_scores` before any is
+    filtered, so the floats are the package's own; the rows kept are those
+    whose score is not finite or lies within the relative `_SCREEN_MARGIN`
+    of the least or greatest finite score of all batches.
     """
     import numpy
 
     steps = dimension._StepTable(structure, dec.essential, table)
     scored = []
     with numpy.errstate(over="ignore", invalid="ignore"):
-        for codes, products in dimension._included_cycle_batches(steps, budget):
+        for codes, products, hug in dimension._cycle_batches(steps, budget):
+            codes, products = codes[hug == 0], products[hug == 0]
             scored.append((dimension._chunk_scores(products, codes.shape[1]), codes))
     finite = [x for g, _ in scored for x in g.tolist() if math.isfinite(x)]
     g_lo, g_hi = min(finite, default=math.inf), max(finite, default=-math.inf)

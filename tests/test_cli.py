@@ -376,6 +376,20 @@ def test_pointdim_slope_sequence_for_aperiodic_point(cfgdir, capsys, tmp_path):
     assert "local dimension: 1.01065475209 in [1.010654752091, 1.010654752096]\n" in out
 
 
+@pytest.mark.parametrize("point, depth", [("0", "1"), ("2/87", "2")])
+def test_boundary_point_prints_the_same_at_a_short_depth(cfgdir, capsys, tmp_path, point, depth):
+    # --depth bounds only the interior search: a boundary point's forced
+    # chains run to their close, here past the depth asked for
+    argv = ["pointdim", "--config", str(cfgdir / "table_87.cfg"), "--point", point]
+    outs = []
+    for extra, name in ((["--depth", depth], "short.json"), ([], "default.json")):
+        assert main(argv + extra + ["--json", str(tmp_path / name)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert (tmp_path / "short.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+    assert "classification: non_essential" in outs[0]
+
+
 def test_pointdim_needs_probabilities(cfgdir, capsys):
     rc = main(["pointdim", "--config", str(cfgdir / "free.cfg"), "--point", "0"])
     assert rc == 3

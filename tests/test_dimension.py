@@ -340,7 +340,7 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, name):
     steps = dimension._StepTable(structure, essential, table)
     for budget in range(1, LYNDON_BUDGETS.get(name, 6) + 1):
         cycles = {c for start in essential for c in reference_cycles(children, start, budget)}
-        batched = [w for walks, _ in batched_cycles(steps, budget) for w in walks]
+        batched = [w for walks, _, _ in batched_cycles(steps, budget) for w in walks]
         hugging = sorted(hugging_cycles(children, cycles))
         assert len(batched) == len(set(batched))
         assert set(batched) == cycles - {c for c, _ in hugging}
@@ -445,24 +445,22 @@ def hugging_cycles(children, cycles):
     return out
 
 
-def end_maps(children):
-    """The leftmost and the rightmost child map, on the vectors whose first
-    (resp. last) child abuts that end."""
-    left = {f: recs[0].child for f, recs in children.items() if recs[0].abuts_left}
-    right = {f: recs[-1].child for f, recs in children.items() if recs[-1].abuts_right}
-    return left, right
-
-
 def batched_cycles(steps, budget):
-    """The batches of `dimension._included_cycle_batches` on a `_StepTable`,
-    each as its cycles' (vector, edge) steps and its float products."""
+    """The batches of `dimension._cycle_batches` on a `_StepTable`, each as
+    the (vector, edge) steps and the float products of its cycles that hug
+    neither end, and the (steps, reason) of the others, which
+    `essential_interval_bounds` excludes."""
     src, edge = steps.src.tolist(), steps.edge.tolist()
-    for codes, products in dimension._included_cycle_batches(steps, budget):
+    for codes, products, hug in dimension._cycle_batches(steps, budget):
         # each step leaves the vector the one before it enters, and the last
         # enters the first's
         assert (steps.dst[codes] == steps.src[numpy.roll(codes, -1, axis=1)]).all()
-        walks = [tuple((steps.vectors[src[c]], edge[c]) for c in row) for row in codes.tolist()]
-        yield walks, products
+        included = hug == 0
+        walks = [
+            tuple((steps.vectors[src[c]], edge[c]) for c in row)
+            for row in codes[included].tolist()
+        ]
+        yield walks, products[included], steps.hugging(codes[~included], hug[~included])
 
 
 def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch):
@@ -475,7 +473,7 @@ def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch
         return matmul(a, b)
 
     monkeypatch.setattr(numpy, "matmul", counting_matmul)
-    both_ends = through_smaller = 0
+    both_ends = 0
     for _ in range(200):
         structure, children, table = random_class(rng)
         steps = dimension._StepTable(structure, children, table)
@@ -492,35 +490,29 @@ def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch
         for budget in range(1, 9):
             lyndon = [c for c in cycles if len(c) <= budget]
             hugging = sorted(hugging_cycles(children, lyndon))
-            excluded, excluded_count = dimension._excluded_cycles(steps, budget)
-            assert excluded == hugging[:50] and excluded_count == len(hugging)
             # a cycle whose steps hug both ends counts once, as all_leftmost
             both_ends += sum(
                 all(len(children[f]) == 1 and children[f][0].abuts_right for f, _ in c)
                 for c, reason in hugging
                 if reason == "all_leftmost"
             )
-            # an end map walk that passes a smaller vector before it closes
-            for end in end_maps(children):
-                for s in starts:
-                    path = [s]
-                    while len(path) <= budget and path[-1] in end:
-                        path.append(end[path[-1]])
-                    if s in path[1:]:
-                        through_smaller += min(path[: path.index(s, 1)]) < s
             rows.clear()
-            got = []
-            for walks, products in batched_cycles(steps, budget):
+            got, hugged = [], []
+            for walks, products, excluded in batched_cycles(steps, budget):
                 got += walks
-                if budget == 8:
+                hugged += excluded
+                if budget == 8 and walks:
                     expected = [reduce(operator.matmul, [floats[s] for s in w]) for w in walks]
                     numpy.testing.assert_allclose(products, expected, rtol=1e-12)
             # the same cycles, each once: cycle_count is len(got)
             assert sorted(got) == sorted(set(lyndon) - {c for c, _ in hugging})
+            # the end-hugging cycles come out of the same enumeration
+            excluded, excluded_count = sorted(hugged)[:50], len(hugged)
+            assert excluded == hugging[:50] and excluded_count == len(hugging)
             # the distance pruning keeps exactly the walks that can still close
             assert sum(rows) == sum(1 for n, back in prenecklaces if n + back <= budget)
-    # the graphs reach the cases that the end map walks must get right
-    assert both_ends > 0 and through_smaller > 0
+    # the graphs reach cycles that hug both ends
+    assert both_ends > 0
 
 
 @pytest.mark.parametrize("budget", [0, -3])
@@ -630,8 +622,12 @@ def test_screen_calls_eigvals_once_per_chunk(monkeypatch, gap_system_structure):
     monkeypatch.setattr(numpy.linalg, "eigvals", counting_eigvals)
     bounds = essential_interval_bounds(structure, dec, table, 5)
     steps = dimension._StepTable(structure, dec.essential, table)
-    batches = dimension._included_cycle_batches(steps, 5)
-    queues = {(codes.shape[1], products.shape[1]) for codes, products in batches}
+    batches = dimension._cycle_batches(steps, 5)
+    queues = {
+        (codes.shape[1], products.shape[1])
+        for codes, products, hug in batches
+        if (hug == 0).any()
+    }
     assert bounds.cycle_count > 10 * chunk
     assert len(queues) <= 5
     # one call per full chunk, and one per (length, shape) queue for what is left

@@ -653,3 +653,27 @@ def test_locate_heavy_boundary_point(eight_map_twelfths_structure):
         (5, 10), (1, 1), (1, 1),
     ]
     assert right.cycle == (2, 1)
+
+
+@pytest.mark.parametrize("name", ALL_STRUCTURES)
+def test_boundary_chains_close_at_the_boundary_level(request, name):
+    # a forced chain closes or dies within full_count + 1 edges of its
+    # boundary level, so a depth that only reaches that level locates the
+    # point as the default depth does
+    s = request.getfixturevalue(name)
+    points = {}
+    for level in (1, 2):
+        for iv in iter_net_intervals(s, level):
+            points.setdefault(iv.left, None)
+            points.setdefault(right_end(s, iv), None)
+    for x in points:
+        location = locate_point(s, x)
+        assert location.boundary
+        level = location.boundary_level
+        assert not locate_point(s, x, level - 1).boundary
+        assert locate_point(s, x, level) == location
+        for rep in location.representations:
+            assert len(rep.edges) <= level + s.full_count
+            if rep.alive:
+                start, period = rep.cycle
+                assert start + period == len(rep.edges)
