@@ -6,6 +6,13 @@ rational, so arithmetic is exact.  The sign of an element is decided by
 interval evaluation over a rational isolating interval for rho, refined by
 bisection; this terminates because a nonzero element of the field cannot
 vanish at rho.
+
+The isolating interval is held as integer numerators over one denominator,
+and an element is evaluated on integer numerators too: its coordinates are
+scaled to integers over their common denominator, and the bounds at the two
+ends come out over one known denominator.  The rationals are the ones a
+`Fraction` evaluation gives, so every bisection, sign and approximation is
+the same; only the gcd normalisation of each `Fraction` step is saved.
 """
 
 from __future__ import annotations
@@ -162,6 +169,13 @@ def _is_irreducible(int_coeffs: Sequence[int]) -> bool:
     return len(factors) == 1 and factors[0][1] == 1
 
 
+def _numerators(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers a_i and q > 0 with coeffs[i] = a_i / q, q the lcm of the denominators."""
+    dens = [c.denominator for c in coeffs]
+    q = math.lcm(*dens)
+    return [c.numerator * (q // den) for c, den in zip(coeffs, dens)], q
+
+
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
@@ -200,7 +214,7 @@ class FieldContext:
                 lo, hi = (_as_fraction(v) for v in isolating)
                 if not lo <= rho <= hi:
                     raise FieldError("isolating interval does not contain the root")
-            self._lo = self._hi = rho
+            lo = hi = rho
             self.rational_rho: Fraction | None = rho
         else:
             if not _is_irreducible(self.minpoly_int):
@@ -217,14 +231,15 @@ class FieldContext:
                 raise FieldError("no root of the minimal polynomial in the interval")
             if nroots > 1:
                 raise FieldError("isolating interval contains more than one root")
-            self._lo, self._hi = lo, hi
             self.rational_rho = None
 
         # rho^d expressed over the power basis, used to fold high powers down.
         d = self.degree
         lead = mp[d]
         self._top: Coeffs = tuple(-mp[i] / lead for i in range(d))
-        self._sign_lo = 1 if _poly_eval(mp, self._lo) > 0 else -1
+        self._sign_lo = 1 if _poly_eval(mp, lo) > 0 else -1
+        (nlo, nhi), den = _numerators((lo, hi))
+        self._set_interval(nlo, nhi, den)
         self.zero = FieldElement(self, (Fraction(0),) * d)
         self.one = self.element([1])
         self.rho = self.element([0, 1]) if d >= 2 else self.element([self.rational_rho])
@@ -261,17 +276,48 @@ class FieldContext:
     # -- isolating interval ------------------------------------------------
 
     def interval(self) -> tuple[Fraction, Fraction]:
-        return self._lo, self._hi
+        return Fraction(self._nlo, self._den), Fraction(self._nhi, self._den)
+
+    def _set_interval(self, nlo: int, nhi: int, den: int) -> None:
+        """Hold the interval [nlo/den, nhi/den], with the end powers evaluation reads.
+
+        `_plo[i]` is nlo^i * den^(d-1-i), and `_phi[i]` the same for nhi, so
+        that an element's bounds come out over den^(d-1) = `_plo[0]`.
+        """
+        self._nlo, self._nhi, self._den = nlo, nhi, den
+        d = self.degree
+        self._plo, self._phi = [], []
+        lo_power = hi_power = 1
+        for i in range(d):
+            scale = den ** (d - 1 - i)
+            self._plo.append(lo_power * scale)
+            self._phi.append(hi_power * scale)
+            lo_power *= nlo
+            hi_power *= nhi
 
     def _bisect(self) -> None:
-        mid = (self._lo + self._hi) / 2
-        val = _poly_eval(self._minpoly, mid)
+        """Halve the isolating interval, keeping the half that holds rho.
+
+        Over the new denominator D = 2 den the midpoint is nlo + nhi, and
+        the sign of the minimal polynomial p there is the sign of
+        D^d p(mid), found by Horner's rule on its integer coefficients.
+        The end that is kept is doubled to D, so the interval's rationals
+        are the ones that halving with `Fraction`s gives.
+        """
+        nlo, nhi, den = self._nlo, self._nhi, 2 * self._den
+        mid = nlo + nhi
+        mp = self.minpoly_int
+        val = mp[-1]
+        scale = 1
+        for c in reversed(mp[:-1]):
+            scale *= den
+            val = val * mid + c * scale
         if val == 0:  # impossible for an irreducible polynomial of degree >= 2
             raise FieldError("minimal polynomial has a rational root")
         if (1 if val > 0 else -1) == self._sign_lo:
-            self._lo = mid
+            self._set_interval(mid, 2 * nhi, den)
         else:
-            self._hi = mid
+            self._set_interval(2 * nlo, mid, den)
 
     def root_index(self) -> int:
         """Index of rho among the real roots of the minimal polynomial, smallest first.
@@ -284,34 +330,36 @@ class FieldContext:
         mp = self._minpoly
         # Cauchy's bound: every root lies strictly inside (-bound, bound)
         bound = 1 + max(abs(c) for c in mp[:-1]) / abs(mp[-1])
-        return _sturm_root_count(mp, -bound, self._lo)
+        return _sturm_root_count(mp, -bound, self.interval()[0])
 
     # -- evaluation --------------------------------------------------------
 
-    def _interval_eval(self, coeffs: Coeffs) -> tuple[Fraction, Fraction]:
-        lo, hi = self._lo, self._hi
-        plo = phi = Fraction(1)
-        tot_lo = tot_hi = Fraction(0)
-        for i, c in enumerate(coeffs):
-            if i:
-                plo *= lo
-                phi *= hi
-            if c > 0:
-                tot_lo += c * plo
-                tot_hi += c * phi
-            elif c < 0:
-                tot_lo += c * phi
-                tot_hi += c * plo
+    def _interval_eval(self, nums: Sequence[int]) -> tuple[int, int]:
+        """Bounds lo <= hi on den^(d-1) * sum(a_i rho^i), for integer numerators a_i.
+
+        Each term takes the end of the interval that makes it smallest or
+        largest, as the interval lies in [0, 1]; over den^(d-1) these are
+        the bounds a `Fraction` evaluation at the rational ends gives.
+        """
+        tot_lo = tot_hi = 0
+        for a, plo, phi in zip(nums, self._plo, self._phi):
+            if a > 0:
+                tot_lo += a * plo
+                tot_hi += a * phi
+            elif a < 0:
+                tot_lo += a * phi
+                tot_hi += a * plo
         return tot_lo, tot_hi
 
     def sign_of(self, coeffs: Coeffs) -> int:
         if self.degree == 1:  # the one coordinate is the value
             c = coeffs[0]
             return 0 if c == 0 else (1 if c > 0 else -1)
-        if all(c == 0 for c in coeffs):
+        nums, _ = _numerators(coeffs)
+        if not any(nums):
             return 0
         while True:
-            lo, hi = self._interval_eval(coeffs)
+            lo, hi = self._interval_eval(nums)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -357,10 +405,12 @@ class FieldContext:
             raise FieldError("eps must be positive")
         if self.degree == 1:
             return coeffs[0]
+        nums, q = _numerators(coeffs)
         while True:
-            lo, hi = self._interval_eval(coeffs)
-            if hi - lo < eps:
-                return (lo + hi) / 2
+            lo, hi = self._interval_eval(nums)
+            scale = q * self._plo[0]  # the bounds are over q * den^(d-1)
+            if (hi - lo) * eps.denominator < eps.numerator * scale:
+                return Fraction(lo + hi, 2 * scale)
             self._bisect()
 
     def __repr__(self) -> str:

@@ -48,6 +48,9 @@ into a `RecordTable`: it unpacks each column with `unpack_columns`, a
 digit-by-digit decode of its own, then applies the per-id checks and
 `FieldElement`-keyed duplicate registries of the former row loader, kept
 as the reference for the column checks of `cache._structure_from`;
+`ReferenceField`, the former `Fraction` kernel of `field.FieldContext`:
+its isolating interval, bisection, interval evaluation, signs and
+approximations, kept as the reference for the integer-numerator kernel;
 `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
@@ -876,6 +879,69 @@ def _reference_load(payload, system):
     structure.saturated = True
     structure.levels_explored = payload["levels_explored"]
     return structure
+
+
+class ReferenceField:
+    """Signs and approximations in Q(rho), computed entirely in `Fraction`s.
+
+    It holds an isolating interval of its own, starting from the one `ctx`
+    holds now, and halves it as the package's kernel once did: the interval
+    it holds after each call is the one `ctx` must hold after the same call.
+    """
+
+    def __init__(self, ctx):
+        self._minpoly = tuple(Fraction(c) for c in ctx.minpoly_int)
+        self.lo, self.hi = ctx.interval()
+        self._sign_lo = 1 if self._eval(self.lo) > 0 else -1
+
+    def _eval(self, x):
+        acc = Fraction(0)
+        for c in reversed(self._minpoly):
+            acc = acc * x + c
+        return acc
+
+    def interval(self):
+        return self.lo, self.hi
+
+    def _bisect(self):
+        mid = (self.lo + self.hi) / 2
+        if (1 if self._eval(mid) > 0 else -1) == self._sign_lo:
+            self.lo = mid
+        else:
+            self.hi = mid
+
+    def _interval_eval(self, coeffs):
+        plo = phi = Fraction(1)
+        tot_lo = tot_hi = Fraction(0)
+        for i, c in enumerate(coeffs):
+            if i:
+                plo *= self.lo
+                phi *= self.hi
+            if c > 0:
+                tot_lo += c * plo
+                tot_hi += c * phi
+            elif c < 0:
+                tot_lo += c * phi
+                tot_hi += c * plo
+        return tot_lo, tot_hi
+
+    def sign_of(self, coeffs):
+        if all(c == 0 for c in coeffs):
+            return 0
+        while True:
+            lo, hi = self._interval_eval(coeffs)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            self._bisect()
+
+    def approx(self, coeffs, eps):
+        while True:
+            lo, hi = self._interval_eval(coeffs)
+            if hi - lo < eps:
+                return (lo + hi) / 2
+            self._bisect()
 
 
 # -- packed columns of version-6 cache payloads --------------------------------

@@ -2,11 +2,10 @@
 
 A helper that only tests call belongs in `tests/oracle_helpers.py`, not in
 `src/`.  The exceptions are references that tests compare the package
-against and that no command needs, and a method that the benchmark's
-tracer reads.  Methods are matched by name, so a method that shares its
-name with a used one (`is_essential`, `width`) passes unseen; dunder
-functions and methods, such as a module `__getattr__`, are left out,
-since the language calls them.
+against and that no command needs.  Methods are matched by name, so a
+method that shares its name with a used one (`is_essential`, `width`)
+passes unseen; dunder functions and methods, such as a module
+`__getattr__`, are left out, since the language calls them.
 """
 
 import ast
@@ -18,9 +17,6 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "ifsdim"
 # the net-interval walks that tests check exploration, `locate_point` and
 # the matrices against
 TEST_REFERENCES = {"iter_net_intervals", "path_fulls", "path_left_endpoint"}
-# the isolating interval, which `perfbench/tracer.py` reads before and
-# after a sign decision to count bisections
-TRACER_REFERENCES = {"FieldContext.interval"}
 
 
 def _names_used(node):
@@ -66,4 +62,4 @@ def test_every_definition_is_referenced_in_the_package():
         if used[node.name] == _names_used(node)[node.name]
     }
     # equality, so a reference that a command comes to use leaves the allowlist
-    assert unreferenced == TEST_REFERENCES | TRACER_REFERENCES
+    assert unreferenced == TEST_REFERENCES

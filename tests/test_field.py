@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -252,3 +253,83 @@ def test_sort_key_is_memoised_on_the_element(make_ctx):
     twin = ctx.element(elem.coeffs)
     assert ctx.sort_key(twin) is not ctx.sort_key(elem)
     assert ctx.sort_key(twin) == ctx.sort_key(elem)
+
+
+# minimal polynomial and isolating interval of each irrational suite field:
+# the golden and tribonacci ratios and the degree-4 simple Pisot ratio of
+# `bernoulli_simple_pisot`, and `quadratic_ninth`, whose interval starts at 0
+SUITE_FIELDS = {
+    "golden": ([-1, 1, 1], (Fraction(1, 2), Fraction(1))),
+    "tribonacci": ([-1, 1, 1, 1], (Fraction(1, 2), Fraction(1))),
+    "quartic_pisot": ([-1, 1, 1, 1, 1], (Fraction(1, 2), Fraction(1))),
+    "quadratic_ninth": ([4, -18, 9], (Fraction(0), Fraction(1, 2))),
+}
+
+
+def _convergents(x, max_den):
+    """The continued-fraction convergents p/q of x with q <= max_den."""
+    out = []
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while x.denominator > 1:
+        a = math.floor(x)
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if q1 > max_den:
+            break
+        out.append(Fraction(p1, q1))
+        x = 1 / (x - a)
+    return out
+
+
+def _differential_elements(degree, rho, rng):
+    """Random elements with signed coordinates over denominators up to 10^40,
+    then rho minus its convergents, times random rationals, which need the
+    interval far narrower than any random element does."""
+    elements = [(Fraction(0),) * degree]
+    for _ in range(60):
+        coeffs = []
+        for _ in range(degree):
+            if rng.random() < 0.2:
+                coeffs.append(Fraction(0))
+            else:
+                size = 10 ** rng.choice((1, 6, 20, 40))
+                coeffs.append(Fraction(rng.randint(-size, size), rng.randint(1, size)))
+        elements.append(tuple(coeffs))
+    for conv in _convergents(rho, 10**20):
+        scale = Fraction(rng.choice((1, -1)) * rng.randint(1, 10**9), rng.randint(1, 10**40))
+        elements.append(tuple(scale * c for c in (-conv, 1) + (0,) * (degree - 2)))
+    rng.shuffle(elements)
+    return elements
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(SUITE_FIELDS))
+def test_kernel_matches_the_fraction_reference(name, seed):
+    # signs, approximations and the isolating interval after every call are
+    # those of the former `Fraction` kernel, which shares no code with it
+    minpoly, isolating = SUITE_FIELDS[name]
+    ctx = FieldContext(minpoly, isolating)
+    ref = oh.ReferenceField(ctx)
+    rho_coeffs = (0, 1) + (0,) * (ctx.degree - 2)
+    rho = oh.ReferenceField(FieldContext(minpoly, isolating)).approx(rho_coeffs, Fraction(1, 10**60))
+    # a run takes under 300 halvings, so a kernel whose bounds never close
+    # fails instead of looping on
+    bisect, budget = ctx._bisect, [1000]
+
+    def halve():
+        budget[0] -= 1
+        assert budget[0] >= 0, "the bounds do not close"
+        bisect()
+
+    ctx._bisect = halve
+    rng = random.Random(seed)
+    for coeffs in _differential_elements(ctx.degree, rho, rng):
+        assert ctx.sign_of(coeffs) == ref.sign_of(coeffs)
+        assert ctx.interval() == ref.interval()
+        lo, hi = ref._interval_eval(coeffs)
+        # a random eps, and the element's current width exactly, at which
+        # approx must halve once more, since it stops only below eps
+        for eps in (Fraction(1, 10 ** rng.randint(6, 40)), hi - lo):
+            if eps > 0:
+                got = ctx.approx(coeffs, eps)
+                assert type(got) is Fraction and got == ref.approx(coeffs, eps)
+                assert ctx.interval() == ref.interval()
