@@ -307,7 +307,10 @@ def classify_truly_essential(diagram: TripleDiagram, location: PointLocation) ->
     points whose vectors stay outside the essential class are not essential
     at all.  Boundary sides run to their close or death, so the
     needs-more-depth signal comes for an interior point that the location
-    is too shallow to decide, or for a boundary point with no live side.
+    is too shallow to decide.  A boundary point with no live side would get
+    it too, but is never located: it is a net-interval endpoint, so in the
+    attractor K, which has no isolated points, and a side's chain lives
+    exactly while K accumulates at the point from that side.
 
     Boundary points never read the diagram, and interior points expand only
     the triples of their walk (plus, once per diagram, the few essential

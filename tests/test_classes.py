@@ -1,6 +1,7 @@
 """Loop-class decomposition, the positive-row check, and triples."""
 
 import gc
+import math
 import random
 from fractions import Fraction as F
 
@@ -20,6 +21,9 @@ from ifsdim.classes import (
     positive_row_check,
     strongly_connected_components,
 )
+from ifsdim.cli import main
+from ifsdim.field import FieldContext
+from ifsdim.ifs import build_ifs
 from ifsdim.matrices import MatrixTable
 from ifsdim.net import (
     NetStructureError,
@@ -434,6 +438,32 @@ def test_classify_quadratic_gap_edge(quadratic_ninth_structure):
     assert location.boundary
     assert len(location.representations) == 1
     assert classify_truly_essential(diagram, location) == BOUNDARY_ESSENTIAL
+
+
+def test_boundary_point_with_a_dead_side(tmp_path, capsys):
+    # x/3 + {0, 16/45, 22/45, 2/3}: at 37/45 the right side's forced chain
+    # dies after edges 5, 0, as no child abuts there, while the left side
+    # closes a cycle; the point is classified and measured from that side
+    s = explore(build_ifs(FieldContext([-1, 3]), [0, F(8, 15), F(11, 15), 1], [F(1, 4)] * 4))
+    location = locate_point(s, F(37, 45))
+    assert location.boundary
+    left, right = location.representations
+    assert (left.side, left.edges, left.cycle, left.alive) == ("left", [4, 5, 2, 4, 4], (4, 1), True)
+    assert (right.side, right.edges, right.cycle, right.alive) == ("right", [5, 0], None, False)
+    diagram = build_triple_diagram(s, decompose(s))
+    assert classify_truly_essential(diagram, location) == NON_ESSENTIAL
+    cfg = tmp_path / "dead_side.cfg"
+    cfg.write_text(
+        "minpoly = [-1, 3]\ntranslations = [0, 8/15, 11/15, 1]\n"
+        "probabilities = [1/4, 1/4, 1/4, 1/4]\n",
+        encoding="utf-8",
+    )
+    assert main(["pointdim", "--config", str(cfg), "--point", "37/45"]) == 0
+    out = capsys.readouterr().out
+    assert "classification: non_essential" in out
+    assert "  side right: edges 5,0\n" in out
+    # ln 4 / ln 3, the rate of the left side's cycle of spectral radius 1/4
+    assert f"local dimension: {math.log(4) / math.log(3):.12g} in" in out
 
 
 def _closed_walks(structure, fid, max_len):

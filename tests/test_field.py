@@ -141,7 +141,7 @@ def test_degree_one_sign_reads_the_value():
     rng = random.Random(4127)
     for _ in range(200):
         coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(rng.randint(1, 4))]
-        expected = _poly_eval(coeffs, ctx.rational_rho)
+        expected = _poly_eval(coeffs, Fraction(1, 3))
         assert ctx.element(coeffs).sign() == (expected > 0) - (expected < 0)
         q = coeffs[0]
         assert ctx.sign_of((q,)) == (q > 0) - (q < 0)
@@ -159,7 +159,7 @@ def test_degree_one_approx_reads_the_value():
         num = rng.randint(-(2**bits), 2**bits)
         den = rng.randint(1, 2**rng.choice((8, 64, 400)))
         e = ctx.element([Fraction(num, den)])
-        expected = _poly_eval(e.coeffs, ctx.rational_rho)
+        expected = _poly_eval(e.coeffs, Fraction(1, 3))
         got = ctx.approx(e.coeffs, eps)
         assert got == expected and type(got) is Fraction
         assert e.approx(eps) == expected
@@ -333,3 +333,61 @@ def test_kernel_matches_the_fraction_reference(name, seed):
                 got = ctx.approx(coeffs, eps)
                 assert type(got) is Fraction and got == ref.approx(coeffs, eps)
                 assert ctx.interval() == ref.interval()
+
+
+# rational ratios: 1/3 as in table_87, 2/5 with a numerator above 1, and one
+# over a 40-digit denominator
+RATIONAL_RHOS = [
+    Fraction(1, 3),
+    Fraction(2, 5),
+    Fraction(3141592653589793238462643383279502884197, 10**40 - 3),
+]
+
+
+def _wide_rational(rng):
+    """Zero one time in six, else a signed value of magnitude up to 10^+-400."""
+    if rng.random() < 1 / 6:
+        return Fraction(0)
+    mantissa = Fraction(rng.randint(1, 10 ** rng.choice((1, 20, 40))), rng.randint(1, 10**20))
+    return rng.choice((1, -1)) * mantissa * Fraction(10) ** rng.randint(-400, 400)
+
+
+@pytest.mark.parametrize("rho", RATIONAL_RHOS, ids=["1/3", "2/5", "40-digit"])
+def test_rational_rho_takes_the_general_path_exactly(rho, monkeypatch):
+    # a rational rho is the width-0 interval [rho, rho]: reduction, sign,
+    # approx, product and inverse equal plain Fraction arithmetic, and the
+    # interval is never halved
+    ctx = FieldContext([-rho.numerator, rho.denominator])
+
+    def no_bisect():
+        raise AssertionError("a rational rho was bisected")
+
+    monkeypatch.setattr(ctx, "_bisect", no_bisect)
+    assert ctx.rho.coeffs == (rho,)
+    rng = random.Random(rho.denominator % 10007)
+    # coefficient lists longer than the degree fold down by Horner at rho
+    draws = [[Fraction(0)] * 3]
+    draws += [[_wide_rational(rng) for _ in range(rng.randint(1, 6))] for _ in range(119)]
+    pairs = []
+    for coeffs in draws:
+        value = _poly_eval(coeffs, rho)
+        e = ctx.element(coeffs)
+        assert e.coeffs == (value,)
+        pairs.append((e, value))
+    for e, value in pairs:
+        assert ctx.sign_of(e.coeffs) == e.sign() == (value > 0) - (value < 0)
+        for k in (6, 12, 17, 25, 40):
+            got = ctx.approx(e.coeffs, Fraction(1, 10**k))
+            assert type(got) is Fraction and got == value == e.approx(Fraction(1, 10**k))
+        assert ctx.interval() == (rho, rho)
+    for (a, va), (b, vb) in zip(pairs, rng.sample(pairs, len(pairs))):
+        assert (a * b).coeffs == (va * vb,)
+        if vb:
+            assert b.inverse().coeffs == (1 / vb,)
+            assert (a / b).coeffs == (va / vb,)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                b.inverse()
+    with pytest.raises(FieldError):
+        ctx.approx((Fraction(1),), 0)
+    assert ctx.interval() == (rho, rho)

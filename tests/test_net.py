@@ -42,6 +42,16 @@ def right_end(structure, iv):
     return iv.left + power * structure.length_of_full(iv.full)
 
 
+def net_endpoints(structure):
+    """The endpoints of every level-1 and level-2 net interval, each once."""
+    points = {}
+    for level in (1, 2):
+        for iv in iter_net_intervals(structure, level):
+            points.setdefault(iv.left, None)
+            points.setdefault(right_end(structure, iv), None)
+    return list(points)
+
+
 # ---------------------------------------------------------------------------
 # frozen structure tables for the worked examples
 # ---------------------------------------------------------------------------
@@ -655,18 +665,34 @@ def test_locate_heavy_boundary_point(eight_map_twelfths_structure):
     assert right.cycle == (2, 1)
 
 
+def test_every_boundary_point_keeps_a_live_side():
+    # a side's forced chain can die (x/3 + {0, 16/45, 22/45, 2/3} at 37/45
+    # is one case), but a net-interval endpoint lies in the attractor, which
+    # has no isolated points, so the attractor accumulates at it from at
+    # least one side and that side's chain lives
+    rng = random.Random(3729)
+    ctx = FieldContext([-1, 3])
+    dead_sides = 0
+    for _ in range(40):
+        m = rng.randint(2, 15)
+        inner = rng.sample(range(1, m), rng.randint(1, min(3, m - 1)))
+        s = explore(build_ifs(ctx, [F(0), F(1)] + [F(i, m) for i in inner]))
+        for x in net_endpoints(s):
+            location = locate_point(s, x)
+            assert location.boundary
+            assert any(rep.alive for rep in location.representations), x
+            dead_sides += sum(not rep.alive for rep in location.representations)
+    # the draws do reach the dead-chain exit
+    assert dead_sides > 0
+
+
 @pytest.mark.parametrize("name", ALL_STRUCTURES)
 def test_boundary_chains_close_at_the_boundary_level(request, name):
     # a forced chain closes or dies within full_count + 1 edges of its
     # boundary level, so a depth that only reaches that level locates the
     # point as the default depth does
     s = request.getfixturevalue(name)
-    points = {}
-    for level in (1, 2):
-        for iv in iter_net_intervals(s, level):
-            points.setdefault(iv.left, None)
-            points.setdefault(right_end(s, iv), None)
-    for x in points:
+    for x in net_endpoints(s):
         location = locate_point(s, x)
         assert location.boundary
         level = location.boundary_level
