@@ -191,11 +191,18 @@ def _hex_bytes(payload: dict, name: str, width: int, size: int | None) -> bytes:
 
 
 def _column(payload: dict, name: str, size: int | None, lo=None, hi=None) -> list:
-    """`payload[name]` decoded: `size` int32 values (any number for None) in [lo, hi)."""
-    packed = array("i", _hex_bytes(payload, name, 4, size))
+    """`payload[name]` decoded: `size` int32 values (any number for None) in [lo, hi).
+
+    A column with lo = 0 is read as unsigned, where a negative value reads
+    as 2^31 or more, so one `max` pass checks both bounds.
+    """
+    unsigned = lo == 0
+    packed = array("I" if unsigned else "i", _hex_bytes(payload, name, 4, size))
     if sys.byteorder == "big":
         packed.byteswap()
     col = packed.tolist()
+    if unsigned:
+        lo, hi = None, 2**31 if hi is None else hi
     if col and (lo is not None and min(col) < lo or hi is not None and max(col) >= hi):
         raise CacheError(f"cache {name} id out of range: {min(col)!r}..{max(col)!r}")
     return col

@@ -1,19 +1,23 @@
 """Exact arithmetic in Q(rho) for an algebraic contraction ratio rho in (0, 1).
 
 Elements are coordinate vectors over the power basis 1, rho, ..., rho^(d-1),
-where d is the degree of the minimal polynomial of rho.  All coordinates are
-rational, so arithmetic is exact.  The sign of an element is decided by
-interval evaluation over a rational isolating interval for rho, refined by
-bisection; this terminates because a nonzero element of the field cannot
-vanish at rho.  A rational rho is the width-0 interval [rho, rho], on
-which the same evaluation is exact and never halves.
+where d is the degree of the minimal polynomial of rho.  Each element is
+stored as d integer numerators over one positive denominator, in lowest
+terms, so equal values have equal representations, and arithmetic is exact
+integer arithmetic: a sum takes one gcd, and a product folds the integer
+polynomial product by the integer minimal polynomial.  The sign of an
+element is decided by interval evaluation of its numerators over a rational
+isolating interval for rho, refined by bisection; this terminates because a
+nonzero element of the field cannot vanish at rho.  A rational rho is the
+width-0 interval [rho, rho], on which the same evaluation is exact and never
+halves.
 
-The isolating interval is held as integer numerators over one denominator,
-and an element is evaluated on integer numerators too: its coordinates are
-scaled to integers over their common denominator, and the bounds at the two
-ends come out over one known denominator.  The rationals are the ones a
-`Fraction` evaluation gives, so every bisection, sign and approximation is
-the same; only the gcd normalisation of each `Fraction` step is saved.
+The isolating interval is held as integer numerators over one denominator
+too, so the bounds at its two ends come out over one known denominator.  A
+difference is signed on the numerators x qb - y qa of its two operands, a
+positive multiple of it; a positive scale never changes whether a bound is
+above or below 0, so every bisection, sign and approximation is the one a
+`Fraction` evaluation of the coordinates gives.
 """
 
 from __future__ import annotations
@@ -231,14 +235,10 @@ class FieldContext:
             if nroots > 1:
                 raise FieldError("isolating interval contains more than one root")
 
-        # rho^d expressed over the power basis, used to fold high powers down.
-        d = self.degree
-        lead = mp[d]
-        self._top: Coeffs = tuple(-mp[i] / lead for i in range(d))
         self._sign_lo = 1 if _poly_eval(mp, lo) > 0 else -1
         (nlo, nhi), den = _numerators((lo, hi))
         self._set_interval(nlo, nhi, den)
-        self.zero = FieldElement(self, (Fraction(0),) * d)
+        self.zero = FieldElement(self, (0,) * self.degree, 1)
         self.one = self.element([1])
         self.rho = self.element([0, 1])
         self._compare_key = functools.cmp_to_key(self._compare)
@@ -246,28 +246,35 @@ class FieldContext:
     # -- construction ------------------------------------------------------
 
     def element(self, coeffs: Sequence) -> "FieldElement":
-        vec = [_as_fraction(c) for c in coeffs]
-        d = self.degree
-        if len(vec) > d:
-            vec = list(self._reduce(tuple(vec)))
-        vec += [Fraction(0)] * (d - len(vec))
-        return FieldElement(self, tuple(vec))
+        """The element sum(coeffs[i] rho^i), for any number of rational coefficients."""
+        return self._element(*_numerators([_as_fraction(c) for c in coeffs]))
 
     def from_rational(self, value) -> "FieldElement":
         return self.element([_as_fraction(value)])
 
-    def _reduce(self, coeffs: Coeffs) -> Coeffs:
-        d = self.degree
-        if len(coeffs) <= d:
-            return tuple(coeffs) + (Fraction(0),) * (d - len(coeffs))
-        work = list(coeffs)
-        top = self._top
-        for i in range(len(work) - 1, d - 1, -1):
-            c = work[i]
+    def _element(self, nums: list[int], den: int) -> "FieldElement":
+        """The element sum(nums[i] rho^i) / den in lowest terms, for den > 0.
+
+        Powers rho^k, k >= d, fold down from the top: a top coefficient c is
+        cancelled by c x^(k-d) m(x), m the integer minimal polynomial, once
+        the rest is scaled by m's leading coefficient, which joins den.
+        """
+        d, mp = self.degree, self.minpoly_int
+        while len(nums) > d:
+            c = nums.pop()
             if c:
+                if mp[d] != 1:
+                    nums = [x * mp[d] for x in nums]
+                    den *= mp[d]
+                k = len(nums) - d
                 for j in range(d):
-                    work[i - d + j] += c * top[j]
-        return tuple(work[:d])
+                    nums[k + j] -= c * mp[j]
+        nums += [0] * (d - len(nums))
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        return FieldElement(self, tuple(nums), den)
 
     # -- isolating interval ------------------------------------------------
 
@@ -348,8 +355,11 @@ class FieldContext:
                 tot_hi += a * plo
         return tot_lo, tot_hi
 
-    def sign_of(self, coeffs: Coeffs) -> int:
-        nums, _ = _numerators(coeffs)
+    def sign_of(self, nums: Sequence[int]) -> int:
+        """The sign of sum(nums[i] rho^i), for integers nums[i]: the one sign
+        kernel, handed an element's numerators or, by `_compare`, a positive
+        multiple of a difference.  It halves the interval while the bounds
+        straddle 0."""
         if not any(nums):
             return 0
         while True:
@@ -360,50 +370,52 @@ class FieldContext:
                 return -1
             self._bisect()
 
-    def _compare(self, a: Coeffs, b: Coeffs) -> int:
-        return self.sign_of(tuple(x - y for x, y in zip(a, b)))
+    def _compare(self, a: tuple, b: tuple) -> int:
+        """The sign of a - b, for elements given as (nums, den): the sign of
+        x qb - y qa, which is the difference times qa qb > 0."""
+        (x, qa), (y, qb) = a, b
+        return self.sign_of([u * qb - v * qa for u, v in zip(x, y)])
 
     def sort_key(self, element: "FieldElement"):
         """An exact key ordering elements of this field by value.
 
         For degree 1 the key is (float(value), value).  Correctly rounded
-        Fraction -> float conversion is monotone, so the float decides
-        every pair it tells apart and the exact value breaks float ties
-        only; a value beyond the float range maps to +-inf and is still
-        ordered exactly by the tie-break.  Otherwise the key compares by
-        the sign of the difference, so every order decision goes through
-        `sign_of`.  Keys of equal elements compare equal.  The key is
-        memoised on the element, so a shared element is keyed once.  The
-        float key is kept for speed: on `table_87` a fresh explore takes
-        0.13 s with it and 2.0 s with the comparison key (medians of 8
-        alternating in-process runs on a 2-vCPU x86-64 VM).
+        int / int division is monotone, so the float decides every pair it
+        tells apart and the exact value breaks float ties only; a value
+        beyond the float range maps to +-inf and is still ordered exactly by
+        the tie-break.  Otherwise the key compares by the sign of the
+        difference, so every order decision goes through `sign_of`.  Keys of
+        equal elements compare equal.  The key is memoised on the element,
+        so a shared element is keyed once.  The float key is kept for speed:
+        on `table_87` a fresh explore takes 0.08 s with it and 0.56 s with
+        the comparison key (medians of 8 alternating in-process runs on a
+        2-vCPU x86-64 VM).
         """
         key = element._key
         if key is None:
             if self.degree == 1:
-                value = element.coeffs[0]
+                num, den = element.nums[0], element.den
                 try:
-                    approx = float(value)
+                    approx = num / den
                 except OverflowError:
-                    approx = math.inf if value > 0 else -math.inf
-                key = (approx, value)
+                    approx = math.inf if num > 0 else -math.inf
+                key = (approx, Fraction(num, den))
             else:
-                key = self._compare_key(element.coeffs)
+                key = self._compare_key((element.nums, element.den))
             element._key = key
         return key
 
-    def approx(self, coeffs: Coeffs, eps) -> Fraction:
-        """A rational within eps of the element's value.
+    def approx(self, nums: Sequence[int], den: int, eps) -> Fraction:
+        """A rational within eps of sum(nums[i] rho^i) / den, for den > 0.
 
         Exact for a rational rho, whose interval [rho, rho] has width 0.
         """
         eps = _as_fraction(eps)
         if eps <= 0:
             raise FieldError("eps must be positive")
-        nums, q = _numerators(coeffs)
         while True:
             lo, hi = self._interval_eval(nums)
-            scale = q * self._plo[0]  # the bounds are over q * den^(d-1)
+            scale = den * self._plo[0]  # the bounds are over den * _den^(d-1)
             if (hi - lo) * eps.denominator < eps.numerator * scale:
                 return Fraction(lo + hi, 2 * scale)
             self._bisect()
@@ -413,15 +425,28 @@ class FieldContext:
 
 
 class FieldElement:
-    """An element of Q(rho) in canonical coordinates over the power basis."""
+    """An element of Q(rho): sum(nums[i] rho^i) / den over the power basis.
 
-    __slots__ = ("ctx", "coeffs", "_hash", "_key")
+    `nums` holds d integers and `den` > 0 with gcd(nums, den) = 1, so the
+    pair is canonical: equal values have equal pairs, and `==` and `hash`
+    read the pair.  `coeffs` is a read-only `Fraction` view of the
+    coordinates, for output and `inverse`; sums, products, signs and order
+    never build it.
+    """
 
-    def __init__(self, ctx: FieldContext, coeffs: Coeffs):
+    __slots__ = ("ctx", "nums", "den", "_hash", "_key")
+
+    def __init__(self, ctx: FieldContext, nums: tuple[int, ...], den: int):
         self.ctx = ctx
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
         self._hash = None
         self._key = None  # FieldContext.sort_key, once asked for
+
+    @property
+    def coeffs(self) -> Coeffs:
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     # -- coercion ----------------------------------------------------------
 
@@ -440,18 +465,20 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        qa, qb = self.den, o.den
+        return self.ctx._element([x * qb + y * qa for x, y in zip(self.nums, o.nums)], qa * qb)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.ctx, tuple(-a for a in self.coeffs))
+        return FieldElement(self.ctx, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.ctx, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        qa, qb = self.den, o.den
+        return self.ctx._element([x * qb - y * qa for x, y in zip(self.nums, o.nums)], qa * qb)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -463,9 +490,13 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ctx = self.ctx
-        prod = _poly_mul(_trim(self.coeffs), _trim(o.coeffs))
-        return FieldElement(ctx, ctx._reduce(prod))
+        a, b = self.nums, o.nums
+        prod = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        return self.ctx._element(prod, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -498,8 +529,7 @@ class FieldElement:
             u_prev, u_cur = u_cur, _poly_add(u_prev, _poly_neg(_poly_mul(quo, u_cur)))
         if len(b) != 1:  # gcd must be a constant since minpoly is irreducible
             raise FieldError("element is not invertible (internal inconsistency)")
-        inv = _poly_mul(u_cur, (1 / b[0],))
-        return FieldElement(ctx, ctx._reduce(inv))
+        return ctx.element([c / b[0] for c in u_cur])
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -516,13 +546,13 @@ class FieldElement:
     # -- predicates and comparisons ----------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def sign(self) -> int:
-        return self.ctx.sign_of(self.coeffs)
+        return self.ctx.sign_of(self.nums)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -531,45 +561,41 @@ class FieldElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.den == o.den and self.nums == o.nums
 
     def __ne__(self, other):
         eq = self.__eq__(other)
         return NotImplemented if eq is NotImplemented else not eq
 
-    def __lt__(self, other):
+    def _compare(self, other) -> int | None:
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
+        return None if o is None else self.ctx._compare((self.nums, self.den), (o.nums, o.den))
+
+    def __lt__(self, other):
+        c = self._compare(other)
+        return NotImplemented if c is None else c < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        c = self._compare(other)
+        return NotImplemented if c is None else c >= 0
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.coeffs)
+            self._hash = hash((self.nums, self.den))
         return self._hash
 
     # -- numeric views -------------------------------------------------------
 
     def approx(self, eps) -> Fraction:
-        return self.ctx.approx(self.coeffs, eps)
+        return self.ctx.approx(self.nums, self.den, eps)
 
     def __float__(self) -> float:
         return float(self.approx(Fraction(1, 10**17)))

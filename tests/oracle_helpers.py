@@ -51,6 +51,9 @@ as the reference for the column checks of `cache._structure_from`;
 `ReferenceField`, the former `Fraction` kernel of `field.FieldContext`:
 its isolating interval, bisection, interval evaluation, signs and
 approximations, kept as the reference for the integer-numerator kernel;
+`ReferenceElement`, an element held as `Fraction` coordinates whose
+products are reduced modulo the minimal polynomial by long division, the
+reference for the integer numerators `field.FieldElement` stores;
 `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
@@ -942,6 +945,66 @@ class ReferenceField:
             if hi - lo < eps:
                 return (lo + hi) / 2
             self._bisect()
+
+
+class ReferenceElement:
+    """An element of Q(rho) as a tuple of `Fraction` coordinates.
+
+    Sums and differences go coordinate by coordinate; a product is the
+    `Fraction` polynomial product reduced modulo the minimal polynomial by
+    long division, and an inverse solves the linear system of
+    multiplication by the element by Gaussian elimination.  It shares no
+    code with `field.FieldElement`, whose integer numerators it checks.
+    """
+
+    def __init__(self, minpoly_int, coeffs):
+        self.minpoly = tuple(Fraction(c) for c in minpoly_int)
+        self.coeffs = self._mod([Fraction(c) for c in coeffs])
+
+    def _mod(self, p):
+        m = self.minpoly
+        d = len(m) - 1
+        p = list(p) + [Fraction(0)] * max(0, d - len(p))
+        for i in range(len(p) - 1, d - 1, -1):
+            f = p[i] / m[d]
+            for j in range(d + 1):
+                p[i - d + j] -= f * m[j]
+        return tuple(p[:d])
+
+    def _new(self, coeffs):
+        return ReferenceElement(self.minpoly, coeffs)
+
+    def __add__(self, other):
+        return self._new([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return self._new([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                prod[i + j] += a * b
+        return self._new(prod)
+
+    def inverse(self):
+        d = len(self.coeffs)
+        basis = [self._new([0] * j + [1]) for j in range(d)]
+        # column j holds the coordinates of self * rho^j; solve for the unit
+        cols = [(self * e).coeffs for e in basis]
+        rows = [[cols[j][i] for j in range(d)] + [Fraction(int(i == 0))] for i in range(d)]
+        for c in range(d):
+            pivot = next(r for r in range(c, d) if rows[r][c] != 0)
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            rows[c] = [x / rows[c][c] for x in rows[c]]
+            for r in range(d):
+                if r != c and rows[r][c] != 0:
+                    f = rows[r][c]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+        return self._new([row[d] for row in rows])
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs
 
 
 # -- packed columns of version-6 cache payloads --------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from bisect import bisect_left, bisect_right
@@ -144,8 +145,8 @@ def test_degree_one_sign_reads_the_value():
         expected = _poly_eval(coeffs, Fraction(1, 3))
         assert ctx.element(coeffs).sign() == (expected > 0) - (expected < 0)
         q = coeffs[0]
-        assert ctx.sign_of((q,)) == (q > 0) - (q < 0)
-    assert ctx.sign_of((Fraction(0),)) == 0
+        assert ctx.sign_of((q.numerator,)) == (q > 0) - (q < 0)
+    assert ctx.sign_of((0,)) == 0
 
 
 def test_degree_one_approx_reads_the_value():
@@ -160,11 +161,11 @@ def test_degree_one_approx_reads_the_value():
         den = rng.randint(1, 2**rng.choice((8, 64, 400)))
         e = ctx.element([Fraction(num, den)])
         expected = _poly_eval(e.coeffs, Fraction(1, 3))
-        got = ctx.approx(e.coeffs, eps)
+        got = ctx.approx(e.nums, e.den, eps)
         assert got == expected and type(got) is Fraction
         assert e.approx(eps) == expected
     with pytest.raises(FieldError):
-        ctx.approx((Fraction(1),), 0)
+        ctx.approx((1,), 1, 0)
 
 
 def test_degree_two_approx_stays_within_eps():
@@ -174,7 +175,8 @@ def test_degree_two_approx_stays_within_eps():
         eps = Fraction(1, 10**k)
         for _ in range(10):
             coeffs = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(2))
-            got = ctx.approx(coeffs, eps)
+            e = ctx.element(coeffs)
+            got = ctx.approx(e.nums, e.den, eps)
             lo, hi = oh.refine_interval(ctx, eps / 1000)
             # the value lies between the element's values at lo and hi
             ends = sorted(_poly_eval(coeffs, t) for t in (lo, hi))
@@ -323,14 +325,15 @@ def test_kernel_matches_the_fraction_reference(name, seed):
     ctx._bisect = halve
     rng = random.Random(seed)
     for coeffs in _differential_elements(ctx.degree, rho, rng):
-        assert ctx.sign_of(coeffs) == ref.sign_of(coeffs)
+        e = ctx.element(coeffs)
+        assert ctx.sign_of(e.nums) == ref.sign_of(coeffs)
         assert ctx.interval() == ref.interval()
         lo, hi = ref._interval_eval(coeffs)
         # a random eps, and the element's current width exactly, at which
         # approx must halve once more, since it stops only below eps
         for eps in (Fraction(1, 10 ** rng.randint(6, 40)), hi - lo):
             if eps > 0:
-                got = ctx.approx(coeffs, eps)
+                got = ctx.approx(e.nums, e.den, eps)
                 assert type(got) is Fraction and got == ref.approx(coeffs, eps)
                 assert ctx.interval() == ref.interval()
 
@@ -375,9 +378,9 @@ def test_rational_rho_takes_the_general_path_exactly(rho, monkeypatch):
         assert e.coeffs == (value,)
         pairs.append((e, value))
     for e, value in pairs:
-        assert ctx.sign_of(e.coeffs) == e.sign() == (value > 0) - (value < 0)
+        assert ctx.sign_of(e.nums) == e.sign() == (value > 0) - (value < 0)
         for k in (6, 12, 17, 25, 40):
-            got = ctx.approx(e.coeffs, Fraction(1, 10**k))
+            got = ctx.approx(e.nums, e.den, Fraction(1, 10**k))
             assert type(got) is Fraction and got == value == e.approx(Fraction(1, 10**k))
         assert ctx.interval() == (rho, rho)
     for (a, va), (b, vb) in zip(pairs, rng.sample(pairs, len(pairs))):
@@ -389,5 +392,109 @@ def test_rational_rho_takes_the_general_path_exactly(rho, monkeypatch):
             with pytest.raises(ZeroDivisionError):
                 b.inverse()
     with pytest.raises(FieldError):
-        ctx.approx((Fraction(1),), 0)
+        ctx.approx((1,), 1, 0)
     assert ctx.interval() == (rho, rho)
+
+
+def _arithmetic_fields():
+    """The rational ratios above, then the irrational suite fields, whose
+    products fold one to three powers of rho; 1/3, 2/5, the 40-digit ratio
+    and `quadratic_ninth` have a leading coefficient other than 1."""
+    out = [
+        pytest.param([-rho.numerator, rho.denominator], None, id=f"rho={name}")
+        for rho, name in zip(RATIONAL_RHOS, ("1/3", "2/5", "40-digit"))
+    ]
+    return out + [pytest.param(*SUITE_FIELDS[name], id=name) for name in sorted(SUITE_FIELDS)]
+
+
+def _assert_canonical(ctx, e):
+    assert len(e.nums) == ctx.degree and all(type(x) is int for x in e.nums)
+    assert type(e.den) is int and e.den > 0
+    assert math.gcd(e.den, *e.nums) == 1
+
+
+@pytest.mark.parametrize("minpoly, isolating", _arithmetic_fields())
+def test_arithmetic_matches_the_fraction_reference(minpoly, isolating):
+    # sums, differences, products, quotients and inverses on integer
+    # numerators equal Fraction arithmetic modulo the minimal polynomial,
+    # and every result is in lowest terms, so a value has one (nums, den)
+    # and one hash however it was reached
+    ctx = FieldContext(minpoly, isolating)
+    d = ctx.degree
+    rng = random.Random(ctx.minpoly_int[-1] * 101 + d)
+    pairs = []
+    # coordinate lists longer than the degree fold down in `element`
+    draws = [[0]] + [[_wide_rational(rng) for _ in range(rng.randint(1, 2 * d + 1))] for _ in range(59)]
+    for coeffs in draws:
+        e, r = ctx.element(coeffs), oh.ReferenceElement(ctx.minpoly_int, coeffs)
+        _assert_canonical(ctx, e)
+        assert e.coeffs == r.coeffs
+        pairs.append((e, r))
+    pairs += [(a, r) for a, r in pairs[:10]]  # equal values, to compare with themselves
+    zero = oh.ReferenceElement(ctx.minpoly_int, [0])
+    for (a, ra), (b, rb) in zip(pairs, rng.sample(pairs, len(pairs))):
+        for got, want in ((a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb)):
+            _assert_canonical(ctx, got)
+            assert got.coeffs == want.coeffs
+        assert (a == b) == (ra == rb) and (a != b) == (ra.coeffs != rb.coeffs)
+        twins = [(a + b) - b, ctx.element(ra.coeffs)]
+        if rb == zero:
+            with pytest.raises(ZeroDivisionError):
+                b.inverse()
+        else:
+            inv, quo = b.inverse(), a / b
+            _assert_canonical(ctx, inv)
+            _assert_canonical(ctx, quo)
+            rinv = rb.inverse()
+            assert inv.coeffs == rinv.coeffs
+            assert quo.coeffs == (ra * rinv).coeffs
+            twins.append(quo * b)
+        for twin in twins:
+            assert twin == a and (twin.nums, twin.den) == (a.nums, a.den)
+            assert hash(twin) == hash(a)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("name", ["golden", "tribonacci", "quadratic_ninth"])
+def test_order_and_approx_halve_as_the_reference(name, seed):
+    # sorting by sort_key, <, >=, sign() and approx decide on integer
+    # numerators, yet after every call the isolating interval is the one
+    # the Fraction kernel holds after the same decisions, so printed
+    # approximations keep their digits
+    minpoly, isolating = SUITE_FIELDS[name]
+    ctx = FieldContext(minpoly, isolating)
+    ref = oh.ReferenceField(ctx)
+    rho_coeffs = (0, 1) + (0,) * (ctx.degree - 2)
+    rho = oh.ReferenceField(FieldContext(minpoly, isolating)).approx(rho_coeffs, Fraction(1, 10**60))
+    rng = random.Random(seed)
+    elems = [ctx.element(c) for c in _differential_elements(ctx.degree, rho, rng)]
+    # pairs that differ by a multiple of rho minus a convergent, which only
+    # a narrow interval tells apart
+    close = []
+    for conv in _convergents(rho, 10**20):
+        tiny = ctx.element((-conv, 1)) * Fraction(rng.choice((1, -1)), 10 ** rng.randint(0, 30))
+        a = rng.choice(elems)
+        close.append((a, a + tiny))
+
+    def ref_sign(a, b):
+        return ref.sign_of(tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+
+    for _ in range(300):
+        a, b = rng.choice(close) if rng.random() < 0.5 else rng.sample(elems, 2)
+        op = rng.randrange(5)
+        if op == 0:
+            batch = rng.sample(elems, 6) + [a, b]
+            rng.shuffle(batch)
+            got = sorted(batch, key=ctx.sort_key)
+            want = sorted(batch, key=functools.cmp_to_key(ref_sign))
+            assert [e.coeffs for e in got] == [e.coeffs for e in want]
+        elif op == 1:
+            assert (a < b) == (ref_sign(a, b) < 0)
+        elif op == 2:
+            assert (a >= b) == (ref_sign(a, b) >= 0)
+        elif op == 3:
+            assert (b - a).sign() == -ref_sign(a, b)
+        else:
+            eps = Fraction(1, 10 ** rng.randint(6, 40))
+            assert a.approx(eps) == ref.approx(a.coeffs, eps)
+        assert ctx.interval() == ref.interval()
