@@ -1,4 +1,4 @@
-"""Loop classes, the essential class, the positive-row check, and triples.
+"""Loop classes, the essential class, its incidence matrix, and triples.
 
 The child relation on full characteristic vectors is a finite multigraph.
 Its strongly connected components with at least one internal edge are the
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .net import FiniteTypeStructure, NetStructureError, PointLocation
-from .matrices import MatrixTable
 
 INTERIOR_ESSENTIAL = "interior_essential"
 BOUNDARY_ESSENTIAL = "boundary_essential"
@@ -140,23 +139,6 @@ def essential_incidence(
             row[position[full_reduced[child[e]]]] += 1
         rows.append(tuple(row))
     return ids, tuple(rows)
-
-
-class PositiveRowReport(NamedTuple):
-    holds: bool
-    witnesses: list[tuple[int, int]]  # (reduced id, edge index) with a zero row
-
-
-def positive_row_check(
-    structure: FiniteTypeStructure, dec: ClassDecomposition, table: MatrixTable
-) -> PositiveRowReport:
-    """Whether every matrix between essential vectors has no zero row."""
-    witnesses = []
-    for rid in dec.essential_reduced:
-        for i in range(len(structure.edges_of_reduced(rid))):
-            if table.of_edge(rid, i).has_zero_row():
-                witnesses.append((rid, i))
-    return PositiveRowReport(not witnesses, witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ Numbers are reported as a float `value` plus rational certified bounds.
 Every dimension is a rate -ln(q) / (n |ln rho|) of a mass factor q per n
 levels, and `_rate` is the one place that forms it: the Hausdorff
 dimension (q = 1/sp), periodic local dimensions and cycle rates, the
-outer interval ends, the equal-column-sum exponent and the Bernoulli
-family bound.  The isolation and column-sum verdicts compare these
-enclosures, not their float values.
+outer interval ends (the lower one is the equal-column-sum exponent) and
+the Bernoulli family bound.  The isolation and column-sum verdicts compare
+these enclosures, not their float values.
 Logarithms of rationals are evaluated with the float `math.log` and padded
 by 1e-12 relative plus about 1e-15 per bit of the rational.  The padding
 rests on libm's `log` being within a few ulp of the true value, which
@@ -41,8 +41,6 @@ from .classes import (
     build_triple_diagram,  # unused here; perfbench/tracer.py wraps this binding
     decompose,
     essential_incidence,
-    positive_row_check,
-    PositiveRowReport,
 )
 from .matrices import MatrixTable, TransitionMatrix
 from .net import (
@@ -70,6 +68,7 @@ __all__ = [
     "EndpointFinding",
     "IsolationFindings",
     "ColumnSumReport",
+    "PositiveRowReport",
     "PisotResult",
     "DimensionReport",
     "ln_fraction",
@@ -287,6 +286,10 @@ class EssentialBounds(NamedTuple):
     inner_hi: Certified | None
     p_max: Fraction
     p_min: Fraction
+    # (rid, edge index, sum, first sum) of the first column sum unlike the first
+    unequal_sum: tuple | None
+    # (rid, edge index) of each matrix with a zero row
+    zero_rows: tuple[tuple[int, int], ...]
     min_witness: CycleWitness | None
     max_witness: CycleWitness | None
     cycle_count: int
@@ -618,6 +621,11 @@ def essential_interval_bounds(
 
     Outer: [|log P_max|, |log P_min|] / |log rho| with P_max and P_min the
     extreme column sums over the transition matrices of the essential class.
+    That scan, over the (reduced id, edge index) pairs of the class in
+    order, is the only reader of those matrices: it also records the first
+    column sum unlike the very first one, `unequal_sum` (rid, edge index,
+    sum, first sum), for `equal_column_sum_check`, and the pairs whose
+    matrix has a zero row, `zero_rows`, for the positive-row check.
     Inner: the min and max certified rate over the cycles of the class of
     at most `cycle_budget` edges (at least 1, else ValueError), less two
     kinds.  Each primitive cycle is met once, as its least rotation (its
@@ -681,18 +689,24 @@ def essential_interval_bounds(
 
     With `inner=False` the walk enumeration (whose cost grows quickly with
     the budget on classes with many parallel edges) is skipped, and only
-    the outer interval and the extreme column sums are produced.
+    the outer interval and the facts of the scan are produced.
     """
     if cycle_budget < 1:
         raise ValueError(f"cycle budget must be at least 1, not {cycle_budget}")
     den1 = rho_log_enclosure(structure)
-    p_max = None
-    p_min = None
+    p_max = p_min = first = unequal_sum = None
+    zero_rows = []
     for rid in dec.essential_reduced:
         for edge_index in range(len(structure.edges_of_reduced(rid))):
-            for s in table.of_edge(rid, edge_index).column_sums():
-                p_max = s if p_max is None or s > p_max else p_max
-                p_min = s if p_min is None or s < p_min else p_min
+            matrix = table.of_edge(rid, edge_index)
+            if matrix.has_zero_row():
+                zero_rows.append((rid, edge_index))
+            for s in matrix.column_sums():
+                if first is None:
+                    first = p_max = p_min = s
+                p_max, p_min = max(p_max, s), min(p_min, s)
+                if unequal_sum is None and s != first:
+                    unequal_sum = (rid, edge_index, s, first)
     if p_min is None or p_min <= 0:
         raise NetStructureError("essential class has no transition matrices")
     outer_lo = _rate(p_max, p_max, 1, den1)
@@ -747,6 +761,8 @@ def essential_interval_bounds(
         inner_hi,
         p_max,
         p_min,
+        unequal_sum,
+        tuple(zero_rows),
         min_witness,
         max_witness,
         cycle_count,
@@ -859,36 +875,32 @@ class ColumnSumReport(NamedTuple):
     matches_hausdorff: bool
 
 
+class PositiveRowReport(NamedTuple):
+    holds: bool
+    witnesses: tuple[tuple[int, int], ...]  # (reduced id, edge index) with a zero row
+
+
 def equal_column_sum_check(
     structure: FiniteTypeStructure,
     dec: ClassDecomposition,
-    table: MatrixTable,
+    bounds: EssentialBounds,
     hausdorff: HausdorffResult | None = None,
 ) -> ColumnSumReport:
     """Do all columns of all essential matrices share one sum?
 
-    When they do, every cylinder of the class scales its mass by the same
+    The scan of `essential_interval_bounds` answers it: `bounds.unequal_sum`
+    is the counterexample, and without one the common sum is `p_min` and
+    its exponent -ln v / |ln rho| is the outer end `outer_lo`.  When the
+    sums agree, every cylinder of the class scales its mass by the same
     factor v per level; v = rho^s with s the Hausdorff dimension is the
     classical indication of an absolutely continuous part.  Since
     rho^dim_H = 1/sp(I) for the essential incidence matrix I, that equality
     is decided exactly: 1/v must be an eigenvalue of I with a positive
     eigenvector, which makes it sp(I).
     """
-    common = None
-    for rid in dec.essential_reduced:
-        for edge_index in range(len(structure.edges_of_reduced(rid))):
-            for s in table.of_edge(rid, edge_index).column_sums():
-                if common is None:
-                    common = s
-                elif s != common:
-                    return ColumnSumReport(
-                        False,
-                        None,
-                        (rid, edge_index, s, common),
-                        None,
-                        False,
-                    )
-    exponent = _rate(common, common, 1, rho_log_enclosure(structure))
+    if bounds.unequal_sum is not None:
+        return ColumnSumReport(False, None, bounds.unequal_sum, None, False)
+    common, exponent = bounds.p_min, bounds.outer_lo
     matches = (
         hausdorff is not None
         and exponent.lo <= hausdorff.dimension.hi
@@ -989,8 +1001,8 @@ def build_dimension_report(
     table = MatrixTable(structure)
     hausdorff = hausdorff_dimension(structure, dec)
     bounds = essential_interval_bounds(structure, dec, table, cycle_budget)
-    rows = positive_row_check(structure, dec, table)
-    sums = equal_column_sum_check(structure, dec, table, hausdorff)
+    rows = PositiveRowReport(not bounds.zero_rows, bounds.zero_rows)
+    sums = equal_column_sum_check(structure, dec, bounds, hausdorff)
     pisot = pisot_check_reciprocal(structure.system)
     isolation = isolated_point_scan(structure, dec, table, bounds)
 

@@ -103,32 +103,26 @@ def _sign_changes(values: Iterable[Fraction]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_root_count(p: Coeffs, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
-
-    Requires p(lo) != 0 and p(hi) != 0.
-    """
+def _sturm_chain(p: Coeffs) -> list[Coeffs]:
+    """The Sturm sequence p, p', -rem(p, p'), ... of p."""
     chain = [p, _poly_deriv(p)]
     while chain[-1]:
         _, rem = _poly_divmod(chain[-2], chain[-1])
         if not rem:
             break
         chain.append(_poly_neg(rem))
+    return chain
+
+
+def _sturm_root_count(p: Coeffs, lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi).
+
+    Requires p(lo) != 0 and p(hi) != 0.
+    """
+    chain = _sturm_chain(p)
     at_lo = _sign_changes(_poly_eval(f, lo) for f in chain)
     at_hi = _sign_changes(_poly_eval(f, hi) for f in chain)
     return at_lo - at_hi
-
-
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            out.append(n // i)
-        i += 1
-    return sorted(set(out))
 
 
 def _integerize(p: Sequence[Fraction]) -> tuple[int, ...]:
@@ -148,23 +142,59 @@ def _integerize(p: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def _has_rational_root(int_coeffs: Sequence[int]) -> bool:
-    c0, cd = int_coeffs[0], int_coeffs[-1]
-    for num in _int_divisors(c0):
-        for den in _int_divisors(cd):
-            for s in (1, -1):
-                if _poly_eval([Fraction(c) for c in int_coeffs], Fraction(s * num, den)) == 0:
-                    return True
+    """Whether the integer polynomial `int_coeffs` has a rational root.
+
+    A root a/b in lowest terms has b | lead, so two such candidates lie at
+    least 1/lead^2 apart.  Each real root is bracketed by Sturm counts
+    inside a power of two above the Cauchy bound, and its bracket halved
+    below width 1/lead^2; then the one candidate the bracket can hold is
+    the fraction of denominator at most |lead| closest to its midpoint,
+    which is tested exactly.  The number of halvings grows with the digits
+    of the coefficients, not with their size.  Bracket ends are n / 2^k,
+    and the Sturm chain, scaled to integer coefficients, is signed there
+    on the integers sum(c_i n^i 2^(k (d - i))), positive multiples of its
+    values.
+    """
+    lead = abs(int_coeffs[-1])
+    chain = [_numerators(f)[0] for f in _sturm_chain(tuple(map(Fraction, int_coeffs)))]
+
+    def changes(n: int, k: int) -> int | None:
+        """The sign changes of the chain at n / 2^k, None where p vanishes."""
+        values = []
+        for f in chain:
+            acc, scale = f[-1], 1
+            for c in reversed(f[:-1]):
+                scale <<= k
+                acc = acc * n + c * scale
+            values.append(acc)
+        return _sign_changes(values) if values[0] else None
+
+    top = 1 << (max(map(abs, int_coeffs[:-1])) // lead + 2).bit_length()
+    # (lo, hi, k, Sturm changes at lo / 2^k and at hi / 2^k), neither end a root
+    todo = [(-top, top, 0, changes(-top, 0), changes(top, 0))]
+    while todo:
+        lo, hi, k, at_lo, at_hi = todo.pop()
+        if at_lo == at_hi:
+            continue
+        if at_lo - at_hi == 1 and (hi - lo) * lead * lead < 1 << k:
+            mid = Fraction(lo + hi, 1 << (k + 1)).limit_denominator(lead)
+            if _poly_eval(int_coeffs, mid) == 0:
+                return True
+            continue
+        lo, mid, hi, k = 2 * lo, lo + hi, 2 * hi, k + 1
+        at_mid = changes(mid, k)
+        if at_mid is None:
+            return True
+        todo += [(lo, mid, k, at_lo, at_mid), (mid, hi, k, at_mid, at_hi)]
     return False
 
 
 def _is_irreducible(int_coeffs: Sequence[int]) -> bool:
-    degree = len(int_coeffs) - 1
-    if _has_rational_root(int_coeffs):
-        return False
-    if degree <= 3:
-        return True
-    # Degrees above 3 cannot be settled by the rational root test alone;
-    # delegate to sympy's exact factorisation over Q.
+    """Irreducibility over Q: up to degree 3 a factor is linear, so the
+    rational-root test decides; above it sympy's exact factorisation over Q,
+    which finds linear factors too."""
+    if len(int_coeffs) - 1 <= 3:
+        return not _has_rational_root(int_coeffs)
     import sympy
 
     poly = sympy.Poly(list(reversed(int_coeffs)), sympy.Symbol("x"))

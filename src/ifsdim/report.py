@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .classes import ClassDecomposition, PositiveRowReport, decompose
+from .classes import ClassDecomposition, decompose
 from .dimension import (
     Certified,
     ColumnSumReport,
@@ -23,6 +23,7 @@ from .dimension import (
     IsolationFindings,
     LocalDimensionResult,
     PisotResult,
+    PositiveRowReport,
     hausdorff_dimension,
 )
 from .net import FiniteTypeStructure
@@ -34,10 +35,7 @@ _PLACES = 12
 
 
 def fraction_str(q) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def certified_dict(c: Certified | None) -> dict | None:

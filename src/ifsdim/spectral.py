@@ -43,6 +43,8 @@ _CANDIDATE_CAPS = (1, 10**3, 10**6, 10**9, 10**12)
 # vector by more than the tolerance
 _STALL_ROUNDS = 20
 _STALL_FACTOR = 2
+# most rounds of `_cw_bounds`
+_MAX_ROUNDS = 500
 _LN2 = math.log(2)
 
 
@@ -133,7 +135,7 @@ def _perron_seed(block):
     return [Fraction(float(x)) for x in v]
 
 
-def _cw_bounds(block, lo, hi, rel_tol, max_rounds):
+def _cw_bounds(block, lo, hi, rel_tol):
     """Certified enclosure of sp(block) for an irreducible block whose
     least and greatest column sums are lo < hi.
 
@@ -144,7 +146,7 @@ def _cw_bounds(block, lo, hi, rel_tol, max_rounds):
     drowning the spectral gap the way a unit shift would for matrices with
     tiny entries.
 
-    Besides the tolerance and `max_rounds`, a stall ends the loop: once the
+    Besides the tolerance and `_MAX_ROUNDS`, a stall ends the loop: once the
     vector has stopped moving, later rounds only repeat its rounding.  A
     width that stays put is not enough on its own: from all ones,
     [[1, 10^-30], [10^-30, 1/2]] keeps a width of 1/2 for 230 rounds while
@@ -159,7 +161,7 @@ def _cw_bounds(block, lo, hi, rel_tol, max_rounds):
     ]
     v = _perron_seed(block) or [Fraction(1)] * n
     widths = []
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         w = _mat_vec(shifted, v)
         quotients = [w[i] / v[i] for i in range(n)]
         lo = max(lo, min(quotients) - t)
@@ -239,7 +241,6 @@ def _rational_dominant_root(block, lo, hi):
 def spectral_radius(
     matrix,
     rel_tol: Fraction = DEFAULT_REL_TOL,
-    max_rounds: int = 500,
 ) -> SpectralResult:
     """Certified spectral radius of a nonnegative rational matrix, given as
     a `TransitionMatrix` or as rows, which its constructor checks.
@@ -271,7 +272,7 @@ def spectral_radius(
             blocks.append((lo, hi, lo))
             continue
         sub = [tuple(Fraction(x, den) for x in row) for row in sub]
-        lo, hi = _cw_bounds(sub, lo, hi, rel_tol, max_rounds)
+        lo, hi = _cw_bounds(sub, lo, hi, rel_tol)
         exact = lo if lo == hi else _rational_dominant_root(sub, lo, hi)
         if exact is not None:
             lo = hi = exact

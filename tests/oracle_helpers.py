@@ -54,7 +54,12 @@ approximations, kept as the reference for the integer-numerator kernel;
 `ReferenceElement`, an element held as `Fraction` coordinates whose
 products are reduced modulo the minimal polynomial by long division, the
 reference for the integer numerators `field.FieldElement` stores;
-`vectors_reaching`, a plain
+`reference_essential_scan`, the column-sum range, first unequal sum and
+zero-row edges of the essential class read off a fresh `edge_matrix` per
+edge, one `Fraction` entry at a time, the reference for the one scan of
+`dimension.essential_interval_bounds`; `reference_has_rational_root`, the
+former divisor-pair rational-root test of `field`, kept as the slow
+reference for its Sturm-bracket test; `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
 `dimension._StepTable` are checked against `MatrixTable.cycle_matrix`.
@@ -76,7 +81,7 @@ from typing import NamedTuple
 from ifsdim import dimension, spectral
 from ifsdim.classes import TripleDiagram, strongly_connected_components
 from ifsdim.field import FieldError
-from ifsdim.matrices import TransitionMatrix
+from ifsdim.matrices import TransitionMatrix, edge_matrix
 from ifsdim.cache import CacheError
 from ifsdim.net import DISPLAY_EPS
 from ifsdim.spectral import spectral_radius
@@ -668,6 +673,27 @@ def reference_spectral_radius(
     return spectral.SpectralResult(spectral.safe_float((lo + hi) / 2), lo, hi, exact)
 
 
+def reference_essential_scan(structure, dec):
+    """(p_min, p_max, first unequal sum, zero-row edges) of the essential class.
+
+    Every (reduced id, edge index) pair of the class, in order, gets a fresh
+    `edge_matrix`, whose `Fraction` entries `reference_matrix_flags` sums.
+    The first unequal sum is (rid, edge index, sum, the very first sum) of
+    the first column sum unlike the very first one, or None.
+    """
+    sums, unequal, zero_rows = [], None, []
+    for rid in dec.essential_reduced:
+        for e in range(len(structure.edges_of_reduced(rid))):
+            columns, _, zero_row = reference_matrix_flags(edge_matrix(structure, rid, e).rows)
+            if zero_row:
+                zero_rows.append((rid, e))
+            for total in columns:
+                sums.append(total)
+                if unequal is None and total != sums[0]:
+                    unequal = (rid, e, total, sums[0])
+    return min(sums), max(sums), unequal, tuple(zero_rows)
+
+
 def reference_inner_bounds(structure, dec, table, budget):
     """Inner bounds with an exact rate for every included cycle, no screen.
 
@@ -882,6 +908,33 @@ def _reference_load(payload, system):
     structure.saturated = True
     structure.levels_explored = payload["levels_explored"]
     return structure
+
+
+def _int_divisors(n):
+    n = abs(n)
+    out = []
+    i = 1
+    while i * i <= n:
+        if n % i == 0:
+            out.append(i)
+            out.append(n // i)
+        i += 1
+    return sorted(set(out))
+
+
+def reference_has_rational_root(int_coeffs):
+    """Whether the integer polynomial has a root +-a/b with a | the constant
+    and b | the leading coefficient, trying every such pair; the divisors are
+    found by trial division, so the time grows with the root of the
+    coefficients."""
+    coeffs = [Fraction(c) for c in int_coeffs]
+    for num in _int_divisors(int_coeffs[0]):
+        for den in _int_divisors(int_coeffs[-1]):
+            for sign in (1, -1):
+                x = Fraction(sign * num, den)
+                if sum(c * x**i for i, c in enumerate(coeffs)) == 0:
+                    return True
+    return False
 
 
 class ReferenceField:

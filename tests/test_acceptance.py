@@ -19,7 +19,6 @@ from ifsdim.classes import (
     build_triple_diagram,
     classify_truly_essential,
     decompose,
-    positive_row_check,
 )
 from ifsdim.dimension import (
     PeriodicSpec,
@@ -424,9 +423,8 @@ def test_08_classification_and_positive_rows(
         (cantor_4_9_structure, True),
     ):
         dec = decompose(structure)
-        report = positive_row_check(structure, dec, MatrixTable(structure))
-        assert report.holds == holds
-        assert holds == (not report.witnesses)
+        bounds = essential_interval_bounds(structure, dec, MatrixTable(structure), inner=False)
+        assert holds == (not bounds.zero_rows)
 
 
 # -- 9: convolution powers smooth the column sums ---------------------------------

@@ -18,10 +18,10 @@ from ifsdim.classes import (
     closed_classes,
     decompose,
     essential_incidence,
-    positive_row_check,
     strongly_connected_components,
 )
 from ifsdim.cli import main
+from ifsdim.dimension import essential_interval_bounds
 from ifsdim.field import FieldContext
 from ifsdim.ifs import build_ifs
 from ifsdim.matrices import MatrixTable
@@ -268,16 +268,14 @@ def test_decompose_requires_saturation(golden_third_structure):
 
 def test_positive_row_zero_row_fails(zero_row_third_structure):
     s = zero_row_third_structure
-    report = positive_row_check(s, decompose(s), MatrixTable(s))
-    assert not report.holds
-    assert report.witnesses == [(3, 0)]
+    zero_rows = essential_interval_bounds(s, decompose(s), MatrixTable(s), inner=False).zero_rows
+    assert zero_rows == ((3, 0),)
 
 
 def test_positive_row_gap_system_fails(gap_system_structure):
     s = gap_system_structure
-    report = positive_row_check(s, decompose(s), MatrixTable(s))
-    assert not report.holds
-    assert (3, 1) in report.witnesses
+    zero_rows = essential_interval_bounds(s, decompose(s), MatrixTable(s), inner=False).zero_rows
+    assert (3, 1) in zero_rows
 
 
 @pytest.mark.parametrize(
@@ -285,9 +283,8 @@ def test_positive_row_gap_system_fails(gap_system_structure):
 )
 def test_positive_row_cantor_holds(request, name):
     s = request.getfixturevalue(name)
-    report = positive_row_check(s, decompose(s), MatrixTable(s))
-    assert report.holds
-    assert report.witnesses == []
+    zero_rows = essential_interval_bounds(s, decompose(s), MatrixTable(s), inner=False).zero_rows
+    assert zero_rows == ()
 
 
 # ---------------------------------------------------------------------------

@@ -948,11 +948,21 @@ def test_family_bound_compares_enclosures_not_values(golden_third_structure):
 # -- diagnostics ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ALL_STRUCTURES)
+def test_the_essential_scan_matches_a_fresh_read_of_every_matrix(name, request):
+    structure = request.getfixturevalue(name)
+    dec, table = parts_of(structure)
+    bounds = essential_interval_bounds(structure, dec, table, inner=False)
+    got = (bounds.p_min, bounds.p_max, bounds.unequal_sum, bounds.zero_rows)
+    assert got == oh.reference_essential_scan(structure, dec)
+
+
 def test_equal_column_sums_hold_for_the_gap_system(gap_system_structure):
     structure = gap_system_structure
     dec, table = parts_of(structure)
+    outer = essential_interval_bounds(structure, dec, table, inner=False)
     report = equal_column_sum_check(
-        structure, dec, table, hausdorff_dimension(structure, dec)
+        structure, dec, outer, hausdorff_dimension(structure, dec)
     )
     assert report.holds
     assert report.common_sum == Fraction(1, 4)
@@ -966,10 +976,11 @@ def test_column_sum_exponent_matches_only_an_overlapping_enclosure(gap_system_st
     structure = gap_system_structure
     dec, table = parts_of(structure)
     real = hausdorff_dimension(structure, dec)
-    assert equal_column_sum_check(structure, dec, table, real).matches_hausdorff
+    outer = essential_interval_bounds(structure, dec, table, inner=False)
+    assert equal_column_sum_check(structure, dec, outer, real).matches_hausdorff
     off = Certified(1 + 5e-10, 1 + Fraction(4, 10**10), 1 + Fraction(6, 10**10))
     near = real._replace(dimension=off)
-    report = equal_column_sum_check(structure, dec, table, near)
+    report = equal_column_sum_check(structure, dec, outer, near)
     assert abs(report.exponent - near.dimension.value) < 1e-9
     assert not report.matches_hausdorff
 
@@ -985,8 +996,9 @@ def test_column_sum_exponent_matches_only_an_exact_equality(gap_system_structure
     dec, table = parts_of(structure)
     real = hausdorff_dimension(structure, dec)
     wide = Certified(1.0, 1 - Fraction(1, 10**6), 1 + Fraction(1, 10**6))
+    outer = essential_interval_bounds(structure, dec, table, inner=False)
     report = equal_column_sum_check(
-        structure, dec, table, real._replace(dimension=wide)
+        structure, dec, outer, real._replace(dimension=wide)
     )
     assert report.holds and report.common_sum == Fraction(10**6 + 1, 4 * 10**6)
     assert 1 - 1e-6 < report.exponent < 1
@@ -996,7 +1008,8 @@ def test_column_sum_exponent_matches_only_an_exact_equality(gap_system_structure
 def test_equal_column_sums_fail_for_the_biased_golden(golden_third_structure):
     structure = golden_third_structure
     dec, table = parts_of(structure)
-    report = equal_column_sum_check(structure, dec, table)
+    outer = essential_interval_bounds(structure, dec, table, inner=False)
+    report = equal_column_sum_check(structure, dec, outer)
     assert not report.holds
     assert report.counterexample is not None
 
@@ -1004,8 +1017,9 @@ def test_equal_column_sums_fail_for_the_biased_golden(golden_third_structure):
 def test_equal_column_sums_hold_for_the_uniform_singleton_family():
     structure = explore(cantor_like(3, 5, tuple(Fraction(1, 6) for _ in range(6))))
     dec, table = parts_of(structure)
+    outer = essential_interval_bounds(structure, dec, table, inner=False)
     report = equal_column_sum_check(
-        structure, dec, table, hausdorff_dimension(structure, dec)
+        structure, dec, outer, hausdorff_dimension(structure, dec)
     )
     assert report.holds
     assert report.common_sum == Fraction(1, 3)

@@ -1,12 +1,13 @@
 import functools
 import math
 import random
+import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
 
-from ifsdim.field import FieldContext, FieldError, _poly_eval
+from ifsdim.field import FieldContext, FieldError, _has_rational_root, _integerize, _poly_eval
 
 import oracle_helpers as oh
 
@@ -73,6 +74,50 @@ def test_errors():
     # the same quadratic is fine once the interval isolates a single root
     ctx = FieldContext([1, -8, 8], (0, Fraction(1, 2)))
     assert abs(float(ctx.rho) - 0.14644660940672627) < 1e-12
+
+
+def _random_polynomial(rng, degree):
+    """A nonzero-constant integer polynomial; half of them (b x - a) q(x)."""
+    if rng.random() < 0.5:
+        a, b = rng.choice((1, -1)) * rng.randint(1, 60), rng.randint(1, 60)
+        q = [rng.randint(-30, 30) or 1 for _ in range(degree)]
+        p = [0] * (degree + 1)
+        for i, c in enumerate(q):
+            p[i] -= a * c
+            p[i + 1] += b * c
+        return p
+    return [rng.randint(-200, 200) or 7 for _ in range(degree + 1)]
+
+
+def test_rational_root_test_matches_the_divisor_reference():
+    rng = random.Random(40)
+    found = 0
+    for _ in range(600):
+        ints = _integerize([Fraction(c) for c in _random_polynomial(rng, rng.choice((2, 3, 4)))])
+        expected = oh.reference_has_rational_root(ints)
+        assert _has_rational_root(ints) == expected, ints
+        found += expected
+    # both verdicts are well represented
+    assert 200 < found < 400
+
+
+@pytest.mark.parametrize(
+    "minpoly, built",
+    [
+        # (10^20 x - 3)(x^2 + x + 1)
+        ([-3, 10**20 - 3, 10**20 - 3, 10**20], False),
+        # irreducible, its root in (0, 1/2) near 1e-20
+        ([-1, 1, 10**40 + 7], True),
+    ],
+)
+def test_huge_leading_coefficients_validate_quickly(minpoly, built):
+    started = time.perf_counter()
+    if built:
+        assert FieldContext(minpoly, (0, Fraction(1, 2))).degree == 2
+    else:
+        with pytest.raises(FieldError, match="reducible over Q"):
+            FieldContext(minpoly, (0, Fraction(1, 2)))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_division_by_zero():

@@ -112,7 +112,7 @@ def random_rational_rows(rng, n, m):
     return [[entry(i, j) for j in range(m)] for i in range(n)]
 
 
-def test_integer_form_is_the_only_stored_form():
+def test_integer_form_is_the_only_stored_form(monkeypatch):
     rng = random.Random(2016)
     for _ in range(150):
         n = rng.randint(1, 5)
@@ -134,7 +134,9 @@ def test_integer_form_is_the_only_stored_form():
         assert flags == oh.reference_matrix_flags(rows)
         if n == m:
             # entries 800 decades apart could take all 500 rounds
-            assert spectral_radius(rows, max_rounds=20) == spectral_radius(a, max_rounds=20)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_MAX_ROUNDS", 20)
+                assert spectral_radius(rows) == spectral_radius(a)
         else:
             with pytest.raises(ValueError, match="square"):
                 spectral_radius(rows)
@@ -161,12 +163,14 @@ def _hundreds_of_decades_rows():
     return rows
 
 
-def test_perron_vector_over_hundreds_of_decades_keeps_small_bounds():
+def test_perron_vector_over_hundreds_of_decades_keeps_small_bounds(monkeypatch):
     # kept exact, the small components' denominators grew every round, and
     # `certified_hi` had 235,110 bits after 160 rounds
     rows = _hundreds_of_decades_rows()
-    short = spectral_radius(rows, max_rounds=20)
-    long = spectral_radius(rows, max_rounds=160)
+    monkeypatch.setattr(spectral, "_MAX_ROUNDS", 20)
+    short = spectral_radius(rows)
+    monkeypatch.setattr(spectral, "_MAX_ROUNDS", 160)
+    long = spectral_radius(rows)
     assert short.certified_lo <= long.certified_lo <= long.certified_hi <= short.certified_hi
     assert long.certified_hi.denominator.bit_length() < 2000
 
@@ -175,7 +179,9 @@ def test_an_enclosure_that_stopped_narrowing_stops_the_rounds(monkeypatch):
     # from the first round on, the block's relative width stays 7.97e-11, above
     # the 1e-12 tolerance, while its vector moves only in the rounding
     rows = _hundreds_of_decades_rows()
-    long = spectral_radius(rows, max_rounds=160)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_MAX_ROUNDS", 160)
+        long = spectral_radius(rows)
     calls = []
     real = spectral._mat_vec
     monkeypatch.setattr(spectral, "_mat_vec", lambda *a: calls.append(1) or real(*a))

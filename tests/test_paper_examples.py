@@ -28,7 +28,7 @@ def _outer(system):
     structure = explore(system)
     dec, table = decompose(structure), MatrixTable(structure)
     bounds = essential_interval_bounds(structure, dec, table, inner=False)
-    return equal_column_sum_check(structure, dec, table), bounds
+    return equal_column_sum_check(structure, dec, bounds), bounds
 
 
 CANTOR_GRID = [(d, m) for d in (3, 4, 5) for m in range(d + 1, 3 * d + 2)]

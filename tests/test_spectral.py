@@ -232,10 +232,11 @@ def test_without_a_positive_seed_iteration_from_ones_still_certifies(monkeypatch
     assert result.certified_hi - result.certified_lo <= DEFAULT_REL_TOL * result.certified_hi
 
 
-def test_loose_rounds_still_bracket_the_tight_answer():
+def test_loose_rounds_still_bracket_the_tight_answer(monkeypatch):
     rows = [[2, 1, 1, 0], [0, 2, 0, 1], [1, 1, 2, 0], [1, 0, 1, 0]]
     tight = spectral_radius(rows)
-    loose = spectral_radius(rows, rel_tol=Fraction(1, 100), max_rounds=3)
+    monkeypatch.setattr(spectral, "_MAX_ROUNDS", 3)
+    loose = spectral_radius(rows, rel_tol=Fraction(1, 100))
     assert loose.certified_lo <= tight.certified_hi
     assert loose.certified_hi >= tight.certified_lo
     assert loose.certified_lo <= loose.certified_hi
@@ -310,7 +311,7 @@ def _random_reducible(rng):
     return [[rows[i][j] for j in order] for i in order]
 
 
-def test_integer_blocks_match_the_fraction_rows_on_random_matrices():
+def test_integer_blocks_match_the_fraction_rows_on_random_matrices(monkeypatch):
     rng = random.Random(20261019)
     settings = ((DEFAULT_REL_TOL, 4), (Fraction(1, 10**6), 2))
     kinds = dict.fromkeys(
@@ -333,7 +334,8 @@ def test_integer_blocks_match_the_fraction_rows_on_random_matrices():
                 sums = {sum(rows[i][j] for i in c) for j in c}
                 kinds["equal_sums" if len(sums) == 1 else "unequal_sums"] += 1
         rel_tol, max_rounds = settings[k % 2]
-        got = spectral_radius(rows, rel_tol=rel_tol, max_rounds=max_rounds)
+        monkeypatch.setattr(spectral, "_MAX_ROUNDS", max_rounds)
+        got = spectral_radius(rows, rel_tol=rel_tol)
         want = reference_spectral_radius(rows, rel_tol=rel_tol, max_rounds=max_rounds)
         kinds["exact" if want.exact is not None else "enclosed"] += 1
         assert got == want, rows
