@@ -19,10 +19,14 @@ dimension (q = 1/sp), periodic local dimensions and cycle rates, the
 outer interval ends (the lower one is the equal-column-sum exponent) and
 the Bernoulli family bound.  The isolation and column-sum verdicts compare
 these enclosures, not their float values.
-Logarithms of rationals are evaluated with the float `math.log` and padded
-by 1e-12 relative plus about 1e-15 per bit of the rational.  The padding
-rests on libm's `log` being within a few ulp of the true value, which
-IEEE 754 recommends but does not require; it is not a proof (ROADMAP F4).
+The logarithm of a rational q = n/d is bracketed rigorously by
+`log_enclosure`, from the correctly rounded `Decimal.ln` of n and of d:
+each is within half a unit in its last place (ulp) of the truth, so the
+result widened by one ulp on each side contains it, and the difference
+of the two brackets contains ln q.  A q within 10^-40 of 1 takes the
+exact bracket [1 - 1/q, q - 1] instead, as ln n - ln d would cancel every
+digit.  |ln rho| comes from the same brackets at the two ends of an
+interval around rho (`rho_log_enclosure`).
 The cycles of the inner bounds are enumerated, screened in floats and
 multiplied exactly from one table of the essential class's steps,
 `_StepTable`.  numpy is imported only inside that table, the functions
@@ -32,6 +36,8 @@ it, and neither does an `inner=False` bounds call.
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -97,34 +103,68 @@ _WALK_BATCH = 256
 # a walk whose steps' bit bounds (see `_StepTable`) sum to less than this is
 # multiplied in int64; any sum up to 63 would fit
 _INT64_BITS = 62
-# relative pad that `log_enclosure` puts around a float logarithm
-_LOG_REL_PAD = 1e-12
+# significant digits of the logarithms in `log_enclosure`; a q within
+# 10^-_LN_DIGITS of 1 takes the exact near-1 bracket instead
+_LN_DIGITS = 40
+# `rho_log_enclosure` brackets rho to within rho (1 - rho) * _RHO_REL
+_RHO_REL = Fraction(1, 10**45)
 # distance from the unit circle below which `pisot_check` trusts no float root
 _PISOT_TOL = 1e-9
 
 
-def log_enclosure(q) -> tuple[Fraction, Fraction]:
-    """Rational bracket around ln(q) that absorbs float rounding error.
+@functools.lru_cache(maxsize=1024)
+def _ln_int(m: int, prec: int) -> tuple[Fraction, Fraction]:
+    """Bracket around ln m, for an integer m >= 1: the correctly rounded
+    `prec`-digit `Decimal.ln`, widened by one ulp on each side."""
+    if m == 1:
+        return Fraction(0), Fraction(0)
+    r = decimal.Context(prec=prec).ln(m)
+    mid, ulp = Fraction(r), Fraction(10) ** (r.adjusted() - prec + 1)
+    return mid - ulp, mid + ulp
 
+
+def log_enclosure(q) -> tuple[Fraction, Fraction]:
+    """Rational bracket around ln(q), for a positive rational q = n/d.
+
+    Proof.  `Decimal.ln` rounds correctly, so at P significant digits its
+    result r for an integer m is within half a unit in its last place,
+    ulp(r) = 10^(adjusted(r) - P + 1), of ln m (closer still when r is a
+    power of 10 that ln m rounds up to).  Widened by one ulp on each side,
+    [r - ulp(r), r + ulp(r)] holds ln m, and ln q = ln n - ln d lies
+    between lo(ln n) - hi(ln d) and hi(ln n) - lo(ln d).  When
+    |q - 1| < 10^-40, ln n and ln d agree in more digits than P = 40 holds,
+    and the bracket is instead 1 - 1/q <= ln q <= q - 1, true for every
+    q > 0, whose width (q - 1)^2 / q is at most about 10^-40 |ln q|.
+    Further from 1, about -log10 |q - 1| guard digits on top of 40 keep the
+    width within a few 10^-36 of |ln q| while ln n has at most four
+    integer digits.
     ln 1 = 0 exactly, so a rate of mass factor 1 (p_max = 1) is exactly 0.
     """
     q = Fraction(q)
-    if q == 1:
+    n, d = q.numerator, q.denominator
+    if n <= 0:
+        raise ValueError("logarithm of a non-positive rational")
+    gap = abs(n - d)
+    if gap == 0:
         return Fraction(0), Fraction(0)
-    v = ln_fraction(q)
-    scale = q.numerator.bit_length() + q.denominator.bit_length()
-    pad = abs(v) * _LOG_REL_PAD + scale * 1e-15 + 1e-15
-    return Fraction(v - pad), Fraction(v + pad)
+    if gap * 10**_LN_DIGITS < d:
+        return 1 - 1 / q, q - 1
+    # 3/10 < log10 2, so the guard is at most -log10 |q - 1| + 1
+    prec = _LN_DIGITS + (max(0, d.bit_length() - gap.bit_length()) * 3 // 10)
+    n_lo, n_hi = _ln_int(n, prec)
+    d_lo, d_hi = _ln_int(d, prec)
+    return n_lo - d_hi, n_hi - d_lo
 
 
 def rho_log_enclosure(structure: FiniteTypeStructure) -> tuple[Fraction, Fraction]:
-    """Certified bracket around |ln rho|."""
-    rho = structure.system.context.rho
-    eps = Fraction(1, 10**18)
-    a = rho.approx(eps)
-    lo_r, hi_r = a - eps, a + eps
-    if lo_r <= 0 or hi_r >= 1:
-        raise NetStructureError("contraction ratio must lie strictly inside (0, 1)")
+    """Certified bracket around |ln rho|.
+
+    The ends lo <= rho <= hi come from `FieldContext.rho_bracket`, so
+    hi - lo <= rho (1 - rho) * 10^-45; a rational rho is used exactly.  As
+    |ln rho| >= 1 - rho, the ends move |ln rho| by at most 10^-45 of itself,
+    however close rho lies to 0 or to 1.
+    """
+    lo_r, hi_r = structure.system.context.rho_bracket(_RHO_REL)
     _, top = log_enclosure(hi_r)
     bot, _ = log_enclosure(lo_r)
     return -top, -bot

@@ -17,12 +17,12 @@ def _quote(text: str) -> str:
 def reduced_dot(structure: FiniteTypeStructure, dec: ClassDecomposition) -> str:
     """The reduced characteristic-vector graph; essential vectors filled.
 
-    Labels print each length and neighbour to within `DISPLAY_EPS`.  A
-    table repeats few of these values (59 distinct among the 19,493 labels
-    of x/3 + {0, 2/87, 2/3}), so each rational element is turned into text
-    once, keyed by its element id.  An irrational one is
-    approximated afresh, in label order: the midpoint `approx` returns
-    depends on how far the field context has refined rho.
+    Labels print each length and neighbour to within `DISPLAY_EPS`.  Each
+    element is turned into text once, keyed by its element id, so one value
+    prints as one label: the midpoint `approx` returns for an irrational
+    element depends on how far the field context has refined rho, which
+    may change between two labels.  A table repeats few of these values
+    (59 distinct among the 19,493 labels of x/3 + {0, 2/87, 2/3}).
     """
     essential = set(dec.essential_reduced)
     s = structure
@@ -31,10 +31,7 @@ def reduced_dot(structure: FiniteTypeStructure, dec: ClassDecomposition) -> str:
     def text(vid: int) -> str:
         out = text_of.get(vid)
         if out is None:
-            element = s.elements[vid]
-            out = str(element.approx(DISPLAY_EPS))
-            if element.is_rational():
-                text_of[vid] = out
+            out = text_of[vid] = str(s.elements[vid].approx(DISPLAY_EPS))
         return out
 
     lines = [

@@ -30,6 +30,12 @@ from typing import Iterable, Sequence, Tuple
 Coeffs = Tuple[Fraction, ...]
 
 
+# `FieldElement.__float__` approximates to within _FLOAT_EPS and within
+# _FLOAT_REL of the value; from |x| >= 0.1 on, the absolute bound decides
+_FLOAT_EPS = Fraction(1, 10**17)
+_FLOAT_REL = Fraction(1, 10**16)
+
+
 class FieldError(ValueError):
     """Raised for invalid field descriptions or illegal element operations."""
 
@@ -219,6 +225,37 @@ def _as_fraction(v) -> Fraction:
     raise FieldError(f"expected a rational value, got {v!r}")
 
 
+def _halve(mp: Sequence[int], sign_lo: int, nlo: int, nhi: int, den: int) -> tuple[int, int, int]:
+    """The half of [nlo/den, nhi/den] that holds the root of the integer
+    polynomial mp, whose sign at the lower end is sign_lo, as (nlo, nhi, 2 den).
+
+    Over the new denominator D = 2 den the midpoint is nlo + nhi, and the
+    sign of mp there is the sign of D^d mp(mid), found by Horner's rule on
+    its integer coefficients.  The end that is kept is doubled to D, so the
+    interval's rationals are the ones that halving with `Fraction`s gives.
+    """
+    den *= 2
+    mid = nlo + nhi
+    val = mp[-1]
+    scale = 1
+    for c in reversed(mp[:-1]):
+        scale *= den
+        val = val * mid + c * scale
+    if val == 0:  # impossible for an irreducible polynomial of degree >= 2
+        raise FieldError("minimal polynomial has a rational root")
+    if (1 if val > 0 else -1) == sign_lo:
+        return mid, 2 * nhi, den
+    return 2 * nlo, mid, den
+
+
+@functools.lru_cache(maxsize=64)
+def _rho_bracket(mp, sign_lo, nlo, nhi, den, rel: Fraction) -> tuple[Fraction, Fraction]:
+    """`FieldContext.rho_bracket` from the interval [nlo/den, nhi/den]."""
+    while (nhi - nlo) * den * rel.denominator > rel.numerator * nlo * (den - nhi):
+        nlo, nhi, den = _halve(mp, sign_lo, nlo, nhi, den)
+    return Fraction(nlo, den), Fraction(nhi, den)
+
+
 class FieldContext:
     """The number field Q(rho), with rho pinned by an isolating interval.
 
@@ -267,6 +304,7 @@ class FieldContext:
 
         self._sign_lo = 1 if _poly_eval(mp, lo) > 0 else -1
         (nlo, nhi), den = _numerators((lo, hi))
+        self._start = (nlo, nhi, den)
         self._set_interval(nlo, nhi, den)
         self.zero = FieldElement(self, (0,) * self.degree, 1)
         self.one = self.element([1])
@@ -329,28 +367,9 @@ class FieldContext:
             hi_power *= nhi
 
     def _bisect(self) -> None:
-        """Halve the isolating interval, keeping the half that holds rho.
-
-        Over the new denominator D = 2 den the midpoint is nlo + nhi, and
-        the sign of the minimal polynomial p there is the sign of
-        D^d p(mid), found by Horner's rule on its integer coefficients.
-        The end that is kept is doubled to D, so the interval's rationals
-        are the ones that halving with `Fraction`s gives.
-        """
-        nlo, nhi, den = self._nlo, self._nhi, 2 * self._den
-        mid = nlo + nhi
-        mp = self.minpoly_int
-        val = mp[-1]
-        scale = 1
-        for c in reversed(mp[:-1]):
-            scale *= den
-            val = val * mid + c * scale
-        if val == 0:  # impossible for an irreducible polynomial of degree >= 2
-            raise FieldError("minimal polynomial has a rational root")
-        if (1 if val > 0 else -1) == self._sign_lo:
-            self._set_interval(mid, 2 * nhi, den)
-        else:
-            self._set_interval(2 * nlo, mid, den)
+        """Halve the isolating interval, keeping the half that holds rho."""
+        mp, sign_lo = self.minpoly_int, self._sign_lo
+        self._set_interval(*_halve(mp, sign_lo, self._nlo, self._nhi, self._den))
 
     def root_index(self) -> int:
         """Index of rho among the real roots of the minimal polynomial, smallest first.
@@ -449,6 +468,35 @@ class FieldContext:
             if (hi - lo) * eps.denominator < eps.numerator * scale:
                 return Fraction(lo + hi, 2 * scale)
             self._bisect()
+
+    def rho_bracket(self, rel) -> tuple[Fraction, Fraction]:
+        """An interval [lo, hi] around rho with hi - lo <= rel lo (1 - hi).
+
+        Then 0 < lo <= rho <= hi < 1, and hi - lo <= rel rho (1 - rho), however
+        close rho lies to 0 or to 1.  A rational rho's interval [rho, rho]
+        holds at once.  The interval the context was given is halved, not the
+        context's own, so the bracket does not depend on the signs decided
+        before, and later evaluations keep their shorter integers.
+        """
+        return _rho_bracket(self.minpoly_int, self._sign_lo, *self._start, _as_fraction(rel))
+
+    def approx_relative(self, nums: Sequence[int], den: int, rel, eps) -> Fraction:
+        """A rational within min(eps, rel |x|) of the nonzero x = sum(nums[i] rho^i) / den,
+        for 0 < rel <= 1/2.
+
+        The first call to `approx` asks for eps.  A result a with
+        eps (1 + rel) <= rel |a| shows eps <= rel (|a| - eps) <= rel |x|.
+        Otherwise the next call asks for rel |a| / 4, which succeeds once
+        |a| > 2 eps has shown |x| > |a| / 2, and for eps / 2^32 before.
+        """
+        if not any(nums):
+            raise FieldError("0 has no relative approximation")
+        rel, eps = _as_fraction(rel), _as_fraction(eps)
+        while True:
+            a = self.approx(nums, den, eps)
+            if eps * (1 + rel) <= rel * abs(a):
+                return a
+            eps = rel * abs(a) / 4 if abs(a) > 2 * eps else eps / 2**32
 
     def __repr__(self) -> str:
         return f"FieldContext(minpoly={list(self.minpoly_int)}, degree={self.degree})"
@@ -628,7 +676,11 @@ class FieldElement:
         return self.ctx.approx(self.nums, self.den, eps)
 
     def __float__(self) -> float:
-        return float(self.approx(Fraction(1, 10**17)))
+        """The value from a rational within 1e-17 and within 1e-16 of itself
+        relative, so a tiny element keeps its digits."""
+        if self.is_zero():
+            return 0.0
+        return float(self.ctx.approx_relative(self.nums, self.den, _FLOAT_REL, _FLOAT_EPS))
 
     def __repr__(self) -> str:
         if self.is_rational():

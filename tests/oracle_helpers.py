@@ -63,6 +63,11 @@ reference for its Sturm-bracket test; `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
 `dimension._StepTable` are checked against `MatrixTable.cycle_matrix`.
+`padded_log_enclosure` and `padded_rho_log_enclosure` are the former
+logarithms of `dimension`: a float `math.log` padded by 1e-12 relative,
+and rho taken to an absolute 1e-18.  They were not rigorous, but they
+held the truth on every system here, and every enclosure of the exact
+logarithms must lie inside theirs.
 
 The last section holds views of package objects that only tests read,
 such as the layout a cache stores, the child edges of a vector as
@@ -692,6 +697,27 @@ def reference_essential_scan(structure, dec):
                 if unequal is None and total != sums[0]:
                     unequal = (rid, e, total, sums[0])
     return min(sums), max(sums), unequal, tuple(zero_rows)
+
+
+def padded_log_enclosure(q):
+    """ln q from the float `math.log`, padded by 1e-12 relative plus about
+    1e-15 per bit of q."""
+    q = Fraction(q)
+    if q == 1:
+        return Fraction(0), Fraction(0)
+    v = spectral.ln_fraction(q)
+    scale = q.numerator.bit_length() + q.denominator.bit_length()
+    pad = abs(v) * 1e-12 + scale * 1e-15 + 1e-15
+    return Fraction(v - pad), Fraction(v + pad)
+
+
+def padded_rho_log_enclosure(structure):
+    """|ln rho| from `padded_log_enclosure` at rho -+ 1e-18."""
+    eps = Fraction(1, 10**18)
+    a = structure.system.context.rho.approx(eps)
+    _, top = padded_log_enclosure(a + eps)
+    bot, _ = padded_log_enclosure(a - eps)
+    return -top, -bot
 
 
 def reference_inner_bounds(structure, dec, table, budget):

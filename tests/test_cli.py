@@ -9,9 +9,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from ifsdim import cli, config
+from ifsdim import cli, config, dimension
 from ifsdim.classes import build_triple_diagram, classify_truly_essential, decompose
 from ifsdim.cli import ConfigError, main
 from ifsdim.config import build_system, parse_config
@@ -357,9 +358,9 @@ def test_pointdim_slope_sequence_for_aperiodic_point(cfgdir, capsys, tmp_path):
     lines = aperiodic.splitlines()
     assert lines[-1] == (
         "no period within depth 20; the lower and upper local dimensions lie "
-        "in the certified outer interval [0.792481250358, 1.292481250364]"
+        "in the certified outer interval [0.79248125036, 1.292481250361]"
     )
-    assert "local dimension: 1.01456770863 in [1.014567708631, 1.014567708636]" in periodic
+    assert "local dimension: 1.01456770863 in [1.014567708633, 1.014567708634]" in periodic
     bounds = json.loads(jsons[1].read_text())["local_dimension_bounds"]
     value = json.loads(jsons[2].read_text())["local_dimension"]["dimension"]
     assert Fraction(bounds["lo"]) <= Fraction(value["lo"])
@@ -373,7 +374,7 @@ def test_pointdim_slope_sequence_for_aperiodic_point(cfgdir, capsys, tmp_path):
     assert main(["pointdim", "--config", cantor, "--point", "1/1009"]) == 0
     out = capsys.readouterr().out
     assert "cycle(start=5, period=252)" in out
-    assert "local dimension: 1.01065475209 in [1.010654752091, 1.010654752096]\n" in out
+    assert "local dimension: 1.01065475209 in [1.010654752093, 1.010654752094]\n" in out
 
 
 @pytest.mark.parametrize("point, depth", [("0", "1"), ("2/87", "2")])
@@ -405,11 +406,11 @@ PINNED_POINTDIM = {
         "classification: essential_not_truly\n"
         "  side left: edges 3,3 cycle(start=1, period=1)\n"
         "  side right: edges 4,0,0 cycle(start=2, period=1)\n"
-        "local dimension: 1.29248125036 in [1.292481250357, 1.292481250364]\n"
+        "local dimension: 1.29248125036 in [1.29248125036, 1.292481250361]\n"
         "two one-sided rates (ball mass takes the larger side, hence the smaller dimension):\n"
-        "  rate[0] = 1.29248125036 in [1.292481250357, 1.292481250364], "
+        "  rate[0] = 1.29248125036 in [1.29248125036, 1.292481250361], "
         "cycle spectral radius 1/6  <- governs\n"
-        "  rate[1] = 1.29248125036 in [1.292481250357, 1.292481250364], "
+        "  rate[1] = 1.29248125036 in [1.29248125036, 1.292481250361], "
         "cycle spectral radius 1/6\n"
     ),
     ("golden_third", "0"): (
@@ -417,8 +418,8 @@ PINNED_POINTDIM = {
         "boundary point: yes\n"
         "classification: non_essential\n"
         "  side right: edges 0,0 cycle(start=1, period=1)\n"
-        "local dimension: 2.28301182859 in [2.283011828583, 2.283011828595]\n"
-        "  rate[0] = 2.28301182859 in [2.283011828583, 2.283011828595], "
+        "local dimension: 2.28301182859 in [2.283011828589, 2.28301182859]\n"
+        "  rate[0] = 2.28301182859 in [2.283011828589, 2.28301182859], "
         "cycle spectral radius 1/3\n"
         "ISOLATED: the value lies above the family upper bound for truly "
         "essential points (bound 2.10295931729)\n"
@@ -428,10 +429,10 @@ PINNED_POINTDIM = {
         "boundary point: yes\n"
         "classification: non_essential\n"
         "  side right: edges 0,0 cycle(start=1, period=1)\n"
-        "local dimension: 1.5 in [1.499999999996, 1.500000000004]\n"
-        "  rate[0] = 1.5 in [1.499999999996, 1.500000000004], cycle spectral radius 1/8\n"
+        "local dimension: 1.5 in [1.499999999999, 1.500000000001]\n"
+        "  rate[0] = 1.5 in [1.499999999999, 1.500000000001], cycle spectral radius 1/8\n"
         "ISOLATED: the value lies outside the certified outer interval "
-        "[0.999999999997, 1.000000000003]\n"
+        "[0.999999999999, 1.000000000001]\n"
     ),
 }
 
@@ -464,6 +465,30 @@ def test_pointdim_agrees_with_report_at_the_endpoints(cfgdir, capsys, tmp_path, 
 # -- report and graph -----------------------------------------------------------
 
 
+def test_report_on_a_contraction_ratio_near_1e_20(tmp_path, capsys):
+    # rho, the root in [0, 1/2] of (10^40 + 7) x^2 + x - 1, is about 1e-20;
+    # bracketed relative to itself, |ln rho| keeps its digits, and the two
+    # halves give dimension ln 2 / |ln rho|, about 2 ln 2 / ln(10^40)
+    path = tmp_path / "tiny.cfg"
+    path.write_text(
+        "minpoly = [-1, 1, %d]\nisolating = [0, 1/2]\n"
+        "translations = [0, 1]\nprobabilities = [1/2, 1/2]\n" % (10**40 + 7),
+        encoding="utf-8",
+    )
+    jpath = tmp_path / "tiny.json"
+    assert main(["report", "--config", str(path), "--json", str(jpath)]) == 0
+    assert "hausdorff dimension: 0.0150514997832 in" in capsys.readouterr().out
+    dim = json.loads(jpath.read_text(encoding="utf-8"))["hausdorff"]["dimension"]
+    with mpmath.workdps(60):
+        a = mpmath.mpf(10**40 + 7)
+        rho = (mpmath.sqrt(1 + 4 * a) - 1) / (2 * a)
+        true = mpmath.log(2) / -mpmath.log(rho)
+        lo, hi = (Fraction(dim[k]) for k in ("lo", "hi"))
+        lo, hi = (mpmath.mpf(q.numerator) / q.denominator for q in (lo, hi))
+        assert lo <= true <= hi
+        assert hi - lo <= true * mpmath.mpf(10) ** -30
+
+
 def test_report_probability_free(cfgdir, capsys, tmp_path):
     jpath = tmp_path / "out.json"
     rc = main(
@@ -479,13 +504,13 @@ def test_report_probability_free(cfgdir, capsys, tmp_path):
 
 # SHA-256 of `report --cycle-budget 4` stdout for each config above
 REPORT_STDOUT_SHA256 = {
-    "six": "feed676faf8eed82f20e9689ef30125ebb0549ecbe57f97bc29affa4d94017a0",
-    "free": "759517f166b1f9e54b9dc22c2597dabd2e185c3e4c8e394e4208942d108f0244",
-    "gap": "b5f6283ba6fcfdf0137416df5d8d853ed2a971deb55be990b2444c24659d78fb",
-    "zerorow": "e597b3954ba617cf48570e31cb51f402455e08efcd151571fc35a161bea7524e",
-    "golden_third": "e27358d3c0cb9a746d398bd506f0f1318aaa58d6929e7dce204d91c9bf71fcec",
-    "golden_half": "86ea0ef0a13f7d277dc6f85516587b52174c1772243f6500973f91ad13cc37fe",
-    "cantor_light": "da047da41f643728320708edd3e50864938e5432c10f283e1ef5170cf3925143",
+    "six": "fe8701e391e00e7bf6dc10ceffde2d4b1fd255304ecb4cbfd1f8357b41b7a496",
+    "free": "7119d6bdbff6e911f18de641a8d0f5dff2885801333d42a1dc94018152433ae4",
+    "gap": "87d4be8fe5cb4a3113aa13a4e22d4c837917ebe01ec533f285dc023c07a8d4a8",
+    "zerorow": "8b1af526ae96ac92bfe152bd601b194299888a9dbfe383640b5b25ca59ea2ac2",
+    "golden_third": "a6c448b236dc99625b34273a7664e2fafe6506d0bc54428c8b74e3a6b83bd479",
+    "golden_half": "0ccae2ddd2454588058c6129ad2f2cff54ff846e061176ef16cd1b5404a1cb1d",
+    "cantor_light": "7e5546ba20c65998e65ebdb6fb1b0dc97c1d5cb61ffaa41a4385a0383b236be2",
 }
 
 
@@ -756,9 +781,9 @@ GRAPH_STDOUT_SHA256 = {
     ("gap", "triple"): "5232081b20feb394a266fc6ebb364c1190862ca5bf0ce25a90d847d4a133340b",
     ("zerorow", "reduced"): "6fbd6d667d62ef3740b09ac5e7ed7f2bb7c338a5723637318a520d81b13c1f66",
     ("zerorow", "triple"): "31e89c8f5d9f742609cd608cb7a4d9e4c47cf396fb0cb2ac6dd0b7d3035e362b",
-    ("golden_third", "reduced"): "fdb21bd887c28f7d068a800e7974bcd870eee3dc2ff9da4717a396f450eb7883",
+    ("golden_third", "reduced"): "b8dc41150e84c8cb978ac2fec2201454434d807127bf5f78b0647454186c9b4c",
     ("golden_third", "triple"): "f1e3edd1865b1bed364d2ea45f5369566542241c4c7746976646b1ddd9a6fc0b",
-    ("golden_half", "reduced"): "fdb21bd887c28f7d068a800e7974bcd870eee3dc2ff9da4717a396f450eb7883",
+    ("golden_half", "reduced"): "b8dc41150e84c8cb978ac2fec2201454434d807127bf5f78b0647454186c9b4c",
     ("golden_half", "triple"): "f1e3edd1865b1bed364d2ea45f5369566542241c4c7746976646b1ddd9a6fc0b",
     ("cantor_light", "reduced"): "60840feff4c2c1f8730dd85271834b10b49f75f39076f7a3b0c9a8859ec45bb0",
     ("cantor_light", "triple"): "c887d230d5ccd4deb0b1b3b2451288452a9a1ddacf1e6304f2598130d979d86c",
@@ -815,6 +840,45 @@ def test_suite_triple_dot_stdout_is_pinned(tmp_path, capsys, monkeypatch, name):
     digest, filled = SUITE_TRIPLE_DOT[name]
     assert out.count('fillcolor="#cfd8e8"') == filled
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["six", "free", "gap", "zerorow", "golden_third", "golden_half", "cantor_light"]
+    + ["cantor_4_9", "convolution_3_8", "table_87", "tribonacci_third", "quadratic_ninth"],
+)
+def test_exact_logs_nest_inside_the_padded_ones(cfgdir, tmp_path, capsys, monkeypatch, name):
+    # every dimension enclosure of a report, from the exact logarithms, lies
+    # inside the one the padded float logarithms gave, and nothing discrete moves
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from checker import is_dimension, job_facts
+    from workloads import SYSTEMS
+
+    config_path = cfgdir / (name + ".cfg")
+    if not config_path.exists():
+        config_path = tmp_path / (name + ".cfg")
+        config_path.write_text(SYSTEMS[name], encoding="utf-8")
+    out = tmp_path / "report.json"
+    argv = ("report", "--config", str(config_path), "--cycle-budget", "4", "--json", str(out))
+
+    def facts():
+        rc = main(list(argv))
+        return job_facts(argv, rc, capsys.readouterr().out, out.read_text(encoding="utf-8"))
+
+    new = facts()
+    with monkeypatch.context() as m:
+        m.setattr(dimension, "log_enclosure", oh.padded_log_enclosure)
+        m.setattr(dimension, "rho_log_enclosure", oh.padded_rho_log_enclosure)
+        old = facts()
+    assert new["exit"] == old["exit"] == 0
+    assert new["discrete"] == old["discrete"]
+    keys = [key for key in old["enclosures"] if is_dimension(key)]
+    assert keys and sorted(keys) == sorted(k for k in new["enclosures"] if is_dimension(k))
+    for key in keys:
+        old_lo, old_hi, _ = map(Fraction, old["enclosures"][key])
+        lo, hi, _ = map(Fraction, new["enclosures"][key])
+        assert old_lo <= lo <= hi <= old_hi, key
+        assert hi - lo < old_hi - old_lo or lo == old_lo == hi, key
 
 
 # every point pointdim classifies above, with its --depth

@@ -766,13 +766,15 @@ def test_cantor_default_report_certifies_only_the_extremes(cantor_4_9_structure)
     assert bounds.cycle_budget == 8
     # recorded from the loop that certified all 11462 cycles
     assert bounds.cycle_count == 11462
+    # the ends from the 40-digit logarithms, each inside the one that the
+    # float logarithm padded by 1e-12 gave
     assert (bounds.inner_lo.lo, bounds.inner_lo.hi) == (
-        Fraction(1947855709274266, 2081104922724041),
-        Fraction(1168713425566997, 1248662953631713),
+        Fraction(1297532554251664394110137093761758897325, 1386294361119890618834464242916353136152),
+        Fraction(259506510850332950052044140617669431647, 277258872223978123766892848583270627230),
     )
     assert (bounds.inner_hi.lo, bounds.inner_hi.hi) == (
-        Fraction(7020496728339835, 6243314768172123),
-        Fraction(7020496728354041, 6243314768158565),
+        Fraction(519621140807757141188839112619598104365, 462098120373296872944821414305451045384),
+        Fraction(311772684484654352705962721906275319471, 277258872223978123766892848583270627230),
     )
     assert bounds.certified_count <= 20
 
@@ -860,9 +862,10 @@ def test_cantor_criterion_flags_the_light_endpoint():
 
 
 def test_cantor_criterion_decides_within_the_log_padding():
-    # p_first sits 1e-14 below p_min = 1/5: the rate enclosures of the two
-    # overlap, so only the exact comparison of the probabilities isolates 0
-    tiny = Fraction(1, 10**14)
+    # p_first sits 1e-60 below p_min = 1/5, far below the 40 digits of the
+    # logarithms: the rate enclosures of the two overlap, so only the exact
+    # comparison of the probabilities isolates 0
+    tiny = Fraction(1, 10**60)
     for below, reason in ((tiny, "column_sum_criterion"), (Fraction(1, 10**6), "outside_outer")):
         fifth = Fraction(1, 5)
         probs = (fifth - below, fifth, fifth, fifth, fifth + below)
@@ -1163,6 +1166,47 @@ def test_rate_encloses_the_50_digit_value(name, request):
             for q in (lo, hi):
                 true = mp_rate(q, steps, rho)
                 assert _mp(rate.lo) <= true <= _mp(rate.hi), (lo, hi, steps)
+
+
+def _log_cases(rng: random.Random):
+    """Positive rationals: random ones up to 10^400 and of 2000+ bits, and
+    1 -+ 10^-k, over a small and over a 2000-bit denominator, for k <= 80."""
+    for _ in range(700):
+        yield _random_ratio(rng)
+    for _ in range(200):
+        yield Fraction(rng.randrange(1, 2**2100), rng.randrange(1, 2**2100))
+    for k in range(1, 81):
+        big = rng.randrange(2**2000, 2**2001)
+        for sign in (1, -1):
+            yield 1 + Fraction(sign, 10**k)
+            yield Fraction(big + sign * (big // 10**k), big)
+
+
+def _mp_ln(q: Fraction):
+    """ln q to the working precision; near 1 through log1p of the exact q - 1."""
+    n, d = q.numerator, q.denominator
+    if 2 * n < d or n > 2 * d:
+        return mpmath.log(n) - mpmath.log(d)
+    return mpmath.log1p(mpmath.mpf(n - d) / d)
+
+
+def test_log_enclosure_holds_the_80_digit_value():
+    rng = random.Random(1000)
+    cases = list(_log_cases(rng))
+    assert len(cases) >= 1000
+    for q in cases:
+        lo, hi = dimension.log_enclosure(q)
+        if q == 1:
+            assert (lo, hi) == (0, 0)
+            continue
+        n, d = q.numerator, q.denominator
+        # a q within 10^-k of 1 needs k more digits to tell ln q from q - 1
+        extra = max(0, d.bit_length() - abs(n - d).bit_length()) // 3
+        with mpmath.workdps(80 + extra):
+            true = _mp_ln(q)
+            assert _mp(lo) <= true <= _mp(hi), q
+            assert _mp(hi - lo) <= abs(true) * mpmath.mpf(10) ** -30, q
+        assert (0 < lo) if q > 1 else (hi < 0), q
 
 
 def test_a_mass_factor_of_one_has_rate_exactly_zero(golden_third_structure):

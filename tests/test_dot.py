@@ -1,11 +1,14 @@
 """Tests for DOT export of the transition graphs."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
 from ifsdim.classes import build_triple_diagram, decompose
 from ifsdim.dot import reduced_dot, triple_dot
+from ifsdim.ifs import bernoulli_simple_pisot
+from ifsdim.net import explore
 
 import oracle_helpers as oh
 from test_classes import ALL_STRUCTURES
@@ -27,6 +30,27 @@ def test_reduced_dot_edge_lines_match_edge_count(six_map_quarter_structure):
     text = reduced_dot(six_map_quarter_structure, dec)
     arrows = [line for line in text.splitlines() if " -> " in line]
     assert len(arrows) == six_map_quarter_structure.edge_count()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_reduced_dot_prints_one_label_per_element(k):
+    # a fresh system, so rho's isolating interval is halved while the labels
+    # are made: the golden ratio's r2 length and r5 neighbour, one element,
+    # once printed as two rationals
+    structure = explore(bernoulli_simple_pisot(k, Fraction(1, 3)))
+    text = reduced_dot(structure, decompose(structure))
+    label = re.compile(r'  r(\d+) \[label="r\d+\\nlen ([^\\]+)\\nnbrs ([^"]*)"')
+    starts = structure.neighbour_start
+    texts_of: dict[int, set] = {}
+    for match in label.finditer(text):
+        rid = int(match[1])
+        ids = [structure.length[rid], *structure.neighbours[starts[rid] : starts[rid + 1]]]
+        texts = [match[2], *(match[3].split(", ") if match[3] else [])]
+        assert len(ids) == len(texts)
+        for vid, t in zip(ids, texts):
+            texts_of.setdefault(vid, set()).add(t)
+    assert len(texts_of) > 1
+    assert {vid: t for vid, t in texts_of.items() if len(t) > 1} == {}
 
 
 def test_triple_dot_annotates_descent(gap_system_structure):

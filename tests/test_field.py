@@ -5,6 +5,7 @@ import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from ifsdim.field import FieldContext, FieldError, _has_rational_root, _integerize, _poly_eval
@@ -180,6 +181,65 @@ def test_approximation_accuracy():
     lo, hi = oh.refine_interval(ctx, Fraction(1, 10**9))
     assert hi - lo <= Fraction(1, 10**9)
     assert lo < val < hi
+
+
+def tiny() -> FieldContext:
+    # rho ~ 1e-20, the root in [0, 1/2] of (10^40 + 7) x^2 + x - 1
+    return FieldContext([-1, 1, 10**40 + 7], (0, Fraction(1, 2)))
+
+
+def _tiny_rho():
+    a = mpmath.mpf(10**40 + 7)
+    return (mpmath.sqrt(1 + 4 * a) - 1) / (2 * a)
+
+
+def test_float_of_a_tiny_element_keeps_its_digits():
+    with mpmath.workdps(60):
+        rho = _tiny_rho()
+        ctx = tiny()
+        pairs = ((ctx.rho, rho), (ctx.rho * ctx.rho, rho**2), (-ctx.rho / 7, -rho / 7))
+        for element, value in pairs:
+            assert abs(float(element) - value) <= abs(value) * 1e-15, element
+    assert float(tiny().zero) == 0.0
+    # at |x| >= 0.1 the absolute 1e-17 decides, as it did before the relative bound
+    ctx = golden()
+    assert float(ctx.rho) == float(golden().rho.approx(Fraction(1, 10**17)))
+
+
+def test_approx_relative_is_within_rel_of_the_value():
+    rng = random.Random(77)
+    for ctx in (golden(), tiny(), quartic(), third()):
+        for _ in range(30):
+            e = ctx.element([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)])
+            e = e * ctx.rho ** rng.randint(0, 4)
+            if e.is_zero():
+                continue
+            rel = Fraction(1, 10 ** rng.randint(1, 40))
+            got = ctx.approx_relative(e.nums, e.den, rel, 1)
+            eps = abs(got) * rel / 10**6
+            exact = e.approx(eps)
+            # |got - e| <= rel |e| <= rel (|exact| + eps)
+            assert abs(got - exact) <= rel * (abs(exact) + eps) + eps
+    with pytest.raises(FieldError):
+        golden().approx_relative((0, 0), 1, Fraction(1, 2), 1)
+
+
+@pytest.mark.parametrize("make", [golden, tiny, quartic, third])
+def test_rho_bracket_is_narrow_relative_to_rho_and_one_minus_rho(make):
+    ctx = make()
+    rel = Fraction(1, 10**45)
+    start = ctx.interval()
+    lo, hi = ctx.rho_bracket(rel)
+    # the context's own interval is left as it was
+    assert ctx.interval() == start
+    assert 0 < lo <= hi < 1
+    assert hi - lo <= rel * lo * (1 - hi)
+    if ctx.degree == 1:
+        assert lo == hi == Fraction(1, 3)
+    else:
+        # the minimal polynomial changes sign across the bracket
+        assert _poly_eval(ctx._minpoly, lo) * _poly_eval(ctx._minpoly, hi) < 0
+    assert ctx.rho_bracket(rel) == (lo, hi)
 
 
 def test_degree_one_sign_reads_the_value():
