@@ -94,12 +94,21 @@ __all__ = [
 
 # relative margin of the float screen in `essential_interval_bounds`
 _SCREEN_MARGIN = 1e-6
-# most float cycle products that one `numpy.linalg.eigvals` call scores
+# the screen drops a cycle by its row and column sums alone when that
+# bracket of its float spectral radius, widened by this much relative, lies
+# inside the margins; float sums and `eigvals` err by about 1e-15 relative
+_SCREEN_SLACK = 1e-9
+# a sum bracket at most this wide relative scores its cycle without `eigvals`
+_SCREEN_TIGHT = 1e-13
+# most float cycle products that the screen scores at once
 _SCREEN_CHUNK = 1024
-# most walks of one length that `_cycle_batches` extends, and that
-# `_StepTable.products` multiplies, at once; at 1024 the perfbench
-# `enumeration` peak RSS rose by 0.7 MB, at 256 it does not
-_WALK_BATCH = 256
+# most matrix entries, walks times the class's largest neighbour count
+# squared, that `_cycle_batches` extends and `_StepTable.products`
+# multiplies at once: 1024 walks of 2 x 2 products, 256 of 4 x 4.  Fewer
+# numpy calls per walk, and the pending batches hold `int32` step codes
+# and views, so the perfbench `enumeration` peak RSS stays where 256 walks
+# a batch left it
+_BATCH_ENTRIES = 4096
 # a walk whose steps' bit bounds (see `_StepTable`) sum to less than this is
 # multiplied in int64; any sum up to 63 would fit
 _INT64_BITS = 62
@@ -386,6 +395,8 @@ class _StepTable:
         self.size = numpy.zeros(len(self.vectors), dtype=numpy.int64)
         self.size[self.src] = [len(m) for _, m in forms]
         self.width = w = int(self.size.max())
+        # walks per batch of `_cycle_batches` and `products`
+        self.batch = max(1, _BATCH_ENTRIES // (w * w))
         self.bits = numpy.array(
             [max(d.bit_length(), max(map(sum, m)).bit_length()) for d, m in forms]
         )
@@ -420,7 +431,7 @@ class _StepTable:
         """The exact products of the closed walks of step `codes`, an (N, n) array.
 
         A walk whose steps' `bits` sum to less than `_INT64_BITS` is
-        multiplied in `int64`, `_WALK_BATCH` walks at a time, one `matmul`
+        multiplied in `int64`, `batch` walks at a time, one `matmul`
         per step: entries are nonnegative, so no partial sum exceeds the
         final entry, which is at most the product of the row sums, and the
         denominator is the product of the denominators.  Those whose
@@ -436,8 +447,8 @@ class _StepTable:
         take = numpy.flatnonzero(fits)
         w = self.width + 1
         shared: dict[bytes, TransitionMatrix] = {}
-        for a in range(0, len(take), _WALK_BATCH):
-            chunk = take[a : a + _WALK_BATCH]
+        for a in range(0, len(take), self.batch):
+            chunk = take[a : a + self.batch]
             rows = codes[chunk]
             product = self.exact[rows[:, 0]]
             for j in range(1, rows.shape[1]):
@@ -499,8 +510,8 @@ def _cycle_batches(steps: _StepTable, budget: int):
         reach = far[dst]
         k = int(steps.size[s])
         # walks of n steps: codes after a -1, periods, end bits, vectors, products
-        stack = [(0, numpy.full((1, 1), -1), numpy.ones(1, int), numpy.full(1, 3),
-                  numpy.full(1, s), numpy.eye(k, steps.width)[None])]
+        stack = [(0, numpy.full((1, 1), -1, numpy.int32), numpy.ones(1, int),
+                  numpy.full(1, 3), numpy.full(1, s), numpy.eye(k, steps.width)[None])]
         while stack:
             n, hist, period, hug, at, products = stack.pop()
             back = hist[numpy.arange(len(hist)), n + 1 - period]
@@ -516,7 +527,7 @@ def _cycle_batches(steps: _StepTable, budget: int):
             period = numpy.where(codes == back[walk], period[walk], n)
             hug = hug[walk] & steps.hugs[codes]
             at = dst[codes]
-            hist = numpy.concatenate([hist[walk], codes[:, None]], axis=1)
+            hist = numpy.concatenate([hist[walk], codes[:, None]], axis=1, dtype=numpy.int32)
             products = numpy.matmul(products[walk], steps.floats[codes])
             closed = (at == s) & (period == n)
             if closed.any():
@@ -524,8 +535,8 @@ def _cycle_batches(steps: _StepTable, budget: int):
             if n < budget:
                 batch = hist, period, hug, at, products
                 stack += [
-                    (n, *(x[a : a + _WALK_BATCH] for x in batch))
-                    for a in range(0, len(codes), _WALK_BATCH)
+                    (n, *(x[a : a + steps.batch] for x in batch))
+                    for a in range(0, len(codes), steps.batch)
                 ]
 
 
@@ -537,13 +548,13 @@ def _float_ratio(m: int, d: int) -> float:
         return math.inf
 
 
-def _chunk_scores(stack, n: int):
+def _chunk_scores(stack, n):
     """ln sp / n of each float product in `stack`, nan where that is not finite.
 
-    The products are of cycles of n steps, so one length divides them all.
-    One `numpy.linalg.eigvals` call takes the products whose entries are
-    all finite; the others score nan without it, and so do all of them if
-    the call fails.
+    `n` is the length of the cycles, one for all or an array of one per
+    product.  One `numpy.linalg.eigvals` call takes the products whose
+    entries are all finite; the others score nan without it, and so do all
+    of them if the call fails.
     """
     import numpy
 
@@ -556,7 +567,7 @@ def _chunk_scores(stack, n: int):
             pass
     scores = numpy.full(len(stack), math.nan)
     ok = (radii > 0) & (radii < math.inf)
-    scores[ok] = numpy.log(radii[ok]) / n
+    scores[ok] = numpy.log(radii[ok]) / numpy.broadcast_to(n, scores.shape)[ok]
     return scores
 
 
@@ -576,12 +587,14 @@ class _CycleScreen:
 
     `add` queues a batch of cycles, their step codes and float products,
     with the others of their length and product shape; each full
-    `_SCREEN_CHUNK` of a queue is scored by one `_chunk_scores` call.
-    `near` holds, per scored chunk, the scores and `int32` step codes of
-    its cycles near the extremes of the scores so far.  The extremes only
-    move outward, and the margin test only tightens as they do, so a cycle
-    near the final extremes was near the extremes when it was scored:
-    `candidates` filters `near` once more, against the final extremes.
+    `_SCREEN_CHUNK` of a queue is scored at once by `_score`.  `candidates`
+    scores what is left, all lengths of one shape together, again
+    `_SCREEN_CHUNK` at a time.  `near` holds, per scored part, the scores
+    and `int32` step codes of its cycles near the extremes of the scores so
+    far.  The extremes only move outward, and the margin test only tightens
+    as they do, so a cycle near the final extremes was near the extremes
+    when it was scored: `candidates` filters `near` once more, against the
+    final extremes.
     """
 
     def __init__(self):
@@ -591,37 +604,87 @@ class _CycleScreen:
         self.near: list[tuple] = []
 
     def add(self, codes, products) -> None:
-        import numpy
-
+        if not len(codes):
+            return
         queue = self.queues.setdefault((codes.shape[1], products.shape[1]), [])
-        queue.append((products, codes.astype(numpy.int32)))
+        queue.append((products, codes))
         total = sum(len(batch[1]) for batch in queue)
         if total >= _SCREEN_CHUNK:
-            products, codes = (numpy.concatenate(column) for column in zip(*queue))
-            full = total - total % _SCREEN_CHUNK
-            for a in range(0, full, _SCREEN_CHUNK):
-                self._score(products[a : a + _SCREEN_CHUNK], codes[a : a + _SCREEN_CHUNK])
-            queue[:] = [(products[full:], codes[full:])] if full < total else []
+            queue[:] = self._flush(queue, total - total % _SCREEN_CHUNK)
 
-    def _score(self, products, codes) -> None:
+    def _flush(self, parts, rows: int) -> list:
+        """Score the first `rows` cycles of `parts`, batches of (products,
+        codes) of one product shape, `_SCREEN_CHUNK` at a time, keep those
+        near the extremes, and return the batches of the rest."""
         import numpy
 
-        g = _chunk_scores(products, codes.shape[1])
+        products = numpy.concatenate([p for p, _ in parts])[:rows]
+        n = numpy.concatenate([numpy.full(len(c), c.shape[1]) for _, c in parts])[:rows]
+        scored = [
+            self._score(products[a : a + _SCREEN_CHUNK], n[a : a + _SCREEN_CHUNK])
+            for a in range(0, rows, _SCREEN_CHUNK)
+        ]
+        g, keep = (numpy.concatenate(column) for column in zip(*scored))
+        at, rest = 0, []
+        for p, codes in parts:
+            cut = min(max(rows - at, 0), len(codes))
+            if cut:
+                take = keep[at : at + cut]
+                self.near.append((g[at : at + cut][take], codes[:cut][take]))
+            if cut < len(codes):
+                rest.append((p[cut:], codes[cut:]))
+            at += len(codes)
+        return rest
+
+    def _score(self, products, n):
+        """The scores ln sp / n of float `products` of cycles of n steps
+        (an array), and which of them are near the extremes after them.
+
+        For a nonnegative square matrix, sp lies between the larger of its
+        least column sum and least row sum and the smaller of its greatest
+        column sum and greatest row sum (Collatz-Wielandt with the all-ones
+        vector).  A product whose bracket, widened by `_SCREEN_SLACK`
+        relative, scores strictly between the margins of the extremes so far
+        cannot be near the final ones, which lie further out, and a bracket
+        at most `_SCREEN_TIGHT` wide relative fixes the score far inside the
+        margin: both score the bracket's midpoint.  Only the others go to
+        `_chunk_scores`.
+        """
+        import numpy
+
+        cols, rows = products.sum(axis=1), products.sum(axis=2)
+        lo = numpy.maximum(cols.min(axis=1), rows.min(axis=1))
+        hi = numpy.minimum(cols.max(axis=1), rows.max(axis=1))
+        low = self.g_lo + _SCREEN_MARGIN * abs(self.g_lo)
+        high = self.g_hi - _SCREEN_MARGIN * abs(self.g_hi)
+        with numpy.errstate(divide="ignore"):
+            inside = (numpy.log(lo * (1 - _SCREEN_SLACK)) / n > low) & (
+                numpy.log(hi * (1 + _SCREEN_SLACK)) / n < high
+            )
+        tight = (hi - lo <= _SCREEN_TIGHT * hi) & (lo > 0) & (hi < math.inf)
+        by_sums = inside | tight
+        g = numpy.empty(len(n))
+        g[by_sums] = numpy.log(lo[by_sums] / 2 + hi[by_sums] / 2) / n[by_sums]
+        rest = ~by_sums
+        if rest.any():
+            g[rest] = _chunk_scores(products[rest], n[rest])
         finite = g[numpy.isfinite(g)]
         if finite.size:
             self.g_lo = min(self.g_lo, float(finite.min()))
             self.g_hi = max(self.g_hi, float(finite.max()))
-        keep = _near_extreme(g, self.g_lo, self.g_hi)
-        self.near.append((g[keep], codes[keep]))
+        return g, _near_extreme(g, self.g_lo, self.g_hi)
 
     def candidates(self) -> list:
         """Score what is queued and empty the screen; the step codes of the
         cycles near the final extremes, one (N, n) array per length n."""
         import numpy
 
-        for queue in self.queues.values():
-            if queue:
-                self._score(*(numpy.concatenate(column) for column in zip(*queue)))
+        by_shape: dict[int, list] = {}
+        for (_, shape), queue in self.queues.items():
+            by_shape.setdefault(shape, []).extend(queue)
+        for parts in by_shape.values():
+            if parts:
+                self._flush(parts, sum(len(batch[1]) for batch in parts))
         self.queues.clear()
         by_length: dict[int, list] = {}
         for g, codes in self.near:
@@ -690,18 +753,33 @@ def essential_interval_bounds(
     of all walks of a level at once, left to right, and its score g = ln
     sp / n (n edges) is read off that product; the rate is -g / |ln rho|.
     Products are queued per length and shape (`_CycleScreen`) and scored
-    `_SCREEN_CHUNK` at a time by one `numpy.linalg.eigvals` call on the
-    stack; a product with a non-finite entry scores nan without it, and a
-    chunk whose call raises `LinAlgError` scores nan throughout.  Only the
-    cycles whose g lies within the relative `_SCREEN_MARGIN` of the least
-    or greatest score, and those whose g is not finite (a product that
-    under- or overflows, or a failed eigensolver), get an exact product, a
-    certified spectral radius and a certified rate; `certified_count`
-    counts them.  The margin test only tightens as the extremes move out,
-    so the screen keeps, chunk by chunk, the cycles near the extremes seen
-    so far, and filters those once more against the final extremes: that
-    leaves exactly the cycles near the final extremes, whatever the chunk
-    size.
+    `_SCREEN_CHUNK` at a time.  Only the cycles whose g lies within the
+    relative `_SCREEN_MARGIN` of the least or greatest score, and those
+    whose g is not finite (a product that under- or overflows, or a failed
+    eigensolver), get an exact product, a certified spectral radius and a
+    certified rate; `certified_count` counts them.  The margin test only
+    tightens as the extremes move out, so the screen keeps, chunk by
+    chunk, the cycles near the extremes seen so far, and filters those
+    once more against the final extremes: that leaves exactly the cycles
+    near the final extremes, whatever the chunk size.
+    Most scores need no eigenvalues.  For a nonnegative k x k matrix P
+    and the all-ones vector, Collatz-Wielandt gives min row sum <= sp(P)
+    <= max row sum, and the same for column sums (P transposed has the
+    same sp), so sp(P) lies in [max(least column sum, least row sum),
+    min(greatest column sum, greatest row sum)].  A cycle whose bracket,
+    widened by `_SCREEN_SLACK` relative, scores strictly between the
+    margins of the extremes seen so far is not near them, and as those
+    margins only move out it is not near the final ones either: it is
+    dropped.  The float sums err by about k 1e-16 relative and `eigvals`
+    by about 1e-15, far inside the slack, so the score `eigvals` would give
+    lies inside the margins too.  A bracket at most `_SCREEN_TIGHT` wide
+    relative is scored by its midpoint, which then lies within 1e-13 of sp
+    relative, far inside the margin (every product of equal-column-sum
+    matrices has such a bracket).  The other cycles of a chunk go to one
+    `numpy.linalg.eigvals` call; a product with a non-finite entry scores
+    nan without it, and a call that raises `LinAlgError` scores its cycles
+    nan.  What is left in the queues at the end is scored per shape, all
+    lengths together, each row divided by its own length.
     This is sound: every included cycle's rate is a local dimension at a
     truly essential point, so the rates of any subset of the cycles bound
     the interval from inside.  The margin also keeps the bounds that

@@ -51,28 +51,27 @@ def _trim(p: Sequence[Fraction]) -> Coeffs:
     return tuple(p[:n])
 
 
-def _poly_add(p: Coeffs, q: Coeffs) -> Coeffs:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(out)
-
-
 def _poly_neg(p: Coeffs) -> Coeffs:
     return tuple(-c for c in p)
 
 
-def _poly_mul(p: Coeffs, q: Coeffs) -> Coeffs:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
+def _pseudo_divmod(p: list[int], q: list[int]) -> tuple[int, list[int], list[int]]:
+    """(f, quo, rem) with f p = quo q + rem and deg rem < deg q, for integer
+    polynomials p and q, deg p >= deg q, and f = lc(q)^(deg p - deg q + 1):
+    each step scales what is left by lc(q) instead of dividing by it, so
+    no `Fraction` is formed.  `rem` is trimmed."""
+    dq, lead = len(q) - 1, q[-1]
+    rem, quo = list(p), [0] * (len(p) - dq)
+    for i in range(len(p) - 1, dq - 1, -1):
+        c = rem[i]
+        quo = [x * lead for x in quo]
+        rem = [x * lead for x in rem]
+        quo[i - dq] += c
+        for j in range(dq + 1):
+            rem[i - dq + j] -= c * q[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return lead ** (len(p) - dq), quo, rem
 
 
 def _poly_divmod(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
@@ -508,7 +507,7 @@ class FieldElement:
     `nums` holds d integers and `den` > 0 with gcd(nums, den) = 1, so the
     pair is canonical: equal values have equal pairs, and `==` and `hash`
     read the pair.  `coeffs` is a read-only `Fraction` view of the
-    coordinates, for output and `inverse`; sums, products, signs and order
+    coordinates, for output; sums, products, inverses, signs and order
     never build it.
     """
 
@@ -592,22 +591,38 @@ class FieldElement:
         return out
 
     def inverse(self) -> "FieldElement":
-        ctx = self.ctx
+        """1 / self, by the extended Euclid on integer polynomials.
+
+        With A the numerator polynomial and m the integer minimal
+        polynomial, each remainder r keeps a cofactor s with r = s A modulo
+        m.  The remainders are pseudo-remainders (`_pseudo_divmod`), and
+        each new pair (r, s) is divided by the gcd of all its coefficients,
+        which keeps r = s A.  As m is irreducible and A is not a multiple of
+        it, the remainders end at a nonzero constant c = s A modulo m, so
+        1 / self = den s(rho) / c.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # Extended Euclid: u * self + v * minpoly = gcd = constant.
-        a, b = ctx._minpoly, _trim(self.coeffs)
-        u_prev: Coeffs = ()
-        u_cur: Coeffs = (Fraction(1),)
-        while True:
-            quo, rem = _poly_divmod(a, b)
-            if not rem:
-                break
-            a, b = b, rem
-            u_prev, u_cur = u_cur, _poly_add(u_prev, _poly_neg(_poly_mul(quo, u_cur)))
-        if len(b) != 1:  # gcd must be a constant since minpoly is irreducible
-            raise FieldError("element is not invertible (internal inconsistency)")
-        return ctx.element([c / b[0] for c in u_cur])
+        r0, s0 = list(self.ctx.minpoly_int), [0]
+        r1, s1 = list(self.nums), [1]
+        while r1[-1] == 0:
+            r1.pop()
+        while len(r1) > 1:
+            f, quo, rem = _pseudo_divmod(r0, r1)
+            if not rem:  # the gcd must be a constant since minpoly is irreducible
+                raise FieldError("element is not invertible (internal inconsistency)")
+            cofactor = [f * x for x in s0]
+            cofactor += [0] * (len(quo) + len(s1) - 1 - len(cofactor))
+            for i, x in enumerate(quo):
+                for j, y in enumerate(s1):
+                    cofactor[i + j] -= x * y
+            g = math.gcd(*rem, *cofactor)
+            r0, s0 = r1, s1
+            r1, s1 = [x // g for x in rem], [x // g for x in cofactor]
+        c, den = r1[0], self.den
+        if c < 0:
+            c, den = -c, -den
+        return self.ctx._element([den * x for x in s1], c)
 
     def __truediv__(self, other):
         o = self._coerce(other)

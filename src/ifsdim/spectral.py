@@ -6,7 +6,8 @@ positive vector v,
 
     min_i (Pv)_i / v_i  <=  sp(P)  <=  max_i (Pv)_i / v_i.
 
-A general matrix is first reduced to the strongly connected blocks of its
+A matrix whose column sums are all equal has that sum as its radius.  Any
+other matrix is first reduced to the strongly connected blocks of its
 support graph; the spectral radius is the maximum over the blocks.  The
 reduction and a first test run on the matrix's integer form, entries
 ints / den: a block whose column sums are all c / den has the all-ones
@@ -245,8 +246,12 @@ def spectral_radius(
     """Certified spectral radius of a nonnegative rational matrix, given as
     a `TransitionMatrix` or as rows, which its constructor checks.
 
-    The support graph, its strongly connected blocks and each block's
-    column sums are read off the integer form `den`/`ints`.  A 1x1 zero
+    A matrix whose column sums are all c / den has sp = c / den exactly:
+    the all-ones row vector is a left eigenvector for c / den, and no
+    eigenvalue exceeds the greatest column sum.  Such a matrix needs no
+    support graph, and no block is looked at.  Otherwise the support
+    graph, its strongly connected blocks and each block's column sums are
+    read off the integer form `den`/`ints`.  A 1x1 zero
     block has radius 0 and never decides the maximum, since every other
     block has a positive radius.  The column sums of an irreducible block
     bound its radius on both sides; when they are all equal, to c / den,
@@ -260,6 +265,10 @@ def spectral_radius(
     if width != n:
         raise ValueError("spectral radius needs a square matrix")
     den, ints = matrix.den, matrix.ints
+    sums = {sum(col) for col in zip(*ints)}
+    if len(sums) == 1:
+        c = Fraction(sums.pop(), den)
+        return SpectralResult(safe_float(c), c, c, c)
     succ = [[j for j, x in enumerate(row) if x] for row in ints]
     blocks = []
     for comp in strongly_connected_components(n, succ.__getitem__):

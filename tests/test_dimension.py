@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import types
 from fractions import Fraction
 from functools import reduce
 
@@ -12,6 +13,7 @@ import pytest
 
 from ifsdim import dimension
 from ifsdim.classes import decompose
+from ifsdim.field import FieldContext
 from ifsdim.dimension import (
     Certified,
     LocalDimensionResult,
@@ -359,6 +361,9 @@ class RandomTable:
     def of_full_edge(self, fid, edge_index):
         return self.matrices[(fid, edge_index)]
 
+    # each vector of a `random_class` is its own reduced vector
+    of_edge = of_full_edge
+
 
 def random_class(rng):
     """A random closed multigraph of child records, with a matrix per step,
@@ -607,9 +612,9 @@ def test_screen_certifies_the_cycles_near_the_global_extremes(request, monkeypat
             assert set(certified) == reference, (budget, chunk)
 
 
-def test_screen_calls_eigvals_once_per_chunk(monkeypatch, gap_system_structure):
-    structure = gap_system_structure
-    dec, table = parts_of(structure)
+def test_screen_calls_eigvals_once_per_chunk(request, monkeypatch):
+    chunk = 7
+    monkeypatch.setattr(dimension, "_SCREEN_CHUNK", chunk)
     eigvals = numpy.linalg.eigvals
     calls = []
 
@@ -617,23 +622,162 @@ def test_screen_calls_eigvals_once_per_chunk(monkeypatch, gap_system_structure):
         calls.append(numpy.shape(a))
         return eigvals(a)
 
-    chunk = 7
-    monkeypatch.setattr(dimension, "_SCREEN_CHUNK", chunk)
-    monkeypatch.setattr(numpy.linalg, "eigvals", counting_eigvals)
-    bounds = essential_interval_bounds(structure, dec, table, 5)
-    steps = dimension._StepTable(structure, dec.essential, table)
-    batches = dimension._cycle_batches(steps, 5)
-    queues = {
-        (codes.shape[1], products.shape[1])
-        for codes, products, hug in batches
-        if (hug == 0).any()
-    }
-    assert bounds.cycle_count > 10 * chunk
-    assert len(queues) <= 5
-    # one call per full chunk, and one per (length, shape) queue for what is left
-    assert len(calls) <= math.ceil(bounds.cycle_count / chunk) + len(queues)
-    assert sum(shape[0] for shape in calls) == bounds.cycle_count
-    assert all(len(shape) == 3 and shape[0] <= chunk for shape in calls)
+    for name in ("gap_system_structure", "cantor_4_9_structure", "six_map_quarter_structure"):
+        structure = request.getfixturevalue(name)
+        dec, table = parts_of(structure)
+        sent = oh.reference_eigvals_rows(structure, dec, table, 5, chunk)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(numpy.linalg, "eigvals", counting_eigvals)
+            bounds = essential_interval_bounds(structure, dec, table, 5)
+        steps = dimension._StepTable(structure, dec.essential, table)
+        batches = dimension._cycle_batches(steps, 5)
+        shapes = {products.shape[1] for codes, products, hug in batches if (hug == 0).any()}
+        assert bounds.cycle_count > 10 * chunk
+        assert len(shapes) <= 2
+        # one call per full chunk, and one per product shape for what is left
+        assert len(calls) <= math.ceil(bounds.cycle_count / chunk) + len(shapes), name
+        # exactly the cycles whose row and column sums settle neither the
+        # score nor the margin test go to eigvals: none where every rate is equal
+        assert sum(shape[0] for shape in calls) == sent, name
+        assert (sent == 0) == (name == "gap_system_structure"), name
+        assert all(len(shape) == 3 and shape[0] <= chunk for shape in calls)
+
+
+def sum_screened_class(rng):
+    """A `random_class` whose edge matrices come in the kinds that the
+    screen's row and column sums treat apart: equal column sums, equal row
+    sums, a zero row, zero below the diagonal (reducible), or none of these.
+
+    A class takes one kind for every edge, so its products keep it, or a
+    kind per edge.  Entries are integers 0 to 4 over a denominator 2 to 8,
+    raised where needed so that no column is zero: every product then has
+    a positive spectral radius.  Equal sums are the greatest sum, reached
+    by raising one entry of each column (row), so tied rates are common.
+    The class is closed under children; it is returned as the structure,
+    with rho = 1/3 for its rates, a decomposition whose essential class is
+    the whole class, and the table.
+    """
+    structure, children, table = random_class(rng)
+    structure.system = types.SimpleNamespace(context=FieldContext([-1, 3]))
+    kinds = ["plain", "equal_columns", "equal_rows", "zero_row", "triangular"]
+    mode = rng.choice(kinds + ["mixed"] * 3)
+    for step, matrix in table.matrices.items():
+        rows, cols = matrix.shape
+        kind = rng.choice(kinds) if mode == "mixed" else mode
+        a = [[rng.randint(0, 4) for _ in range(cols)] for _ in range(rows)]
+        if kind == "equal_columns":
+            top = max(map(sum, zip(*a)))
+            for j, col in enumerate(list(zip(*a))):
+                a[rng.randrange(rows)][j] += top - sum(col)
+        elif kind == "equal_rows":
+            top = max(map(sum, a))
+            for row in a:
+                row[rng.randrange(cols)] += top - sum(row)
+        elif kind == "zero_row" and rows > 1:
+            zero = rng.randrange(rows)
+            a[zero] = [0] * cols
+            for j in range(cols):
+                if not any(row[j] for row in a):
+                    a[(zero + 1) % rows][j] = rng.randint(1, 4)
+        elif kind == "triangular":
+            a = [[x * (j >= i) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        for j in range(cols):
+            if not any(row[j] for row in a):
+                a[0][j] = rng.randint(1, 4)
+        den = rng.randint(2, 8)
+        table.matrices[step] = TransitionMatrix([[Fraction(x, den) for x in row] for row in a])
+    essential = sorted(children)
+    dec = types.SimpleNamespace(essential=essential, essential_reduced=essential)
+    return structure, dec, table
+
+
+def certify_rows(structure, table, steps, rows, certified):
+    """(length, rate, positive) of the cycle of each row of step codes in
+    `rows`, from its exact product, kept in the dict `certified`."""
+    den = rho_log_enclosure(structure)
+    for row in rows:
+        if row not in certified:
+            start, edges = steps.cycle(list(row))
+            product, at = None, start
+            for e in edges:
+                m = table.of_full_edge(at, e)
+                product = m if product is None else product * m
+                at = structure.child[structure.edges_of_full(at)[e]]
+            sp = spectral_radius(product, rel_tol=Fraction(1, 10**9))
+            rate = dimension._rate(sp.certified_lo, sp.certified_hi, len(row), den)
+            certified[row] = (len(row), rate, product.is_positive())
+    return [certified[row] + (row,) for row in rows]
+
+
+def test_sum_screen_matches_the_reference_screen_on_random_classes(monkeypatch):
+    rng = random.Random(20261020)
+    products_of = dimension._StepTable.products
+    certified = []
+
+    def recording_products(self, codes):
+        certified.extend(map(tuple, codes.tolist()))
+        return products_of(self, codes)
+
+    eigvals = numpy.linalg.eigvals
+    rows = []
+
+    def counting_eigvals(a):
+        rows.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(dimension._StepTable, "products", recording_products)
+    settled = sent = 0
+    kinds = dict.fromkeys(["equal_columns", "equal_rows", "zero_row", "triangular"], 0)
+    for i in range(200):
+        structure, dec, table = sum_screened_class(rng)
+        for m in table.matrices.values():
+            r, k = m.shape
+            kinds["equal_columns"] += k > 1 and len(set(m.column_sums())) == 1
+            kinds["equal_rows"] += r > 1 and len(set(map(sum, m.ints))) == 1
+            kinds["zero_row"] += m.has_zero_row()
+            kinds["triangular"] += min(r, k) > 1 and not any(
+                m.ints[i][j] for i in range(r) for j in range(min(i, k))
+            )
+        steps = dimension._StepTable(structure, dec.essential, table)
+        rates = {}
+        for budget in range(1, 7):
+            # each class meets every chunk size over its budgets
+            chunk = (1, 7, dimension._SCREEN_CHUNK)[(i + budget) % 3]
+            count = oh.reference_eigvals_rows(structure, dec, table, budget, chunk)
+            certified.clear()
+            rows.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(dimension, "_SCREEN_CHUNK", chunk)
+                patch.setattr(numpy.linalg, "eigvals", counting_eigvals)
+                bounds = essential_interval_bounds(structure, dec, table, budget)
+            reference = oh.reference_screen(structure, dec, table, budget)
+            assert set(certified) == reference, (budget, chunk)
+            assert bounds.certified_count == len(certified) == len(reference)
+            # the cycles that go to eigvals, settled neither by the sums
+            # nor by the margins
+            assert sum(rows) == count, (budget, chunk)
+            sent += count
+            settled += bounds.cycle_count - count
+            if not reference:
+                assert bounds.min_witness is bounds.max_witness is None
+                continue
+            # the witnesses among the reference rows, each certified anew
+            cycles = certify_rows(structure, table, steps, sorted(reference), rates)
+            lo_hi = min(rate.hi for _, rate, _, _ in cycles)
+            hi_lo = max(rate.lo for _, rate, _, _ in cycles)
+            for witness, attains in (
+                (bounds.min_witness, lambda rate: rate.lo <= lo_hi),
+                (bounds.max_witness, lambda rate: rate.hi >= hi_lo),
+            ):
+                _, rate, positive, row = min(
+                    (c for c in cycles if attains(c[1])),
+                    key=lambda c: (not c[2], c[0], steps.cycle(list(c[3]))),
+                )
+                assert witness == dimension.CycleWitness(*steps.cycle(list(row)), rate, positive)
+    # both ways of scoring are exercised, on every kind of matrix
+    assert settled > 0 and sent > 0
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_cycle_whose_float_product_underflows_is_certified(golden_third_structure):
@@ -748,10 +892,8 @@ def test_equal_products_of_different_lengths_get_their_own_rates(
             rows, cols = edge_matrix(structure, rid, rec.edge_index).shape
             w = Fraction(1, cols) * (s if (rid, rec.edge_index) == (first, 0) else 1)
             table._by_edge[(rid, rec.edge_index)] = TransitionMatrix([[w] * cols] * rows)
-    # certify every cycle
-    monkeypatch.setattr(
-        numpy.linalg, "eigvals", lambda a: numpy.full(numpy.shape(a)[:-1], numpy.nan)
-    )
+    # certify every cycle: with an infinite margin every cycle is near an extreme
+    monkeypatch.setattr(dimension, "_SCREEN_MARGIN", math.inf)
     bounds = essential_interval_bounds(structure, dec, table, 6)
     reference = reference_inner_bounds(structure, dec, table, 6)
     assert bounds.certified_count == bounds.cycle_count

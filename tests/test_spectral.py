@@ -343,6 +343,64 @@ def test_integer_blocks_match_the_fraction_rows_on_random_matrices(monkeypatch):
     assert min(kinds.values()) >= 100, kinds
 
 
+def _equal_column_sum_matrix(rng):
+    """An n x n matrix, n <= 6, whose column sums are all equal: diagonal
+    blocks (1x1 zeros, or irreducible blocks of small integers) coupled
+    upwards, under a random permutation, each column then raised to the
+    greatest sum, or a little above it, at an entry of its own block or of
+    a block above.  So it is reducible and block-triangular whenever it
+    has more than one block, and the blocks' own column sums mostly differ."""
+    n = rng.randrange(1, 7)
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randrange(1, n - sum(sizes) + 1))
+    ints = [[0] * n for _ in range(n)]
+    block_of, start = [], 0
+    for k in sizes:
+        if k > 1 or rng.random() < 0.7:
+            for i in range(k):
+                for j in range(k):
+                    if rng.random() < 0.5 or j == (i + 1) % k:
+                        ints[start + i][start + j] = rng.randrange(1, 10)
+        block_of += [start] * k
+        start += k
+    for i in range(n):
+        for j in range(n):
+            if block_of[i] < block_of[j] and rng.random() < 0.3:
+                ints[i][j] = rng.randrange(1, 10)
+    sums = [sum(col) for col in zip(*ints)]
+    top = max(sums) + rng.randrange(0, 3)
+    for j in range(n):
+        above = [i for i in range(n) if block_of[i] <= block_of[j]]
+        ints[rng.choice(above)][j] += top - sums[j]
+    den = rng.randrange(1, 50) * 10 ** rng.randrange(0, 30)
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[Fraction(ints[i][j], den) for j in order] for i in order]
+
+
+def test_equal_column_sums_match_the_block_path_on_random_matrices():
+    rng = random.Random(20261020)
+    kinds = dict.fromkeys(["reducible", "same", "exact_inside"], 0)
+    for _ in range(300):
+        rows = _equal_column_sum_matrix(rng)
+        n = len(rows)
+        comps = strongly_connected_components(n, lambda v: [j for j in range(n) if rows[v][j]])
+        kinds["reducible"] += len(comps) > 1
+        got = spectral_radius(rows)
+        want = reference_spectral_radius(rows)
+        (c,) = {sum(col) for col in zip(*rows)}
+        assert got == spectral.SpectralResult(float(c), c, c, c)
+        if got == want:
+            kinds["same"] += 1
+        else:
+            # the block path left the radius enclosed; the sums fix it inside
+            assert want.exact is None
+            assert want.certified_lo <= c <= want.certified_hi
+            kinds["exact_inside"] += 1
+    assert kinds["reducible"] >= 100 and kinds["same"] >= 100, kinds
+
+
 def _certified_products(monkeypatch, structure, budget):
     """Every distinct (matrix, keyword arguments) that `build_dimension_report`
     certifies a spectral radius of."""
