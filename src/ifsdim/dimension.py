@@ -27,11 +27,12 @@ of the two brackets contains ln q.  A q within 10^-40 of 1 takes the
 exact bracket [1 - 1/q, q - 1] instead, as ln n - ln d would cancel every
 digit.  |ln rho| comes from the same brackets at the two ends of an
 interval around rho (`rho_log_enclosure`).
-The cycles of the inner bounds are enumerated, screened in floats and
-multiplied exactly from one table of the essential class's steps,
-`_StepTable`.  numpy is imported only inside that table, the functions
-that read it, and `pisot_check`, so importing this module does not load
-it, and neither does an `inner=False` bounds call.
+The cycles of the inner bounds are enumerated in batches, each batch
+screened in floats as it is enumerated, and the cycles near the extreme
+scores multiplied exactly, all from one table of the essential class's
+steps, `_StepTable`.  numpy is imported only inside that table, the
+functions that read it, and `pisot_check`, so importing this module does
+not load it, and neither does an `inner=False` bounds call.
 """
 
 from __future__ import annotations
@@ -100,14 +101,12 @@ _SCREEN_MARGIN = 1e-6
 _SCREEN_SLACK = 1e-9
 # a sum bracket at most this wide relative scores its cycle without `eigvals`
 _SCREEN_TIGHT = 1e-13
-# most float cycle products that the screen scores at once
-_SCREEN_CHUNK = 1024
 # most matrix entries, walks times the class's largest neighbour count
-# squared, that `_cycle_batches` extends and `_StepTable.products`
-# multiplies at once: 1024 walks of 2 x 2 products, 256 of 4 x 4.  Fewer
-# numpy calls per walk, and the pending batches hold `int32` step codes
-# and views, so the perfbench `enumeration` peak RSS stays where 256 walks
-# a batch left it
+# squared, that `_cycle_batches` extends (and so the float screen scores)
+# and `_StepTable.products` multiplies at once: 1024 walks of 2 x 2
+# products, 256 of 4 x 4.  Fewer numpy calls per walk, and the pending
+# batches hold `int32` step codes and views, so the perfbench
+# `enumeration` peak RSS stays where 256 walks a batch left it
 _BATCH_ENTRIES = 4096
 # a walk whose steps' bit bounds (see `_StepTable`) sum to less than this is
 # multiplied in int64; any sum up to 63 would fit
@@ -427,8 +426,9 @@ class _StepTable:
             )
         ]
 
-    def products(self, codes) -> list[TransitionMatrix]:
-        """The exact products of the closed walks of step `codes`, an (N, n) array.
+    def products(self, codes) -> list[tuple[TransitionMatrix, list[int]]]:
+        """The distinct exact products of the closed walks of step `codes`, an
+        (N, n) array, each with the rows of `codes` whose walks give it.
 
         A walk whose steps' `bits` sum to less than `_INT64_BITS` is
         multiplied in `int64`, `batch` walks at a time, one `matmul`
@@ -437,16 +437,18 @@ class _StepTable:
         denominator is the product of the denominators.  Those whose
         products come out with the same denominator and rows, from starts
         with the same neighbour count, share one `TransitionMatrix`.
-        Every other walk goes to `MatrixTable.cycle_matrix`.  So the
-        products equal `cycle_matrix` of each walk's `cycle`.
+        Every other walk goes to `MatrixTable.cycle_matrix`.  So each
+        product equals `cycle_matrix` of the `cycle` of each of its rows,
+        and equal products, however they were reached, form one group.
         """
         import numpy
 
-        out: list = [None] * len(codes)
+        groups: dict[TransitionMatrix, list[int]] = {}
         fits = self.bits[codes].sum(axis=1) < _INT64_BITS
         take = numpy.flatnonzero(fits)
         w = self.width + 1
-        shared: dict[bytes, TransitionMatrix] = {}
+        # the rows of each walk's product, by the bytes of its int64 product
+        shared: dict[bytes, list[int]] = {}
         for a in range(0, len(take), self.batch):
             chunk = take[a : a + self.batch]
             rows = codes[chunk]
@@ -458,15 +460,17 @@ class _StepTable:
             raw, length = flat.tobytes(), flat.shape[1] * flat.itemsize
             for i, at in zip(chunk.tolist(), range(0, len(raw), length)):
                 key = raw[at : at + length]
-                matrix = shared.get(key)
-                if matrix is None:
+                which = shared.get(key)
+                if which is None:
                     k, *entries = numpy.frombuffer(key, numpy.int64).tolist()
                     top = tuple(tuple(entries[r : r + k]) for r in range(0, k * w, w))
-                    matrix = shared[key] = TransitionMatrix._from_integer(entries[-1], top)
-                out[i] = matrix
+                    matrix = TransitionMatrix._from_integer(entries[-1], top)
+                    which = shared[key] = groups.setdefault(matrix, [])
+                which.append(i)
         for i in numpy.flatnonzero(~fits).tolist():
-            out[i] = self.table.cycle_matrix(*self.cycle(codes[i].tolist()))
-        return out
+            matrix = self.table.cycle_matrix(*self.cycle(codes[i].tolist()))
+            groups.setdefault(matrix, []).append(i)
+        return list(groups.items())
 
 
 def _cycle_batches(steps: _StepTable, budget: int):
@@ -548,13 +552,12 @@ def _float_ratio(m: int, d: int) -> float:
         return math.inf
 
 
-def _chunk_scores(stack, n):
+def _chunk_scores(stack, n: int):
     """ln sp / n of each float product in `stack`, nan where that is not finite.
 
-    `n` is the length of the cycles, one for all or an array of one per
-    product.  One `numpy.linalg.eigvals` call takes the products whose
-    entries are all finite; the others score nan without it, and so do all
-    of them if the call fails.
+    One `numpy.linalg.eigvals` call takes the products whose entries are
+    all finite; the others score nan without it, and so do all of them if
+    the call fails.
     """
     import numpy
 
@@ -567,7 +570,7 @@ def _chunk_scores(stack, n):
             pass
     scores = numpy.full(len(stack), math.nan)
     ok = (radii > 0) & (radii < math.inf)
-    scores[ok] = numpy.log(radii[ok]) / numpy.broadcast_to(n, scores.shape)[ok]
+    scores[ok] = numpy.log(radii[ok]) / n
     return scores
 
 
@@ -582,117 +585,37 @@ def _near_extreme(g, g_lo: float, g_hi: float):
     )
 
 
-class _CycleScreen:
-    """The float screen of `essential_interval_bounds`.
+def _screen_scores(products, n: int, g_lo: float, g_hi: float):
+    """The scores ln sp / n of the float `products` of a batch of cycles of
+    n steps, scored against the extremes g_lo and g_hi of the scores so far.
 
-    `add` queues a batch of cycles, their step codes and float products,
-    with the others of their length and product shape; each full
-    `_SCREEN_CHUNK` of a queue is scored at once by `_score`.  `candidates`
-    scores what is left, all lengths of one shape together, again
-    `_SCREEN_CHUNK` at a time.  `near` holds, per scored part, the scores
-    and `int32` step codes of its cycles near the extremes of the scores so
-    far.  The extremes only move outward, and the margin test only tightens
-    as they do, so a cycle near the final extremes was near the extremes
-    when it was scored: `candidates` filters `near` once more, against the
-    final extremes.
+    For a nonnegative square matrix, sp lies between the larger of its
+    least column sum and least row sum and the smaller of its greatest
+    column sum and greatest row sum (Collatz-Wielandt with the all-ones
+    vector).  A product whose bracket, widened by `_SCREEN_SLACK` relative,
+    scores strictly between the margins of the extremes so far cannot be
+    near the final ones, which lie further out, and a bracket at most
+    `_SCREEN_TIGHT` wide relative fixes the score far inside the margin:
+    both score the bracket's midpoint.  Only the others go to
+    `_chunk_scores`.
     """
+    import numpy
 
-    def __init__(self):
-        # (length, shape) -> batches of (products, codes)
-        self.queues: dict[tuple[int, int], list[tuple]] = {}
-        self.g_lo, self.g_hi = math.inf, -math.inf
-        self.near: list[tuple] = []
-
-    def add(self, codes, products) -> None:
-        if not len(codes):
-            return
-        queue = self.queues.setdefault((codes.shape[1], products.shape[1]), [])
-        queue.append((products, codes))
-        total = sum(len(batch[1]) for batch in queue)
-        if total >= _SCREEN_CHUNK:
-            queue[:] = self._flush(queue, total - total % _SCREEN_CHUNK)
-
-    def _flush(self, parts, rows: int) -> list:
-        """Score the first `rows` cycles of `parts`, batches of (products,
-        codes) of one product shape, `_SCREEN_CHUNK` at a time, keep those
-        near the extremes, and return the batches of the rest."""
-        import numpy
-
-        products = numpy.concatenate([p for p, _ in parts])[:rows]
-        n = numpy.concatenate([numpy.full(len(c), c.shape[1]) for _, c in parts])[:rows]
-        scored = [
-            self._score(products[a : a + _SCREEN_CHUNK], n[a : a + _SCREEN_CHUNK])
-            for a in range(0, rows, _SCREEN_CHUNK)
-        ]
-        g, keep = (numpy.concatenate(column) for column in zip(*scored))
-        at, rest = 0, []
-        for p, codes in parts:
-            cut = min(max(rows - at, 0), len(codes))
-            if cut:
-                take = keep[at : at + cut]
-                self.near.append((g[at : at + cut][take], codes[:cut][take]))
-            if cut < len(codes):
-                rest.append((p[cut:], codes[cut:]))
-            at += len(codes)
-        return rest
-
-    def _score(self, products, n):
-        """The scores ln sp / n of float `products` of cycles of n steps
-        (an array), and which of them are near the extremes after them.
-
-        For a nonnegative square matrix, sp lies between the larger of its
-        least column sum and least row sum and the smaller of its greatest
-        column sum and greatest row sum (Collatz-Wielandt with the all-ones
-        vector).  A product whose bracket, widened by `_SCREEN_SLACK`
-        relative, scores strictly between the margins of the extremes so far
-        cannot be near the final ones, which lie further out, and a bracket
-        at most `_SCREEN_TIGHT` wide relative fixes the score far inside the
-        margin: both score the bracket's midpoint.  Only the others go to
-        `_chunk_scores`.
-        """
-        import numpy
-
-        cols, rows = products.sum(axis=1), products.sum(axis=2)
-        lo = numpy.maximum(cols.min(axis=1), rows.min(axis=1))
-        hi = numpy.minimum(cols.max(axis=1), rows.max(axis=1))
-        low = self.g_lo + _SCREEN_MARGIN * abs(self.g_lo)
-        high = self.g_hi - _SCREEN_MARGIN * abs(self.g_hi)
-        with numpy.errstate(divide="ignore"):
-            inside = (numpy.log(lo * (1 - _SCREEN_SLACK)) / n > low) & (
-                numpy.log(hi * (1 + _SCREEN_SLACK)) / n < high
-            )
-        tight = (hi - lo <= _SCREEN_TIGHT * hi) & (lo > 0) & (hi < math.inf)
-        by_sums = inside | tight
-        g = numpy.empty(len(n))
-        g[by_sums] = numpy.log(lo[by_sums] / 2 + hi[by_sums] / 2) / n[by_sums]
-        rest = ~by_sums
-        if rest.any():
-            g[rest] = _chunk_scores(products[rest], n[rest])
-        finite = g[numpy.isfinite(g)]
-        if finite.size:
-            self.g_lo = min(self.g_lo, float(finite.min()))
-            self.g_hi = max(self.g_hi, float(finite.max()))
-        return g, _near_extreme(g, self.g_lo, self.g_hi)
-
-    def candidates(self) -> list:
-        """Score what is queued and empty the screen; the step codes of the
-        cycles near the final extremes, one (N, n) array per length n."""
-        import numpy
-
-        by_shape: dict[int, list] = {}
-        for (_, shape), queue in self.queues.items():
-            by_shape.setdefault(shape, []).extend(queue)
-        for parts in by_shape.values():
-            if parts:
-                self._flush(parts, sum(len(batch[1]) for batch in parts))
-        self.queues.clear()
-        by_length: dict[int, list] = {}
-        for g, codes in self.near:
-            keep = _near_extreme(g, self.g_lo, self.g_hi)
-            if keep.any():
-                by_length.setdefault(codes.shape[1], []).append(codes[keep])
-        self.near = []
-        return [numpy.concatenate(by_length[n]) for n in sorted(by_length)]
+    cols, rows = products.sum(axis=1), products.sum(axis=2)
+    lo = numpy.maximum(cols.min(axis=1), rows.min(axis=1))
+    hi = numpy.minimum(cols.max(axis=1), rows.max(axis=1))
+    low = g_lo + _SCREEN_MARGIN * abs(g_lo)
+    high = g_hi - _SCREEN_MARGIN * abs(g_hi)
+    with numpy.errstate(divide="ignore"):
+        inside = (numpy.log(lo * (1 - _SCREEN_SLACK)) / n > low) & (
+            numpy.log(hi * (1 + _SCREEN_SLACK)) / n < high
+        )
+        g = numpy.log(lo / 2 + hi / 2) / n
+    tight = (hi - lo <= _SCREEN_TIGHT * hi) & (lo > 0) & (hi < math.inf)
+    rest = ~(inside | tight)
+    if rest.any():
+        g[rest] = _chunk_scores(products[rest], n)
+    return g
 
 
 def _witness(certificates, attains, steps: _StepTable) -> CycleWitness:
@@ -739,7 +662,7 @@ def essential_interval_bounds(
     intervals; the mass on the other side of that point also decides its
     local dimension, so the cycle's rate need not be it.  The one
     enumeration, `_cycle_batches`, marks those cycles by their end bits:
-    they are counted in `excluded_count`, the first 50 sorted are sampled
+    they are counted in `excluded_count`, the first 10 sorted are sampled
     in `excluded` (`_StepTable.hugging`), and `cycle_count` counts the
     included ones.
     Every other cycle is realized at a truly essential point, so no
@@ -752,16 +675,16 @@ def essential_interval_bounds(
     enumerates them level by level and multiplies the float edge matrices
     of all walks of a level at once, left to right, and its score g = ln
     sp / n (n edges) is read off that product; the rate is -g / |ln rho|.
-    Products are queued per length and shape (`_CycleScreen`) and scored
-    `_SCREEN_CHUNK` at a time.  Only the cycles whose g lies within the
-    relative `_SCREEN_MARGIN` of the least or greatest score, and those
-    whose g is not finite (a product that under- or overflows, or a failed
-    eigensolver), get an exact product, a certified spectral radius and a
-    certified rate; `certified_count` counts them.  The margin test only
-    tightens as the extremes move out, so the screen keeps, chunk by
-    chunk, the cycles near the extremes seen so far, and filters those
-    once more against the final extremes: that leaves exactly the cycles
-    near the final extremes, whatever the chunk size.
+    Each batch it yields, of one start, length and shape, is scored as it
+    comes (`_screen_scores`) against the extremes of the scores so far.
+    Only the cycles whose g lies within the relative `_SCREEN_MARGIN` of
+    the least or greatest score, and those whose g is not finite (a
+    product that under- or overflows, or a failed eigensolver), get an
+    exact product, a certified spectral radius and a certified rate;
+    `certified_count` counts them.  The margin test only tightens as the
+    extremes move out, so each batch keeps the cycles near the extremes
+    seen so far, and those are filtered once more against the final
+    extremes: that leaves exactly the cycles near the final extremes.
     Most scores need no eigenvalues.  For a nonnegative k x k matrix P
     and the all-ones vector, Collatz-Wielandt gives min row sum <= sp(P)
     <= max row sum, and the same for column sums (P transposed has the
@@ -775,11 +698,13 @@ def essential_interval_bounds(
     lies inside the margins too.  A bracket at most `_SCREEN_TIGHT` wide
     relative is scored by its midpoint, which then lies within 1e-13 of sp
     relative, far inside the margin (every product of equal-column-sum
-    matrices has such a bracket).  The other cycles of a chunk go to one
+    matrices has such a bracket).  The other cycles of a batch go to one
     `numpy.linalg.eigvals` call; a product with a non-finite entry scores
     nan without it, and a call that raises `LinAlgError` scores its cycles
-    nan.  What is left in the queues at the end is scored per shape, all
-    lengths together, each row divided by its own length.
+    nan.  So the cycles certified do not depend on how the cycles are
+    batched: a cycle near the final extremes is never dropped by its
+    sums, and its score is either its bracket's midpoint or `eigvals` of
+    its own product, which LAPACK computes one matrix at a time.
     This is sound: every included cycle's rate is a local dimension at a
     truly essential point, so the rates of any subset of the cycles bound
     the interval from inside.  The margin also keeps the bounds that
@@ -792,11 +717,11 @@ def essential_interval_bounds(
     `_StepTable` of the class, built once per call, and a cycle travels
     as its row of step codes.  The exact products of the candidates come
     from `_StepTable.products`, batched `int64` products of each length
-    in which tied cycles share one `TransitionMatrix`, and one spectral
-    radius and rate serve all cycles with the same product and length:
-    many cycles tie exactly at an extreme.  The inner ends are taken over
-    these distinct certificates, and each witness turns one row of step
-    codes back into (start, edges).
+    grouped by their distinct `TransitionMatrix`, and one spectral radius
+    and rate serve each group, all its cycles having the same product and
+    length: many cycles tie exactly at an extreme.  The inner ends are
+    taken over these distinct certificates, and each witness turns one row
+    of step codes back into (start, edges).
 
     `min_witness` and `max_witness` are taken among the certified cycles
     whose enclosure reaches the extreme enclosure (`rate.lo <=
@@ -839,26 +764,37 @@ def essential_interval_bounds(
         import numpy
 
         steps = _StepTable(structure, dec.essential, table)
-        screen = _CycleScreen()
+        g_lo, g_hi = math.inf, -math.inf
+        # (scores, step codes) of the cycles near the extremes when they were scored
+        near: list[tuple] = []
         # inf * 0 in a product that overflows is nan: it scores nan, and is certified
         with numpy.errstate(over="ignore", invalid="ignore"):
             for codes, products, hug in _cycle_batches(steps, cycle_budget):
                 if hug.any():
                     excluded += steps.hugging(codes[hug != 0], hug[hug != 0])
                     codes, products = codes[hug == 0], products[hug == 0]
+                if not len(codes):
+                    continue
                 cycle_count += len(codes)
-                screen.add(codes, products)
-            candidates = screen.candidates()
+                g = _screen_scores(products, codes.shape[1], g_lo, g_hi)
+                finite = g[numpy.isfinite(g)]
+                if finite.size:
+                    g_lo = min(g_lo, float(finite.min()))
+                    g_hi = max(g_hi, float(finite.max()))
+                keep = _near_extreme(g, g_lo, g_hi)
+                near.append((g[keep], codes[keep]))
+        by_length: dict[int, list] = {}
+        for g, codes in near:
+            keep = _near_extreme(g, g_lo, g_hi)
+            if keep.any():
+                by_length.setdefault(codes.shape[1], []).append(codes[keep])
 
         loose = Fraction(1, 10**9)
-        for codes in candidates:
-            n = codes.shape[1]
+        for n in sorted(by_length):
+            codes = numpy.concatenate(by_length[n])
             certified_count += len(codes)
             # the rate and positivity of a cycle depend only on its product and length
-            rows: dict[TransitionMatrix, list[int]] = {}
-            for i, product in enumerate(steps.products(codes)):
-                rows.setdefault(product, []).append(i)
-            for product, which in rows.items():
+            for product, which in steps.products(codes):
                 sp = spectral_radius(product, rel_tol=loose)
                 rate = _rate(sp.certified_lo, sp.certified_hi, n, den1)
                 certificates.append((rate, product.is_positive(), codes[which]))
@@ -885,7 +821,7 @@ def essential_interval_bounds(
         max_witness,
         cycle_count,
         certified_count,
-        tuple(sorted(excluded)[:50]),
+        tuple(sorted(excluded)[:10]),
         len(excluded),
         cycle_budget,
     )

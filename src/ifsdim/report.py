@@ -91,7 +91,7 @@ def bounds_dict(b: EssentialBounds) -> dict:
         "excluded_count": b.excluded_count,
         "excluded_sample": [
             {"steps": [list(s) for s in steps], "reason": reason}
-            for steps, reason in b.excluded[:10]
+            for steps, reason in b.excluded
         ],
         "cycle_budget": b.cycle_budget,
     }

@@ -34,9 +34,9 @@ cycle exactly, kept as the reference for the float screen of
 `dimension.essential_interval_bounds`; `reference_screen`, the cycles
 that screen keeps, found by scoring every batch first and filtering once
 against the global extremes; `reference_eigvals_rows`, how many cycles
-that screen sends to `numpy.linalg.eigvals`, followed one cycle at a
-time, the reference for the row- and column-sum brackets that settle the
-others; `reference_product`, the former
+of each batch that screen sends to `numpy.linalg.eigvals`, followed one
+cycle at a time, the reference for the row- and column-sum brackets that
+settle the others; `reference_product`, the former
 entry-by-entry `Fraction` matrix product, kept as the reference for the
 integer multiply of `TransitionMatrix`; `reference_matrix_flags`, the
 column sums and sign flags of a matrix read off its `Fraction` entries, the
@@ -783,7 +783,7 @@ def reference_inner_bounds(structure, dec, table, budget):
             )
     out = {
         "cycle_count": len(included),
-        "excluded": tuple(sorted(excluded)[:50]),
+        "excluded": tuple(sorted(excluded)[:10]),
         "excluded_count": len(excluded),
         "inner_lo": None,
         "inner_hi": None,
@@ -840,68 +840,53 @@ def reference_screen(structure, dec, table, budget):
     }
 
 
-def reference_eigvals_rows(structure, dec, table, budget, chunk):
-    """How many cycles the float screen of `essential_interval_bounds`
-    sends to `numpy.linalg.eigvals` when it scores `chunk` at a time,
-    followed one cycle at a time in plain Python.
+def reference_eigvals_rows(structure, dec, table, budget):
+    """How many cycles of each batch of `dimension._cycle_batches` the float
+    screen of `essential_interval_bounds` sends to `numpy.linalg.eigvals`,
+    followed one cycle at a time in plain Python; a list with one count
+    per batch that holds a cycle hugging neither end.
 
-    The cycles of `dimension._cycle_batches` that hug neither end join a
-    queue per (length, shape) in the order they come, and a queue that
-    reaches `chunk` cycles is scored.  At the end the queues left of one
-    shape are scored together, in the order they were opened, `chunk` at
-    a time, one shape after the other.  A chunk is scored against the
-    margins of the extremes so far, each cycle scored ln sp / n by
-    `eigvals` on its product alone.  A cycle with a non-finite product is
-    not sent; nor is one whose bracket [lo, hi] of sp, from its least and
-    greatest row and column sums, is at most `_SCREEN_TIGHT` wide relative,
-    or scores strictly inside both margins once widened by `_SCREEN_SLACK`
-    relative.  Call it before `eigvals` is patched: it calls `eigvals` too.
+    A batch's cycles that hug neither end are scored against the margins
+    of the extremes of the batches before it, each cycle scored ln sp / n
+    by `eigvals` on its product alone.  A cycle with a non-finite product
+    is not sent; nor is one whose bracket [lo, hi] of sp, from its least
+    and greatest row and column sums, is at most `_SCREEN_TIGHT` wide
+    relative, or scores strictly inside both margins once widened by
+    `_SCREEN_SLACK` relative.  Call it before `eigvals` is patched: it
+    calls `eigvals` too.
     """
     import numpy
 
     margin, slack = dimension._SCREEN_MARGIN, dimension._SCREEN_SLACK
     ends = [math.inf, -math.inf]
-    sent = 0
-
-    def score(rows):
-        nonlocal sent
-        low = ends[0] + margin * abs(ends[0])
-        high = ends[1] - margin * abs(ends[1])
-        for n, m in rows:
-            if not all(math.isfinite(x) for row in m for x in row):
-                continue
-            col_sums, row_sums = [sum(col) for col in zip(*m)], [sum(row) for row in m]
-            lo = max(min(col_sums), min(row_sums))
-            hi = min(max(col_sums), max(row_sums))
-            tight = lo > 0 and hi - lo <= dimension._SCREEN_TIGHT * hi
-            inside = (
-                lo > 0
-                and math.log(lo * (1 - slack)) / n > low
-                and math.log(hi * (1 + slack)) / n < high
-            )
-            sent += not (tight or inside)
-            radius = max(abs(z) for z in numpy.linalg.eigvals(numpy.array(m)))
-            if 0 < radius < math.inf:
-                g = math.log(radius) / n
-                ends[:] = min(ends[0], g), max(ends[1], g)
-
+    counts = []
     steps = dimension._StepTable(structure, dec.essential, table)
-    queues = {}
     with numpy.errstate(over="ignore", invalid="ignore"):
         for codes, products, hug in dimension._cycle_batches(steps, budget):
-            for row, m in zip(codes[hug == 0].tolist(), products[hug == 0].tolist()):
-                queue = queues.setdefault((len(row), len(m)), [])
-                queue.append((len(row), m))
-                if len(queue) == chunk:
-                    score(queue)
-                    queue.clear()
-        by_shape = {}
-        for (_, shape), queue in queues.items():
-            by_shape.setdefault(shape, []).extend(queue)
-        for rows in by_shape.values():
-            for a in range(0, len(rows), chunk):
-                score(rows[a : a + chunk])
-    return sent
+            if not (hug == 0).any():
+                continue
+            n, sent, scores = codes.shape[1], 0, []
+            low = ends[0] + margin * abs(ends[0])
+            high = ends[1] - margin * abs(ends[1])
+            for m in products[hug == 0].tolist():
+                if not all(math.isfinite(x) for row in m for x in row):
+                    continue
+                col_sums, row_sums = [sum(col) for col in zip(*m)], [sum(row) for row in m]
+                lo = max(min(col_sums), min(row_sums))
+                hi = min(max(col_sums), max(row_sums))
+                tight = lo > 0 and hi - lo <= dimension._SCREEN_TIGHT * hi
+                inside = (
+                    lo > 0
+                    and math.log(lo * (1 - slack)) / n > low
+                    and math.log(hi * (1 + slack)) / n < high
+                )
+                sent += not (tight or inside)
+                radius = max(abs(z) for z in numpy.linalg.eigvals(numpy.array(m)))
+                if 0 < radius < math.inf:
+                    scores.append(math.log(radius) / n)
+            counts.append(sent)
+            ends[:] = min([ends[0], *scores]), max([ends[1], *scores])
+    return counts
 
 
 def reference_load(payload, system):

@@ -300,7 +300,7 @@ def test_an_end_child_that_does_not_abut_its_end_is_included(
     before = essential_interval_bounds(structure, dec, table, cycle_budget=3)
     reason = "all_%smost" % end
     moved = sum(r == reason for _, r in before.excluded)
-    assert 0 < moved and before.excluded_count < 50
+    assert 0 < moved and before.excluded_count <= 10
     column = "abuts_%s" % end
     flags = list(getattr(structure, column))
     for rid in dec.essential_reduced:
@@ -348,7 +348,7 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, name):
         assert set(batched) == cycles - {c for c, _ in hugging}
         bounds = essential_interval_bounds(structure, dec, table, budget)
         assert bounds.cycle_count == len(batched)
-        assert bounds.excluded == tuple(hugging[:50])
+        assert bounds.excluded == tuple(hugging[:10])
         assert bounds.excluded_count == len(hugging)
 
 
@@ -512,8 +512,8 @@ def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch
             # the same cycles, each once: cycle_count is len(got)
             assert sorted(got) == sorted(set(lyndon) - {c for c, _ in hugging})
             # the end-hugging cycles come out of the same enumeration
-            excluded, excluded_count = sorted(hugged)[:50], len(hugged)
-            assert excluded == hugging[:50] and excluded_count == len(hugging)
+            excluded, excluded_count = sorted(hugged)[:10], len(hugged)
+            assert excluded == hugging[:10] and excluded_count == len(hugging)
             # the distance pruning keeps exactly the walks that can still close
             assert sum(rows) == sum(1 for n, back in prenecklaces if n + back <= budget)
     # the graphs reach cycles that hug both ends
@@ -569,22 +569,41 @@ def test_float_screen_matches_certifying_every_cycle(request, name):
         assert (bounds.certified_count > 0) == (bounds.cycle_count > 0)
 
 
+def batch_sizes(structure, dec, table):
+    """Values of `_BATCH_ENTRIES` that give batches of 1 walk, of 7 walks
+    and of the default size on the essential class of `structure`."""
+    width = dimension._StepTable(structure, dec.essential, table).width
+    return (width * width, 7 * width * width, dimension._BATCH_ENTRIES)
+
+
 @pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8"])
-def test_screen_does_not_depend_on_the_chunk_size(request, monkeypatch, name):
+def test_screen_does_not_depend_on_the_batch_size(request, monkeypatch, name):
     structure = request.getfixturevalue(name)
     if name == "convolution_3_8":
         structure = explore(structure)
     dec, table = parts_of(structure)
     budget = LYNDON_BUDGETS.get(name, 6)
     results = []
-    for chunk in (1, 7, dimension._SCREEN_CHUNK):
+    for entries in batch_sizes(structure, dec, table):
         with monkeypatch.context() as patch:
-            patch.setattr(dimension, "_SCREEN_CHUNK", chunk)
+            patch.setattr(dimension, "_BATCH_ENTRIES", entries)
             bounds = essential_interval_bounds(structure, dec, table, budget)
         results.append(
             [getattr(bounds, field) for field in SCREENED_FIELDS + ("certified_count",)]
         )
     assert results[0] == results[1] == results[2]
+
+
+def recording_products(monkeypatch, certified):
+    """Patch `_StepTable.products` to extend the list `certified` with the
+    rows, as tuples, of the step codes it is given."""
+    products_of = dimension._StepTable.products
+
+    def recording(self, codes):
+        certified.extend(map(tuple, codes.tolist()))
+        return products_of(self, codes)
+
+    monkeypatch.setattr(dimension._StepTable, "products", recording)
 
 
 @pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8"])
@@ -593,28 +612,20 @@ def test_screen_certifies_the_cycles_near_the_global_extremes(request, monkeypat
     if name == "convolution_3_8":
         structure = explore(structure)
     dec, table = parts_of(structure)
-    products_of = dimension._StepTable.products
     certified = []
-
-    def recording_products(self, codes):
-        certified.extend(map(tuple, codes.tolist()))
-        return products_of(self, codes)
-
-    monkeypatch.setattr(dimension._StepTable, "products", recording_products)
+    recording_products(monkeypatch, certified)
     for budget in range(1, LYNDON_BUDGETS.get(name, 6) + 1):
         reference = oh.reference_screen(structure, dec, table, budget)
-        for chunk in (1, 7, dimension._SCREEN_CHUNK):
+        for entries in batch_sizes(structure, dec, table):
             certified.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(dimension, "_SCREEN_CHUNK", chunk)
+                patch.setattr(dimension, "_BATCH_ENTRIES", entries)
                 bounds = essential_interval_bounds(structure, dec, table, budget)
             assert len(certified) == len(set(certified)) == bounds.certified_count
-            assert set(certified) == reference, (budget, chunk)
+            assert set(certified) == reference, (budget, entries)
 
 
-def test_screen_calls_eigvals_once_per_chunk(request, monkeypatch):
-    chunk = 7
-    monkeypatch.setattr(dimension, "_SCREEN_CHUNK", chunk)
+def test_screen_calls_eigvals_once_per_batch(request, monkeypatch):
     eigvals = numpy.linalg.eigvals
     calls = []
 
@@ -625,23 +636,21 @@ def test_screen_calls_eigvals_once_per_chunk(request, monkeypatch):
     for name in ("gap_system_structure", "cantor_4_9_structure", "six_map_quarter_structure"):
         structure = request.getfixturevalue(name)
         dec, table = parts_of(structure)
-        sent = oh.reference_eigvals_rows(structure, dec, table, 5, chunk)
+        counts = oh.reference_eigvals_rows(structure, dec, table, 5)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(numpy.linalg, "eigvals", counting_eigvals)
             bounds = essential_interval_bounds(structure, dec, table, 5)
-        steps = dimension._StepTable(structure, dec.essential, table)
-        batches = dimension._cycle_batches(steps, 5)
-        shapes = {products.shape[1] for codes, products, hug in batches if (hug == 0).any()}
-        assert bounds.cycle_count > 10 * chunk
-        assert len(shapes) <= 2
-        # one call per full chunk, and one per product shape for what is left
-        assert len(calls) <= math.ceil(bounds.cycle_count / chunk) + len(shapes), name
-        # exactly the cycles whose row and column sums settle neither the
-        # score nor the margin test go to eigvals: none where every rate is equal
-        assert sum(shape[0] for shape in calls) == sent, name
-        assert (sent == 0) == (name == "gap_system_structure"), name
-        assert all(len(shape) == 3 and shape[0] <= chunk for shape in calls)
+        # batches of more than 10 cycles on average, so one call per batch is few
+        assert bounds.cycle_count > 10 * len(counts)
+        # at most one call per batch, with exactly the cycles whose row and
+        # column sums settle neither the score nor the margin test: none
+        # where every rate is equal
+        assert [shape[0] for shape in calls] == [c for c in counts if c], name
+        assert (sum(counts) == 0) == (name == "gap_system_structure"), name
+        # and some call takes more than one cycle
+        assert not calls or len(calls) < sum(counts), name
+        assert all(len(shape) == 3 for shape in calls)
 
 
 def sum_screened_class(rng):
@@ -712,13 +721,8 @@ def certify_rows(structure, table, steps, rows, certified):
 
 def test_sum_screen_matches_the_reference_screen_on_random_classes(monkeypatch):
     rng = random.Random(20261020)
-    products_of = dimension._StepTable.products
     certified = []
-
-    def recording_products(self, codes):
-        certified.extend(map(tuple, codes.tolist()))
-        return products_of(self, codes)
-
+    recording_products(monkeypatch, certified)
     eigvals = numpy.linalg.eigvals
     rows = []
 
@@ -726,7 +730,6 @@ def test_sum_screen_matches_the_reference_screen_on_random_classes(monkeypatch):
         rows.append(len(a))
         return eigvals(a)
 
-    monkeypatch.setattr(dimension._StepTable, "products", recording_products)
     settled = sent = 0
     kinds = dict.fromkeys(["equal_columns", "equal_rows", "zero_row", "triangular"], 0)
     for i in range(200):
@@ -740,25 +743,26 @@ def test_sum_screen_matches_the_reference_screen_on_random_classes(monkeypatch):
                 m.ints[i][j] for i in range(r) for j in range(min(i, k))
             )
         steps = dimension._StepTable(structure, dec.essential, table)
+        sizes = batch_sizes(structure, dec, table)
         rates = {}
         for budget in range(1, 7):
-            # each class meets every chunk size over its budgets
-            chunk = (1, 7, dimension._SCREEN_CHUNK)[(i + budget) % 3]
-            count = oh.reference_eigvals_rows(structure, dec, table, budget, chunk)
+            # each class meets every batch size over its budgets
+            entries = sizes[(i + budget) % 3]
             certified.clear()
             rows.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(dimension, "_SCREEN_CHUNK", chunk)
+                patch.setattr(dimension, "_BATCH_ENTRIES", entries)
+                counts = oh.reference_eigvals_rows(structure, dec, table, budget)
                 patch.setattr(numpy.linalg, "eigvals", counting_eigvals)
                 bounds = essential_interval_bounds(structure, dec, table, budget)
             reference = oh.reference_screen(structure, dec, table, budget)
-            assert set(certified) == reference, (budget, chunk)
+            assert set(certified) == reference, (budget, entries)
             assert bounds.certified_count == len(certified) == len(reference)
             # the cycles that go to eigvals, settled neither by the sums
-            # nor by the margins
-            assert sum(rows) == count, (budget, chunk)
-            sent += count
-            settled += bounds.cycle_count - count
+            # nor by the margins, one call per batch that has any
+            assert rows == [c for c in counts if c], (budget, entries)
+            sent += sum(counts)
+            settled += bounds.cycle_count - sum(counts)
             if not reference:
                 assert bounds.min_witness is bounds.max_witness is None
                 continue
@@ -853,12 +857,12 @@ def test_screen_certifies_every_cycle_when_eigvals_raises(
 def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
     structure = gap_system_structure
     dec, table = parts_of(structure)
-    products, radii = [], []
+    groups, radii = [], []
     products_of = dimension._StepTable.products
 
     def recording_products(self, codes):
         out = products_of(self, codes)
-        products.extend((product, codes.shape[1]) for product in out)
+        groups.extend((product, codes.shape[1], len(which)) for product, which in out)
         return out
 
     def counting_spectral_radius(matrix, **kwargs):
@@ -870,11 +874,40 @@ def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
         patch.setattr(dimension, "spectral_radius", counting_spectral_radius)
         bounds = essential_interval_bounds(structure, dec, table, 5)
     # every rate here is equal, so every cycle is certified
-    assert bounds.certified_count == bounds.cycle_count == len(products)
-    assert len(radii) == len(set(products)) < len(products)
+    cycles = sum(size for _, _, size in groups)
+    assert bounds.certified_count == bounds.cycle_count == cycles
+    # one group and one spectral radius per distinct product and length
+    assert len({(product, n) for product, n, _ in groups}) == len(groups)
+    assert radii == [product for product, _, _ in groups] and len(groups) < cycles
     reference = reference_inner_bounds(structure, dec, table, 5)
     for field in SCREENED_FIELDS:
         assert getattr(bounds, field) == reference[field], field
+
+
+def test_equal_products_from_different_integer_forms_form_one_group():
+    # one vector with six 1 x 1 loops: (2/3)(3/4) and (1/2)(1) are both 1/2,
+    # as int64 forms 6/12 and 1/2; (1)(1) is 1 in int64, and the loops
+    # a/b and b/a, 41 bits each, give 1 through `cycle_matrix`
+    a, b = 2**40 + 1, 2**40 + 3
+    weights = [Fraction(2, 3), Fraction(3, 4), Fraction(1, 2), Fraction(1), Fraction(a, b), Fraction(b, a)]
+
+    class LoopTable(RandomTable):
+        def cycle_matrix(self, fid, edges):
+            return reduce(operator.mul, (self.matrices[(fid, e)] for e in edges))
+
+    structure = FiniteTypeStructure(None)
+    structure.full_reduced = [0]
+    structure.child += [0] * len(weights)
+    structure.abuts_left += [False] * len(weights)
+    structure.abuts_right += [False] * len(weights)
+    structure.edge_start.append(len(weights))
+    table = LoopTable({(0, e): TransitionMatrix([[w]]) for e, w in enumerate(weights)})
+    steps = dimension._StepTable(structure, [0], table)
+    groups = steps.products(numpy.array([[0, 1], [2, 3], [3, 3], [4, 5]]))
+    assert groups == [
+        (TransitionMatrix([[Fraction(1, 2)]]), [0, 1]),
+        (TransitionMatrix([[Fraction(1)]]), [2, 3]),
+    ]
 
 
 def test_equal_products_of_different_lengths_get_their_own_rates(

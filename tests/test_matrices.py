@@ -556,9 +556,11 @@ class _RecordingTable(MatrixTable):
 
 def _assert_batched_products_match(table, walks, rng, vectors=None):
     """The products `dimension._StepTable.products` gives for `walks`, and
-    for repeats among them, equal `table.cycle_matrix`.  The step table is
-    built over `vectors`, a set closed under children: all full vectors
-    unless given."""
+    for repeats among them, equal `table.cycle_matrix`: each walk lies in
+    one group, whose product equals `cycle_matrix` of the walk, and no two
+    groups share a product, whether reached in `int64` or not.  The step
+    table is built over `vectors`, a set closed under children: all full
+    vectors unless given."""
     structure = table.structure
     if vectors is None:
         vectors = range(structure.full_count)
@@ -582,17 +584,18 @@ def _assert_batched_products_match(table, walks, rng, vectors=None):
             rows.append(row)
         recording.walks.clear()
         got = steps.products(numpy.array(rows))
-        assert len(got) == len(group)
         # the walks of 62 bits or more, and only those, go to `cycle_matrix`
         assert sorted(recording.walks) == sorted(w for w in group if _walk_bits(table, w) >= 62)
-        first = {}
-        for walk, row, product in zip(group, rows, got):
-            assert steps.cycle(row) == walk
-            want = table.cycle_matrix(*walk)
-            assert product == want and product.shape == want.shape, walk
-            assert product.rows == want.rows, walk
-            if _walk_bits(table, walk) < 62:  # batched in int64
-                assert first.setdefault(walk, product) is product, walk
+        # each walk lies in exactly one group, of a product equal to no other
+        assert sorted(i for _, which in got for i in which) == list(range(len(group)))
+        assert len({product for product, _ in got}) == len(got)
+        for product, which in got:
+            for i in which:
+                walk = group[i]
+                assert steps.cycle(rows[i]) == walk
+                want = table.cycle_matrix(*walk)
+                assert product == want and product.shape == want.shape, walk
+                assert product.rows == want.rows, walk
 
 
 def _closed_walks(structure, budget=6):
