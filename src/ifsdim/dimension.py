@@ -60,7 +60,6 @@ from .net import (
 from .spectral import (
     SpectralResult,
     _positive_eigenvector,
-    ln_fraction,
     safe_float,
     spectral_radius,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "PositiveRowReport",
     "PisotResult",
     "DimensionReport",
-    "ln_fraction",
     "log_enclosure",
     "rho_log_enclosure",
     "hausdorff_dimension",
@@ -362,11 +360,11 @@ class _StepTable:
     Each step's matrix is read once, as its integer form: `den` d, `ints` m.
     `floats` holds m / d padded with zeros to `width` square: Python's
     `m / d` is correctly rounded, so these are the floats of the
-    `Fraction` entries, with inf where that overflows.  `bits` holds the
-    bit length of the larger of d and the greatest row sum of m, and
-    where that is below `_INT64_BITS`, `exact` (`int64`) holds diag(m, d)
-    padded with zeros to `width` + 1 square, so that a product of those
-    is diag(product of the m, product of the d).
+    `Fraction` entries.  `bits` holds the bit length of the larger of d
+    and the greatest row sum of m, and where that is below `_INT64_BITS`,
+    `exact` (`int64`) holds diag(m, d) padded with zeros to `width` + 1
+    square, so that a product of those is diag(product of the m, product
+    of the d).
     """
 
     def __init__(self, structure: FiniteTypeStructure, vectors, table: MatrixTable):
@@ -403,7 +401,7 @@ class _StepTable:
         self.exact = numpy.zeros((len(steps), w + 1, w + 1), dtype=numpy.int64)
         for c, (d, m) in enumerate(forms):
             r, k = len(m), len(m[0])
-            self.floats[c, :r, :k] = [[_float_ratio(x, d) for x in row] for row in m]
+            self.floats[c, :r, :k] = [[x / d for x in row] for row in m]
             if self.bits[c] < _INT64_BITS:
                 self.exact[c, :r, :k] = m
                 self.exact[c, -1, -1] = d
@@ -497,9 +495,8 @@ def _cycle_batches(steps: _StepTable, budget: int):
     steps back to the start through such vectors would take the walk past
     `budget`: that drops no cycle, and keeps every walk that can
     still close.  Products are padded with zero columns to the largest
-    neighbour count of the class, so one matmul extends a whole batch; a
-    zero term adds nothing to a finite entry, and a product with an entry
-    that overflows stays not finite either way.
+    neighbour count of the class, so one matmul extends a whole batch, and
+    a zero term adds nothing to an entry.
     """
     import numpy
 
@@ -544,32 +541,20 @@ def _cycle_batches(steps: _StepTable, budget: int):
                 ]
 
 
-def _float_ratio(m: int, d: int) -> float:
-    """m / d for integers m >= 0 and d > 0, inf where the quotient overflows."""
-    try:
-        return m / d
-    except OverflowError:
-        return math.inf
-
-
 def _chunk_scores(stack, n: int):
-    """ln sp / n of each float product in `stack`, nan where that is not finite.
-
-    One `numpy.linalg.eigvals` call takes the products whose entries are
-    all finite; the others score nan without it, and so do all of them if
-    the call fails.
+    """ln sp / n of each float product in `stack`, from one
+    `numpy.linalg.eigvals` call: nan where sp is 0 (a product that
+    underflows) or not a number, and for all of them if the call raises
+    `LinAlgError`.
     """
     import numpy
 
-    finite = numpy.isfinite(stack).all(axis=(1, 2))
-    radii = numpy.full(len(stack), math.nan)
-    if finite.any():
-        try:
-            radii[finite] = numpy.abs(numpy.linalg.eigvals(stack[finite])).max(axis=-1)
-        except numpy.linalg.LinAlgError:
-            pass
     scores = numpy.full(len(stack), math.nan)
-    ok = (radii > 0) & (radii < math.inf)
+    try:
+        radii = numpy.abs(numpy.linalg.eigvals(stack)).max(axis=-1)
+    except numpy.linalg.LinAlgError:
+        return scores
+    ok = radii > 0
     scores[ok] = numpy.log(radii[ok]) / n
     return scores
 
@@ -611,7 +596,7 @@ def _screen_scores(products, n: int, g_lo: float, g_hi: float):
             numpy.log(hi * (1 + _SCREEN_SLACK)) / n < high
         )
         g = numpy.log(lo / 2 + hi / 2) / n
-    tight = (hi - lo <= _SCREEN_TIGHT * hi) & (lo > 0) & (hi < math.inf)
+    tight = (hi - lo <= _SCREEN_TIGHT * hi) & (lo > 0)
     rest = ~(inside | tight)
     if rest.any():
         g[rest] = _chunk_scores(products[rest], n)
@@ -679,7 +664,7 @@ def essential_interval_bounds(
     comes (`_screen_scores`) against the extremes of the scores so far.
     Only the cycles whose g lies within the relative `_SCREEN_MARGIN` of
     the least or greatest score, and those whose g is not finite (a
-    product that under- or overflows, or a failed eigensolver), get an
+    product that underflows to 0, or a failed eigensolver), get an
     exact product, a certified spectral radius and a certified rate;
     `certified_count` counts them.  The margin test only tightens as the
     extremes move out, so each batch keeps the cycles near the extremes
@@ -699,12 +684,13 @@ def essential_interval_bounds(
     relative is scored by its midpoint, which then lies within 1e-13 of sp
     relative, far inside the margin (every product of equal-column-sum
     matrices has such a bracket).  The other cycles of a batch go to one
-    `numpy.linalg.eigvals` call; a product with a non-finite entry scores
-    nan without it, and a call that raises `LinAlgError` scores its cycles
-    nan.  So the cycles certified do not depend on how the cycles are
-    batched: a cycle near the final extremes is never dropped by its
-    sums, and its score is either its bracket's midpoint or `eigvals` of
-    its own product, which LAPACK computes one matrix at a time.
+    `numpy.linalg.eigvals` call, and a call that raises `LinAlgError`
+    scores its cycles nan; no product overflows, as the entries of a
+    product of edge matrices lie in [0, 1] (`matrices.edge_matrix`).  So
+    the cycles certified do not depend on how the cycles are batched: a
+    cycle near the final extremes is never dropped by its sums, and its
+    score is either its bracket's midpoint or `eigvals` of its own
+    product, which LAPACK computes one matrix at a time.
     This is sound: every included cycle's rate is a local dimension at a
     truly essential point, so the rates of any subset of the cycles bound
     the interval from inside.  The margin also keeps the bounds that
@@ -767,22 +753,20 @@ def essential_interval_bounds(
         g_lo, g_hi = math.inf, -math.inf
         # (scores, step codes) of the cycles near the extremes when they were scored
         near: list[tuple] = []
-        # inf * 0 in a product that overflows is nan: it scores nan, and is certified
-        with numpy.errstate(over="ignore", invalid="ignore"):
-            for codes, products, hug in _cycle_batches(steps, cycle_budget):
-                if hug.any():
-                    excluded += steps.hugging(codes[hug != 0], hug[hug != 0])
-                    codes, products = codes[hug == 0], products[hug == 0]
-                if not len(codes):
-                    continue
-                cycle_count += len(codes)
-                g = _screen_scores(products, codes.shape[1], g_lo, g_hi)
-                finite = g[numpy.isfinite(g)]
-                if finite.size:
-                    g_lo = min(g_lo, float(finite.min()))
-                    g_hi = max(g_hi, float(finite.max()))
-                keep = _near_extreme(g, g_lo, g_hi)
-                near.append((g[keep], codes[keep]))
+        for codes, products, hug in _cycle_batches(steps, cycle_budget):
+            if hug.any():
+                excluded += steps.hugging(codes[hug != 0], hug[hug != 0])
+                codes, products = codes[hug == 0], products[hug == 0]
+            if not len(codes):
+                continue
+            cycle_count += len(codes)
+            g = _screen_scores(products, codes.shape[1], g_lo, g_hi)
+            finite = g[numpy.isfinite(g)]
+            if finite.size:
+                g_lo = min(g_lo, float(finite.min()))
+                g_hi = max(g_hi, float(finite.max()))
+            keep = _near_extreme(g, g_lo, g_hi)
+            near.append((g[keep], codes[keep]))
         by_length: dict[int, list] = {}
         for g, codes in near:
             keep = _near_extreme(g, g_lo, g_hi)

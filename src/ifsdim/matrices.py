@@ -68,9 +68,14 @@ class TransitionMatrix:
 
         Dividing den and every entry by their gcd gives the integer form:
         d / gcd(d, a) is the reduced denominator of a / d, and the lcm of
-        those is d / gcd(d, all a).
+        those is d / gcd(d, all a).  The gcd is taken a row at a time, and
+        the rows after it reaches 1 are not read.
         """
-        g = math.gcd(den, *(x for row in rows for x in row))
+        g = den
+        for row in rows:
+            g = math.gcd(g, *row)
+            if g == 1:
+                break
         if g > 1:
             den, rows = den // g, tuple(tuple(x // g for x in row) for row in rows)
         matrix = cls.__new__(cls)
@@ -143,6 +148,14 @@ def edge_matrix(structure: FiniteTypeStructure, rid: int, edge_index: int) -> Tr
     that each t_k is looked up in: the 14 x 15 matrices of the essential
     class of x/3 + {0, 2/87, 2/3} take the table, and the 3 x 3 ones of the
     Cantor and convolution families, with 9 or 10 translations, the sums.
+
+    Every row sum and every column sum is at most 1, and so the entries of
+    a product of edge matrices lie in [0, 1].  Proof: the c_i are distinct
+    and so are the t_k, so p_j lies in row i only at the k with t_k =
+    d_j - c_i, and in column k only at the i with c_i = d_j - t_k; a row
+    or a column thus sums distinct p_j, at most sum p_j = 1 (`build_ifs`
+    checks that the d_j are distinct and the p_j sum to 1), and row sums
+    at most 1 stay so under products.
     """
     system = structure.system
     if system.probabilities is None:

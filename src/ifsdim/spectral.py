@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .classes import strongly_connected_components
 from .matrices import TransitionMatrix
 
-__all__ = ["SpectralResult", "ln_fraction", "safe_float", "spectral_radius"]
+__all__ = ["SpectralResult", "safe_float", "spectral_radius"]
 
 DEFAULT_REL_TOL = Fraction(1, 10**12)
 _ROUNDING_CAP = 10**40
@@ -46,7 +46,6 @@ _STALL_ROUNDS = 20
 _STALL_FACTOR = 2
 # most rounds of `_cw_bounds`
 _MAX_ROUNDS = 500
-_LN2 = math.log(2)
 
 
 class SpectralResult(NamedTuple):
@@ -65,32 +64,12 @@ class SpectralResult(NamedTuple):
     exact: Fraction | None = None
 
 
-def ln_fraction(q) -> float:
-    """Natural log of a positive rational, safe for huge numerators."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError("logarithm of a non-positive rational")
-
-    def ln_int(m: int) -> float:
-        k = m.bit_length() - 900
-        if k <= 0:
-            return math.log(m)
-        return math.log(m >> k) + k * _LN2
-
-    return ln_int(q.numerator) - ln_int(q.denominator)
-
-
 def safe_float(q: Fraction) -> float:
-    """float(q), through the logarithm when the direct conversion overflows;
-    +-inf when |q| is beyond the float range."""
+    """float(q), or +-inf when |q| is beyond the float range."""
     try:
         return float(q)
     except OverflowError:
-        try:
-            mag = math.exp(ln_fraction(abs(q)))
-        except OverflowError:
-            mag = math.inf
-        return mag if q > 0 else -mag
+        return math.inf if q > 0 else -math.inf
 
 
 def _mat_vec(rows, v):

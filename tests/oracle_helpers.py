@@ -708,7 +708,7 @@ def padded_log_enclosure(q):
     q = Fraction(q)
     if q == 1:
         return Fraction(0), Fraction(0)
-    v = spectral.ln_fraction(q)
+    v = math.log(q.numerator) - math.log(q.denominator)
     scale = q.numerator.bit_length() + q.denominator.bit_length()
     pad = abs(v) * 1e-12 + scale * 1e-15 + 1e-15
     return Fraction(v - pad), Fraction(v + pad)
@@ -819,14 +819,11 @@ def reference_screen(structure, dec, table, budget):
     whose score is not finite or lies within the relative `_SCREEN_MARGIN`
     of the least or greatest finite score of all batches.
     """
-    import numpy
-
     steps = dimension._StepTable(structure, dec.essential, table)
     scored = []
-    with numpy.errstate(over="ignore", invalid="ignore"):
-        for codes, products, hug in dimension._cycle_batches(steps, budget):
-            codes, products = codes[hug == 0], products[hug == 0]
-            scored.append((dimension._chunk_scores(products, codes.shape[1]), codes))
+    for codes, products, hug in dimension._cycle_batches(steps, budget):
+        codes, products = codes[hug == 0], products[hug == 0]
+        scored.append((dimension._chunk_scores(products, codes.shape[1]), codes))
     finite = [x for g, _ in scored for x in g.tolist() if math.isfinite(x)]
     g_lo, g_hi = min(finite, default=math.inf), max(finite, default=-math.inf)
     margin = dimension._SCREEN_MARGIN
@@ -848,12 +845,11 @@ def reference_eigvals_rows(structure, dec, table, budget):
 
     A batch's cycles that hug neither end are scored against the margins
     of the extremes of the batches before it, each cycle scored ln sp / n
-    by `eigvals` on its product alone.  A cycle with a non-finite product
-    is not sent; nor is one whose bracket [lo, hi] of sp, from its least
-    and greatest row and column sums, is at most `_SCREEN_TIGHT` wide
-    relative, or scores strictly inside both margins once widened by
-    `_SCREEN_SLACK` relative.  Call it before `eigvals` is patched: it
-    calls `eigvals` too.
+    by `eigvals` on its product alone.  A cycle is not sent when the
+    bracket [lo, hi] of sp, from its least and greatest row and column
+    sums, is at most `_SCREEN_TIGHT` wide relative, or scores strictly
+    inside both margins once widened by `_SCREEN_SLACK` relative.  Call it
+    before `eigvals` is patched: it calls `eigvals` too.
     """
     import numpy
 
@@ -861,31 +857,28 @@ def reference_eigvals_rows(structure, dec, table, budget):
     ends = [math.inf, -math.inf]
     counts = []
     steps = dimension._StepTable(structure, dec.essential, table)
-    with numpy.errstate(over="ignore", invalid="ignore"):
-        for codes, products, hug in dimension._cycle_batches(steps, budget):
-            if not (hug == 0).any():
-                continue
-            n, sent, scores = codes.shape[1], 0, []
-            low = ends[0] + margin * abs(ends[0])
-            high = ends[1] - margin * abs(ends[1])
-            for m in products[hug == 0].tolist():
-                if not all(math.isfinite(x) for row in m for x in row):
-                    continue
-                col_sums, row_sums = [sum(col) for col in zip(*m)], [sum(row) for row in m]
-                lo = max(min(col_sums), min(row_sums))
-                hi = min(max(col_sums), max(row_sums))
-                tight = lo > 0 and hi - lo <= dimension._SCREEN_TIGHT * hi
-                inside = (
-                    lo > 0
-                    and math.log(lo * (1 - slack)) / n > low
-                    and math.log(hi * (1 + slack)) / n < high
-                )
-                sent += not (tight or inside)
-                radius = max(abs(z) for z in numpy.linalg.eigvals(numpy.array(m)))
-                if 0 < radius < math.inf:
-                    scores.append(math.log(radius) / n)
-            counts.append(sent)
-            ends[:] = min([ends[0], *scores]), max([ends[1], *scores])
+    for codes, products, hug in dimension._cycle_batches(steps, budget):
+        if not (hug == 0).any():
+            continue
+        n, sent, scores = codes.shape[1], 0, []
+        low = ends[0] + margin * abs(ends[0])
+        high = ends[1] - margin * abs(ends[1])
+        for m in products[hug == 0].tolist():
+            col_sums, row_sums = [sum(col) for col in zip(*m)], [sum(row) for row in m]
+            lo = max(min(col_sums), min(row_sums))
+            hi = min(max(col_sums), max(row_sums))
+            tight = lo > 0 and hi - lo <= dimension._SCREEN_TIGHT * hi
+            inside = (
+                lo > 0
+                and math.log(lo * (1 - slack)) / n > low
+                and math.log(hi * (1 + slack)) / n < high
+            )
+            sent += not (tight or inside)
+            radius = max(abs(z) for z in numpy.linalg.eigvals(numpy.array(m)))
+            if radius > 0:
+                scores.append(math.log(radius) / n)
+        counts.append(sent)
+        ends[:] = min([ends[0], *scores]), max([ends[1], *scores])
     return counts
 
 
