@@ -28,10 +28,10 @@ exact bracket [1 - 1/q, q - 1] instead, as ln n - ln d would cancel every
 digit.  |ln rho| comes from the same brackets at the two ends of an
 interval around rho (`rho_log_enclosure`).
 The cycles of the inner bounds are enumerated in batches, each batch
-screened in floats as it is enumerated, and the cycles near the extreme
-scores multiplied exactly, all from one table of the essential class's
-steps, `_StepTable`.  numpy is imported only inside that table, the
-functions that read it, and `pisot_check`, so importing this module does
+screened in floats as it is enumerated, and the exact products of the
+cycles near the extreme scores read off those floats, all from one table
+of the essential class's steps, `_StepTable`.  numpy is imported only
+inside that table, the functions that read it, and `pisot_check`, so importing this module does
 not load it, and neither does an `inner=False` bounds call.
 """
 
@@ -97,18 +97,12 @@ _SCREEN_MARGIN = 1e-6
 # bracket of its float spectral radius, widened by this much relative, lies
 # inside the margins; float sums and `eigvals` err by about 1e-15 relative
 _SCREEN_SLACK = 1e-9
-# a sum bracket at most this wide relative scores its cycle without `eigvals`
-_SCREEN_TIGHT = 1e-13
 # most matrix entries, walks times the class's largest neighbour count
 # squared, that `_cycle_batches` extends (and so the float screen scores)
-# and `_StepTable.products` multiplies at once: 1024 walks of 2 x 2
-# products, 256 of 4 x 4.  Fewer numpy calls per walk, and the pending
-# batches hold `int32` step codes and views, so the perfbench
-# `enumeration` peak RSS stays where 256 walks a batch left it
+# at once: 1024 walks of 2 x 2 products, 256 of 4 x 4.  Fewer numpy calls
+# per walk, and the pending batches hold `int32` step codes and views, so
+# the perfbench `enumeration` peak RSS stays where 256 walks a batch left it
 _BATCH_ENTRIES = 4096
-# a walk whose steps' bit bounds (see `_StepTable`) sum to less than this is
-# multiplied in int64; any sum up to 63 would fit
-_INT64_BITS = 62
 # significant digits of the logarithms in `log_enclosure`; a q within
 # 10^-_LN_DIGITS of 1 takes the exact near-1 bracket instead
 _LN_DIGITS = 40
@@ -357,14 +351,22 @@ class _StepTable:
     bit 2 for one onto a last child that abuts the right end.  `size` holds
     the neighbour counts of the vectors and `width` the greatest.
 
-    Each step's matrix is read once, as its integer form: `den` d, `ints` m.
-    `floats` holds m / d padded with zeros to `width` square: Python's
-    `m / d` is correctly rounded, so these are the floats of the
-    `Fraction` entries.  `bits` holds the bit length of the larger of d
-    and the greatest row sum of m, and where that is below `_INT64_BITS`,
-    `exact` (`int64`) holds diag(m, d) padded with zeros to `width` + 1
-    square, so that a product of those is diag(product of the m, product
-    of the d).
+    Each step's matrix is read once, as its integer form m / d.  `floats`
+    holds m (L / d) 2^-s, padded with zeros to `width` square, for the
+    common denominator L (`den`) of the steps and the least s (`scale`)
+    with 2^s >= L; int / int division rounds correctly.  These are the
+    `Fraction` entries times L / 2^s, in (1/2, 1], so the screen adds
+    `shift` = ln(2^s / L) to each score ln sp / n.
+    A float product of n steps is exact when `bound`^n <= 2^53, `bound`
+    the larger of L and the greatest row sum of the m (L / d).  Proof: the
+    product of j steps, multiplied left to right from the identity, is the
+    integer product M_j of their m (L / d) times 2^-sj.  An entry of M_j
+    is at most the product of the steps' greatest row sums, so at most
+    bound^j, and each term and partial sum `matmul` forms for it is a
+    nonnegative integer no greater, times 2^-sj > 2^-(j + 53) (as 2^s <
+    2 L): float64 holds each exactly.  So the walk's product is M_n / L^n,
+    which `products` reads off.  Edge matrices have row sums at most 1
+    (`matrices.edge_matrix`), so their bound is L.
     """
 
     def __init__(self, structure: FiniteTypeStructure, vectors, table: MatrixTable):
@@ -392,19 +394,17 @@ class _StepTable:
         self.size = numpy.zeros(len(self.vectors), dtype=numpy.int64)
         self.size[self.src] = [len(m) for _, m in forms]
         self.width = w = int(self.size.max())
-        # walks per batch of `_cycle_batches` and `products`
+        # walks per batch of `_cycle_batches`
         self.batch = max(1, _BATCH_ENTRIES // (w * w))
-        self.bits = numpy.array(
-            [max(d.bit_length(), max(map(sum, m)).bit_length()) for d, m in forms]
-        )
+        self.den = den = math.lcm(*(d for d, _ in forms))
+        self.scale = (den - 1).bit_length()
+        self.shift = math.log((1 << self.scale) / den)
+        scaled = [[[x * (den // d) for x in row] for row in m] for d, m in forms]
+        self.bound = max(den, *(sum(row) for m in scaled for row in m))
         self.floats = numpy.zeros((len(steps), w, w))
-        self.exact = numpy.zeros((len(steps), w + 1, w + 1), dtype=numpy.int64)
-        for c, (d, m) in enumerate(forms):
-            r, k = len(m), len(m[0])
-            self.floats[c, :r, :k] = [[x / d for x in row] for row in m]
-            if self.bits[c] < _INT64_BITS:
-                self.exact[c, :r, :k] = m
-                self.exact[c, -1, -1] = d
+        unit = 1 << self.scale
+        for c, m in enumerate(scaled):
+            self.floats[c, : len(m), : len(m[0])] = [[x / unit for x in row] for row in m]
 
     def cycle(self, codes: list[int]) -> tuple[int, tuple[int, ...]]:
         """The (start, edges) of the walk of step `codes`."""
@@ -424,51 +424,36 @@ class _StepTable:
             )
         ]
 
-    def products(self, codes) -> list[tuple[TransitionMatrix, list[int]]]:
+    def products(self, codes, floats) -> list[tuple[TransitionMatrix, list[int]]]:
         """The distinct exact products of the closed walks of step `codes`, an
-        (N, n) array, each with the rows of `codes` whose walks give it.
+        (N, n) array of walks from starts of one neighbour count k, each with
+        the rows of `codes` whose walks give it.  `floats` holds the walks'
+        (N, k, k) float products from `_cycle_batches`.
 
-        A walk whose steps' `bits` sum to less than `_INT64_BITS` is
-        multiplied in `int64`, `batch` walks at a time, one `matmul`
-        per step: entries are nonnegative, so no partial sum exceeds the
-        final entry, which is at most the product of the row sums, and the
-        denominator is the product of the denominators.  Those whose
-        products come out with the same denominator and rows, from starts
-        with the same neighbour count, share one `TransitionMatrix`.
-        Every other walk goes to `MatrixTable.cycle_matrix`.  So each
-        product equals `cycle_matrix` of the `cycle` of each of its rows,
-        and equal products, however they were reached, form one group.
+        When `bound`^n <= 2^53 those are exact (see the class): a walk's
+        product is M / L^n for M = 2^(`scale` n) times its float product, and
+        walks whose M have the same bytes share one `TransitionMatrix`; none
+        is multiplied again.  Longer walks go to `MatrixTable.cycle_matrix`.
+        So each product equals `cycle_matrix` of the `cycle` of each of its
+        rows, and no two groups share a product.
         """
         import numpy
 
-        groups: dict[TransitionMatrix, list[int]] = {}
-        fits = self.bits[codes].sum(axis=1) < _INT64_BITS
-        take = numpy.flatnonzero(fits)
-        w = self.width + 1
-        # the rows of each walk's product, by the bytes of its int64 product
-        shared: dict[bytes, list[int]] = {}
-        for a in range(0, len(take), self.batch):
-            chunk = take[a : a + self.batch]
-            rows = codes[chunk]
-            product = self.exact[rows[:, 0]]
-            for j in range(1, rows.shape[1]):
-                product = numpy.matmul(product, self.exact[rows[:, j]])
-            sizes = self.size[self.src[rows[:, 0]], None]
-            flat = numpy.concatenate([sizes, product.reshape(len(rows), -1)], axis=1)
-            raw, length = flat.tobytes(), flat.shape[1] * flat.itemsize
-            for i, at in zip(chunk.tolist(), range(0, len(raw), length)):
-                key = raw[at : at + length]
-                which = shared.get(key)
-                if which is None:
-                    k, *entries = numpy.frombuffer(key, numpy.int64).tolist()
-                    top = tuple(tuple(entries[r : r + k]) for r in range(0, k * w, w))
-                    matrix = TransitionMatrix._from_integer(entries[-1], top)
-                    which = shared[key] = groups.setdefault(matrix, [])
-                which.append(i)
-        for i in numpy.flatnonzero(~fits).tolist():
-            matrix = self.table.cycle_matrix(*self.cycle(codes[i].tolist()))
-            groups.setdefault(matrix, []).append(i)
-        return list(groups.items())
+        n, k = codes.shape[1], floats.shape[1]
+        groups: dict = {}
+        if self.bound**n > 2**53:
+            for i, row in enumerate(codes.tolist()):
+                groups.setdefault(self.table.cycle_matrix(*self.cycle(row)), []).append(i)
+            return list(groups.items())
+        exact = numpy.ldexp(floats, self.scale * n).astype(numpy.int64)
+        raw, length = exact.tobytes(), exact.strides[0]
+        for i, at in enumerate(range(0, len(raw), length)):
+            groups.setdefault(raw[at : at + length], []).append(i)
+        out = []
+        for key, which in groups.items():
+            rows = tuple(map(tuple, numpy.frombuffer(key, numpy.int64).reshape(k, k).tolist()))
+            out.append((TransitionMatrix._from_integer(self.den**n, rows), which))
+        return out
 
 
 def _cycle_batches(steps: _StepTable, budget: int):
@@ -570,18 +555,18 @@ def _near_extreme(g, g_lo: float, g_hi: float):
     )
 
 
-def _screen_scores(products, n: int, g_lo: float, g_hi: float):
-    """The scores ln sp / n of the float `products` of a batch of cycles of
-    n steps, scored against the extremes g_lo and g_hi of the scores so far.
+def _screen_scores(products, n: int, shift: float, g_lo: float, g_hi: float):
+    """The scores ln sp / n + `shift` of the float `products` of a batch of
+    cycles of n steps, scored against the extremes g_lo and g_hi of the
+    scores so far; `shift` is the step table's, which undoes its scaling.
 
     For a nonnegative square matrix, sp lies between the larger of its
     least column sum and least row sum and the smaller of its greatest
     column sum and greatest row sum (Collatz-Wielandt with the all-ones
     vector).  A product whose bracket, widened by `_SCREEN_SLACK` relative,
     scores strictly between the margins of the extremes so far cannot be
-    near the final ones, which lie further out, and a bracket at most
-    `_SCREEN_TIGHT` wide relative fixes the score far inside the margin:
-    both score the bracket's midpoint.  Only the others go to
+    near the final ones, which lie further out, and a bracket whose ends
+    are equal is sp: both score its upper end.  Only the others go to
     `_chunk_scores`.
     """
     import numpy
@@ -592,14 +577,13 @@ def _screen_scores(products, n: int, g_lo: float, g_hi: float):
     low = g_lo + _SCREEN_MARGIN * abs(g_lo)
     high = g_hi - _SCREEN_MARGIN * abs(g_hi)
     with numpy.errstate(divide="ignore"):
-        inside = (numpy.log(lo * (1 - _SCREEN_SLACK)) / n > low) & (
-            numpy.log(hi * (1 + _SCREEN_SLACK)) / n < high
+        inside = (numpy.log(lo * (1 - _SCREEN_SLACK)) / n + shift > low) & (
+            numpy.log(hi * (1 + _SCREEN_SLACK)) / n + shift < high
         )
-        g = numpy.log(lo / 2 + hi / 2) / n
-    tight = (hi - lo <= _SCREEN_TIGHT * hi) & (lo > 0)
-    rest = ~(inside | tight)
+        g = numpy.log(hi) / n + shift
+    rest = ~(inside | ((lo == hi) & (lo > 0)))
     if rest.any():
-        g[rest] = _chunk_scores(products[rest], n)
+        g[rest] = _chunk_scores(products[rest], n) + shift
     return g
 
 
@@ -680,17 +664,17 @@ def essential_interval_bounds(
     margins only move out it is not near the final ones either: it is
     dropped.  The float sums err by about k 1e-16 relative and `eigvals`
     by about 1e-15, far inside the slack, so the score `eigvals` would give
-    lies inside the margins too.  A bracket at most `_SCREEN_TIGHT` wide
-    relative is scored by its midpoint, which then lies within 1e-13 of sp
-    relative, far inside the margin (every product of equal-column-sum
-    matrices has such a bracket).  The other cycles of a batch go to one
+    lies inside the margins too.  A bracket with equal ends is sp and
+    scores it (as every exact product of equal-column-sum matrices has; see
+    `_StepTable` for which float products are exact).  The others go to one
     `numpy.linalg.eigvals` call, and a call that raises `LinAlgError`
     scores its cycles nan; no product overflows, as the entries of a
     product of edge matrices lie in [0, 1] (`matrices.edge_matrix`).  So
     the cycles certified do not depend on how the cycles are batched: a
     cycle near the final extremes is never dropped by its sums, and its
-    score is either its bracket's midpoint or `eigvals` of its own
-    product, which LAPACK computes one matrix at a time.
+    score is either its bracket's end or `eigvals` of its own product,
+    which LAPACK computes one matrix at a time.  Every score adds the step
+    table's `shift`, which undoes the scaling of its floats.
     This is sound: every included cycle's rate is a local dimension at a
     truly essential point, so the rates of any subset of the cycles bound
     the interval from inside.  The margin also keeps the bounds that
@@ -700,14 +684,15 @@ def essential_interval_bounds(
     could reach an extreme of the certified rates scores far inside the
     margin.
     The enumeration, the screen and the exact products all read one
-    `_StepTable` of the class, built once per call, and a cycle travels
-    as its row of step codes.  The exact products of the candidates come
-    from `_StepTable.products`, batched `int64` products of each length
-    grouped by their distinct `TransitionMatrix`, and one spectral radius
-    and rate serve each group, all its cycles having the same product and
-    length: many cycles tie exactly at an extreme.  The inner ends are
-    taken over these distinct certificates, and each witness turns one row
-    of step codes back into (start, edges).
+    `_StepTable` of the class, built once per call, and a kept cycle
+    travels as its row of step codes and its float product, from which
+    `_StepTable.products` reads the exact product of all but the longest
+    cycles, a batch at a time; the groups of one length are merged by
+    `TransitionMatrix`, and one spectral radius and rate serve each group,
+    all its cycles having the same product and length: many cycles tie
+    exactly at an extreme.  The inner ends are taken over these distinct
+    certificates, and each witness turns one row of step codes back into
+    (start, edges).
 
     `min_witness` and `max_witness` are taken among the certified cycles
     whose enclosure reaches the extreme enclosure (`rate.lo <=
@@ -760,28 +745,32 @@ def essential_interval_bounds(
             if not len(codes):
                 continue
             cycle_count += len(codes)
-            g = _screen_scores(products, codes.shape[1], g_lo, g_hi)
+            g = _screen_scores(products, codes.shape[1], steps.shift, g_lo, g_hi)
             finite = g[numpy.isfinite(g)]
             if finite.size:
                 g_lo = min(g_lo, float(finite.min()))
                 g_hi = max(g_hi, float(finite.max()))
             keep = _near_extreme(g, g_lo, g_hi)
-            near.append((g[keep], codes[keep]))
+            near.append((g[keep], codes[keep], products[keep]))
+        # (step codes, float products) of each batch's cycles near the final extremes
         by_length: dict[int, list] = {}
-        for g, codes in near:
+        for g, codes, products in near:
             keep = _near_extreme(g, g_lo, g_hi)
             if keep.any():
-                by_length.setdefault(codes.shape[1], []).append(codes[keep])
+                by_length.setdefault(codes.shape[1], []).append((codes[keep], products[keep]))
 
         loose = Fraction(1, 10**9)
         for n in sorted(by_length):
-            codes = numpy.concatenate(by_length[n])
-            certified_count += len(codes)
             # the rate and positivity of a cycle depend only on its product and length
-            for product, which in steps.products(codes):
+            groups: dict[TransitionMatrix, list] = {}
+            for codes, products in by_length[n]:
+                certified_count += len(codes)
+                for product, which in steps.products(codes, products):
+                    groups.setdefault(product, []).append(codes[which])
+            for product, rows in groups.items():
                 sp = spectral_radius(product, rel_tol=loose)
                 rate = _rate(sp.certified_lo, sp.certified_hi, n, den1)
-                certificates.append((rate, product.is_positive(), codes[which]))
+                certificates.append((rate, product.is_positive(), numpy.concatenate(rows)))
 
     if certificates:
         rates = [rate for rate, _, _ in certificates]

@@ -20,7 +20,8 @@ it: the spectral certificate finds its blocks and column sums on the
 integer form, and makes `Fraction` entries only of a block whose column
 sums differ.  `MatrixTable.cycle_matrix` multiplies one walk in integer
 form.  numpy is not used here: the essential cycles are multiplied in
-batches by `dimension._StepTable`.
+float batches by `dimension._cycle_batches`, exact for a few steps, and
+`dimension._StepTable.products` reads their integer forms off those.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class TransitionMatrix:
     `rows`, the entries as `Fraction`s, is made anew on each read, and
     in the package only `__repr__` reads it: `spectral.spectral_radius`
     works on `den` and `ints`.  The constructor checks and converts rows
-    of rationals; `__mul__`, `edge_matrix`, `MatrixTable.cycle_matrix`
-    and `dimension._StepTable.products` build the integer form directly.
+    of rationals; `__mul__`, `edge_matrix` and `MatrixTable.cycle_matrix`
+    build the integer form directly, and `dimension._StepTable.products`
+    reads it off an exact float product.
     """
 
     __slots__ = ("den", "ints", "_hash")

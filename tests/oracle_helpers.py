@@ -74,9 +74,9 @@ logarithms must lie inside theirs.
 
 The last section holds views of package objects that only tests read,
 such as the layout a cache stores, the child edges of a vector as
-`Record`s, the reduced child map, a path product and a rational
-element's value, kept here rather than as members the package never
-calls.
+`Record`s, the reduced child map, a path product, a rational element's
+value and the float products of walks over a step table, kept here
+rather than as members the package never calls.
 """
 
 import copy
@@ -814,16 +814,18 @@ def reference_screen(structure, dec, table, budget):
     of `essential_interval_bounds` sends to be certified.
 
     The cycles of every batch of `dimension._cycle_batches` that hug
-    neither end are scored with `dimension._chunk_scores` before any is
-    filtered, so the floats are the package's own; the rows kept are those
-    whose score is not finite or lies within the relative `_SCREEN_MARGIN`
-    of the least or greatest finite score of all batches.
+    neither end are scored with `dimension._chunk_scores` plus the step
+    table's `shift` before any is filtered, so the floats are the
+    package's own; the rows kept are those whose score is not finite or
+    lies within the relative `_SCREEN_MARGIN` of the least or greatest
+    finite score of all batches.
     """
     steps = dimension._StepTable(structure, dec.essential, table)
     scored = []
     for codes, products, hug in dimension._cycle_batches(steps, budget):
         codes, products = codes[hug == 0], products[hug == 0]
-        scored.append((dimension._chunk_scores(products, codes.shape[1]), codes))
+        scores = dimension._chunk_scores(products, codes.shape[1]) + steps.shift
+        scored.append((scores, codes))
     finite = [x for g, _ in scored for x in g.tolist() if math.isfinite(x)]
     g_lo, g_hi = min(finite, default=math.inf), max(finite, default=-math.inf)
     margin = dimension._SCREEN_MARGIN
@@ -845,11 +847,11 @@ def reference_eigvals_rows(structure, dec, table, budget):
 
     A batch's cycles that hug neither end are scored against the margins
     of the extremes of the batches before it, each cycle scored ln sp / n
-    by `eigvals` on its product alone.  A cycle is not sent when the
-    bracket [lo, hi] of sp, from its least and greatest row and column
-    sums, is at most `_SCREEN_TIGHT` wide relative, or scores strictly
-    inside both margins once widened by `_SCREEN_SLACK` relative.  Call it
-    before `eigvals` is patched: it calls `eigvals` too.
+    plus the step table's `shift` by `eigvals` on its product alone.  A
+    cycle is not sent when the bracket [lo, hi] of sp, from its least and
+    greatest row and column sums, has equal positive ends, or scores
+    strictly inside both margins once widened by `_SCREEN_SLACK` relative.
+    Call it before `eigvals` is patched: it calls `eigvals` too.
     """
     import numpy
 
@@ -867,16 +869,16 @@ def reference_eigvals_rows(structure, dec, table, budget):
             col_sums, row_sums = [sum(col) for col in zip(*m)], [sum(row) for row in m]
             lo = max(min(col_sums), min(row_sums))
             hi = min(max(col_sums), max(row_sums))
-            tight = lo > 0 and hi - lo <= dimension._SCREEN_TIGHT * hi
+            settled = lo > 0 and lo == hi
             inside = (
                 lo > 0
-                and math.log(lo * (1 - slack)) / n > low
-                and math.log(hi * (1 + slack)) / n < high
+                and math.log(lo * (1 - slack)) / n + steps.shift > low
+                and math.log(hi * (1 + slack)) / n + steps.shift < high
             )
-            sent += not (tight or inside)
+            sent += not (settled or inside)
             radius = max(abs(z) for z in numpy.linalg.eigvals(numpy.array(m)))
             if radius > 0:
-                scores.append(math.log(radius) / n)
+                scores.append(math.log(radius) / n + steps.shift)
         counts.append(sent)
         ends[:] = min([ends[0], *scores]), max([ends[1], *scores])
     return counts
@@ -1387,3 +1389,17 @@ def path_matrix(table, edges):
     if out is None:
         return identity_matrix(len(structure.neighbours_of_full(fid)))
     return out
+
+
+def float_products(steps, codes):
+    """The (N, k, k) float products of the closed walks of step `codes`, an
+    (N, n) array of walks from starts of one neighbour count k, multiplied
+    from the identity left to right over the `floats` of the `_StepTable`
+    `steps`, as `dimension._cycle_batches` forms them."""
+    import numpy
+
+    k = int(steps.size[steps.src[codes[0, 0]]])
+    products = numpy.eye(k, steps.width)[None].repeat(len(codes), axis=0)
+    for j in range(codes.shape[1]):
+        products = numpy.matmul(products, steps.floats[codes[:, j]])
+    return products[:, :, :k]

@@ -354,13 +354,24 @@ def test_lyndon_enumeration_matches_the_all_rotations_loop(request, name):
 
 
 class RandomTable:
-    """The matrices of a `random_class` by step, read as `MatrixTable.of_full_edge`."""
+    """The matrices of a `random_class` by step, read as `MatrixTable.of_full_edge`
+    and multiplied along a cycle as `MatrixTable.cycle_matrix`."""
 
-    def __init__(self, matrices):
+    def __init__(self, matrices, structure):
         self.matrices = matrices
+        self.structure = structure
 
     def of_full_edge(self, fid, edge_index):
         return self.matrices[(fid, edge_index)]
+
+    def cycle_matrix(self, fid, edges):
+        product, at = None, fid
+        for e in edges:
+            m = self.matrices[(at, e)]
+            product = m if product is None else product * m
+            at = self.structure.child[self.structure.edges_of_full(at)[e]]
+        assert at == fid, "not a cycle"
+        return product
 
     # each vector of a `random_class` is its own reduced vector
     of_edge = of_full_edge
@@ -404,7 +415,7 @@ def random_class(rng):
             structure.abuts_left.append(r.abuts_left)
             structure.abuts_right.append(r.abuts_right)
         structure.edge_start.append(len(structure.child))
-    return structure, children, RandomTable(matrices)
+    return structure, children, RandomTable(matrices, structure)
 
 
 def is_prenecklace(steps):
@@ -483,9 +494,17 @@ def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch
     for _ in range(200):
         structure, children, table = random_class(rng)
         steps = dimension._StepTable(structure, children, table)
-        floats = {s: numpy.array(m.rows, dtype=float) for s, m in table.matrices.items()}
+        # the step table's floats are those of the `Fraction` entries times
+        # L / 2^s, for their common denominator L <= 2^s < 2 L, padded
+        den = math.lcm(*(m.den for m in table.matrices.values()))
+        assert steps.den == den and 2**steps.scale >= den > 2 ** (steps.scale - 1)
+        assert steps.shift == math.log(2**steps.scale / den)
+        unit = Fraction(den, 2**steps.scale)
+        floats = {
+            s: numpy.array([[float(x * unit) for x in row] for row in m.rows])
+            for s, m in table.matrices.items()
+        }
         for c, (f, e) in enumerate(zip(steps.src.tolist(), steps.edge.tolist())):
-            # the step table's floats are those of the `Fraction` entries, padded
             m = floats[(steps.vectors[f], e)]
             padded = numpy.zeros((steps.width, steps.width))
             padded[: m.shape[0], : m.shape[1]] = m
@@ -600,9 +619,9 @@ def recording_products(monkeypatch, certified):
     rows, as tuples, of the step codes it is given."""
     products_of = dimension._StepTable.products
 
-    def recording(self, codes):
+    def recording(self, codes, floats):
         certified.extend(map(tuple, codes.tolist()))
-        return products_of(self, codes)
+        return products_of(self, codes, floats)
 
     monkeypatch.setattr(dimension._StepTable, "products", recording)
 
@@ -708,12 +727,7 @@ def certify_rows(structure, table, steps, rows, certified):
     den = rho_log_enclosure(structure)
     for row in rows:
         if row not in certified:
-            start, edges = steps.cycle(list(row))
-            product, at = None, start
-            for e in edges:
-                m = table.of_full_edge(at, e)
-                product = m if product is None else product * m
-                at = structure.child[structure.edges_of_full(at)[e]]
+            product = table.cycle_matrix(*steps.cycle(list(row)))
             sp = spectral_radius(product, rel_tol=Fraction(1, 10**9))
             rate = dimension._rate(sp.certified_lo, sp.certified_hi, len(row), den)
             certified[row] = (len(row), rate, product.is_positive())
@@ -783,6 +797,71 @@ def test_sum_screen_matches_the_reference_screen_on_random_classes(monkeypatch):
     # both ways of scoring are exercised, on every kind of matrix
     assert settled > 0 and sent > 0
     assert min(kinds.values()) >= 100, kinds
+
+
+@pytest.mark.parametrize("name", ["golden_third_structure", "cantor_4_9_structure"])
+def test_screen_scores_undo_the_scaling_of_the_step_floats(request, monkeypatch, name):
+    # L = 3 and 10 are no powers of two: the step floats are the entries
+    # times L / 2^s < 1, and each score adds shift = ln(2^s / L) back, so it
+    # is ln sp / n of the cycle's exact product
+    structure = request.getfixturevalue(name)
+    dec, table = parts_of(structure)
+    steps = dimension._StepTable(structure, dec.essential, table)
+    assert steps.shift > 0.28
+    for codes, products, _ in dimension._cycle_batches(steps, 5):
+        n = codes.shape[1]
+        g = dimension._screen_scores(products, n, steps.shift, math.inf, -math.inf)
+        for score, row in zip(g.tolist(), codes.tolist()):
+            exact = numpy.array(table.cycle_matrix(*steps.cycle(row)).rows, dtype=float)
+            want = math.log(max(abs(numpy.linalg.eigvals(exact)))) / n
+            assert abs(score - want) < 1e-12, (row, score, want)
+    certified = []
+    recording_products(monkeypatch, certified)
+    essential_interval_bounds(structure, dec, table, 5)
+    assert set(certified) == oh.reference_screen(structure, dec, table, 5)
+
+
+@pytest.mark.parametrize("name", ["quadratic_ninth_structure", "convolution_3_8_structure"])
+def test_each_certified_cycle_is_multiplied_once_per_report(request, monkeypatch, name):
+    # the screen's float products of the cycles within the bound are their
+    # exact products, so `products` calls no matmul, and only a cycle past
+    # the bound (convolution_3_8's of 7 and 8 edges: 256**7 > 2**53) is
+    # multiplied again, by `cycle_matrix`, once
+    structure = request.getfixturevalue(name)
+    in_products, matmuls, multiplied, sent, past = [False], [], [], [], []
+    matmul, cycle_matrix = numpy.matmul, MatrixTable.cycle_matrix
+    products_of = dimension._StepTable.products
+
+    def counting_matmul(*args, **kwargs):
+        matmuls.append(in_products[0])
+        return matmul(*args, **kwargs)
+
+    def recording_cycle_matrix(self, fid, edges):
+        multiplied.append((fid, tuple(edges)))
+        return cycle_matrix(self, fid, edges)
+
+    def watched_products(self, codes, floats):
+        walks = [self.cycle(row) for row in codes.tolist()]
+        sent.extend(walks)
+        if self.bound ** codes.shape[1] > 2**53:
+            past.extend(walks)
+        in_products[0] = True
+        try:
+            return products_of(self, codes, floats)
+        finally:
+            in_products[0] = False
+
+    monkeypatch.setattr(numpy, "matmul", counting_matmul)
+    monkeypatch.setattr(MatrixTable, "cycle_matrix", recording_cycle_matrix)
+    monkeypatch.setattr(dimension._StepTable, "products", watched_products)
+    report = dimension.build_dimension_report(structure, cycle_budget=8)
+    assert len(sent) == len(set(sent)) == report.bounds.certified_count > 0
+    assert matmuls and not any(matmuls)
+    if name == "convolution_3_8_structure":
+        assert past and all(len(edges) >= 7 for _, edges in past)
+    else:
+        assert not past
+    assert sorted(w for w in multiplied if w in set(sent)) == sorted(past)
 
 
 def test_cycle_whose_float_product_underflows_is_certified(golden_third_structure):
@@ -865,8 +944,10 @@ def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
     groups, radii = [], []
     products_of = dimension._StepTable.products
 
-    def recording_products(self, codes):
-        out = products_of(self, codes)
+    def recording_products(self, codes, floats):
+        out = products_of(self, codes, floats)
+        # one group per distinct product of a batch
+        assert len({product for product, _ in out}) == len(out)
         groups.extend((product, codes.shape[1], len(which)) for product, which in out)
         return out
 
@@ -881,24 +962,22 @@ def test_tied_cycles_share_one_certificate(monkeypatch, gap_system_structure):
     # every rate here is equal, so every cycle is certified
     cycles = sum(size for _, _, size in groups)
     assert bounds.certified_count == bounds.cycle_count == cycles
-    # one group and one spectral radius per distinct product and length
-    assert len({(product, n) for product, n, _ in groups}) == len(groups)
-    assert radii == [product for product, _, _ in groups] and len(groups) < cycles
+    # one spectral radius per distinct product and length, over all batches
+    distinct = list(dict.fromkeys((product, n) for product, n, _ in groups))
+    assert radii == [product for product, _ in distinct] and len(distinct) < cycles
     reference = reference_inner_bounds(structure, dec, table, 5)
     for field in SCREENED_FIELDS:
         assert getattr(bounds, field) == reference[field], field
 
 
-def test_equal_products_from_different_integer_forms_form_one_group():
-    # one vector with six 1 x 1 loops: (2/3)(3/4) and (1/2)(1) are both 1/2,
-    # as int64 forms 6/12 and 1/2; (1)(1) is 1 in int64, and the loops
-    # a/b and b/a, 41 bits each, give 1 through `cycle_matrix`
-    a, b = 2**40 + 1, 2**40 + 3
-    weights = [Fraction(2, 3), Fraction(3, 4), Fraction(1, 2), Fraction(1), Fraction(a, b), Fraction(b, a)]
+def loop_class(weights):
+    """The step table of one vector with a 1 x 1 loop of each weight, over a
+    table that records the walks it multiplies in `walks`."""
 
     class LoopTable(RandomTable):
         def cycle_matrix(self, fid, edges):
-            return reduce(operator.mul, (self.matrices[(fid, e)] for e in edges))
+            self.walks.append(tuple(edges))
+            return super().cycle_matrix(fid, edges)
 
     structure = FiniteTypeStructure(None)
     structure.full_reduced = [0]
@@ -906,13 +985,52 @@ def test_equal_products_from_different_integer_forms_form_one_group():
     structure.abuts_left += [False] * len(weights)
     structure.abuts_right += [False] * len(weights)
     structure.edge_start.append(len(weights))
-    table = LoopTable({(0, e): TransitionMatrix([[w]]) for e, w in enumerate(weights)})
-    steps = dimension._StepTable(structure, [0], table)
-    groups = steps.products(numpy.array([[0, 1], [2, 3], [3, 3], [4, 5]]))
-    assert groups == [
-        (TransitionMatrix([[Fraction(1, 2)]]), [0, 1]),
-        (TransitionMatrix([[Fraction(1)]]), [2, 3]),
-    ]
+    table = LoopTable({(0, e): TransitionMatrix([[w]]) for e, w in enumerate(weights)}, structure)
+    table.walks = []
+    return dimension._StepTable(structure, [0], table)
+
+
+def loop_products(steps, walks):
+    codes = numpy.array(walks)
+    return steps.products(codes, oh.float_products(steps, codes))
+
+
+def test_equal_products_from_different_integer_forms_form_one_group():
+    # one vector with 1 x 1 loops: (2/3)(3/4) and (1/2)(1) are both 1/2, and
+    # over L = 12 their floats' integer forms are equal, 72 / 144; (1)(1)
+    # is 144 / 144
+    half, one = TransitionMatrix([[Fraction(1, 2)]]), TransitionMatrix([[Fraction(1)]])
+    weights = [Fraction(2, 3), Fraction(3, 4), Fraction(1, 2), Fraction(1)]
+    steps = loop_class(weights)
+    assert (steps.den, steps.scale, steps.bound) == (12, 4, 12)
+    assert loop_products(steps, [[0, 1], [2, 3], [3, 3]]) == [(half, [0, 1]), (one, [2])]
+    assert steps.table.walks == []
+    # the loops a/b and b/a, 41 bits each, put L past 2^53: every walk goes
+    # to `cycle_matrix`, whose equal products form one group too
+    a, b = 2**40 + 1, 2**40 + 3
+    steps = loop_class(weights + [Fraction(a, b), Fraction(b, a)])
+    walks = [[0, 1], [2, 3], [3, 3], [4, 5]]
+    assert loop_products(steps, walks) == [(half, [0, 1]), (one, [2, 3])]
+    assert steps.table.walks == [(0, 1), (2, 3), (3, 3), (4, 5)]
+
+
+def test_walks_past_the_float_bound_are_not_read_off_their_floats():
+    # a prime p with 2^53 < p^2 <= 2^54 and odd numerators: a walk of two
+    # loops has the odd numerator a b > 2^53, which no float holds, so it
+    # must go to `cycle_matrix`; one loop is exact
+    p = 134217689
+    assert 2**53 < p * p <= 2**54
+    a, b = p - 2, p - 4
+    steps = loop_class([Fraction(a, p), Fraction(b, p)])
+    assert (steps.den, steps.bound, steps.scale) == (p, p, 27)
+    loops = loop_products(steps, [[0], [1]])
+    assert loops == [(TransitionMatrix([[Fraction(a, p)]]), [0]),
+                     (TransitionMatrix([[Fraction(b, p)]]), [1])]
+    assert steps.table.walks == []
+    pairs = loop_products(steps, [[0, 1], [1, 0], [1, 1]])
+    assert pairs == [(TransitionMatrix([[Fraction(a * b, p * p)]]), [0, 1]),
+                     (TransitionMatrix([[Fraction(b * b, p * p)]]), [2])]
+    assert steps.table.walks == [(0, 1), (1, 0), (1, 1)]
 
 
 def test_equal_products_of_different_lengths_get_their_own_rates(

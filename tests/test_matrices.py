@@ -511,17 +511,6 @@ STRUCTURE_FIXTURES = CYCLE_STRUCTURES + [
 ]
 
 
-def _walk_bits(table, walk):
-    """The bits `dimension._StepTable` sums over a walk's steps to decide on int64."""
-    fid, edges = walk
-    total = 0
-    for e in edges:
-        m = table.of_full_edge(fid, e)
-        total += max(m.den.bit_length(), max(map(sum, m.ints)).bit_length())
-        fid = oh.child_records(table.structure, fid)[e].child
-    return total
-
-
 def _prime_probabilities(structure, den):
     """c_j / den for the distinct c_j = 1, ..., m - 1 and the rest."""
     m = len(structure.system.translations)
@@ -529,17 +518,23 @@ def _prime_probabilities(structure, den):
     return oh.with_probabilities(structure, probs + [1 - sum(probs)])
 
 
-def _scaled_table(structure, factor):
-    """A table whose edge matrices are `factor` times the integer forms:
-    denominator 1, and row sums far above it."""
+def _retabled(structure, entry):
+    """A table whose edge matrices have `entry`(x) in place of each integer x
+    of their integer forms: denominator 1, and row sums above 1."""
     table = MatrixTable(structure)
     for rid in range(structure.reduced_count):
         for rec in oh.reduced_records(structure, rid):
             rows = table.of_edge(rid, rec.edge_index).ints
             table._by_edge[(rid, rec.edge_index)] = TransitionMatrix(
-                [[F(x * factor) for x in row] for row in rows]
+                [[F(entry(x)) for x in row] for row in rows]
             )
     return table
+
+
+def _scaled_table(structure, factor):
+    """A table whose edge matrices are `factor` times the integer forms:
+    denominator 1, and row sums far above it."""
+    return _retabled(structure, lambda x: x * factor)
 
 
 class _RecordingTable(MatrixTable):
@@ -556,11 +551,13 @@ class _RecordingTable(MatrixTable):
 
 def _assert_batched_products_match(table, walks, rng, vectors=None):
     """The products `dimension._StepTable.products` gives for `walks`, and
-    for repeats among them, equal `table.cycle_matrix`: each walk lies in
-    one group, whose product equals `cycle_matrix` of the walk, and no two
-    groups share a product, whether reached in `int64` or not.  The step
-    table is built over `vectors`, a set closed under children: all full
-    vectors unless given."""
+    for repeats among them, from their float products as
+    `_cycle_batches` forms them, equal `table.cycle_matrix`: each walk
+    lies in one group, whose product equals `cycle_matrix` of the walk,
+    and no two groups share a product.  Exactly the walks of the lengths
+    n with bound^n > 2^53 go to `cycle_matrix`.  The step table is built
+    over `vectors`, a set closed under children: all full vectors unless
+    given.  Returns the step table and the lengths read off the floats."""
     structure = table.structure
     if vectors is None:
         vectors = range(structure.full_count)
@@ -571,10 +568,12 @@ def _assert_batched_products_match(table, walks, rng, vectors=None):
     recording._by_edge = table._by_edge
     steps = dimension._StepTable(structure, vectors, recording)
     index = {f: i for i, f in enumerate(steps.vectors)}
-    by_length = {}
+    # `products` takes walks of one length from starts of one neighbour count
+    chunks = {}
     for walk in walks:
-        by_length.setdefault(len(walk[1]), []).append(walk)
-    for group in by_length.values():
+        chunks.setdefault((len(walk[1]), int(steps.size[index[walk[0]]])), []).append(walk)
+    exact = set()
+    for (n, _), group in chunks.items():
         rows = []
         for fid, edges in group:
             v, row = index[fid], []
@@ -582,10 +581,13 @@ def _assert_batched_products_match(table, walks, rng, vectors=None):
                 row.append(int(steps.first[v]) + e)
                 v = steps.dst[row[-1]]
             rows.append(row)
+        codes = numpy.array(rows)
         recording.walks.clear()
-        got = steps.products(numpy.array(rows))
-        # the walks of 62 bits or more, and only those, go to `cycle_matrix`
-        assert sorted(recording.walks) == sorted(w for w in group if _walk_bits(table, w) >= 62)
+        got = steps.products(codes, oh.float_products(steps, codes))
+        past = steps.bound**n > 2**53
+        assert sorted(recording.walks) == (sorted(group) if past else []), n
+        if not past:
+            exact.add(n)
         # each walk lies in exactly one group, of a product equal to no other
         assert sorted(i for _, which in got for i in which) == list(range(len(group)))
         assert len({product for product, _ in got}) == len(got)
@@ -596,6 +598,7 @@ def _assert_batched_products_match(table, walks, rng, vectors=None):
                 want = table.cycle_matrix(*walk)
                 assert product == want and product.shape == want.shape, walk
                 assert product.rows == want.rows, walk
+    return steps, exact
 
 
 def _closed_walks(structure, budget=6):
@@ -620,35 +623,60 @@ def test_step_table_products_equal_cycle_matrix_on_every_closed_walk(request, na
 
 @pytest.mark.parametrize("den", [2**20 + 7, 65521])
 @pytest.mark.parametrize("name", ["cantor_3_4_skewed_structure", "quadratic_ninth_structure"])
-def test_step_table_products_mix_int64_and_cycle_matrix_walks(request, name, den):
-    # with a prime denominator every edge's integer form has its bits: 21,
-    # so walks of 1 or 2 edges take int64 and 3 to 6, 63 bits or more, go
-    # to `cycle_matrix` (a guard that let 63 bits through would still be
-    # exact, but is not the documented one); or 16, and 65521**4 > 2**63,
-    # so a walk of 4 edges, 64 bits, overflows int64
+def test_step_table_products_mix_exact_floats_and_cycle_matrix_walks(request, name, den):
+    # with a prime denominator the bound is that denominator: 65521**3 <
+    # 2**53 < 65521**4, so walks of 3 edges are read off their floats and
+    # walks of 4 go to `cycle_matrix`; (2**20 + 7)**2 < 2**53 < (2**20 + 7)**3
     structure = _prime_probabilities(request.getfixturevalue(name), den)
-    rng = random.Random(den)
-    walks = _closed_walks(structure)
-    table = MatrixTable(structure)
-    bits = {_walk_bits(table, walk) for walk in walks}
-    assert min(bits) < 62 <= max(bits)
-    assert 63 in bits if den > 65521 else 64 in bits
-    _assert_batched_products_match(table, walks, rng)
+    steps, exact = _assert_batched_products_match(
+        MatrixTable(structure), _closed_walks(structure), random.Random(den)
+    )
+    assert steps.bound == den and steps.scale == (den - 1).bit_length()
+    assert exact == ({1, 2, 3} if den == 65521 else {1, 2})
 
 
 @pytest.mark.parametrize("factor", [2**20 + 1, 2**70 + 1])
 @pytest.mark.parametrize("name", ["cantor_3_4_skewed_structure", "golden_third_structure"])
 def test_step_table_products_bound_the_row_sums_not_only_the_denominators(request, name, factor):
-    # denominator 1 on every edge: only the row sums show that a walk of a
-    # few edges overflows int64; times 2**70 + 1 no single step fits int64
+    # denominator 1 on every edge: only the row sums, about 2**22 at most,
+    # show that a walk of 3 edges is past the bound; times 2**70 + 1 no
+    # single step is exact in floats
     structure = request.getfixturevalue(name)
-    rng = random.Random(name)
     table = _scaled_table(structure, factor)
-    walks = _closed_walks(structure)
-    bits = [_walk_bits(table, walk) for walk in walks]
-    assert max(bits) >= 62
-    assert min(bits) < 62 or factor > 2**63
-    _assert_batched_products_match(table, walks, rng)
+    steps, exact = _assert_batched_products_match(
+        table, _closed_walks(structure), random.Random(name)
+    )
+    assert steps.den == 1 and steps.scale == 0 and steps.shift == 0
+    assert steps.bound == max(sum(row) for m in table._by_edge.values() for row in m.ints)
+    assert exact == ({1, 2} if factor < 2**53 else set())
+
+
+@pytest.mark.parametrize("name", ["cantor_3_4_skewed_structure", "golden_third_structure"])
+def test_step_table_products_of_zero_one_matrices_are_all_exact(request, name):
+    # every entry 0 or 1: L = 1 and s = 0, and the bound is the greatest
+    # row count, so every walk is read off its floats
+    structure = request.getfixturevalue(name)
+    table = _retabled(structure, lambda x: int(x > 0))
+    steps, exact = _assert_batched_products_match(
+        table, _closed_walks(structure), random.Random(name)
+    )
+    assert steps.den == 1 and steps.scale == 0 and steps.shift == 0
+    assert 1 < steps.bound <= steps.width
+    assert exact == set(range(1, 7))
+
+
+def test_step_table_products_of_convolution_cut_at_seven_edges(convolution_3_8_structure):
+    # the probabilities C(8, j) / 256: 256**6 = 2**48 and 256**7 = 2**56,
+    # so walks of 6 edges are read off their floats and walks of 7 are not
+    structure = convolution_3_8_structure
+    essential = sorted(decompose(structure).essential)
+    rng = random.Random(256)
+    walks = [w for w in oh.closed_walks(structure, essential, 7) if len(w[1]) >= 6]
+    walks = rng.sample(walks, min(len(walks), 400))
+    assert {len(edges) for _, edges in walks} == {6, 7}
+    steps, exact = _assert_batched_products_match(MatrixTable(structure), walks, rng, essential)
+    assert steps.bound == 256 and steps.shift == 0
+    assert exact == {6}
 
 
 def test_edge_matrix_equals_the_checked_constructor_on_every_edge(request):
