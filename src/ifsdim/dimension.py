@@ -945,22 +945,19 @@ class PisotResult(NamedTuple):
     reason: str | None
 
 
-def pisot_check(minpoly: Sequence) -> PisotResult:
+def pisot_check(minpoly: Sequence[int]) -> PisotResult:
     """Is the dominant root of this minimal polynomial a Pisot number?
 
-    `minpoly` lists coefficients lowest degree first.  A Pisot number is a
-    real algebraic integer q > 1 whose conjugates all have modulus < 1,
-    so non-integer or non-monic input fails immediately and conjugates
+    `minpoly` lists integer coefficients lowest degree first.  A Pisot
+    number is a real algebraic integer q > 1 whose conjugates all have
+    modulus < 1, so non-monic input fails immediately and conjugates
     within `_PISOT_TOL` of the unit circle flag the answer as indeterminate.
     """
-    coeffs = [Fraction(c) for c in minpoly]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) < 2:
+    ints = list(minpoly)
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if len(ints) < 2:
         return PisotResult(False, False, None, (), "polynomial is constant")
-    if any(c.denominator != 1 for c in coeffs):
-        return PisotResult(False, False, None, (), "coefficients are not integers")
-    ints = [int(c) for c in coeffs]
     if abs(ints[-1]) != 1:
         return PisotResult(
             False, False, None, (), "not monic: the root is no algebraic integer"

@@ -18,6 +18,14 @@ difference is signed on the numerators x qb - y qa of its two operands, a
 positive multiple of it; a positive scale never changes whether a bound is
 above or below 0, so every bisection, sign and approximation is the one a
 `Fraction` evaluation of the coordinates gives.
+
+Every polynomial -- the minimal polynomial, its Sturm chain and the
+remainders of `inverse` -- is a list of integer coefficients, lowest degree
+first.  It is read at a rational n/d by the one integer Horner, `_horner`,
+which returns d^deg p(n/d), a positive multiple of the value.  The Sturm
+chain is a primitive pseudo-remainder sequence (W. S. Brown, J. ACM 18
+(1971)): each term is a positive multiple of the one the rational chain
+gives, so it has the same sign changes.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 Coeffs = Tuple[Fraction, ...]
 
@@ -41,7 +49,7 @@ class FieldError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient tuples, lowest degree first)
+# polynomials: integer coefficient lists, lowest degree first
 # ---------------------------------------------------------------------------
 
 def _trim(p: Sequence[Fraction]) -> Coeffs:
@@ -51,8 +59,14 @@ def _trim(p: Sequence[Fraction]) -> Coeffs:
     return tuple(p[:n])
 
 
-def _poly_neg(p: Coeffs) -> Coeffs:
-    return tuple(-c for c in p)
+def _horner(p: Sequence[int], n: int, d: int) -> int:
+    """d^deg p(n / d) for the integer polynomial p of degree deg: an integer,
+    which has the sign of p(n / d) for d > 0."""
+    acc, scale = p[-1], 1
+    for c in reversed(p[:-1]):
+        scale *= d
+        acc = acc * n + c * scale
+    return acc
 
 
 def _pseudo_divmod(p: list[int], q: list[int]) -> tuple[int, list[int], list[int]]:
@@ -74,59 +88,40 @@ def _pseudo_divmod(p: list[int], q: list[int]) -> tuple[int, list[int], list[int
     return lead ** (len(p) - dq), quo, rem
 
 
-def _poly_divmod(p: Coeffs, q: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i]
-        if c == 0:
-            continue
-        f = c / lead
-        quo[i - dq] = f
-        for j in range(dq + 1):
-            rem[i - dq + j] -= f * q[j]
-    return _trim(quo), _trim(rem)
+def _sturm_chain(p: Sequence[int]) -> list[list[int]]:
+    """The Sturm sequence p, p', -rem(p, p'), ... of the trimmed integer
+    polynomial p of degree >= 1, each term after p' scaled to a primitive
+    integer one.
+
+    f a = quo b + rem gives -rem(a, b) = -rem / f, so -sign(f) rem over its
+    content is a positive multiple of it, with the same sign everywhere."""
+    chain = [list(p), [i * c for i, c in enumerate(p)][1:]]
+    while True:
+        f, _, rem = _pseudo_divmod(chain[-2], chain[-1])
+        if not rem:
+            return chain
+        g = -math.gcd(*rem) if f > 0 else math.gcd(*rem)
+        chain.append([x // g for x in rem])
 
 
-def _poly_eval(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deriv(p: Coeffs) -> Coeffs:
-    return _trim([i * c for i, c in enumerate(p)][1:])
-
-
-def _sign_changes(values: Iterable[Fraction]) -> int:
-    signs = [v > 0 for v in values if v != 0]
+def _sign_changes(chain: list[list[int]], n: int, d: int = 1) -> int | None:
+    """The sign changes of a Sturm chain at n / d, d > 0; None where its first
+    term vanishes."""
+    values = [_horner(f, n, d) for f in chain]
+    if not values[0]:
+        return None
+    signs = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_chain(p: Coeffs) -> list[Coeffs]:
-    """The Sturm sequence p, p', -rem(p, p'), ... of p."""
-    chain = [p, _poly_deriv(p)]
-    while chain[-1]:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(_poly_neg(rem))
-    return chain
-
-
-def _sturm_root_count(p: Coeffs, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
+def _sturm_root_count(p: Sequence[int], lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of the integer polynomial p in the open
+    interval (lo, hi).
 
     Requires p(lo) != 0 and p(hi) != 0.
     """
     chain = _sturm_chain(p)
-    at_lo = _sign_changes(_poly_eval(f, lo) for f in chain)
-    at_hi = _sign_changes(_poly_eval(f, hi) for f in chain)
+    at_lo, at_hi = (_sign_changes(chain, x.numerator, x.denominator) for x in (lo, hi))
     return at_lo - at_hi
 
 
@@ -155,39 +150,24 @@ def _has_rational_root(int_coeffs: Sequence[int]) -> bool:
     below width 1/lead^2; then the one candidate the bracket can hold is
     the fraction of denominator at most |lead| closest to its midpoint,
     which is tested exactly.  The number of halvings grows with the digits
-    of the coefficients, not with their size.  Bracket ends are n / 2^k,
-    and the Sturm chain, scaled to integer coefficients, is signed there
-    on the integers sum(c_i n^i 2^(k (d - i))), positive multiples of its
-    values.
+    of the coefficients, not with their size.  Bracket ends are n / 2^k.
     """
     lead = abs(int_coeffs[-1])
-    chain = [_numerators(f)[0] for f in _sturm_chain(tuple(map(Fraction, int_coeffs)))]
-
-    def changes(n: int, k: int) -> int | None:
-        """The sign changes of the chain at n / 2^k, None where p vanishes."""
-        values = []
-        for f in chain:
-            acc, scale = f[-1], 1
-            for c in reversed(f[:-1]):
-                scale <<= k
-                acc = acc * n + c * scale
-            values.append(acc)
-        return _sign_changes(values) if values[0] else None
-
+    chain = _sturm_chain(int_coeffs)
     top = 1 << (max(map(abs, int_coeffs[:-1])) // lead + 2).bit_length()
     # (lo, hi, k, Sturm changes at lo / 2^k and at hi / 2^k), neither end a root
-    todo = [(-top, top, 0, changes(-top, 0), changes(top, 0))]
+    todo = [(-top, top, 0, _sign_changes(chain, -top), _sign_changes(chain, top))]
     while todo:
         lo, hi, k, at_lo, at_hi = todo.pop()
         if at_lo == at_hi:
             continue
         if at_lo - at_hi == 1 and (hi - lo) * lead * lead < 1 << k:
             mid = Fraction(lo + hi, 1 << (k + 1)).limit_denominator(lead)
-            if _poly_eval(int_coeffs, mid) == 0:
+            if _horner(int_coeffs, mid.numerator, mid.denominator) == 0:
                 return True
             continue
         lo, mid, hi, k = 2 * lo, lo + hi, 2 * hi, k + 1
-        at_mid = changes(mid, k)
+        at_mid = _sign_changes(chain, mid, 1 << k)
         if at_mid is None:
             return True
         todo += [(lo, mid, k, at_lo, at_mid), (mid, hi, k, at_mid, at_hi)]
@@ -228,18 +208,13 @@ def _halve(mp: Sequence[int], sign_lo: int, nlo: int, nhi: int, den: int) -> tup
     """The half of [nlo/den, nhi/den] that holds the root of the integer
     polynomial mp, whose sign at the lower end is sign_lo, as (nlo, nhi, 2 den).
 
-    Over the new denominator D = 2 den the midpoint is nlo + nhi, and the
-    sign of mp there is the sign of D^d mp(mid), found by Horner's rule on
-    its integer coefficients.  The end that is kept is doubled to D, so the
-    interval's rationals are the ones that halving with `Fraction`s gives.
+    Over the new denominator D = 2 den the midpoint is nlo + nhi, and mp
+    is signed there by `_horner`.  The end that is kept is doubled to D, so
+    the interval's rationals are the ones that halving with `Fraction`s gives.
     """
     den *= 2
     mid = nlo + nhi
-    val = mp[-1]
-    scale = 1
-    for c in reversed(mp[:-1]):
-        scale *= den
-        val = val * mid + c * scale
+    val = _horner(mp, mid, den)
     if val == 0:  # impossible for an irreducible polynomial of degree >= 2
         raise FieldError("minimal polynomial has a rational root")
     if (1 if val > 0 else -1) == sign_lo:
@@ -273,11 +248,10 @@ class FieldContext:
             raise FieldError("minimal polynomial has zero constant coefficient")
         self.minpoly_int: tuple[int, ...] = _integerize(coeffs)
         self.degree: int = len(coeffs) - 1
-        mp = tuple(Fraction(c) for c in self.minpoly_int)
-        self._minpoly = mp
+        mp = self.minpoly_int
 
         if self.degree == 1:
-            rho = -mp[0] / mp[1]
+            rho = Fraction(-mp[0], mp[1])
             if not 0 < rho < 1:
                 raise FieldError(f"root {rho} is not inside (0, 1)")
             if isolating is not None:
@@ -286,14 +260,14 @@ class FieldContext:
                     raise FieldError("isolating interval does not contain the root")
             lo = hi = rho
         else:
-            if not _is_irreducible(self.minpoly_int):
+            if not _is_irreducible(mp):
                 raise FieldError("minimal polynomial is reducible over Q")
             if isolating is None:
                 raise FieldError("an isolating interval is required for degree >= 2")
             lo, hi = (_as_fraction(v) for v in isolating)
             if not (0 <= lo < hi <= 1):
                 raise FieldError("isolating interval must satisfy 0 <= lo < hi <= 1")
-            if _poly_eval(mp, lo) == 0 or _poly_eval(mp, hi) == 0:
+            if 0 in (_horner(mp, x.numerator, x.denominator) for x in (lo, hi)):
                 raise FieldError("isolating interval endpoints must not be roots")
             nroots = _sturm_root_count(mp, lo, hi)
             if nroots == 0:
@@ -301,7 +275,7 @@ class FieldContext:
             if nroots > 1:
                 raise FieldError("isolating interval contains more than one root")
 
-        self._sign_lo = 1 if _poly_eval(mp, lo) > 0 else -1
+        self._sign_lo = 1 if _horner(mp, lo.numerator, lo.denominator) > 0 else -1
         (nlo, nhi), den = _numerators((lo, hi))
         self._start = (nlo, nhi, den)
         self._set_interval(nlo, nhi, den)
@@ -379,9 +353,9 @@ class FieldContext:
         """
         if self.degree == 1:
             return 0
-        mp = self._minpoly
+        mp = self.minpoly_int
         # Cauchy's bound: every root lies strictly inside (-bound, bound)
-        bound = 1 + max(abs(c) for c in mp[:-1]) / abs(mp[-1])
+        bound = 1 + Fraction(max(abs(c) for c in mp[:-1]), abs(mp[-1]))
         return _sturm_root_count(mp, -bound, self.interval()[0])
 
     # -- evaluation --------------------------------------------------------

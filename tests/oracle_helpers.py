@@ -62,7 +62,10 @@ zero-row edges of the essential class read off a fresh `edge_matrix` per
 edge, one `Fraction` entry at a time, the reference for the one scan of
 `dimension.essential_interval_bounds`; `reference_has_rational_root`, the
 former divisor-pair rational-root test of `field`, kept as the slow
-reference for its Sturm-bracket test; `vectors_reaching`, a plain
+reference for its Sturm-bracket test; `reference_sturm_root_count`, the
+former `Fraction` Sturm chain p, p', -rem, ... of `field` and its root
+count, kept as the reference for the integer pseudo-remainder chain, with
+`poly_value`, a `Fraction` Horner; `vectors_reaching`, a plain
 search over the explored child records; and `closed_walks`, every
 closed walk of a few edges, the inputs on which the batched products of
 `dimension._StepTable` are checked against `MatrixTable.cycle_matrix`.
@@ -1010,6 +1013,57 @@ def reference_has_rational_root(int_coeffs):
     return False
 
 
+def poly_value(coeffs, x):
+    """The value at x of the polynomial listed lowest degree first, by
+    Horner's rule in `Fraction`s."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_rem(p, q):
+    """The remainder of p by q, by long division in `Fraction`s."""
+    rem, dq = [Fraction(c) for c in p], len(q) - 1
+    for i in range(len(rem) - 1, dq - 1, -1):
+        f = rem[i] / q[-1]
+        if f:
+            for j in range(dq + 1):
+                rem[i - dq + j] -= f * q[j]
+    return _trim(rem[:dq])
+
+
+def reference_sturm_chain(coeffs):
+    """The Sturm sequence p, p', -rem(p, p'), ... of p, in `Fraction`s."""
+    p = _trim(Fraction(c) for c in coeffs)
+    chain = [p, _trim([i * c for i, c in enumerate(p)][1:])]
+    while chain[-1]:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return chain
+
+
+def reference_sturm_root_count(coeffs, lo, hi):
+    """The distinct real roots of p in (lo, hi), ends not roots: the sign
+    changes of its `Fraction` Sturm chain at lo less those at hi."""
+
+    def changes(x):
+        signs = [v > 0 for v in (poly_value(f, x) for f in chain) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    chain = reference_sturm_chain(coeffs)
+    return changes(lo) - changes(hi)
+
+
 class ReferenceField:
     """Signs and approximations in Q(rho), computed entirely in `Fraction`s.
 
@@ -1019,15 +1073,12 @@ class ReferenceField:
     """
 
     def __init__(self, ctx):
-        self._minpoly = tuple(Fraction(c) for c in ctx.minpoly_int)
+        self._minpoly = ctx.minpoly_int
         self.lo, self.hi = ctx.interval()
         self._sign_lo = 1 if self._eval(self.lo) > 0 else -1
 
     def _eval(self, x):
-        acc = Fraction(0)
-        for c in reversed(self._minpoly):
-            acc = acc * x + c
-        return acc
+        return poly_value(self._minpoly, x)
 
     def interval(self):
         return self.lo, self.hi

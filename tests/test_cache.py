@@ -565,3 +565,20 @@ def test_suite_cache_bytes_are_pinned(tmp_path, monkeypatch, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SUITE_CACHE_SHA256[name]
     loaded = load_structure(str(path), system)
     assert oh.structure_layout(loaded) == oh.structure_layout(structure)
+
+
+def test_degree_four_cache_bytes_are_pinned(tmp_path):
+    # the one pinned cache whose field has degree above 3: rho is the root in
+    # (0, 1) of x^4 + x^3 + x^2 + x - 1, the larger of its two real roots, so
+    # the fingerprint holds root_index 1 from the integer Sturm chain
+    system = bernoulli_simple_pisot(4, Fraction(1, 3))
+    path = tmp_path / "cache.json"
+    structure = explore(system)
+    save_structure(str(path), structure)
+    assert json.loads(path.read_text())["fingerprint"]["root_index"] == 1
+    assert (
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        == "760de95f33381abea96093b9549cd9c304c432ee62c5e54a2ae863dfe0176e53"
+    )
+    loaded = load_structure(str(path), system)
+    assert oh.structure_layout(loaded) == oh.structure_layout(structure)

@@ -1339,7 +1339,6 @@ def test_pisot_check_classic_polynomials():
 
 def test_pisot_check_rejections_and_edge_cases():
     assert not pisot_check((-1, 2)).is_pisot  # 2x - 1 is not monic
-    assert not pisot_check((Fraction(1, 2), 1)).is_pisot
     root_two = pisot_check((-2, 0, 1))
     assert not root_two.is_pisot and not root_two.indeterminate
     borderline = pisot_check((-2, 1, -2, 1))  # (x - 2)(x^2 + 1)

@@ -8,7 +8,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ifsdim.field import FieldContext, FieldError, _has_rational_root, _integerize, _poly_eval
+from ifsdim.field import FieldContext, FieldError, _has_rational_root, _integerize, _sturm_root_count
+from ifsdim.ifs import bernoulli_simple_pisot
 
 import oracle_helpers as oh
 
@@ -102,6 +103,54 @@ def test_rational_root_test_matches_the_divisor_reference():
     assert 200 < found < 400
 
 
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _sturm_case(rng):
+    """(p, squared, lo, hi): an integer polynomial p of degree 1-8 whose
+    leading coefficient takes either sign, a third of them r^2 q with r of
+    degree 1 or 2, and a rational interval (lo, hi) whose ends are not roots.
+    A third of the other coefficients are 0, so that some remainder drops
+    two degrees and the pseudo-remainder factor lc^(gap + 1) is negative."""
+    degree = rng.randint(1, 8)
+    squared = degree >= 2 and rng.random() < 0.4
+    if squared:
+        r = [rng.randint(-6, 6) for _ in range(1 if degree < 4 else rng.randint(1, 2))]
+        r.append(rng.randint(1, 4))
+        q = [rng.randint(-9, 9) for _ in range(degree - 2 * (len(r) - 1))] + [rng.randint(1, 9)]
+        p = _poly_mul(_poly_mul(r, r), q)
+    else:
+        p = [rng.choice((0, rng.randint(-20, 20), rng.randint(-20, 20))) for _ in range(degree)]
+        p.append(rng.randint(1, 20))
+    if rng.random() < 0.5:
+        p = [-c for c in p]
+    while True:
+        lo = Fraction(rng.randint(-40, 40), rng.randint(1, 8))
+        hi = lo + Fraction(rng.randint(1, 60), rng.randint(1, 8))
+        if oh.poly_value(p, lo) and oh.poly_value(p, hi):
+            return p, squared, lo, hi
+
+
+def test_integer_sturm_count_matches_the_fraction_chain():
+    rng = random.Random(4601)
+    squared = negative = several = 0
+    for _ in range(2400):
+        p, sq, lo, hi = _sturm_case(rng)
+        count = oh.reference_sturm_root_count(p, lo, hi)
+        assert _sturm_root_count(p, lo, hi) == count, (p, lo, hi)
+        squared += sq
+        negative += p[-1] < 0
+        several += count >= 2
+    # a third have a squared factor, half a negative lead, and many
+    # intervals hold more than one root
+    assert 700 < squared < 900 and 1000 < negative < 1400 and several > 200
+
+
 @pytest.mark.parametrize(
     "minpoly, built",
     [
@@ -188,6 +237,34 @@ def tiny() -> FieldContext:
     return FieldContext([-1, 1, 10**40 + 7], (0, Fraction(1, 2)))
 
 
+# each field the tests build, with the index of its rho among the real roots
+FIELD_FIXTURES = {
+    "1/2": (lambda: FieldContext([-1, 2]), 0),
+    "1/3": (third, 0),
+    "1/4": (lambda: FieldContext([-1, 4]), 0),
+    "golden": (lambda: bernoulli_simple_pisot(2, Fraction(1, 3)).context, 1),  # -1.618, 0.618
+    "tribonacci": (lambda: bernoulli_simple_pisot(3, Fraction(1, 3)).context, 0),  # one real root
+    "quartic": (lambda: bernoulli_simple_pisot(4, Fraction(1, 3)).context, 1),  # -1.29, 0.519
+    "quadratic_ninth": (lambda: FieldContext([4, -18, 9], (Fraction(0), Fraction(1, 2))), 0),
+    "8x^2-8x+1": (lambda: FieldContext([1, -8, 8], (0, Fraction(1, 2))), 0),  # 0.146, 0.854
+    "5x^2-5x+1 small": (lambda: FieldContext([1, -5, 5], (0, Fraction(1, 2))), 0),
+    "5x^2-5x+1 large": (lambda: FieldContext([1, -5, 5], (Fraction(1, 2), 1)), 1),
+    "tiny": (tiny, 1),  # -1e-20, 1e-20
+}
+
+
+@pytest.mark.parametrize("name", FIELD_FIXTURES)
+def test_root_index_matches_the_fraction_chain(name):
+    make, index = FIELD_FIXTURES[name]
+    ctx = make()
+    mp = ctx.minpoly_int
+    bound = 1 + Fraction(max(map(abs, mp[:-1])), abs(mp[-1]))
+    lo = ctx.interval()[0]
+    if ctx.degree > 1:
+        assert oh.reference_sturm_root_count(mp, -bound, lo) == index
+    assert ctx.root_index() == index
+
+
 def _tiny_rho():
     a = mpmath.mpf(10**40 + 7)
     return (mpmath.sqrt(1 + 4 * a) - 1) / (2 * a)
@@ -238,7 +315,7 @@ def test_rho_bracket_is_narrow_relative_to_rho_and_one_minus_rho(make):
         assert lo == hi == Fraction(1, 3)
     else:
         # the minimal polynomial changes sign across the bracket
-        assert _poly_eval(ctx._minpoly, lo) * _poly_eval(ctx._minpoly, hi) < 0
+        assert oh.poly_value(ctx.minpoly_int, lo) * oh.poly_value(ctx.minpoly_int, hi) < 0
     assert ctx.rho_bracket(rel) == (lo, hi)
 
 
@@ -247,7 +324,7 @@ def test_degree_one_sign_reads_the_value():
     rng = random.Random(4127)
     for _ in range(200):
         coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for _ in range(rng.randint(1, 4))]
-        expected = _poly_eval(coeffs, Fraction(1, 3))
+        expected = oh.poly_value(coeffs, Fraction(1, 3))
         assert ctx.element(coeffs).sign() == (expected > 0) - (expected < 0)
         q = coeffs[0]
         assert ctx.sign_of((q.numerator,)) == (q > 0) - (q < 0)
@@ -265,7 +342,7 @@ def test_degree_one_approx_reads_the_value():
         num = rng.randint(-(2**bits), 2**bits)
         den = rng.randint(1, 2**rng.choice((8, 64, 400)))
         e = ctx.element([Fraction(num, den)])
-        expected = _poly_eval(e.coeffs, Fraction(1, 3))
+        expected = oh.poly_value(e.coeffs, Fraction(1, 3))
         got = ctx.approx(e.nums, e.den, eps)
         assert got == expected and type(got) is Fraction
         assert e.approx(eps) == expected
@@ -284,7 +361,7 @@ def test_degree_two_approx_stays_within_eps():
             got = ctx.approx(e.nums, e.den, eps)
             lo, hi = oh.refine_interval(ctx, eps / 1000)
             # the value lies between the element's values at lo and hi
-            ends = sorted(_poly_eval(coeffs, t) for t in (lo, hi))
+            ends = sorted(oh.poly_value(coeffs, t) for t in (lo, hi))
             assert ends[0] - eps <= got <= ends[1] + eps
 
 
@@ -478,7 +555,7 @@ def test_rational_rho_takes_the_general_path_exactly(rho, monkeypatch):
     draws += [[_wide_rational(rng) for _ in range(rng.randint(1, 6))] for _ in range(119)]
     pairs = []
     for coeffs in draws:
-        value = _poly_eval(coeffs, rho)
+        value = oh.poly_value(coeffs, rho)
         e = ctx.element(coeffs)
         assert e.coeffs == (value,)
         pairs.append((e, value))
