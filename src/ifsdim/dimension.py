@@ -28,9 +28,11 @@ exact bracket [1 - 1/q, q - 1] instead, as ln n - ln d would cancel every
 digit.  |ln rho| comes from the same brackets at the two ends of an
 interval around rho (`rho_log_enclosure`).
 The cycles of the inner bounds are enumerated in batches, each batch
-screened in floats as it is enumerated, and the exact products of the
-cycles near the extreme scores read off those floats, all from one table
-of the essential class's steps, `_StepTable`.  numpy is imported only
+screened in floats as it is enumerated, the walks that can close only
+into cycles inside the screen's margins pruned, the cycles counted by a
+trace formula, and the exact products of the cycles near the extreme
+scores read off those floats, all from one table of the essential
+class's steps, `_StepTable`.  numpy is imported only
 inside that table, the functions that read it, and `pisot_check`, so importing this module does
 not load it, and neither does an `inner=False` bounds call.
 """
@@ -103,6 +105,10 @@ _SCREEN_SLACK = 1e-9
 # per walk, and the pending batches hold `int32` step codes and views, so
 # the perfbench `enumeration` peak RSS stays where 256 walks a batch left it
 _BATCH_ENTRIES = 4096
+# damped rounds of the weights of `_StepTable.growth`
+_WEIGHT_ROUNDS = 5
+# most walk counts, steps times columns, that `_StepTable.necklaces` holds at once
+_COUNT_ENTRIES = 1 << 20
 # significant digits of the logarithms in `log_enclosure`; a q within
 # 10^-_LN_DIGITS of 1 takes the exact near-1 bracket instead
 _LN_DIGITS = 40
@@ -406,6 +412,80 @@ class _StepTable:
         for c, m in enumerate(scaled):
             self.floats[c, : len(m), : len(m[0])] = [[x / unit for x in row] for row in m]
 
+    @functools.cached_property
+    def growth(self) -> tuple:
+        """The certificate that prunes `_cycle_batches`, built at its first use.
+
+        Returns (probes, caps, ln λ, ln λ').  A positive row w_v per
+        vector v, zero past its neighbour count, comes from
+        `_WEIGHT_ROUNDS` damped rounds of w_u <- the greatest w_v A over
+        the steps v -> u, A the step's float, normalised; half the old w is
+        kept each round, so w stays positive, and any positive w is sound.
+        λ is the greatest (w_v A)_c / (w_u)_c over the steps v -> u and
+        their columns c, so w_v A <= λ w_u for every step, and λ' is the
+        least column sum of any step.  probes[v] stacks w_v over minus the
+        all-ones row of v, and caps[u] stacks w_u / (1 + slack) over -1 /
+        (1 - slack), with 1 past the neighbour count of u: a walk from s to
+        u with float product P is dropped when probes[s] P, its rows
+        scaled by `_closing_scale`, is below caps[u] entrywise.
+        """
+        import numpy
+
+        real = numpy.arange(self.width) < self.size[:, None]
+        weights = real.astype(float)
+        into = numpy.argsort(self.dst, kind="stable")
+        targets, at = numpy.unique(self.dst[into], return_index=True)
+        src, floats = self.src[into, None], self.floats[into]
+        for _ in range(_WEIGHT_ROUNDS):
+            top = numpy.zeros_like(weights)
+            top[targets] = numpy.maximum.reduceat(numpy.matmul(weights[src], floats), at)[:, 0]
+            weights = (weights + top / top.max()) / 2
+        grown = numpy.matmul(weights[self.src, None], self.floats)[:, 0]
+        inverse = numpy.divide(1, weights, out=numpy.zeros_like(weights), where=real)
+        lam = float((grown * inverse[self.dst]).max())
+        low = float(numpy.where(real[self.dst], self.floats.sum(axis=1), math.inf).min())
+        probes = numpy.stack([weights, -real.astype(float)], 1)
+        rows = weights / (1 + _SCREEN_SLACK), numpy.full_like(weights, -1 / (1 - _SCREEN_SLACK))
+        caps = numpy.where(real[:, None], numpy.stack(rows, 1), 1.0)
+        return probes, caps, math.log(lam), math.log(low) if low > 0 else -math.inf
+
+    def necklaces(self, budget: int) -> int:
+        """The number of primitive cycles of at most `budget` steps, each
+        counted once whatever its rotation: its Lyndon word.
+
+        With A the vectors' step-count matrix, tr(A^n) counts the closed
+        walks of n steps, and a primitive cycle of d steps has d rotations,
+        so tr(A^n) is the sum of d p(d) over the d dividing n, for p(d) the
+        primitive cycles of d steps: solved for p(n) in turn, that is the
+        Möbius inversion p(n) = (1/n) sum over d | n of mu(n / d) tr(A^d)
+        (Lind and Marcus, Symbolic Dynamics and Coding, ch. 6).  The traces
+        are exact: A^n is built a block of columns at a time by summing, for
+        each vector, the rows of its steps' targets (every vector has a
+        step, its vectors being closed under children), in int64 while the
+        walk counts, at most vectors x (most steps of a vector)^budget, stay
+        below 2^63, else in Python integers.
+        """
+        import numpy
+
+        size = len(self.vectors)
+        exact = size * int(self.count.max()) ** budget < 2**63
+        traces = [0] * budget
+        block = max(1, _COUNT_ENTRIES // len(self.src))
+        for a in range(0, size, block):
+            cols = numpy.arange(a, min(a + block, size))
+            walks = numpy.zeros((size, len(cols)), numpy.int64 if exact else object)
+            walks[cols, numpy.arange(len(cols))] = 1
+            diagonals = []
+            for _ in range(budget):
+                walks = numpy.add.reduceat(walks.take(self.dst, axis=0), self.first)
+                diagonals.append(walks.diagonal(-a).copy())
+            traces = [t + x for t, x in zip(traces, numpy.sum(diagonals, axis=1).tolist())]
+        primitive = [0] * (budget + 1)
+        for n in range(1, budget + 1):
+            shorter = sum(d * primitive[d] for d in range(1, n) if n % d == 0)
+            primitive[n] = (traces[n - 1] - shorter) // n
+        return sum(primitive)
+
     def cycle(self, codes: list[int]) -> tuple[int, tuple[int, ...]]:
         """The (start, edges) of the walk of step `codes`."""
         return self.vectors[self.src[codes[0]]], tuple(self.edge[codes].tolist())
@@ -456,7 +536,7 @@ class _StepTable:
         return out
 
 
-def _cycle_batches(steps: _StepTable, budget: int):
+def _cycle_batches(steps: _StepTable, budget: int, extremes=None):
     """The Lyndon cycles of at most `budget` steps, in float batches.
 
     `steps` is the step table of a closed class.  Yields (codes,
@@ -482,6 +562,37 @@ def _cycle_batches(steps: _StepTable, budget: int):
     still close.  Products are padded with zero columns to the largest
     neighbour count of the class, so one matmul extends a whole batch, and
     a zero term adds nothing to an entry.
+
+    Without `extremes` every cycle is yielded.  With it, a callable that
+    returns the least and greatest score g_lo and g_hi of the cycles
+    scored so far (`essential_interval_bounds`), a walk that hugs neither
+    end is not extended when every cycle it can close into would score
+    strictly between their margins (`_margins`), widened by
+    `_SCREEN_SLACK`.  Proof.  Let the walk have n steps from s, float
+    product P, and end at vector u, and let Q be the product of the m - n
+    steps that close it, n < m <= `budget`.  With the weights w and the
+    growth λ of `_StepTable.growth`, w_v A <= λ w_u for every step v -> u
+    with float A, so w_s P Q <= r w_u Q <= r λ^(m-n) w_s for r = max_c
+    (w_s P)_c / (w_u)_c, and sp(PQ) <= r λ^(m-n) (Collatz-Wielandt, w_s >
+    0).  Every column sum of a step is at least λ', so 1 P Q >= r' 1 Q >=
+    r' λ'^(m-n) 1 for the least column sum r' of P, and sp(PQ) >= r'
+    λ'^(m-n).  The cycle's score ln sp(PQ) / m + shift is then below the
+    upper margin `high` when ln r + ln(1 + slack) < m a - (m - n) ln λ,
+    a = high - shift, and above the lower one on the same terms.  Both
+    sides are linear in m, so they hold for every m in [n + 1, budget]
+    when they hold at both ends (`_closing_scale`), and one matmul tests
+    them for a whole batch: w_s P and the column sums of P against
+    `_StepTable.growth`'s caps.  The float products, weights and sums err
+    by about n k 1e-16 relative and the screen's score by about 1e-15, far
+    inside the slack, and the column sums keep sp positive, so the screen
+    would score each dropped cycle strictly between the margins of the
+    extremes so far, and so between the final ones, which only move out:
+    it would be neither certified nor an extreme.  The extremes, every
+    later test and every kept cycle's score are therefore those of the
+    full enumeration, and as a walk that hugs an end is always extended,
+    so are the end-hugging cycles.  This takes `eigvals` to succeed: the
+    full enumeration certifies every cycle of a batch it fails on, dropped
+    ones included.
     """
     import numpy
 
@@ -519,11 +630,44 @@ def _cycle_batches(steps: _StepTable, budget: int):
             if closed.any():
                 yield hist[closed, 1:], products[closed, :, :k], hug[closed]
             if n < budget:
+                scale = extremes and _closing_scale(steps, n, budget, *extremes())
+                if scale:
+                    probes, caps = steps.growth[:2]
+                    probe = probes[s, :, :k] * scale
+                    inside = (numpy.matmul(probe, products) < caps[at]).all(axis=(1, 2))
+                    keep = ~inside | (hug != 0)
+                    if not keep.all():
+                        hist, period, hug, at, products = (
+                            x[keep] for x in (hist, period, hug, at, products)
+                        )
                 batch = hist, period, hug, at, products
                 stack += [
                     (n, *(x[a : a + steps.batch] for x in batch))
-                    for a in range(0, len(codes), steps.batch)
+                    for a in range(0, len(at), steps.batch)
                 ]
+
+
+def _closing_scale(steps: _StepTable, n: int, budget: int, g_lo: float, g_hi: float):
+    """The scale of the probes of the prune of `_cycle_batches` after n
+    steps, for the extreme scores g_lo and g_hi so far: ((1 / R,), (1 /
+    R',)) for R = exp of the least of m a - (m - n) ln λ at m = n + 1 and
+    m = `budget`, and R' = exp of the greatest of m b - (m - n) ln λ' (a
+    and b the upper and lower margin less the shift), or None when no
+    walk can be dropped.  A walk is dropped when r (1 + slack) < R and r'
+    (1 - slack) > R', in the terms of the proof there.
+    """
+    low, high = _margins(g_lo, g_hi)
+    if not low < high:
+        return None
+    _, _, ln_up, ln_down = steps.growth
+    a, b = high - steps.shift, low - steps.shift
+    # ln R and ln R', from the cycles of n + 1 and of `budget` steps
+    up = min((n + 1) * a - ln_up, budget * a - (budget - n) * ln_up)
+    down = max((n + 1) * b - ln_down, budget * b - (budget - n) * ln_down)
+    if up < -700:
+        return None
+    # a smaller 1 / R' only drops fewer walks
+    return (math.exp(-up),), (math.exp(min(-down, 700)),)
 
 
 def _chunk_scores(stack, n: int):
@@ -544,15 +688,18 @@ def _chunk_scores(stack, n: int):
     return scores
 
 
+def _margins(g_lo: float, g_hi: float) -> tuple[float, float]:
+    """The margins of the extreme scores g_lo and g_hi: a score strictly
+    between them is not within `_SCREEN_MARGIN` of either."""
+    return g_lo + _SCREEN_MARGIN * abs(g_lo), g_hi - _SCREEN_MARGIN * abs(g_hi)
+
+
 def _near_extreme(g, g_lo: float, g_hi: float):
     """Which scores in the array g are within `_SCREEN_MARGIN` of g_lo or g_hi, or not finite."""
     import numpy
 
-    return (
-        ~numpy.isfinite(g)
-        | (g <= g_lo + _SCREEN_MARGIN * abs(g_lo))
-        | (g >= g_hi - _SCREEN_MARGIN * abs(g_hi))
-    )
+    low, high = _margins(g_lo, g_hi)
+    return ~numpy.isfinite(g) | (g <= low) | (g >= high)
 
 
 def _screen_scores(products, n: int, shift: float, g_lo: float, g_hi: float):
@@ -574,8 +721,7 @@ def _screen_scores(products, n: int, shift: float, g_lo: float, g_hi: float):
     cols, rows = products.sum(axis=1), products.sum(axis=2)
     lo = numpy.maximum(cols.min(axis=1), rows.min(axis=1))
     hi = numpy.minimum(cols.max(axis=1), rows.max(axis=1))
-    low = g_lo + _SCREEN_MARGIN * abs(g_lo)
-    high = g_hi - _SCREEN_MARGIN * abs(g_hi)
+    low, high = _margins(g_lo, g_hi)
     with numpy.errstate(divide="ignore"):
         inside = (numpy.log(lo * (1 - _SCREEN_SLACK)) / n + shift > low) & (
             numpy.log(hi * (1 + _SCREEN_SLACK)) / n + shift < high
@@ -596,13 +742,28 @@ def _witness(certificates, attains, steps: _StepTable) -> CycleWitness:
     Step codes follow the (vector, edge) order, and the steps before a
     code fix the vector it leaves, so among walks of one length the least
     row of codes is the least (start, edges): only that row is read back.
+    The rows of the certificates that tie on positivity and length are
+    stacked and narrowed to those with the least code one column at a
+    time; a cycle has one product, so its row names its certificate.
     """
-    not_positive, _, row, rate = min(
-        (not positive, codes.shape[1], min(codes.tolist()), rate)
+    import numpy
+
+    attaining = [
+        ((not positive, codes.shape[1]), rate, codes)
         for rate, positive, codes in certificates
         if attains(rate)
-    )
-    return CycleWitness(*steps.cycle(row), rate, not not_positive)
+    ]
+    best = min(key for key, _, _ in attaining)
+    rates, stacks = zip(*((rate, codes) for key, rate, codes in attaining if key == best))
+    codes = numpy.concatenate(stacks)
+    owner = numpy.repeat(numpy.arange(len(stacks)), [len(c) for c in stacks])
+    rows = numpy.arange(len(codes))
+    for column in codes.T:
+        if len(rows) == 1:
+            break
+        rows = rows[column[rows] == column[rows].min()]
+    row = rows[0]
+    return CycleWitness(*steps.cycle(codes[row].tolist()), rates[owner[row]], not best[0])
 
 
 def essential_interval_bounds(
@@ -633,7 +794,8 @@ def essential_interval_bounds(
     enumeration, `_cycle_batches`, marks those cycles by their end bits:
     they are counted in `excluded_count`, the first 10 sorted are sampled
     in `excluded` (`_StepTable.hugging`), and `cycle_count` counts the
-    included ones.
+    included ones: all the primitive cycles, counted by
+    `_StepTable.necklaces` rather than enumerated, less the excluded ones.
     Every other cycle is realized at a truly essential point, so no
     triple diagram is needed: the centres of the triple diagram's closed
     class are exactly the essential class (K. G. Hare, K. E. Hare and
@@ -675,6 +837,13 @@ def essential_interval_bounds(
     score is either its bracket's end or `eigvals` of its own product,
     which LAPACK computes one matrix at a time.  Every score adds the step
     table's `shift`, which undoes the scaling of its floats.
+    The enumeration is pruned by the extremes so far: a walk whose every
+    closing cycle would score strictly between their margins is not
+    extended (`_cycle_batches` has the proof).  Such a cycle would be
+    neither certified nor an extreme, so every field is that of the full
+    enumeration.  The prune runs only when the class has more cycles than
+    one batch holds: below that the number of batches, which the prune
+    seldom lowers, and not the number of walks sets the cost.
     This is sound: every included cycle's rate is a local dimension at a
     truly essential point, so the rates of any subset of the cycles bound
     the interval from inside.  The margin also keeps the bounds that
@@ -735,16 +904,18 @@ def essential_interval_bounds(
         import numpy
 
         steps = _StepTable(structure, dec.essential, table)
+        cycles = steps.necklaces(cycle_budget)
         g_lo, g_hi = math.inf, -math.inf
+        # the prune can save batches only when the cycles fill more than one
+        extremes = (lambda: (g_lo, g_hi)) if cycles > steps.batch else None
         # (scores, step codes) of the cycles near the extremes when they were scored
         near: list[tuple] = []
-        for codes, products, hug in _cycle_batches(steps, cycle_budget):
+        for codes, products, hug in _cycle_batches(steps, cycle_budget, extremes):
             if hug.any():
                 excluded += steps.hugging(codes[hug != 0], hug[hug != 0])
                 codes, products = codes[hug == 0], products[hug == 0]
             if not len(codes):
                 continue
-            cycle_count += len(codes)
             g = _screen_scores(products, codes.shape[1], steps.shift, g_lo, g_hi)
             finite = g[numpy.isfinite(g)]
             if finite.size:
@@ -752,6 +923,7 @@ def essential_interval_bounds(
                 g_hi = max(g_hi, float(finite.max()))
             keep = _near_extreme(g, g_lo, g_hi)
             near.append((g[keep], codes[keep], products[keep]))
+        cycle_count = cycles - len(excluded)
         # (step codes, float products) of each batch's cycles near the final extremes
         by_length: dict[int, list] = {}
         for g, codes, products in near:

@@ -35,8 +35,9 @@ cycle exactly, kept as the reference for the float screen of
 that screen keeps, found by scoring every batch first and filtering once
 against the global extremes; `reference_eigvals_rows`, how many cycles
 of each batch that screen sends to `numpy.linalg.eigvals`, followed one
-cycle at a time, the reference for the row- and column-sum brackets that
-settle the others; `reference_product`, the former
+cycle at a time over the batches of the pruned enumeration, the
+reference for the row- and column-sum brackets that settle the others;
+`reference_product`, the former
 entry-by-entry `Fraction` matrix product, kept as the reference for the
 integer multiply of `TransitionMatrix`; `reference_matrix_flags`, the
 column sums and sign flags of a matrix read off its `Fraction` entries, the
@@ -854,6 +855,9 @@ def reference_eigvals_rows(structure, dec, table, budget):
     cycle is not sent when the bracket [lo, hi] of sp, from its least and
     greatest row and column sums, has equal positive ends, or scores
     strictly inside both margins once widened by `_SCREEN_SLACK` relative.
+    The batches are those of the enumeration that `essential_interval_bounds`
+    runs: pruned against the extremes so far when the class has more cycles
+    than one batch holds.
     Call it before `eigvals` is patched: it calls `eigvals` too.
     """
     import numpy
@@ -862,7 +866,9 @@ def reference_eigvals_rows(structure, dec, table, budget):
     ends = [math.inf, -math.inf]
     counts = []
     steps = dimension._StepTable(structure, dec.essential, table)
-    for codes, products, hug in dimension._cycle_batches(steps, budget):
+    pruned = steps.necklaces(budget) > steps.batch
+    extremes = (lambda: tuple(ends)) if pruned else None
+    for codes, products, hug in dimension._cycle_batches(steps, budget, extremes):
         if not (hug == 0).any():
             continue
         n, sent, scores = codes.shape[1], 0, []

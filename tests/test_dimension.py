@@ -1,5 +1,6 @@
 """Tests for dimensions, interval bounds, isolation and diagnostics."""
 
+import itertools
 import math
 import operator
 import random
@@ -540,6 +541,100 @@ def test_batched_enumeration_matches_the_references_on_random_graphs(monkeypatch
     assert both_ends > 0
 
 
+# every primitive cycle, end-hugging ones included, of the suite systems at
+# their perfbench budgets and at the budgets of the CI report pins
+SUITE_CYCLES = [
+    ("golden_third_structure", 8, 17),
+    ("tribonacci_third_structure", 8, 41),
+    ("quadratic_ninth_structure", 10, 31940),
+    ("quadratic_ninth_structure", 12, 307679),
+    ("cantor_4_9_structure", 6, 964),
+    ("convolution_3_8_structure", 6, 196),
+    ("table_87_structure", 4, 33),
+    ("table_87_structure", 8, 1319),
+]
+
+
+@pytest.mark.parametrize("name, budget, cycles", SUITE_CYCLES)
+def test_necklace_count_equals_the_enumerated_count_on_the_suite(request, name, budget, cycles):
+    structure = request.getfixturevalue(name)
+    dec, table = parts_of(structure)
+    steps = dimension._StepTable(structure, dec.essential, table)
+    assert steps.necklaces(budget) == cycles
+    if name == "quadratic_ninth_structure":
+        # the all-rotations loop takes minutes here: count the unpruned
+        # enumeration instead, which matches that loop at small budgets
+        enumerated = sum(len(codes) for codes, _, _ in dimension._cycle_batches(steps, budget))
+    else:
+        essential = sorted(dec.essential)
+        children = {fid: oh.child_records(structure, fid) for fid in essential}
+        enumerated = sum(1 for f in essential for _ in reference_cycles(children, f, budget))
+    assert enumerated == cycles
+    bounds = essential_interval_bounds(structure, dec, table, budget)
+    assert bounds.cycle_count + bounds.excluded_count == cycles
+
+
+@pytest.mark.parametrize("name", ALL_STRUCTURES + ["convolution_3_8_structure"])
+def test_necklace_count_equals_the_reference_cycles_on_the_fixtures(request, name):
+    structure = request.getfixturevalue(name)
+    dec, table = parts_of(structure)
+    essential = sorted(dec.essential)
+    children = {fid: oh.child_records(structure, fid) for fid in essential}
+    steps = dimension._StepTable(structure, essential, table)
+    budget = LYNDON_BUDGETS.get(name, 6)
+    lengths = [len(c) for f in essential for c in reference_cycles(children, f, budget)]
+    for b in range(1, budget + 1):
+        assert steps.necklaces(b) == sum(n <= b for n in lengths), b
+
+
+def test_necklace_count_equals_the_enumerated_count_on_random_classes():
+    # the steps of a `random_class` hug an end at random, so the count less
+    # the excluded cycles must be the included ones
+    rng = random.Random(20261021)
+    for _ in range(200):
+        structure, children, table = random_class(rng)
+        structure.system = types.SimpleNamespace(context=FieldContext([-1, 3]))
+        dec = types.SimpleNamespace(essential=sorted(children), essential_reduced=sorted(children))
+        steps = dimension._StepTable(structure, children, table)
+        cycles = [c for f in sorted(children) for c in reference_cycles(children, f, 8)]
+        for budget in range(1, 9):
+            assert steps.necklaces(budget) == sum(len(c) <= budget for c in cycles)
+        bounds = essential_interval_bounds(structure, dec, table, 8)
+        hugging = hugging_cycles(children, cycles)
+        assert bounds.excluded_count == len(hugging)
+        assert bounds.cycle_count == len(cycles) - len(hugging)
+
+
+def test_necklace_count_is_exact_past_int64():
+    # tr(A^n) is the sum of d p(d) over the d dividing n, p(d) the primitive
+    # cycles of d steps: checked against python-integer traces up to budget
+    # 60, past which the walk counts leave int64, and the loops' traces too
+    rng = random.Random(20261022)
+    classes = [loop_class([Fraction(1, 2)] * 9)]
+    while len(classes) < 4:
+        structure, children, table = random_class(rng)
+        if len(children) > 1 and sum(map(len, children.values())) > 2 * len(children):
+            classes.append(dimension._StepTable(structure, children, table))
+    budget, widest = 60, []
+    for steps in classes:
+        size = len(steps.vectors)
+        assert size * int(steps.count.max()) ** budget >= 2**63
+        a = [[0] * size for _ in range(size)]
+        for u, v in zip(steps.src.tolist(), steps.dst.tolist()):
+            a[u][v] += 1
+        power, traces = a, [None]
+        for _ in range(budget):
+            traces.append(sum(power[i][i] for i in range(size)))
+            power = [[sum(x * y for x, y in zip(row, col)) for col in zip(*a)] for row in power]
+        count = [0] + [steps.necklaces(n) for n in range(1, budget + 1)]
+        primitive = [None] + [y - x for x, y in zip(count, count[1:])]
+        for n in range(1, budget + 1):
+            assert sum(d * primitive[d] for d in range(1, n + 1) if n % d == 0) == traces[n], n
+        widest.append(traces[budget])
+    # the nine loops close 9^60 walks of 60 steps
+    assert widest[0] == 9**60 > 2**63
+
+
 @pytest.mark.parametrize("budget", [0, -3])
 def test_cycle_budget_below_one_is_rejected(quadratic_ninth_structure, budget):
     structure = quadratic_ninth_structure
@@ -557,6 +652,31 @@ def test_witness_ties_go_to_the_shortest_cycle(six_map_quarter_structure):
     # the shortest win, and of those the least (start, edges)
     assert bounds.max_witness.start == 4
     assert bounds.max_witness.edges == (0, 3)
+
+
+def test_witness_is_the_least_row_over_many_tied_certificates():
+    # certificates of distinct rows of 3 loop codes, many tied on positivity
+    # and length as on table_87, against the least (not positive, length,
+    # row) taken group by group
+    steps = loop_class([Fraction(1, 2)] * 3)
+    rng = random.Random(20261025)
+    for _ in range(300):
+        rows = rng.sample([r for n in (1, 2, 3) for r in itertools.product(range(3), repeat=n)], 12)
+        certificates = []
+        while rows:
+            n, take = len(rows[0]), rng.randint(1, 3)
+            group = [r for r in rows if len(r) == n][:take]
+            rows = [r for r in rows if r not in group]
+            positive = rng.random() < 0.7
+            certificates.append((len(certificates), positive, numpy.array(group, numpy.int32)))
+        attains = set(rng.sample(range(len(certificates)), rng.randint(1, len(certificates))))
+        not_positive, _, row, rate = min(
+            (not positive, codes.shape[1], min(codes.tolist()), rate)
+            for rate, positive, codes in certificates
+            if rate in attains
+        )
+        witness = dimension._witness(certificates, attains.__contains__, steps)
+        assert witness == dimension.CycleWitness(*steps.cycle(row), rate, not not_positive)
 
 
 SCREENED_FIELDS = (
@@ -797,6 +917,124 @@ def test_sum_screen_matches_the_reference_screen_on_random_classes(monkeypatch):
     # both ways of scoring are exercised, on every kind of matrix
     assert settled > 0 and sent > 0
     assert min(kinds.values()) >= 100, kinds
+
+
+def pruned_and_unpruned(monkeypatch, structure, dec, table, budget):
+    """(bounds, certified rows, cycles scored) of `essential_interval_bounds`
+    as it runs, and again with `_cycle_batches` given no extremes, so that
+    no walk is pruned."""
+    enumerate_all = dimension._cycle_batches
+    screen = dimension._screen_scores
+    runs = []
+    for prune in (True, False):
+        certified, scored = [], []
+
+        def counting_screen(products, *args):
+            scored.append(len(products))
+            return screen(products, *args)
+
+        with monkeypatch.context() as patch:
+            recording_products(patch, certified)
+            patch.setattr(dimension, "_screen_scores", counting_screen)
+            if not prune:
+                patch.setattr(
+                    dimension, "_cycle_batches", lambda steps, n, extremes: enumerate_all(steps, n)
+                )
+            bounds = essential_interval_bounds(structure, dec, table, budget)
+        assert len(certified) == len(set(certified)) == bounds.certified_count
+        runs.append((bounds, set(certified), sum(scored)))
+    return runs
+
+
+@pytest.mark.parametrize("name, budget, cycles", SUITE_CYCLES)
+def test_pruned_and_unpruned_bounds_agree_on_the_suite(request, monkeypatch, name, budget, cycles):
+    structure = request.getfixturevalue(name)
+    dec, table = parts_of(structure)
+    width = dimension._StepTable(structure, dec.essential, table).width
+    if cycles <= dimension._BATCH_ENTRIES // width**2:
+        # the prune runs on so few cycles only in batches of one walk
+        monkeypatch.setattr(dimension, "_BATCH_ENTRIES", width**2)
+    (bounds, certified, scored), (full, every, all_scored) = pruned_and_unpruned(
+        monkeypatch, structure, dec, table, budget
+    )
+    # every field: both inner ends, both witnesses, the counts and the
+    # excluded sample
+    assert bounds == full
+    assert certified == every == oh.reference_screen(structure, dec, table, budget)
+    assert all_scored == full.cycle_count
+    if name == "table_87_structure":
+        # every product ties, so no score lies between the margins
+        assert scored == all_scored
+    else:
+        assert scored < all_scored
+    if (name, budget) == ("quadratic_ninth_structure", 10):
+        assert scored <= 10_000
+
+
+def test_pruned_and_unpruned_bounds_agree_on_random_classes(monkeypatch):
+    rng = random.Random(20261023)
+    dropped = pruned = 0
+    for i in range(200):
+        structure, dec, table = sum_screened_class(rng)
+        width = dimension._StepTable(structure, dec.essential, table).width
+        for budget in range(1, 7):
+            with monkeypatch.context() as patch:
+                # batches of one walk and of seven, so that the prune runs
+                patch.setattr(dimension, "_BATCH_ENTRIES", (1, 7)[(i + budget) % 2] * width**2)
+                (bounds, certified, scored), (full, every, all_scored) = pruned_and_unpruned(
+                    patch, structure, dec, table, budget
+                )
+            assert bounds == full, (i, budget)
+            assert certified == every == oh.reference_screen(structure, dec, table, budget)
+            dropped += all_scored - scored
+            pruned += scored < all_scored
+    # the prune drops cycles on many of the classes
+    assert pruned > 100 and dropped > 1000, (pruned, dropped)
+
+
+def test_prune_keeps_a_walk_whose_bound_is_within_the_slack_of_a_margin():
+    # loops 1/2, 1/2 and 1/4 on one 1 x 1 vector: w = 1, λ = 1/2, λ' = 1/4
+    # and the score shift is 0.  The walks (0) and (1) bound their cycles
+    # of 2 steps by r λ = 1/4 above, a score of ln(1/2), and by r' λ' = 1/8
+    # below, a score of ln(1/8) / 2; the walk (2) has no such cycle
+    steps = loop_class([Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)])
+    assert steps.shift == 0
+    slack, margin = dimension._SCREEN_SLACK, dimension._SCREEN_MARGIN
+
+    def cycles(low, high):
+        # the extremes whose margins are `low` and `high`, both negative
+        extremes = low / (1 - margin), high / (1 + margin)
+        batches = dimension._cycle_batches(steps, 2, lambda: extremes)
+        return sorted(tuple(row) for codes, _, _ in batches for row in codes.tolist())
+
+    every = [(0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+    short = [(0,), (1,), (2,)]
+    upper, lower = math.log(1 / 2), math.log(1 / 8) / 2
+    # a bound within the slack of a margin keeps its walk; past the slack,
+    # every walk of one step is dropped
+    assert cycles(-10, upper + slack / 4) == every
+    assert cycles(-10, upper + 2 * slack) == short
+    assert cycles(lower - slack / 4, -1e-3) == every
+    assert cycles(lower - 2 * slack, -1e-3) == short
+
+
+def test_prune_keeps_every_walk_that_hugs_an_end():
+    # margins far outside every score drop each walk once it has a step,
+    # unless all its steps hug one end: the cycles of more steps left are
+    # those whose steps but the last hug one end, the end-hugging ones too
+    rng = random.Random(20261024)
+    hugged = 0
+    for _ in range(200):
+        structure, dec, table = sum_screened_class(rng)
+        steps = dimension._StepTable(structure, dec.essential, table)
+        wide = dimension._cycle_batches(steps, 6, lambda: (-1e3, 1e3))
+        kept = {tuple(row) for codes, _, _ in wide for row in codes.tolist() if len(row) > 1}
+        full = dimension._cycle_batches(steps, 6)
+        full = [tuple(row) for codes, _, _ in full for row in codes.tolist()]
+        hugging = [reduce(operator.and_, steps.hugs[list(row[:-1])].tolist(), 3) for row in full]
+        assert kept == {row for row, bits in zip(full, hugging) if len(row) > 1 and bits}
+        hugged += sum(1 for row, bits in zip(full, hugging) if len(row) > 1 and bits)
+    assert hugged > 100
 
 
 @pytest.mark.parametrize("name", ["golden_third_structure", "cantor_4_9_structure"])
