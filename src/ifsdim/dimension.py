@@ -95,7 +95,7 @@ __all__ = [
 
 # relative margin of the float screen in `essential_interval_bounds`
 _SCREEN_MARGIN = 1e-6
-# the screen drops a cycle by its row and column sums alone when that
+# the screen drops a cycle by its column sums alone when that
 # bracket of its float spectral radius, widened by this much relative, lies
 # inside the margins; float sums and `eigvals` err by about 1e-15 relative
 _SCREEN_SLACK = 1e-9
@@ -707,20 +707,18 @@ def _screen_scores(products, n: int, shift: float, g_lo: float, g_hi: float):
     cycles of n steps, scored against the extremes g_lo and g_hi of the
     scores so far; `shift` is the step table's, which undoes its scaling.
 
-    For a nonnegative square matrix, sp lies between the larger of its
-    least column sum and least row sum and the smaller of its greatest
-    column sum and greatest row sum (Collatz-Wielandt with the all-ones
-    vector).  A product whose bracket, widened by `_SCREEN_SLACK` relative,
-    scores strictly between the margins of the extremes so far cannot be
-    near the final ones, which lie further out, and a bracket whose ends
-    are equal is sp: both score its upper end.  Only the others go to
-    `_chunk_scores`.
+    For a nonnegative square matrix, sp lies between its least and its
+    greatest column sum (Collatz-Wielandt with the all-ones vector).  A
+    product whose bracket, widened by `_SCREEN_SLACK` relative, scores
+    strictly between the margins of the extremes so far cannot be near the
+    final ones, which lie further out, and a bracket whose ends are equal
+    and positive is sp, as in `spectral_radius`: both score its upper end.
+    Only the others go to `_chunk_scores`.
     """
     import numpy
 
-    cols, rows = products.sum(axis=1), products.sum(axis=2)
-    lo = numpy.maximum(cols.min(axis=1), rows.min(axis=1))
-    hi = numpy.minimum(cols.max(axis=1), rows.max(axis=1))
+    cols = products.sum(axis=1)
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
     low, high = _margins(g_lo, g_hi)
     with numpy.errstate(divide="ignore"):
         inside = (numpy.log(lo * (1 - _SCREEN_SLACK)) / n + shift > low) & (
@@ -733,37 +731,33 @@ def _screen_scores(products, n: int, shift: float, g_lo: float, g_hi: float):
     return g
 
 
-def _witness(certificates, attains, steps: _StepTable) -> CycleWitness:
-    """The witness among the cycles whose certified rate `attains` the extreme.
-
-    `certificates` holds (rate, positive, codes) with the (N, n) step
-    codes of the cycles that share that rate and positivity.  A positive
-    product wins, then the fewest edges, then the least (start, edges).
-    Step codes follow the (vector, edge) order, and the steps before a
-    code fix the vector it leaves, so among walks of one length the least
-    row of codes is the least (start, edges): only that row is read back.
-    The rows of the certificates that tie on positivity and length are
-    stacked and narrowed to those with the least code one column at a
-    time; a cycle has one product, so its row names its certificate.
-    """
+def _least_row(codes) -> tuple[int, ...]:
+    """The least row of the (N, n) array `codes`, narrowed one column at a time."""
     import numpy
 
-    attaining = [
-        ((not positive, codes.shape[1]), rate, codes)
-        for rate, positive, codes in certificates
-        if attains(rate)
-    ]
-    best = min(key for key, _, _ in attaining)
-    rates, stacks = zip(*((rate, codes) for key, rate, codes in attaining if key == best))
-    codes = numpy.concatenate(stacks)
-    owner = numpy.repeat(numpy.arange(len(stacks)), [len(c) for c in stacks])
     rows = numpy.arange(len(codes))
     for column in codes.T:
         if len(rows) == 1:
             break
         rows = rows[column[rows] == column[rows].min()]
-    row = rows[0]
-    return CycleWitness(*steps.cycle(codes[row].tolist()), rates[owner[row]], not best[0])
+    return tuple(codes[rows[0]].tolist())
+
+
+def _witness(certificates, attains, steps: _StepTable) -> CycleWitness:
+    """The witness among the cycles whose certified rate `attains` the extreme.
+
+    `certificates` holds (rate, positive, row), row the least step codes
+    of the cycles of that rate, length and positivity.  A positive product
+    wins, then the fewest edges, then the least (start, edges): step codes
+    follow the (vector, edge) order, and the steps before a code fix the
+    vector it leaves, so among walks of one length the least row of codes
+    is the least (start, edges).  A cycle has one product, so no two
+    certificates share a row.
+    """
+    rate, positive, row = min(
+        (c for c in certificates if attains(c[0])), key=lambda c: (not c[1], len(c[2]), c[2])
+    )
+    return CycleWitness(*steps.cycle(list(row)), rate, positive)
 
 
 def essential_interval_bounds(
@@ -817,17 +811,15 @@ def essential_interval_bounds(
     seen so far, and those are filtered once more against the final
     extremes: that leaves exactly the cycles near the final extremes.
     Most scores need no eigenvalues.  For a nonnegative k x k matrix P
-    and the all-ones vector, Collatz-Wielandt gives min row sum <= sp(P)
-    <= max row sum, and the same for column sums (P transposed has the
-    same sp), so sp(P) lies in [max(least column sum, least row sum),
-    min(greatest column sum, greatest row sum)].  A cycle whose bracket,
-    widened by `_SCREEN_SLACK` relative, scores strictly between the
-    margins of the extremes seen so far is not near them, and as those
-    margins only move out it is not near the final ones either: it is
-    dropped.  The float sums err by about k 1e-16 relative and `eigvals`
-    by about 1e-15, far inside the slack, so the score `eigvals` would give
-    lies inside the margins too.  A bracket with equal ends is sp and
-    scores it (as every exact product of equal-column-sum matrices has; see
+    and the all-ones vector, Collatz-Wielandt gives least column sum <=
+    sp(P) <= greatest column sum.  A cycle whose bracket, widened by
+    `_SCREEN_SLACK` relative, scores strictly between the margins of the
+    extremes seen so far is not near them, and as those margins only move
+    out it is not near the final ones either: it is dropped.  The float
+    sums err by about k 1e-16 relative and `eigvals` by about 1e-15, far
+    inside the slack, so the score `eigvals` would give lies inside the
+    margins too.  A bracket with equal positive ends is sp and scores it
+    (as every exact product of equal-column-sum matrices has; see
     `_StepTable` for which float products are exact).  The others go to one
     `numpy.linalg.eigvals` call, and a call that raises `LinAlgError`
     scores its cycles nan; no product overflows, as the entries of a
@@ -857,11 +849,12 @@ def essential_interval_bounds(
     travels as its row of step codes and its float product, from which
     `_StepTable.products` reads the exact product of all but the longest
     cycles, a batch at a time; the groups of one length are merged by
-    `TransitionMatrix`, and one spectral radius and rate serve each group,
-    all its cycles having the same product and length: many cycles tie
-    exactly at an extreme.  The inner ends are taken over these distinct
-    certificates, and each witness turns one row of step codes back into
-    (start, edges).
+    `TransitionMatrix`, and one spectral radius serves each group, all its
+    cycles having the same product and length.  The groups whose radii
+    have one enclosure, length and positivity share a certificate: one
+    rate and their least row of step codes (`_least_row`), as many cycles
+    tie exactly at an extreme.  The inner ends are taken over these
+    certificates, and each witness turns a row back into (start, edges).
 
     `min_witness` and `max_witness` are taken among the certified cycles
     whose enclosure reaches the extreme enclosure (`rate.lo <=
@@ -898,8 +891,8 @@ def essential_interval_bounds(
     cycle_count = 0
     certified_count = 0
     excluded: list[tuple] = []
-    # (rate, positive, step codes of the cycles) per distinct product and length
-    certificates: list[tuple[Certified, bool, object]] = []
+    # (rate, positive, least step codes) per (sp enclosure, length, positivity)
+    certificates: list[tuple[Certified, bool, tuple[int, ...]]] = []
     if inner:
         import numpy
 
@@ -932,6 +925,7 @@ def essential_interval_bounds(
                 by_length.setdefault(codes.shape[1], []).append((codes[keep], products[keep]))
 
         loose = Fraction(1, 10**9)
+        tied: dict[tuple, list] = {}
         for n in sorted(by_length):
             # the rate and positivity of a cycle depend only on its product and length
             groups: dict[TransitionMatrix, list] = {}
@@ -941,8 +935,12 @@ def essential_interval_bounds(
                     groups.setdefault(product, []).append(codes[which])
             for product, rows in groups.items():
                 sp = spectral_radius(product, rel_tol=loose)
-                rate = _rate(sp.certified_lo, sp.certified_hi, n, den1)
-                certificates.append((rate, product.is_positive(), numpy.concatenate(rows)))
+                key = (sp.certified_lo, sp.certified_hi, n, product.is_positive())
+                tied.setdefault(key, []).extend(rows)
+        certificates = [
+            (_rate(lo, hi, n, den1), positive, _least_row(numpy.concatenate(rows)))
+            for (lo, hi, n, positive), rows in tied.items()
+        ]
 
     if certificates:
         rates = [rate for rate, _, _ in certificates]

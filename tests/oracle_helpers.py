@@ -853,8 +853,8 @@ def reference_eigvals_rows(structure, dec, table, budget):
     of the extremes of the batches before it, each cycle scored ln sp / n
     plus the step table's `shift` by `eigvals` on its product alone.  A
     cycle is not sent when the bracket [lo, hi] of sp, from its least and
-    greatest row and column sums, has equal positive ends, or scores
-    strictly inside both margins once widened by `_SCREEN_SLACK` relative.
+    greatest column sums, has equal positive ends, or scores strictly
+    inside both margins once widened by `_SCREEN_SLACK` relative.
     The batches are those of the enumeration that `essential_interval_bounds`
     runs: pruned against the extremes so far when the class has more cycles
     than one batch holds.
@@ -875,9 +875,8 @@ def reference_eigvals_rows(structure, dec, table, budget):
         low = ends[0] + margin * abs(ends[0])
         high = ends[1] - margin * abs(ends[1])
         for m in products[hug == 0].tolist():
-            col_sums, row_sums = [sum(col) for col in zip(*m)], [sum(row) for row in m]
-            lo = max(min(col_sums), min(row_sums))
-            hi = min(max(col_sums), max(row_sums))
+            col_sums = [sum(col) for col in zip(*m)]
+            lo, hi = min(col_sums), max(col_sums)
             settled = lo > 0 and lo == hi
             inside = (
                 lo > 0

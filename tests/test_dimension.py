@@ -654,29 +654,53 @@ def test_witness_ties_go_to_the_shortest_cycle(six_map_quarter_structure):
     assert bounds.max_witness.edges == (0, 3)
 
 
-def test_witness_is_the_least_row_over_many_tied_certificates():
-    # certificates of distinct rows of 3 loop codes, many tied on positivity
-    # and length as on table_87, against the least (not positive, length,
-    # row) taken group by group
+def test_least_row_is_the_least_row_of_the_stack():
+    # seeded int32 stacks of step codes with many tied leading columns, and
+    # single rows, against the least row as a tuple
+    rng = random.Random(20261026)
+    for i in range(400):
+        n, size = rng.randint(1, 6), 1 if i % 4 == 0 else rng.randint(2, 40)
+        codes = numpy.array(
+            [[rng.randint(0, 2) for _ in range(n)] for _ in range(size)], numpy.int32
+        )
+        assert dimension._least_row(codes) == min(map(tuple, codes.tolist()))
+
+
+def test_witness_is_the_least_over_the_certificates():
+    # certificates (rate, positive, least row) of distinct rows of 3 loop
+    # codes, many tied on positivity and length as on table_87, against the
+    # least (not positive, length, row) over those that attain
     steps = loop_class([Fraction(1, 2)] * 3)
     rng = random.Random(20261025)
     for _ in range(300):
         rows = rng.sample([r for n in (1, 2, 3) for r in itertools.product(range(3), repeat=n)], 12)
-        certificates = []
-        while rows:
-            n, take = len(rows[0]), rng.randint(1, 3)
-            group = [r for r in rows if len(r) == n][:take]
-            rows = [r for r in rows if r not in group]
-            positive = rng.random() < 0.7
-            certificates.append((len(certificates), positive, numpy.array(group, numpy.int32)))
-        attains = set(rng.sample(range(len(certificates)), rng.randint(1, len(certificates))))
+        certificates = [(rate, rng.random() < 0.7, row) for rate, row in enumerate(rows)]
+        attains = set(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
         not_positive, _, row, rate = min(
-            (not positive, codes.shape[1], min(codes.tolist()), rate)
-            for rate, positive, codes in certificates
+            (not positive, len(row), row, rate)
+            for rate, positive, row in certificates
             if rate in attains
         )
         witness = dimension._witness(certificates, attains.__contains__, steps)
-        assert witness == dimension.CycleWitness(*steps.cycle(row), rate, not not_positive)
+        assert witness == dimension.CycleWitness(*steps.cycle(list(row)), rate, not not_positive)
+
+
+def test_rate_runs_once_per_distinct_rate_on_table_87(monkeypatch, table_87_structure):
+    # 1,315 certified cycles with 952 distinct products, every spectral
+    # radius exactly 1, so 7 distinct (radius, length, positivity) and the
+    # two outer ends
+    structure = table_87_structure
+    dec, table = parts_of(structure)
+    rate, calls = dimension._rate, []
+
+    def counting_rate(*args):
+        calls.append(args)
+        return rate(*args)
+
+    monkeypatch.setattr(dimension, "_rate", counting_rate)
+    bounds = essential_interval_bounds(structure, dec, table, 8)
+    assert bounds.certified_count == 1315
+    assert len(calls) == 9
 
 
 SCREENED_FIELDS = (
@@ -783,9 +807,9 @@ def test_screen_calls_eigvals_once_per_batch(request, monkeypatch):
             bounds = essential_interval_bounds(structure, dec, table, 5)
         # batches of more than 10 cycles on average, so one call per batch is few
         assert bounds.cycle_count > 10 * len(counts)
-        # at most one call per batch, with exactly the cycles whose row and
-        # column sums settle neither the score nor the margin test: none
-        # where every rate is equal
+        # at most one call per batch, with exactly the cycles whose column
+        # sums settle neither the score nor the margin test: none where
+        # every rate is equal
         assert [shape[0] for shape in calls] == [c for c in counts if c], name
         assert (sum(counts) == 0) == (name == "gap_system_structure"), name
         # and some call takes more than one cycle
@@ -794,9 +818,11 @@ def test_screen_calls_eigvals_once_per_batch(request, monkeypatch):
 
 
 def sum_screened_class(rng):
-    """A `random_class` whose edge matrices come in the kinds that the
-    screen's row and column sums treat apart: equal column sums, equal row
-    sums, a zero row, zero below the diagonal (reducible), or none of these.
+    """A `random_class` whose edge matrices come in kinds that the screen's
+    column sums may treat apart: equal column sums, equal row sums, a zero
+    row, zero below the diagonal (reducible), or none of these.  The
+    column sums settle only the first kind; products of the equal-row-sum
+    kind go to `eigvals` unless their bracket lies inside the margins.
 
     A class takes one kind for every edge, so its products keep it, or a
     kind per edge.  Entries are integers 0 to 4 over a denominator 2 to 8,
