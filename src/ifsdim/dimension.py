@@ -95,9 +95,10 @@ __all__ = [
 
 # relative margin of the float screen in `essential_interval_bounds`
 _SCREEN_MARGIN = 1e-6
-# the screen drops a cycle by its column sums alone when that
-# bracket of its float spectral radius, widened by this much relative, lies
-# inside the margins; float sums and `eigvals` err by about 1e-15 relative
+# the prune of `_cycle_batches` drops a walk only when its bounds on the
+# spectral radii of the cycles it can close into, widened by this much
+# relative, score inside the margins; float products, sums and `eigvals`
+# err by about 1e-15 relative
 _SCREEN_SLACK = 1e-9
 # most matrix entries, walks times the class's largest neighbour count
 # squared, that `_cycle_batches` extends (and so the float screen scores)
@@ -702,30 +703,21 @@ def _near_extreme(g, g_lo: float, g_hi: float):
     return ~numpy.isfinite(g) | (g <= low) | (g >= high)
 
 
-def _screen_scores(products, n: int, shift: float, g_lo: float, g_hi: float):
+def _screen_scores(products, n: int, shift: float):
     """The scores ln sp / n + `shift` of the float `products` of a batch of
-    cycles of n steps, scored against the extremes g_lo and g_hi of the
-    scores so far; `shift` is the step table's, which undoes its scaling.
+    cycles of n steps; `shift` is the step table's, which undoes its scaling.
 
-    For a nonnegative square matrix, sp lies between its least and its
-    greatest column sum (Collatz-Wielandt with the all-ones vector).  A
-    product whose bracket, widened by `_SCREEN_SLACK` relative, scores
-    strictly between the margins of the extremes so far cannot be near the
-    final ones, which lie further out, and a bracket whose ends are equal
-    and positive is sp, as in `spectral_radius`: both score its upper end.
-    Only the others go to `_chunk_scores`.
+    A product whose column sums are equal and positive has that sum as sp
+    (Collatz-Wielandt with the all-ones vector), as in `spectral_radius`,
+    and scores it; only the others go to `_chunk_scores`.
     """
     import numpy
 
     cols = products.sum(axis=1)
     lo, hi = cols.min(axis=1), cols.max(axis=1)
-    low, high = _margins(g_lo, g_hi)
     with numpy.errstate(divide="ignore"):
-        inside = (numpy.log(lo * (1 - _SCREEN_SLACK)) / n + shift > low) & (
-            numpy.log(hi * (1 + _SCREEN_SLACK)) / n + shift < high
-        )
         g = numpy.log(hi) / n + shift
-    rest = ~(inside | ((lo == hi) & (lo > 0)))
+    rest = ~((lo == hi) & (lo > 0))
     if rest.any():
         g[rest] = _chunk_scores(products[rest], n) + shift
     return g
@@ -801,34 +793,27 @@ def essential_interval_bounds(
     of all walks of a level at once, left to right, and its score g = ln
     sp / n (n edges) is read off that product; the rate is -g / |ln rho|.
     Each batch it yields, of one start, length and shape, is scored as it
-    comes (`_screen_scores`) against the extremes of the scores so far.
-    Only the cycles whose g lies within the relative `_SCREEN_MARGIN` of
-    the least or greatest score, and those whose g is not finite (a
-    product that underflows to 0, or a failed eigensolver), get an
-    exact product, a certified spectral radius and a certified rate;
-    `certified_count` counts them.  The margin test only tightens as the
-    extremes move out, so each batch keeps the cycles near the extremes
-    seen so far, and those are filtered once more against the final
-    extremes: that leaves exactly the cycles near the final extremes.
-    Most scores need no eigenvalues.  For a nonnegative k x k matrix P
-    and the all-ones vector, Collatz-Wielandt gives least column sum <=
-    sp(P) <= greatest column sum.  A cycle whose bracket, widened by
-    `_SCREEN_SLACK` relative, scores strictly between the margins of the
-    extremes seen so far is not near them, and as those margins only move
-    out it is not near the final ones either: it is dropped.  The float
-    sums err by about k 1e-16 relative and `eigvals` by about 1e-15, far
-    inside the slack, so the score `eigvals` would give lies inside the
-    margins too.  A bracket with equal positive ends is sp and scores it
-    (as every exact product of equal-column-sum matrices has; see
-    `_StepTable` for which float products are exact).  The others go to one
-    `numpy.linalg.eigvals` call, and a call that raises `LinAlgError`
-    scores its cycles nan; no product overflows, as the entries of a
-    product of edge matrices lie in [0, 1] (`matrices.edge_matrix`).  So
-    the cycles certified do not depend on how the cycles are batched: a
-    cycle near the final extremes is never dropped by its sums, and its
-    score is either its bracket's end or `eigvals` of its own product,
-    which LAPACK computes one matrix at a time.  Every score adds the step
-    table's `shift`, which undoes the scaling of its floats.
+    comes (`_screen_scores`) and tested against the extremes of the scores
+    so far.  Only the cycles whose g lies within the relative
+    `_SCREEN_MARGIN` of the least or greatest score, and those whose g is
+    not finite (a product that underflows to 0, or a failed eigensolver),
+    get an exact product, a certified spectral radius and a certified
+    rate; `certified_count` counts them.  The margin test only tightens as
+    the extremes move out, so each batch keeps the cycles near the
+    extremes seen so far, and those are filtered once more against the
+    final extremes: that leaves exactly the cycles near the final
+    extremes.  A cycle whose float product has equal positive column sums
+    scores that sum, which is sp (Collatz-Wielandt with the all-ones
+    vector), as every exact product of equal-column-sum matrices has; see
+    `_StepTable` for which float products are exact.  The others go to one
+    `numpy.linalg.eigvals` call per batch, and a call that raises
+    `LinAlgError` scores its cycles nan; no product overflows, as the
+    entries of a product of edge matrices lie in [0, 1]
+    (`matrices.edge_matrix`).  So the cycles certified do not depend on
+    how the cycles are batched: each score is either a column sum or
+    `eigvals` of the cycle's own product, which LAPACK computes one matrix
+    at a time.  Every score adds the step table's `shift`, which undoes
+    the scaling of its floats.
     The enumeration is pruned by the extremes so far: a walk whose every
     closing cycle would score strictly between their margins is not
     extended (`_cycle_batches` has the proof).  Such a cycle would be
@@ -848,12 +833,12 @@ def essential_interval_bounds(
     `_StepTable` of the class, built once per call, and a kept cycle
     travels as its row of step codes and its float product, from which
     `_StepTable.products` reads the exact product of all but the longest
-    cycles, a batch at a time; the groups of one length are merged by
-    `TransitionMatrix`, and one spectral radius serves each group, all its
-    cycles having the same product and length.  The groups whose radii
-    have one enclosure, length and positivity share a certificate: one
-    rate and their least row of step codes (`_least_row`), as many cycles
-    tie exactly at an extreme.  The inner ends are taken over these
+    cycles, a batch at a time.  The kept cycles are grouped once by
+    (length, `TransitionMatrix`), and one spectral radius serves each
+    group, all its cycles having the same product and length.  The groups
+    whose radii have one enclosure, length and positivity share a
+    certificate: one rate and their least row of step codes (`_least_row`),
+    as many cycles tie exactly at an extreme.  The inner ends are taken over these
     certificates, and each witness turns a row back into (start, edges).
 
     `min_witness` and `max_witness` are taken among the certified cycles
@@ -909,7 +894,7 @@ def essential_interval_bounds(
                 codes, products = codes[hug == 0], products[hug == 0]
             if not len(codes):
                 continue
-            g = _screen_scores(products, codes.shape[1], steps.shift, g_lo, g_hi)
+            g = _screen_scores(products, codes.shape[1], steps.shift)
             finite = g[numpy.isfinite(g)]
             if finite.size:
                 g_lo = min(g_lo, float(finite.min()))
@@ -917,26 +902,22 @@ def essential_interval_bounds(
             keep = _near_extreme(g, g_lo, g_hi)
             near.append((g[keep], codes[keep], products[keep]))
         cycle_count = cycles - len(excluded)
-        # (step codes, float products) of each batch's cycles near the final extremes
-        by_length: dict[int, list] = {}
+        # the cycles near the final extremes, by length and exact product: the
+        # rate and positivity of a cycle depend only on those
+        groups: dict[tuple, list] = {}
         for g, codes, products in near:
             keep = _near_extreme(g, g_lo, g_hi)
             if keep.any():
-                by_length.setdefault(codes.shape[1], []).append((codes[keep], products[keep]))
-
+                codes = codes[keep]
+                certified_count += len(codes)
+                for product, which in steps.products(codes, products[keep]):
+                    groups.setdefault((codes.shape[1], product), []).append(codes[which])
         loose = Fraction(1, 10**9)
         tied: dict[tuple, list] = {}
-        for n in sorted(by_length):
-            # the rate and positivity of a cycle depend only on its product and length
-            groups: dict[TransitionMatrix, list] = {}
-            for codes, products in by_length[n]:
-                certified_count += len(codes)
-                for product, which in steps.products(codes, products):
-                    groups.setdefault(product, []).append(codes[which])
-            for product, rows in groups.items():
-                sp = spectral_radius(product, rel_tol=loose)
-                key = (sp.certified_lo, sp.certified_hi, n, product.is_positive())
-                tied.setdefault(key, []).extend(rows)
+        for (n, product), rows in groups.items():
+            sp = spectral_radius(product, rel_tol=loose)
+            key = (sp.certified_lo, sp.certified_hi, n, product.is_positive())
+            tied.setdefault(key, []).extend(rows)
         certificates = [
             (_rate(lo, hi, n, den1), positive, _least_row(numpy.concatenate(rows)))
             for (lo, hi, n, positive), rows in tied.items()

@@ -36,7 +36,7 @@ that screen keeps, found by scoring every batch first and filtering once
 against the global extremes; `reference_eigvals_rows`, how many cycles
 of each batch that screen sends to `numpy.linalg.eigvals`, followed one
 cycle at a time over the batches of the pruned enumeration, the
-reference for the row- and column-sum brackets that settle the others;
+reference for the equal column sums that score the others;
 `reference_product`, the former
 entry-by-entry `Fraction` matrix product, kept as the reference for the
 integer multiply of `TransitionMatrix`; `reference_matrix_flags`, the
@@ -849,20 +849,16 @@ def reference_eigvals_rows(structure, dec, table, budget):
     followed one cycle at a time in plain Python; a list with one count
     per batch that holds a cycle hugging neither end.
 
-    A batch's cycles that hug neither end are scored against the margins
-    of the extremes of the batches before it, each cycle scored ln sp / n
-    plus the step table's `shift` by `eigvals` on its product alone.  A
-    cycle is not sent when the bracket [lo, hi] of sp, from its least and
-    greatest column sums, has equal positive ends, or scores strictly
-    inside both margins once widened by `_SCREEN_SLACK` relative.
+    A batch's cycles that hug neither end are each scored ln sp / n plus
+    the step table's `shift` by `eigvals` on its product alone.  A cycle
+    is sent unless its column sums are equal and positive.
     The batches are those of the enumeration that `essential_interval_bounds`
-    runs: pruned against the extremes so far when the class has more cycles
-    than one batch holds.
+    runs: pruned against the extremes of the batches before it when the
+    class has more cycles than one batch holds.
     Call it before `eigvals` is patched: it calls `eigvals` too.
     """
     import numpy
 
-    margin, slack = dimension._SCREEN_MARGIN, dimension._SCREEN_SLACK
     ends = [math.inf, -math.inf]
     counts = []
     steps = dimension._StepTable(structure, dec.essential, table)
@@ -872,18 +868,9 @@ def reference_eigvals_rows(structure, dec, table, budget):
         if not (hug == 0).any():
             continue
         n, sent, scores = codes.shape[1], 0, []
-        low = ends[0] + margin * abs(ends[0])
-        high = ends[1] - margin * abs(ends[1])
         for m in products[hug == 0].tolist():
             col_sums = [sum(col) for col in zip(*m)]
-            lo, hi = min(col_sums), max(col_sums)
-            settled = lo > 0 and lo == hi
-            inside = (
-                lo > 0
-                and math.log(lo * (1 - slack)) / n + steps.shift > low
-                and math.log(hi * (1 + slack)) / n + steps.shift < high
-            )
-            sent += not (settled or inside)
+            sent += not (min(col_sums) > 0 and min(col_sums) == max(col_sums))
             radius = max(abs(z) for z in numpy.linalg.eigvals(numpy.array(m)))
             if radius > 0:
                 scores.append(math.log(radius) / n + steps.shift)

@@ -808,8 +808,7 @@ def test_screen_calls_eigvals_once_per_batch(request, monkeypatch):
         # batches of more than 10 cycles on average, so one call per batch is few
         assert bounds.cycle_count > 10 * len(counts)
         # at most one call per batch, with exactly the cycles whose column
-        # sums settle neither the score nor the margin test: none where
-        # every rate is equal
+        # sums are not equal and positive: none where every rate is equal
         assert [shape[0] for shape in calls] == [c for c in counts if c], name
         assert (sum(counts) == 0) == (name == "gap_system_structure"), name
         # and some call takes more than one cycle
@@ -821,8 +820,8 @@ def sum_screened_class(rng):
     """A `random_class` whose edge matrices come in kinds that the screen's
     column sums may treat apart: equal column sums, equal row sums, a zero
     row, zero below the diagonal (reducible), or none of these.  The
-    column sums settle only the first kind; products of the equal-row-sum
-    kind go to `eigvals` unless their bracket lies inside the margins.
+    column sums score only the first kind; products of the other kinds go
+    to `eigvals`.
 
     A class takes one kind for every edge, so its products keep it, or a
     kind per edge.  Entries are integers 0 to 4 over a denominator 2 to 8,
@@ -919,8 +918,8 @@ def test_sum_screen_matches_the_reference_screen_on_random_classes(monkeypatch):
             reference = oh.reference_screen(structure, dec, table, budget)
             assert set(certified) == reference, (budget, entries)
             assert bounds.certified_count == len(certified) == len(reference)
-            # the cycles that go to eigvals, settled neither by the sums
-            # nor by the margins, one call per batch that has any
+            # the cycles that go to eigvals, not scored by their sums, one
+            # call per batch that has any
             assert rows == [c for c in counts if c], (budget, entries)
             sent += sum(counts)
             settled += bounds.cycle_count - sum(counts)
@@ -1074,7 +1073,7 @@ def test_screen_scores_undo_the_scaling_of_the_step_floats(request, monkeypatch,
     assert steps.shift > 0.28
     for codes, products, _ in dimension._cycle_batches(steps, 5):
         n = codes.shape[1]
-        g = dimension._screen_scores(products, n, steps.shift, math.inf, -math.inf)
+        g = dimension._screen_scores(products, n, steps.shift)
         for score, row in zip(g.tolist(), codes.tolist()):
             exact = numpy.array(table.cycle_matrix(*steps.cycle(row)).rows, dtype=float)
             want = math.log(max(abs(numpy.linalg.eigvals(exact)))) / n
