@@ -19,7 +19,10 @@ quotients to the requested tolerance.  When it does not, or the seed is
 not strictly positive (all ones is used then), power iteration on B + tI
 (primitive whenever B is irreducible) tightens them.  Neither the float
 seed nor rounding the iterate can invalidate the enclosure, because the
-inequality holds for every positive vector.
+inequality holds for every positive vector.  A rational radius of a block
+is m / D for an integer m, D the common denominator of its entries, so an
+enclosure holding one such m / D names the only candidate, which a
+positive eigenvector then confirms.
 numpy is imported only inside `_perron_seed`, so importing this module
 does not load it.
 """
@@ -38,7 +41,6 @@ __all__ = ["SpectralResult", "safe_float", "spectral_radius"]
 DEFAULT_REL_TOL = Fraction(1, 10**12)
 _ROUNDING_CAP = 10**40
 _KEPT_BITS = 140  # leading bits a component below 1/_ROUNDING_CAP keeps
-_CANDIDATE_CAPS = (1, 10**3, 10**6, 10**9, 10**12)
 # `_cw_bounds` stalls when its enclosure has not narrowed by _STALL_FACTOR
 # within _STALL_ROUNDS rounds and the last round moved no component of the
 # vector by more than the tolerance
@@ -51,17 +53,23 @@ _MAX_ROUNDS = 500
 class SpectralResult(NamedTuple):
     """Spectral radius with a rigorous rational enclosure.
 
-    `certified_lo <= sp <= certified_hi` always holds.  `exact` is set when
-    the radius is a known rational: a block with equal column sums (a 1x1
-    block among them), an enclosure that closed completely, or a small
-    block with a rational eigenvalue inside the enclosure that has a
-    positive eigenvector.
+    `certified_lo <= sp <= certified_hi` always holds, and `exact` is the
+    radius when the enclosure is a point.  It is one when the matrix has
+    equal column sums, or when the block of greatest radius is known
+    exactly and no other block's enclosure reaches above it: a block with
+    equal column sums (a 1x1 block among them), an enclosure that closed
+    completely, or a small block whose enclosure allows one rational m / D,
+    which has a positive eigenvector.
     """
 
     value: float
     certified_lo: Fraction
     certified_hi: Fraction
-    exact: Fraction | None = None
+
+    @property
+    def exact(self) -> Fraction | None:
+        """The radius when the enclosure is a point, else None."""
+        return self.certified_lo if self.certified_lo == self.certified_hi else None
 
 
 def safe_float(q: Fraction) -> float:
@@ -192,30 +200,24 @@ def _positive_eigenvector(block, r) -> bool:
 
 
 def _rational_dominant_root(block, lo, hi):
-    """A rational r in [lo, hi] with a positive eigenvector, if one exists.
+    """sp(block) when it is rational and m / D is the only rational of
+    [lo, hi] it can be, else None.
 
-    By Perron-Frobenius, an eigenvalue of an irreducible nonnegative matrix
-    with a strictly positive eigenvector is the spectral radius, so a hit
-    here is an exact answer, not a heuristic.
+    D * block has integer entries, so a rational eigenvalue of it is an
+    integer, and a rational radius is m / D for an integer m in
+    [D lo, D hi].  With no such m the radius is irrational; with several
+    the enclosure stands.  With one, a strictly positive eigenvector for
+    m / D makes it the radius by Perron-Frobenius, so a hit is an exact
+    answer, not a heuristic.
     """
     if len(block) > 4:
         return None
-    # D * block has integer entries, so a rational eigenvalue of it is a
-    # root of a monic integer polynomial, hence an integer
     scale = math.lcm(*(x.denominator for row in block for x in row))
-    mid = safe_float((lo + hi) / 2)
-    if math.isinf(mid):
-        # no float candidate beyond the float range; the enclosure stands
+    m = math.ceil(lo * scale)
+    if m != math.floor(hi * scale):
         return None
-    seen = set()
-    for cap in _CANDIDATE_CAPS:
-        r = Fraction(mid).limit_denominator(cap)
-        if r in seen or not lo <= r <= hi or (r * scale).denominator != 1:
-            continue
-        seen.add(r)
-        if _positive_eigenvector(block, r):
-            return r
-    return None
+    r = Fraction(m, scale)
+    return r if _positive_eigenvector(block, r) else None
 
 
 def spectral_radius(
@@ -237,6 +239,7 @@ def spectral_radius(
     the all-ones row vector is a positive left eigenvector for c / den,
     which is then the radius exactly, by Perron-Frobenius.  Only a block
     with unequal sums is made into `Fraction` entries for `_cw_bounds`.
+    The greatest lower and upper block ends enclose the radius.
     """
     if not isinstance(matrix, TransitionMatrix):
         matrix = TransitionMatrix(matrix)
@@ -247,7 +250,7 @@ def spectral_radius(
     sums = {sum(col) for col in zip(*ints)}
     if len(sums) == 1:
         c = Fraction(sums.pop(), den)
-        return SpectralResult(safe_float(c), c, c, c)
+        return SpectralResult(safe_float(c), c, c)
     succ = [[j for j, x in enumerate(row) if x] for row in ints]
     blocks = []
     for comp in strongly_connected_components(n, succ.__getitem__):
@@ -257,25 +260,15 @@ def spectral_radius(
         sums = [sum(col) for col in zip(*sub)]
         lo, hi = Fraction(min(sums), den), Fraction(max(sums), den)
         if lo == hi:
-            blocks.append((lo, hi, lo))
+            blocks.append((lo, hi))
             continue
         sub = [tuple(Fraction(x, den) for x in row) for row in sub]
         lo, hi = _cw_bounds(sub, lo, hi, rel_tol)
         exact = lo if lo == hi else _rational_dominant_root(sub, lo, hi)
         if exact is not None:
             lo = hi = exact
-        blocks.append((lo, hi, exact))
-    if not blocks:
-        # nilpotent: every block is a 1x1 zero
-        zero = Fraction(0)
-        return SpectralResult(0.0, zero, zero, zero)
-    lo = max(b[0] for b in blocks)
-    hi = max(b[1] for b in blocks)
-    exact = None
-    dominant = max(blocks, key=lambda b: b[1])
-    if dominant[2] is not None and all(
-        b[1] <= dominant[2] for b in blocks if b is not dominant
-    ):
-        exact = dominant[2]
-        lo = hi = exact
-    return SpectralResult(safe_float((lo + hi) / 2), lo, hi, exact)
+        blocks.append((lo, hi))
+    # a nilpotent matrix has no block but 1x1 zeros, and radius 0
+    lo = max((b[0] for b in blocks), default=Fraction(0))
+    hi = max((b[1] for b in blocks), default=Fraction(0))
+    return SpectralResult(safe_float((lo + hi) / 2), lo, hi)

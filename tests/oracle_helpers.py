@@ -45,8 +45,11 @@ reference for those `TransitionMatrix` reads off its integer form;
 `reference_spectral_radius`, the former `spectral_radius` that made every
 matrix into `Fraction` rows, found its blocks and took their column sums
 on those, with the column-sum shortcut inside `_reference_cw_bounds`,
-kept as the reference for the integer-form block reduction of
-`spectral.spectral_radius`;
+and made a point of the enclosure only when the block of greatest upper end
+was exact and no other block reached above it, kept as the reference for
+the integer-form block reduction of `spectral.spectral_radius` (it calls
+the package's `_rational_dominant_root`, which `test_spectral.py` checks
+against radii known by construction);
 `reference_load`, a record-by-record reader of a version-6 cache payload
 into a `RecordTable`: it unpacks each column with `unpack_columns`, a
 digit-by-digit decode of its own, then applies the per-id checks and
@@ -682,7 +685,7 @@ def reference_spectral_radius(
     ):
         exact = dominant[2]
         lo = hi = exact
-    return spectral.SpectralResult(spectral.safe_float((lo + hi) / 2), lo, hi, exact)
+    return spectral.SpectralResult(spectral.safe_float((lo + hi) / 2), lo, hi)
 
 
 def reference_essential_scan(structure, dec):

@@ -15,6 +15,7 @@ import pytest
 from ifsdim import cli, config, dimension
 from ifsdim.classes import build_triple_diagram, classify_truly_essential, decompose
 from ifsdim.cli import ConfigError, main
+from ifsdim.matrices import MatrixTable
 from ifsdim.config import build_system, parse_config
 from ifsdim.net import explore, locate_point
 
@@ -441,6 +442,53 @@ PINNED_POINTDIM = {
 def test_pointdim_stdout_is_pinned(cfgdir, capsys, cfg, point):
     assert main(["pointdim", "--config", str(cfgdir / (cfg + ".cfg")), "--point", point]) == 0
     assert capsys.readouterr().out == PINNED_POINTDIM[cfg, point]
+
+
+# golden_third at 1/87 and 2/87: the period-56 cycle product has rank one, so its
+# radius is its trace, a rational over 3^54, past any denominator a float midpoint
+# suggests; the lo and hi are the dimension enclosure printed before it was exact
+GOLDEN_RANK_ONE = {
+    "1/87": (
+        "1281809070080/58149737003040059690390169",
+        "3144577005603711512797877396207740701059/2694786220333779305987449915176463171040",
+        "3144577005603711523313564268655204214809/2694786220333779305987449915176463168240",
+    ),
+    "2/87": (
+        "6390250496000/58149737003040059690390169",
+        "596785380065526490115752850990346638343/538957244066755861197489983035292634208",
+        "745981725081908112973711663862318242117/673696555083444826496862478794115792060",
+    ),
+}
+
+
+@pytest.mark.parametrize("point", sorted(GOLDEN_RANK_ONE))
+def test_rank_one_cycle_radius_is_its_exact_trace(
+    cfgdir, capsys, tmp_path, golden_third_structure, point
+):
+    structure = golden_third_structure
+    radius, old_lo, old_hi = map(Fraction, GOLDEN_RANK_ONE[point])
+    spec = dimension.PeriodicSpec.from_location(locate_point(structure, Fraction(point)))
+    assert spec.second is None and len(spec.cycle) == 56
+    table = MatrixTable(structure)
+    anchor = dimension._walk_from(structure, structure.root_full, spec.prefix)
+    rows = table.cycle_matrix(anchor, spec.cycle).rows
+    n = len(rows)
+    assert n > 1 and any(any(row) for row in rows)
+    # every 2x2 minor vanishes: rank one, so det 0 and sp = trace
+    assert all(
+        rows[i][k] * rows[j][l] == rows[i][l] * rows[j][k]
+        for i in range(n) for j in range(n) for k in range(n) for l in range(n)
+    )
+    trace = sum(rows[i][i] for i in range(n))
+    assert trace == radius
+    result = dimension.local_dim_periodic(structure, table, spec)
+    assert result.spectral[0].exact == trace
+    out = tmp_path / "point.json"
+    argv = ["pointdim", "--config", str(cfgdir / "golden_third.cfg"), "--point", point]
+    assert main(argv + ["--json", str(out)]) == 0
+    assert "cycle spectral radius %s\n" % radius in capsys.readouterr().out
+    dim = json.loads(out.read_text())["local_dimension"]["dimension"]
+    assert old_lo <= Fraction(dim["lo"]) <= Fraction(dim["hi"]) <= old_hi
 
 
 @pytest.mark.parametrize("cfg", ["gap", "golden_third", "golden_half", "six", "cantor_light"])

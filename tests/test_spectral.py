@@ -390,7 +390,7 @@ def test_equal_column_sums_match_the_block_path_on_random_matrices():
         got = spectral_radius(rows)
         want = reference_spectral_radius(rows)
         (c,) = {sum(col) for col in zip(*rows)}
-        assert got == spectral.SpectralResult(float(c), c, c, c)
+        assert got == spectral.SpectralResult(float(c), c, c)
         if got == want:
             kinds["same"] += 1
         else:
@@ -437,3 +437,115 @@ def test_certified_report_products_never_read_fraction_rows(monkeypatch, table_8
     monkeypatch.setattr(TransitionMatrix, "rows", property(rows))
     for matrix, kwargs in products:
         spectral_radius(matrix, **dict(kwargs))
+
+
+# ---------------------------------------------------------------------------
+# the exact radius against radii known by construction
+# ---------------------------------------------------------------------------
+
+
+def _rank_one_block(rng):
+    """u v^T with u over 3^e, e up to 60, and v of small fractions not all
+    equal (equal ones would give equal column sums); sp = v . u."""
+    k = rng.randrange(2, 5)
+    e = rng.randrange(1, 61)
+    u = [Fraction(rng.randrange(1, 10), 3**e) for _ in range(k)]
+    v = [Fraction(rng.randrange(1, 10), rng.choice([1, 2, 4, 5])) for _ in range(k)]
+    if len(set(v)) == 1:
+        v[0] += 1
+    return [[a * b for b in v] for a in u], sum(a * b for a, b in zip(u, v))
+
+
+def _equal_row_sum_block(rng):
+    """An irreducible block whose row sums all equal s / den and whose column
+    sums mostly differ: the all-ones vector is a positive right eigenvector,
+    so sp = s / den."""
+    k = rng.randrange(2, 5)
+    ints = [[rng.randrange(0, 6) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        ints[i][(i + 1) % k] += 1
+    top = max(map(sum, ints)) + rng.randrange(0, 3)
+    for i in range(k):
+        ints[i][i] += top - sum(ints[i])
+    den = rng.choice([1, 2, 3, 7, 10]) ** rng.randrange(0, 40)
+    return [[Fraction(x, den) for x in row] for row in ints], Fraction(top, den)
+
+
+def _positive_block(rng):
+    """A positive block of small fractions over one denominator; its radius is
+    left to sympy."""
+    k = rng.randrange(2, 5)
+    den = rng.randrange(1, 13)
+    return [[Fraction(rng.randrange(1, 5), den) for _ in range(k)] for _ in range(k)], None
+
+
+def _sympy_radius(rows):
+    """(characteristic polynomial, sp) in sympy: sp is its greatest real root,
+    a `Fraction` when rational, a sympy root object otherwise."""
+    import sympy
+
+    poly = sympy.Matrix(
+        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+    ).charpoly()
+    sp = max(poly.real_roots())
+    return poly, Fraction(int(sp.p), int(sp.q)) if sp.is_Rational else sp
+
+
+@pytest.mark.parametrize("loose", [False, True], ids=["seeded", "loose"])
+def test_exact_radius_is_the_one_rational_the_enclosure_allows(monkeypatch, loose):
+    """Radii known by construction against `spectral_radius`: rank-one blocks
+    u v^T (sp = v . u, with denominators up to 3^60), blocks with equal row
+    sums but unequal column sums (sp = the row sum), and positive blocks
+    whose radius sympy finds from the exact characteristic polynomial.
+
+    With D the common denominator of a block, a rational radius is m / D
+    for an integer m in [D lo, D hi].  Whenever that range holds one integer
+    and sp is rational, `exact` must be sp; no `exact` may differ from sp,
+    and an `exact` of a positive block must be a root of its characteristic
+    polynomial.  `reference_spectral_radius` calls the package's own
+    `_rational_dominant_root`, so this test, not that oracle, is the
+    independent check of it.  "loose" drops the Perron seed and stops
+    `_cw_bounds` after 1 to 4 rounds, so that many enclosures hold one
+    integer that is not the radius and only the eigenvector test refuses it.
+    """
+    if loose:
+        monkeypatch.setattr(spectral, "_perron_seed", lambda block: None)
+    rng = random.Random(20261022)
+    kinds = {}
+    for i in range(600):
+        kind, make = [
+            ("rank_one", _rank_one_block),
+            ("equal_rows", _equal_row_sum_block),
+            ("positive", _positive_block),
+        ][i % 3]
+        rows, sp = make(rng)
+        if loose:
+            monkeypatch.setattr(spectral, "_MAX_ROUNDS", 1 + i % 4)
+        result = spectral_radius(rows)
+        lo, hi = result.certified_lo, result.certified_hi
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        allowed = math.floor(hi * scale) - math.ceil(lo * scale) + 1
+        if sp is None and (result.exact is not None or allowed == 1):
+            poly, sp = _sympy_radius(rows)
+            if result.exact is not None:
+                assert poly.eval(result.exact) == 0, rows
+        if sp is not None:
+            assert lo <= sp <= hi, rows
+        if result.exact is not None:
+            assert result.exact == sp, rows
+            outcome = "exact_past_1e12" if scale > 10**12 else "exact"
+        elif allowed == 1:
+            # the one candidate m / D is not the radius, which is irrational
+            assert not isinstance(sp, Fraction), rows
+            outcome = "refused"
+        else:
+            outcome = "enclosed"
+        kinds[kind, outcome] = kinds.get((kind, outcome), 0) + 1
+    if loose:
+        assert kinds.get(("positive", "refused"), 0) >= 30, kinds
+    else:
+        # every radius known to be rational is exact, far past 10^12 too
+        known = [o for k, o in kinds if k != "positive"]
+        assert set(known) == {"exact", "exact_past_1e12"}, kinds
+        assert kinds.get(("rank_one", "exact_past_1e12"), 0) >= 80, kinds
+        assert kinds.get(("equal_rows", "exact_past_1e12"), 0) >= 30, kinds
